@@ -24,7 +24,7 @@ print()
 print("=== duality maps ===")
 r, rbar = eng.duality_maps()
 print(f"R vector over (b,a): {np.round(r.array.ravel(), 6)}")
-print(f"pairing R*R = {float((r.adjoint @ r).array):.6f} = q + 1/q")
+print(f"pairing R*R = {float((r.adjoint @ r).array[0, 0]):.6f} = q + 1/q")
 
 print()
 print("=== word projections ===")

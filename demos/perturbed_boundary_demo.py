@@ -42,10 +42,11 @@ for u, s, t in [("a", "a", "aa"), ("b", "a", "ba"), ("a", "ba", "aba"), ("b", "a
 tm = transition_matrix(mu, ball(radius), q)
 lam = norm_upper_bound(mu, q)
 p_branch = tm.restrict(ctx.omega).matrix.toarray()
+q_mat, q_table = green_Q(mu, ctx, lam=lam)
 
 print()
 print("=== exponential closeness along the branch ===")
-rep = decay_audit(mu, ctx, p_branch)
+rep = decay_audit(q_mat, ctx, p_branch)
 for l, m in zip(rep.lengths, rep.maxima):
     print(f"  |s| = {l}: max |q - p| = {m:.3e}   (/q^2|s| = {m / q ** (2 * l):.3f})")
 print(f"fitted slope {rep.fitted_rate:.4f}; guaranteed envelope rate log q = {rep.target_rate:.4f}")
@@ -55,14 +56,13 @@ print(" passes, while the audit entry perturbation_rate compares with log q and 
 
 print()
 print("=== Green kernels on sub-branches ===")
-gd = gdif_audit(mu, ctx, p_branch, ["a", "ba", "aba", "baba"], lam=lam)
+gd = gdif_audit(q_mat, ctx, p_branch, ["a", "ba", "aba", "baba"], lam=lam)
 for x, rel in zip(gd.x_list, gd.max_rel):
     print(f"  sub-branch of {x:5s}: max relative gap |G_Q - G_P| / G_P = {rel:.3e}")
 
 print()
 print("=== boundary ray profiles (matched truncations) ===")
 full = green_table(tm.matrix, ball(radius), q, base="", lam=lam)
-_, q_table = green_Q(mu, ctx, lam=lam)
 ray = ray_words("", "a", "a", radius - 1)
 rows = boundary_positivity_and_ratio(ctx, q_table, full, ray, ["a" * k for k in range(1, 6)])
 print("ray t_n = a^n; sources s = a^j approach the same boundary point:")

@@ -33,7 +33,6 @@ from .intertwiners import (
     IntertwinerEngine,
     ModelConfig,
     TensorCapError,
-    build_duality_maps,
     vtilde_norm_indecomposable,
 )
 from .kernels import (
@@ -71,7 +70,7 @@ __all__ = [
     "multiplicity", "norm_upper_bound", "transition_matrix", "transition_prob",
     "uniform_irreducibility_constants",
     "Intertwiner", "IntertwinerEngine", "ModelConfig", "TensorCapError",
-    "build_duality_maps", "vtilde_norm_indecomposable",
+    "vtilde_norm_indecomposable",
     "KernelTable", "RayProfile", "boundary_profile", "green_table",
     "harnack_audit", "last_entry_audit", "multiplicativity_audit", "ray_words",
     "truncation_error_bound", "weighted_operator_norm",

@@ -22,7 +22,13 @@ import numpy as np
 
 from . import fusion, kernels, perturbed, words
 from .fusion import Measure
-from .intertwiners import IntertwinerEngine, ModelConfig, TensorCapError, vtilde_norm_indecomposable
+from .intertwiners import (
+    Intertwiner,
+    IntertwinerEngine,
+    ModelConfig,
+    TensorCapError,
+    vtilde_norm_indecomposable,
+)
 from .words import RadiusCapError, format_word, indecomposable_factors, involution, parse_word
 
 OUTPUT_ENV = "AUFWALK_OUT"
@@ -119,6 +125,11 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
         raise ConfigError("branchZ must be a nonempty word")
     if cfg.ball_radius < 0:
         raise ConfigError("ballRadius must be nonnegative")
+    # the largest quantum dimension on the ball is [2]_q^R; its square weights the solver
+    if 2 * cfg.ball_radius * math.log(cfg.q + 1.0 / cfg.q) >= math.log(sys.float_info.max):
+        raise ConfigError(
+            f"qdim^2 overflows a float on the ball of radius {cfg.ball_radius} at q = {cfg.q!r}"
+        )
     env_out = os.environ.get(OUTPUT_ENV)
     if env_out:
         cfg.output_dir = env_out
@@ -140,45 +151,52 @@ def write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def build_walk(cfg: RunConfig):
-    domain = words.ball(cfg.ball_radius)
-    tm = fusion.transition_matrix(cfg.measure, domain, cfg.q)
-    lam = fusion.norm_upper_bound(cfg.measure, cfg.q)
-    table = kernels.green_table(
-        tm.matrix, domain, cfg.q, base="", lam=lam, solver_tol=cfg.solver_tol
-    )
-    return tm, lam, table
+def build_walk(cfg: RunConfig, radius: int):
+    """Transition matrix of the configured walk on the ball of the given
+    radius, and the analytic bound on its weighted operator norm."""
+    tm = fusion.transition_matrix(cfg.measure, words.ball(radius), cfg.q)
+    return tm, fusion.norm_upper_bound(cfg.measure, cfg.q)
+
+
+def root_table(cfg: RunConfig, tm, lam: float) -> kernels.KernelTable:
+    """Dense Green table of a transition matrix, Martin kernel based at the root."""
+    return kernels.green_table(tm.matrix, tm.domain, cfg.q, base="", lam=lam, solver_tol=cfg.solver_tol)
+
+
+def _output_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _interior_row_gap(cfg: RunConfig, tm) -> float:
+    interior = tm.interior_words(cfg.ball_radius)
+    if not interior:
+        return 0.0
+    return float(np.abs(tm.row_sums()[[tm.index[w] for w in interior]] - 1.0).max())
 
 
 def cmd_walk(cfg: RunConfig) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    domain = words.ball(cfg.ball_radius)
-    tm = fusion.transition_matrix(cfg.measure, domain, cfg.q)
-    lam = fusion.norm_upper_bound(cfg.measure, cfg.q)
+    out = _output_dir(cfg)
+    tm, lam = build_walk(cfg, cfg.ball_radius)
     for s in cfg.sources:
         if s not in tm.index:
             raise ConfigError(f"source {s!r} outside the ball")
     if tm.size <= kernels.DENSE_LIMIT:
-        table = kernels.green_table(
-            tm.matrix, domain, cfg.q, base="", lam=lam, solver_tol=cfg.solver_tol
-        )
+        table = root_table(cfg, tm, lam)
         green_rows = {s: table.green[table.index[s], :] for s in cfg.sources}
         base_row = table.green[table.index[""], :]
-        residual = table.residual
-        power_norm = table.power_norm
-        neumann_gap = table.neumann_gap
+        residual, power_norm, neumann_gap = table.residual, table.power_norm, table.neumann_gap
     else:
-        green_rows, base_row, residual = kernels.green_rows(
-            tm.matrix, domain, cfg.q, cfg.sources, base="", lam=lam
+        green_rows, base_row, residual, power_norm = kernels.green_rows(
+            tm.matrix, tm.domain, cfg.q, cfg.sources, base="", lam=lam, solver_tol=cfg.solver_tol
         )
-        power_norm = kernels.weighted_operator_norm(tm.matrix, tm.haar_weights())
         neumann_gap = None
     delta0, k_steps = _irreducibility(cfg, tm)
     rows = []
     for s in cfg.sources:
         grow = green_rows[s]
-        for ti, t in enumerate(domain):
+        for ti, t in enumerate(tm.domain):
             bound = kernels.truncation_error_bound(
                 cfg.ball_radius, s, t, lam, tm.range_bound, cfg.q
             )
@@ -187,12 +205,6 @@ def cmd_walk(cfg: RunConfig) -> int:
                  float(grow[ti] / base_row[ti]), float(bound)]
             )
     write_csv(out / "green_martin.csv", ["s", "t", "G", "K", "truncationBound"], rows)
-    interior = tm.interior_words(cfg.ball_radius)
-    row_gap = (
-        float(np.abs(tm.row_sums()[[tm.index[w] for w in interior]] - 1.0).max())
-        if interior
-        else 0.0
-    )
     manifest = {
         "configHash": cfg.config_hash(),
         "q": cfg.q,
@@ -206,7 +218,7 @@ def cmd_walk(cfg: RunConfig) -> int:
         "kSteps": k_steps,
         "solverResidual": residual,
         "neumannGap": neumann_gap,
-        "interiorRowSumGap": row_gap,
+        "interiorRowSumGap": _interior_row_gap(cfg, tm),
         "seed": cfg.seed,
     }
     write_json(out / "manifest.json", manifest)
@@ -231,28 +243,46 @@ def _irreducibility(cfg: RunConfig, tm) -> tuple[float, int]:
     return min(delta0, float(data[data > 0].min())), k
 
 
-def _audit_entry(name: str, anchor: str, measured: float, bound: float, passed: bool) -> dict:
-    return {
-        "name": name,
-        "anchor": anchor,
-        "measured": measured,
-        "bound": bound,
-        "pass": bool(passed),
-    }
+def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
+    """The classical walk against the perturbed branch walk on matched
+    truncations: the ball of the branch radius for the classical Green table,
+    the truncated branch for the perturbed matrix and its table.
+
+    Returns the classical table, the perturbed matrix, for each ray its words
+    and the boundary rows of the sources inside the branch, and the sources
+    outside it.  The sources default to per^k z for the period of ray 0.
+    """
+    full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), lam)
+    qmat, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam)
+    depth = ctx.radius - 1
+    sources = cfg.boundary_sources or [
+        cfg.rays[0][1] * k + cfg.branch_z for k in range(0, min(5, depth - 1))
+    ]
+    in_branch = [s for s in sources if s in ctx.index]
+    per_ray = []
+    for pre, per in rays:
+        ray = kernels.ray_words(pre, per, cfg.branch_z, depth)
+        per_ray.append(
+            (ray, perturbed.boundary_positivity_and_ratio(ctx, q_table, full, ray, in_branch))
+        )
+    return full, qmat, per_ray, [s for s in sources if s not in ctx.index]
 
 
 def run_audits(cfg: RunConfig) -> list[dict]:
     entries: list[dict] = []
 
     def add(name, anchor, measured, bound, ok):
-        entries.append(_audit_entry(name, anchor, float(measured), float(bound), ok))
+        entries.append(
+            {"name": name, "anchor": anchor, "measured": float(measured), "bound": float(bound),
+             "pass": bool(ok)}
+        )
 
     q = cfg.q
     if not fusion.is_generating(cfg.measure, max(cfg.measure.range_bound, 4), q):
         raise ConfigError("measure is not generating; audits need an irreducible walk")
-    tm, lam, table = build_walk(cfg)
-    interior = tm.interior_words(cfg.ball_radius)
-    gap = float(np.abs(tm.row_sums()[[tm.index[w] for w in interior]] - 1.0).max())
+    tm, lam = build_walk(cfg, cfg.ball_radius)
+    table = root_table(cfg, tm, lam)
+    gap = _interior_row_gap(cfg, tm)
     add("stochasticity", "interior row sums of the transition matrix", gap, 1e-12, gap < 1e-12)
 
     dual_gap = fusion.dual_audit(cfg.measure, min(cfg.ball_radius, 8), q)
@@ -279,10 +309,13 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     add("duality_normalization", "pairing norm equals the quantum dimension of a letter", rr,
         1e-10, rr < 1e-10)
 
-    mism = _rank_mismatches(eng, min(7, cfg.model.tensor_cap))
+    mism = sum(rank != dim for _, rank, dim in _rank_rows(eng, min(7, cfg.model.tensor_cap)))
     add("fusion_dimensions", "projection ranks equal classical dimensions", mism, 0.0, mism == 0)
 
-    worst_rel, min_ratio = _vtilde_norm_scan(eng)
+    worst_rel, min_ratio = 0.0, math.inf
+    for s, v, t, nrm, closed, rel in _vtilde_rows(eng):
+        worst_rel = max(worst_rel, rel)
+        min_ratio = min(min_ratio, nrm / math.sqrt(words.qdim(v, q)))
     add("vtilde_norms", "Gaussian-binomial closed form of the almost-isometry norms", worst_rel,
         1e-8, worst_rel < 1e-8)
     add("vtilde_lower_ratio", "lower bound ratio of the almost-isometry norms", min_ratio, 0.0,
@@ -292,7 +325,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     add("defect_decay", "projection commutation defects decay with the length exponent",
         rate_gap, 0.2, rate_gap <= 0.2)
 
-    ctx = _branch_context(cfg, eng, cfg.effective_q_radius())
+    ctx = _branch_context(cfg, eng)
     p_branch = tm.restrict(ctx.omega).matrix.toarray()
     oracle_gap, domination_gap = _qhat_checks(cfg, ctx)
     add("qhat_oracle", "trace formula against the partial-trace evaluation", oracle_gap, 1e-9,
@@ -300,7 +333,8 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     add("qhat_domination", "perturbed weights dominated by classical ones", domination_gap,
         1e-12, domination_gap <= 1e-12)
 
-    decay = perturbed.decay_audit(cfg.measure, ctx, p_branch)
+    _, qmat, [(_, ratio_rows)], _ = branch_kernels(cfg, tm, lam, ctx, cfg.rays[:1])
+    decay = perturbed.decay_audit(qmat, ctx, p_branch)
     env_gap = decay.envelope_gap()
     add("perturbation_envelope", "single-constant envelope of the perturbation",
         env_gap, 0.0, env_gap <= 0.0)
@@ -324,7 +358,8 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     add("last_entry", "decomposition of the Green kernel at the branch cut", resid, cfg.audit_tol,
         resid < cfg.audit_tol)
 
-    gdif, ratio_rows = _branch_green_checks(cfg, tm, ctx, p_branch, lam)
+    x_list = [x for x in _alternating_branch_words(cfg.branch_z, 4) if len(x) <= ctx.radius - 2]
+    gdif = perturbed.gdif_audit(qmat, ctx, p_branch, x_list, lam=lam)
     anchored = gdif.max_rel[0] / (q ** len(gdif.x_list[0]))
     gd_gap = max(
         rel / (anchored * q ** len(x)) for rel, x in zip(gdif.max_rel, gdif.x_list)
@@ -344,10 +379,9 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     return entries
 
 
-def _branch_context(cfg: RunConfig, eng, radius: int):
+def _branch_context(cfg: RunConfig, eng):
     store = perturbed.QhatStore(cfg.qhat_cache) if cfg.qhat_cache else None
-    ctx = perturbed.BranchContext(eng, cfg.branch_z, radius, store=store)
-    return ctx
+    return perturbed.BranchContext(eng, cfg.branch_z, cfg.effective_q_radius(), store=store)
 
 
 def _log_cache(ctx) -> None:
@@ -359,15 +393,12 @@ def _log_cache(ctx) -> None:
 
 
 def _conjugate_equation_residual(eng) -> float:
-    import numpy as _np
-    from .intertwiners import Intertwiner as _Iv
-
     worst = 0.0
     r, rbar = eng.duality_maps()
     for letter, rfirst, rsecond in (("a", r, rbar), ("b", rbar, r)):
-        ident = _Iv((letter,), (letter,), _np.eye(eng.n))
+        ident = Intertwiner((letter,), (letter,), np.eye(eng.n))
         lhs = rsecond.adjoint.tensor(ident) @ ident.tensor(rfirst)
-        worst = max(worst, float(_np.abs(lhs.array - _np.eye(eng.n)).max()))
+        worst = max(worst, float(np.abs(lhs.array - np.eye(eng.n)).max()))
     return worst
 
 
@@ -381,14 +412,9 @@ def _duality_norm_gap(eng) -> float:
     )
 
 
-def _rank_mismatches(eng, max_len: int) -> int:
-    mism = 0
-    for length in range(max_len + 1):
-        for letters in itertools.product("ab", repeat=length):
-            w = "".join(letters)
-            if eng.irr_dim(w) != words.classical_dim(w):
-                mism += 1
-    return mism
+def _rank_rows(eng, max_len: int) -> list[tuple[str, int, int]]:
+    """(x, projection rank, classical dimension) for every word up to max_len."""
+    return [(w, eng.irr_dim(w), words.classical_dim(w)) for w in words.ball(max_len)]
 
 
 def _indecomposable_triples(limit: int, cap: int = 14):
@@ -407,15 +433,13 @@ def _indecomposable_triples(limit: int, cap: int = 14):
             yield s, v, t
 
 
-def _vtilde_norm_scan(eng) -> tuple[float, float]:
-    worst = 0.0
-    min_ratio = math.inf
+def _vtilde_rows(eng):
+    """(s, v, t, norm, closed form, relative error) of the almost-isometries
+    over the indecomposable triples of total length <= 6."""
     for s, v, t in _indecomposable_triples(6, eng.cfg.tensor_cap):
         _, nrm = eng.vtilde(s, v, t)
         closed = vtilde_norm_indecomposable(s, v, t, eng.q)
-        worst = max(worst, abs(nrm - closed) / closed)
-        min_ratio = min(min_ratio, nrm / math.sqrt(words.qdim(v, eng.q)))
-    return worst, min_ratio
+        yield s, v, t, nrm, closed, abs(nrm - closed) / closed
 
 
 def _defect_families():
@@ -483,27 +507,8 @@ def _alternating_branch_words(z: str, count: int) -> list[str]:
     return out
 
 
-def _branch_green_checks(cfg: RunConfig, tm, ctx, p_branch, lam):
-    depth = ctx.radius - 1
-    x_list = [x for x in _alternating_branch_words(cfg.branch_z, 4) if len(x) <= depth - 1]
-    gdif = perturbed.gdif_audit(cfg.measure, ctx, p_branch, x_list, lam=lam)
-    matched = words.ball(ctx.radius)
-    tm_matched = tm.restrict(matched)
-    full_matched = kernels.green_table(
-        tm_matched.matrix, matched, cfg.q, base="", lam=lam, solver_tol=cfg.solver_tol
-    )
-    _, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam)
-    pre, per = cfg.rays[0]
-    ray = kernels.ray_words(pre, per, cfg.branch_z, depth)
-    s_list = cfg.boundary_sources or [per * k + cfg.branch_z for k in range(0, min(5, depth - 1))]
-    s_list = [s for s in s_list if s in ctx.index]
-    rows = perturbed.boundary_positivity_and_ratio(ctx, q_table, full_matched, ray, s_list)
-    return gdif, rows
-
-
 def cmd_audit(cfg: RunConfig) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     entries = run_audits(cfg)
     ok = all(e["pass"] for e in entries)
     report = {
@@ -519,43 +524,23 @@ def cmd_audit(cfg: RunConfig) -> int:
 
 
 def cmd_boundary(cfg: RunConfig) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    eng = IntertwinerEngine(cfg.model)
-    radius = cfg.effective_q_radius()
-    ctx = _branch_context(cfg, eng, radius)
-    matched = words.ball(radius)
-    tm = fusion.transition_matrix(cfg.measure, matched, cfg.q)
-    lam = fusion.norm_upper_bound(cfg.measure, cfg.q)
-    full = kernels.green_table(tm.matrix, matched, cfg.q, base="", lam=lam, solver_tol=cfg.solver_tol)
-    _, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam)
-    depth = radius - 1
-    default_sources = [cfg.rays[0][1] * k + cfg.branch_z for k in range(0, min(5, depth - 1))]
-    s_list = cfg.boundary_sources or default_sources
-    for i, (pre, per) in enumerate(cfg.rays):
-        ray = kernels.ray_words(pre, per, cfg.branch_z, depth)
-        in_branch = [s for s in s_list if s in ctx.index]
-        outside = [s for s in s_list if s not in ctx.index]
+    out = _output_dir(cfg)
+    ctx = _branch_context(cfg, IntertwinerEngine(cfg.model))
+    tm, lam = build_walk(cfg, ctx.radius)
+    full, _, per_ray, outside = branch_kernels(cfg, tm, lam, ctx, cfg.rays)
+    for i, (ray, rows) in enumerate(per_ray):
+        profiles = [(r.profile_p, r.profile_q) for r in rows]
+        profiles += [(kernels.boundary_profile(full, s, ray), None) for s in outside]
         rows_out = []
-        rows = perturbed.boundary_positivity_and_ratio(ctx, q_table, full, ray, in_branch)
-        for r in rows:
-            gq = [math.inf] + r.profile_q.gaps
-            gp = [math.inf] + r.profile_p.gaps
-            for nidx, t in enumerate(ray):
+        for prof_p, prof_q in profiles:
+            gp = [0.0] + prof_p.gaps
+            # sources outside the branch carry only the classical profile
+            k_q, gq = (prof_q.values, [0.0] + prof_q.gaps) if prof_q else ([math.nan] * len(ray),) * 2
+            for n, t in enumerate(ray):
+                k_p = prof_p.values[n]
                 rows_out.append(
-                    [format_word(r.source), nidx + 1, format_word(t),
-                     r.profile_p.values[nidx], r.profile_q.values[nidx],
-                     r.profile_q.values[nidx] / r.profile_p.values[nidx],
-                     gp[nidx] if nidx else 0.0, gq[nidx] if nidx else 0.0]
-                )
-        # sources outside the branch carry only the classical profile
-        for s in outside:
-            prof = kernels.boundary_profile(full, s, ray)
-            gp = [math.inf] + prof.gaps
-            for nidx, t in enumerate(ray):
-                rows_out.append(
-                    [format_word(s), nidx + 1, format_word(t), prof.values[nidx],
-                     math.nan, math.nan, gp[nidx] if nidx else 0.0, math.nan]
+                    [format_word(prof_p.source), n + 1, format_word(t), k_p, k_q[n], k_q[n] / k_p,
+                     gp[n], gq[n]]
                 )
         write_csv(
             out / f"boundary_ray{i}.csv",
@@ -567,28 +552,17 @@ def cmd_boundary(cfg: RunConfig) -> int:
 
 
 def cmd_intertwiner(cfg: RunConfig) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     eng = IntertwinerEngine(cfg.model)
-    rows = []
-    for length in range(min(7, cfg.model.tensor_cap) + 1):
-        for letters in itertools.product("ab", repeat=length):
-            w = "".join(letters)
-            rows.append([format_word(w), eng.irr_dim(w), words.classical_dim(w)])
+    rows = [
+        [format_word(w), rank, dim] for w, rank, dim in _rank_rows(eng, min(7, cfg.model.tensor_cap))
+    ]
     write_csv(out / "projection_ranks.csv", ["x", "rank", "classicalDim"], rows)
-    vrows = []
-    for s, v, t in _indecomposable_triples(6, cfg.model.tensor_cap):
-        _, nrm = eng.vtilde(s, v, t)
-        closed = vtilde_norm_indecomposable(s, v, t, cfg.q)
-        vrows.append(
-            [format_word(s), format_word(v), format_word(t), nrm, closed,
-             abs(nrm - closed) / closed]
-        )
-    write_csv(
-        out / "vtilde_norms.csv",
-        ["s", "v", "t", "norm", "closedForm", "relErr"],
-        vrows,
-    )
+    vrows = [
+        [format_word(s), format_word(v), format_word(t), nrm, closed, rel]
+        for s, v, t, nrm, closed, rel in _vtilde_rows(eng)
+    ]
+    write_csv(out / "vtilde_norms.csv", ["s", "v", "t", "norm", "closedForm", "relErr"], vrows)
     return EXIT_OK
 
 

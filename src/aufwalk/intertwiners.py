@@ -37,6 +37,12 @@ class TensorCapError(RuntimeError):
         super().__init__(f"tensor words exceed cap {cap}: {listing}")
 
 
+def _root_below_one(t: float) -> float:
+    """The root r < 1 of r + 1/r = t > 2, in the form free of cancellation
+    (t - sqrt(t^2 - 4) loses every digit once t^2 dwarfs 4)."""
+    return 2.0 / (t + math.sqrt(t * t - 4.0))
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Deformation data: matrix size n, positive diagonal of F, tensor cap.
@@ -76,8 +82,7 @@ class ModelConfig:
 
     @property
     def q(self) -> float:
-        t = sum(self.rho)
-        return (t - math.sqrt(t * t - 4.0)) / 2.0
+        return _root_below_one(sum(self.rho))
 
     @classmethod
     def from_q(cls, q: float, n: int = 2, tensor_cap: int = 10) -> "ModelConfig":
@@ -85,7 +90,7 @@ class ModelConfig:
         t = q + 1.0 / q - (n - 2)
         if t <= 2.0:
             raise ValueError(f"q = {q} is not reachable with n = {n} (needs q + 1/q > n)")
-        r = (t - math.sqrt(t * t - 4.0)) / 2.0
+        r = _root_below_one(t)
         rho = (r, 1.0 / r) + (1.0,) * (n - 2)
         return cls(n=n, f_diag=tuple(x ** 0.5 for x in rho), tensor_cap=tensor_cap)
 
@@ -432,10 +437,6 @@ def vtilde_norm_indecomposable(s: str, v: str, t: str, q: float) -> float:
         qbinom(ns + nt + nv + 1, nv, q)
         / (qbinom(ns + nv, nv, q) * qbinom(nt + nv, nv, q))
     )
-
-
-def build_duality_maps(cfg: ModelConfig) -> tuple[Intertwiner, Intertwiner]:
-    return IntertwinerEngine(cfg).duality_maps()
 
 
 def _fix_signs(b: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 and the quantitative audits of their tree-geometry estimates.
 
 The Green kernel of a weight matrix W with spectral norm < 1 on the
-qdim^2-weighted l2 space is computed as the resolvent (I - W)^-1, one dense
-solve per domain; a truncated Neumann series is kept as an independent
-cross-check with a rigorous tail bound from the norm.
+qdim^2-weighted l2 space is computed as the resolvent (I - W)^-1: one dense
+solve per domain up to DENSE_LIMIT words, where a truncated Neumann series is
+kept as an independent cross-check with a rigorous tail bound from the norm;
+on larger domains, sparse row solves for the requested sources only.
 """
 
 from __future__ import annotations
@@ -110,10 +111,7 @@ def green_table(
     w = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match domain size {n}")
-    m = np.array([qdim(x, q) for x in domain]) ** 2
-    power_norm = weighted_operator_norm(w, m)
-    if power_norm >= 1.0 - NORM_GUARD:
-        raise ValueError(f"operator norm {power_norm} too close to 1; Green kernel unreliable")
+    m, power_norm = _guarded_norm(w, domain, q)
     a = np.eye(n) - w
     lu, piv = sla.lu_factor(a)
     green = sla.lu_solve((lu, piv), np.eye(n))
@@ -136,6 +134,16 @@ def green_table(
         lam=lam,
         neumann_gap=gap,
     )
+
+
+def _guarded_norm(matrix, domain: list[str], q: float) -> tuple[np.ndarray, float]:
+    """The qdim^2 vertex weights of the domain and the power-iteration norm of
+    the matrix on that weighted space; raises when the norm reaches 1 - 1e-6."""
+    m = np.array([qdim(x, q) for x in domain]) ** 2
+    power_norm = weighted_operator_norm(matrix, m)
+    if power_norm >= 1.0 - NORM_GUARD:
+        raise ValueError(f"operator norm {power_norm} too close to 1; Green kernel unreliable")
+    return m, power_norm
 
 
 def _neumann_gap(w, green, m, power_norm, cols: int) -> float:
@@ -168,20 +176,20 @@ def green_rows(
     sources: list[str],
     base: str = EMPTY,
     lam: float | None = None,
-) -> tuple[dict[str, np.ndarray], np.ndarray, float]:
+    solver_tol: float = SOLVER_TOL,
+) -> tuple[dict[str, np.ndarray], np.ndarray, float, float]:
     """Selected rows of the Green kernel on a large domain through a sparse
     factorization: one transposed solve per source plus one for the base.
 
-    Returns (rows by source, base row, worst row residual).  Row s of
-    (I - W)^-1 solves (I - W)^T x = e_s.
+    Returns (rows by source, base row, worst row residual, power-iteration
+    norm).  Row s of (I - W)^-1 solves (I - W)^T x = e_s.  Raises like
+    green_table on the norm guard and when the worst residual exceeds the
+    tolerance.
     """
     n = len(domain)
     index = {w: i for i, w in enumerate(domain)}
     w = sp.csc_matrix(matrix) if sp.issparse(matrix) else sp.csc_matrix(np.asarray(matrix))
-    m = np.array([qdim(x, q) for x in domain]) ** 2
-    power_norm = weighted_operator_norm(w.tocsr(), m)
-    if power_norm >= 1.0 - NORM_GUARD:
-        raise ValueError(f"operator norm {power_norm} too close to 1; Green kernel unreliable")
+    _, power_norm = _guarded_norm(w.tocsr(), domain, q)
     a = (sp.identity(n, format="csc") - w).tocsc()
     lu = sp.linalg.splu(a)
     worst = 0.0
@@ -192,7 +200,9 @@ def green_rows(
         row = lu.solve(e, trans="T")
         worst = max(worst, float(np.abs(a.T @ row - e).max()))
         out[s] = row
-    return {s: out[s] for s in sources}, out[base], worst
+    if worst > solver_tol:
+        raise RuntimeError(f"Green solve residual {worst} above tolerance {solver_tol}")
+    return {s: out[s] for s in sources}, out[base], worst, power_norm
 
 
 def truncation_error_bound(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fusion import Measure, fuse, multiplicity
 from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError
-from .kernels import KernelTable, RayProfile, green_table, weighted_operator_norm
+from .kernels import KernelTable, RayProfile, boundary_profile, green_table, weighted_operator_norm
 from .words import branch, format_word, involution, parse_word, qdim
 
 RESIDUAL_FLOOR = 1e-12
@@ -293,13 +293,13 @@ class DecayReport:
         )
 
 
-def decay_audit(mu: Measure, ctx: BranchContext, p_branch: np.ndarray) -> DecayReport:
-    """Fit the decay of |q - p| against the source length.
+def decay_audit(qmat: np.ndarray, ctx: BranchContext, p_branch: np.ndarray) -> DecayReport:
+    """Fit the decay of |q - p| against the source length, for the perturbed
+    matrix ``qmat`` (from q_matrix) and the classical one on the branch.
 
     Residuals below the floor are discarded; the envelope slope is fitted on
     the per-length maxima by least squares and compared with log q.
     """
-    qmat = q_matrix(mu, ctx)
     resid = np.abs(qmat - p_branch)
     per_length: dict[int, float] = {}
     n_pairs = 0
@@ -359,12 +359,12 @@ class GdifReport:
 
 
 def gdif_audit(
-    mu: Measure, ctx: BranchContext, p_branch: np.ndarray, x_list: list[str], lam: float | None = None
+    qmat: np.ndarray, ctx: BranchContext, p_branch: np.ndarray, x_list: list[str],
+    lam: float | None = None,
 ) -> GdifReport:
-    """Relative gap between the perturbed and classical Green kernels on the
-    sub-branches of the given words, with the envelope constant against
-    q^len(x) and the fitted decay rate."""
-    qmat = q_matrix(mu, ctx)
+    """Relative gap between the perturbed (``qmat``, from q_matrix) and
+    classical Green kernels on the sub-branches of the given words, with the
+    envelope constant against q^len(x) and the fitted decay rate."""
     rels = []
     for x in x_list:
         if not x.endswith(ctx.z):
@@ -415,15 +415,12 @@ def boundary_positivity_and_ratio(
     missing = [t for t in ray if t not in q_table.index]
     if missing:
         raise ValueError(f"ray leaves the branch domain: {missing}")
-    base = full_table.index[full_table.base]
+    k_q = martin_Q(q_table, full_table)
+    cols = [q_table.index[t] for t in ray]
     rows = []
     for s in s_list:
-        kq = [
-            q_table.green_entry(s, t) / full_table.green[base, full_table.index[t]] for t in ray
-        ]
-        kp = [full_table.martin_entry(s, t) for t in ray]
-        prof_q = RayProfile(source=s, points=list(ray), values=kq)
-        prof_p = RayProfile(source=s, points=list(ray), values=kp)
+        prof_q = RayProfile(source=s, points=list(ray), values=k_q[q_table.index[s], cols].tolist())
+        prof_p = boundary_profile(full_table, s, ray)
         rows.append(
             BoundaryRow(
                 source=s,

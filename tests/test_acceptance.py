@@ -237,7 +237,7 @@ def test_c10_perturbation_envelope(engines):
         p = qdim(t, 0.5) / (qdim(u, 0.5) * qdim(s, 0.5))
         eps = commutation_defect(u, s, t, ctx)
         identity_gap = max(identity_gap, abs(p - qhat_entry(u, s, t, ctx) - p * eps ** 2 / 2))
-    rep = decay_audit(MU_AB, ctx, p_branch)
+    rep = decay_audit(q_matrix(MU_AB, ctx), ctx, p_branch)
     envelope_ok = rep.envelope_gap() <= 0.0 and set(rep.lengths) <= set(range(1, 6))
     # second order in the defect: the residual decays at twice the defect rate
     slope_ratio = rep.fitted_rate / (2.0 * rep.target_rate)
@@ -271,7 +271,7 @@ def test_c12_branch_green_envelope(engines):
     tm = transition_matrix(MU_AB, ball(7), 0.5)
     lam = norm_upper_bound(MU_AB, 0.5)
     p_branch = tm.restrict(ctx.omega).matrix.toarray()
-    rep = gdif_audit(MU_AB, ctx, p_branch, ["a", "ba", "aba", "baba"], lam=lam)
+    rep = gdif_audit(q_matrix(MU_AB, ctx), ctx, p_branch, ["a", "ba", "aba", "baba"], lam=lam)
     anchor = rep.max_rel[0] / 0.5
     ok = all(
         rel <= anchor * 0.5 ** len(x) * (1 + 1e-9) for rel, x in zip(rep.max_rel, rep.x_list)

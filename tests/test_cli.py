@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,17 @@ class TestConfig:
     def test_radius_cap_exits_3(self, tmp_path):
         path = make_config(tmp_path)
         assert main(["walk", str(path), "--radius", "25"]) == EXIT_CAP
+
+    def test_tiny_q_walk_runs(self, tmp_path):
+        path = make_config(tmp_path)
+        assert main(["walk", str(path), "--q", "1e-9"]) == EXIT_OK
+
+    def test_qdim_overflow_exits_2_before_building(self, tmp_path, capsys):
+        path = make_config(tmp_path)
+        start = time.perf_counter()
+        assert main(["walk", str(path), "--q", "1e-9", "--radius", "20"]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert "overflow" in capsys.readouterr().err
 
 
 class TestWalk:

@@ -9,7 +9,6 @@ from aufwalk.intertwiners import (
     IntertwinerEngine,
     ModelConfig,
     TensorCapError,
-    build_duality_maps,
     split_component,
     vtilde_norm_indecomposable,
 )
@@ -38,7 +37,7 @@ def indecomposable_triples(limit):
 
 class TestModelConfig:
     def test_from_q_roundtrip(self):
-        for q in (0.3, 0.5, 0.7):
+        for q in (0.3, 0.5, 0.7, 1e-4, 1e-7, 1e-9):
             cfg = ModelConfig.from_q(q, n=2)
             assert cfg.q == pytest.approx(q, rel=1e-12)
             lam = cfg.lambdas
@@ -72,7 +71,7 @@ class TestModelConfig:
 
 class TestDualityMaps:
     def test_pairing_norms(self, engine):
-        r, rbar = build_duality_maps(engine.cfg)
+        r, rbar = engine.duality_maps()
         target = engine.q + 1.0 / engine.q
         assert (r.adjoint @ r).array[0, 0] == pytest.approx(target, rel=1e-12)
         assert (rbar.adjoint @ rbar).array[0, 0] == pytest.approx(target, rel=1e-12)

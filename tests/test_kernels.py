@@ -252,11 +252,27 @@ class TestGreenRows:
         tm, lam, table = walk8
         from aufwalk.kernels import green_rows
 
-        rows, base_row, resid = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", lam=lam)
+        rows, base_row, resid, _ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", lam=lam)
         assert resid < 1e-10
         for s, row in rows.items():
             assert np.abs(row - table.green[table.index[s], :]).max() < 1e-11
         assert np.abs(base_row - table.green[table.index[""], :]).max() < 1e-11
+
+    def test_returns_the_weighted_norm(self, walk8):
+        tm, lam, _ = walk8
+        from aufwalk.kernels import green_rows
+
+        *_, power_norm = green_rows(tm.matrix, tm.domain, Q, ["a"], base="", lam=lam)
+        assert power_norm == weighted_operator_norm(tm.matrix, tm.haar_weights())
+
+    def test_residual_above_tolerance_raises(self, walk8):
+        tm, lam, _ = walk8
+        from aufwalk.kernels import green_rows
+
+        _, _, resid, _ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", lam=lam)
+        assert resid > 0.0
+        with pytest.raises(RuntimeError, match="residual"):
+            green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", lam=lam, solver_tol=resid / 2)
 
 
 class TestLastEntryPathSumOracle:

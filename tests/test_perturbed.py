@@ -129,7 +129,7 @@ class TestQMatrix:
 class TestDecayAudit:
     def test_envelope_and_rate(self, setup, mu_letters):
         ctx, _, p_branch = setup
-        rep = decay_audit(mu_letters, ctx, p_branch)
+        rep = decay_audit(q_matrix(mu_letters, ctx), ctx, p_branch)
         assert rep.envelope_gap() <= 0.0
         assert rep.n_pairs >= 4
         # measured slope: one factor of q^2 per unit length (the trace kills
@@ -142,7 +142,7 @@ class TestDecayAudit:
         tm = transition_matrix(mu_letters, ball(3), Q)
         p_branch = tm.restrict(ctx.omega).matrix.toarray()
         with pytest.raises(ValueError, match="lengths"):
-            decay_audit(mu_letters, ctx, p_branch)
+            decay_audit(q_matrix(mu_letters, ctx), ctx, p_branch)
 
 
 class TestTraceRoutes:
@@ -197,7 +197,7 @@ class TestGdif:
     def test_envelope_along_alternating_branches(self, setup, mu_letters):
         ctx, _, p_branch = setup
         lam = norm_upper_bound(mu_letters, Q)
-        rep = gdif_audit(mu_letters, ctx, p_branch, ["a", "ba", "aba"], lam=lam)
+        rep = gdif_audit(q_matrix(mu_letters, ctx), ctx, p_branch, ["a", "ba", "aba"], lam=lam)
         assert rep.max_rel[0] > rep.max_rel[1] > rep.max_rel[2] > 0
         # anchored envelope: deeper branches decay at least as fast as q
         anchor = rep.max_rel[0] / Q
@@ -207,7 +207,7 @@ class TestGdif:
     def test_rejects_words_outside_branch(self, setup, mu_letters):
         ctx, _, p_branch = setup
         with pytest.raises(ValueError):
-            gdif_audit(mu_letters, ctx, p_branch, ["b"])
+            gdif_audit(q_matrix(mu_letters, ctx), ctx, p_branch, ["b"])
 
 
 class TestBoundary:
