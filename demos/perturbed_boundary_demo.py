@@ -64,7 +64,7 @@ print()
 print("=== boundary ray profiles (matched truncations) ===")
 full = green_table(tm.matrix, ball(radius), q, base="", lam=lam)
 ray = ray_words("", "a", "a", radius - 1)
-rows = boundary_positivity_and_ratio(ctx, q_table, full, ray, ["a" * k for k in range(1, 6)])
+rows = boundary_positivity_and_ratio(q_table, full, ray, ["a" * k for k in range(1, 6)])
 print("ray t_n = a^n; sources s = a^j approach the same boundary point:")
 for r in rows:
     print(f"  s = {r.source:6s} K_P = {r.k_p:9.5f}  K_Q = {r.k_q:9.5f}  "

@@ -2,7 +2,9 @@
 
 One JSON config file, documented in the README, plus the overrides
 --radius, --q and --out.  Exit codes: 0 pass, 1 audit failure, 2 config
-error, 3 resource cap.  Reruns with the same config produce byte-identical
+error, 3 resource cap, 4 internal error (a failed solve residual, norm or
+range assertion, arithmetic fault or exhausted memory; one line on stderr,
+no traceback).  Reruns with the same config produce byte-identical
 files: floats are emitted with 17 significant digits and JSON keys sorted.
 """
 
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
@@ -189,7 +192,7 @@ def cmd_walk(cfg: RunConfig) -> int:
         residual, power_norm, neumann_gap = table.residual, table.power_norm, table.neumann_gap
     else:
         green_rows, base_row, residual, power_norm = kernels.green_rows(
-            tm.matrix, tm.domain, cfg.q, cfg.sources, base="", lam=lam, solver_tol=cfg.solver_tol
+            tm.matrix, tm.domain, cfg.q, cfg.sources, base="", solver_tol=cfg.solver_tol
         )
         neumann_gap = None
     delta0, k_steps = _irreducibility(cfg, tm)
@@ -253,7 +256,7 @@ def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
     outside it.  The sources default to per^k z for the period of ray 0.
     """
     full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), lam)
-    qmat, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam)
+    qmat, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam, solver_tol=cfg.solver_tol)
     depth = ctx.radius - 1
     sources = cfg.boundary_sources or [
         cfg.rays[0][1] * k + cfg.branch_z for k in range(0, min(5, depth - 1))
@@ -263,7 +266,7 @@ def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
     for pre, per in rays:
         ray = kernels.ray_words(pre, per, cfg.branch_z, depth)
         per_ray.append(
-            (ray, perturbed.boundary_positivity_and_ratio(ctx, q_table, full, ray, in_branch))
+            (ray, perturbed.boundary_positivity_and_ratio(q_table, full, ray, in_branch))
         )
     return full, qmat, per_ray, [s for s in sources if s not in ctx.index]
 
@@ -359,7 +362,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         resid < cfg.audit_tol)
 
     x_list = [x for x in _alternating_branch_words(cfg.branch_z, 4) if len(x) <= ctx.radius - 2]
-    gdif = perturbed.gdif_audit(qmat, ctx, p_branch, x_list, lam=lam)
+    gdif = perturbed.gdif_audit(qmat, ctx, p_branch, x_list, lam=lam, solver_tol=cfg.solver_tol)
     anchored = gdif.max_rel[0] / (q ** len(gdif.x_list[0]))
     gd_gap = max(
         rel / (anchored * q ** len(x)) for rel, x in zip(gdif.max_rel, gdif.x_list)
@@ -594,6 +597,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (RuntimeError, AssertionError, ArithmeticError, MemoryError) as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

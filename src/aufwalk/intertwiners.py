@@ -155,6 +155,7 @@ class IntertwinerEngine:
         self._inclusion: dict[tuple[str, str], np.ndarray] = {}
         self._rbar: dict[str, np.ndarray] = {}
         self._winv: dict[tuple[str, bool], np.ndarray] = {}
+        self._vnorm: dict[tuple[str, str, str], float] = {}
         lam = np.array(cfg.lambdas)
         # Rbar_a = sum_i (1/lambda_i) e_i (x) f_i ;  R_a = sum_i lambda_i f_i (x) e_i
         self._rbar_letter = {
@@ -339,7 +340,8 @@ class IntertwinerEngine:
         weight = np.ones((1, 1))
         for f in t.source:
             weight = np.kron(weight, self.rho_weight(f, inverse=True))
-        total = float(np.trace(t.array @ weight))
+        # trace(A W) without the matrix product
+        total = float(np.sum(t.array * weight.T))
         for f in t.source:
             total /= self.qdim(f)
         return total
@@ -349,7 +351,7 @@ class IntertwinerEngine:
     def vtilde(self, s: str, v: str, t: str) -> tuple[Intertwiner, float]:
         """The morphism H_st -> H_sv (x) H_(vbar t) obtained by inserting the
         duality vector of v into the inclusion of H_st; returns it together
-        with its operator norm."""
+        with its operator norm, computed once per triple and memoized."""
         vbar = involution(v)
         total = len(s) + 2 * len(v) + len(t)
         if total > self.cfg.tensor_cap:
@@ -358,15 +360,23 @@ class IntertwinerEngine:
         d_s, d_t = self.irr_dim(s), self.irr_dim(t)
         d_v, d_vb = self.irr_dim(v), self.irr_dim(vbar)
         rb = self.rbar_block(v).reshape(d_v, d_vb)
-        mid = np.einsum(
-            "ijc,kl->ikljc", a.reshape(d_s, d_t, -1), rb, optimize=True
-        )
         p1 = self.inclusion_block(s, v).reshape(d_s, d_v, -1)
         p2 = self.inclusion_block(vbar, t).reshape(d_vb, d_t, -1)
-        arr = np.einsum("ika,ljb,ikljc->abc", p1, p2, mid, optimize=True)
-        arr = arr.reshape(p1.shape[2] * p2.shape[2], a.shape[1])
+        # arr[a, b, c] = sum p1[i, k, a] rb[k, l] p2[l, j, b] A[i, j, c], contracted
+        # p1 . rb, then A, then p2
+        left = np.tensordot(p1, rb, axes=([1], [0]))  # (i, a, l)
+        left = np.tensordot(left, a.reshape(d_s, d_t, -1), axes=([0], [0]))  # (a, l, j, c)
+        arr = np.tensordot(p2, left, axes=([0, 1], [1, 2]))  # (b, a, c)
+        arr = arr.transpose(1, 0, 2).reshape(p1.shape[2] * p2.shape[2], a.shape[1])
         iv = Intertwiner((s + v, vbar + t), (s + t,), arr)
-        return iv, iv.norm
+        key = (s, v, t)
+        with self._lock:
+            nrm = self._vnorm.get(key)
+        if nrm is None:
+            nrm = iv.norm
+            with self._lock:
+                nrm = self._vnorm.setdefault(key, nrm)
+        return iv, nrm
 
     def normalized_V(self, z: str, x: str, y: str) -> Intertwiner:
         """The isometry V(z, x (x) y) for a component z of x (x) y."""
@@ -408,9 +418,16 @@ class IntertwinerEngine:
         v3 = self.normalized_V(involution(v) + x, involution(v) + x, y).array
         d_y = self.irr_dim(y)
         d_uv = self.irr_dim(u + v)
-        lhs = np.kron(v1, np.eye(d_y)) @ v2
-        rhs = np.kron(np.eye(d_uv), v3) @ v1
+        lhs = kron_apply(v1, v2, right=d_y)
+        rhs = kron_apply(v3, v1, left=d_uv)
         return float(np.linalg.norm(lhs - rhs, 2))
+
+
+def kron_apply(m: np.ndarray, x: np.ndarray, left: int = 1, right: int = 1) -> np.ndarray:
+    """(i_left (x) m (x) i_right) @ x without forming the Kronecker product:
+    one matmul over x reshaped to (left, m columns, right * x columns)."""
+    out = np.matmul(m, x.reshape(left, m.shape[1], right * x.shape[1]))
+    return out.reshape(left * m.shape[0] * right, x.shape[1])
 
 
 def split_component(z: str, x: str, y: str) -> tuple[str, str, str]:

@@ -175,7 +175,6 @@ def green_rows(
     q: float,
     sources: list[str],
     base: str = EMPTY,
-    lam: float | None = None,
     solver_tol: float = SOLVER_TOL,
 ) -> tuple[dict[str, np.ndarray], np.ndarray, float, float]:
     """Selected rows of the Green kernel on a large domain through a sparse

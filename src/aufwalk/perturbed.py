@@ -23,8 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import Measure, fuse, multiplicity
-from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError
-from .kernels import KernelTable, RayProfile, boundary_profile, green_table, weighted_operator_norm
+from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply
+from .kernels import (
+    SOLVER_TOL,
+    KernelTable,
+    RayProfile,
+    boundary_profile,
+    green_table,
+    weighted_operator_norm,
+)
 from .words import branch, format_word, involution, parse_word, qdim
 
 RESIDUAL_FLOOR = 1e-12
@@ -36,7 +43,8 @@ class QhatStore:
 
     Each record is one JSON object per line with keys
     ``config`` (model hash), ``z``, ``u``, ``s``, ``t`` (words, ``e`` = empty
-    word) and ``value``.  Corrupt lines are skipped with a warning.
+    word) and ``value``.  Corrupt lines are skipped with a warning; a hit
+    that is not finite or breaks the lookup's bound is dropped (see ``get``).
     """
 
     FIELDS = ("config", "z", "u", "s", "t")
@@ -67,9 +75,21 @@ class QhatStore:
     def _key(self, config_hash, z, u, s, t):
         return (config_hash, z, u, s, t)
 
-    def get(self, config_hash, z, u, s, t):
+    def get(self, config_hash, z, u, s, t, bound):
+        """The stored value, or None.  A value that is not finite or exceeds
+        ``bound`` in magnitude is dropped with a warning and counts as a miss,
+        so the caller recomputes it and the next ``put`` appends the
+        replacement (the last line of a key wins on load)."""
+        key = self._key(config_hash, z, u, s, t)
         with self._lock:
-            got = self._data.get(self._key(config_hash, z, u, s, t))
+            got = self._data.get(key)
+            if got is not None and not (math.isfinite(got) and abs(got) <= bound):
+                del self._data[key]
+                warnings.warn(
+                    f"{self.path}: discarding cached value {got!r} at (z={z!r}, u={u!r}, s={s!r}, "
+                    f"t={t!r}): not finite or above the bound {bound!r}"
+                )
+                got = None
             if got is not None:
                 self.hits += 1
             else:
@@ -151,8 +171,9 @@ def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:
         return got
     eng = ctx.engine
     cfg_hash = eng.cfg.config_hash()
+    dominator = qdim(t, ctx.q) / (qdim(u, ctx.q) * qdim(s, ctx.q))
     if ctx.store is not None:
-        stored = ctx.store.get(cfg_hash, ctx.z, u, s, t)
+        stored = ctx.store.get(cfg_hash, ctx.z, u, s, t, dominator + DOMINATION_TOL)
         if stored is not None:
             with ctx._lock:
                 ctx._cache[key] = stored
@@ -163,9 +184,8 @@ def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:
     v_ty = eng.normalized_V(t, t, ctx.y).array
     v_sy = eng.normalized_V(s, s, ctx.y).array
     d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
-    composite = np.kron(np.eye(d_u), v_sy.T) @ (np.kron(v_us, np.eye(d_y)) @ v_ty @ v_us.T)
+    composite = kron_apply(v_sy.T, kron_apply(v_us, v_ty, right=d_y), left=d_u) @ v_us.T
     value = eng.weighted_trace(Intertwiner((u, s), (u, s), composite))
-    dominator = qdim(t, ctx.q) / (qdim(u, ctx.q) * qdim(s, ctx.q))
     if abs(value) > dominator + DOMINATION_TOL:
         raise AssertionError(
             f"coefficient {value} exceeds the classical weight {dominator} at ({u!r},{s!r},{t!r})"
@@ -197,8 +217,8 @@ def trace_routes(u: str, s: str, t: str, ctx: BranchContext) -> tuple[np.ndarray
     v_ty = eng.normalized_V(t, t, ctx.y).array
     v_sy = eng.normalized_V(s, s, ctx.y).array
     d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
-    route_a = np.kron(np.eye(d_u), v_sy) @ v_us
-    route_b = np.kron(v_us, np.eye(d_y)) @ v_ty
+    route_a = kron_apply(v_sy, v_us, left=d_u)
+    route_b = kron_apply(v_us, v_ty, right=d_y)
     return route_a, route_b
 
 
@@ -230,7 +250,7 @@ def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, floa
     v_ty = eng.normalized_V(t, t, ctx.y).array
     v_sy = eng.normalized_V(s, s, ctx.y).array
     d_u, d_s, d_y = eng.irr_dim(u), eng.irr_dim(s), eng.irr_dim(ctx.y)
-    evolved = np.kron(v_us, np.eye(d_y)) @ v_ty @ v_us.T
+    evolved = kron_apply(v_us, v_ty, right=d_y) @ v_us.T
     weight = eng.rho_weight(u, inverse=True)
     partial = np.einsum(
         "ba,bYaS->YS", weight, evolved.reshape(d_u, d_s * d_y, d_u, d_s), optimize=True
@@ -325,11 +345,14 @@ def decay_audit(qmat: np.ndarray, ctx: BranchContext, p_branch: np.ndarray) -> D
     )
 
 
-def green_Q(mu: Measure, ctx: BranchContext, lam: float | None = None) -> tuple[np.ndarray, KernelTable]:
+def green_Q(
+    mu: Measure, ctx: BranchContext, lam: float | None = None, solver_tol: float = SOLVER_TOL
+) -> tuple[np.ndarray, KernelTable]:
     """Perturbed matrix and its Green kernel on the truncated branch, through
-    the same solver as the classical tables."""
+    the same solver as the classical tables (raising RuntimeError when the
+    solve residual exceeds ``solver_tol``)."""
     qmat = q_matrix(mu, ctx)
-    table = green_table(qmat, ctx.omega, ctx.q, base=ctx.z, lam=lam)
+    table = green_table(qmat, ctx.omega, ctx.q, base=ctx.z, lam=lam, solver_tol=solver_tol)
     return qmat, table
 
 
@@ -359,12 +382,17 @@ class GdifReport:
 
 
 def gdif_audit(
-    qmat: np.ndarray, ctx: BranchContext, p_branch: np.ndarray, x_list: list[str],
+    qmat: np.ndarray,
+    ctx: BranchContext,
+    p_branch: np.ndarray,
+    x_list: list[str],
     lam: float | None = None,
+    solver_tol: float = SOLVER_TOL,
 ) -> GdifReport:
     """Relative gap between the perturbed (``qmat``, from q_matrix) and
     classical Green kernels on the sub-branches of the given words, with the
-    envelope constant against q^len(x) and the fitted decay rate."""
+    envelope constant against q^len(x) and the fitted decay rate.  Each
+    sub-branch solve raises RuntimeError above ``solver_tol``."""
     rels = []
     for x in x_list:
         if not x.endswith(ctx.z):
@@ -373,8 +401,8 @@ def gdif_audit(
         if len(sub) < 2:
             raise ValueError(f"sub-branch of {x!r} too small at radius {ctx.radius}")
         ii = np.array([ctx.index[w] for w in sub])
-        g_q = green_table(qmat[np.ix_(ii, ii)], sub, ctx.q, base=x, lam=lam)
-        g_p = green_table(p_branch[np.ix_(ii, ii)], sub, ctx.q, base=x, lam=lam)
+        g_q = green_table(qmat[np.ix_(ii, ii)], sub, ctx.q, base=x, lam=lam, solver_tol=solver_tol)
+        g_p = green_table(p_branch[np.ix_(ii, ii)], sub, ctx.q, base=x, lam=lam, solver_tol=solver_tol)
         rels.append(float((np.abs(g_q.green - g_p.green) / g_p.green).max()))
     q = ctx.q
     lens = [len(x) for x in x_list]
@@ -403,7 +431,6 @@ class BoundaryRow:
 
 
 def boundary_positivity_and_ratio(
-    ctx: BranchContext,
     q_table: KernelTable,
     full_table: KernelTable,
     ray: list[str],

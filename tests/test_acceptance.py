@@ -325,7 +325,7 @@ def test_c14_boundary_profiles(engines):
         full = green_table(tm.matrix, matched, q, base="", lam=lam)
         _, q_table = green_Q(MU_AB, ctx, lam=lam)
         ray = ray_words("", "a", "a", 6)
-        rows = boundary_positivity_and_ratio(ctx, q_table, full, ray, ["a" * k for k in range(1, 6)])
+        rows = boundary_positivity_and_ratio(q_table, full, ray, ["a" * k for k in range(1, 6)])
         trend = [abs(r.ratio - 1.0) for r in rows]
         cauchy = all(r.profile_p.tail_decreasing() and r.profile_q.tail_decreasing() for r in rows)
         positive = all(r.k_q > 0 for r in rows)

@@ -3,7 +3,15 @@ import time
 
 import pytest
 
-from aufwalk.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, load_config, main
+from aufwalk.cli import (
+    EXIT_AUDIT,
+    EXIT_CAP,
+    EXIT_CONFIG,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    load_config,
+    main,
+)
 
 
 def make_config(tmp_path, **overrides):
@@ -66,6 +74,16 @@ class TestConfig:
         assert main(["walk", str(path), "--q", "1e-9", "--radius", "20"]) == EXIT_CONFIG
         assert time.perf_counter() - start < 1.0
         assert "overflow" in capsys.readouterr().err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("command", ["walk", "boundary"])
+    def test_residual_failure_exits_4_without_traceback(self, tmp_path, capsys, command):
+        path = make_config(tmp_path, tolerances={"solver": 1e-300, "audit": 1e-8})
+        assert main([command, str(path)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError:") and "residual" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestWalk:

@@ -183,6 +183,18 @@ class TestCategoricalTrace:
                 engine.weighted_trace(t), rel=1e-10, abs=1e-12
             )
 
+    def test_weighted_trace_is_trace_of_product(self, engine, rng):
+        # sum of A * W^T against the plain trace(A @ W)
+        for factors in (("a",), ("ab", "b"), ("a", "ba", "ab")):
+            d = engine.block_dim(factors)
+            a = rng.standard_normal((d, d))
+            w = np.eye(1)
+            for f in factors:
+                w = np.kron(w, engine.rho_weight(f, inverse=True))
+            expected = np.trace(a @ w) / math.prod(qdim(f, engine.q) for f in factors)
+            got = engine.weighted_trace(Intertwiner(factors, factors, a))
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
     def test_shape_mismatch_rejected(self, engine):
         t = Intertwiner(("a",), ("b",), np.eye(2))
         with pytest.raises(ValueError):
@@ -244,6 +256,46 @@ class TestVtilde:
         eng = IntertwinerEngine(ModelConfig.from_q(0.5, tensor_cap=5))
         with pytest.raises(TensorCapError):
             eng.vtilde("ab", "ab", "ab")
+
+    def test_matches_outer_product_einsum(self, engine):
+        # reference: the 5-index outer product of the inclusion of H_st with
+        # the duality vector, contracted against both inclusions at once
+        pool = [w for w in ball(2)] + ["aba", "bab", "aab"]
+        count = 0
+        for s, v, t in itertools.product(pool, repeat=3):
+            if not v or len(s) + 2 * len(v) + len(t) > 8:
+                continue
+            iv, nrm = engine.vtilde(s, v, t)
+            vb = involution(v)
+            a = engine.inclusion_block(s, t)
+            d_s, d_t = engine.irr_dim(s), engine.irr_dim(t)
+            rb = engine.rbar_block(v).reshape(engine.irr_dim(v), engine.irr_dim(vb))
+            mid = np.einsum("ijc,kl->ikljc", a.reshape(d_s, d_t, -1), rb)
+            p1 = engine.inclusion_block(s, v).reshape(d_s, engine.irr_dim(v), -1)
+            p2 = engine.inclusion_block(vb, t).reshape(engine.irr_dim(vb), d_t, -1)
+            ref = np.einsum("ika,ljb,ikljc->abc", p1, p2, mid).reshape(iv.array.shape)
+            assert np.abs(iv.array - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+            assert nrm == pytest.approx(np.linalg.norm(ref, 2), rel=1e-13)
+            count += 1
+        assert count > 300
+
+    def test_norm_computed_once_per_triple(self, monkeypatch):
+        calls = []
+        plain = Intertwiner.norm
+
+        def counted(self):
+            calls.append(self.source)
+            return plain.fget(self)
+
+        monkeypatch.setattr(Intertwiner, "norm", property(counted))
+        eng = IntertwinerEngine(ModelConfig.from_q(0.5, tensor_cap=8))
+        requests = [("a", "a", "ba"), ("aa", "a", "a"), ("ba", "ba", "ba"), ("", "ab", "ab"),
+                    ("b", "b", "ab"), ("bbaa", "bb", "aa")]
+        first = [eng.normalized_V(*r).array for r in requests]
+        for _ in range(3):
+            for r, arr in zip(requests, first):
+                assert np.array_equal(eng.normalized_V(*r).array, arr)
+        assert len(calls) == len({split_component(*r) for r in requests}) == len(requests)
 
 
 class TestDefects:

@@ -249,30 +249,30 @@ class TestBoundaryProfile:
 
 class TestGreenRows:
     def test_rows_match_dense_table(self, walk8):
-        tm, lam, table = walk8
+        tm, _, table = walk8
         from aufwalk.kernels import green_rows
 
-        rows, base_row, resid, _ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", lam=lam)
+        rows, base_row, resid, _ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="")
         assert resid < 1e-10
         for s, row in rows.items():
             assert np.abs(row - table.green[table.index[s], :]).max() < 1e-11
         assert np.abs(base_row - table.green[table.index[""], :]).max() < 1e-11
 
     def test_returns_the_weighted_norm(self, walk8):
-        tm, lam, _ = walk8
+        tm, _, _ = walk8
         from aufwalk.kernels import green_rows
 
-        *_, power_norm = green_rows(tm.matrix, tm.domain, Q, ["a"], base="", lam=lam)
+        *_, power_norm = green_rows(tm.matrix, tm.domain, Q, ["a"], base="")
         assert power_norm == weighted_operator_norm(tm.matrix, tm.haar_weights())
 
     def test_residual_above_tolerance_raises(self, walk8):
-        tm, lam, _ = walk8
+        tm, _, _ = walk8
         from aufwalk.kernels import green_rows
 
-        _, _, resid, _ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", lam=lam)
+        _, _, resid, _ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="")
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", lam=lam, solver_tol=resid / 2)
+            green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", solver_tol=resid / 2)
 
 
 class TestLastEntryPathSumOracle:

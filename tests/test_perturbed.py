@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -165,7 +166,57 @@ class TestTraceRoutes:
             trace_routes("a", "a", "ba", ctx)
 
 
+def kron_routes(u, s, t, ctx):
+    """The trace routes through explicit Kronecker products with identities."""
+    eng = ctx.engine
+    v_us = eng.normalized_V(t, u, s).array
+    v_ty = eng.normalized_V(t, t, ctx.y).array
+    v_sy = eng.normalized_V(s, s, ctx.y).array
+    d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
+    route_a = np.kron(np.eye(d_u), v_sy) @ v_us
+    route_b = np.kron(v_us, np.eye(d_y)) @ v_ty
+    return v_us, v_sy, route_a, route_b
+
+
+def kron_qhat(u, s, t, ctx):
+    """qhat_u(s, t) as trace(composite @ W) with the Kronecker-product routes."""
+    eng = ctx.engine
+    v_us, v_sy, _, route_b = kron_routes(u, s, t, ctx)
+    composite = np.kron(np.eye(eng.irr_dim(u)), v_sy.T) @ (route_b @ v_us.T)
+    weight = np.kron(eng.rho_weight(u, inverse=True), eng.rho_weight(s, inverse=True))
+    return float(np.trace(composite @ weight)) / (eng.qdim(u) * eng.qdim(s))
+
+
+class TestKroneckerFree:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+    def test_entries_and_routes_match_kron_formula(self, q, mu_mixed):
+        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(q, n=2, tensor_cap=10)), "a", 5)
+        entries = required_entries(mu_mixed, ctx)
+        assert len(entries) > 50
+        for (u, s, t) in entries:
+            assert qhat_entry(u, s, t, ctx) == pytest.approx(kron_qhat(u, s, t, ctx), abs=1e-13)
+            route_a, route_b = trace_routes(u, s, t, ctx)
+            _, _, ref_a, ref_b = kron_routes(u, s, t, ctx)
+            assert np.abs(route_a - ref_a).max() <= 1e-13
+            assert np.abs(route_b - ref_b).max() <= 1e-13
+
+
 class TestGreenQ:
+    def test_solver_tolerance_below_residual_raises(self, setup, mu_letters):
+        ctx, _, p_branch = setup
+        lam = norm_upper_bound(mu_letters, Q)
+        qm, table = green_Q(mu_letters, ctx, lam=lam)
+        assert table.residual > 0.0
+        with pytest.raises(RuntimeError, match="residual"):
+            green_Q(mu_letters, ctx, lam=lam, solver_tol=table.residual / 2)
+        # the first sub-branch solve of the gap audit is the perturbed one on H_a
+        sub = [w for w in ctx.omega if w.endswith("a")]
+        ii = np.array([ctx.index[w] for w in sub])
+        resid = green_table(qm[np.ix_(ii, ii)], sub, Q, base="a", lam=lam).residual
+        assert resid > 0.0
+        with pytest.raises(RuntimeError, match="residual"):
+            gdif_audit(qm, ctx, p_branch, ["a", "ba"], lam=lam, solver_tol=resid / 2)
+
     def test_solver_contract(self, setup, mu_letters):
         ctx, _, p_branch = setup
         lam = norm_upper_bound(mu_letters, Q)
@@ -221,7 +272,7 @@ class TestBoundary:
         _, q_table = green_Q(mu_letters, ctx, lam=lam)
         ray = ray_words("", "a", "a", radius - 1)
         s_list = ["a" * k for k in range(1, 6)]
-        rows = boundary_positivity_and_ratio(ctx, q_table, full, ray, s_list)
+        rows = boundary_positivity_and_ratio(q_table, full, ray, s_list)
         trend = [abs(r.ratio - 1.0) for r in rows]
         assert all(b < a for a, b in zip(trend, trend[1:]))
         assert all(r.k_q > 0 for r in rows)
@@ -235,7 +286,7 @@ class TestBoundary:
         _, q_table = green_Q(mu_letters, ctx, lam=lam)
         full = green_table(tm.matrix, tm.domain, Q, base="", lam=lam)
         with pytest.raises(ValueError, match="leaves"):
-            boundary_positivity_and_ratio(ctx, q_table, full, ["b"], ["a"])
+            boundary_positivity_and_ratio(q_table, full, ["b"], ["a"])
 
 
 class TestQhatStore:
@@ -255,6 +306,25 @@ class TestQhatStore:
             fh.write("{not json}\n")
         with pytest.warns(UserWarning, match="corrupt"):
             QhatStore(path)
+
+    @pytest.mark.parametrize("poison", [5.0, -5.0, math.nan, math.inf])
+    def test_poisoned_hit_is_recomputed(self, tmp_path, engine, poison):
+        path = tmp_path / "qhat.jsonl"
+        val = qhat_entry("a", "a", "aa", BranchContext(engine, "a", 4, store=QhatStore(path)))
+        rec = json.loads(path.read_text().splitlines()[0])
+        rec["value"] = poison
+        with open(path, "a") as fh:  # the last line of a key wins on load
+            fh.write(json.dumps(rec) + "\n")
+        store = QhatStore(path)
+        ctx = BranchContext(engine, "a", 4, store=store)
+        with pytest.warns(UserWarning, match="discarding"):
+            assert qhat_entry("a", "a", "aa", ctx) == val
+        assert (store.hits, store.misses) == (0, 1)
+        # the recomputed value is appended and a reload hits it cleanly
+        assert json.loads(path.read_text().splitlines()[-1])["value"] == val
+        clean = QhatStore(path)
+        assert qhat_entry("a", "a", "aa", BranchContext(engine, "a", 4, store=clean)) == val
+        assert clean.hits == 1
 
     def test_file_format(self, tmp_path, engine):
         path = tmp_path / "qhat.jsonl"
