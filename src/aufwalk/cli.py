@@ -191,10 +191,9 @@ def cmd_walk(cfg: RunConfig) -> int:
         base_row = table.green[table.index[""], :]
         residual, power_norm, neumann_gap = table.residual, table.power_norm, table.neumann_gap
     else:
-        green_rows, base_row, residual, power_norm = kernels.green_rows(
-            tm.matrix, tm.domain, cfg.q, cfg.sources, base="", solver_tol=cfg.solver_tol
+        green_rows, base_row, residual, power_norm, neumann_gap = kernels.green_rows(
+            tm.matrix, tm.domain, cfg.q, cfg.sources, base="", lam=lam, solver_tol=cfg.solver_tol
         )
-        neumann_gap = None
     delta0, k_steps = _irreducibility(cfg, tm)
     rows = []
     for s in cfg.sources:

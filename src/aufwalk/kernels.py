@@ -2,10 +2,10 @@
 and the quantitative audits of their tree-geometry estimates.
 
 The Green kernel of a weight matrix W with spectral norm < 1 on the
-qdim^2-weighted l2 space is computed as the resolvent (I - W)^-1: one dense
-solve per domain up to DENSE_LIMIT words, where a truncated Neumann series is
-kept as an independent cross-check with a rigorous tail bound from the norm;
-on larger domains, sparse row solves for the requested sources only.
+qdim^2-weighted l2 space is the resolvent (I - W)^-1, by sparse LU throughout:
+one factorisation of I - W gives the full table (up to DENSE_LIMIT words, a
+memory bound) or the rows of chosen sources, gated by the solve residual and
+checked against a truncated Neumann series with a rigorous tail bound.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .words import EMPTY, qdim, tree_distance
 
@@ -27,15 +27,10 @@ NORM_GUARD = 1e-6
 def weighted_operator_norm(matrix, weights: np.ndarray, iters: int = 600, tol: float = 1e-13) -> float:
     """Operator norm of the matrix on l2 with the given vertex weights,
     by power iteration on the symmetrized conjugate; deterministic start,
-    converges to the norm from below."""
+    converges to the norm from below.  Dense input is converted to CSR."""
     w = np.sqrt(np.asarray(weights, dtype=float))
-    if sp.issparse(matrix):
-        a = sp.diags(w) @ matrix @ sp.diags(1.0 / w)
-        at = a.T.tocsr()
-        a = a.tocsr()
-    else:
-        a = w[:, None] * np.asarray(matrix) / w[None, :]
-        at = a.T
+    a = (sp.diags(w) @ sp.csr_matrix(matrix, dtype=float) @ sp.diags(1.0 / w)).tocsr()
+    at = a.T.tocsr()
     v = np.ones(a.shape[0]) / math.sqrt(a.shape[0])
     est = 0.0
     for _ in range(iters):
@@ -97,7 +92,6 @@ def green_table(
     q: float,
     base: str = EMPTY,
     lam: float | None = None,
-    neumann_cols: int = 3,
     solver_tol: float = SOLVER_TOL,
 ) -> KernelTable:
     """Solve (I - W) G = I on the domain and package the result.
@@ -108,22 +102,7 @@ def green_table(
     n = len(domain)
     if n > DENSE_LIMIT:
         raise ValueError(f"domain of size {n} exceeds the dense solver limit {DENSE_LIMIT}")
-    w = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-    if w.shape != (n, n):
-        raise ValueError(f"matrix shape {w.shape} does not match domain size {n}")
-    m, power_norm = _guarded_norm(w, domain, q)
-    a = np.eye(n) - w
-    lu, piv = sla.lu_factor(a)
-    green = sla.lu_solve((lu, piv), np.eye(n))
-    residual = float(np.abs(a @ green - np.eye(n)).max())
-    if residual > solver_tol:
-        raise RuntimeError(f"Green solve residual {residual} above tolerance {solver_tol}")
-    if green.diagonal().min() <= 0.0:
-        raise RuntimeError("Green kernel diagonal not positive")
-    # the tail estimate needs an upper bound on the norm: prefer the analytic
-    # one when supplied (power iteration approaches the norm from below)
-    tail_norm = lam if lam is not None and lam >= power_norm else min(1.0 - NORM_GUARD, power_norm * (1 + 1e-9) + 1e-12)
-    gap = _neumann_gap(w, green, m, tail_norm, neumann_cols)
+    green, residual, power_norm, gap = _green_solve(matrix, domain, q, lam, solver_tol)
     return KernelTable(
         domain=list(domain),
         base=base,
@@ -136,72 +115,92 @@ def green_table(
     )
 
 
-def _guarded_norm(matrix, domain: list[str], q: float) -> tuple[np.ndarray, float]:
-    """The qdim^2 vertex weights of the domain and the power-iteration norm of
-    the matrix on that weighted space; raises when the norm reaches 1 - 1e-6."""
-    m = np.array([qdim(x, q) for x in domain]) ** 2
-    power_norm = weighted_operator_norm(matrix, m)
-    if power_norm >= 1.0 - NORM_GUARD:
-        raise ValueError(f"operator norm {power_norm} too close to 1; Green kernel unreliable")
-    return m, power_norm
-
-
-def _neumann_gap(w, green, m, power_norm, cols: int) -> float:
-    """Compare sampled Green columns against the truncated Neumann series;
-    returns the largest excess over the rigorous tail bound (<= 0 is a pass)."""
-    n = w.shape[0]
-    if cols <= 0 or power_norm == 0.0:
-        return 0.0
-    steps = min(600, max(40, int(math.ceil(math.log(1e-13) / math.log(power_norm)))))
-    picks = sorted({(j * (n - 1)) // max(1, cols - 1) if cols > 1 else 0 for j in range(cols)})
-    worst = -math.inf
-    for j in picks:
-        col = np.zeros(n)
-        col[j] = 1.0
-        acc = col.copy()
-        vec = col
-        for _ in range(steps):
-            vec = w @ vec
-            acc += vec
-        tail = power_norm ** (steps + 1) / (1.0 - power_norm)
-        bound = tail * np.sqrt(m[j] / m) + 1e-12
-        worst = max(worst, float((np.abs(green[:, j] - acc) - bound).max()))
-    return worst
-
-
 def green_rows(
     matrix,
     domain: list[str],
     q: float,
     sources: list[str],
     base: str = EMPTY,
+    lam: float | None = None,
     solver_tol: float = SOLVER_TOL,
-) -> tuple[dict[str, np.ndarray], np.ndarray, float, float]:
-    """Selected rows of the Green kernel on a large domain through a sparse
-    factorization: one transposed solve per source plus one for the base.
+) -> tuple[dict[str, np.ndarray], np.ndarray, float, float, float]:
+    """Selected rows of the Green kernel, on a domain of any size: one
+    transposed solve per source plus one for the base.
 
     Returns (rows by source, base row, worst row residual, power-iteration
-    norm).  Row s of (I - W)^-1 solves (I - W)^T x = e_s.  Raises like
-    green_table on the norm guard and when the worst residual exceeds the
-    tolerance.
+    norm, Neumann gap).  Raises like green_table on the norm guard and when
+    the worst residual exceeds the tolerance.
+    """
+    index = {w: i for i, w in enumerate(domain)}
+    wanted = list(dict.fromkeys(list(sources) + [base]))
+    solved, residual, power_norm, gap = _green_solve(
+        matrix, domain, q, lam, solver_tol, [index[s] for s in wanted]
+    )
+    out = dict(zip(wanted, np.ascontiguousarray(solved.T)))
+    return {s: out[s] for s in sources}, out[base], residual, power_norm, gap
+
+
+def _green_solve(
+    matrix, domain: list[str], q: float, lam: float | None, solver_tol: float, rows: list[int] | None = None
+) -> tuple[np.ndarray, float, float, float]:
+    """The one solver core behind green_table and green_rows.
+
+    With ``rows`` None it solves (I - W) X = I for the full table; with a
+    list of domain indices it solves (I - W)^T X = E, whose columns are the
+    Green rows at those indices.  Both are columns of (I - A)^-1 with A = W on
+    the weights m = qdim^2, or A = W^T on the dual weights 1/m, where the norm
+    is the same.  Returns (X, residual, power-iteration norm, Neumann gap).
     """
     n = len(domain)
-    index = {w: i for i, w in enumerate(domain)}
-    w = sp.csc_matrix(matrix) if sp.issparse(matrix) else sp.csc_matrix(np.asarray(matrix))
-    _, power_norm = _guarded_norm(w.tocsr(), domain, q)
-    a = (sp.identity(n, format="csc") - w).tocsc()
-    lu = sp.linalg.splu(a)
-    worst = 0.0
-    out: dict[str, np.ndarray] = {}
-    for s in dict.fromkeys(list(sources) + [base]):
-        e = np.zeros(n)
-        e[index[s]] = 1.0
-        row = lu.solve(e, trans="T")
-        worst = max(worst, float(np.abs(a.T @ row - e).max()))
-        out[s] = row
-    if worst > solver_tol:
-        raise RuntimeError(f"Green solve residual {worst} above tolerance {solver_tol}")
-    return {s: out[s] for s in sources}, out[base], worst, power_norm
+    w = sp.csr_matrix(matrix, dtype=float)
+    if w.shape != (n, n):
+        raise ValueError(f"matrix shape {w.shape} does not match domain size {n}")
+    m = np.array([qdim(x, q) for x in domain]) ** 2
+    power_norm = weighted_operator_norm(w, m)
+    if power_norm >= 1.0 - NORM_GUARD:
+        raise ValueError(f"operator norm {power_norm} too close to 1; Green kernel unreliable")
+    lu = splu(sp.identity(n, format="csc") - w.tocsc())
+    if rows is None:
+        # the Neumann check samples three columns of the table
+        a, weights, units, trans, checked = w, m, np.arange(n), "N", sorted({0, (n - 1) // 2, n - 1})
+    else:
+        a, weights, units, trans, checked = w.T.tocsr(), 1.0 / m, np.asarray(rows), "T", slice(None)
+    rhs = np.zeros((n, len(units)))
+    rhs[units, np.arange(len(units))] = 1.0
+    x = lu.solve(rhs, trans=trans)
+    # A X - X + rhs, in place: a full table is n x n
+    r = a @ x
+    r -= x
+    r += rhs
+    residual = float(np.abs(r).max())
+    if residual > solver_tol:
+        raise RuntimeError(f"Green solve residual {residual} above tolerance {solver_tol}")
+    if x[units, np.arange(len(units))].min() <= 0.0:
+        raise RuntimeError("Green kernel diagonal not positive")
+    # the tail estimate needs an upper bound on the norm: prefer the analytic
+    # one when supplied (power iteration approaches the norm from below)
+    tail_norm = lam if lam is not None and lam >= power_norm else min(1.0 - NORM_GUARD, power_norm * (1 + 1e-9) + 1e-12)
+    gap = _neumann_gap(a, x[:, checked], units[checked], weights, tail_norm)
+    return x, residual, power_norm, gap
+
+
+def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, tail_norm: float) -> float:
+    """Compare solved columns of (I - A)^-1, the ones at the given unit
+    vectors, against the truncated Neumann series; returns the largest excess
+    over the rigorous tail bound (<= 0 is a pass).  Entry i of column j is off
+    by at most tail * sqrt(weights[j] / weights[i]) on the weighted space."""
+    if tail_norm == 0.0:
+        return 0.0
+    steps = min(600, max(40, int(math.ceil(math.log(1e-13) / math.log(tail_norm)))))
+    vec = np.zeros_like(cols)
+    vec[units, np.arange(len(units))] = 1.0
+    acc = vec.copy()
+    for _ in range(steps):
+        vec = a @ vec
+        acc += vec
+    tail = tail_norm ** (steps + 1) / (1.0 - tail_norm)
+    bound = tail * np.sqrt(weights[units][None, :] / weights[:, None]) + 1e-12
+    return float((np.abs(cols - acc) - bound).max())
 
 
 def truncation_error_bound(
@@ -316,16 +315,15 @@ def last_entry_audit(
         raise ValueError("source must lie outside the branch")
     if not t.endswith(x):
         raise ValueError("target must lie inside the branch")
-    p = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
     outside = [i for i, w in enumerate(full_table.domain) if not w.endswith(x)]
     cut = entry_set(branch_table.domain, x, range_bound)
     si = full_table.index[s]
+    # M(s, .) = sum over outside v of G(s, v) P(v, .)
+    m_s = sp.csr_matrix(matrix)[outside].T @ full_table.green[si, outside]
     lhs = full_table.green_entry(s, t)
     rhs = 0.0
     for u in cut:
-        ui = full_table.index[u]
-        m_su = float(full_table.green[si, outside] @ p[outside, ui])
-        rhs += m_su * branch_table.green_entry(u, t)
+        rhs += float(m_s[full_table.index[u]]) * branch_table.green_entry(u, t)
     return abs(lhs - rhs) / lhs
 
 

@@ -41,12 +41,14 @@ DOMINATION_TOL = 1e-12
 class QhatStore:
     """Append-only line-delimited persistent cache of computed coefficients.
 
-    Each record is one JSON object per line with keys
-    ``config`` (model hash), ``z``, ``u``, ``s``, ``t`` (words, ``e`` = empty
-    word) and ``value``.  Corrupt lines are skipped with a warning; a hit
-    that is not finite or breaks the lookup's bound is dropped (see ``get``).
+    Each record is one JSON object per line with keys ``schema`` (the record
+    format version, SCHEMA), ``config`` (model hash), ``z``, ``u``, ``s``,
+    ``t`` (words, ``e`` = empty word) and ``value``.  Corrupt lines and lines
+    of another or no schema are skipped with a warning; a hit that is not
+    finite or breaks the lookup's bound is dropped (see ``get``).
     """
 
+    SCHEMA = 1
     FIELDS = ("config", "z", "u", "s", "t")
 
     def __init__(self, path):
@@ -68,9 +70,17 @@ class QhatStore:
             try:
                 rec = json.loads(line)
                 key = tuple(parse_word(rec[f]) if f != "config" else rec[f] for f in self.FIELDS)
-                self._data[key] = float(rec["value"])
+                value = float(rec["value"])
             except (ValueError, KeyError, TypeError):
                 warnings.warn(f"{self.path}:{lineno}: skipping corrupt cache line")
+                continue
+            if rec.get("schema") != self.SCHEMA:
+                warnings.warn(
+                    f"{self.path}:{lineno}: skipping cache line of schema {rec.get('schema')!r}, "
+                    f"want {self.SCHEMA}"
+                )
+                continue
+            self._data[key] = value
 
     def _key(self, config_hash, z, u, s, t):
         return (config_hash, z, u, s, t)
@@ -99,6 +109,7 @@ class QhatStore:
     def put(self, config_hash, z, u, s, t, value):
         key = self._key(config_hash, z, u, s, t)
         rec = {
+            "schema": self.SCHEMA,
             "config": config_hash,
             "z": format_word(z),
             "u": format_word(u),

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from aufwalk import kernels
 from aufwalk.fusion import Measure, norm_upper_bound, transition_matrix, uniform_irreducibility_constants
 from aufwalk.kernels import (
     RayProfile,
     boundary_profile,
     entry_set,
+    green_rows,
     green_table,
     harnack_audit,
     last_entry_audit,
@@ -41,6 +43,8 @@ class TestWeightedNorm:
                 nrm = weighted_operator_norm(tm.matrix, tm.haar_weights())
                 assert nrm <= lam + 1e-8
                 assert nrm < 1.0
+                # one path: dense input is converted to the same CSR matrix
+                assert weighted_operator_norm(tm.matrix.toarray(), tm.haar_weights()) == nrm
 
 
 class TestGreenTable:
@@ -69,6 +73,22 @@ class TestGreenTable:
 
     def test_green_entries_nonnegative(self, walk8):
         assert walk8[2].green.min() >= 0.0
+
+    def test_dense_and_csr_input_give_identical_tables(self, walk8):
+        tm, lam, table = walk8
+        dense = green_table(tm.matrix.toarray(), tm.domain, Q, base="", lam=lam)
+        assert np.array_equal(dense.green, table.green)
+        assert (dense.residual, dense.power_norm, dense.neumann_gap) == (
+            table.residual, table.power_norm, table.neumann_gap
+        )
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+    def test_matches_dense_inverse(self, q):
+        dom = ball(7)
+        tm = transition_matrix(Measure({"a": 0.35, "b": 0.65}), dom, q)
+        g = green_table(tm.matrix, dom, q).green
+        inv = np.linalg.inv(np.eye(len(dom)) - tm.matrix.toarray())
+        assert (np.abs(g - inv) / np.abs(inv)).max() < 1e-13
 
     def test_rejects_norm_one(self):
         # a stochastic 2-cycle has norm 1 in the flat weighting
@@ -250,9 +270,7 @@ class TestBoundaryProfile:
 class TestGreenRows:
     def test_rows_match_dense_table(self, walk8):
         tm, _, table = walk8
-        from aufwalk.kernels import green_rows
-
-        rows, base_row, resid, _ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="")
+        rows, base_row, resid, *_ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="")
         assert resid < 1e-10
         for s, row in rows.items():
             assert np.abs(row - table.green[table.index[s], :]).max() < 1e-11
@@ -260,16 +278,39 @@ class TestGreenRows:
 
     def test_returns_the_weighted_norm(self, walk8):
         tm, _, _ = walk8
-        from aufwalk.kernels import green_rows
-
-        *_, power_norm = green_rows(tm.matrix, tm.domain, Q, ["a"], base="")
+        *_, power_norm, _ = green_rows(tm.matrix, tm.domain, Q, ["a"], base="")
         assert power_norm == weighted_operator_norm(tm.matrix, tm.haar_weights())
+
+    def test_neumann_within_tail_bound_on_radius_12(self, mu_letters):
+        dom = ball(12)
+        tm = transition_matrix(mu_letters, dom, Q)
+        lam = norm_upper_bound(mu_letters, Q)
+        *_, gap = green_rows(tm.matrix, dom, Q, ["a", "ba"], base="", lam=lam)
+        assert -1e-11 < gap <= 0.0
+
+    def test_neumann_catches_a_perturbed_row(self, walk8, monkeypatch):
+        # an error of 5e-11 in G(a, a) passes the 1e-10 residual gate but not
+        # the series check, whose bound there is about 1e-12
+        tm, lam, _ = walk8
+        real_splu = kernels.splu
+
+        class PerturbedLU:
+            def __init__(self, a):
+                self.lu = real_splu(a)
+
+            def solve(self, rhs, trans="N"):
+                x = self.lu.solve(rhs, trans=trans)
+                x[tm.index["a"], 0] += 5e-11
+                return x
+
+        monkeypatch.setattr(kernels, "splu", PerturbedLU)
+        _, _, resid, _, gap = green_rows(tm.matrix, tm.domain, Q, ["a"], base="", lam=lam)
+        assert resid < 1e-10
+        assert gap > 1e-11
 
     def test_residual_above_tolerance_raises(self, walk8):
         tm, _, _ = walk8
-        from aufwalk.kernels import green_rows
-
-        _, _, resid, _ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="")
+        _, _, resid, *_ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="")
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
             green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", solver_tol=resid / 2)

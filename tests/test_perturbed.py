@@ -332,5 +332,26 @@ class TestQhatStore:
         ctx = BranchContext(engine, "a", 4, store=store)
         qhat_entry("a", "a", "aa", ctx)
         rec = json.loads(path.read_text().splitlines()[0])
-        assert set(rec) == {"config", "z", "u", "s", "t", "value"}
+        assert set(rec) == {"schema", "config", "z", "u", "s", "t", "value"}
+        assert rec["schema"] == QhatStore.SCHEMA
         assert rec["z"] == "a" and rec["u"] == "a"
+
+    @pytest.mark.parametrize("schema", [None, 0, 2, "1"])
+    def test_other_schema_misses(self, tmp_path, engine, schema):
+        path = tmp_path / "qhat.jsonl"
+        val = qhat_entry("a", "a", "aa", BranchContext(engine, "a", 4, store=QhatStore(path)))
+        rec = json.loads(path.read_text().splitlines()[0])
+        if schema is None:
+            del rec["schema"]
+        else:
+            rec["schema"] = schema
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.warns(UserWarning, match="schema"):
+            store = QhatStore(path)
+        assert qhat_entry("a", "a", "aa", BranchContext(engine, "a", 4, store=store)) == val
+        assert (store.hits, store.misses) == (0, 1)
+        # the recomputed record carries the current schema and a reload hits it
+        with pytest.warns(UserWarning, match="schema"):
+            fresh = QhatStore(path)
+        assert qhat_entry("a", "a", "aa", BranchContext(engine, "a", 4, store=fresh)) == val
+        assert (fresh.hits, fresh.misses) == (1, 0)
