@@ -81,6 +81,28 @@ class RunConfig:
         )
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _checked(value, name: str, kind):
+    """The value checked against one JSON type; a number accepts integers,
+    and booleans are neither."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
+
+
+def _typed(raw: dict, key: str, kind, default=None):
+    """raw[key], or the default when absent, checked against one JSON type."""
+    return _checked(raw.get(key, default), key, kind)
+
+
+def _words(items: list, name: str) -> list[str]:
+    """A list of serialized words."""
+    return [parse_word(_checked(w, f"each entry of {name}", str)) for w in items]
+
+
 def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -90,44 +112,52 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    model_raw = raw.get("model", {})
-    n = int(model_raw.get("n", 2))
-    cap = int(raw.get("tensorCap", 10))
+    model_raw = _typed(raw, "model", dict, {})
+    n = _typed(model_raw, "n", int, 2)
+    cap = _typed(raw, "tensorCap", int, 10)
     if q is not None:
         model = ModelConfig.from_q(float(q), n=n, tensor_cap=cap)
     elif "fDiag" in model_raw:
-        model = ModelConfig(n=n, f_diag=tuple(float(x) for x in model_raw["fDiag"]), tensor_cap=cap)
+        f_diag = tuple(_checked(f, "each entry of fDiag", float) for f in _typed(model_raw, "fDiag", list))
+        model = ModelConfig(n=n, f_diag=f_diag, tensor_cap=cap)
     elif "q" in model_raw:
-        model = ModelConfig.from_q(float(model_raw["q"]), n=n, tensor_cap=cap)
+        model = ModelConfig.from_q(_typed(model_raw, "q", float), n=n, tensor_cap=cap)
     else:
         raise ConfigError("model must provide q or fDiag")
     measure_raw = raw.get("measure")
     if not isinstance(measure_raw, dict) or not measure_raw:
         raise ConfigError("measure must be a nonempty object of word: weight pairs")
-    measure = Measure({parse_word(k): float(v) for k, v in measure_raw.items()})
-    rays = [(parse_word(p), parse_word(per)) for p, per in raw.get("rays", [["e", "a"]])]
+    measure = Measure({parse_word(k): _checked(v, f"weight of {k}", float) for k, v in measure_raw.items()})
+    rays = []
+    for ray in _typed(raw, "rays", list, [["e", "a"]]):
+        if not isinstance(ray, list) or len(ray) != 2:
+            raise ConfigError(f"each ray must be a [preperiod, period] pair, got {json.dumps(ray)}")
+        rays.append(tuple(_words(ray, "rays")))
+    tolerances = _typed(raw, "tolerances", dict, {})
     cfg = RunConfig(
         model=model,
         measure=measure,
-        ball_radius=int(radius if radius is not None else raw.get("ballRadius", 8)),
-        branch_z=parse_word(raw.get("branchZ", "a")),
-        q_radius=int(raw["qRadius"]) if "qRadius" in raw else None,
+        ball_radius=radius if radius is not None else _typed(raw, "ballRadius", int, 8),
+        branch_z=parse_word(_typed(raw, "branchZ", str, "a")),
+        q_radius=_typed(raw, "qRadius", int) if "qRadius" in raw else None,
         rays=rays,
-        sources=[parse_word(w) for w in raw.get("sources", ["e"])],
-        boundary_sources=[parse_word(w) for w in raw["boundarySources"]]
+        sources=_words(_typed(raw, "sources", list, ["e"]), "sources"),
+        boundary_sources=_words(_typed(raw, "boundarySources", list), "boundarySources")
         if "boundarySources" in raw
         else None,
-        solver_tol=float(raw.get("tolerances", {}).get("solver", 1e-10)),
-        audit_tol=float(raw.get("tolerances", {}).get("audit", 1e-8)),
-        output_dir=str(out if out is not None else raw.get("outputDir", "out")),
-        seed=int(raw.get("seed", 0)),
-        qhat_cache=str(raw["qhatCache"]) if "qhatCache" in raw else None,
+        solver_tol=_typed(tolerances, "solver", float, 1e-10),
+        audit_tol=_typed(tolerances, "audit", float, 1e-8),
+        output_dir=str(out if out is not None else _typed(raw, "outputDir", str, "out")),
+        seed=_typed(raw, "seed", int, 0),
+        qhat_cache=_typed(raw, "qhatCache", str) if "qhatCache" in raw else None,
         raw=raw,
     )
     if not cfg.branch_z:
         raise ConfigError("branchZ must be a nonempty word")
     if cfg.ball_radius < 0:
         raise ConfigError("ballRadius must be nonnegative")
+    if not (cfg.solver_tol > 0.0 and cfg.audit_tol > 0.0):
+        raise ConfigError("tolerances must be positive")
     # the largest quantum dimension on the ball is [2]_q^R; its square weights the solver
     if 2 * cfg.ball_radius * math.log(cfg.q + 1.0 / cfg.q) >= math.log(sys.float_info.max):
         raise ConfigError(
@@ -195,17 +225,17 @@ def cmd_walk(cfg: RunConfig) -> int:
             tm.matrix, tm.domain, cfg.q, cfg.sources, base="", lam=lam, solver_tol=cfg.solver_tol
         )
     delta0, k_steps = _irreducibility(cfg, tm)
+    q = cfg.q
+    targets = [format_word(t) for t in tm.domain]
     rows = []
     for s in cfg.sources:
         grow = green_rows[s]
-        for ti, t in enumerate(tm.domain):
-            bound = kernels.truncation_error_bound(
-                cfg.ball_radius, s, t, lam, tm.range_bound, cfg.q
-            )
-            rows.append(
-                [format_word(s), format_word(t), float(grow[ti]),
-                 float(grow[ti] / base_row[ti]), float(bound)]
-            )
+        bounds = kernels.truncation_error_bound(cfg.ball_radius, s, tm.domain, lam, tm.range_bound, q)
+        source = format_word(s)
+        rows.extend(
+            [source, t, g, g / b, bound]
+            for t, g, b, bound in zip(targets, grow.tolist(), base_row.tolist(), bounds.tolist())
+        )
     write_csv(out / "green_martin.csv", ["s", "t", "G", "K", "truncationBound"], rows)
     manifest = {
         "configHash": cfg.config_hash(),

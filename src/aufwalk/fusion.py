@@ -9,6 +9,14 @@ walk driven by a finitely supported measure mu has transition weights
 
 which is stochastic thanks to the fusion identity
 sum_t m(t; r, s) qdim(t) = qdim(r) qdim(s).
+
+``fuse`` and ``transition_prob`` are the scalar string route.
+``transition_matrix`` assembles on heap indices (see ``words``): for a
+support word r and a cancellation length k, the words s whose first k
+letters spell bar of the last k letters of r are a bit-pattern match on the
+top k bits, and the component r[:-k] s[k:] is r's remaining bits placed above
+the low len(s) - k bits of s.  A few sampled rows are recomputed on the
+string route as a cross-check.
 """
 
 from __future__ import annotations
@@ -20,15 +28,23 @@ from scipy.sparse.csgraph import breadth_first_order
 from .words import (
     EMPTY,
     ball,
+    ball_qdims,
     check_word,
     classical_dim,
+    code_lengths,
+    heap_index,
+    heap_indices,
     involution,
     qdim,
+    qdims,
     tree_distance,
+    tree_distances,
     validate_q,
 )
 
 MASS_TOL = 1e-12
+#: relative agreement required between sampled rows and the string route
+CROSS_CHECK_RTOL = 1e-14
 
 
 def fuse(x: str, y: str) -> list[str]:
@@ -105,9 +121,18 @@ class TransitionMatrix:
     from the domain frontier.
     """
 
-    def __init__(self, domain: list[str], matrix: sp.csr_matrix, mu: Measure, q: float):
+    def __init__(
+        self,
+        domain: list[str],
+        matrix: sp.csr_matrix,
+        mu: Measure,
+        q: float,
+        codes: np.ndarray | None = None,
+    ):
         self.domain = list(domain)
         self.index = {w: i for i, w in enumerate(self.domain)}
+        #: heap indices of the domain words, computed when not given
+        self.codes = heap_indices(self.domain) if codes is None else codes
         self.matrix = matrix
         self.mu = mu
         self.q = q
@@ -121,7 +146,7 @@ class TransitionMatrix:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
     def qdims(self) -> np.ndarray:
-        return np.array([qdim(w, self.q) for w in self.domain])
+        return qdims(self.codes, self.q)
 
     def haar_weights(self) -> np.ndarray:
         return self.qdims() ** 2
@@ -130,7 +155,7 @@ class TransitionMatrix:
         """Substochastic restriction to a sub-domain (kills exiting mass)."""
         idx = np.array([self.index[w] for w in subdomain])
         sub = self.matrix[idx][:, idx]
-        return TransitionMatrix(subdomain, sp.csr_matrix(sub), self.mu, self.q)
+        return TransitionMatrix(subdomain, sp.csr_matrix(sub), self.mu, self.q, self.codes[idx])
 
     def interior_words(self, frontier_radius: int) -> list[str]:
         """Vertices whose distance to the length-R frontier exceeds the range."""
@@ -139,39 +164,89 @@ class TransitionMatrix:
 
 def transition_matrix(mu: Measure, domain: list[str], q: float) -> TransitionMatrix:
     validate_q(q)
-    index = {w: i for i, w in enumerate(domain)}
-    dims = {w: qdim(w, q) for w in domain}
-    for r in mu.support:
-        dims.setdefault(r, qdim(r, q))
-    rows, cols, vals = [], [], []
-    for i, s in enumerate(domain):
-        for r, w in mu.items():
-            for t in fuse(r, s):
-                j = index.get(t)
-                if j is None:
-                    continue
-                dt = dims.get(t)
-                if dt is None:
-                    dt = dims[t] = qdim(t, q)
-                rows.append(i)
-                cols.append(j)
-                vals.append(w * dt / (dims[r] * dims[s]))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(domain), len(domain)))
-    mat.sum_duplicates()
-    tm = TransitionMatrix(domain, mat, mu, q)
+    codes = heap_indices(domain)
+    tm = TransitionMatrix(domain, _assemble(mu, codes, q), mu, q, codes)
     _assert_bounded_range(tm)
+    _check_sampled_rows(tm)
     return tm
+
+
+def _assemble(mu: Measure, codes: np.ndarray, q: float) -> sp.csr_matrix:
+    """The weights p(s, t) between the words with the given heap indices, one
+    vector step per support word r and cancellation length k."""
+    n = len(codes)
+    lengths = code_lengths(codes)
+    bits = codes + 1 - (np.int64(1) << lengths)
+    dims = qdims(codes, q)
+    order = np.argsort(codes, kind="stable")
+    keys = codes[order]
+    rows, cols, vals = [], [], []
+    for r, w in mu.items():
+        dr = qdim(r, q)
+        r_bits = heap_index(r) + 1 - (1 << len(r))
+        for k in range(min(len(r), int(lengths.max(initial=0))) + 1):
+            # s must start with bar(z) for the last k letters z of r
+            pattern = heap_index(involution(r[len(r) - k:])) + 1 - (1 << k)
+            i = np.flatnonzero(lengths >= k)
+            i = i[bits[i] >> (lengths[i] - k) == pattern]
+            tail = lengths[i] - k  # letters of s that survive
+            t_bits = ((r_bits >> k) << tail) + (bits[i] & ((np.int64(1) << tail) - 1))
+            t_code = (np.int64(1) << (len(r) - k + tail)) - 1 + t_bits
+            pos = np.minimum(np.searchsorted(keys, t_code), n - 1)
+            hit = keys[pos] == t_code
+            i, j = i[hit], order[pos[hit]]
+            rows.append(i)
+            cols.append(j)
+            vals.append(w * dims[j] / (dr * dims[i]))
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    mat.sum_duplicates()
+    return mat
 
 
 def _assert_bounded_range(tm: TransitionMatrix) -> None:
     coo = tm.matrix.tocoo()
-    for i, j in zip(coo.row, coo.col):
-        d = tree_distance(tm.domain[i], tm.domain[j])
-        if d > tm.range_bound:
+    dist = tree_distances(tm.codes[coo.row], tm.codes[coo.col])
+    bad = np.flatnonzero(dist > tm.range_bound)
+    if bad.size:
+        i, j = coo.row[bad[0]], coo.col[bad[0]]
+        raise AssertionError(
+            f"entry ({tm.domain[i]!r}, {tm.domain[j]!r}) violates the range bound "
+            f"{tm.range_bound} (distance {int(dist[bad[0]])})"
+        )
+
+
+def _check_sampled_rows(tm: TransitionMatrix) -> None:
+    """Recompute the rows of the root (when present) and of the first, middle
+    and last domain words on the string route: the same columns, entries
+    within CROSS_CHECK_RTOL, and tree distances equal to the array ones."""
+    if tm.size == 0:
+        return
+    sampled = {0, (tm.size - 1) // 2, tm.size - 1}
+    if EMPTY in tm.index:
+        sampled.add(tm.index[EMPTY])
+    for i in sorted(sampled):
+        s = tm.domain[i]
+        row = tm.matrix.getrow(i)
+        got = dict(zip(row.indices.tolist(), row.data.tolist()))
+        targets = {t for r in tm.mu.support for t in fuse(r, s) if t in tm.index}
+        want = {tm.index[t]: transition_prob(tm.mu, s, t, tm.q) for t in targets}
+        if set(got) != set(want):
             raise AssertionError(
-                f"entry ({tm.domain[i]!r}, {tm.domain[j]!r}) violates the range bound "
-                f"{tm.range_bound} (distance {d})"
+                f"row {s!r}: assembled columns {sorted(tm.domain[j] for j in got)} differ from "
+                f"the fusion components {sorted(tm.domain[j] for j in want)}"
             )
+        cols = np.array(sorted(got), dtype=np.int64)
+        dist = tree_distances(np.full(len(cols), tm.codes[i]), tm.codes[cols])
+        for j, d in zip(cols.tolist(), dist.tolist()):
+            t = tm.domain[j]
+            if abs(got[j] - want[j]) > CROSS_CHECK_RTOL * abs(want[j]):
+                raise AssertionError(
+                    f"entry ({s!r}, {t!r}) is {got[j]!r} assembled, {want[j]!r} by fusion"
+                )
+            if d != tree_distance(s, t):
+                raise AssertionError(
+                    f"distance of ({s!r}, {t!r}) is {d} on heap indices, {tree_distance(s, t)} on words"
+                )
 
 
 def dual_audit(mu: Measure, radius: int, q: float) -> float:
@@ -186,7 +261,7 @@ def dual_audit(mu: Measure, radius: int, q: float) -> float:
     domain = ball(radius)
     p = transition_matrix(mu, domain, q).matrix.toarray()
     pdual = transition_matrix(mu.dual(), domain, q).matrix.toarray()
-    dims = np.array([qdim(w, q) for w in domain])
+    dims = ball_qdims(radius, q)
     lhs = pdual * (dims[:, None] / dims[None, :])
     rhs = (p * (dims[:, None] / dims[None, :])).T
     return float(np.max(np.abs(lhs - rhs)))

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .words import EMPTY, qdim, tree_distance
+from .words import EMPTY, code_lengths, heap_indices, qdim, qdims, tree_distance
 
 DENSE_LIMIT = 4200
 SOLVER_TOL = 1e-10
@@ -155,7 +155,7 @@ def _green_solve(
     w = sp.csr_matrix(matrix, dtype=float)
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match domain size {n}")
-    m = np.array([qdim(x, q) for x in domain]) ** 2
+    m = qdims(heap_indices(domain), q) ** 2
     power_norm = weighted_operator_norm(w, m)
     if power_norm >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm {power_norm} too close to 1; Green kernel unreliable")
@@ -203,21 +203,23 @@ def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, ta
     return float((np.abs(cols - acc) - bound).max())
 
 
-def truncation_error_bound(
-    radius: int, s: str, t: str, lam: float, range_bound: int, q: float
-) -> float:
+def truncation_error_bound(radius: int, s: str, t, lam: float, range_bound: int, q: float):
     """Rigorous bound on the truncation error of G(s, t) computed on the ball
     of the given radius: any escaping path needs at least
     N = ceil(2 (radius - max|s|,|t|) / range) steps, and the tail of the series
-    is controlled by the operator norm on the weighted space."""
+    is controlled by the operator norm on the weighted space.
+
+    ``t`` is a word, giving a float, or a sequence of words, giving an array.
+    """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    depth = radius - max(len(s), len(t))
-    if depth < 0:
+    codes = heap_indices([t] if isinstance(t, str) else t)
+    depth = radius - np.maximum(len(s), code_lengths(codes))
+    if (depth < 0).any():
         raise ValueError("s and t must lie inside the ball")
-    n_steps = math.ceil(2 * depth / range_bound)
-    ratio = qdim(t, q) / qdim(s, q)
-    return ratio * lam ** n_steps / (1.0 - lam)
+    n_steps = np.ceil(2 * depth / range_bound)
+    bound = qdims(codes, q) / qdim(s, q) * lam ** n_steps / (1.0 - lam)
+    return float(bound[0]) if isinstance(t, str) else bound
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .kernels import (
     green_table,
     weighted_operator_norm,
 )
-from .words import branch, format_word, involution, parse_word, qdim
+from .words import branch, format_word, heap_indices, involution, parse_word, qdim, qdims
 
 RESIDUAL_FLOOR = 1e-12
 DOMINATION_TOL = 1e-12
@@ -160,7 +160,7 @@ class BranchContext:
         return all((multiplicity(w, w, self.y) == 1) == self.contains(w) for w in words)
 
     def qdims(self) -> np.ndarray:
-        return np.array([qdim(w, self.q) for w in self.omega])
+        return qdims(heap_indices(self.omega), self.q)
 
 
 def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:

@@ -5,11 +5,20 @@ empty string is the root ``e``.  Two words are adjacent in the tree iff one is
 obtained from the other by adding one letter on the left, so the ball of
 radius R around the root is the binary left-extension tree truncated at
 depth R.
+
+Strings are the API and the serialized form.  Array code works on one
+integer encoding, the heap index ``2^len(w) - 1 + bits(w)``, where ``bits``
+reads a as 0 and b as 1 with the *last* letter as bit 0.  Heap indices
+enumerate ``ball`` order (by length, then a < b), prepending a letter to a
+word of length L adds 2^L to its bits, and the common suffix of two words of
+lengths L, M has length ``min(ctz(bits xor bits'), L, M)``.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
 
 ALPHABET = ("a", "b")
 EMPTY = ""
@@ -18,6 +27,7 @@ EMPTY = ""
 BALL_RADIUS_CAP = 20
 
 _BAR = {"a": "b", "b": "a"}
+_TO_BITS = str.maketrans("ab", "01")
 
 
 class RadiusCapError(ValueError):
@@ -114,6 +124,76 @@ def classical_dim(w: str) -> int:
     return out
 
 
+def ball_qdims(radius: int, q: float) -> np.ndarray:
+    """qdim of every word of the ball, in heap order, by a level recurrence.
+
+    Appending a letter to w either extends its last indecomposable factor or,
+    when it repeats w's last letter, closes that factor and starts a new one.
+    Carrying the product of the closed factors and the length of the open one
+    multiplies the same qnumbers in the same order as ``qdim``.
+    """
+    validate_q(q)
+    _check_radius(radius)
+    open_dim = np.array([1.0] + [qnumber(n + 1, q) for n in range(1, radius + 1)])
+    closed = np.ones(1)
+    run = np.zeros(1, dtype=np.int64)  # length of the open factor
+    last = np.full(1, -1, dtype=np.int64)  # last letter, -1 for the root
+    levels = [closed * open_dim[run]]
+    for _ in range(radius):
+        # bits of w c are 2 bits(w) + c: the two extensions interleave
+        cut = np.stack([last == 0, last == 1], axis=1)
+        closed = np.where(cut, (closed * open_dim[run])[:, None], closed[:, None]).ravel()
+        run = np.where(cut, 1, (run + 1)[:, None]).ravel()
+        last = np.tile(np.array([0, 1], dtype=np.int64), len(last))
+        levels.append(closed * open_dim[run])
+    return np.concatenate(levels)
+
+
+def heap_index(w: str) -> int:
+    """Position of w in ``ball`` order: 2^len(w) - 1 + bits(w)."""
+    return int("1" + check_word(w).translate(_TO_BITS), 2) - 1
+
+
+def heap_indices(domain) -> np.ndarray:
+    """Heap indices of a sequence of words, as an int64 array."""
+    arr = np.array(list(domain), dtype=str)
+    n, width = len(arr), arr.dtype.itemsize // 4
+    _check_radius(width)
+    letters = arr.view(np.uint32).reshape(n, width)
+    lengths = np.count_nonzero(letters, axis=1)
+    is_b = letters == ord("b")
+    if np.count_nonzero(is_b | (letters == ord("a"))) != lengths.sum():
+        for w in arr.tolist():
+            check_word(w)
+    # the letters as a left-aligned width-bit number, then shifted to the right
+    left = is_b.astype(np.int64) @ (np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64))
+    return (np.int64(1) << lengths) - 1 + (left >> (width - lengths))
+
+
+def code_lengths(codes: np.ndarray) -> np.ndarray:
+    """Word lengths from heap indices: len(w) = floor(log2(index + 1))."""
+    return np.frexp(np.asarray(codes, dtype=np.int64) + 1.0)[1].astype(np.int64) - 1
+
+
+def qdims(codes: np.ndarray, q: float) -> np.ndarray:
+    """qdim of the words with the given heap indices."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.size == 0:
+        return np.zeros(0)
+    return ball_qdims(int(code_lengths(codes).max()), q)[codes]
+
+
+def tree_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise tree distance between words given by heap indices:
+    len s + len t - 2 min(ctz(bits s xor bits t), len s, len t)."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    la, lb = code_lengths(a), code_lengths(b)
+    diff = (a + 1 - (np.int64(1) << la)) ^ (b + 1 - (np.int64(1) << lb))
+    # ctz through the exponent of the lowest set bit; equal bits never cap
+    ctz = np.where(diff == 0, 64, np.frexp((diff & -diff).astype(float))[1] - 1)
+    return la + lb - 2 * np.minimum(ctz, np.minimum(la, lb))
+
+
 def common_suffix_length(s: str, t: str) -> int:
     k = 0
     while k < len(s) and k < len(t) and s[len(s) - 1 - k] == t[len(t) - 1 - k]:
@@ -142,8 +222,7 @@ def neighbors(w: str) -> list[str]:
     return out
 
 
-def ball(radius: int) -> list[str]:
-    """All words of length <= radius, in length-lexicographic order (a < b)."""
+def _check_radius(radius: int) -> None:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius > BALL_RADIUS_CAP:
@@ -151,6 +230,12 @@ def ball(radius: int) -> list[str]:
             f"ball radius {radius} exceeds the cap {BALL_RADIUS_CAP} "
             f"({2 ** (BALL_RADIUS_CAP + 1) - 1} vertices)"
         )
+
+
+def ball(radius: int) -> list[str]:
+    """All words of length <= radius, in length-lexicographic order (a < b),
+    which is heap-index order."""
+    _check_radius(radius)
     out = [EMPTY]
     for length in range(1, radius + 1):
         out.extend("".join(p) for p in product(ALPHABET, repeat=length))

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from aufwalk import fusion
 from aufwalk.cli import (
     EXIT_AUDIT,
     EXIT_CAP,
@@ -57,6 +58,25 @@ class TestConfig:
         assert main(["walk", str(path)]) == EXIT_CONFIG
         assert "not normalized" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"tensorCap": None},
+            {"model": {"q": None}},
+            {"rays": 5},
+            {"tolerances": []},
+            {"model": []},
+            {"sources": "ab"},
+            {"measure": {"a": "0.5", "b": 0.5}},
+            {"ballRadius": True},
+            {"tolerances": {"solver": 0.0}},
+        ],
+    )
+    def test_malformed_types_exit_2(self, tmp_path, capsys, overrides):
+        assert main(["walk", str(make_config(tmp_path, **overrides))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["walk", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
@@ -83,6 +103,26 @@ class TestInternalErrors:
         assert main([command, str(path)]) == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert err.startswith("internal error: RuntimeError:") and "residual" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("fault", ["out_of_range", "corrupted_row"])
+    def test_assembly_fault_exits_4_without_traceback(self, tmp_path, capsys, monkeypatch, fault):
+        assemble = fusion._assemble
+
+        def faulty(mu, codes, q):
+            mat = assemble(mu, codes, q).tolil()
+            if fault == "out_of_range":
+                mat[1, len(codes) - 1] = 1e-3  # from 'a' to the last word of the ball
+            else:
+                mat[0, mat.rows[0][0]] *= 1.0 + 1e-12  # the root row is sampled
+            return mat.tocsr()
+
+        monkeypatch.setattr(fusion, "_assemble", faulty)
+        assert main(["walk", str(make_config(tmp_path))]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: AssertionError:")
+        assert ("violates the range bound" if fault == "out_of_range" else "by fusion") in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aufwalk import fusion
 from aufwalk.fusion import (
     Measure,
     dual_audit,
@@ -196,3 +197,31 @@ class TestMatrixEntriesMatchScalarRoute:
                 assert tm.matrix[tm.index[s], tm.index[t]] == pytest.approx(
                     transition_prob(mu_mixed, s, t, Q), abs=1e-15
                 )
+
+
+class TestAssemblyChecks:
+    """The checks that guard the array assembly catch planted faults."""
+
+    def test_planted_out_of_range_entry_is_named(self, mu_letters):
+        tm = transition_matrix(mu_letters, ball(5), Q)
+        mat = tm.matrix.tolil()
+        mat[tm.index["a"], tm.index["bbbb"]] = 1e-3
+        tm.matrix = mat.tocsr()
+        with pytest.raises(AssertionError, match=r"\('a', 'bbbb'\) violates the range bound 1 \(distance 5\)"):
+            fusion._assert_bounded_range(tm)
+
+    @pytest.mark.parametrize("row", ["", "bbbbb"])
+    def test_corrupted_sampled_row_fails_the_string_route(self, mu_mixed, row):
+        tm = transition_matrix(mu_mixed, ball(5), Q)
+        i = tm.index[row]
+        tm.matrix.data[tm.matrix.indptr[i]] *= 1.0 + 1e-12
+        with pytest.raises(AssertionError, match="by fusion"):
+            fusion._check_sampled_rows(tm)
+
+    def test_dropped_entry_fails_the_string_route(self, mu_mixed):
+        tm = transition_matrix(mu_mixed, ball(5), Q)
+        mat = tm.matrix.tolil()
+        mat[0, mat.rows[0][0]] = 0.0
+        tm.matrix = mat.tocsr()
+        with pytest.raises(AssertionError, match="differ from the fusion components"):
+            fusion._check_sampled_rows(tm)
