@@ -169,15 +169,31 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
     return cfg
 
 
-def fmt(x: float) -> str:
-    return f"{x:.17g}"
+#: rows per % operation in write_csv
+CSV_BLOCK_ROWS = 8192
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write a CSV file from whole columns of equal length, one row per index.
+
+    A column that numpy reads as floating point prints each value with
+    ``%.17g``, which gives the bytes of ``f"{x:.17g}"`` (nan, inf, -0 and
+    subnormals included); every other column prints with ``str``.  Rows are
+    filled into one template a block at a time, with a single ``%`` per block.
+    """
+    cols = [np.asarray(c) for c in columns]
+    n = len(cols[0])
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    width = len(cols)
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in cols]
+            rows = len(block[0])
+            flat = [None] * (rows * width)
+            for j, values in enumerate(block):
+                flat[j::width] = values
+            f.write((row * rows) % tuple(flat))
 
 
 def write_json(path: Path, payload) -> None:
@@ -193,7 +209,9 @@ def build_walk(cfg: RunConfig, radius: int):
 
 def root_table(cfg: RunConfig, tm, lam: float) -> kernels.KernelTable:
     """Dense Green table of a transition matrix, Martin kernel based at the root."""
-    return kernels.green_table(tm.matrix, tm.domain, cfg.q, base="", lam=lam, solver_tol=cfg.solver_tol)
+    return kernels.green_table(
+        tm.matrix, tm.domain, cfg.q, base="", lam=lam, solver_tol=cfg.solver_tol, codes=tm.codes
+    )
 
 
 def _output_dir(cfg: RunConfig) -> Path:
@@ -217,26 +235,34 @@ def cmd_walk(cfg: RunConfig) -> int:
             raise ConfigError(f"source {s!r} outside the ball")
     if tm.size <= kernels.DENSE_LIMIT:
         table = root_table(cfg, tm, lam)
-        green_rows = {s: table.green[table.index[s], :] for s in cfg.sources}
-        base_row = table.green[table.index[""], :]
+        green = table.green[[tm.index[s] for s in cfg.sources], :]
+        base_row = table.green[tm.index[""], :]
         residual, power_norm, neumann_gap = table.residual, table.power_norm, table.neumann_gap
     else:
         green_rows, base_row, residual, power_norm, neumann_gap = kernels.green_rows(
-            tm.matrix, tm.domain, cfg.q, cfg.sources, base="", lam=lam, solver_tol=cfg.solver_tol
+            tm.matrix, tm.domain, cfg.q, cfg.sources, base="", lam=lam, solver_tol=cfg.solver_tol,
+            codes=tm.codes,
         )
+        green = np.array([green_rows[s] for s in cfg.sources]).reshape(len(cfg.sources), tm.size)
     delta0, k_steps = _irreducibility(cfg, tm)
-    q = cfg.q
-    targets = [format_word(t) for t in tm.domain]
-    rows = []
-    for s in cfg.sources:
-        grow = green_rows[s]
-        bounds = kernels.truncation_error_bound(cfg.ball_radius, s, tm.domain, lam, tm.range_bound, q)
-        source = format_word(s)
-        rows.extend(
-            [source, t, g, g / b, bound]
-            for t, g, b, bound in zip(targets, grow.tolist(), base_row.tolist(), bounds.tolist())
-        )
-    write_csv(out / "green_martin.csv", ["s", "t", "G", "K", "truncationBound"], rows)
+    bounds = np.array([
+        kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, lam, tm.range_bound, cfg.q)
+        for s in cfg.sources
+    ])
+    # a zero G(e, t) leaves the Martin kernel undefined: raise, as float division does
+    with np.errstate(divide="raise", invalid="raise"):
+        martin = green / base_row
+    write_csv(
+        out / "green_martin.csv",
+        ["s", "t", "G", "K", "truncationBound"],
+        [
+            np.repeat(np.array([format_word(s) for s in cfg.sources], dtype=str), tm.size),
+            np.tile(np.array([format_word(t) for t in tm.domain]), len(cfg.sources)),
+            green.ravel(),
+            martin.ravel(),
+            bounds.ravel(),
+        ],
+    )
     manifest = {
         "configHash": cfg.config_hash(),
         "q": cfg.q,
@@ -514,7 +540,8 @@ def _last_entry_worst(cfg: RunConfig, tm, table) -> float:
     sub = [w for w in table.domain if w.endswith(x)]
     branch_tm = tm.restrict(sub)
     branch_table = kernels.green_table(
-        branch_tm.matrix, sub, cfg.q, base=x, lam=table.lam, solver_tol=cfg.solver_tol
+        branch_tm.matrix, sub, cfg.q, base=x, lam=table.lam, solver_tol=cfg.solver_tol,
+        codes=branch_tm.codes,
     )
     margin = cfg.ball_radius - tm.range_bound
     sources = [w for w in table.domain if not w.endswith(x) and 0 < len(w) <= 2]
@@ -560,25 +587,27 @@ def cmd_boundary(cfg: RunConfig) -> int:
     ctx = _branch_context(cfg, IntertwinerEngine(cfg.model))
     tm, lam = build_walk(cfg, ctx.radius)
     full, _, per_ray, outside = branch_kernels(cfg, tm, lam, ctx, cfg.rays)
+    header = ["s", "n", "t", "K_P", "K_Q", "ratio", "cauchyGapP", "cauchyGapQ"]
     for i, (ray, rows) in enumerate(per_ray):
         profiles = [(r.profile_p, r.profile_q) for r in rows]
         profiles += [(kernels.boundary_profile(full, s, ray), None) for s in outside]
-        rows_out = []
+        columns = [[] for _ in header]
         for prof_p, prof_q in profiles:
-            gp = [0.0] + prof_p.gaps
             # sources outside the branch carry only the classical profile
             k_q, gq = (prof_q.values, [0.0] + prof_q.gaps) if prof_q else ([math.nan] * len(ray),) * 2
-            for n, t in enumerate(ray):
-                k_p = prof_p.values[n]
-                rows_out.append(
-                    [format_word(prof_p.source), n + 1, format_word(t), k_p, k_q[n], k_q[n] / k_p,
-                     gp[n], gq[n]]
-                )
-        write_csv(
-            out / f"boundary_ray{i}.csv",
-            ["s", "n", "t", "K_P", "K_Q", "ratio", "cauchyGapP", "cauchyGapQ"],
-            rows_out,
-        )
+            parts = (
+                [format_word(prof_p.source)] * len(ray),
+                range(1, len(ray) + 1),
+                map(format_word, ray),
+                prof_p.values,
+                k_q,
+                [b / a for a, b in zip(prof_p.values, k_q)],
+                [0.0] + prof_p.gaps,
+                gq,
+            )
+            for column, part in zip(columns, parts):
+                column.extend(part)
+        write_csv(out / f"boundary_ray{i}.csv", header, columns)
     _log_cache(ctx)
     return EXIT_OK
 
@@ -586,15 +615,19 @@ def cmd_boundary(cfg: RunConfig) -> int:
 def cmd_intertwiner(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     eng = IntertwinerEngine(cfg.model)
-    rows = [
-        [format_word(w), rank, dim] for w, rank, dim in _rank_rows(eng, min(7, cfg.model.tensor_cap))
-    ]
-    write_csv(out / "projection_ranks.csv", ["x", "rank", "classicalDim"], rows)
-    vrows = [
-        [format_word(s), format_word(v), format_word(t), nrm, closed, rel]
-        for s, v, t, nrm, closed, rel in _vtilde_rows(eng)
-    ]
-    write_csv(out / "vtilde_norms.csv", ["s", "v", "t", "norm", "closedForm", "relErr"], vrows)
+    ranks = _rank_rows(eng, min(7, cfg.model.tensor_cap))
+    write_csv(
+        out / "projection_ranks.csv",
+        ["x", "rank", "classicalDim"],
+        [[format_word(w) for w, _, _ in ranks], [r for _, r, _ in ranks], [d for _, _, d in ranks]],
+    )
+    norms = list(_vtilde_rows(eng))
+    word_columns = [[format_word(row[k]) for row in norms] for k in range(3)]
+    write_csv(
+        out / "vtilde_norms.csv",
+        ["s", "v", "t", "norm", "closedForm", "relErr"],
+        word_columns + [[row[k] for row in norms] for k in range(3, 6)],
+    )
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .words import EMPTY, code_lengths, heap_indices, qdim, qdims, tree_distance
+from .words import EMPTY, code_lengths, heap_index, heap_indices, qdim, qdims, tree_distance, tree_distances
 
 DENSE_LIMIT = 4200
 SOLVER_TOL = 1e-10
@@ -93,8 +93,10 @@ def green_table(
     base: str = EMPTY,
     lam: float | None = None,
     solver_tol: float = SOLVER_TOL,
+    codes: np.ndarray | None = None,
 ) -> KernelTable:
-    """Solve (I - W) G = I on the domain and package the result.
+    """Solve (I - W) G = I on the domain and package the result.  ``codes``
+    are the heap indices of the domain, computed when not given.
 
     Raises if the power-iteration norm on the weighted l2 space reaches
     1 - 1e-6 (invalid input) or if the solve residual exceeds the tolerance.
@@ -102,7 +104,8 @@ def green_table(
     n = len(domain)
     if n > DENSE_LIMIT:
         raise ValueError(f"domain of size {n} exceeds the dense solver limit {DENSE_LIMIT}")
-    green, residual, power_norm, gap = _green_solve(matrix, domain, q, lam, solver_tol)
+    codes = heap_indices(domain) if codes is None else codes
+    green, residual, power_norm, gap = _green_solve(matrix, codes, q, lam, solver_tol)
     return KernelTable(
         domain=list(domain),
         base=base,
@@ -123,27 +126,30 @@ def green_rows(
     base: str = EMPTY,
     lam: float | None = None,
     solver_tol: float = SOLVER_TOL,
+    codes: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray, float, float, float]:
     """Selected rows of the Green kernel, on a domain of any size: one
-    transposed solve per source plus one for the base.
+    transposed solve per source plus one for the base.  ``codes`` are the
+    heap indices of the domain, computed when not given.
 
     Returns (rows by source, base row, worst row residual, power-iteration
     norm, Neumann gap).  Raises like green_table on the norm guard and when
     the worst residual exceeds the tolerance.
     """
-    index = {w: i for i, w in enumerate(domain)}
     wanted = list(dict.fromkeys(list(sources) + [base]))
+    codes = heap_indices(domain) if codes is None else codes
     solved, residual, power_norm, gap = _green_solve(
-        matrix, domain, q, lam, solver_tol, [index[s] for s in wanted]
+        matrix, codes, q, lam, solver_tol, [domain.index(s) for s in wanted]
     )
     out = dict(zip(wanted, np.ascontiguousarray(solved.T)))
     return {s: out[s] for s in sources}, out[base], residual, power_norm, gap
 
 
 def _green_solve(
-    matrix, domain: list[str], q: float, lam: float | None, solver_tol: float, rows: list[int] | None = None
+    matrix, codes: np.ndarray, q: float, lam: float | None, solver_tol: float, rows: list[int] | None = None
 ) -> tuple[np.ndarray, float, float, float]:
-    """The one solver core behind green_table and green_rows.
+    """The one solver core behind green_table and green_rows, on the domain
+    with the given heap indices.
 
     With ``rows`` None it solves (I - W) X = I for the full table; with a
     list of domain indices it solves (I - W)^T X = E, whose columns are the
@@ -151,11 +157,11 @@ def _green_solve(
     the weights m = qdim^2, or A = W^T on the dual weights 1/m, where the norm
     is the same.  Returns (X, residual, power-iteration norm, Neumann gap).
     """
-    n = len(domain)
+    n = len(codes)
     w = sp.csr_matrix(matrix, dtype=float)
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match domain size {n}")
-    m = qdims(heap_indices(domain), q) ** 2
+    m = qdims(codes, q) ** 2
     power_norm = weighted_operator_norm(w, m)
     if power_norm >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm {power_norm} too close to 1; Green kernel unreliable")
@@ -209,11 +215,12 @@ def truncation_error_bound(radius: int, s: str, t, lam: float, range_bound: int,
     N = ceil(2 (radius - max|s|,|t|) / range) steps, and the tail of the series
     is controlled by the operator norm on the weighted space.
 
-    ``t`` is a word, giving a float, or a sequence of words, giving an array.
+    ``t`` is a word, giving a float, or an array of heap indices, giving an
+    array.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    codes = heap_indices([t] if isinstance(t, str) else t)
+    codes = np.array([heap_index(t)]) if isinstance(t, str) else np.asarray(t, dtype=np.int64)
     depth = radius - np.maximum(len(s), code_lengths(codes))
     if (depth < 0).any():
         raise ValueError("s and t must lie inside the ball")
@@ -385,12 +392,6 @@ def boundary_profile(table: KernelTable, s: str, ray: list[str]) -> RayProfile:
 
 
 def _distance_matrix(domain: list[str]) -> np.ndarray:
-    n = len(domain)
-    dist = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        wi = domain[i]
-        for j in range(i + 1, n):
-            d = tree_distance(wi, domain[j])
-            dist[i, j] = d
-            dist[j, i] = d
-    return dist
+    """Pairwise tree distances of a list of words."""
+    codes = heap_indices(domain)
+    return tree_distances(codes[:, None], codes[None, :])

@@ -1,9 +1,11 @@
 import json
+import math
 import time
 
+import numpy as np
 import pytest
 
-from aufwalk import fusion
+from aufwalk import cli, fusion, kernels, perturbed, words
 from aufwalk.cli import (
     EXIT_AUDIT,
     EXIT_CAP,
@@ -12,7 +14,9 @@ from aufwalk.cli import (
     EXIT_OK,
     load_config,
     main,
+    write_csv,
 )
+from aufwalk.words import ball, format_word
 
 
 def make_config(tmp_path, **overrides):
@@ -154,6 +158,104 @@ class TestWalk:
             p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()
         }
         assert first == second
+
+
+def row_csv(header, rows):
+    """The row-at-a-time formatter that write_csv replaced, as the reference."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts; a failure names the first differing line, since a diff of
+    a large CSV takes minutes."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    first = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w), None)
+    assert first is None, f"line {first}: {got_lines[first]!r}, want {want_lines[first]!r}"
+    assert len(got_lines) == len(want_lines)
+
+
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1,
+    2.2250738585072014e-308, -1e-310, 1.0 / 3.0, 123456789.0, 1e17, 1e16, -2.5,
+]
+
+
+class TestCsvEmitter:
+    @pytest.mark.parametrize("block_rows", [4, cli.CSV_BLOCK_ROWS])
+    def test_columns_match_row_formatter(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        n = len(EDGE_FLOATS)
+        header = ["float", "array", "float64", "int64", "int", "word"]
+        columns = [
+            EDGE_FLOATS,
+            np.array(EDGE_FLOATS[::-1]),
+            [np.float64(x) for x in EDGE_FLOATS],
+            [np.int64(k * 10**15) for k in range(-7, n - 7)],
+            list(range(-3, n - 3)),
+            [format_word(w) for w in ball(3)[:n]],
+        ]
+        write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_text() == row_csv(header, zip(*columns))
+
+    def test_random_doubles_match_row_formatter(self, tmp_path):
+        # random bit patterns of both signs (every exponent equally likely),
+        # then a run of subnormals
+        bits = np.random.default_rng(5).integers(0, 2**63, size=3000, dtype=np.int64)
+        signs = np.where(np.arange(3000) % 2, 1.0, -1.0)
+        values = np.concatenate([bits.view(np.float64) * signs, 5e-324 * np.arange(1, 200) ** 3])
+        n = len(values)
+        write_csv(tmp_path / "t.csv", ["x", "i"], [values, np.arange(n)])
+        assert_same_text((tmp_path / "t.csv").read_text(), row_csv(["x", "i"], zip(values.tolist(), range(n))))
+
+    def test_walk_csv_renders_green_rows(self, tmp_path):
+        """The sparse path: every value of green_martin.csv is the 17-digit
+        rendering of green_rows and truncation_error_bound."""
+        path = make_config(tmp_path, ballRadius=12, measure={"a": 0.35, "b": 0.65}, sources=["ab", "e"])
+        assert main(["walk", str(path)]) == EXIT_OK
+        cfg = load_config(str(path))
+        domain = ball(12)
+        assert len(domain) > kernels.DENSE_LIMIT
+        tm = fusion.transition_matrix(cfg.measure, domain, cfg.q)
+        lam = fusion.norm_upper_bound(cfg.measure, cfg.q)
+        rows, base, *_ = kernels.green_rows(tm.matrix, domain, cfg.q, cfg.sources, lam=lam, solver_tol=cfg.solver_tol)
+        lines = ["s,t,G,K,truncationBound"]
+        for s in cfg.sources:
+            bounds = kernels.truncation_error_bound(12, s, np.arange(len(domain)), lam, tm.range_bound, cfg.q)
+            for t, g, b, bound in zip(domain, rows[s].tolist(), base.tolist(), bounds.tolist()):
+                lines.append(f"{format_word(s)},{format_word(t)},{g:.17g},{g / b:.17g},{bound:.17g}")
+        assert_same_text((tmp_path / "out" / "green_martin.csv").read_text(), "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("radius", [6, 12])
+    def test_walk_converts_its_words_once(self, tmp_path, monkeypatch, radius):
+        """One heap_indices call for the ball, on the table path and the row
+        path alike; the sub-ball scan and the solver reuse its codes."""
+        calls = []
+        real = words.heap_indices
+
+        def counting(domain):
+            calls.append(len(domain))
+            return real(domain)
+
+        for module in (words, fusion, kernels, perturbed):
+            monkeypatch.setattr(module, "heap_indices", counting)
+        path = make_config(tmp_path, ballRadius=radius, sources=["e", "ab"])
+        assert main(["walk", str(path)]) == EXIT_OK
+        assert calls == [2 ** (radius + 1) - 1]
+
+    def test_zero_base_green_exits_4(self, tmp_path, capsys):
+        # from e the walk of the point mass at a never reaches b: G(e, b) = 0
+        path = make_config(tmp_path, ballRadius=3, measure={"a": 1.0})
+        assert main(["walk", str(path)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and err.count("\n") == 1
+
+    def test_no_sources_header_only(self, tmp_path):
+        path = make_config(tmp_path, ballRadius=3, sources=[])
+        assert main(["walk", str(path)]) == EXIT_OK
+        assert (tmp_path / "out" / "green_martin.csv").read_text() == "s,t,G,K,truncationBound\n"
 
 
 class TestBoundaryAndIntertwiner:

@@ -16,7 +16,7 @@ from aufwalk.kernels import (
     truncation_error_bound,
     weighted_operator_norm,
 )
-from aufwalk.words import ball, branch, qdim
+from aufwalk.words import ball, branch, heap_indices, qdim, tree_distance
 
 Q = 0.5
 
@@ -144,6 +144,18 @@ class TestTruncationBound:
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
             truncation_error_bound(3, "aaaa", "", 0.8, 1, Q)
+
+    def test_heap_index_array_matches_words(self):
+        domain = ball(5)[::-1][3:40]
+        got = truncation_error_bound(6, "ab", heap_indices(domain), 0.8, 2, Q)
+        assert got.tolist() == [truncation_error_bound(6, "ab", t, 0.8, 2, Q) for t in domain]
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("domain", [ball(5), ball(5)[50:3:-2]], ids=["ball", "reversed"])
+    def test_matches_pairwise_tree_distance(self, domain):
+        want = [[tree_distance(s, t) for t in domain] for s in domain]
+        assert kernels._distance_matrix(domain).tolist() == want
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aufwalk.cli import EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
+from aufwalk.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
 from aufwalk.fusion import Measure, dual_audit, fuse, is_generating, transition_matrix, transition_prob
 from aufwalk.words import (
     EMPTY,
@@ -155,6 +155,15 @@ json_values = st.recursive(
 )
 
 
+def _run_mutated(command: str, base: dict, overrides: dict, dropped: set) -> int:
+    raw = {k: v for k, v in base.items() if k not in dropped}
+    raw.update(overrides)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        return main([command, str(path), "--out", str(Path(tmp) / "out")])
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     st.dictionaries(st.sampled_from(FUZZ_KEYS), json_values, max_size=2),
@@ -162,10 +171,26 @@ json_values = st.recursive(
 )
 def test_config_fuzz_exits_cleanly(overrides, dropped):
     """Malformed configs exit 0, 2 or 3 from ``walk``; nothing raises."""
-    raw = {k: v for k, v in FUZZ_BASE.items() if k not in dropped}
-    raw.update(overrides)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(raw))
-        code = main(["walk", str(path), "--out", str(Path(tmp) / "out")])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CAP)
+    assert _run_mutated("walk", FUZZ_BASE, overrides, dropped) in (EXIT_OK, EXIT_CONFIG, EXIT_CAP)
+
+
+# audit and boundary build the intertwiner stack, so their sizes are kept
+# small: never dropped, and mutated values clipped to the base ones
+SMALL_BASE = dict(FUZZ_BASE, ballRadius=4, tensorCap=6)
+SIZE_KEYS = ("ballRadius", "tensorCap")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["audit", "boundary"]),
+    st.dictionaries(st.sampled_from(FUZZ_KEYS), json_values, max_size=2),
+    st.sets(st.sampled_from(FUZZ_KEYS), max_size=2),
+)
+def test_config_fuzz_audit_and_boundary_exit_cleanly(command, overrides, dropped):
+    """Malformed configs exit 0, 2 or 3 from ``audit`` and ``boundary``, or 1
+    for a failed audit; nothing raises."""
+    for key in SIZE_KEYS:
+        if type(overrides.get(key)) is int:
+            overrides[key] = min(overrides[key], SMALL_BASE[key])
+    allowed = {EXIT_OK, EXIT_CONFIG, EXIT_CAP} | ({EXIT_AUDIT} if command == "audit" else set())
+    assert _run_mutated(command, SMALL_BASE, overrides, dropped - set(SIZE_KEYS)) in allowed
