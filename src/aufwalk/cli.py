@@ -308,14 +308,20 @@ def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
 
     Returns the classical table, the perturbed matrix, for each ray its words
     and the boundary rows of the sources inside the branch, and the sources
-    outside it.  The sources default to per^k z for the period of ray 0.
+    outside it.  The sources default to per^k z for the period of ray 0; a
+    source outside the ball of the branch radius is a config error.
     """
-    full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), lam)
-    qmat, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam, solver_tol=cfg.solver_tol)
     depth = ctx.radius - 1
     sources = cfg.boundary_sources or [
         cfg.rays[0][1] * k + cfg.branch_z for k in range(0, min(5, depth - 1))
     ]
+    for s in sources:
+        if len(s) > ctx.radius:
+            raise ConfigError(
+                f"boundary source {s!r} outside the ball of the branch radius {ctx.radius}"
+            )
+    full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), lam)
+    qmat, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam, solver_tol=cfg.solver_tol)
     in_branch = [s for s in sources if s in ctx.index]
     per_ray = []
     for pre, per in rays:
@@ -336,6 +342,11 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         )
 
     q = cfg.q
+    eng = IntertwinerEngine(cfg.model)
+    # the defect audit forms x (x) y in each V and u x, u z in the projections
+    eng.check_cap(*dict.fromkeys(
+        w for u, x, y, z in _defect_families() for w in (x + y, u + x, u + z)
+    ))
     if not fusion.is_generating(cfg.measure, max(cfg.measure.range_bound, 4), q):
         raise ConfigError("measure is not generating; audits need an irreducible walk")
     tm, lam = build_walk(cfg, cfg.ball_radius)
@@ -360,7 +371,6 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     add("neumann_check", "sampled columns against the truncated series", table.neumann_gap, 0.0,
         table.neumann_gap <= 0.0)
 
-    eng = IntertwinerEngine(cfg.model)
     conj = _conjugate_equation_residual(eng)
     add("conjugate_equations", "standard duality pair identities", conj, 1e-10, conj < 1e-10)
     rr = _duality_norm_gap(eng)
@@ -392,6 +402,9 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         1e-12, domination_gap <= 1e-12)
 
     _, qmat, [(_, ratio_rows)], _ = branch_kernels(cfg, tm, lam, ctx, cfg.rays[:1])
+    if not ratio_rows:
+        raise ConfigError(f"the boundary audits need a boundary source in the branch of "
+                          f"{cfg.branch_z!r}")
     decay = perturbed.decay_audit(qmat, ctx, p_branch)
     env_gap = decay.envelope_gap()
     add("perturbation_envelope", "single-constant envelope of the perturbation",
@@ -438,12 +451,12 @@ def run_audits(cfg: RunConfig) -> list[dict]:
 
 
 def _branch_context(cfg: RunConfig, eng):
-    store = perturbed.QhatStore(cfg.qhat_cache) if cfg.qhat_cache else None
+    store = perturbed.QhatStore(cfg.qhat_cache or None)
     return perturbed.BranchContext(eng, cfg.branch_z, cfg.effective_q_radius(), store=store)
 
 
 def _log_cache(ctx) -> None:
-    if ctx.store is not None:
+    if ctx.store.path is not None:
         print(
             f"qhat cache: {ctx.store.hits} hits, {ctx.store.misses} misses",
             file=sys.stderr,

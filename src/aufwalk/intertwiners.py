@@ -143,19 +143,15 @@ class Intertwiner:
 
 class IntertwinerEngine:
     """Builds and memoizes block bases, inclusions, duality maps and traces
-    for one model configuration.  All products are deterministic; the caches
+    for one model configuration.  All products are deterministic; the memo
     may be shared between threads."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         self.n = cfg.n
         self.q = cfg.q
-        self._lock = threading.RLock()
-        self._basis: dict[str, np.ndarray] = {}
-        self._inclusion: dict[tuple[str, str], np.ndarray] = {}
-        self._rbar: dict[str, np.ndarray] = {}
-        self._winv: dict[tuple[str, bool], np.ndarray] = {}
-        self._vnorm: dict[tuple[str, str, str], float] = {}
+        self._lock = threading.Lock()
+        self._memos: dict[tuple, object] = {}
         lam = np.array(cfg.lambdas)
         # Rbar_a = sum_i (1/lambda_i) e_i (x) f_i ;  R_a = sum_i lambda_i f_i (x) e_i
         self._rbar_letter = {
@@ -165,6 +161,18 @@ class IntertwinerEngine:
         # weight of the positive character: diag(rho) on letter a, diag(1/rho) on b
         rho = np.array(cfg.rho)
         self._rho_letter = {"a": rho, "b": 1.0 / rho}
+
+    def _memo(self, key: tuple, build):
+        """The value memoized under key, built on first request.  The lock
+        guards the dict only: builds run outside it, so they may recurse into
+        the memo, and of two racing builds of one key the first stored wins."""
+        with self._lock:
+            got = self._memos.get(key)
+        if got is not None:
+            return got
+        built = build()
+        with self._lock:
+            return self._memos.setdefault(key, built)
 
     # -- bases ---------------------------------------------------------------
 
@@ -176,16 +184,10 @@ class IntertwinerEngine:
     def basis(self, w: str) -> np.ndarray:
         """Orthonormal basis of H_w inside the full letter tensor space,
         as an (n^len(w), dim) column matrix."""
-        with self._lock:
-            got = self._basis.get(w)
-        if got is not None:
-            return got
-        self.check_cap(w)
-        built = self._build_basis(w)
-        with self._lock:
-            return self._basis.setdefault(w, built)
+        return self._memo(("basis", w), lambda: self._build_basis(w))
 
     def _build_basis(self, w: str) -> np.ndarray:
+        self.check_cap(w)
         n = self.n
         if not w:
             return np.ones((1, 1))
@@ -228,11 +230,9 @@ class IntertwinerEngine:
     def inclusion_block(self, x: str, y: str) -> np.ndarray:
         """Matrix of the embedding H_xy -> H_x (x) H_y in the block bases,
         an isometry of shape (dim(x) dim(y), dim(xy))."""
-        key = (x, y)
-        with self._lock:
-            got = self._inclusion.get(key)
-        if got is not None:
-            return got
+        return self._memo(("inclusion", x, y), lambda: self._build_inclusion(x, y))
+
+    def _build_inclusion(self, x: str, y: str) -> np.ndarray:
         bx, by, bxy = self.basis(x), self.basis(y), self.basis(x + y)
         blocks = np.einsum(
             "ia,jb,ijc->abc",
@@ -241,9 +241,7 @@ class IntertwinerEngine:
             bxy.reshape(bx.shape[0], by.shape[0], bxy.shape[1]),
             optimize=True,
         )
-        out = blocks.reshape(bx.shape[1] * by.shape[1], bxy.shape[1])
-        with self._lock:
-            return self._inclusion.setdefault(key, out)
+        return blocks.reshape(bx.shape[1] * by.shape[1], bxy.shape[1])
 
     def inclusion(self, x: str, y: str) -> Intertwiner:
         return Intertwiner((x, y), (x + y,), self.inclusion_block(x, y))
@@ -251,13 +249,7 @@ class IntertwinerEngine:
     def rbar_block(self, v: str) -> np.ndarray:
         """Standard solution Rbar_v : scalars -> H_v (x) H_vbar as a block
         vector, built by nesting the letter solutions through the inclusions."""
-        with self._lock:
-            got = self._rbar.get(v)
-        if got is not None:
-            return got
-        out = self._build_rbar(v)
-        with self._lock:
-            return self._rbar.setdefault(v, out)
+        return self._memo(("rbar", v), lambda: self._build_rbar(v))
 
     def _build_rbar(self, v: str) -> np.ndarray:
         n = self.n
@@ -288,21 +280,16 @@ class IntertwinerEngine:
 
     # -- traces ----------------------------------------------------------------
 
-    def rho_weight(self, w: str, inverse: bool = True) -> np.ndarray:
-        """Block matrix of the positive character (or its inverse) on H_w."""
-        key = (w, inverse)
-        with self._lock:
-            got = self._winv.get(key)
-        if got is not None:
-            return got
+    def rho_weight(self, w: str) -> np.ndarray:
+        """Block matrix of the inverse of the positive character on H_w."""
+        return self._memo(("rho", w), lambda: self._build_rho_weight(w))
+
+    def _build_rho_weight(self, w: str) -> np.ndarray:
         b = self.basis(w)
         diag = np.ones(1)
         for c in w:
-            vec = self._rho_letter[c]
-            diag = np.outer(diag, 1.0 / vec if inverse else vec).reshape(-1)
-        out = b.T @ (diag[:, None] * b)
-        with self._lock:
-            return self._winv.setdefault(key, out)
+            diag = np.outer(diag, 1.0 / self._rho_letter[c]).reshape(-1)
+        return b.T @ (diag[:, None] * b)
 
     def qdim(self, w: str) -> float:
         return qdim(w, self.q)
@@ -339,7 +326,7 @@ class IntertwinerEngine:
             raise ValueError(f"not an endomorphism: {t.target} vs {t.source}")
         weight = np.ones((1, 1))
         for f in t.source:
-            weight = np.kron(weight, self.rho_weight(f, inverse=True))
+            weight = np.kron(weight, self.rho_weight(f))
         # trace(A W) without the matrix product
         total = float(np.sum(t.array * weight.T))
         for f in t.source:
@@ -369,14 +356,7 @@ class IntertwinerEngine:
         arr = np.tensordot(p2, left, axes=([0, 1], [1, 2]))  # (b, a, c)
         arr = arr.transpose(1, 0, 2).reshape(p1.shape[2] * p2.shape[2], a.shape[1])
         iv = Intertwiner((s + v, vbar + t), (s + t,), arr)
-        key = (s, v, t)
-        with self._lock:
-            nrm = self._vnorm.get(key)
-        if nrm is None:
-            nrm = iv.norm
-            with self._lock:
-                nrm = self._vnorm.setdefault(key, nrm)
-        return iv, nrm
+        return iv, self._memo(("vnorm", s, v, t), lambda: iv.norm)
 
     def normalized_V(self, z: str, x: str, y: str) -> Intertwiner:
         """The isometry V(z, x (x) y) for a component z of x (x) y."""

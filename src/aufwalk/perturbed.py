@@ -39,25 +39,28 @@ DOMINATION_TOL = 1e-12
 
 
 class QhatStore:
-    """Append-only line-delimited persistent cache of computed coefficients.
+    """The cache of computed coefficients, in memory, and persisted as an
+    append-only line-delimited file when a path is given.
 
     Each record is one JSON object per line with keys ``schema`` (the record
     format version, SCHEMA), ``config`` (model hash), ``z``, ``u``, ``s``,
     ``t`` (words, ``e`` = empty word) and ``value``.  Corrupt lines and lines
     of another or no schema are skipped with a warning; a hit that is not
-    finite or breaks the lookup's bound is dropped (see ``get``).
+    finite or breaks the lookup's bound is dropped (see ``get``).  ``hits``
+    and ``misses`` count every lookup.
     """
 
     SCHEMA = 1
     FIELDS = ("config", "z", "u", "s", "t")
 
-    def __init__(self, path):
+    def __init__(self, path=None):
         self.path = path
         self._lock = threading.Lock()
         self._data: dict[tuple[str, str, str, str, str], float] = {}
         self.hits = 0
         self.misses = 0
-        self._load()
+        if path is not None:
+            self._load()
 
     def _load(self):
         try:
@@ -82,15 +85,12 @@ class QhatStore:
                 continue
             self._data[key] = value
 
-    def _key(self, config_hash, z, u, s, t):
-        return (config_hash, z, u, s, t)
-
     def get(self, config_hash, z, u, s, t, bound):
         """The stored value, or None.  A value that is not finite or exceeds
         ``bound`` in magnitude is dropped with a warning and counts as a miss,
         so the caller recomputes it and the next ``put`` appends the
         replacement (the last line of a key wins on load)."""
-        key = self._key(config_hash, z, u, s, t)
+        key = (config_hash, z, u, s, t)
         with self._lock:
             got = self._data.get(key)
             if got is not None and not (math.isfinite(got) and abs(got) <= bound):
@@ -107,7 +107,9 @@ class QhatStore:
             return got
 
     def put(self, config_hash, z, u, s, t, value):
-        key = self._key(config_hash, z, u, s, t)
+        """Store a value (the first one of a key wins) and append its record
+        to the file, if there is one."""
+        key = (config_hash, z, u, s, t)
         rec = {
             "schema": self.SCHEMA,
             "config": config_hash,
@@ -121,13 +123,14 @@ class QhatStore:
             if key in self._data:
                 return
             self._data[key] = value
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            if self.path is not None:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 class BranchContext:
     """Branch data for one z: the word y = bar(z) z, the truncated branch
-    domain, and the coefficient cache."""
+    domain, and the coefficient store (in memory unless one is given)."""
 
     def __init__(self, engine: IntertwinerEngine, z: str, radius: int, store: QhatStore | None = None):
         if not z:
@@ -143,9 +146,8 @@ class BranchContext:
                 f"increase the radius or the tensor cap"
             )
         self.index = {w: i for i, w in enumerate(self.omega)}
-        self.store = store
-        self._cache: dict[tuple[str, str, str], float] = {}
-        self._lock = threading.Lock()
+        self.store = store if store is not None else QhatStore()
+        self.config_hash = engine.cfg.config_hash()
 
     @property
     def q(self) -> float:
@@ -175,25 +177,12 @@ def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:
         return 1.0 if s == t else 0.0
     if t not in fuse(u, s):
         return 0.0
-    key = (u, s, t)
-    with ctx._lock:
-        got = ctx._cache.get(key)
-    if got is not None:
-        return got
-    eng = ctx.engine
-    cfg_hash = eng.cfg.config_hash()
     dominator = qdim(t, ctx.q) / (qdim(u, ctx.q) * qdim(s, ctx.q))
-    if ctx.store is not None:
-        stored = ctx.store.get(cfg_hash, ctx.z, u, s, t, dominator + DOMINATION_TOL)
-        if stored is not None:
-            with ctx._lock:
-                ctx._cache[key] = stored
-            return stored
-    if len(u) + len(s) + len(ctx.y) > eng.cfg.tensor_cap:
-        raise TensorCapError([u + s + ctx.y], eng.cfg.tensor_cap)
-    v_us = eng.normalized_V(t, u, s).array
-    v_ty = eng.normalized_V(t, t, ctx.y).array
-    v_sy = eng.normalized_V(s, s, ctx.y).array
+    stored = ctx.store.get(ctx.config_hash, ctx.z, u, s, t, dominator + DOMINATION_TOL)
+    if stored is not None:
+        return stored
+    eng = ctx.engine
+    v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
     d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
     composite = kron_apply(v_sy.T, kron_apply(v_us, v_ty, right=d_y), left=d_u) @ v_us.T
     value = eng.weighted_trace(Intertwiner((u, s), (u, s), composite))
@@ -201,11 +190,21 @@ def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:
         raise AssertionError(
             f"coefficient {value} exceeds the classical weight {dominator} at ({u!r},{s!r},{t!r})"
         )
-    with ctx._lock:
-        ctx._cache[key] = value
-    if ctx.store is not None:
-        ctx.store.put(cfg_hash, ctx.z, u, s, t, value)
+    ctx.store.put(ctx.config_hash, ctx.z, u, s, t, value)
     return value
+
+
+def _isometries(u: str, s: str, t: str, ctx: BranchContext):
+    """V(t, u(x)s), V(t, t(x)y) and V(s, s(x)y) as arrays, once the block
+    H_u (x) H_s (x) H_y is checked against the tensor cap."""
+    eng = ctx.engine
+    if len(u) + len(s) + len(ctx.y) > eng.cfg.tensor_cap:
+        raise TensorCapError([u + s + ctx.y], eng.cfg.tensor_cap)
+    return (
+        eng.normalized_V(t, u, s).array,
+        eng.normalized_V(t, t, ctx.y).array,
+        eng.normalized_V(s, s, ctx.y).array,
+    )
 
 
 def trace_routes(u: str, s: str, t: str, ctx: BranchContext) -> tuple[np.ndarray, np.ndarray]:
@@ -222,11 +221,7 @@ def trace_routes(u: str, s: str, t: str, ctx: BranchContext) -> tuple[np.ndarray
     if not u or t not in fuse(u, s):
         raise ValueError(f"{t!r} is not a component of {u!r} (x) {s!r}")
     eng = ctx.engine
-    if len(u) + len(s) + len(ctx.y) > eng.cfg.tensor_cap:
-        raise TensorCapError([u + s + ctx.y], eng.cfg.tensor_cap)
-    v_us = eng.normalized_V(t, u, s).array
-    v_ty = eng.normalized_V(t, t, ctx.y).array
-    v_sy = eng.normalized_V(s, s, ctx.y).array
+    v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
     d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
     route_a = kron_apply(v_sy, v_us, left=d_u)
     route_b = kron_apply(v_us, v_ty, right=d_y)
@@ -257,12 +252,10 @@ def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, floa
     if t not in fuse(u, s):
         return 0.0, 0.0
     eng = ctx.engine
-    v_us = eng.normalized_V(t, u, s).array
-    v_ty = eng.normalized_V(t, t, ctx.y).array
-    v_sy = eng.normalized_V(s, s, ctx.y).array
+    v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
     d_u, d_s, d_y = eng.irr_dim(u), eng.irr_dim(s), eng.irr_dim(ctx.y)
     evolved = kron_apply(v_us, v_ty, right=d_y) @ v_us.T
-    weight = eng.rho_weight(u, inverse=True)
+    weight = eng.rho_weight(u)
     partial = np.einsum(
         "ba,bYaS->YS", weight, evolved.reshape(d_u, d_s * d_y, d_u, d_s), optimize=True
     ) / eng.qdim(u)
@@ -431,12 +424,9 @@ def gdif_audit(
 @dataclass
 class BoundaryRow:
     source: str
-    deepest: str
     k_q: float
     k_p: float
     ratio: float
-    cauchy_gap_q: float
-    cauchy_gap_p: float
     profile_q: RayProfile = field(repr=False)
     profile_p: RayProfile = field(repr=False)
 
@@ -448,8 +438,8 @@ def boundary_positivity_and_ratio(
     s_list: list[str],
 ) -> list[BoundaryRow]:
     """Ray profiles of the perturbed and classical Martin kernels for each
-    source; the boundary value is the deepest ray entry, reported with its
-    last gap (no extrapolation)."""
+    source; the boundary value is the deepest ray entry (no extrapolation),
+    and the profiles carry the gaps along the ray."""
     missing = [t for t in ray if t not in q_table.index]
     if missing:
         raise ValueError(f"ray leaves the branch domain: {missing}")
@@ -462,12 +452,9 @@ def boundary_positivity_and_ratio(
         rows.append(
             BoundaryRow(
                 source=s,
-                deepest=ray[-1],
                 k_q=prof_q.stabilized_value,
                 k_p=prof_p.stabilized_value,
                 ratio=prof_q.stabilized_value / prof_p.stabilized_value,
-                cauchy_gap_q=prof_q.cauchy_gap,
-                cauchy_gap_p=prof_p.cauchy_gap,
                 profile_q=prof_q,
                 profile_p=prof_p,
             )

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -80,6 +81,18 @@ class TestConfig:
         assert main(["walk", str(make_config(tmp_path, **overrides))]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, sources",
+        [("boundary", ["bbbbbbbbbb"]), ("boundary", ["aaaaaaaaaa"]), ("audit", ["b"])],
+    )
+    def test_unusable_boundary_sources_exit_2(self, tmp_path, capsys, command, sources):
+        # outside the ball of the branch radius, or (for audit) none in the branch
+        path = make_config(tmp_path, ballRadius=7, qRadius=6, boundarySources=sources)
+        assert main([command, str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "boundary source" in err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["walk", str(tmp_path / "nope.json")]) == EXIT_CONFIG
@@ -297,6 +310,22 @@ class TestAudit:
         assert report["overallPass"] is False
 
 
+class TestQhatCache:
+    def test_warm_cache_gives_cold_bytes(self, tmp_path, capsys):
+        """Reproducibility with a coefficient cache: a cold and a warm run
+        write the bytes of a run without one, and the warm run misses none."""
+        outputs, logs = {}, {}
+        for run in ("plain", "cold", "warm"):
+            cache = {} if run == "plain" else {"qhatCache": str(tmp_path / "qhat.jsonl")}
+            path = make_config(tmp_path, ballRadius=6, qRadius=6, **cache)
+            assert main(["boundary", str(path), "--out", str(tmp_path / run)]) == EXIT_OK
+            outputs[run] = {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()}
+            logs[run] = capsys.readouterr().err
+        assert outputs["plain"] and outputs["cold"] == outputs["plain"] == outputs["warm"]
+        assert logs["plain"] == "" and re.fullmatch(r"qhat cache: 0 hits, [1-9]\d* misses\n", logs["cold"])
+        assert re.fullmatch(r"qhat cache: [1-9]\d* hits, 0 misses\n", logs["warm"])
+
+
 class TestBoundarySources:
     def test_root_source_gives_unit_classical_column(self, tmp_path):
         path = make_config(tmp_path, ballRadius=6, qRadius=6, boundarySources=["e", "a"])
@@ -314,3 +343,17 @@ class TestAuditGuards:
         path = make_config(tmp_path, measure={"aa": 1.0})
         assert main(["audit", str(path)]) == EXIT_CONFIG
         assert "not generating" in capsys.readouterr().err
+
+    def test_defect_words_over_cap_exit_3_before_the_walk(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = fusion.transition_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "transition_matrix", counting)
+        path = make_config(tmp_path, tensorCap=6)
+        assert main(["audit", str(path)]) == EXIT_CAP
+        assert capsys.readouterr().err == "resource cap: tensor words exceed cap 6: 'abababa'\n"
+        assert calls == []

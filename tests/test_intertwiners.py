@@ -1,9 +1,13 @@
+import collections
 import itertools
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from aufwalk.fusion import Measure
 from aufwalk.intertwiners import (
     Intertwiner,
     IntertwinerEngine,
@@ -12,6 +16,7 @@ from aufwalk.intertwiners import (
     split_component,
     vtilde_norm_indecomposable,
 )
+from aufwalk.perturbed import BranchContext, QhatStore, qhat_entry, required_entries
 from aufwalk.words import ball, classical_dim, indecomposable_factors, involution, qdim, qnumber
 
 Q = 0.5
@@ -96,7 +101,7 @@ class TestDualityMaps:
             gram = m.T @ m
             w = np.eye(1)
             for f in factors:
-                w = np.kron(w, engine.rho_weight(f, inverse=True))
+                w = np.kron(w, engine.rho_weight(f))
             assert np.abs(gram - w).max() < 1e-10
 
 
@@ -190,7 +195,7 @@ class TestCategoricalTrace:
             a = rng.standard_normal((d, d))
             w = np.eye(1)
             for f in factors:
-                w = np.kron(w, engine.rho_weight(f, inverse=True))
+                w = np.kron(w, engine.rho_weight(f))
             expected = np.trace(a @ w) / math.prod(qdim(f, engine.q) for f in factors)
             got = engine.weighted_trace(Intertwiner(factors, factors, a))
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
@@ -280,6 +285,8 @@ class TestVtilde:
         assert count > 300
 
     def test_norm_computed_once_per_triple(self, monkeypatch):
+        """Each memoized value (norm, basis, inclusion, Rbar block, weight) is
+        built once per key and engine, however often it is requested."""
         calls = []
         plain = Intertwiner.norm
 
@@ -288,14 +295,28 @@ class TestVtilde:
             return plain.fget(self)
 
         monkeypatch.setattr(Intertwiner, "norm", property(counted))
-        eng = IntertwinerEngine(ModelConfig.from_q(0.5, tensor_cap=8))
+        builds = collections.Counter()
+        for name in ("_build_basis", "_build_inclusion", "_build_rbar", "_build_rho_weight"):
+            def counting(self, *args, _name=name, _build=getattr(IntertwinerEngine, name)):
+                builds[id(self), _name, args] += 1
+                return _build(self, *args)
+
+            monkeypatch.setattr(IntertwinerEngine, name, counting)
+        engines = [IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=8)) for q in (0.5, 0.3)]
         requests = [("a", "a", "ba"), ("aa", "a", "a"), ("ba", "ba", "ba"), ("", "ab", "ab"),
                     ("b", "b", "ab"), ("bbaa", "bb", "aa")]
-        first = [eng.normalized_V(*r).array for r in requests]
-        for _ in range(3):
-            for r, arr in zip(requests, first):
-                assert np.array_equal(eng.normalized_V(*r).array, arr)
-        assert len(calls) == len({split_component(*r) for r in requests}) == len(requests)
+        weighted = ["a", "ab", "bba", "abab"]
+        for eng in engines:
+            first = [eng.normalized_V(*r).array for r in requests]
+            weights = [eng.rho_weight(w) for w in weighted]
+            for _ in range(3):
+                for r, arr in zip(requests, first):
+                    assert np.array_equal(eng.normalized_V(*r).array, arr)
+                for w, weight in zip(weighted, weights):
+                    assert eng.rho_weight(w) is weight
+        assert len(calls) == 2 * len({split_component(*r) for r in requests}) == 2 * len(requests)
+        assert max(builds.values()) == 1
+        assert len({(engine, name) for engine, name, _ in builds}) == 2 * 4
 
 
 class TestDefects:
@@ -355,6 +376,37 @@ class TestConcurrency:
         expected = {w: work(w) for w in words}
         for w, got in zip(words * 8, results):
             assert got == expected[w]
+
+    def test_qhat_store_safe_under_concurrent_entries(self, tmp_path):
+        """Threads sharing one BranchContext read the serial values, and its
+        store keeps one value and appends one record per coefficient."""
+        import concurrent.futures
+
+        class YieldingDict(dict):
+            # hands the interpreter lock to another thread inside every store
+            # write, the window between a miss and its put that the lock closes
+            def __setitem__(self, key, value):
+                time.sleep(0)
+                super().__setitem__(key, value)
+
+        cfg = ModelConfig.from_q(0.5, tensor_cap=8)
+        ctx = BranchContext(IntertwinerEngine(cfg), "a", 5, store=QhatStore(tmp_path / "q.jsonl"))
+        ctx.store._data = YieldingDict()
+        entries = required_entries(Measure({"a": 0.5, "b": 0.5}), ctx)
+        # eight consecutive requests of each entry: the threads race on every key
+        calls = [e for e in entries for _ in range(8)]
+        serial = BranchContext(IntertwinerEngine(cfg), "a", 5)
+        expected = [qhat_entry(*e, serial) for e in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda e: qhat_entry(*e, ctx), calls))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert len((tmp_path / "q.jsonl").read_text().splitlines()) == len(set(entries))
+        assert ctx.store.hits + ctx.store.misses == len(calls)
 
 
 class TestHigherRank:

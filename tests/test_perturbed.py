@@ -183,7 +183,7 @@ def kron_qhat(u, s, t, ctx):
     eng = ctx.engine
     v_us, v_sy, _, route_b = kron_routes(u, s, t, ctx)
     composite = np.kron(np.eye(eng.irr_dim(u)), v_sy.T) @ (route_b @ v_us.T)
-    weight = np.kron(eng.rho_weight(u, inverse=True), eng.rho_weight(s, inverse=True))
+    weight = np.kron(eng.rho_weight(u), eng.rho_weight(s))
     return float(np.trace(composite @ weight)) / (eng.qdim(u) * eng.qdim(s))
 
 
