@@ -20,6 +20,7 @@ from aufwalk import (
     norm_upper_bound,
     qhat_entry,
     ray_words,
+    residual_matrix,
     transition_matrix,
 )
 
@@ -46,9 +47,9 @@ q_mat, q_table = green_Q(mu, ctx, lam=lam)
 
 print()
 print("=== exponential closeness along the branch ===")
-rep = decay_audit(q_mat, ctx, p_branch)
+rep = decay_audit(residual_matrix(mu, ctx), ctx)
 for l, m in zip(rep.lengths, rep.maxima):
-    print(f"  |s| = {l}: max |q - p| = {m:.3e}   (/q^2|s| = {m / q ** (2 * l):.3f})")
+    print(f"  |s| = {l}: max (p - q) = {m:.3e}   (/q^2|s| = {m / q ** (2 * l):.3f})")
 print(f"fitted slope {rep.fitted_rate:.4f}; guaranteed envelope rate log q = {rep.target_rate:.4f}")
 print("(second order: p - qhat = p eps^2/2 for the commutation defect eps ~ q^|s|,")
 print(" so the residual decays at 2 log q; acceptance criterion 10 checks this and")

@@ -58,6 +58,7 @@ from .perturbed import (
     q_matrix,
     qhat_entry,
     qhat_oracle,
+    residual_matrix,
 )
 
 __version__ = "0.1.0"
@@ -76,6 +77,6 @@ __all__ = [
     "truncation_error_bound", "weighted_operator_norm",
     "BranchContext", "QhatStore", "boundary_positivity_and_ratio",
     "decay_audit", "gdif_audit", "green_Q", "martin_Q", "q_matrix",
-    "qhat_entry", "qhat_oracle",
+    "qhat_entry", "qhat_oracle", "residual_matrix",
     "__version__",
 ]

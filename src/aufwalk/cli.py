@@ -395,7 +395,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
 
     ctx = _branch_context(cfg, eng)
     p_branch = tm.restrict(ctx.omega).matrix.toarray()
-    oracle_gap, domination_gap = _qhat_checks(cfg, ctx)
+    oracle_gap, domination_gap, defects = _qhat_checks(cfg, ctx)
     add("qhat_oracle", "trace formula against the partial-trace evaluation", oracle_gap, 1e-9,
         oracle_gap < 1e-9)
     add("qhat_domination", "perturbed weights dominated by classical ones", domination_gap,
@@ -405,7 +405,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     if not ratio_rows:
         raise ConfigError(f"the boundary audits need a boundary source in the branch of "
                           f"{cfg.branch_z!r}")
-    decay = perturbed.decay_audit(qmat, ctx, p_branch)
+    decay = perturbed.decay_audit(perturbed.residual_matrix(cfg.measure, ctx, defects), ctx)
     env_gap = decay.envelope_gap()
     add("perturbation_envelope", "single-constant envelope of the perturbation",
         env_gap, 0.0, env_gap <= 0.0)
@@ -535,17 +535,20 @@ def _defect_rate_gap(eng) -> float:
     return abs(float(slope) / math.log(eng.q) - 1.0)
 
 
-def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float]:
+def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float, dict]:
+    """Worst oracle gap and domination excess over the required entries, and
+    the commutation defect of each entry (for perturbed.residual_matrix)."""
     worst_or = 0.0
     worst_dom = -math.inf
+    defects = {}
     q = cfg.q
     for (u, s, t) in perturbed.required_entries(cfg.measure, ctx):
         val = perturbed.qhat_entry(u, s, t, ctx)
-        oracle, resid = perturbed.qhat_oracle(u, s, t, ctx)
+        oracle, resid, defects[u, s, t] = perturbed.qhat_oracle(u, s, t, ctx)
         worst_or = max(worst_or, abs(val - oracle), resid)
         p = fusion.multiplicity(t, u, s) * words.qdim(t, q) / (words.qdim(u, q) * words.qdim(s, q))
         worst_dom = max(worst_dom, abs(val) - p)
-    return worst_or, worst_dom
+    return worst_or, worst_dom, defects
 
 
 def _last_entry_worst(cfg: RunConfig, tm, table) -> float:

@@ -220,12 +220,19 @@ def trace_routes(u: str, s: str, t: str, ctx: BranchContext) -> tuple[np.ndarray
         raise ValueError(f"{s!r}, {t!r} must lie in the branch of {ctx.z!r}")
     if not u or t not in fuse(u, s):
         raise ValueError(f"{t!r} is not a component of {u!r} (x) {s!r}")
+    return _routes(u, ctx, *_isometries(u, s, t, ctx))
+
+
+def _routes(u: str, ctx: BranchContext, v_us, v_ty, v_sy) -> tuple[np.ndarray, np.ndarray]:
+    """The trace routes A and B from the three isometries of an entry."""
     eng = ctx.engine
-    v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
     d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
-    route_a = kron_apply(v_sy, v_us, left=d_u)
-    route_b = kron_apply(v_us, v_ty, right=d_y)
-    return route_a, route_b
+    return kron_apply(v_sy, v_us, left=d_u), kron_apply(v_us, v_ty, right=d_y)
+
+
+def _route_gap(route_a: np.ndarray, route_b: np.ndarray) -> float:
+    """|A - B| for routes out of one irreducible block: Frobenius over sqrt(dim)."""
+    return float(np.linalg.norm(route_a - route_b) / math.sqrt(route_a.shape[1]))
 
 
 def commutation_defect(u: str, s: str, t: str, ctx: BranchContext) -> float:
@@ -239,29 +246,31 @@ def commutation_defect(u: str, s: str, t: str, ctx: BranchContext) -> float:
 
     the perturbation residual is second order in the commutation defect.
     """
-    route_a, route_b = trace_routes(u, s, t, ctx)
-    return float(np.linalg.norm(route_a - route_b) / math.sqrt(route_a.shape[1]))
+    return _route_gap(*trace_routes(u, s, t, ctx))
 
 
-def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, float]:
+def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, float, float]:
     """Independent evaluation: apply the partial trace over u to the evolved
-    one-point section and project onto V(s, s(x)y).  Returns the coefficient
-    and the residual of the projection."""
+    one-point section and project onto V(s, s(x)y).  Returns the coefficient,
+    the residual of the projection and the commutation defect eps of the
+    entry (as commutation_defect, from the same isometries; 0 where the
+    coefficient is exact)."""
     if not u:
-        return (1.0 if s == t else 0.0), 0.0
+        return (1.0 if s == t else 0.0), 0.0, 0.0
     if t not in fuse(u, s):
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     eng = ctx.engine
     v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
     d_u, d_s, d_y = eng.irr_dim(u), eng.irr_dim(s), eng.irr_dim(ctx.y)
-    evolved = kron_apply(v_us, v_ty, right=d_y) @ v_us.T
+    route_a, route_b = _routes(u, ctx, v_us, v_ty, v_sy)
+    evolved = route_b @ v_us.T
     weight = eng.rho_weight(u)
     partial = np.einsum(
         "ba,bYaS->YS", weight, evolved.reshape(d_u, d_s * d_y, d_u, d_s), optimize=True
     ) / eng.qdim(u)
     coeff = float(np.sum(partial * v_sy) / np.sum(v_sy * v_sy))
     residual = float(np.linalg.norm(partial - coeff * v_sy))
-    return coeff, residual
+    return coeff, residual, _route_gap(route_a, route_b)
 
 
 def required_entries(mu: Measure, ctx: BranchContext) -> list[tuple[str, str, str]]:
@@ -281,6 +290,30 @@ def q_matrix(mu: Measure, ctx: BranchContext) -> np.ndarray:
     """Assemble the perturbed matrix on the truncated branch by linearity over
     the dual measure.  Fails loudly, listing the offending entries, when any
     required coefficient exceeds the tensor cap."""
+    return _assemble(mu, ctx, lambda u, s, t: qhat_entry(u, s, t, ctx))
+
+
+def residual_matrix(mu: Measure, ctx: BranchContext, defects=None) -> np.ndarray:
+    """The perturbation residual p - q on the truncated branch, with the
+    weights of q_matrix, built entry by entry as p eps^2 / 2 from the
+    commutation defect (see commutation_defect) rather than as a difference of
+    O(1) numbers, so small residuals keep their relative accuracy.
+
+    ``defects`` maps each required entry (u, s, t) to its eps when they are
+    already at hand (qhat_oracle returns them); otherwise each is computed."""
+
+    def term(u, s, t):
+        if not u:
+            return 0.0
+        eps = defects[(u, s, t)] if defects is not None else commutation_defect(u, s, t, ctx)
+        return qdim(t, ctx.q) / (qdim(u, ctx.q) * qdim(s, ctx.q)) * eps ** 2 / 2
+
+    return _assemble(mu, ctx, term)
+
+
+def _assemble(mu: Measure, ctx: BranchContext, coefficient) -> np.ndarray:
+    """The branch matrix with entry (t, s) = sum over u of
+    mud(u) (m_s / m_t)^2 coefficient(u, s, t), over the required entries."""
     cap = ctx.engine.cfg.tensor_cap
     needed = required_entries(mu, ctx)
     blocked = [(u, s, t) for (u, s, t) in needed if u and len(u) + len(s) + len(ctx.y) > cap]
@@ -290,14 +323,19 @@ def q_matrix(mu: Measure, ctx: BranchContext) -> np.ndarray:
     dims = ctx.qdims()
     n = len(ctx.omega)
     out = np.zeros((n, n))
-    for (u, t, s) in needed:
-        ti, si = ctx.index[t], ctx.index[s]
-        out[si, ti] += mud.weight(u) * (dims[ti] / dims[si]) ** 2 * qhat_entry(u, t, s, ctx)
+    for (u, s, t) in needed:
+        si, ti = ctx.index[s], ctx.index[t]
+        out[ti, si] += mud.weight(u) * (dims[si] / dims[ti]) ** 2 * coefficient(u, s, t)
     return out
 
 
 @dataclass
 class DecayReport:
+    """Per source length, the largest perturbation residual p - q (from
+    residual_matrix), the least-squares slope of their logs, the least
+    constant c with residual <= c q^len, and the rate log q they are
+    compared with."""
+
     lengths: list[int]
     maxima: list[float]
     fitted_rate: float
@@ -317,19 +355,20 @@ class DecayReport:
         )
 
 
-def decay_audit(qmat: np.ndarray, ctx: BranchContext, p_branch: np.ndarray) -> DecayReport:
-    """Fit the decay of |q - p| against the source length, for the perturbed
-    matrix ``qmat`` (from q_matrix) and the classical one on the branch.
+def decay_audit(resid: np.ndarray, ctx: BranchContext) -> DecayReport:
+    """Fit the decay of the perturbation residual against the source length.
 
-    Residuals below the floor are discarded; the envelope slope is fitted on
-    the per-length maxima by least squares and compared with log q.
+    ``resid`` is the branch matrix of p - q from residual_matrix: each entry
+    is a sum of p eps^2 / 2 terms, formed without cancellation, so the fit
+    reads the residual itself and not the round-off of q - p.  Residuals
+    below the floor are discarded; the envelope slope is fitted on the
+    per-length maxima by least squares and compared with log q.
     """
-    resid = np.abs(qmat - p_branch)
     per_length: dict[int, float] = {}
     n_pairs = 0
     for i, s in enumerate(ctx.omega):
         for j in range(len(ctx.omega)):
-            if p_branch[i, j] > 0 and resid[i, j] > RESIDUAL_FLOOR:
+            if resid[i, j] > RESIDUAL_FLOOR:
                 per_length[len(s)] = max(per_length.get(len(s), 0.0), float(resid[i, j]))
                 n_pairs += 1
     if len(per_length) < 4:

@@ -44,6 +44,7 @@ from aufwalk.perturbed import (
     qhat_entry,
     qhat_oracle,
     required_entries,
+    residual_matrix,
 )
 from aufwalk.words import ball, branch, classical_dim, indecomposable_factors, involution, qdim
 from aufwalk.cli import main as cli_main
@@ -218,7 +219,7 @@ def test_c09_qhat_realness_and_domination(engines):
         for mu in mus:
             for (u, s, t) in required_entries(mu, ctx):
                 val = qhat_entry(u, s, t, ctx)
-                oracle, resid = qhat_oracle(u, s, t, ctx)
+                oracle, resid, _ = qhat_oracle(u, s, t, ctx)
                 worst_oracle = max(worst_oracle, abs(val - oracle), resid)
                 p = qdim(t, q) / (qdim(u, q) * qdim(s, q)) if t else 0.0
                 worst_dom = max(worst_dom, abs(val) - p)
@@ -230,14 +231,12 @@ def test_c09_qhat_realness_and_domination(engines):
 def test_c10_perturbation_envelope(engines):
     eng = engines[0.5]
     ctx = BranchContext(eng, "a", 5)
-    tm = transition_matrix(MU_AB, ball(5), 0.5)
-    p_branch = tm.restrict(ctx.omega).matrix.toarray()
     identity_gap = 0.0
     for (u, s, t) in required_entries(MU_AB, ctx):
         p = qdim(t, 0.5) / (qdim(u, 0.5) * qdim(s, 0.5))
         eps = commutation_defect(u, s, t, ctx)
         identity_gap = max(identity_gap, abs(p - qhat_entry(u, s, t, ctx) - p * eps ** 2 / 2))
-    rep = decay_audit(q_matrix(MU_AB, ctx), ctx, p_branch)
+    rep = decay_audit(residual_matrix(MU_AB, ctx), ctx)
     envelope_ok = rep.envelope_gap() <= 0.0 and set(rep.lengths) <= set(range(1, 6))
     # second order in the defect: the residual decays at twice the defect rate
     slope_ratio = rep.fitted_rate / (2.0 * rep.target_rate)

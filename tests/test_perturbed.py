@@ -21,6 +21,7 @@ from aufwalk.perturbed import (
     qhat_entry,
     qhat_oracle,
     required_entries,
+    residual_matrix,
     trace_routes,
 )
 from aufwalk.words import ball, branch, involution, qdim
@@ -73,7 +74,7 @@ class TestQhatEntry:
         worst = 0.0
         for (u, s, t) in required_entries(mu, ctx):
             val = qhat_entry(u, s, t, ctx)
-            oracle, resid = qhat_oracle(u, s, t, ctx)
+            oracle, resid, _ = qhat_oracle(u, s, t, ctx)
             worst = max(worst, abs(val - oracle), resid)
             p = multiplicity(t, u, s) * qdim(t, Q) / (qdim(u, Q) * qdim(s, Q))
             assert abs(val) <= p + 1e-12
@@ -129,8 +130,8 @@ class TestQMatrix:
 
 class TestDecayAudit:
     def test_envelope_and_rate(self, setup, mu_letters):
-        ctx, _, p_branch = setup
-        rep = decay_audit(q_matrix(mu_letters, ctx), ctx, p_branch)
+        ctx, _, _ = setup
+        rep = decay_audit(residual_matrix(mu_letters, ctx), ctx)
         assert rep.envelope_gap() <= 0.0
         assert rep.n_pairs >= 4
         # measured slope: one factor of q^2 per unit length (the trace kills
@@ -138,12 +139,19 @@ class TestDecayAudit:
         assert rep.fitted_rate <= rep.target_rate
         assert rep.fitted_rate == pytest.approx(2.0 * rep.target_rate, rel=0.1)
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+    def test_residual_matrix_is_the_difference(self, q, mu_mixed):
+        """The residual built from the defects is |q_matrix - p| entry by entry."""
+        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=10)), "a", 5)
+        p_branch = transition_matrix(mu_mixed, ball(5), q).restrict(ctx.omega).matrix.toarray()
+        resid = residual_matrix(mu_mixed, ctx)
+        assert resid.min() >= 0.0 and resid.max() > 1e-3
+        assert np.abs(resid - np.abs(q_matrix(mu_mixed, ctx) - p_branch)).max() <= 1e-14
+
     def test_needs_enough_lengths(self, engine, mu_letters):
         ctx = BranchContext(engine, "a", 3)
-        tm = transition_matrix(mu_letters, ball(3), Q)
-        p_branch = tm.restrict(ctx.omega).matrix.toarray()
         with pytest.raises(ValueError, match="lengths"):
-            decay_audit(q_matrix(mu_letters, ctx), ctx, p_branch)
+            decay_audit(residual_matrix(mu_letters, ctx), ctx)
 
 
 class TestTraceRoutes:
