@@ -136,8 +136,14 @@ class Intertwiner:
 
     @property
     def norm(self) -> float:
+        """Operator norm.  Out of one irreducible block or the scalar line,
+        A^T A = c 1 by Schur's lemma, so the norm is exactly the Frobenius
+        norm over sqrt(dim source); out of a product of blocks it is the
+        largest singular value."""
         if min(self.array.shape) == 0:
             return 0.0
+        if len(self.source) <= 1:
+            return float(np.linalg.norm(self.array) / math.sqrt(self.array.shape[1]))
         return float(np.linalg.norm(self.array, 2))
 
 

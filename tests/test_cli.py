@@ -2,6 +2,7 @@ import json
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from aufwalk.cli import (
     main,
     write_csv,
 )
+from aufwalk.intertwiners import Intertwiner
 from aufwalk.words import ball, format_word
+
+EXAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "config.example.json")
 
 
 def make_config(tmp_path, **overrides):
@@ -308,6 +312,28 @@ class TestAudit:
         assert failing == {"perturbation_rate"}
         assert code == EXIT_AUDIT
         assert report["overallPass"] is False
+
+
+    def test_rate_insensitive_to_the_norm_route(self, tmp_path, monkeypatch, capsys):
+        """The almost-isometry norms by SVD or by Schur (Frobenius over
+        sqrt(dim)) differ in the last bits; the conditioned perturbation
+        residual keeps perturbation_rate within 1e-14 of itself."""
+        svd = property(lambda self: float(np.linalg.norm(self.array, 2)))
+
+        def schur(self):
+            if len(self.source) > 1:
+                return float(np.linalg.norm(self.array, 2))
+            return float(np.linalg.norm(self.array) / math.sqrt(self.array.shape[1]))
+
+        rates = []
+        for norm in (svd, property(schur)):
+            monkeypatch.setattr(Intertwiner, "norm", norm)
+            out = tmp_path / str(len(rates))
+            assert main(["audit", EXAMPLE, "--radius", "6", "--out", str(out)]) == EXIT_AUDIT
+            report = json.loads((out / "audit_report.json").read_text())
+            rates.append(next(e["measured"] for e in report["audits"] if e["name"] == "perturbation_rate"))
+        capsys.readouterr()
+        assert abs(rates[1] - rates[0]) < 1e-14 * abs(rates[0])
 
 
 class TestQhatCache:

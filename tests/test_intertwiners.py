@@ -360,6 +360,17 @@ class TestIntertwinerAlgebra:
         assert w.source == ("ab", "a")
         assert np.abs((v.adjoint @ v).array - np.eye(3)).max() < 1e-10
 
+    def test_norm_of_a_product_source_is_the_largest_singular_value(self, engine, rng):
+        """Out of a product of blocks A^T A is not a multiple of 1: the
+        projection onto H_ab in a (x) b has norm 1 but Frobenius norm sqrt(3)."""
+        proj = engine.word_projection("ab")
+        assert proj.source == ("a", "b")
+        assert proj.norm == pytest.approx(1.0, rel=1e-14)
+        d = engine.block_dim(("a", "ab"))
+        arr = rng.standard_normal((d, d))
+        top = np.linalg.svd(arr, compute_uv=False)[0]
+        assert Intertwiner(("a", "ab"), ("a", "ab"), arr).norm == pytest.approx(top, rel=1e-14)
+
 
 class TestConcurrency:
     def test_cache_safe_under_concurrent_insert_or_get(self):
