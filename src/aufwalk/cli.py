@@ -11,6 +11,7 @@ files: floats are emitted with 17 significant digits and JSON keys sorted.
 from __future__ import annotations
 
 import argparse
+import bisect
 import hashlib
 import itertools
 import json
@@ -489,19 +490,23 @@ def _rank_rows(eng, max_len: int) -> list[tuple[str, int, int]]:
 
 
 def _indecomposable_triples(limit: int, cap: int = 14):
+    """(s, v, t) with v nonempty, len(svt) <= limit, len(s v vbar t) <= cap
+    and sv, v vbar, vbar t indecomposable, in the order of the product of the
+    length-sorted pool of words shorter than limit."""
     pool = [""] + ["".join(p) for L in range(1, limit) for p in itertools.product("ab", repeat=L)]
-    for s, v, t in itertools.product(pool, repeat=3):
-        if not v or len(s) + len(v) + len(t) > limit:
-            continue
-        if len(s) + 2 * len(v) + len(t) > cap:
-            continue
-        vb = involution(v)
-        if (
-            indecomposable_factors(s + v) == [s + v]
-            and indecomposable_factors(v + vb) == [v + vb]
-            and indecomposable_factors(vb + t) == [vb + t]
-        ):
-            yield s, v, t
+    lengths = [len(w) for w in pool]
+
+    def upto(k: int) -> list[str]:
+        return pool[: bisect.bisect_right(lengths, k)]
+
+    for s in pool:
+        for v in upto(min(limit - len(s), (cap - len(s)) // 2))[1:]:
+            vb = involution(v)
+            if indecomposable_factors(s + v) != [s + v] or indecomposable_factors(v + vb) != [v + vb]:
+                continue
+            for t in upto(min(limit - len(s) - len(v), cap - len(s) - 2 * len(v))):
+                if indecomposable_factors(vb + t) == [vb + t]:
+                    yield s, v, t
 
 
 def _vtilde_rows(eng):

@@ -95,9 +95,9 @@ class ModelConfig:
         return cls(n=n, f_diag=tuple(x ** 0.5 for x in rho), tensor_cap=tensor_cap)
 
     def config_hash(self) -> str:
-        payload = "|".join(
-            [str(self.n), ",".join(f"{f:.17g}" for f in self.f_diag), str(self.tensor_cap)]
-        )
+        """Hash of n and F, which fix every coefficient; the tensor cap only
+        bounds which ones can be computed, so it is left out."""
+        payload = "|".join([str(self.n), ",".join(f"{f:.17g}" for f in self.f_diag)])
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

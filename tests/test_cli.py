@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -350,6 +351,39 @@ class TestQhatCache:
         assert outputs["plain"] and outputs["cold"] == outputs["plain"] == outputs["warm"]
         assert logs["plain"] == "" and re.fullmatch(r"qhat cache: 0 hits, [1-9]\d* misses\n", logs["cold"])
         assert re.fullmatch(r"qhat cache: [1-9]\d* hits, 0 misses\n", logs["warm"])
+
+    def test_cache_filled_at_one_cap_serves_another(self, tmp_path, capsys):
+        """No coefficient depends on the tensor cap, so a cache filled at cap
+        10 serves a cap-12 run completely, with the bytes of an uncached run."""
+        cache = {"qhatCache": str(tmp_path / "qhat.jsonl")}
+        runs = [("plain", 12, {}), ("cap10", 10, cache), ("cap12", 12, cache)]
+        outputs, logs = {}, {}
+        for run, cap, extra in runs:
+            path = make_config(tmp_path, ballRadius=6, qRadius=6, tensorCap=cap, **extra)
+            assert main(["boundary", str(path), "--out", str(tmp_path / run)]) == EXIT_OK
+            outputs[run] = {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()}
+            logs[run] = capsys.readouterr().err
+        assert outputs["plain"] and outputs["cap12"] == outputs["plain"]
+        assert re.fullmatch(r"qhat cache: 0 hits, [1-9]\d* misses\n", logs["cap10"])
+        assert re.fullmatch(r"qhat cache: [1-9]\d* hits, 0 misses\n", logs["cap12"])
+
+
+class TestIndecomposableTriples:
+    @staticmethod
+    def brute_force(limit, cap):
+        """The reference: every triple of the word pool, filtered."""
+        for s, v, t in itertools.product(ball(limit - 1), repeat=3):
+            if not v or len(s) + len(v) + len(t) > limit or len(s) + 2 * len(v) + len(t) > cap:
+                continue
+            vb = words.involution(v)
+            if all(words.indecomposable_factors(w) == [w] for w in (s + v, v + vb, vb + t)):
+                yield s, v, t
+
+    @pytest.mark.parametrize("limit", [4, 5, 6])
+    def test_same_sequence_as_the_full_product(self, limit):
+        for cap in range(6, 15):
+            want = list(self.brute_force(limit, cap))
+            assert want and list(cli._indecomposable_triples(limit, cap)) == want
 
 
 class TestBoundarySources:
