@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -491,9 +490,9 @@ def _rank_rows(eng, max_len: int) -> list[tuple[str, int, int]]:
 
 def _indecomposable_triples(limit: int, cap: int = 14):
     """(s, v, t) with v nonempty, len(svt) <= limit, len(s v vbar t) <= cap
-    and sv, v vbar, vbar t indecomposable, in the order of the product of the
-    length-sorted pool of words shorter than limit."""
-    pool = [""] + ["".join(p) for L in range(1, limit) for p in itertools.product("ab", repeat=L)]
+    and sv, v vbar, vbar t indecomposable, in the order of the triple product
+    of the ball of radius limit - 1 (sorted by length)."""
+    pool = words.ball(limit - 1)
     lengths = [len(w) for w in pool]
 
     def upto(k: int) -> list[str]:

@@ -294,7 +294,7 @@ def q_matrix(mu: Measure, ctx: BranchContext) -> np.ndarray:
 
 
 def residual_matrix(mu: Measure, ctx: BranchContext, defects=None) -> np.ndarray:
-    """The perturbation residual p - q on the truncated branch, with the
+    """The perturbation residual p - qhat on the truncated branch, with the
     weights of q_matrix, built entry by entry as p eps^2 / 2 from the
     commutation defect (see commutation_defect) rather than as a difference of
     O(1) numbers, so small residuals keep their relative accuracy.
@@ -331,7 +331,7 @@ def _assemble(mu: Measure, ctx: BranchContext, coefficient) -> np.ndarray:
 
 @dataclass
 class DecayReport:
-    """Per source length, the largest perturbation residual p - q (from
+    """Per source length, the largest perturbation residual p - qhat (from
     residual_matrix), the least-squares slope of their logs, the least
     constant c with residual <= c q^len, and the rate log q they are
     compared with."""
@@ -358,9 +358,9 @@ class DecayReport:
 def decay_audit(resid: np.ndarray, ctx: BranchContext) -> DecayReport:
     """Fit the decay of the perturbation residual against the source length.
 
-    ``resid`` is the branch matrix of p - q from residual_matrix: each entry
-    is a sum of p eps^2 / 2 terms, formed without cancellation, so the fit
-    reads the residual itself and not the round-off of q - p.  Residuals
+    ``resid`` is the branch matrix of p - qhat from residual_matrix: each
+    entry is a sum of p eps^2 / 2 terms, formed without cancellation, so the
+    fit reads the residual itself and not the round-off of qhat - p.  Residuals
     below the floor are discarded; the envelope slope is fitted on the
     per-length maxima by least squares and compared with log q.
     """

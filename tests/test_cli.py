@@ -314,7 +314,6 @@ class TestAudit:
         assert code == EXIT_AUDIT
         assert report["overallPass"] is False
 
-
     def test_rate_insensitive_to_the_norm_route(self, tmp_path, monkeypatch, capsys):
         """The almost-isometry norms by SVD or by Schur (Frobenius over
         sqrt(dim)) differ in the last bits; the conditioned perturbation
