@@ -96,9 +96,6 @@ class Measure:
         """The measure r -> mu(bar(r))."""
         return Measure({involution(w): p for w, p in self._weights.items()})
 
-    def is_symmetric(self) -> bool:
-        return all(self.weight(involution(w)) == p for w, p in self._weights.items())
-
     def __repr__(self):
         inner = ", ".join(f"{w or 'e'}: {p}" for w, p in self._weights.items())
         return f"Measure({{{inner}}})"

@@ -366,10 +366,6 @@ class RayProfile:
     def stabilized_value(self) -> float:
         return self.values[-1]
 
-    @property
-    def cauchy_gap(self) -> float:
-        return self.gaps[-1] if self.gaps else 0.0
-
     def tail_decreasing(self, floor: float = 1e-11) -> bool:
         """True if past the junction of the source with the ray the gaps
         strictly decrease until they reach the numerical floor."""

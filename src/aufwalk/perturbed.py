@@ -165,11 +165,42 @@ class BranchContext:
         return qdims(heap_indices(self.omega), self.q)
 
 
+def exact_by_cut(u: str, s: str, t: str, z: str) -> bool:
+    """True when a repeated letter of s separates the cancellation with u
+    from the action of y = bar(z) z, so that qhat_u(s, t) = p exactly.
+
+    Let c = (|u| + |s| - |t|) / 2 be the number of letters u cancels off the
+    front of s, and call j a cut of s when s[j-1] == s[j].  A cut is a
+    junction no cancellation crosses, so with s0 = s[:j], s1 = s[j:] the
+    fusion rules give H_s = H_s0 (x) H_s1, and the isometry V(s, s0(x)s1) is
+    unitary.  The rule holds when some cut j has
+
+        c < j <= |s| - |z|.
+
+    The left bound keeps the cancellation with u inside s0: then t = t0 s1
+    with t0 a component of u (x) s0, the junction of t0 and s1 is again a cut,
+    and V(t, u(x)s) = V(t0, u(x)s0) (x) i_s1 up to the unitaries of the two
+    cuts.  The right bound keeps y, which cancels at most |z| letters off the
+    end of s, inside s1: then V(s, s(x)y) = i_s0 (x) V(s1, s1(x)y) and
+    V(t, t(x)y) = i_t0 (x) V(s1, s1(x)y) alike.  Both trace routes
+    H_t -> H_u (x) H_s (x) H_y are then the same tensor product of
+    V(t0, u(x)s0) with V(s1, s1(x)y), so the commutation defect is 0 and
+    qhat = p = dim_q t / (dim_q u dim_q s).  Neither bound can be dropped:
+    a cut inside the cancellation, or one inside the reach of y, leaves the
+    routes apart.  qhat_oracle never uses this rule, so the qhat_oracle audit
+    checks it against the full trace on every entry of its branch.
+    """
+    c = (len(u) + len(s) - len(t)) // 2
+    return any(s[j - 1] == s[j] for j in range(c + 1, len(s) - len(z) + 1))
+
+
 def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:
     """Coefficient of the branch walk for the point mass at u, from s to t.
 
     Zero unless t is a component of u (x) s; the empty u gives the identity.
-    Raises TensorCapError when the trace block would exceed the cap.
+    Entries the cut rule decides (exact_by_cut) are the classical weight p,
+    with no store lookup and no tensor-cap check.  Otherwise raises
+    TensorCapError when the trace block would exceed the cap.
     """
     if not (ctx.contains(s) and ctx.contains(t)):
         raise ValueError(f"{s!r}, {t!r} must lie in the branch of {ctx.z!r}")
@@ -178,6 +209,8 @@ def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:
     if t not in fuse(u, s):
         return 0.0
     dominator = qdim(t, ctx.q) / (qdim(u, ctx.q) * qdim(s, ctx.q))
+    if exact_by_cut(u, s, t, ctx.z):
+        return dominator
     stored = ctx.store.get(ctx.config_hash, ctx.z, u, s, t, dominator + DOMINATION_TOL)
     if stored is not None:
         return stored
@@ -300,10 +333,11 @@ def residual_matrix(mu: Measure, ctx: BranchContext, defects=None) -> np.ndarray
     O(1) numbers, so small residuals keep their relative accuracy.
 
     ``defects`` maps each required entry (u, s, t) to its eps when they are
-    already at hand (qhat_oracle returns them); otherwise each is computed."""
+    already at hand (qhat_oracle returns them); otherwise each is computed.
+    Entries the cut rule decides (exact_by_cut) have residual 0."""
 
     def term(u, s, t):
-        if not u:
+        if not u or exact_by_cut(u, s, t, ctx.z):
             return 0.0
         eps = defects[(u, s, t)] if defects is not None else commutation_defect(u, s, t, ctx)
         return qdim(t, ctx.q) / (qdim(u, ctx.q) * qdim(s, ctx.q)) * eps ** 2 / 2
@@ -313,10 +347,16 @@ def residual_matrix(mu: Measure, ctx: BranchContext, defects=None) -> np.ndarray
 
 def _assemble(mu: Measure, ctx: BranchContext, coefficient) -> np.ndarray:
     """The branch matrix with entry (t, s) = sum over u of
-    mud(u) (m_s / m_t)^2 coefficient(u, s, t), over the required entries."""
+    mud(u) (m_s / m_t)^2 coefficient(u, s, t), over the required entries.
+    The cap is checked up front on the entries that need the trace: the empty
+    u and the entries of the cut rule need none."""
     cap = ctx.engine.cfg.tensor_cap
     needed = required_entries(mu, ctx)
-    blocked = [(u, s, t) for (u, s, t) in needed if u and len(u) + len(s) + len(ctx.y) > cap]
+    blocked = [
+        (u, s, t)
+        for (u, s, t) in needed
+        if u and len(u) + len(s) + len(ctx.y) > cap and not exact_by_cut(u, s, t, ctx.z)
+    ]
     if blocked:
         raise TensorCapError([u + s + ctx.y for (u, s, t) in blocked[:8]], cap)
     mud = mu.dual()

@@ -75,13 +75,6 @@ def qnumber(n: int, q: float) -> float:
     return q ** (1 - n) * (1.0 - q ** (2 * n)) / (1.0 - q * q)
 
 
-def qfactorial(n: int, q: float) -> float:
-    out = 1.0
-    for i in range(1, n + 1):
-        out *= qnumber(i, q)
-    return out
-
-
 def qbinom(n: int, k: int, q: float) -> float:
     """Gaussian binomial coefficient, via the product formula
     q^(-k(n-k)) * prod_{i<k} (1 - q^(2(n-i))) / (1 - q^(2(k-i))).

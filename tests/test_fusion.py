@@ -82,8 +82,6 @@ class TestMeasure:
         dual = mu.dual()
         assert dual.weight("b") == 0.25
         assert dual.weight("ab") == 0.75
-        assert Measure({"a": 0.5, "b": 0.5}).is_symmetric()
-        assert not mu.is_symmetric()
 
     def test_range_bound(self):
         assert Measure({"a": 0.5, "ab": 0.5}).range_bound == 2

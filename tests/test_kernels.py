@@ -276,7 +276,6 @@ class TestBoundaryProfile:
         prof = RayProfile(source="a", points=["a", "aa"], values=[1.0, 1.25])
         assert prof.gaps == [0.25]
         assert prof.stabilized_value == 1.25
-        assert prof.cauchy_gap == 0.25
 
 
 class TestGreenRows:

@@ -13,6 +13,7 @@ from aufwalk.perturbed import (
     boundary_positivity_and_ratio,
     commutation_defect,
     decay_audit,
+    exact_by_cut,
     gdif_audit,
     green_Q,
     martin_Q,
@@ -88,7 +89,77 @@ class TestQhatEntry:
     def test_cap_exceeded_lists_entry(self, engine, mu_letters):
         small = BranchContext(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=5)), "a", 6)
         with pytest.raises(TensorCapError):
-            qhat_entry("a", "a" * 5, "a" * 6, small)
+            qhat_entry("a", "aba", "aaba", small)
+
+    def test_cut_rule_entry_above_cap_is_classical(self):
+        small = BranchContext(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=5)), "a", 6)
+        u, s, t = "a", "a" * 5, "a" * 6
+        assert exact_by_cut(u, s, t, small.z)
+        q = small.q
+        assert qhat_entry(u, s, t, small) == qdim(t, q) / (qdim(u, q) * qdim(s, q))
+        assert (small.store.hits, small.store.misses) == (0, 0)
+
+
+def _cut_anywhere(u, s, t, z):
+    """Negative control: the cut rule without either bound."""
+    return any(s[j - 1] == s[j] for j in range(1, len(s)))
+
+
+def _cut_past_cancellation(u, s, t, z):
+    """Negative control: the cut rule without the bound from z."""
+    c = (len(u) + len(s) - len(t)) // 2
+    return any(s[j - 1] == s[j] for j in range(c + 1, len(s)))
+
+
+CUT_RULES = {"rule": exact_by_cut, "any cut": _cut_anywhere, "no z bound": _cut_past_cancellation}
+CUT_GRID = [
+    (q, z, radius) for q in (0.3, 0.7) for z, radius in (("a", 6), ("ab", 6), ("aab", 5), ("baa", 5))
+]
+
+
+@pytest.fixture(scope="module")
+def cut_gaps():
+    """Per grid point and rule: the number of required entries the rule
+    selects, for the uniform measure on the 14 words of length <= 3, and the
+    worst |qhat - p| / p over them, with qhat the full partial trace of
+    qhat_oracle (which never takes the cut rule)."""
+    mu = Measure({w: 1 / 14 for w in ball(3) if w})
+    out = {}
+    for q, z, radius in CUT_GRID:
+        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=14)), z, radius)
+        gaps = {name: (0, 0.0) for name in CUT_RULES}
+        for (u, s, t) in set(required_entries(mu, ctx)):
+            chosen = [name for name, rule in CUT_RULES.items() if rule(u, s, t, z)]
+            if not chosen:
+                continue
+            p = qdim(t, ctx.q) / (qdim(u, ctx.q) * qdim(s, ctx.q))
+            gap = abs(qhat_oracle(u, s, t, ctx)[0] - p) / p
+            for name in chosen:
+                n, worst = gaps[name]
+                gaps[name] = (n + 1, max(worst, gap))
+        out[q, z] = gaps
+    return out
+
+
+class TestCutRule:
+    @pytest.mark.parametrize("q,z", [(q, z) for q, z, _ in CUT_GRID])
+    def test_rule_matches_full_trace(self, cut_gaps, q, z):
+        n, worst = cut_gaps[q, z]["rule"]
+        assert n > 0
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("control,z", [("any cut", "a"), ("no z bound", "baa")])
+    def test_controls_without_a_bound_fail(self, cut_gaps, control, z):
+        for q in (0.3, 0.7):
+            assert cut_gaps[q, z][control][1] > 0.5
+
+    def test_bounds(self):
+        # c = 0: the cut at j = 1 lies past the cancellation but inside y's reach
+        assert not exact_by_cut("a", "aa", "aaa", "aa")
+        assert exact_by_cut("a", "aa", "aaa", "a")
+        # c = 1: the cut at j = 1 lies inside the cancellation
+        assert not exact_by_cut("b", "aaba", "aba", "a")
+        assert exact_by_cut("b", "aaaba", "aaba", "a")
 
 
 class TestQMatrix:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from aufwalk.words import (
     parse_word,
     qbinom,
     qdim,
-    qfactorial,
     qnumber,
     tree_distance,
 )
@@ -74,6 +75,9 @@ class TestQArithmetic:
         assert qbinom(4, 2, 0.5) == pytest.approx(22.3125, rel=1e-13)
 
     def test_qbinom_factorial_ratio(self):
+        def qfactorial(n, q):
+            return math.prod(qnumber(i, q) for i in range(1, n + 1))
+
         for q in (0.3, 0.5, 0.7):
             for n in range(9):
                 for k in range(n + 1):
