@@ -10,6 +10,7 @@ from aufwalk import (
     green_table,
     harnack_audit,
     last_entry_audit,
+    martin_rows,
     multiplicativity_audit,
     norm_upper_bound,
     transition_matrix,
@@ -56,6 +57,6 @@ for s, t in [("b", "aa"), ("ab", "aba"), ("bb", "a")]:
 
 print()
 print("Martin kernel rows (base e): K(s, t) for s in {e, a, ba}")
-for s in ["", "a", "ba"]:
-    vals = [table.martin_entry(s, "a" * k) for k in range(1, 6)]
+sources = ["", "a", "ba"]
+for s, vals in zip(sources, martin_rows(table, sources, ["a" * k for k in range(1, 6)])):
     print(f"  s={s or 'e':3s}: K(s, a^n) = " + ", ".join(f"{v:.5f}" for v in vals))

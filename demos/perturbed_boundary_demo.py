@@ -12,11 +12,11 @@ from aufwalk import (
     Measure,
     ModelConfig,
     ball,
-    boundary_positivity_and_ratio,
     decay_audit,
     gdif_audit,
     green_Q,
     green_table,
+    martin_rows,
     norm_upper_bound,
     qhat_entry,
     ray_words,
@@ -65,10 +65,13 @@ print()
 print("=== boundary ray profiles (matched truncations) ===")
 full = green_table(tm.matrix, ball(radius), q, base="", lam=lam)
 ray = ray_words("", "a", "a", radius - 1)
-rows = boundary_positivity_and_ratio(q_table, full, ray, ["a" * k for k in range(1, 6)])
+sources = ["a" * k for k in range(1, 6)]
+# the deepest ray point t_N stands for the boundary value
+k_p = martin_rows(full, sources, ray)[:, -1]
+k_q = martin_rows(q_table, sources, ray, root=full)[:, -1]
 print("ray t_n = a^n; sources s = a^j approach the same boundary point:")
-for r in rows:
-    print(f"  s = {r.source:6s} K_P = {r.k_p:9.5f}  K_Q = {r.k_q:9.5f}  "
-          f"K_Q/K_P = {r.ratio:.8f}  |ratio-1| = {abs(r.ratio - 1):.2e}")
+for s, kp, kq in zip(sources, k_p, k_q):
+    print(f"  s = {s:6s} K_P = {kp:9.5f}  K_Q = {kq:9.5f}  "
+          f"K_Q/K_P = {kq / kp:.8f}  |ratio-1| = {abs(kq / kp - 1):.2e}")
 print("the ratio column approaches 1 as the source moves toward the boundary point,")
 print("and the perturbed Martin values stay strictly positive along the way.")

@@ -7,7 +7,6 @@ from .words import (
     branch,
     classical_dim,
     format_word,
-    geodesic,
     indecomposable_factors,
     involution,
     parse_word,
@@ -37,24 +36,22 @@ from .intertwiners import (
 )
 from .kernels import (
     KernelTable,
-    RayProfile,
-    boundary_profile,
     green_table,
     harnack_audit,
     last_entry_audit,
+    martin_rows,
     multiplicativity_audit,
     ray_words,
+    tail_decreasing,
     truncation_error_bound,
     weighted_operator_norm,
 )
 from .perturbed import (
     BranchContext,
     QhatStore,
-    boundary_positivity_and_ratio,
     decay_audit,
     gdif_audit,
     green_Q,
-    martin_Q,
     q_matrix,
     qhat_entry,
     qhat_oracle,
@@ -64,7 +61,7 @@ from .perturbed import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ball", "branch", "classical_dim", "format_word", "geodesic",
+    "ball", "branch", "classical_dim", "format_word",
     "indecomposable_factors", "involution", "parse_word", "qbinom", "qdim",
     "qnumber", "tree_distance",
     "Measure", "TransitionMatrix", "dual_audit", "fuse", "is_generating",
@@ -72,11 +69,10 @@ __all__ = [
     "uniform_irreducibility_constants",
     "Intertwiner", "IntertwinerEngine", "ModelConfig", "TensorCapError",
     "vtilde_norm_indecomposable",
-    "KernelTable", "RayProfile", "boundary_profile", "green_table",
-    "harnack_audit", "last_entry_audit", "multiplicativity_audit", "ray_words",
+    "KernelTable", "green_table", "harnack_audit", "last_entry_audit",
+    "martin_rows", "multiplicativity_audit", "ray_words", "tail_decreasing",
     "truncation_error_bound", "weighted_operator_norm",
-    "BranchContext", "QhatStore", "boundary_positivity_and_ratio",
-    "decay_audit", "gdif_audit", "green_Q", "martin_Q", "q_matrix",
-    "qhat_entry", "qhat_oracle", "residual_matrix",
+    "BranchContext", "QhatStore", "decay_audit", "gdif_audit", "green_Q",
+    "q_matrix", "qhat_entry", "qhat_oracle", "residual_matrix",
     "__version__",
 ]

@@ -306,9 +306,11 @@ def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
     truncations: the ball of the branch radius for the classical Green table,
     the truncated branch for the perturbed matrix and its table.
 
-    Returns the classical table, the perturbed matrix, for each ray its words
-    and the boundary rows of the sources inside the branch, and the sources
-    outside it.  The sources default to per^k z for the period of ray 0; a
+    Returns the perturbed matrix, the sources inside and outside the branch,
+    and for each ray its words t_1..t_N, the classical Martin kernel K_P(s, t_n)
+    of the sources inside and then outside, and the perturbed K_Q(s, t_n) =
+    G_Q(s, t_n) / G_P(e, t_n) of the sources inside (rows by source, columns
+    along the ray).  The sources default to per^k z for the period of ray 0; a
     source outside the ball of the branch radius is a config error.
     """
     depth = ctx.radius - 1
@@ -322,14 +324,17 @@ def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
             )
     full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), lam)
     qmat, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam, solver_tol=cfg.solver_tol)
-    in_branch = [s for s in sources if s in ctx.index]
+    inside = [s for s in sources if s in ctx.index]
+    outside = [s for s in sources if s not in ctx.index]
     per_ray = []
     for pre, per in rays:
         ray = kernels.ray_words(pre, per, cfg.branch_z, depth)
-        per_ray.append(
-            (ray, perturbed.boundary_positivity_and_ratio(q_table, full, ray, in_branch))
-        )
-    return full, qmat, per_ray, [s for s in sources if s not in ctx.index]
+        per_ray.append((
+            ray,
+            kernels.martin_rows(full, inside + outside, ray),
+            kernels.martin_rows(q_table, inside, ray, root=full),
+        ))
+    return qmat, inside, outside, per_ray
 
 
 def run_audits(cfg: RunConfig) -> list[dict]:
@@ -395,17 +400,17 @@ def run_audits(cfg: RunConfig) -> list[dict]:
 
     ctx = _branch_context(cfg, eng)
     p_branch = tm.restrict(ctx.omega).matrix.toarray()
-    oracle_gap, domination_gap, defects = _qhat_checks(cfg, ctx)
+    oracle_gap, domination_gap = _qhat_checks(cfg, ctx)
     add("qhat_oracle", "trace formula against the partial-trace evaluation", oracle_gap, 1e-9,
         oracle_gap < 1e-9)
     add("qhat_domination", "perturbed weights dominated by classical ones", domination_gap,
         1e-12, domination_gap <= 1e-12)
 
-    _, qmat, [(_, ratio_rows)], _ = branch_kernels(cfg, tm, lam, ctx, cfg.rays[:1])
-    if not ratio_rows:
+    qmat, inside, _, [(ray, k_p, k_q)] = branch_kernels(cfg, tm, lam, ctx, cfg.rays[:1])
+    if not inside:
         raise ConfigError(f"the boundary audits need a boundary source in the branch of "
                           f"{cfg.branch_z!r}")
-    decay = perturbed.decay_audit(perturbed.residual_matrix(cfg.measure, ctx, defects), ctx)
+    decay = perturbed.decay_audit(perturbed.residual_matrix(cfg.measure, ctx), ctx)
     env_gap = decay.envelope_gap()
     add("perturbation_envelope", "single-constant envelope of the perturbation",
         env_gap, 0.0, env_gap <= 0.0)
@@ -431,19 +436,19 @@ def run_audits(cfg: RunConfig) -> list[dict]:
 
     x_list = [x for x in _alternating_branch_words(cfg.branch_z, 4) if len(x) <= ctx.radius - 2]
     gdif = perturbed.gdif_audit(qmat, ctx, p_branch, x_list, lam=lam, solver_tol=cfg.solver_tol)
-    anchored = gdif.max_rel[0] / (q ** len(gdif.x_list[0]))
-    gd_gap = max(
-        rel / (anchored * q ** len(x)) for rel, x in zip(gdif.max_rel, gdif.x_list)
-    )
     add("gdif_envelope", "branch Green kernels differ by an envelope in the branch depth",
-        gd_gap, 1.0, gd_gap <= 1.0 + 1e-12)
+        gdif.envelope_gap, 1.0, gdif.envelope_gap <= 1.0 + 1e-12)
 
-    trend = [abs(r.ratio - 1.0) for r in ratio_rows]
+    # the deepest ray point stands for the boundary value (no extrapolation)
+    k_q_end = k_q[:, -1]
+    trend = np.abs(k_q_end / k_p[: len(inside), -1] - 1.0)
     trend_ok = all(b <= a * (1 + 1e-9) for a, b in zip(trend, trend[1:])) and trend[-1] < trend[0]
-    positive = all(r.k_q > 0 for r in ratio_rows)
-    cauchy = all(r.profile_q.tail_decreasing() and r.profile_p.tail_decreasing() for r in ratio_rows)
+    cauchy = all(
+        kernels.tail_decreasing(s, ray, k_q[i]) and kernels.tail_decreasing(s, ray, k_p[i])
+        for i, s in enumerate(inside)
+    )
     add("boundary_positivity", "perturbed Martin values positive at the deepest ray point",
-        min(r.k_q for r in ratio_rows), 0.0, positive)
+        k_q_end.min(), 0.0, (k_q_end > 0).all())
     add("boundary_ratio_trend", "perturbed-to-classical ratio moves toward 1 along the ray",
         trend[-1], trend[0], trend_ok and cauchy)
     _log_cache(ctx)
@@ -539,20 +544,18 @@ def _defect_rate_gap(eng) -> float:
     return abs(float(slope) / math.log(eng.q) - 1.0)
 
 
-def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float, dict]:
-    """Worst oracle gap and domination excess over the required entries, and
-    the commutation defect of each entry (for perturbed.residual_matrix)."""
+def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float]:
+    """Worst oracle gap and domination excess over the required entries."""
     worst_or = 0.0
     worst_dom = -math.inf
-    defects = {}
     q = cfg.q
     for (u, s, t) in perturbed.required_entries(cfg.measure, ctx):
         val = perturbed.qhat_entry(u, s, t, ctx)
-        oracle, resid, defects[u, s, t] = perturbed.qhat_oracle(u, s, t, ctx)
+        oracle, resid = perturbed.qhat_oracle(u, s, t, ctx)
         worst_or = max(worst_or, abs(val - oracle), resid)
         p = fusion.multiplicity(t, u, s) * words.qdim(t, q) / (words.qdim(u, q) * words.qdim(s, q))
         worst_dom = max(worst_dom, abs(val) - p)
-    return worst_or, worst_dom, defects
+    return worst_or, worst_dom
 
 
 def _last_entry_worst(cfg: RunConfig, tm, table) -> float:
@@ -606,27 +609,24 @@ def cmd_boundary(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     ctx = _branch_context(cfg, IntertwinerEngine(cfg.model))
     tm, lam = build_walk(cfg, ctx.radius)
-    full, _, per_ray, outside = branch_kernels(cfg, tm, lam, ctx, cfg.rays)
+    _, inside, outside, per_ray = branch_kernels(cfg, tm, lam, ctx, cfg.rays)
+    sources = np.array([format_word(s) for s in inside + outside], dtype=str)
     header = ["s", "n", "t", "K_P", "K_Q", "ratio", "cauchyGapP", "cauchyGapQ"]
-    for i, (ray, rows) in enumerate(per_ray):
-        profiles = [(r.profile_p, r.profile_q) for r in rows]
-        profiles += [(kernels.boundary_profile(full, s, ray), None) for s in outside]
-        columns = [[] for _ in header]
-        for prof_p, prof_q in profiles:
-            # sources outside the branch carry only the classical profile
-            k_q, gq = (prof_q.values, [0.0] + prof_q.gaps) if prof_q else ([math.nan] * len(ray),) * 2
-            parts = (
-                [format_word(prof_p.source)] * len(ray),
-                range(1, len(ray) + 1),
-                map(format_word, ray),
-                prof_p.values,
-                k_q,
-                [b / a for a, b in zip(prof_p.values, k_q)],
-                [0.0] + prof_p.gaps,
-                gq,
-            )
-            for column, part in zip(columns, parts):
-                column.extend(part)
+    for i, (ray, k_p, k_q) in enumerate(per_ray):
+        # sources outside the branch carry only the classical kernel: their
+        # K_Q, ratio and gap cells are NaN; every other gap column starts at 0
+        k_q = np.vstack([k_q, np.full((len(outside), len(ray)), math.nan)])
+        gap_p, gap_q = (np.abs(np.diff(k, axis=1, prepend=k[:, :1])) for k in (k_p, k_q))
+        columns = [
+            np.repeat(sources, len(ray)),
+            np.tile(np.arange(1, len(ray) + 1), len(sources)),
+            np.tile(np.array([format_word(t) for t in ray], dtype=str), len(sources)),
+            k_p.ravel(),
+            k_q.ravel(),
+            (k_q / k_p).ravel(),
+            gap_p.ravel(),
+            gap_q.ravel(),
+        ]
         write_csv(out / f"boundary_ray{i}.csv", header, columns)
     _log_cache(ctx)
     return EXIT_OK

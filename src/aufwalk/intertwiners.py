@@ -210,7 +210,9 @@ class IntertwinerEngine:
         constr = np.einsum(
             "pic,i->pc", cand.reshape(rows, n * n, cand.shape[1]), rvec
         )
-        _, sing, vh = np.linalg.svd(constr, full_matrices=True)
+        # the null space needs all of vh only when rows < columns; a full u
+        # (rows x rows) would be thrown away
+        _, sing, vh = np.linalg.svd(constr, full_matrices=rows < constr.shape[1])
         rank = int(np.sum(sing > RANK_TOL * sing[0])) if sing.size else 0
         null = vh[rank:].T
         return _fix_signs(cand @ null)
@@ -248,9 +250,6 @@ class IntertwinerEngine:
             optimize=True,
         )
         return blocks.reshape(bx.shape[1] * by.shape[1], bxy.shape[1])
-
-    def inclusion(self, x: str, y: str) -> Intertwiner:
-        return Intertwiner((x, y), (x + y,), self.inclusion_block(x, y))
 
     def rbar_block(self, v: str) -> np.ndarray:
         """Standard solution Rbar_v : scalars -> H_v (x) H_vbar as a block
@@ -371,14 +370,6 @@ class IntertwinerEngine:
         if nrm <= 0.0:
             raise ArithmeticError(f"vanishing morphism for ({z!r}, {x!r}, {y!r})")
         return Intertwiner(iv.target, iv.source, iv.array / nrm)
-
-    def isometry_defect(self, iv: Intertwiner) -> float:
-        """Relative deviation of iv^T iv from a multiple of the identity."""
-        gram = iv.array.T @ iv.array
-        scale = float(np.trace(gram)) / gram.shape[0]
-        if scale == 0.0:
-            return 0.0
-        return float(np.linalg.norm(gram - scale * np.eye(gram.shape[0]), 2) / scale)
 
     # -- defect estimates --------------------------------------------------------
 

@@ -48,8 +48,8 @@ def weighted_operator_norm(matrix, weights: np.ndarray, iters: int = 600, tol: f
 
 @dataclass
 class KernelTable:
-    """Green kernel over an ordered word domain, with the Martin kernel
-    normalized at ``base``."""
+    """Green kernel over an ordered word domain; Martin kernels (martin_rows)
+    are normalized at ``base``."""
 
     domain: list[str]
     base: str
@@ -72,12 +72,6 @@ class KernelTable:
 
     def green_entry(self, s: str, t: str) -> float:
         return float(self.green[self.index[s], self.index[t]])
-
-    def martin(self) -> np.ndarray:
-        return self.green / self.green[self.index[self.base], :][None, :]
-
-    def martin_entry(self, s: str, t: str) -> float:
-        return self.green_entry(s, t) / self.green_entry(self.base, t)
 
     def diagonal_bound_gap(self) -> float:
         """max over v of G(v,v) - 1/(1 - lam); nonpositive when the diagonal
@@ -352,39 +346,31 @@ def ray_words(preperiod: str, period: str, suffix: str, depth: int) -> list[str]
     return out
 
 
-@dataclass
-class RayProfile:
-    source: str
-    points: list[str]
-    values: list[float]
-
-    @property
-    def gaps(self) -> list[float]:
-        return [abs(b - a) for a, b in zip(self.values, self.values[1:])]
-
-    @property
-    def stabilized_value(self) -> float:
-        return self.values[-1]
-
-    def tail_decreasing(self, floor: float = 1e-11) -> bool:
-        """True if past the junction of the source with the ray the gaps
-        strictly decrease until they reach the numerical floor."""
-        dists = [tree_distance(self.source, t) for t in self.points]
-        merge = dists.index(min(dists))
-        tail = self.gaps[merge:]
-        for a, b in zip(tail, tail[1:]):
-            if b >= a and b > floor:
-                return False
-        return True
-
-
-def boundary_profile(table: KernelTable, s: str, ray: list[str]) -> RayProfile:
-    """Martin kernel values K(s, t_n) along a ray of prefix extensions."""
-    missing = [t for t in ray if t not in table.index]
+def martin_rows(
+    table: KernelTable, sources: list[str], targets: list[str], root: KernelTable | None = None
+) -> np.ndarray:
+    """Martin kernel K(s, t) = G(s, t) / G_root(base, t), rows by source and
+    columns by target.  The root table defaults to ``table``; the classical
+    table of the ball normalises the perturbed branch table.  Raises
+    ValueError when a target lies outside either domain."""
+    root = table if root is None else root
+    missing = [t for t in targets if t not in table.index or t not in root.index]
     if missing:
         raise ValueError(f"ray leaves the domain: {missing}")
-    vals = [table.martin_entry(s, t) for t in ray]
-    return RayProfile(source=s, points=list(ray), values=vals)
+    cols = [table.index[t] for t in targets]
+    denom = root.green[root.index[root.base], [root.index[t] for t in targets]]
+    # a zero G(e, t) leaves the Martin kernel undefined: raise, as float division does
+    with np.errstate(divide="raise", invalid="raise"):
+        return table.green[np.ix_([table.index[s] for s in sources], cols)] / denom[None, :]
+
+
+def tail_decreasing(source: str, ray: list[str], values: np.ndarray, floor: float = 1e-11) -> bool:
+    """True if past the junction of the source with the ray (its first
+    closest point) the gaps |K(s, t_n+1) - K(s, t_n)| of the kernel values
+    along the ray strictly decrease until they reach the numerical floor."""
+    dists = [tree_distance(source, t) for t in ray]
+    tail = np.abs(np.diff(values))[dists.index(min(dists)):]
+    return not bool(np.any((tail[1:] >= tail[:-1]) & (tail[1:] > floor)))
 
 
 def _distance_matrix(domain: list[str]) -> np.ndarray:

@@ -18,20 +18,13 @@ import json
 import math
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import Measure, fuse, multiplicity
+from .fusion import Measure, fuse
 from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply
-from .kernels import (
-    SOLVER_TOL,
-    KernelTable,
-    RayProfile,
-    boundary_profile,
-    green_table,
-    weighted_operator_norm,
-)
+from .kernels import SOLVER_TOL, KernelTable, green_table, weighted_operator_norm
 from .words import branch, format_word, heap_indices, involution, parse_word, qdim, qdims
 
 RESIDUAL_FLOOR = 1e-12
@@ -156,11 +149,6 @@ class BranchContext:
     def contains(self, w: str) -> bool:
         return w.endswith(self.z)
 
-    def membership_agrees(self, words) -> bool:
-        """Check that branch membership matches the fusion criterion
-        w < w (x) y on the given words."""
-        return all((multiplicity(w, w, self.y) == 1) == self.contains(w) for w in words)
-
     def qdims(self) -> np.ndarray:
         return qdims(heap_indices(self.omega), self.q)
 
@@ -253,19 +241,10 @@ def trace_routes(u: str, s: str, t: str, ctx: BranchContext) -> tuple[np.ndarray
         raise ValueError(f"{s!r}, {t!r} must lie in the branch of {ctx.z!r}")
     if not u or t not in fuse(u, s):
         raise ValueError(f"{t!r} is not a component of {u!r} (x) {s!r}")
-    return _routes(u, ctx, *_isometries(u, s, t, ctx))
-
-
-def _routes(u: str, ctx: BranchContext, v_us, v_ty, v_sy) -> tuple[np.ndarray, np.ndarray]:
-    """The trace routes A and B from the three isometries of an entry."""
+    v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
     eng = ctx.engine
     d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
     return kron_apply(v_sy, v_us, left=d_u), kron_apply(v_us, v_ty, right=d_y)
-
-
-def _route_gap(route_a: np.ndarray, route_b: np.ndarray) -> float:
-    """|A - B| for routes out of one irreducible block: Frobenius over sqrt(dim)."""
-    return float(np.linalg.norm(route_a - route_b) / math.sqrt(route_a.shape[1]))
 
 
 def commutation_defect(u: str, s: str, t: str, ctx: BranchContext) -> float:
@@ -279,31 +258,30 @@ def commutation_defect(u: str, s: str, t: str, ctx: BranchContext) -> float:
 
     the perturbation residual is second order in the commutation defect.
     """
-    return _route_gap(*trace_routes(u, s, t, ctx))
+    route_a, route_b = trace_routes(u, s, t, ctx)
+    return float(np.linalg.norm(route_a - route_b) / math.sqrt(route_a.shape[1]))
 
 
-def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, float, float]:
+def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, float]:
     """Independent evaluation: apply the partial trace over u to the evolved
-    one-point section and project onto V(s, s(x)y).  Returns the coefficient,
-    the residual of the projection and the commutation defect eps of the
-    entry (as commutation_defect, from the same isometries; 0 where the
-    coefficient is exact)."""
+    one-point section and project onto V(s, s(x)y).  Returns the coefficient
+    and the residual of the projection."""
     if not u:
-        return (1.0 if s == t else 0.0), 0.0, 0.0
+        return (1.0 if s == t else 0.0), 0.0
     if t not in fuse(u, s):
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0
     eng = ctx.engine
     v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
     d_u, d_s, d_y = eng.irr_dim(u), eng.irr_dim(s), eng.irr_dim(ctx.y)
-    route_a, route_b = _routes(u, ctx, v_us, v_ty, v_sy)
-    evolved = route_b @ v_us.T
+    # route B of trace_routes, then back along V(t, u(x)s)*
+    evolved = kron_apply(v_us, v_ty, right=d_y) @ v_us.T
     weight = eng.rho_weight(u)
     partial = np.einsum(
         "ba,bYaS->YS", weight, evolved.reshape(d_u, d_s * d_y, d_u, d_s), optimize=True
     ) / eng.qdim(u)
     coeff = float(np.sum(partial * v_sy) / np.sum(v_sy * v_sy))
     residual = float(np.linalg.norm(partial - coeff * v_sy))
-    return coeff, residual, _route_gap(route_a, route_b)
+    return coeff, residual
 
 
 def required_entries(mu: Measure, ctx: BranchContext) -> list[tuple[str, str, str]]:
@@ -326,20 +304,17 @@ def q_matrix(mu: Measure, ctx: BranchContext) -> np.ndarray:
     return _assemble(mu, ctx, lambda u, s, t: qhat_entry(u, s, t, ctx))
 
 
-def residual_matrix(mu: Measure, ctx: BranchContext, defects=None) -> np.ndarray:
+def residual_matrix(mu: Measure, ctx: BranchContext) -> np.ndarray:
     """The perturbation residual p - qhat on the truncated branch, with the
     weights of q_matrix, built entry by entry as p eps^2 / 2 from the
     commutation defect (see commutation_defect) rather than as a difference of
-    O(1) numbers, so small residuals keep their relative accuracy.
-
-    ``defects`` maps each required entry (u, s, t) to its eps when they are
-    already at hand (qhat_oracle returns them); otherwise each is computed.
-    Entries the cut rule decides (exact_by_cut) have residual 0."""
+    O(1) numbers, so small residuals keep their relative accuracy.  Entries
+    the cut rule decides (exact_by_cut) have residual 0."""
 
     def term(u, s, t):
         if not u or exact_by_cut(u, s, t, ctx.z):
             return 0.0
-        eps = defects[(u, s, t)] if defects is not None else commutation_defect(u, s, t, ctx)
+        eps = commutation_defect(u, s, t, ctx)
         return qdim(t, ctx.q) / (qdim(u, ctx.q) * qdim(s, ctx.q)) * eps ** 2 / 2
 
     return _assemble(mu, ctx, term)
@@ -439,15 +414,6 @@ def green_Q(
     return qmat, table
 
 
-def martin_Q(q_table: KernelTable, full_table: KernelTable) -> np.ndarray:
-    """K_Q(s, t) = G_Q(s, t) / G_P(e, t): rows over the branch domain, columns
-    normalized by the full-tree Green kernel at the root."""
-    base = full_table.index[full_table.base]
-    cols = np.array([full_table.index[t] for t in q_table.domain])
-    denom = full_table.green[base, cols]
-    return q_table.green / denom[None, :]
-
-
 def norm_domination_gap(qmat: np.ndarray, p_branch: np.ndarray, ctx: BranchContext) -> float:
     """Power-iteration norm of the perturbed matrix minus the classical one on
     the same weighted domain (<= ~0 expected)."""
@@ -457,11 +423,13 @@ def norm_domination_gap(qmat: np.ndarray, p_branch: np.ndarray, ctx: BranchConte
 
 @dataclass
 class GdifReport:
+    """Per sub-branch word x, the largest relative gap of the two Green
+    kernels; envelope_gap is the largest ratio of a gap to the envelope
+    c q^len(x) anchored at the first word (<= 1 when every gap stays inside)."""
+
     x_list: list[str]
     max_rel: list[float]
-    fitted_c2: float
-    fitted_rate: float
-    target_rate: float
+    envelope_gap: float
 
 
 def gdif_audit(
@@ -473,8 +441,8 @@ def gdif_audit(
     solver_tol: float = SOLVER_TOL,
 ) -> GdifReport:
     """Relative gap between the perturbed (``qmat``, from q_matrix) and
-    classical Green kernels on the sub-branches of the given words, with the
-    envelope constant against q^len(x) and the fitted decay rate.  Each
+    classical Green kernels on the sub-branches of the given words, and the
+    envelope gap against q^len(x) anchored at the first word.  Each
     sub-branch solve raises RuntimeError above ``solver_tol``."""
     rels = []
     for x in x_list:
@@ -488,54 +456,6 @@ def gdif_audit(
         g_p = green_table(p_branch[np.ix_(ii, ii)], sub, ctx.q, base=x, lam=lam, solver_tol=solver_tol)
         rels.append(float((np.abs(g_q.green - g_p.green) / g_p.green).max()))
     q = ctx.q
-    lens = [len(x) for x in x_list]
-    slope, _ = np.polyfit(lens, np.log(rels), 1)
-    c2 = max(r / q ** l for r, l in zip(rels, lens))
-    return GdifReport(
-        x_list=list(x_list),
-        max_rel=rels,
-        fitted_c2=float(c2),
-        fitted_rate=float(slope),
-        target_rate=math.log(q),
-    )
-
-
-@dataclass
-class BoundaryRow:
-    source: str
-    k_q: float
-    k_p: float
-    ratio: float
-    profile_q: RayProfile = field(repr=False)
-    profile_p: RayProfile = field(repr=False)
-
-
-def boundary_positivity_and_ratio(
-    q_table: KernelTable,
-    full_table: KernelTable,
-    ray: list[str],
-    s_list: list[str],
-) -> list[BoundaryRow]:
-    """Ray profiles of the perturbed and classical Martin kernels for each
-    source; the boundary value is the deepest ray entry (no extrapolation),
-    and the profiles carry the gaps along the ray."""
-    missing = [t for t in ray if t not in q_table.index]
-    if missing:
-        raise ValueError(f"ray leaves the branch domain: {missing}")
-    k_q = martin_Q(q_table, full_table)
-    cols = [q_table.index[t] for t in ray]
-    rows = []
-    for s in s_list:
-        prof_q = RayProfile(source=s, points=list(ray), values=k_q[q_table.index[s], cols].tolist())
-        prof_p = boundary_profile(full_table, s, ray)
-        rows.append(
-            BoundaryRow(
-                source=s,
-                k_q=prof_q.stabilized_value,
-                k_p=prof_p.stabilized_value,
-                ratio=prof_q.stabilized_value / prof_p.stabilized_value,
-                profile_q=prof_q,
-                profile_p=prof_p,
-            )
-        )
-    return rows
+    anchored = rels[0] / (q ** len(x_list[0]))
+    gap = max(rel / (anchored * q ** len(x)) for rel, x in zip(rels, x_list))
+    return GdifReport(x_list=list(x_list), max_rel=rels, envelope_gap=gap)

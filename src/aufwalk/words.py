@@ -198,23 +198,6 @@ def tree_distance(s: str, t: str) -> int:
     return len(s) + len(t) - 2 * common_suffix_length(s, t)
 
 
-def geodesic(s: str, t: str) -> list[str]:
-    """Vertices of the geodesic from s to t: strip s on the left down to the
-    common suffix, then extend on the left up to t."""
-    k = common_suffix_length(s, t)
-    path = [s[i:] for i in range(len(s) - k + 1)]
-    path.extend(t[i:] for i in range(len(t) - k - 1, -1, -1))
-    return path
-
-
-def neighbors(w: str) -> list[str]:
-    """Tree neighbors: the two left-extensions, plus the left-contraction if w != e."""
-    out = [c + w for c in ALPHABET]
-    if w:
-        out.append(w[1:])
-    return out
-
-
 def _check_radius(radius: int) -> None:
     if radius < 0:
         raise ValueError("radius must be >= 0")

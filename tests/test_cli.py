@@ -269,6 +269,11 @@ class TestCsvEmitter:
         assert main(["walk", str(path)]) == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert err.startswith("internal error:") and err.count("\n") == 1
+        # the boundary rows divide by G(e, t_n) alike: the walk of ab never reaches a
+        path = make_config(tmp_path, ballRadius=5, measure={"ab": 1.0})
+        assert main(["boundary", str(path)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and err.count("\n") == 1
 
     def test_no_sources_header_only(self, tmp_path):
         path = make_config(tmp_path, ballRadius=3, sources=[])

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ Q = 0.5
 
 def identity_on(eng, factors):
     return Intertwiner(tuple(factors), tuple(factors), np.eye(eng.block_dim(tuple(factors))))
+
+
+def inclusion(eng, x, y):
+    """The embedding H_xy -> H_x (x) H_y as an intertwiner."""
+    return Intertwiner((x, y), (x + y,), eng.inclusion_block(x, y))
 
 
 def indecomposable_triples(limit):
@@ -129,13 +135,31 @@ class TestProjections:
         with pytest.raises(TensorCapError):
             eng.basis("ababa")
 
+    def test_basis_memory_is_linear_in_the_constraint_rows(self):
+        """The last-gap constraint of the alternating word of length 14 has
+        4096 rows and 28 columns; its null space comes from a thin SVD, so no
+        4096 x 4096 factor (128 MiB) is ever allocated."""
+        eng = IntertwinerEngine(ModelConfig.from_q(0.5, tensor_cap=14))
+        w = "ab" * 7
+        eng.basis(w[:-1])
+        tracemalloc.start()
+        try:
+            b = eng.basis(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b.shape == (2 ** 14, classical_dim(w))
+        assert np.abs(b.T @ b - np.eye(b.shape[1])).max() < 1e-10
+        assert peak < 32 * 2 ** 20
+
 
 class TestInclusions:
     def test_isometry(self, engine):
         for x, y in (("", "ab"), ("a", "a"), ("a", "b"), ("ab", "ba"), ("ba", "ab")):
-            v = engine.inclusion(x, y)
-            d = v.array.shape[1]
-            assert np.abs(v.array.T @ v.array - np.eye(d)).max() < 1e-10
+            v = engine.inclusion_block(x, y)
+            d = v.shape[1]
+            assert v.shape[0] == engine.irr_dim(x) * engine.irr_dim(y) and d == engine.irr_dim(x + y)
+            assert np.abs(v.T @ v - np.eye(d)).max() < 1e-10
 
     def test_trivial_cases(self, engine):
         assert np.abs(engine.inclusion_block("", "ab") - np.eye(3)).max() < 1e-12
@@ -243,8 +267,12 @@ class TestVtilde:
 
     def test_proportional_to_isometry(self, engine):
         for s, v, t in (("a", "b", "b"), ("ab", "a", "a"), ("", "ab", "b")):
+            # the Gram matrix of iv is a multiple of the identity (Schur)
             iv, nrm = engine.vtilde(s, v, t)
-            assert engine.isometry_defect(iv) < 1e-9
+            gram = iv.array.T @ iv.array
+            scale = np.trace(gram) / gram.shape[0]
+            assert scale == pytest.approx(nrm ** 2, rel=1e-10)
+            assert np.linalg.norm(gram - scale * np.eye(gram.shape[0]), 2) / scale < 1e-9
 
     def test_split_component(self):
         assert split_component("abba", "ab", "ba") == ("ab", "", "ba")
@@ -349,12 +377,12 @@ class TestDefects:
 
 class TestIntertwinerAlgebra:
     def test_compose_checks_labels(self, engine):
-        v = engine.inclusion("a", "b")
+        v = inclusion(engine, "a", "b")
         with pytest.raises(ValueError):
             v @ v
 
     def test_tensor_and_adjoint(self, engine):
-        v = engine.inclusion("a", "b")
+        v = inclusion(engine, "a", "b")
         w = v.tensor(identity_on(engine, ("a",)))
         assert w.target == ("a", "b", "a")
         assert w.source == ("ab", "a")

@@ -4,15 +4,15 @@ import pytest
 from aufwalk import kernels
 from aufwalk.fusion import Measure, norm_upper_bound, transition_matrix, uniform_irreducibility_constants
 from aufwalk.kernels import (
-    RayProfile,
-    boundary_profile,
     entry_set,
     green_rows,
     green_table,
     harnack_audit,
     last_entry_audit,
+    martin_rows,
     multiplicativity_audit,
     ray_words,
+    tail_decreasing,
     truncation_error_bound,
     weighted_operator_norm,
 )
@@ -184,7 +184,7 @@ class TestHarnackAndMultiplicativity:
 
     def test_martin_positive_and_bounded(self, audit_setup):
         tm, lam, table, delta0, k, interior = audit_setup
-        martin = table.martin()
+        martin = martin_rows(table, table.domain, table.domain)
         assert martin.min() > 0
         delta = delta0 ** k
         gee = table.green_entry("", "")
@@ -236,8 +236,9 @@ class TestLastEntry:
 class TestBoundaryProfile:
     def test_root_profile_is_one(self, walk8):
         _, _, table = walk8
-        prof = boundary_profile(table, "", ["a" * k for k in range(1, 8)])
-        assert all(v == pytest.approx(1.0, abs=1e-14) for v in prof.values)
+        values = martin_rows(table, [""], ["a" * k for k in range(1, 8)])
+        assert values.shape == (1, 7)
+        assert all(v == pytest.approx(1.0, abs=1e-14) for v in values[0])
 
     def test_ray_words(self):
         assert ray_words("", "a", "a", 4) == ["a", "aa", "aaa", "aaaa"]
@@ -248,14 +249,14 @@ class TestBoundaryProfile:
     def test_leaves_domain_rejected(self, walk8):
         _, _, table = walk8
         with pytest.raises(ValueError, match="leaves"):
-            boundary_profile(table, "", ["a" * 9])
+            martin_rows(table, [""], ["a" * 9])
 
     def test_tail_decreasing_for_on_and_off_axis(self, walk8):
         _, _, table = walk8
         ray = ["a" * k for k in range(1, 8)]
-        for s in ("a", "aaa", "ba", "bba"):
-            prof = boundary_profile(table, s, ray)
-            assert prof.tail_decreasing()
+        sources = ["a", "aaa", "ba", "bba"]
+        for s, values in zip(sources, martin_rows(table, sources, ray)):
+            assert tail_decreasing(s, ray, values)
 
     def test_two_radii_agree_within_truncation(self, mu_letters):
         lam = norm_upper_bound(mu_letters, Q)
@@ -263,19 +264,26 @@ class TestBoundaryProfile:
         t_big = green_table(transition_matrix(mu_letters, ball(8), Q).matrix, ball(8), Q, lam=lam)
         ray = ["a" * k for k in range(1, 5)]
         for s in ("a", "ba"):
-            small = boundary_profile(t_small, s, ray)
-            big = boundary_profile(t_big, s, ray)
-            for t, v_small, v_big in zip(ray, small.values, big.values):
+            small = martin_rows(t_small, [s], ray)[0]
+            big = martin_rows(t_big, [s], ray)[0]
+            for t, v_small, v_big in zip(ray, small, big):
                 bound_s = truncation_error_bound(6, s, t, lam, 1, Q)
                 bound_t = truncation_error_bound(6, "", t, lam, 1, Q)
                 ge = t_small.green_entry("", t)
                 tol = (bound_s + abs(v_small) * bound_t) / ge * 4.0
                 assert abs(v_small - v_big) <= tol
 
-    def test_profile_dataclass(self):
-        prof = RayProfile(source="a", points=["a", "aa"], values=[1.0, 1.25])
-        assert prof.gaps == [0.25]
-        assert prof.stabilized_value == 1.25
+    def test_tail_decreasing_from_the_merge_point(self):
+        ray = ["a", "aa", "aaa", "aaaa", "aaaaa"]
+        # gaps 0.5, 0.25, 0.125, 0.0625: decreasing throughout
+        assert tail_decreasing("a", ray, np.array([1.0, 1.5, 1.75, 1.875, 1.9375]))
+        # a rising gap before the merge point of "aaa" is not checked, one after it is
+        rising_early = np.array([1.0, 1.1, 1.6, 1.85, 1.975])
+        assert tail_decreasing("aaa", ray, rising_early)
+        assert not tail_decreasing("a", ray, rising_early)
+        # gaps at the numerical floor may stall
+        assert tail_decreasing("a", ray, np.array([1.0, 1.5, 1.5 + 4e-12, 1.5 + 8e-12, 1.5 + 12e-12]))
+        assert not tail_decreasing("a", ray, np.array([1.0, 1.5, 1.5, 1.5, 1.5 + 1e-10]))
 
 
 class TestGreenRows:

@@ -6,17 +6,21 @@ import pytest
 
 from aufwalk.fusion import Measure, fuse, multiplicity, norm_upper_bound, transition_matrix
 from aufwalk.intertwiners import IntertwinerEngine, ModelConfig, TensorCapError
-from aufwalk.kernels import green_table, ray_words, weighted_operator_norm
+from aufwalk.kernels import (
+    green_table,
+    martin_rows,
+    ray_words,
+    tail_decreasing,
+    weighted_operator_norm,
+)
 from aufwalk.perturbed import (
     BranchContext,
     QhatStore,
-    boundary_positivity_and_ratio,
     commutation_defect,
     decay_audit,
     exact_by_cut,
     gdif_audit,
     green_Q,
-    martin_Q,
     norm_domination_gap,
     q_matrix,
     qhat_entry,
@@ -45,8 +49,10 @@ class TestBranchContext:
         assert all(w.endswith("ab") for w in ctx.omega)
 
     def test_membership_matches_fusion(self, setup):
+        # w lies in the branch of z iff w is a component of w (x) y, y = bar(z) z
         ctx, _, _ = setup
-        assert ctx.membership_agrees(ball(5))
+        for w in ball(5):
+            assert (multiplicity(w, w, ctx.y) == 1) == ctx.contains(w) == w.endswith("a")
 
     def test_rejects_empty(self, engine):
         with pytest.raises(ValueError):
@@ -75,7 +81,7 @@ class TestQhatEntry:
         worst = 0.0
         for (u, s, t) in required_entries(mu, ctx):
             val = qhat_entry(u, s, t, ctx)
-            oracle, resid, _ = qhat_oracle(u, s, t, ctx)
+            oracle, resid = qhat_oracle(u, s, t, ctx)
             worst = max(worst, abs(val - oracle), resid)
             p = multiplicity(t, u, s) * qdim(t, Q) / (qdim(u, Q) * qdim(s, Q))
             assert abs(val) <= p + 1e-12
@@ -309,9 +315,13 @@ class TestGreenQ:
         lam = norm_upper_bound(mu_letters, Q)
         _, q_table = green_Q(mu_letters, ctx, lam=lam)
         full = green_table(tm.matrix, tm.domain, Q, base="", lam=lam)
-        kq = martin_Q(q_table, full)
+        kq = martin_rows(q_table, ctx.omega, ctx.omega, root=full)
+        assert kq.shape == (len(ctx.omega), len(ctx.omega))
         assert np.isfinite(kq).all()
         assert kq[ctx.index["a"], ctx.index["a"]] > 0
+        # normalised by the classical G(e, t), not by the branch table's own base
+        t = ctx.index["aa"]
+        assert kq[0, t] == q_table.green[0, t] / full.green_entry("", "aa")
 
     def test_synthetic_identical_matrices_give_zero_gap(self, setup, mu_letters):
         ctx, _, p_branch = setup
@@ -330,9 +340,7 @@ class TestGdif:
         rep = gdif_audit(q_matrix(mu_letters, ctx), ctx, p_branch, ["a", "ba", "aba"], lam=lam)
         assert rep.max_rel[0] > rep.max_rel[1] > rep.max_rel[2] > 0
         # anchored envelope: deeper branches decay at least as fast as q
-        anchor = rep.max_rel[0] / Q
-        for rel, x in zip(rep.max_rel, rep.x_list):
-            assert rel <= anchor * Q ** len(x) * (1 + 1e-9)
+        assert rep.envelope_gap <= 1.0 + 1e-9
 
     def test_rejects_words_outside_branch(self, setup, mu_letters):
         ctx, _, p_branch = setup
@@ -351,13 +359,14 @@ class TestBoundary:
         _, q_table = green_Q(mu_letters, ctx, lam=lam)
         ray = ray_words("", "a", "a", radius - 1)
         s_list = ["a" * k for k in range(1, 6)]
-        rows = boundary_positivity_and_ratio(q_table, full, ray, s_list)
-        trend = [abs(r.ratio - 1.0) for r in rows]
+        k_p = martin_rows(full, s_list, ray)
+        k_q = martin_rows(q_table, s_list, ray, root=full)
+        trend = np.abs(k_q[:, -1] / k_p[:, -1] - 1.0)
         assert all(b < a for a, b in zip(trend, trend[1:]))
-        assert all(r.k_q > 0 for r in rows)
-        for r in rows:
-            assert r.profile_p.tail_decreasing()
-            assert r.profile_q.tail_decreasing()
+        assert (k_q[:, -1] > 0).all()
+        for s, p_values, q_values in zip(s_list, k_p, k_q):
+            assert tail_decreasing(s, ray, p_values)
+            assert tail_decreasing(s, ray, q_values)
 
     def test_ray_outside_branch_rejected(self, setup, mu_letters):
         ctx, tm, _ = setup
@@ -365,7 +374,7 @@ class TestBoundary:
         _, q_table = green_Q(mu_letters, ctx, lam=lam)
         full = green_table(tm.matrix, tm.domain, Q, base="", lam=lam)
         with pytest.raises(ValueError, match="leaves"):
-            boundary_positivity_and_ratio(q_table, full, ["b"], ["a"])
+            martin_rows(q_table, ["a"], ["b"], root=full)
 
 
 class TestQhatStore:

@@ -10,10 +10,8 @@ from aufwalk.words import (
     classical_dim,
     common_suffix_length,
     format_word,
-    geodesic,
     indecomposable_factors,
     involution,
-    neighbors,
     parse_word,
     qbinom,
     qdim,
@@ -147,18 +145,24 @@ class TestTreeGeometry:
         assert tree_distance("ab", "bb") == 2
 
     def test_geodesic_examples(self):
-        assert geodesic("ab", "bb") == ["ab", "b", "bb"]
-        assert geodesic("", "a") == ["", "a"]
-        assert geodesic("ab", "ab") == ["ab"]
+        # the geodesic from s to t passes through their common suffix
+        for s, t, via in (("ab", "bb", "b"), ("", "a", ""), ("ab", "ab", "ab"), ("aab", "bab", "ab")):
+            assert common_suffix_length(s, t) == len(via)
+            assert tree_distance(s, via) + tree_distance(via, t) == tree_distance(s, t)
 
     def test_geodesic_is_tree_path(self, rng):
         for _ in range(200):
             s, t = random_word(rng, 6), random_word(rng, 6)
-            path = geodesic(s, t)
+            # strip s on the left down to the common suffix, then extend to t
+            k = common_suffix_length(s, t)
+            path = [s[i:] for i in range(len(s) - k + 1)]
+            path += [t[i:] for i in range(len(t) - k - 1, -1, -1)]
             assert path[0] == s and path[-1] == t
             assert len(path) == tree_distance(s, t) + 1
             for u, v in zip(path, path[1:]):
-                assert v in neighbors(u)
+                # tree neighbours differ by one letter at the left end
+                assert u == v[1:] or v == u[1:]
+                assert tree_distance(u, v) == 1
 
     def test_metric_on_ball(self):
         words = ball(4)
