@@ -36,6 +36,7 @@ from .intertwiners import (
 )
 from .kernels import (
     KernelTable,
+    green_rows,
     green_table,
     harnack_audit,
     last_entry_audit,
@@ -69,9 +70,9 @@ __all__ = [
     "uniform_irreducibility_constants",
     "Intertwiner", "IntertwinerEngine", "ModelConfig", "TensorCapError",
     "vtilde_norm_indecomposable",
-    "KernelTable", "green_table", "harnack_audit", "last_entry_audit",
-    "martin_rows", "multiplicativity_audit", "ray_words", "tail_decreasing",
-    "truncation_error_bound", "weighted_operator_norm",
+    "KernelTable", "green_rows", "green_table", "harnack_audit",
+    "last_entry_audit", "martin_rows", "multiplicativity_audit", "ray_words",
+    "tail_decreasing", "truncation_error_bound", "weighted_operator_norm",
     "BranchContext", "QhatStore", "decay_audit", "gdif_audit", "green_Q",
     "q_matrix", "qhat_entry", "qhat_oracle", "residual_matrix",
     "__version__",

@@ -207,11 +207,13 @@ def build_walk(cfg: RunConfig, radius: int):
     return tm, fusion.norm_upper_bound(cfg.measure, cfg.q)
 
 
-def root_table(cfg: RunConfig, tm, lam: float) -> kernels.KernelTable:
-    """Dense Green table of a transition matrix, Martin kernel based at the root."""
-    return kernels.green_table(
-        tm.matrix, tm.domain, cfg.q, base="", lam=lam, solver_tol=cfg.solver_tol, codes=tm.codes
-    )
+def root_table(cfg: RunConfig, tm, lam: float, sources: list[str] | None = None) -> kernels.KernelTable:
+    """Green kernel of a transition matrix, Martin kernel based at the root:
+    the dense table, or the rows of the given sources and the root."""
+    solve = dict(base="", lam=lam, solver_tol=cfg.solver_tol, codes=tm.codes)
+    if sources is None:
+        return kernels.green_table(tm.matrix, tm.domain, cfg.q, **solve)
+    return kernels.green_rows(tm.matrix, tm.domain, cfg.q, sources, **solve)
 
 
 def _output_dir(cfg: RunConfig) -> Path:
@@ -233,32 +235,20 @@ def cmd_walk(cfg: RunConfig) -> int:
     for s in cfg.sources:
         if s not in tm.index:
             raise ConfigError(f"source {s!r} outside the ball")
-    if tm.size <= kernels.DENSE_LIMIT:
-        table = root_table(cfg, tm, lam)
-        green = table.green[[tm.index[s] for s in cfg.sources], :]
-        base_row = table.green[tm.index[""], :]
-        residual, power_norm, neumann_gap = table.residual, table.power_norm, table.neumann_gap
-    else:
-        green_rows, base_row, residual, power_norm, neumann_gap = kernels.green_rows(
-            tm.matrix, tm.domain, cfg.q, cfg.sources, base="", lam=lam, solver_tol=cfg.solver_tol,
-            codes=tm.codes,
-        )
-        green = np.array([green_rows[s] for s in cfg.sources]).reshape(len(cfg.sources), tm.size)
+    table = root_table(cfg, tm, lam, None if tm.size <= kernels.DENSE_LIMIT else cfg.sources)
+    martin = kernels.martin_rows(table, cfg.sources, tm.domain)
     delta0, k_steps = _irreducibility(cfg, tm)
     bounds = np.array([
         kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, lam, tm.range_bound, cfg.q)
         for s in cfg.sources
     ])
-    # a zero G(e, t) leaves the Martin kernel undefined: raise, as float division does
-    with np.errstate(divide="raise", invalid="raise"):
-        martin = green / base_row
     write_csv(
         out / "green_martin.csv",
         ["s", "t", "G", "K", "truncationBound"],
         [
             np.repeat(np.array([format_word(s) for s in cfg.sources], dtype=str), tm.size),
             np.tile(np.array([format_word(t) for t in tm.domain]), len(cfg.sources)),
-            green.ravel(),
+            table.source_rows(cfg.sources).ravel(),
             martin.ravel(),
             bounds.ravel(),
         ],
@@ -271,11 +261,11 @@ def cmd_walk(cfg: RunConfig) -> int:
         "domainSize": tm.size,
         "rangeBound": tm.range_bound,
         "normBound": lam,
-        "powerIterationNorm": power_norm,
+        "powerIterationNorm": table.power_norm,
         "delta0": delta0,
         "kSteps": k_steps,
-        "solverResidual": residual,
-        "neumannGap": neumann_gap,
+        "solverResidual": table.residual,
+        "neumannGap": table.neumann_gap,
         "interiorRowSumGap": _interior_row_gap(cfg, tm),
         "seed": cfg.seed,
     }
@@ -303,8 +293,8 @@ def _irreducibility(cfg: RunConfig, tm) -> tuple[float, int]:
 
 def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
     """The classical walk against the perturbed branch walk on matched
-    truncations: the ball of the branch radius for the classical Green table,
-    the truncated branch for the perturbed matrix and its table.
+    truncations: the ball of the branch radius for the classical Green rows
+    (sources and root), the truncated branch for the perturbed matrix and table.
 
     Returns the perturbed matrix, the sources inside and outside the branch,
     and for each ray its words t_1..t_N, the classical Martin kernel K_P(s, t_n)
@@ -322,7 +312,7 @@ def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
             raise ConfigError(
                 f"boundary source {s!r} outside the ball of the branch radius {ctx.radius}"
             )
-    full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), lam)
+    full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), lam, sources)
     qmat, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam, solver_tol=cfg.solver_tol)
     inside = [s for s in sources if s in ctx.index]
     outside = [s for s in sources if s not in ctx.index]
@@ -425,10 +415,11 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     add("harnack", "uniform Harnack constant against the chain bound", har.empirical_delta,
         har.delta_bound, har.passes)
     mult = kernels.multiplicativity_audit(table, lam, delta, tm.range_bound, har_int)
+    lower_ok, upper_ok = mult.verdicts()
     add("multiplicativity_lower", "geodesic product lower constant", mult.c1_lower,
-        mult.lower_bound, mult.c1_lower <= mult.lower_bound * (1 + 1e-12))
+        mult.lower_bound, lower_ok)
     add("multiplicativity_upper", "geodesic product upper constant", mult.c1_upper,
-        mult.upper_bound, mult.c1_upper <= mult.upper_bound * (1 + 1e-12))
+        mult.upper_bound, upper_ok)
 
     resid = _last_entry_worst(cfg, tm, table)
     add("last_entry", "decomposition of the Green kernel at the branch cut", resid, cfg.audit_tol,

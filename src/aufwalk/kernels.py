@@ -3,9 +3,10 @@ and the quantitative audits of their tree-geometry estimates.
 
 The Green kernel of a weight matrix W with spectral norm < 1 on the
 qdim^2-weighted l2 space is the resolvent (I - W)^-1, by sparse LU throughout:
-one factorisation of I - W gives the full table (up to DENSE_LIMIT words, a
-memory bound) or the rows of chosen sources, gated by the solve residual and
-checked against a truncated Neumann series with a rigorous tail bound.
+one factorisation of I - W gives the full table (green_table, up to
+DENSE_LIMIT words, a memory bound) or the rows of chosen sources and the base
+(green_rows), both as a KernelTable, gated by the solve residual and checked
+against a truncated Neumann series with a rigorous tail bound.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ def weighted_operator_norm(matrix, weights: np.ndarray, iters: int = 600, tol: f
 
 @dataclass
 class KernelTable:
-    """Green kernel over an ordered word domain; Martin kernels (martin_rows)
-    are normalized at ``base``."""
+    """Green kernel G(s, t) for the solved words s (``rows``, by default the
+    domain) and every t of an ordered word domain; Martin kernels
+    (martin_rows) are normalized at ``base``, which is always solved."""
 
     domain: list[str]
     base: str
@@ -59,25 +61,37 @@ class KernelTable:
     q: float
     lam: float | None = None
     neumann_gap: float | None = None
-    index: dict[str, int] = field(init=False, repr=False)
+    rows: list[str] | None = None
+    index: dict[str, int] | None = field(default=None, repr=False)
+    row_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.index = {w: i for i, w in enumerate(self.domain)}
-        if self.base not in self.index:
+        self.index = self.index or {w: i for i, w in enumerate(self.domain)}
+        self.rows = self.domain if self.rows is None else self.rows
+        self.row_index = self.index if self.rows is self.domain else {w: i for i, w in enumerate(self.rows)}
+        if self.base not in self.row_index:
             raise ValueError(f"base {self.base!r} not in domain")
 
     @property
     def size(self) -> int:
         return len(self.domain)
 
+    def source_rows(self, sources: list[str]) -> np.ndarray:
+        """The Green rows G(s, .) of the given solved words, one per source."""
+        missing = [s for s in sources if s not in self.row_index]
+        if missing:
+            raise ValueError(f"no solved Green row for {missing}")
+        return self.green[[self.row_index[s] for s in sources]]
+
     def green_entry(self, s: str, t: str) -> float:
-        return float(self.green[self.index[s], self.index[t]])
+        return float(self.green[self.row_index[s], self.index[t]])
 
     def diagonal_bound_gap(self) -> float:
-        """max over v of G(v,v) - 1/(1 - lam); nonpositive when the diagonal
-        bound from the norm estimate holds."""
+        """max over the solved v of G(v,v) - 1/(1 - lam); nonpositive when the
+        diagonal bound from the norm estimate holds."""
         lam = self.lam if self.lam is not None else self.power_norm
-        return float(self.green.diagonal().max() - 1.0 / (1.0 - lam))
+        diag = self.green[np.arange(len(self.rows)), [self.index[v] for v in self.rows]]
+        return float(diag.max() - 1.0 / (1.0 - lam))
 
 
 def green_table(
@@ -100,16 +114,7 @@ def green_table(
         raise ValueError(f"domain of size {n} exceeds the dense solver limit {DENSE_LIMIT}")
     codes = heap_indices(domain) if codes is None else codes
     green, residual, power_norm, gap = _green_solve(matrix, codes, q, lam, solver_tol)
-    return KernelTable(
-        domain=list(domain),
-        base=base,
-        green=green,
-        residual=residual,
-        power_norm=power_norm,
-        q=q,
-        lam=lam,
-        neumann_gap=gap,
-    )
+    return KernelTable(list(domain), base, green, residual, power_norm, q, lam, gap)
 
 
 def green_rows(
@@ -121,22 +126,25 @@ def green_rows(
     lam: float | None = None,
     solver_tol: float = SOLVER_TOL,
     codes: np.ndarray | None = None,
-) -> tuple[dict[str, np.ndarray], np.ndarray, float, float, float]:
-    """Selected rows of the Green kernel, on a domain of any size: one
-    transposed solve per source plus one for the base.  ``codes`` are the
-    heap indices of the domain, computed when not given.
+) -> KernelTable:
+    """The Green rows of the sources and of the base, on a domain of any
+    size: one transposed solve per distinct word.  ``codes`` are the heap
+    indices of the domain, computed when not given.
 
-    Returns (rows by source, base row, worst row residual, power-iteration
-    norm, Neumann gap).  Raises like green_table on the norm guard and when
-    the worst residual exceeds the tolerance.
+    Raises ValueError for a word outside the domain, and like green_table on
+    the norm guard and when the worst row residual exceeds the tolerance.
     """
-    wanted = list(dict.fromkeys(list(sources) + [base]))
+    rows = list(dict.fromkeys(list(sources) + [base]))
+    index = {w: i for i, w in enumerate(domain)}
+    missing = [s for s in rows if s not in index]
+    if missing:
+        raise ValueError(f"Green rows asked for words outside the domain: {missing}")
     codes = heap_indices(domain) if codes is None else codes
     solved, residual, power_norm, gap = _green_solve(
-        matrix, codes, q, lam, solver_tol, [domain.index(s) for s in wanted]
+        matrix, codes, q, lam, solver_tol, [index[s] for s in rows]
     )
-    out = dict(zip(wanted, np.ascontiguousarray(solved.T)))
-    return {s: out[s] for s in sources}, out[base], residual, power_norm, gap
+    green = np.ascontiguousarray(solved.T)
+    return KernelTable(list(domain), base, green, residual, power_norm, q, lam, gap, rows=rows, index=index)
 
 
 def _green_solve(
@@ -235,7 +243,7 @@ def harnack_audit(table: KernelTable, delta0: float, k_steps: int, interior: lis
     the empirical delta is the largest constant that passes, compared against
     the chain bound delta0^K."""
     idx = [table.index[w] for w in interior]
-    g = table.green[np.ix_(idx, idx)]
+    g = table.green[np.ix_([table.row_index[w] for w in interior], idx)]
     logg = np.log(g)
     dist = _distance_matrix([table.domain[i] for i in idx])
     n = len(idx)
@@ -261,8 +269,9 @@ class MultiplicativityReport:
     lower_bound: float
     upper_bound: float
 
-    def passes(self) -> bool:
-        return self.c1_lower <= self.lower_bound * (1 + 1e-12) and self.c1_upper <= self.upper_bound * (1 + 1e-12)
+    def verdicts(self) -> tuple[bool, bool]:
+        """Whether the lower and the upper constant stay within their bounds."""
+        return self.c1_lower <= self.lower_bound * (1 + 1e-12), self.c1_upper <= self.upper_bound * (1 + 1e-12)
 
 
 def multiplicativity_audit(
@@ -272,7 +281,7 @@ def multiplicativity_audit(
     s, t with v on the geodesic: the largest G(s,v)G(v,t)/G(s,t) against
     1/(1-lam) and the largest G(s,t)/(G(s,v)G(v,t)) against 3(2/delta^2)^(S-1)."""
     idx = [table.index[w] for w in interior]
-    g = table.green[np.ix_(idx, idx)]
+    g = table.green[np.ix_([table.row_index[w] for w in interior], idx)]
     dist = _distance_matrix([table.domain[i] for i in idx])
     n = len(idx)
     c_lower = 0.0
@@ -320,7 +329,7 @@ def last_entry_audit(
         raise ValueError("target must lie inside the branch")
     outside = [i for i, w in enumerate(full_table.domain) if not w.endswith(x)]
     cut = entry_set(branch_table.domain, x, range_bound)
-    si = full_table.index[s]
+    si = full_table.row_index[s]
     # M(s, .) = sum over outside v of G(s, v) P(v, .)
     m_s = sp.csr_matrix(matrix)[outside].T @ full_table.green[si, outside]
     lhs = full_table.green_entry(s, t)
@@ -351,17 +360,19 @@ def martin_rows(
 ) -> np.ndarray:
     """Martin kernel K(s, t) = G(s, t) / G_root(base, t), rows by source and
     columns by target.  The root table defaults to ``table``; the classical
-    table of the ball normalises the perturbed branch table.  Raises
-    ValueError when a target lies outside either domain."""
+    rows of the ball normalise the perturbed branch table.  Raises
+    ValueError when a source has no solved row or a target lies outside
+    either domain."""
     root = table if root is None else root
-    missing = [t for t in targets if t not in table.index or t not in root.index]
-    if missing:
-        raise ValueError(f"ray leaves the domain: {missing}")
-    cols = [table.index[t] for t in targets]
-    denom = root.green[root.index[root.base], [root.index[t] for t in targets]]
+    try:
+        cols = [table.index[t] for t in targets]
+        root_cols = cols if root.index is table.index else [root.index[t] for t in targets]
+    except KeyError as exc:
+        raise ValueError(f"ray leaves the domain at {exc.args[0]!r}") from None
+    denom = root.green[root.row_index[root.base], root_cols]
     # a zero G(e, t) leaves the Martin kernel undefined: raise, as float division does
     with np.errstate(divide="raise", invalid="raise"):
-        return table.green[np.ix_([table.index[s] for s in sources], cols)] / denom[None, :]
+        return table.source_rows(sources)[:, cols] / denom[None, :]
 
 
 def tail_decreasing(source: str, ray: list[str], values: np.ndarray, floor: float = 1e-11) -> bool:

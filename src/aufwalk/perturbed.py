@@ -24,7 +24,7 @@ import numpy as np
 
 from .fusion import Measure, fuse
 from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply
-from .kernels import SOLVER_TOL, KernelTable, green_table, weighted_operator_norm
+from .kernels import SOLVER_TOL, KernelTable, green_table
 from .words import branch, format_word, heap_indices, involution, parse_word, qdim, qdims
 
 RESIDUAL_FLOOR = 1e-12
@@ -412,13 +412,6 @@ def green_Q(
     qmat = q_matrix(mu, ctx)
     table = green_table(qmat, ctx.omega, ctx.q, base=ctx.z, lam=lam, solver_tol=solver_tol)
     return qmat, table
-
-
-def norm_domination_gap(qmat: np.ndarray, p_branch: np.ndarray, ctx: BranchContext) -> float:
-    """Power-iteration norm of the perturbed matrix minus the classical one on
-    the same weighted domain (<= ~0 expected)."""
-    m = ctx.qdims() ** 2
-    return weighted_operator_norm(qmat, m) - weighted_operator_norm(p_branch, m)
 
 
 @dataclass

@@ -259,7 +259,7 @@ def test_c11_harnack_and_multiplicativity():
         interior = [w for w in tm.domain if 8 - len(w) > tm.range_bound and len(w) <= 6]
         har = harnack_audit(table, delta0, k, interior)
         mult = multiplicativity_audit(table, lam, delta0 ** k, tm.range_bound, interior)
-        ok = ok and har.passes and mult.passes()
+        ok = ok and har.passes and all(mult.verdicts())
         details.append(f"q={q} delta={har.empirical_delta:.4f}>={har.delta_bound:.4f}")
     criterion(11, "Harnack and geodesic multiplicativity with the chain constants", ok,
               "; ".join(details))

@@ -19,10 +19,11 @@ from aufwalk.cli import (
     main,
     write_csv,
 )
-from aufwalk.intertwiners import Intertwiner
+from aufwalk.intertwiners import Intertwiner, IntertwinerEngine
 from aufwalk.words import ball, format_word
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "config.example.json")
+GOLDEN_TWO_RAYS = str(Path(__file__).resolve().parent / "golden" / "two_rays.json")
 
 
 def make_config(tmp_path, **overrides):
@@ -238,11 +239,12 @@ class TestCsvEmitter:
         assert len(domain) > kernels.DENSE_LIMIT
         tm = fusion.transition_matrix(cfg.measure, domain, cfg.q)
         lam = fusion.norm_upper_bound(cfg.measure, cfg.q)
-        rows, base, *_ = kernels.green_rows(tm.matrix, domain, cfg.q, cfg.sources, lam=lam, solver_tol=cfg.solver_tol)
+        rows = kernels.green_rows(tm.matrix, domain, cfg.q, cfg.sources, lam=lam, solver_tol=cfg.solver_tol)
+        base = rows.source_rows([""])[0]
         lines = ["s,t,G,K,truncationBound"]
         for s in cfg.sources:
             bounds = kernels.truncation_error_bound(12, s, np.arange(len(domain)), lam, tm.range_bound, cfg.q)
-            for t, g, b, bound in zip(domain, rows[s].tolist(), base.tolist(), bounds.tolist()):
+            for t, g, b, bound in zip(domain, rows.source_rows([s])[0].tolist(), base.tolist(), bounds.tolist()):
                 lines.append(f"{format_word(s)},{format_word(t)},{g:.17g},{g / b:.17g},{bound:.17g}")
         assert_same_text((tmp_path / "out" / "green_martin.csv").read_text(), "\n".join(lines) + "\n")
 
@@ -400,6 +402,24 @@ class TestBoundarySources:
         for row in root_rows:
             assert float(row[3]) == pytest.approx(1.0, abs=1e-14)
             assert row[4] == "nan"
+
+
+    @pytest.mark.parametrize("config", [EXAMPLE, GOLDEN_TWO_RAYS])
+    @pytest.mark.parametrize("q", [0.3, 0.7])
+    def test_rows_only_kernels_match_the_dense_table(self, config, q):
+        # the reference: martin_rows on the full Green table of the same ball
+        cfg = load_config(config, q=q)
+        ctx = cli._branch_context(cfg, IntertwinerEngine(cfg.model))
+        tm, lam = cli.build_walk(cfg, ctx.radius)
+        qmat, inside, outside, per_ray = cli.branch_kernels(cfg, tm, lam, ctx, cfg.rays)
+        dense = cli.root_table(cfg, tm, lam)
+        q_table = kernels.green_table(qmat, ctx.omega, cfg.q, base=ctx.z, lam=lam)
+        assert inside and len(per_ray) == len(cfg.rays)
+        for ray, k_p, k_q in per_ray:
+            want_p = kernels.martin_rows(dense, inside + outside, ray)
+            want_q = kernels.martin_rows(q_table, inside, ray, root=dense)
+            assert np.abs(k_p / want_p - 1.0).max() <= 1e-13
+            assert np.abs(k_q / want_q - 1.0).max() <= 1e-13
 
 
 class TestAuditGuards:

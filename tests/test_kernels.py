@@ -178,9 +178,19 @@ class TestHarnackAndMultiplicativity:
         rep = multiplicativity_audit(table, lam, delta0 ** k, tm.range_bound, interior)
         assert rep.c1_lower <= rep.lower_bound
         assert rep.c1_upper <= rep.upper_bound
-        assert rep.passes()
+        assert all(rep.verdicts())
         # nearest-neighbor walk: cut vertices make the upper constant <= 1
         assert rep.c1_upper <= 1.0 + 1e-12
+
+    def test_audits_read_a_rows_table_through_its_rows(self, audit_setup):
+        # the interior's rows, solved in reverse order, give the full table's constants
+        tm, lam, table, delta0, k, interior = audit_setup
+        rows = green_rows(tm.matrix, tm.domain, Q, interior[::-1], base="", lam=lam)
+        har, har_rows = (harnack_audit(t, delta0, k, interior) for t in (table, rows))
+        assert har_rows.empirical_delta == pytest.approx(har.empirical_delta, rel=1e-12)
+        mult, mult_rows = (multiplicativity_audit(t, lam, delta0 ** k, 1, interior) for t in (table, rows))
+        assert mult_rows.c1_lower == pytest.approx(mult.c1_lower, rel=1e-12)
+        assert mult_rows.c1_upper == pytest.approx(mult.c1_upper, rel=1e-12)
 
     def test_martin_positive_and_bounded(self, audit_setup):
         tm, lam, table, delta0, k, interior = audit_setup
@@ -289,22 +299,22 @@ class TestBoundaryProfile:
 class TestGreenRows:
     def test_rows_match_dense_table(self, walk8):
         tm, _, table = walk8
-        rows, base_row, resid, *_ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="")
-        assert resid < 1e-10
-        for s, row in rows.items():
-            assert np.abs(row - table.green[table.index[s], :]).max() < 1e-11
-        assert np.abs(base_row - table.green[table.index[""], :]).max() < 1e-11
+        rows = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="")
+        assert rows.residual < 1e-10
+        assert rows.rows == ["a", "ba", ""]
+        for s in rows.rows:
+            assert np.abs(rows.source_rows([s])[0] - table.green[table.index[s], :]).max() < 1e-11
 
     def test_returns_the_weighted_norm(self, walk8):
         tm, _, _ = walk8
-        *_, power_norm, _ = green_rows(tm.matrix, tm.domain, Q, ["a"], base="")
-        assert power_norm == weighted_operator_norm(tm.matrix, tm.haar_weights())
+        rows = green_rows(tm.matrix, tm.domain, Q, ["a"], base="")
+        assert rows.power_norm == weighted_operator_norm(tm.matrix, tm.haar_weights())
 
     def test_neumann_within_tail_bound_on_radius_12(self, mu_letters):
         dom = ball(12)
         tm = transition_matrix(mu_letters, dom, Q)
         lam = norm_upper_bound(mu_letters, Q)
-        *_, gap = green_rows(tm.matrix, dom, Q, ["a", "ba"], base="", lam=lam)
+        gap = green_rows(tm.matrix, dom, Q, ["a", "ba"], base="", lam=lam).neumann_gap
         assert -1e-11 < gap <= 0.0
 
     def test_neumann_catches_a_perturbed_row(self, walk8, monkeypatch):
@@ -323,16 +333,39 @@ class TestGreenRows:
                 return x
 
         monkeypatch.setattr(kernels, "splu", PerturbedLU)
-        _, _, resid, _, gap = green_rows(tm.matrix, tm.domain, Q, ["a"], base="", lam=lam)
-        assert resid < 1e-10
-        assert gap > 1e-11
+        rows = green_rows(tm.matrix, tm.domain, Q, ["a"], base="", lam=lam)
+        assert rows.residual < 1e-10
+        assert rows.neumann_gap > 1e-11
 
     def test_residual_above_tolerance_raises(self, walk8):
         tm, _, _ = walk8
-        _, _, resid, *_ = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="")
+        resid = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="").residual
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
             green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", solver_tol=resid / 2)
+
+    def test_table_reads_match_the_full_table_at_its_rows(self, walk8):
+        tm, lam, table = walk8
+        rows = green_rows(tm.matrix, tm.domain, Q, ["ba", "aab", "a"], base="", lam=lam)
+        assert rows.rows == ["ba", "aab", "a", ""] and rows.domain == table.domain
+        diag = max(table.green_entry(v, v) for v in rows.rows)
+        assert rows.diagonal_bound_gap() == pytest.approx(diag - 1.0 / (1.0 - lam), rel=1e-13)
+        assert table.diagonal_bound_gap() == table.green.diagonal().max() - 1.0 / (1.0 - lam)
+        for s in rows.rows:
+            for t in ("", "a", "ab", "bab", "aabb", "b" * 8):
+                assert rows.green_entry(s, t) == pytest.approx(table.green_entry(s, t), rel=1e-13)
+
+    def test_martin_rows_rejects_an_unsolved_source(self, walk8):
+        tm, _, _ = walk8
+        rows = green_rows(tm.matrix, tm.domain, Q, ["a"], base="")
+        assert martin_rows(rows, ["a", ""], ["a", "aa"]).shape == (2, 2)
+        with pytest.raises(ValueError, match="'ba'"):
+            martin_rows(rows, ["a", "ba"], ["a", "aa"])
+
+    def test_word_outside_the_domain_named(self, walk8):
+        tm, _, _ = walk8
+        with pytest.raises(ValueError, match="outside the domain: \\['a{9}'\\]"):
+            green_rows(tm.matrix, tm.domain, Q, ["a", "a" * 9], base="")
 
 
 class TestLastEntryPathSumOracle:

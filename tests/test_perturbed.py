@@ -21,7 +21,6 @@ from aufwalk.perturbed import (
     exact_by_cut,
     gdif_audit,
     green_Q,
-    norm_domination_gap,
     q_matrix,
     qhat_entry,
     qhat_oracle,
@@ -202,7 +201,8 @@ class TestQMatrix:
     def test_norm_dominated_by_classical(self, setup, mu_letters):
         ctx, _, p_branch = setup
         qm = q_matrix(mu_letters, ctx)
-        assert norm_domination_gap(qm, p_branch, ctx) <= 1e-8
+        m = ctx.qdims() ** 2
+        assert weighted_operator_norm(qm, m) - weighted_operator_norm(p_branch, m) <= 1e-8
 
 
 class TestDecayAudit:
