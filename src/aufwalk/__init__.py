@@ -49,7 +49,6 @@ from .kernels import (
 )
 from .perturbed import (
     BranchContext,
-    QhatStore,
     decay_audit,
     gdif_audit,
     green_Q,
@@ -73,7 +72,7 @@ __all__ = [
     "KernelTable", "green_rows", "green_table", "harnack_audit",
     "last_entry_audit", "martin_rows", "multiplicativity_audit", "ray_words",
     "tail_decreasing", "truncation_error_bound", "weighted_operator_norm",
-    "BranchContext", "QhatStore", "decay_audit", "gdif_audit", "green_Q",
+    "BranchContext", "decay_audit", "gdif_audit", "green_Q",
     "q_matrix", "qhat_entry", "qhat_oracle", "residual_matrix",
     "__version__",
 ]

@@ -60,7 +60,6 @@ class RunConfig:
     audit_tol: float = 1e-8
     output_dir: str = "out"
     seed: int = 0
-    qhat_cache: str | None = None
     raw: dict = field(default_factory=dict)
 
     @property
@@ -80,6 +79,14 @@ class RunConfig:
             self.model.tensor_cap - 2 * len(self.branch_z) - reach,
         )
 
+
+#: the keys a config may hold, at the top level and in its two nested objects
+CONFIG_KEYS = {
+    "": ("model", "measure", "ballRadius", "tensorCap", "branchZ", "qRadius", "rays", "sources",
+         "boundarySources", "tolerances", "outputDir", "seed"),
+    "model.": ("n", "q", "fDiag"),
+    "tolerances.": ("solver", "audit"),
+}
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
@@ -113,6 +120,15 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     model_raw = _typed(raw, "model", dict, {})
+    tolerances = _typed(raw, "tolerances", dict, {})
+    unknown = [
+        prefix + key
+        for prefix, obj in (("", raw), ("model.", model_raw), ("tolerances.", tolerances))
+        for key in obj
+        if key not in CONFIG_KEYS[prefix]
+    ]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     n = _typed(model_raw, "n", int, 2)
     cap = _typed(raw, "tensorCap", int, 10)
     if q is not None:
@@ -133,7 +149,6 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
         if not isinstance(ray, list) or len(ray) != 2:
             raise ConfigError(f"each ray must be a [preperiod, period] pair, got {json.dumps(ray)}")
         rays.append(tuple(_words(ray, "rays")))
-    tolerances = _typed(raw, "tolerances", dict, {})
     cfg = RunConfig(
         model=model,
         measure=measure,
@@ -149,7 +164,6 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
         audit_tol=_typed(tolerances, "audit", float, 1e-8),
         output_dir=str(out if out is not None else _typed(raw, "outputDir", str, "out")),
         seed=_typed(raw, "seed", int, 0),
-        qhat_cache=_typed(raw, "qhatCache", str) if "qhatCache" in raw else None,
         raw=raw,
     )
     if not cfg.branch_z:
@@ -442,21 +456,11 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         k_q_end.min(), 0.0, (k_q_end > 0).all())
     add("boundary_ratio_trend", "perturbed-to-classical ratio moves toward 1 along the ray",
         trend[-1], trend[0], trend_ok and cauchy)
-    _log_cache(ctx)
     return entries
 
 
 def _branch_context(cfg: RunConfig, eng):
-    store = perturbed.QhatStore(cfg.qhat_cache or None)
-    return perturbed.BranchContext(eng, cfg.branch_z, cfg.effective_q_radius(), store=store)
-
-
-def _log_cache(ctx) -> None:
-    if ctx.store.path is not None:
-        print(
-            f"qhat cache: {ctx.store.hits} hits, {ctx.store.misses} misses",
-            file=sys.stderr,
-        )
+    return perturbed.BranchContext(eng, cfg.branch_z, cfg.effective_q_radius())
 
 
 def _conjugate_equation_residual(eng) -> float:
@@ -619,7 +623,6 @@ def cmd_boundary(cfg: RunConfig) -> int:
             gap_q.ravel(),
         ]
         write_csv(out / f"boundary_ray{i}.csv", header, columns)
-    _log_cache(ctx)
     return EXIT_OK
 
 

@@ -13,7 +13,6 @@ block coordinates agree with the ambient ones because the bases are isometric.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from dataclasses import dataclass
@@ -94,12 +93,6 @@ class ModelConfig:
         rho = (r, 1.0 / r) + (1.0,) * (n - 2)
         return cls(n=n, f_diag=tuple(x ** 0.5 for x in rho), tensor_cap=tensor_cap)
 
-    def config_hash(self) -> str:
-        """Hash of n and F, which fix every coefficient; the tensor cap only
-        bounds which ones can be computed, so it is left out."""
-        payload = "|".join([str(self.n), ",".join(f"{f:.17g}" for f in self.f_diag)])
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class Intertwiner:
@@ -149,8 +142,9 @@ class Intertwiner:
 
 class IntertwinerEngine:
     """Builds and memoizes block bases, inclusions, duality maps and traces
-    for one model configuration.  All products are deterministic; the memo
-    may be shared between threads."""
+    for one model configuration, and holds the branch coefficients of
+    perturbed.qhat_entry in the same memo.  All products are deterministic;
+    the memo may be shared between threads."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg

@@ -14,10 +14,7 @@ solver as the classical walk.
 
 from __future__ import annotations
 
-import json
 import math
-import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,107 +22,17 @@ import numpy as np
 from .fusion import Measure, fuse
 from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply
 from .kernels import SOLVER_TOL, KernelTable, green_table
-from .words import branch, format_word, heap_indices, involution, parse_word, qdim, qdims
+from .words import branch, heap_indices, involution, qdim, qdims
 
 RESIDUAL_FLOOR = 1e-12
 DOMINATION_TOL = 1e-12
 
 
-class QhatStore:
-    """The cache of computed coefficients, in memory, and persisted as an
-    append-only line-delimited file when a path is given.
-
-    Each record is one JSON object per line with keys ``schema`` (the record
-    format version, SCHEMA), ``config`` (model hash), ``z``, ``u``, ``s``,
-    ``t`` (words, ``e`` = empty word) and ``value``.  Corrupt lines and lines
-    of another or no schema are skipped with a warning; a hit that is not
-    finite or breaks the lookup's bound is dropped (see ``get``).  ``hits``
-    and ``misses`` count every lookup.
-    """
-
-    SCHEMA = 1
-    FIELDS = ("config", "z", "u", "s", "t")
-
-    def __init__(self, path=None):
-        self.path = path
-        self._lock = threading.Lock()
-        self._data: dict[tuple[str, str, str, str, str], float] = {}
-        self.hits = 0
-        self.misses = 0
-        if path is not None:
-            self._load()
-
-    def _load(self):
-        try:
-            lines = open(self.path, "r", encoding="utf-8").read().splitlines()
-        except FileNotFoundError:
-            return
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                key = tuple(parse_word(rec[f]) if f != "config" else rec[f] for f in self.FIELDS)
-                value = float(rec["value"])
-            except (ValueError, KeyError, TypeError):
-                warnings.warn(f"{self.path}:{lineno}: skipping corrupt cache line")
-                continue
-            if rec.get("schema") != self.SCHEMA:
-                warnings.warn(
-                    f"{self.path}:{lineno}: skipping cache line of schema {rec.get('schema')!r}, "
-                    f"want {self.SCHEMA}"
-                )
-                continue
-            self._data[key] = value
-
-    def get(self, config_hash, z, u, s, t, bound):
-        """The stored value, or None.  A value that is not finite or exceeds
-        ``bound`` in magnitude is dropped with a warning and counts as a miss,
-        so the caller recomputes it and the next ``put`` appends the
-        replacement (the last line of a key wins on load)."""
-        key = (config_hash, z, u, s, t)
-        with self._lock:
-            got = self._data.get(key)
-            if got is not None and not (math.isfinite(got) and abs(got) <= bound):
-                del self._data[key]
-                warnings.warn(
-                    f"{self.path}: discarding cached value {got!r} at (z={z!r}, u={u!r}, s={s!r}, "
-                    f"t={t!r}): not finite or above the bound {bound!r}"
-                )
-                got = None
-            if got is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-            return got
-
-    def put(self, config_hash, z, u, s, t, value):
-        """Store a value (the first one of a key wins) and append its record
-        to the file, if there is one."""
-        key = (config_hash, z, u, s, t)
-        rec = {
-            "schema": self.SCHEMA,
-            "config": config_hash,
-            "z": format_word(z),
-            "u": format_word(u),
-            "s": format_word(s),
-            "t": format_word(t),
-            "value": value,
-        }
-        with self._lock:
-            if key in self._data:
-                return
-            self._data[key] = value
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
 class BranchContext:
-    """Branch data for one z: the word y = bar(z) z, the truncated branch
-    domain, and the coefficient store (in memory unless one is given)."""
+    """Branch data for one z: the word y = bar(z) z and the truncated branch
+    domain.  Computed coefficients live in the engine's memo."""
 
-    def __init__(self, engine: IntertwinerEngine, z: str, radius: int, store: QhatStore | None = None):
+    def __init__(self, engine: IntertwinerEngine, z: str, radius: int):
         if not z:
             raise ValueError("branch word z must be nonempty")
         self.engine = engine
@@ -139,8 +46,6 @@ class BranchContext:
                 f"increase the radius or the tensor cap"
             )
         self.index = {w: i for i, w in enumerate(self.omega)}
-        self.store = store if store is not None else QhatStore()
-        self.config_hash = engine.cfg.config_hash()
 
     @property
     def q(self) -> float:
@@ -187,8 +92,10 @@ def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:
 
     Zero unless t is a component of u (x) s; the empty u gives the identity.
     Entries the cut rule decides (exact_by_cut) are the classical weight p,
-    with no store lookup and no tensor-cap check.  Otherwise raises
-    TensorCapError when the trace block would exceed the cap.
+    with no memo lookup and no tensor-cap check.  Every other coefficient is
+    traced once per engine and memoized under ("qhat", z, u, s, t), after the
+    domination check passes.  Raises TensorCapError when the trace block
+    would exceed the cap.
     """
     if not (ctx.contains(s) and ctx.contains(t)):
         raise ValueError(f"{s!r}, {t!r} must lie in the branch of {ctx.z!r}")
@@ -199,20 +106,20 @@ def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:
     dominator = qdim(t, ctx.q) / (qdim(u, ctx.q) * qdim(s, ctx.q))
     if exact_by_cut(u, s, t, ctx.z):
         return dominator
-    stored = ctx.store.get(ctx.config_hash, ctx.z, u, s, t, dominator + DOMINATION_TOL)
-    if stored is not None:
-        return stored
-    eng = ctx.engine
-    v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
-    d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
-    composite = kron_apply(v_sy.T, kron_apply(v_us, v_ty, right=d_y), left=d_u) @ v_us.T
-    value = eng.weighted_trace(Intertwiner((u, s), (u, s), composite))
-    if abs(value) > dominator + DOMINATION_TOL:
-        raise AssertionError(
-            f"coefficient {value} exceeds the classical weight {dominator} at ({u!r},{s!r},{t!r})"
-        )
-    ctx.store.put(ctx.config_hash, ctx.z, u, s, t, value)
-    return value
+
+    def trace() -> float:
+        eng = ctx.engine
+        v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
+        d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
+        composite = kron_apply(v_sy.T, kron_apply(v_us, v_ty, right=d_y), left=d_u) @ v_us.T
+        value = eng.weighted_trace(Intertwiner((u, s), (u, s), composite))
+        if abs(value) > dominator + DOMINATION_TOL:
+            raise AssertionError(
+                f"coefficient {value} exceeds the classical weight {dominator} at ({u!r},{s!r},{t!r})"
+            )
+        return value
+
+    return ctx.engine._memo(("qhat", ctx.z, u, s, t), trace)
 
 
 def _isometries(u: str, s: str, t: str, ctx: BranchContext):

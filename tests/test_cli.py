@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import re
 import time
 from pathlib import Path
 
@@ -99,6 +98,23 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "boundary source" in err
+
+    @pytest.mark.parametrize(
+        "overrides, unknown",
+        [
+            ({"ballRadus": 3}, ["ballRadus"]),
+            ({"qhatCache": "qhat.jsonl"}, ["qhatCache"]),
+            (
+                {"seeds": 1, "model": {"n": 2, "q": 0.5, "Q": 0.3}, "tolerances": {"audti": 1e-8}},
+                ["seeds", "model.Q", "tolerances.audti"],
+            ),
+        ],
+    )
+    def test_unknown_keys_exit_2_naming_each(self, tmp_path, capsys, overrides, unknown):
+        assert main(["walk", str(make_config(tmp_path, **overrides))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown config keys") and err.count("\n") == 1
+        assert all(key in err for key in unknown)
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["walk", str(tmp_path / "nope.json")]) == EXIT_CONFIG
@@ -341,37 +357,6 @@ class TestAudit:
             rates.append(next(e["measured"] for e in report["audits"] if e["name"] == "perturbation_rate"))
         capsys.readouterr()
         assert abs(rates[1] - rates[0]) < 1e-14 * abs(rates[0])
-
-
-class TestQhatCache:
-    def test_warm_cache_gives_cold_bytes(self, tmp_path, capsys):
-        """Reproducibility with a coefficient cache: a cold and a warm run
-        write the bytes of a run without one, and the warm run misses none."""
-        outputs, logs = {}, {}
-        for run in ("plain", "cold", "warm"):
-            cache = {} if run == "plain" else {"qhatCache": str(tmp_path / "qhat.jsonl")}
-            path = make_config(tmp_path, ballRadius=6, qRadius=6, **cache)
-            assert main(["boundary", str(path), "--out", str(tmp_path / run)]) == EXIT_OK
-            outputs[run] = {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()}
-            logs[run] = capsys.readouterr().err
-        assert outputs["plain"] and outputs["cold"] == outputs["plain"] == outputs["warm"]
-        assert logs["plain"] == "" and re.fullmatch(r"qhat cache: 0 hits, [1-9]\d* misses\n", logs["cold"])
-        assert re.fullmatch(r"qhat cache: [1-9]\d* hits, 0 misses\n", logs["warm"])
-
-    def test_cache_filled_at_one_cap_serves_another(self, tmp_path, capsys):
-        """No coefficient depends on the tensor cap, so a cache filled at cap
-        10 serves a cap-12 run completely, with the bytes of an uncached run."""
-        cache = {"qhatCache": str(tmp_path / "qhat.jsonl")}
-        runs = [("plain", 12, {}), ("cap10", 10, cache), ("cap12", 12, cache)]
-        outputs, logs = {}, {}
-        for run, cap, extra in runs:
-            path = make_config(tmp_path, ballRadius=6, qRadius=6, tensorCap=cap, **extra)
-            assert main(["boundary", str(path), "--out", str(tmp_path / run)]) == EXIT_OK
-            outputs[run] = {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()}
-            logs[run] = capsys.readouterr().err
-        assert outputs["plain"] and outputs["cap12"] == outputs["plain"]
-        assert re.fullmatch(r"qhat cache: 0 hits, [1-9]\d* misses\n", logs["cap10"])
-        assert re.fullmatch(r"qhat cache: [1-9]\d* hits, 0 misses\n", logs["cap12"])
 
 
 class TestIndecomposableTriples:

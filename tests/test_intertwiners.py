@@ -17,7 +17,7 @@ from aufwalk.intertwiners import (
     split_component,
     vtilde_norm_indecomposable,
 )
-from aufwalk.perturbed import BranchContext, QhatStore, exact_by_cut, qhat_entry, required_entries
+from aufwalk.perturbed import BranchContext, exact_by_cut, qhat_entry, required_entries
 from aufwalk.words import ball, classical_dim, indecomposable_factors, involution, qdim, qnumber
 
 Q = 0.5
@@ -72,12 +72,6 @@ class TestModelConfig:
     def test_cap_limits(self):
         with pytest.raises(ValueError):
             ModelConfig.from_q(0.5, tensor_cap=15)
-
-    def test_hash_stability(self):
-        a = ModelConfig.from_q(0.5).config_hash()
-        b = ModelConfig.from_q(0.5).config_hash()
-        c = ModelConfig.from_q(0.3).config_hash()
-        assert a == b != c
 
 
 class TestDualityMaps:
@@ -416,22 +410,23 @@ class TestConcurrency:
         for w, got in zip(words * 8, results):
             assert got == expected[w]
 
-    def test_qhat_store_safe_under_concurrent_entries(self, tmp_path):
-        """Threads sharing one BranchContext read the serial values, and its
-        store keeps one value and appends one record per computed coefficient
-        (the cut rule's entries never reach the store)."""
+    def test_qhat_memo_safe_under_concurrent_entries(self):
+        """Threads sharing one BranchContext read the serial values, and the
+        engine memo keeps one qhat key per computed coefficient (the cut
+        rule's entries are never memoized)."""
         import concurrent.futures
 
         class YieldingDict(dict):
-            # hands the interpreter lock to another thread inside every store
-            # write, the window between a miss and its put that the lock closes
-            def __setitem__(self, key, value):
+            # hands the interpreter lock to another thread inside every memo
+            # insert, so racing builds of one key both reach the insert
+            def setdefault(self, key, value):
                 time.sleep(0)
-                super().__setitem__(key, value)
+                return super().setdefault(key, value)
 
         cfg = ModelConfig.from_q(0.5, tensor_cap=8)
-        ctx = BranchContext(IntertwinerEngine(cfg), "a", 5, store=QhatStore(tmp_path / "q.jsonl"))
-        ctx.store._data = YieldingDict()
+        eng = IntertwinerEngine(cfg)
+        eng._memos = YieldingDict()
+        ctx = BranchContext(eng, "a", 5)
         entries = required_entries(Measure({"a": 0.5, "b": 0.5}), ctx)
         # eight consecutive requests of each entry: the threads race on every key
         calls = [e for e in entries for _ in range(8)]
@@ -445,10 +440,9 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
-        computed = [e for e in set(entries) if not exact_by_cut(*e, ctx.z)]
-        assert len(computed) > 0
-        assert len((tmp_path / "q.jsonl").read_text().splitlines()) == len(computed)
-        assert ctx.store.hits + ctx.store.misses == 8 * len(computed)
+        computed = {e for e in entries if not exact_by_cut(*e, ctx.z)}
+        assert 0 < len(computed) < len(set(entries))
+        assert {k for k in eng._memos if k[0] == "qhat"} == {("qhat", "a", *e) for e in computed}
 
 
 class TestHigherRank:

@@ -1,5 +1,3 @@
-import json
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from aufwalk.kernels import (
 )
 from aufwalk.perturbed import (
     BranchContext,
-    QhatStore,
     commutation_defect,
     decay_audit,
     exact_by_cut,
@@ -102,7 +99,7 @@ class TestQhatEntry:
         assert exact_by_cut(u, s, t, small.z)
         q = small.q
         assert qhat_entry(u, s, t, small) == qdim(t, q) / (qdim(u, q) * qdim(s, q))
-        assert (small.store.hits, small.store.misses) == (0, 0)
+        assert not any(k[0] == "qhat" for k in small.engine._memos)
 
 
 def _cut_anywhere(u, s, t, z):
@@ -191,6 +188,18 @@ class TestQMatrix:
         sub = [i for i, w in enumerate(ctx.omega) if w.endswith("aa")]
         gap = np.abs(qm[np.ix_(sub, sub)] - p_branch[np.ix_(sub, sub)])
         assert gap.max() < 1e-12
+
+    def test_second_assembly_traces_nothing(self, mu_letters, monkeypatch):
+        # every computed coefficient is read back from the engine memo
+        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=8)), "a", 5)
+        calls = []
+        build = ctx.engine.normalized_V
+        monkeypatch.setattr(ctx.engine, "normalized_V", lambda *a: calls.append(a) or build(*a))
+        first = q_matrix(mu_letters, ctx)
+        assert calls
+        calls.clear()
+        assert np.array_equal(q_matrix(mu_letters, ctx), first)
+        assert calls == []
 
     def test_cap_violation_reported(self, mu_letters):
         eng = IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=6))
@@ -375,71 +384,3 @@ class TestBoundary:
         full = green_table(tm.matrix, tm.domain, Q, base="", lam=lam)
         with pytest.raises(ValueError, match="leaves"):
             martin_rows(q_table, ["a"], ["b"], root=full)
-
-
-class TestQhatStore:
-    def test_roundtrip_and_corrupt_lines(self, tmp_path, engine, mu_letters):
-        path = tmp_path / "qhat.jsonl"
-        store = QhatStore(path)
-        ctx = BranchContext(engine, "a", 4, store=store)
-        val = qhat_entry("a", "a", "aa", ctx)
-        assert store.misses >= 1
-        # a fresh context backed by the same file reuses the value
-        store2 = QhatStore(path)
-        ctx2 = BranchContext(engine, "a", 4, store=store2)
-        assert qhat_entry("a", "a", "aa", ctx2) == val
-        assert store2.hits >= 1
-        # corrupt line is skipped with a warning
-        with open(path, "a") as fh:
-            fh.write("{not json}\n")
-        with pytest.warns(UserWarning, match="corrupt"):
-            QhatStore(path)
-
-    @pytest.mark.parametrize("poison", [5.0, -5.0, math.nan, math.inf])
-    def test_poisoned_hit_is_recomputed(self, tmp_path, engine, poison):
-        path = tmp_path / "qhat.jsonl"
-        val = qhat_entry("a", "a", "aa", BranchContext(engine, "a", 4, store=QhatStore(path)))
-        rec = json.loads(path.read_text().splitlines()[0])
-        rec["value"] = poison
-        with open(path, "a") as fh:  # the last line of a key wins on load
-            fh.write(json.dumps(rec) + "\n")
-        store = QhatStore(path)
-        ctx = BranchContext(engine, "a", 4, store=store)
-        with pytest.warns(UserWarning, match="discarding"):
-            assert qhat_entry("a", "a", "aa", ctx) == val
-        assert (store.hits, store.misses) == (0, 1)
-        # the recomputed value is appended and a reload hits it cleanly
-        assert json.loads(path.read_text().splitlines()[-1])["value"] == val
-        clean = QhatStore(path)
-        assert qhat_entry("a", "a", "aa", BranchContext(engine, "a", 4, store=clean)) == val
-        assert clean.hits == 1
-
-    def test_file_format(self, tmp_path, engine):
-        path = tmp_path / "qhat.jsonl"
-        store = QhatStore(path)
-        ctx = BranchContext(engine, "a", 4, store=store)
-        qhat_entry("a", "a", "aa", ctx)
-        rec = json.loads(path.read_text().splitlines()[0])
-        assert set(rec) == {"schema", "config", "z", "u", "s", "t", "value"}
-        assert rec["schema"] == QhatStore.SCHEMA
-        assert rec["z"] == "a" and rec["u"] == "a"
-
-    @pytest.mark.parametrize("schema", [None, 0, 2, "1"])
-    def test_other_schema_misses(self, tmp_path, engine, schema):
-        path = tmp_path / "qhat.jsonl"
-        val = qhat_entry("a", "a", "aa", BranchContext(engine, "a", 4, store=QhatStore(path)))
-        rec = json.loads(path.read_text().splitlines()[0])
-        if schema is None:
-            del rec["schema"]
-        else:
-            rec["schema"] = schema
-        path.write_text(json.dumps(rec) + "\n")
-        with pytest.warns(UserWarning, match="schema"):
-            store = QhatStore(path)
-        assert qhat_entry("a", "a", "aa", BranchContext(engine, "a", 4, store=store)) == val
-        assert (store.hits, store.misses) == (0, 1)
-        # the recomputed record carries the current schema and a reload hits it
-        with pytest.warns(UserWarning, match="schema"):
-            fresh = QhatStore(path)
-        assert qhat_entry("a", "a", "aa", BranchContext(engine, "a", 4, store=fresh)) == val
-        assert (fresh.hits, fresh.misses) == (1, 0)
