@@ -224,7 +224,7 @@ def build_walk(cfg: RunConfig, radius: int):
 def root_table(cfg: RunConfig, tm, lam: float, sources: list[str] | None = None) -> kernels.KernelTable:
     """Green kernel of a transition matrix, Martin kernel based at the root:
     the dense table, or the rows of the given sources and the root."""
-    solve = dict(base="", lam=lam, solver_tol=cfg.solver_tol, codes=tm.codes)
+    solve = dict(base="", lam=lam, solver_tol=cfg.solver_tol, codes=tm.codes, index=tm.index)
     if sources is None:
         return kernels.green_table(tm.matrix, tm.domain, cfg.q, **solve)
     return kernels.green_rows(tm.matrix, tm.domain, cfg.q, sources, **solve)
@@ -559,7 +559,7 @@ def _last_entry_worst(cfg: RunConfig, tm, table) -> float:
     branch_tm = tm.restrict(sub)
     branch_table = kernels.green_table(
         branch_tm.matrix, sub, cfg.q, base=x, lam=table.lam, solver_tol=cfg.solver_tol,
-        codes=branch_tm.codes,
+        codes=branch_tm.codes, index=branch_tm.index,
     )
     margin = cfg.ball_radius - tm.range_bound
     sources = [w for w in table.domain if not w.endswith(x) and 0 < len(w) <= 2]

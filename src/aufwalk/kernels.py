@@ -6,7 +6,9 @@ qdim^2-weighted l2 space is the resolvent (I - W)^-1, by sparse LU throughout:
 one factorisation of I - W gives the full table (green_table, up to
 DENSE_LIMIT words, a memory bound) or the rows of chosen sources and the base
 (green_rows), both as a KernelTable, gated by the solve residual and checked
-against a truncated Neumann series with a rigorous tail bound.
+against a truncated Neumann series with a rigorous tail bound.  The unit
+right-hand sides are solved in panels of a few columns, each checked as it is
+solved, so the full table costs one n x n array, the table itself.
 """
 
 from __future__ import annotations
@@ -20,9 +22,14 @@ from scipy.sparse.linalg import splu
 
 from .words import EMPTY, code_lengths, heap_index, heap_indices, qdim, qdims, tree_distance, tree_distances
 
+# largest domain of green_table: its table is one n x n float array (about
+# 135 MiB at the limit), solved in panels with no n x n temporaries
 DENSE_LIMIT = 4200
 SOLVER_TOL = 1e-10
 NORM_GUARD = 1e-6
+# unit columns per solve in _green_solve: 8-32 were fastest at n = 4095,
+# and the panel temporaries stay a few n-vectors wide
+_PANEL = 16
 
 
 def weighted_operator_norm(matrix, weights: np.ndarray, iters: int = 600, tol: float = 1e-13) -> float:
@@ -102,9 +109,11 @@ def green_table(
     lam: float | None = None,
     solver_tol: float = SOLVER_TOL,
     codes: np.ndarray | None = None,
+    index: dict[str, int] | None = None,
 ) -> KernelTable:
     """Solve (I - W) G = I on the domain and package the result.  ``codes``
-    are the heap indices of the domain, computed when not given.
+    are the heap indices of the domain and ``index`` its word -> position
+    map, each computed when not given.
 
     Raises if the power-iteration norm on the weighted l2 space reaches
     1 - 1e-6 (invalid input) or if the solve residual exceeds the tolerance.
@@ -114,7 +123,7 @@ def green_table(
         raise ValueError(f"domain of size {n} exceeds the dense solver limit {DENSE_LIMIT}")
     codes = heap_indices(domain) if codes is None else codes
     green, residual, power_norm, gap = _green_solve(matrix, codes, q, lam, solver_tol)
-    return KernelTable(list(domain), base, green, residual, power_norm, q, lam, gap)
+    return KernelTable(list(domain), base, green, residual, power_norm, q, lam, gap, index=index)
 
 
 def green_rows(
@@ -126,16 +135,18 @@ def green_rows(
     lam: float | None = None,
     solver_tol: float = SOLVER_TOL,
     codes: np.ndarray | None = None,
+    index: dict[str, int] | None = None,
 ) -> KernelTable:
     """The Green rows of the sources and of the base, on a domain of any
     size: one transposed solve per distinct word.  ``codes`` are the heap
-    indices of the domain, computed when not given.
+    indices of the domain and ``index`` its word -> position map, each
+    computed when not given.
 
     Raises ValueError for a word outside the domain, and like green_table on
     the norm guard and when the worst row residual exceeds the tolerance.
     """
     rows = list(dict.fromkeys(list(sources) + [base]))
-    index = {w: i for i, w in enumerate(domain)}
+    index = {w: i for i, w in enumerate(domain)} if index is None else index
     missing = [s for s in rows if s not in index]
     if missing:
         raise ValueError(f"Green rows asked for words outside the domain: {missing}")
@@ -157,7 +168,10 @@ def _green_solve(
     list of domain indices it solves (I - W)^T X = E, whose columns are the
     Green rows at those indices.  Both are columns of (I - A)^-1 with A = W on
     the weights m = qdim^2, or A = W^T on the dual weights 1/m, where the norm
-    is the same.  Returns (X, residual, power-iteration norm, Neumann gap).
+    is the same.  The unit columns are solved in panels of _PANEL, each with
+    its residual A X - X + E and its diagonal taken before it is stored, so no
+    n x n right-hand side, residual or copy is formed; both gates cover every
+    column.  Returns (X, residual, power-iteration norm, Neumann gap).
     """
     n = len(codes)
     w = sp.csr_matrix(matrix, dtype=float)
@@ -173,17 +187,25 @@ def _green_solve(
         a, weights, units, trans, checked = w, m, np.arange(n), "N", sorted({0, (n - 1) // 2, n - 1})
     else:
         a, weights, units, trans, checked = w.T.tocsr(), 1.0 / m, np.asarray(rows), "T", slice(None)
-    rhs = np.zeros((n, len(units)))
-    rhs[units, np.arange(len(units))] = 1.0
-    x = lu.solve(rhs, trans=trans)
-    # A X - X + rhs, in place: a full table is n x n
-    r = a @ x
-    r -= x
-    r += rhs
-    residual = float(np.abs(r).max())
+    x = np.empty((n, len(units)), order="F")
+    residuals, diagonals = [], []
+    for start in range(0, len(units), _PANEL):
+        at = units[start:start + _PANEL]
+        cols = np.arange(len(at))
+        rhs = np.zeros((n, len(at)))
+        rhs[at, cols] = 1.0
+        panel = lu.solve(rhs, trans=trans)
+        r = a @ panel
+        r -= panel
+        r += rhs
+        residuals.append(np.abs(r).max())
+        diagonals.append(panel[at, cols].min())
+        x[:, start:start + len(at)] = panel
+    # np.max and np.min keep a NaN of any panel, as one max over the table did
+    residual = float(np.max(residuals))
     if residual > solver_tol:
         raise RuntimeError(f"Green solve residual {residual} above tolerance {solver_tol}")
-    if x[units, np.arange(len(units))].min() <= 0.0:
+    if np.min(diagonals) <= 0.0:
         raise RuntimeError("Green kernel diagonal not positive")
     # the tail estimate needs an upper bound on the norm: prefer the analytic
     # one when supplied (power iteration approaches the norm from below)

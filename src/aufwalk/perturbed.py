@@ -317,7 +317,7 @@ def green_Q(
     the same solver as the classical tables (raising RuntimeError when the
     solve residual exceeds ``solver_tol``)."""
     qmat = q_matrix(mu, ctx)
-    table = green_table(qmat, ctx.omega, ctx.q, base=ctx.z, lam=lam, solver_tol=solver_tol)
+    table = green_table(qmat, ctx.omega, ctx.q, base=ctx.z, lam=lam, solver_tol=solver_tol, index=ctx.index)
     return qmat, table
 
 

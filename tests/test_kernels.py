@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from aufwalk import kernels
 from aufwalk.fusion import Measure, norm_upper_bound, transition_matrix, uniform_irreducibility_constants
@@ -47,6 +51,13 @@ class TestWeightedNorm:
                 assert weighted_operator_norm(tm.matrix.toarray(), tm.haar_weights()) == nrm
 
 
+@pytest.fixture(scope="module")
+def walk7():
+    dom = ball(7)
+    tm = transition_matrix(Measure({"a": 0.35, "b": 0.65}), dom, Q)
+    return tm, green_table(tm.matrix, dom, Q)
+
+
 class TestGreenTable:
     def test_zero_matrix_gives_identity(self):
         dom = ball(2)
@@ -89,6 +100,38 @@ class TestGreenTable:
         g = green_table(tm.matrix, dom, q).green
         inv = np.linalg.inv(np.eye(len(dom)) - tm.matrix.toarray())
         assert (np.abs(g - inv) / np.abs(inv)).max() < 1e-13
+
+    def test_panels_give_the_one_shot_table(self, walk7):
+        # 255 words: fifteen full panels and a partial one
+        tm, table = walk7
+        n = tm.size
+        assert n % kernels._PANEL != 0
+        lu = splu(sp.identity(n, format="csc") - tm.matrix.tocsc())
+        assert np.array_equal(table.green, lu.solve(np.eye(n)))
+
+    def test_residual_covers_the_whole_table(self, walk7):
+        tm, table = walk7
+        g = table.green
+        assert table.residual == np.abs(tm.matrix @ g - g + np.eye(tm.size)).max()
+
+    def test_residual_above_tolerance_raises(self, walk8):
+        tm, lam, table = walk8
+        assert table.residual > 0.0
+        with pytest.raises(RuntimeError, match="residual"):
+            green_table(tm.matrix, tm.domain, Q, base="", lam=lam, solver_tol=table.residual / 2)
+
+    def test_memory_is_one_table(self, mu_letters):
+        """At ball 10 (2047 words, a 32 MiB table) the solve allocates the
+        table and panel-sized temporaries, not an n x n right-hand side,
+        residual or copy."""
+        tm = transition_matrix(mu_letters, ball(10), Q)
+        tracemalloc.start()
+        try:
+            table = green_table(tm.matrix, tm.domain, Q, codes=tm.codes, index=tm.index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * table.green.nbytes
 
     def test_rejects_norm_one(self):
         # a stochastic 2-cycle has norm 1 in the flat weighting
