@@ -42,12 +42,15 @@ for u, s, t in [("a", "a", "aa"), ("b", "a", "ba"), ("a", "ba", "aba"), ("b", "a
 
 tm = transition_matrix(mu, ball(radius), q)
 lam = norm_upper_bound(mu, q)
-p_branch = tm.restrict(ctx.omega).matrix.toarray()
+p_branch = tm.restrict(ctx.omega).matrix
 q_mat, q_table = green_Q(mu, ctx, lam=lam)
 
 print()
 print("=== exponential closeness along the branch ===")
-rep = decay_audit(residual_matrix(mu, ctx), ctx)
+resid = residual_matrix(mu, ctx)
+print(f"the perturbed matrix is the classical one less a correction on {resid.nnz} "
+      f"of its {q_mat.nnz} entries (the traced ones)")
+rep = decay_audit(resid, ctx)
 for l, m in zip(rep.lengths, rep.maxima):
     print(f"  |s| = {l}: max (p - q) = {m:.3e}   (/q^2|s| = {m / q ** (2 * l):.3f})")
 print(f"fitted slope {rep.fitted_rate:.4f}; guaranteed envelope rate log q = {rep.target_rate:.4f}")

@@ -403,7 +403,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         rate_gap, 0.2, rate_gap <= 0.2)
 
     ctx = _branch_context(cfg, eng)
-    p_branch = tm.restrict(ctx.omega).matrix.toarray()
+    p_branch = tm.restrict(ctx.omega).matrix
     oracle_gap, domination_gap = _qhat_checks(cfg, ctx)
     add("qhat_oracle", "trace formula against the partial-trace evaluation", oracle_gap, 1e-9,
         oracle_gap < 1e-9)

@@ -8,8 +8,10 @@ For a point mass at u the coefficient is the normalized trace
 
 over the block H_u (x) H_s, which is real, dominated entrywise by the
 classical weights, and exponentially close to them far from the root.
-The matrix assembled from these coefficients feeds the same Green-kernel
-solver as the classical walk.
+Wherever the cut rule (exact_by_cut) applies the coefficient is the classical
+weight itself, so the branch matrix is the classical branch matrix less a
+correction on the traced entries, a few per level.  Both are sparse, and the
+matrix feeds the same Green-kernel solver as the classical walk.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fusion import Measure, fuse
+from .fusion import Measure, fuse, transition_matrix
 from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply
 from .kernels import SOLVER_TOL, KernelTable, green_table
-from .words import branch, heap_indices, involution, qdim, qdims
+from .words import branch, involution, qdim
 
 RESIDUAL_FLOOR = 1e-12
 DOMINATION_TOL = 1e-12
@@ -53,9 +56,6 @@ class BranchContext:
 
     def contains(self, w: str) -> bool:
         return w.endswith(self.z)
-
-    def qdims(self) -> np.ndarray:
-        return qdims(heap_indices(self.omega), self.q)
 
 
 def exact_by_cut(u: str, s: str, t: str, z: str) -> bool:
@@ -204,51 +204,42 @@ def required_entries(mu: Measure, ctx: BranchContext) -> list[tuple[str, str, st
     return out
 
 
-def q_matrix(mu: Measure, ctx: BranchContext) -> np.ndarray:
-    """Assemble the perturbed matrix on the truncated branch by linearity over
-    the dual measure.  Fails loudly, listing the offending entries, when any
-    required coefficient exceeds the tensor cap."""
-    return _assemble(mu, ctx, lambda u, s, t: qhat_entry(u, s, t, ctx))
+def q_matrix(mu: Measure, ctx: BranchContext) -> sp.csr_matrix:
+    """The perturbed matrix on the truncated branch: the classical branch
+    matrix of mu less the correction p - qhat on the traced entries, so
+    qhat_entry runs only where the cut rule does not decide.  Fails loudly,
+    listing the offending entries, when a traced coefficient exceeds the
+    tensor cap."""
+    classical = transition_matrix(mu, ctx.omega, ctx.q).matrix
+    return classical - _traced(mu, ctx, lambda u, s, t, p: p - qhat_entry(u, s, t, ctx))
 
 
-def residual_matrix(mu: Measure, ctx: BranchContext) -> np.ndarray:
+def residual_matrix(mu: Measure, ctx: BranchContext) -> sp.csr_matrix:
     """The perturbation residual p - qhat on the truncated branch, with the
     weights of q_matrix, built entry by entry as p eps^2 / 2 from the
     commutation defect (see commutation_defect) rather than as a difference of
     O(1) numbers, so small residuals keep their relative accuracy.  Entries
-    the cut rule decides (exact_by_cut) have residual 0."""
-
-    def term(u, s, t):
-        if not u or exact_by_cut(u, s, t, ctx.z):
-            return 0.0
-        eps = commutation_defect(u, s, t, ctx)
-        return qdim(t, ctx.q) / (qdim(u, ctx.q) * qdim(s, ctx.q)) * eps ** 2 / 2
-
-    return _assemble(mu, ctx, term)
+    the cut rule decides (exact_by_cut) have residual 0 and are not stored."""
+    return _traced(mu, ctx, lambda u, s, t, p: p * commutation_defect(u, s, t, ctx) ** 2 / 2)
 
 
-def _assemble(mu: Measure, ctx: BranchContext, coefficient) -> np.ndarray:
+def _traced(mu: Measure, ctx: BranchContext, term) -> sp.csr_matrix:
     """The branch matrix with entry (t, s) = sum over u of
-    mud(u) (m_s / m_t)^2 coefficient(u, s, t), over the required entries.
-    The cap is checked up front on the entries that need the trace: the empty
-    u and the entries of the cut rule need none."""
+    mud(u) (m_s / m_t)^2 term(u, s, t, p), p = m_t / (m_u m_s), over the
+    traced entries: the required ones with nonempty u that the cut rule leaves
+    to the trace.  The cap is checked on all of them up front."""
+    traced = [(u, s, t) for (u, s, t) in required_entries(mu, ctx) if u and not exact_by_cut(u, s, t, ctx.z)]
     cap = ctx.engine.cfg.tensor_cap
-    needed = required_entries(mu, ctx)
-    blocked = [
-        (u, s, t)
-        for (u, s, t) in needed
-        if u and len(u) + len(s) + len(ctx.y) > cap and not exact_by_cut(u, s, t, ctx.z)
-    ]
+    blocked = [u + s + ctx.y for (u, s, t) in traced if len(u) + len(s) + len(ctx.y) > cap]
     if blocked:
-        raise TensorCapError([u + s + ctx.y for (u, s, t) in blocked[:8]], cap)
-    mud = mu.dual()
-    dims = ctx.qdims()
-    n = len(ctx.omega)
-    out = np.zeros((n, n))
-    for (u, s, t) in needed:
-        si, ti = ctx.index[s], ctx.index[t]
-        out[ti, si] += mud.weight(u) * (dims[si] / dims[ti]) ** 2 * coefficient(u, s, t)
-    return out
+        raise TensorCapError(blocked[:8], cap)
+    mud, q = mu.dual(), ctx.q
+    out = sp.dok_matrix((len(ctx.omega), len(ctx.omega)))
+    for (u, s, t) in traced:
+        m_s, m_t = qdim(s, q), qdim(t, q)
+        p = m_t / (qdim(u, q) * m_s)
+        out[ctx.index[t], ctx.index[s]] += mud.weight(u) * (m_s / m_t) ** 2 * term(u, s, t, p)
+    return out.tocsr()
 
 
 @dataclass
@@ -277,7 +268,7 @@ class DecayReport:
         )
 
 
-def decay_audit(resid: np.ndarray, ctx: BranchContext) -> DecayReport:
+def decay_audit(resid, ctx: BranchContext) -> DecayReport:
     """Fit the decay of the perturbation residual against the source length.
 
     ``resid`` is the branch matrix of p - qhat from residual_matrix: each
@@ -288,11 +279,12 @@ def decay_audit(resid: np.ndarray, ctx: BranchContext) -> DecayReport:
     """
     per_length: dict[int, float] = {}
     n_pairs = 0
-    for i, s in enumerate(ctx.omega):
-        for j in range(len(ctx.omega)):
-            if resid[i, j] > RESIDUAL_FLOOR:
-                per_length[len(s)] = max(per_length.get(len(s), 0.0), float(resid[i, j]))
-                n_pairs += 1
+    coo = sp.coo_matrix(resid)
+    for i, value in zip(coo.row.tolist(), coo.data.tolist()):
+        if value > RESIDUAL_FLOOR:
+            length = len(ctx.omega[i])
+            per_length[length] = max(per_length.get(length, 0.0), value)
+            n_pairs += 1
     if len(per_length) < 4:
         raise ValueError(f"only {len(per_length)} lengths with usable residuals; need at least 4")
     lengths = sorted(per_length)
@@ -312,7 +304,7 @@ def decay_audit(resid: np.ndarray, ctx: BranchContext) -> DecayReport:
 
 def green_Q(
     mu: Measure, ctx: BranchContext, lam: float | None = None, solver_tol: float = SOLVER_TOL
-) -> tuple[np.ndarray, KernelTable]:
+) -> tuple[sp.csr_matrix, KernelTable]:
     """Perturbed matrix and its Green kernel on the truncated branch, through
     the same solver as the classical tables (raising RuntimeError when the
     solve residual exceeds ``solver_tol``)."""
@@ -333,9 +325,9 @@ class GdifReport:
 
 
 def gdif_audit(
-    qmat: np.ndarray,
+    qmat,
     ctx: BranchContext,
-    p_branch: np.ndarray,
+    p_branch,
     x_list: list[str],
     lam: float | None = None,
     solver_tol: float = SOLVER_TOL,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aufwalk import cli, fusion, kernels, perturbed, words
+from aufwalk import cli, fusion, kernels, words
 from aufwalk.cli import (
     EXIT_AUDIT,
     EXIT_CAP,
@@ -275,7 +275,7 @@ class TestCsvEmitter:
             calls.append(len(domain))
             return real(domain)
 
-        for module in (words, fusion, kernels, perturbed):
+        for module in (words, fusion, kernels):
             monkeypatch.setattr(module, "heap_indices", counting)
         path = make_config(tmp_path, ballRadius=radius, sources=["e", "ab"])
         assert main(["walk", str(path)]) == EXIT_OK

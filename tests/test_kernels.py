@@ -380,6 +380,32 @@ class TestGreenRows:
         assert rows.residual < 1e-10
         assert rows.neumann_gap > 1e-11
 
+    @pytest.mark.parametrize("error, passes", [(1e-10, True), (1e-9, False)])
+    def test_neumann_bound_scales_with_the_dual_weights(self, mu_letters, monkeypatch, error, passes):
+        """On the row path entry t of the row of e may be off by about
+        tail * sqrt(m_t / m_e), which is 1365 tails at t = ababababab (radius
+        10, q = 0.5): an error of 1e-10 there is inside the bound, 1e-9 is not.
+        With the weights m in place of 1/m the bound is the 1e-12 floor, and
+        1e-10 fails."""
+        dom = ball(10)
+        tm = transition_matrix(mu_letters, dom, Q)
+        lam = norm_upper_bound(mu_letters, Q)
+        real_splu = kernels.splu
+
+        class PerturbedLU:
+            def __init__(self, a):
+                self.lu = real_splu(a)
+
+            def solve(self, rhs, trans="N"):
+                x = self.lu.solve(rhs, trans=trans)
+                x[tm.index["ababababab"], 0] += error
+                return x
+
+        monkeypatch.setattr(kernels, "splu", PerturbedLU)
+        # the residual gate is opened so that the error reaches the series check
+        rows = green_rows(tm.matrix, dom, Q, [""], base="", lam=lam, solver_tol=1e-8)
+        assert (rows.neumann_gap <= 0.0) is passes
+
     def test_residual_above_tolerance_raises(self, walk8):
         tm, _, _ = walk8
         resid = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="").residual

@@ -1,6 +1,9 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aufwalk.fusion import Measure, fuse, multiplicity, norm_upper_bound, transition_matrix
 from aufwalk.intertwiners import IntertwinerEngine, ModelConfig, TensorCapError
@@ -25,7 +28,7 @@ from aufwalk.perturbed import (
     residual_matrix,
     trace_routes,
 )
-from aufwalk.words import ball, branch, involution, qdim
+from aufwalk.words import ball, branch, heap_indices, involution, qdim, qdims
 
 Q = 0.5
 
@@ -167,24 +170,24 @@ class TestCutRule:
 class TestQMatrix:
     def test_dominated_by_classical(self, setup, mu_letters):
         ctx, _, p_branch = setup
-        qm = q_matrix(mu_letters, ctx)
+        qm = q_matrix(mu_letters, ctx).toarray()
         assert (np.abs(qm) <= p_branch + 1e-12).all()
 
     def test_zero_pattern_inside_classical(self, setup, mu_letters):
         ctx, _, p_branch = setup
-        qm = q_matrix(mu_letters, ctx)
+        qm = q_matrix(mu_letters, ctx).toarray()
         assert (np.abs(qm[p_branch == 0]) < 1e-14).all()
 
     def test_point_mass_at_root_gives_identity(self, setup):
         ctx, _, _ = setup
         qm = q_matrix(Measure({"": 1.0}), ctx)
-        assert np.array_equal(qm, np.eye(len(ctx.omega)))
+        assert np.array_equal(qm.toarray(), np.eye(len(ctx.omega)))
 
     def test_exact_on_all_a_words(self, setup, mu_letters):
         # on the doubled-letter sub-branch the perturbed and classical
         # weights coincide exactly
         ctx, _, p_branch = setup
-        qm = q_matrix(mu_letters, ctx)
+        qm = q_matrix(mu_letters, ctx).toarray()
         sub = [i for i, w in enumerate(ctx.omega) if w.endswith("aa")]
         gap = np.abs(qm[np.ix_(sub, sub)] - p_branch[np.ix_(sub, sub)])
         assert gap.max() < 1e-12
@@ -195,10 +198,10 @@ class TestQMatrix:
         calls = []
         build = ctx.engine.normalized_V
         monkeypatch.setattr(ctx.engine, "normalized_V", lambda *a: calls.append(a) or build(*a))
-        first = q_matrix(mu_letters, ctx)
+        first = q_matrix(mu_letters, ctx).toarray()
         assert calls
         calls.clear()
-        assert np.array_equal(q_matrix(mu_letters, ctx), first)
+        assert np.array_equal(q_matrix(mu_letters, ctx).toarray(), first)
         assert calls == []
 
     def test_cap_violation_reported(self, mu_letters):
@@ -210,8 +213,61 @@ class TestQMatrix:
     def test_norm_dominated_by_classical(self, setup, mu_letters):
         ctx, _, p_branch = setup
         qm = q_matrix(mu_letters, ctx)
-        m = ctx.qdims() ** 2
+        m = qdims(heap_indices(ctx.omega), Q) ** 2
         assert weighted_operator_norm(qm, m) - weighted_operator_norm(p_branch, m) <= 1e-8
+
+
+def entrywise_q_matrix(mu, ctx):
+    """The branch matrix entry by entry: mud(u) (m_s / m_t)^2 qhat_u(s, t)
+    summed over every required entry, traced or not, into a dense array."""
+    mud = mu.dual()
+    dims = qdims(heap_indices(ctx.omega), ctx.q)
+    out = np.zeros((len(ctx.omega), len(ctx.omega)))
+    for (u, s, t) in required_entries(mu, ctx):
+        si, ti = ctx.index[s], ctx.index[t]
+        out[ti, si] += mud.weight(u) * (dims[si] / dims[ti]) ** 2 * qhat_entry(u, s, t, ctx)
+    return out
+
+
+class TestSparseQMatrix:
+    @pytest.fixture(params=[(0.3, "mu_letters"), (0.3, "mu_mixed"), (0.7, "mu_letters"), (0.7, "mu_mixed")])
+    def case(self, request):
+        q, measure = request.param
+        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=10)), "a", 5)
+        return request.getfixturevalue(measure), ctx
+
+    def test_matches_the_entrywise_oracle(self, case):
+        mu, ctx = case
+        qm = q_matrix(mu, ctx)
+        assert isinstance(qm, sp.csr_matrix)
+        want = entrywise_q_matrix(mu, ctx)
+        assert (np.abs(qm.toarray() - want) <= 1e-15 * np.abs(want)).all()
+
+    def test_classical_off_the_traced_cells(self, case):
+        mu, ctx = case
+        traced = np.zeros((len(ctx.omega), len(ctx.omega)), dtype=bool)
+        for (u, s, t) in required_entries(mu, ctx):
+            if u and not exact_by_cut(u, s, t, ctx.z):
+                traced[ctx.index[t], ctx.index[s]] = True
+        classical = transition_matrix(mu, ball(ctx.radius), ctx.q).restrict(ctx.omega).matrix.toarray()
+        assert 0 < traced.sum() < (classical != 0).sum() / 2
+        assert np.array_equal(q_matrix(mu, ctx).toarray()[~traced], classical[~traced])
+        assert residual_matrix(mu, ctx).toarray()[~traced].max() == 0.0
+
+    def test_no_dense_table_at_ball_11(self):
+        """At cap 14, ball 11 (2047 words, one n x n float table is 32 MiB)
+        both assemblies stay a small fraction of a table, cold or warm."""
+        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=14)), "a", 11)
+        mu = Measure({"a": 0.35, "b": 0.65})
+        assert len(ctx.omega) == 2047
+        for build in (q_matrix, residual_matrix, q_matrix):
+            tracemalloc.start()
+            try:
+                build(mu, ctx)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2 ** 20
 
 
 class TestDecayAudit:
@@ -230,9 +286,9 @@ class TestDecayAudit:
         """The residual built from the defects is |q_matrix - p| entry by entry."""
         ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=10)), "a", 5)
         p_branch = transition_matrix(mu_mixed, ball(5), q).restrict(ctx.omega).matrix.toarray()
-        resid = residual_matrix(mu_mixed, ctx)
+        resid = residual_matrix(mu_mixed, ctx).toarray()
         assert resid.min() >= 0.0 and resid.max() > 1e-3
-        assert np.abs(resid - np.abs(q_matrix(mu_mixed, ctx) - p_branch)).max() <= 1e-14
+        assert np.abs(resid - np.abs(q_matrix(mu_mixed, ctx).toarray() - p_branch)).max() <= 1e-14
 
     def test_needs_enough_lengths(self, engine, mu_letters):
         ctx = BranchContext(engine, "a", 3)
@@ -317,7 +373,7 @@ class TestGreenQ:
         qm, table = green_Q(mu_letters, ctx, lam=lam)
         assert table.residual < 1e-10
         assert table.green.diagonal().min() >= 1.0 - 1e-12
-        assert table.power_norm <= weighted_operator_norm(p_branch, ctx.qdims() ** 2) + 1e-8
+        assert table.power_norm <= weighted_operator_norm(p_branch, qdims(heap_indices(ctx.omega), Q) ** 2) + 1e-8
 
     def test_martin_Q_bounded(self, setup, mu_letters):
         ctx, tm, _ = setup
