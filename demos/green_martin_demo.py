@@ -25,7 +25,7 @@ mu = Measure({"a": 0.5, "b": 0.5})
 domain = ball(radius)
 tm = transition_matrix(mu, domain, q)
 lam = norm_upper_bound(mu, q)
-table = green_table(tm.matrix, domain, q, base="", lam=lam)
+table = green_table(tm, base="", lam=lam)
 print(f"Green table on ball({radius}): {table.size} vertices")
 print(f"solver residual {table.residual:.2e}, norm {table.power_norm:.4f} <= {lam:.4f}")
 print(f"G(e,e) = {table.green_entry('', ''):.8f}  (diagonal capped by 1/(1-lam) = {1/(1-lam):.3f})")
@@ -50,9 +50,9 @@ print(f"geodesic product constants: lower {mult.c1_lower:.4f} <= {mult.lower_bou
 print()
 print("=== last-entry decomposition at the branch of 'a' ===")
 sub = branch("a", radius)
-branch_table = green_table(tm.restrict(sub).matrix, sub, q, base="a", lam=lam)
+branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
 for s, t in [("b", "aa"), ("ab", "aba"), ("bb", "a")]:
-    resid = last_entry_audit("a", s, t, table, branch_table, tm.matrix, tm.range_bound)
+    resid = last_entry_audit("a", s, t, table, branch_table, tm)
     print(f"G({s},{t}) vs sum over the cut: relative residual {resid:.2e}")
 
 print()

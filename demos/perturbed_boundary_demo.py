@@ -42,14 +42,13 @@ for u, s, t in [("a", "a", "aa"), ("b", "a", "ba"), ("a", "ba", "aba"), ("b", "a
 
 tm = transition_matrix(mu, ball(radius), q)
 lam = norm_upper_bound(mu, q)
-p_branch = tm.restrict(ctx.omega).matrix
-q_mat, q_table = green_Q(mu, ctx, lam=lam)
+q_walk, q_table = green_Q(mu, ctx, lam=lam)
 
 print()
 print("=== exponential closeness along the branch ===")
 resid = residual_matrix(mu, ctx)
 print(f"the perturbed matrix is the classical one less a correction on {resid.nnz} "
-      f"of its {q_mat.nnz} entries (the traced ones)")
+      f"of its {q_walk.matrix.nnz} entries (the traced ones)")
 rep = decay_audit(resid, ctx)
 for l, m in zip(rep.lengths, rep.maxima):
     print(f"  |s| = {l}: max (p - q) = {m:.3e}   (/q^2|s| = {m / q ** (2 * l):.3f})")
@@ -60,13 +59,13 @@ print(" passes, while the audit entry perturbation_rate compares with log q and 
 
 print()
 print("=== Green kernels on sub-branches ===")
-gd = gdif_audit(q_mat, ctx, p_branch, ["a", "ba", "aba", "baba"], lam=lam)
+gd = gdif_audit(q_walk, ctx, tm, ["a", "ba", "aba", "baba"], lam=lam)
 for x, rel in zip(gd.x_list, gd.max_rel):
     print(f"  sub-branch of {x:5s}: max relative gap |G_Q - G_P| / G_P = {rel:.3e}")
 
 print()
 print("=== boundary ray profiles (matched truncations) ===")
-full = green_table(tm.matrix, ball(radius), q, base="", lam=lam)
+full = green_table(tm, base="", lam=lam)
 ray = ray_words("", "a", "a", radius - 1)
 sources = ["a" * k for k in range(1, 6)]
 # the deepest ray point t_N stands for the boundary value

@@ -149,6 +149,8 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
         if not isinstance(ray, list) or len(ray) != 2:
             raise ConfigError(f"each ray must be a [preperiod, period] pair, got {json.dumps(ray)}")
         rays.append(tuple(_words(ray, "rays")))
+    if not rays:
+        raise ConfigError("rays must hold at least one [preperiod, period] pair")
     cfg = RunConfig(
         model=model,
         measure=measure,
@@ -222,12 +224,11 @@ def build_walk(cfg: RunConfig, radius: int):
 
 
 def root_table(cfg: RunConfig, tm, lam: float, sources: list[str] | None = None) -> kernels.KernelTable:
-    """Green kernel of a transition matrix, Martin kernel based at the root:
-    the dense table, or the rows of the given sources and the root."""
-    solve = dict(base="", lam=lam, solver_tol=cfg.solver_tol, codes=tm.codes, index=tm.index)
+    """Green kernel of a walk, Martin kernel based at the root: the dense
+    table, or the rows of the given sources and the root."""
     if sources is None:
-        return kernels.green_table(tm.matrix, tm.domain, cfg.q, **solve)
-    return kernels.green_rows(tm.matrix, tm.domain, cfg.q, sources, **solve)
+        return kernels.green_table(tm, lam=lam, solver_tol=cfg.solver_tol)
+    return kernels.green_rows(tm, sources, lam=lam, solver_tol=cfg.solver_tol)
 
 
 def _output_dir(cfg: RunConfig) -> Path:
@@ -308,9 +309,9 @@ def _irreducibility(cfg: RunConfig, tm) -> tuple[float, int]:
 def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
     """The classical walk against the perturbed branch walk on matched
     truncations: the ball of the branch radius for the classical Green rows
-    (sources and root), the truncated branch for the perturbed matrix and table.
+    (sources and root), the truncated branch for the perturbed walk and table.
 
-    Returns the perturbed matrix, the sources inside and outside the branch,
+    Returns the perturbed walk, the sources inside and outside the branch,
     and for each ray its words t_1..t_N, the classical Martin kernel K_P(s, t_n)
     of the sources inside and then outside, and the perturbed K_Q(s, t_n) =
     G_Q(s, t_n) / G_P(e, t_n) of the sources inside (rows by source, columns
@@ -327,7 +328,7 @@ def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
                 f"boundary source {s!r} outside the ball of the branch radius {ctx.radius}"
             )
     full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), lam, sources)
-    qmat, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam, solver_tol=cfg.solver_tol)
+    q_walk, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam, solver_tol=cfg.solver_tol)
     inside = [s for s in sources if s in ctx.index]
     outside = [s for s in sources if s not in ctx.index]
     per_ray = []
@@ -338,7 +339,7 @@ def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
             kernels.martin_rows(full, inside + outside, ray),
             kernels.martin_rows(q_table, inside, ray, root=full),
         ))
-    return qmat, inside, outside, per_ray
+    return q_walk, inside, outside, per_ray
 
 
 def run_audits(cfg: RunConfig) -> list[dict]:
@@ -403,14 +404,13 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         rate_gap, 0.2, rate_gap <= 0.2)
 
     ctx = _branch_context(cfg, eng)
-    p_branch = tm.restrict(ctx.omega).matrix
     oracle_gap, domination_gap = _qhat_checks(cfg, ctx)
     add("qhat_oracle", "trace formula against the partial-trace evaluation", oracle_gap, 1e-9,
         oracle_gap < 1e-9)
     add("qhat_domination", "perturbed weights dominated by classical ones", domination_gap,
         1e-12, domination_gap <= 1e-12)
 
-    qmat, inside, _, [(ray, k_p, k_q)] = branch_kernels(cfg, tm, lam, ctx, cfg.rays[:1])
+    q_walk, inside, _, [(ray, k_p, k_q)] = branch_kernels(cfg, tm, lam, ctx, cfg.rays[:1])
     if not inside:
         raise ConfigError(f"the boundary audits need a boundary source in the branch of "
                           f"{cfg.branch_z!r}")
@@ -440,7 +440,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         resid < cfg.audit_tol)
 
     x_list = [x for x in _alternating_branch_words(cfg.branch_z, 4) if len(x) <= ctx.radius - 2]
-    gdif = perturbed.gdif_audit(qmat, ctx, p_branch, x_list, lam=lam, solver_tol=cfg.solver_tol)
+    gdif = perturbed.gdif_audit(q_walk, ctx, tm, x_list, lam=lam, solver_tol=cfg.solver_tol)
     add("gdif_envelope", "branch Green kernels differ by an envelope in the branch depth",
         gdif.envelope_gap, 1.0, gdif.envelope_gap <= 1.0 + 1e-12)
 
@@ -555,22 +555,16 @@ def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float]:
 
 def _last_entry_worst(cfg: RunConfig, tm, table) -> float:
     x = cfg.branch_z
-    sub = [w for w in table.domain if w.endswith(x)]
-    branch_tm = tm.restrict(sub)
     branch_table = kernels.green_table(
-        branch_tm.matrix, sub, cfg.q, base=x, lam=table.lam, solver_tol=cfg.solver_tol,
-        codes=branch_tm.codes, index=branch_tm.index,
+        tm.restrict(words.branch(x, cfg.ball_radius)), base=x, lam=table.lam, solver_tol=cfg.solver_tol
     )
     margin = cfg.ball_radius - tm.range_bound
     sources = [w for w in table.domain if not w.endswith(x) and 0 < len(w) <= 2]
-    targets = [w for w in sub if len(w) <= min(4, margin)]
+    targets = [w for w in branch_table.domain if len(w) <= min(4, margin)]
     worst = 0.0
     for s in sources[:4]:
         for t in targets[:6]:
-            worst = max(
-                worst,
-                kernels.last_entry_audit(x, s, t, table, branch_table, tm.matrix, tm.range_bound),
-            )
+            worst = max(worst, kernels.last_entry_audit(x, s, t, table, branch_table, tm))
     return worst
 
 

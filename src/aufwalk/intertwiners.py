@@ -42,6 +42,19 @@ def _root_below_one(t: float) -> float:
     return 2.0 / (t + math.sqrt(t * t - 4.0))
 
 
+def _check_size(n: int, tensor_cap: int) -> None:
+    """A basis of a word of length tensor_cap has n^tensor_cap ambient rows;
+    the cap keeps that count at most 2^TENSOR_CAP_HARD_LIMIT, the bound it
+    sets at n = 2."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if not (1 <= tensor_cap <= TENSOR_CAP_HARD_LIMIT and n ** tensor_cap <= 2 ** TENSOR_CAP_HARD_LIMIT):
+        raise ValueError(
+            f"tensor_cap {tensor_cap} must be at least 1, with n^tensor_cap at most "
+            f"2^{TENSOR_CAP_HARD_LIMIT} (n = {n})"
+        )
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Deformation data: matrix size n, positive diagonal of F, tensor cap.
@@ -56,12 +69,9 @@ class ModelConfig:
     tensor_cap: int = 10
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        _check_size(self.n, self.tensor_cap)
         if len(self.f_diag) != self.n or any(f <= 0 for f in self.f_diag):
             raise ValueError("f_diag must be n positive reals")
-        if not 1 <= self.tensor_cap <= TENSOR_CAP_HARD_LIMIT:
-            raise ValueError(f"tensor_cap must lie in [1, {TENSOR_CAP_HARD_LIMIT}]")
         trace = sum(self.rho)
         trace_inv = sum(1.0 / r for r in self.rho)
         if abs(trace - trace_inv) > 1e-12 * max(trace, trace_inv):
@@ -86,6 +96,7 @@ class ModelConfig:
     @classmethod
     def from_q(cls, q: float, n: int = 2, tensor_cap: int = 10) -> "ModelConfig":
         validate_q(q)
+        _check_size(n, tensor_cap)
         t = q + 1.0 / q - (n - 2)
         if t <= 2.0:
             raise ValueError(f"q = {q} is not reachable with n = {n} (needs q + 1/q > n)")

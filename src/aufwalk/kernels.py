@@ -1,14 +1,16 @@
 """Green and Martin kernels of substochastic matrices on tree domains,
 and the quantitative audits of their tree-geometry estimates.
 
-The Green kernel of a weight matrix W with spectral norm < 1 on the
-qdim^2-weighted l2 space is the resolvent (I - W)^-1, by sparse LU throughout:
-one factorisation of I - W gives the full table (green_table, up to
-DENSE_LIMIT words, a memory bound) or the rows of chosen sources and the base
-(green_rows), both as a KernelTable, gated by the solve residual and checked
-against a truncated Neumann series with a rigorous tail bound.  The unit
-right-hand sides are solved in panels of a few columns, each checked as it is
-solved, so the full table costs one n x n array, the table itself.
+The Green kernel of a walk (a fusion.TransitionMatrix, which carries its
+weight matrix W, words, heap indices and word -> position map) whose W has
+spectral norm < 1 on the qdim^2-weighted l2 space is the resolvent
+(I - W)^-1, by sparse LU throughout: one factorisation of I - W gives the full
+table (green_table, up to DENSE_LIMIT words, a memory bound) or the rows of
+chosen sources and the base (green_rows), both as a KernelTable indexed by
+the walk's map, gated by the solve residual and checked against a truncated
+Neumann series with a rigorous tail bound.  The unit right-hand sides are
+solved in panels of a few columns, each checked as it is solved, so the full
+table costs one n x n array, the table itself.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .fusion import TransitionMatrix
 from .words import EMPTY, code_lengths, heap_index, heap_indices, qdim, qdims, tree_distance, tree_distances
 
 # largest domain of green_table: its table is one n x n float array (about
@@ -57,23 +60,22 @@ def weighted_operator_norm(matrix, weights: np.ndarray, iters: int = 600, tol: f
 @dataclass
 class KernelTable:
     """Green kernel G(s, t) for the solved words s (``rows``, by default the
-    domain) and every t of an ordered word domain; Martin kernels
-    (martin_rows) are normalized at ``base``, which is always solved."""
+    domain) and every t of an ordered word domain, whose word -> position map
+    is ``index``; Martin kernels (martin_rows) are normalized at ``base``,
+    which is always solved."""
 
     domain: list[str]
     base: str
     green: np.ndarray
     residual: float
     power_norm: float
-    q: float
+    index: dict[str, int] = field(repr=False)
     lam: float | None = None
     neumann_gap: float | None = None
     rows: list[str] | None = None
-    index: dict[str, int] | None = field(default=None, repr=False)
     row_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.index = self.index or {w: i for i, w in enumerate(self.domain)}
         self.rows = self.domain if self.rows is None else self.rows
         self.row_index = self.index if self.rows is self.domain else {w: i for i, w in enumerate(self.rows)}
         if self.base not in self.row_index:
@@ -102,67 +104,45 @@ class KernelTable:
 
 
 def green_table(
-    matrix,
-    domain: list[str],
-    q: float,
-    base: str = EMPTY,
-    lam: float | None = None,
-    solver_tol: float = SOLVER_TOL,
-    codes: np.ndarray | None = None,
-    index: dict[str, int] | None = None,
+    walk: TransitionMatrix, base: str = EMPTY, lam: float | None = None, solver_tol: float = SOLVER_TOL
 ) -> KernelTable:
-    """Solve (I - W) G = I on the domain and package the result.  ``codes``
-    are the heap indices of the domain and ``index`` its word -> position
-    map, each computed when not given.
+    """Solve (I - W) G = I for the walk's weights W on its domain.
 
     Raises if the power-iteration norm on the weighted l2 space reaches
     1 - 1e-6 (invalid input) or if the solve residual exceeds the tolerance.
     """
-    n = len(domain)
-    if n > DENSE_LIMIT:
-        raise ValueError(f"domain of size {n} exceeds the dense solver limit {DENSE_LIMIT}")
-    codes = heap_indices(domain) if codes is None else codes
-    green, residual, power_norm, gap = _green_solve(matrix, codes, q, lam, solver_tol)
-    return KernelTable(list(domain), base, green, residual, power_norm, q, lam, gap, index=index)
+    if walk.size > DENSE_LIMIT:
+        raise ValueError(f"domain of size {walk.size} exceeds the dense solver limit {DENSE_LIMIT}")
+    green, residual, power_norm, gap = _green_solve(walk, lam, solver_tol)
+    return KernelTable(walk.domain, base, green, residual, power_norm, walk.index, lam, gap)
 
 
 def green_rows(
-    matrix,
-    domain: list[str],
-    q: float,
+    walk: TransitionMatrix,
     sources: list[str],
     base: str = EMPTY,
     lam: float | None = None,
     solver_tol: float = SOLVER_TOL,
-    codes: np.ndarray | None = None,
-    index: dict[str, int] | None = None,
 ) -> KernelTable:
     """The Green rows of the sources and of the base, on a domain of any
-    size: one transposed solve per distinct word.  ``codes`` are the heap
-    indices of the domain and ``index`` its word -> position map, each
-    computed when not given.
+    size: one transposed solve per distinct word.
 
     Raises ValueError for a word outside the domain, and like green_table on
     the norm guard and when the worst row residual exceeds the tolerance.
     """
     rows = list(dict.fromkeys(list(sources) + [base]))
-    index = {w: i for i, w in enumerate(domain)} if index is None else index
-    missing = [s for s in rows if s not in index]
+    missing = [s for s in rows if s not in walk.index]
     if missing:
         raise ValueError(f"Green rows asked for words outside the domain: {missing}")
-    codes = heap_indices(domain) if codes is None else codes
-    solved, residual, power_norm, gap = _green_solve(
-        matrix, codes, q, lam, solver_tol, [index[s] for s in rows]
-    )
+    solved, residual, power_norm, gap = _green_solve(walk, lam, solver_tol, [walk.index[s] for s in rows])
     green = np.ascontiguousarray(solved.T)
-    return KernelTable(list(domain), base, green, residual, power_norm, q, lam, gap, rows=rows, index=index)
+    return KernelTable(walk.domain, base, green, residual, power_norm, walk.index, lam, gap, rows=rows)
 
 
 def _green_solve(
-    matrix, codes: np.ndarray, q: float, lam: float | None, solver_tol: float, rows: list[int] | None = None
+    walk: TransitionMatrix, lam: float | None, solver_tol: float, rows: list[int] | None = None
 ) -> tuple[np.ndarray, float, float, float]:
-    """The one solver core behind green_table and green_rows, on the domain
-    with the given heap indices.
+    """The one solver core behind green_table and green_rows.
 
     With ``rows`` None it solves (I - W) X = I for the full table; with a
     list of domain indices it solves (I - W)^T X = E, whose columns are the
@@ -173,11 +153,11 @@ def _green_solve(
     n x n right-hand side, residual or copy is formed; both gates cover every
     column.  Returns (X, residual, power-iteration norm, Neumann gap).
     """
-    n = len(codes)
-    w = sp.csr_matrix(matrix, dtype=float)
+    n = walk.size
+    w = sp.csr_matrix(walk.matrix, dtype=float)
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match domain size {n}")
-    m = qdims(codes, q) ** 2
+    m = walk.haar_weights()
     power_norm = weighted_operator_norm(w, m)
     if power_norm >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm {power_norm} too close to 1; Green kernel unreliable")
@@ -330,17 +310,12 @@ def entry_set(branch_domain: list[str], x: str, range_bound: int) -> list[str]:
 
 
 def last_entry_audit(
-    x: str,
-    s: str,
-    t: str,
-    full_table: KernelTable,
-    branch_table: KernelTable,
-    matrix,
-    range_bound: int,
+    x: str, s: str, t: str, full_table: KernelTable, branch_table: KernelTable, walk: TransitionMatrix
 ) -> float:
     """Relative residual of the last-entry decomposition
     G(s,t) = sum_u M(s,u) G_branch(u,t) over the entry cut of the branch of x,
-    where M(s,u) sums paths whose final step enters the branch from outside.
+    where M(s,u) sums paths of the walk (on the domain of ``full_table``)
+    whose final step enters the branch from outside.
 
     With the branch table truncated at the same radius as the full table the
     identity is exact up to solver error.
@@ -350,10 +325,10 @@ def last_entry_audit(
     if not t.endswith(x):
         raise ValueError("target must lie inside the branch")
     outside = [i for i, w in enumerate(full_table.domain) if not w.endswith(x)]
-    cut = entry_set(branch_table.domain, x, range_bound)
+    cut = entry_set(branch_table.domain, x, walk.range_bound)
     si = full_table.row_index[s]
     # M(s, .) = sum over outside v of G(s, v) P(v, .)
-    m_s = sp.csr_matrix(matrix)[outside].T @ full_table.green[si, outside]
+    m_s = walk.matrix[outside].T @ full_table.green[si, outside]
     lhs = full_table.green_entry(s, t)
     rhs = 0.0
     for u in cut:

@@ -9,9 +9,9 @@ For a point mass at u the coefficient is the normalized trace
 over the block H_u (x) H_s, which is real, dominated entrywise by the
 classical weights, and exponentially close to them far from the root.
 Wherever the cut rule (exact_by_cut) applies the coefficient is the classical
-weight itself, so the branch matrix is the classical branch matrix less a
-correction on the traced entries, a few per level.  Both are sparse, and the
-matrix feeds the same Green-kernel solver as the classical walk.
+weight itself, so the branch walk is the classical branch walk with its matrix
+less a correction on the traced entries, a few per level.  Both are sparse,
+and the perturbed walk feeds the same Green-kernel solver as the classical one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fusion import Measure, fuse, transition_matrix
+from .fusion import Measure, TransitionMatrix, fuse, transition_matrix
 from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply
 from .kernels import SOLVER_TOL, KernelTable, green_table
 from .words import branch, involution, qdim
@@ -204,14 +204,15 @@ def required_entries(mu: Measure, ctx: BranchContext) -> list[tuple[str, str, st
     return out
 
 
-def q_matrix(mu: Measure, ctx: BranchContext) -> sp.csr_matrix:
-    """The perturbed matrix on the truncated branch: the classical branch
-    matrix of mu less the correction p - qhat on the traced entries, so
-    qhat_entry runs only where the cut rule does not decide.  Fails loudly,
-    listing the offending entries, when a traced coefficient exceeds the
-    tensor cap."""
-    classical = transition_matrix(mu, ctx.omega, ctx.q).matrix
-    return classical - _traced(mu, ctx, lambda u, s, t, p: p - qhat_entry(u, s, t, ctx))
+def q_matrix(mu: Measure, ctx: BranchContext) -> TransitionMatrix:
+    """The perturbed walk on the truncated branch: the classical branch walk
+    of mu, whose matrix loses the correction p - qhat on the traced entries,
+    so qhat_entry runs only where the cut rule does not decide.  Fails
+    loudly, listing the offending entries, when a traced coefficient exceeds
+    the tensor cap."""
+    walk = transition_matrix(mu, ctx.omega, ctx.q)
+    walk.matrix = walk.matrix - _traced(mu, ctx, lambda u, s, t, p: p - qhat_entry(u, s, t, ctx))
+    return walk
 
 
 def residual_matrix(mu: Measure, ctx: BranchContext) -> sp.csr_matrix:
@@ -304,13 +305,12 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
 
 def green_Q(
     mu: Measure, ctx: BranchContext, lam: float | None = None, solver_tol: float = SOLVER_TOL
-) -> tuple[sp.csr_matrix, KernelTable]:
-    """Perturbed matrix and its Green kernel on the truncated branch, through
-    the same solver as the classical tables (raising RuntimeError when the
-    solve residual exceeds ``solver_tol``)."""
-    qmat = q_matrix(mu, ctx)
-    table = green_table(qmat, ctx.omega, ctx.q, base=ctx.z, lam=lam, solver_tol=solver_tol, index=ctx.index)
-    return qmat, table
+) -> tuple[TransitionMatrix, KernelTable]:
+    """The perturbed walk (q_matrix) and its Green kernel on the truncated
+    branch, through the same solver as the classical tables (raising
+    RuntimeError when the solve residual exceeds ``solver_tol``)."""
+    walk = q_matrix(mu, ctx)
+    return walk, green_table(walk, base=ctx.z, lam=lam, solver_tol=solver_tol)
 
 
 @dataclass
@@ -325,27 +325,27 @@ class GdifReport:
 
 
 def gdif_audit(
-    qmat,
+    q_walk: TransitionMatrix,
     ctx: BranchContext,
-    p_branch,
+    p_walk: TransitionMatrix,
     x_list: list[str],
     lam: float | None = None,
     solver_tol: float = SOLVER_TOL,
 ) -> GdifReport:
-    """Relative gap between the perturbed (``qmat``, from q_matrix) and
-    classical Green kernels on the sub-branches of the given words, and the
-    envelope gap against q^len(x) anchored at the first word.  Each
-    sub-branch solve raises RuntimeError above ``solver_tol``."""
+    """Relative gap between the Green kernels of the perturbed walk
+    (``q_walk``, from q_matrix) and the classical walk (``p_walk``, on any
+    domain that holds the branch), each restricted to the sub-branches of the
+    given words, and the envelope gap against q^len(x) anchored at the first
+    word.  Each sub-branch solve raises RuntimeError above ``solver_tol``."""
     rels = []
     for x in x_list:
         if not x.endswith(ctx.z):
             raise ValueError(f"{x!r} does not lie in the branch of {ctx.z!r}")
-        sub = [w for w in ctx.omega if w.endswith(x)]
+        sub = branch(x, ctx.radius)
         if len(sub) < 2:
             raise ValueError(f"sub-branch of {x!r} too small at radius {ctx.radius}")
-        ii = np.array([ctx.index[w] for w in sub])
-        g_q = green_table(qmat[np.ix_(ii, ii)], sub, ctx.q, base=x, lam=lam, solver_tol=solver_tol)
-        g_p = green_table(p_branch[np.ix_(ii, ii)], sub, ctx.q, base=x, lam=lam, solver_tol=solver_tol)
+        g_q = green_table(q_walk.restrict(sub), base=x, lam=lam, solver_tol=solver_tol)
+        g_p = green_table(p_walk.restrict(sub), base=x, lam=lam, solver_tol=solver_tol)
         rels.append(float((np.abs(g_q.green - g_p.green) / g_p.green).max()))
     q = ctx.q
     anchored = rels[0] / (q ** len(x_list[0]))

@@ -48,7 +48,7 @@ def walk8(mu_letters):
     domain = ball(8)
     tm = transition_matrix(mu_letters, domain, Q_DEFAULT)
     lam = norm_upper_bound(mu_letters, Q_DEFAULT)
-    table = green_table(tm.matrix, domain, Q_DEFAULT, base="", lam=lam)
+    table = green_table(tm, base="", lam=lam)
     return tm, lam, table
 
 

@@ -71,7 +71,7 @@ def engines():
 def walk10():
     tm = transition_matrix(MU_AB, ball(10), 0.5)
     lam = norm_upper_bound(MU_AB, 0.5)
-    table = green_table(tm.matrix, tm.domain, 0.5, base="", lam=lam)
+    table = green_table(tm, base="", lam=lam)
     return tm, lam, table
 
 
@@ -116,7 +116,7 @@ def test_c04_green_solver(walk10):
     for q in (0.3, 0.7):
         tmq = transition_matrix(MU_AB, ball(8), q)
         lamq = norm_upper_bound(MU_AB, q)
-        tq = green_table(tmq.matrix, tmq.domain, q, lam=lamq)
+        tq = green_table(tmq, lam=lamq)
         ok = ok and tq.residual < 1e-10 and tq.neumann_gap <= 0.0 and tq.diagonal_bound_gap() <= 0.0
     criterion(4, "Green solve residual, Neumann cross-check, diagonal bound", ok,
               f"residual {table.residual:.2e}")
@@ -254,7 +254,7 @@ def test_c11_harnack_and_multiplicativity():
     for q in QS:
         tm = transition_matrix(MU_AB, ball(8), q)
         lam = norm_upper_bound(MU_AB, q)
-        table = green_table(tm.matrix, tm.domain, q, lam=lam)
+        table = green_table(tm, lam=lam)
         delta0, k = uniform_irreducibility_constants(tm, k_max=3)
         interior = [w for w in tm.domain if 8 - len(w) > tm.range_bound and len(w) <= 6]
         har = harnack_audit(table, delta0, k, interior)
@@ -270,8 +270,7 @@ def test_c12_branch_green_envelope(engines):
     ctx = BranchContext(eng, "a", 7)
     tm = transition_matrix(MU_AB, ball(7), 0.5)
     lam = norm_upper_bound(MU_AB, 0.5)
-    p_branch = tm.restrict(ctx.omega).matrix.toarray()
-    rep = gdif_audit(q_matrix(MU_AB, ctx), ctx, p_branch, ["a", "ba", "aba", "baba"], lam=lam)
+    rep = gdif_audit(q_matrix(MU_AB, ctx), ctx, tm, ["a", "ba", "aba", "baba"], lam=lam)
     ok = rep.envelope_gap <= 1.0 + 1e-9
     criterion(12, "perturbed branch Green kernels inside a single q^len(x) envelope", ok,
               f"relative gaps {[f'{r:.2e}' for r in rep.max_rel]}, envelope gap {rep.envelope_gap:.6f}")
@@ -280,26 +279,21 @@ def test_c12_branch_green_envelope(engines):
 def test_c13_last_entry(walk10):
     tm, lam, table = walk10
     sub = branch("a", 10)
-    branch_table = green_table(tm.restrict(sub).matrix, sub, 0.5, base="a", lam=lam)
+    branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
     worst = 0.0
     for s in ("b", "ab", "bb"):
         for t in ("a", "aa", "aba", "baa"):
-            worst = max(
-                worst,
-                last_entry_audit("a", s, t, table, branch_table, tm.matrix, tm.range_bound),
-            )
+            worst = max(worst, last_entry_audit("a", s, t, table, branch_table, tm))
     ok = worst < 1e-8
     # range-2 measure: residual must stay below the combined truncation bounds
     tm2 = transition_matrix(MU_MIX, ball(10), 0.5)
     lam2 = norm_upper_bound(MU_MIX, 0.5)
-    table2 = green_table(tm2.matrix, tm2.domain, 0.5, base="", lam=lam2)
-    branch2 = green_table(tm2.restrict(sub).matrix, sub, 0.5, base="a", lam=lam2)
+    table2 = green_table(tm2, base="", lam=lam2)
+    branch2 = green_table(tm2.restrict(sub), base="a", lam=lam2)
     worst2 = 0.0
     combined = math.inf
     for s, t in (("b", "aa"), ("ab", "a")):
-        worst2 = max(
-            worst2, last_entry_audit("a", s, t, table2, branch2, tm2.matrix, tm2.range_bound)
-        )
+        worst2 = max(worst2, last_entry_audit("a", s, t, table2, branch2, tm2))
         combined = min(
             combined,
             truncation_error_bound(10, s, t, lam2, 2, 0.5)
@@ -319,7 +313,7 @@ def test_c14_boundary_profiles(engines):
         lam = norm_upper_bound(MU_AB, q)
         matched = ball(7)
         tm = transition_matrix(MU_AB, matched, q)
-        full = green_table(tm.matrix, matched, q, base="", lam=lam)
+        full = green_table(tm, base="", lam=lam)
         _, q_table = green_Q(MU_AB, ctx, lam=lam)
         ray = ray_words("", "a", "a", 6)
         sources = ["a" * k for k in range(1, 6)]

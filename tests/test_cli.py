@@ -1,13 +1,15 @@
 import itertools
 import json
 import math
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aufwalk import cli, fusion, kernels, words
+from aufwalk import cli, fusion, kernels, perturbed, words
 from aufwalk.cli import (
     EXIT_AUDIT,
     EXIT_CAP,
@@ -134,6 +136,39 @@ class TestConfig:
         assert time.perf_counter() - start < 1.0
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["boundary", "audit"])
+    def test_empty_rays_exit_2(self, tmp_path, capsys, command):
+        assert main([command, str(make_config(tmp_path, rays=[]))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rays") and err.count("\n") == 1
+
+    def test_huge_n_exits_2_before_allocating(self, tmp_path):
+        """n = 10^9 at q = 1e-10 is reachable, and its model would hold a
+        10^9-tuple; the cap check rejects it first.  The run is a child
+        process limited to 4 GiB of address space, so building the tuple
+        fails there instead of taking the host's memory."""
+        path = make_config(tmp_path, model={"n": 10 ** 9, "q": 1e-10})
+        child = (
+            "import resource, sys, time\n"
+            "from aufwalk.cli import main\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 32, 2 ** 32))\n"
+            "start = time.perf_counter()\n"
+            "code = main(['walk', sys.argv[1]])\n"
+            "print(time.perf_counter() - start)\n"
+            "sys.exit(code)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True, text=True)
+        assert run.returncode == EXIT_CONFIG
+        assert run.stderr.startswith("config error: tensor_cap")
+        assert float(run.stdout) < 1.0
+
+    def test_n_3_loads_at_cap_8_and_exits_2_at_cap_9(self, tmp_path, capsys):
+        # 3^8 = 6561 ambient rows; 3^9 = 19683 exceed the 2^14 that cap 14 allows at n = 2
+        model = {"n": 3, "q": 0.2}
+        assert load_config(str(make_config(tmp_path, model=model, tensorCap=8))).model.tensor_cap == 8
+        assert main(["walk", str(make_config(tmp_path, model=model, tensorCap=9))]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: tensor_cap")
+
 
 class TestInternalErrors:
     @pytest.mark.parametrize("command", ["walk", "boundary"])
@@ -255,7 +290,7 @@ class TestCsvEmitter:
         assert len(domain) > kernels.DENSE_LIMIT
         tm = fusion.transition_matrix(cfg.measure, domain, cfg.q)
         lam = fusion.norm_upper_bound(cfg.measure, cfg.q)
-        rows = kernels.green_rows(tm.matrix, domain, cfg.q, cfg.sources, lam=lam, solver_tol=cfg.solver_tol)
+        rows = kernels.green_rows(tm, cfg.sources, lam=lam, solver_tol=cfg.solver_tol)
         base = rows.source_rows([""])[0]
         lines = ["s,t,G,K,truncationBound"]
         for s in cfg.sources:
@@ -280,6 +315,40 @@ class TestCsvEmitter:
         path = make_config(tmp_path, ballRadius=radius, sources=["e", "ab"])
         assert main(["walk", str(path)]) == EXIT_OK
         assert calls == [2 ** (radius + 1) - 1]
+
+    @pytest.mark.parametrize("command", ["audit", "boundary"])
+    def test_green_solves_convert_no_words(self, tmp_path, monkeypatch, command):
+        """Every Green solve, the sub-branch solves of the audits included,
+        reads the heap indices and word positions its walk carries: no
+        heap_indices call happens inside green_table or green_rows, and a
+        KernelTable cannot be built without its walk's index."""
+        real = words.heap_indices
+        solves = (kernels.green_table, kernels.green_rows)
+        depth, calls = [0], []
+
+        def counting(domain):
+            calls.append(depth[0])
+            return real(domain)
+
+        def solving(solve):
+            def inside(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return solve(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return inside
+
+        for module in (words, fusion, kernels, perturbed, cli):
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, counting)
+                elif any(value is solve for solve in solves):
+                    monkeypatch.setattr(module, name, solving(value))
+        assert main([command, EXAMPLE, "--out", str(tmp_path)]) in (EXIT_OK, EXIT_AUDIT)
+        assert calls and not any(calls)
+        with pytest.raises(TypeError, match="index"):
+            kernels.KernelTable(["", "a"], "", np.eye(2), 0.0, 0.5)
 
     def test_zero_base_green_exits_4(self, tmp_path, capsys):
         # from e the walk of the point mass at a never reaches b: G(e, b) = 0
@@ -396,9 +465,9 @@ class TestBoundarySources:
         cfg = load_config(config, q=q)
         ctx = cli._branch_context(cfg, IntertwinerEngine(cfg.model))
         tm, lam = cli.build_walk(cfg, ctx.radius)
-        qmat, inside, outside, per_ray = cli.branch_kernels(cfg, tm, lam, ctx, cfg.rays)
+        q_walk, inside, outside, per_ray = cli.branch_kernels(cfg, tm, lam, ctx, cfg.rays)
         dense = cli.root_table(cfg, tm, lam)
-        q_table = kernels.green_table(qmat, ctx.omega, cfg.q, base=ctx.z, lam=lam)
+        q_table = kernels.green_table(q_walk, base=ctx.z, lam=lam)
         assert inside and len(per_ray) == len(cfg.rays)
         for ray, k_p, k_q in per_ray:
             want_p = kernels.martin_rows(dense, inside + outside, ray)

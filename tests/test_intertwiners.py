@@ -57,9 +57,15 @@ class TestModelConfig:
             assert sum(l ** -2 for l in lam) == pytest.approx(target, rel=1e-12)
 
     def test_higher_n(self):
-        cfg = ModelConfig.from_q(0.2, n=3)
+        cfg = ModelConfig.from_q(0.2, n=3, tensor_cap=8)
         assert cfg.n == 3
         assert sum(cfg.rho) == pytest.approx(0.2 + 5.0, rel=1e-12)
+
+    def test_cap_bounds_the_ambient_rows(self):
+        # n^cap ambient rows at most 2^14, the bound cap 14 sets at n = 2
+        f_diag = ModelConfig.from_q(0.2, n=3, tensor_cap=8).f_diag
+        with pytest.raises(ValueError, match="tensor_cap"):
+            ModelConfig(n=3, f_diag=f_diag, tensor_cap=9)
 
     def test_unitary_two_by_two_rejected(self):
         with pytest.raises(ValueError, match="q = 1|unitary"):

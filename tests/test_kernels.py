@@ -6,7 +6,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from aufwalk import kernels
-from aufwalk.fusion import Measure, norm_upper_bound, transition_matrix, uniform_irreducibility_constants
+from aufwalk.fusion import (
+    Measure,
+    TransitionMatrix,
+    norm_upper_bound,
+    transition_matrix,
+    uniform_irreducibility_constants,
+)
 from aufwalk.kernels import (
     entry_set,
     green_rows,
@@ -55,13 +61,13 @@ class TestWeightedNorm:
 def walk7():
     dom = ball(7)
     tm = transition_matrix(Measure({"a": 0.35, "b": 0.65}), dom, Q)
-    return tm, green_table(tm.matrix, dom, Q)
+    return tm, green_table(tm)
 
 
 class TestGreenTable:
     def test_zero_matrix_gives_identity(self):
         dom = ball(2)
-        table = green_table(np.zeros((len(dom), len(dom))), dom, Q)
+        table = green_table(TransitionMatrix(dom, np.zeros((len(dom), len(dom))), Measure({"a": 1.0}), Q))
         assert np.array_equal(table.green, np.eye(len(dom)))
 
     def test_three_point_ball_scalar_series(self, mu_letters):
@@ -69,7 +75,7 @@ class TestGreenTable:
         # of weight 2 * (1/2) * (1/2) / [2]^2, so G(e,e) = 1/(1 - 0.08)
         dom = ball(1)
         tm = transition_matrix(mu_letters, dom, 0.5)
-        table = green_table(tm.matrix, dom, 0.5)
+        table = green_table(tm)
         assert table.green_entry("", "") == pytest.approx(1.0 / 0.92, rel=1e-12)
 
     def test_residual_and_diag(self, walk8):
@@ -87,7 +93,7 @@ class TestGreenTable:
 
     def test_dense_and_csr_input_give_identical_tables(self, walk8):
         tm, lam, table = walk8
-        dense = green_table(tm.matrix.toarray(), tm.domain, Q, base="", lam=lam)
+        dense = green_table(TransitionMatrix(tm.domain, tm.matrix.toarray(), tm.mu, Q), base="", lam=lam)
         assert np.array_equal(dense.green, table.green)
         assert (dense.residual, dense.power_norm, dense.neumann_gap) == (
             table.residual, table.power_norm, table.neumann_gap
@@ -97,7 +103,7 @@ class TestGreenTable:
     def test_matches_dense_inverse(self, q):
         dom = ball(7)
         tm = transition_matrix(Measure({"a": 0.35, "b": 0.65}), dom, q)
-        g = green_table(tm.matrix, dom, q).green
+        g = green_table(tm).green
         inv = np.linalg.inv(np.eye(len(dom)) - tm.matrix.toarray())
         assert (np.abs(g - inv) / np.abs(inv)).max() < 1e-13
 
@@ -118,7 +124,7 @@ class TestGreenTable:
         tm, lam, table = walk8
         assert table.residual > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            green_table(tm.matrix, tm.domain, Q, base="", lam=lam, solver_tol=table.residual / 2)
+            green_table(tm, base="", lam=lam, solver_tol=table.residual / 2)
 
     def test_memory_is_one_table(self, mu_letters):
         """At ball 10 (2047 words, a 32 MiB table) the solve allocates the
@@ -127,7 +133,7 @@ class TestGreenTable:
         tm = transition_matrix(mu_letters, ball(10), Q)
         tracemalloc.start()
         try:
-            table = green_table(tm.matrix, tm.domain, Q, codes=tm.codes, index=tm.index)
+            table = green_table(tm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -137,23 +143,19 @@ class TestGreenTable:
         # a stochastic 2-cycle has norm 1 in the flat weighting
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="norm"):
-            green_table(w, ["", "a"], Q)
+            green_table(TransitionMatrix(["", "a"], w, Measure({"a": 1.0}), Q))
 
     def test_monotone_in_domain(self, mu_letters):
-        small = green_table(
-            transition_matrix(mu_letters, ball(4), Q).matrix, ball(4), Q
-        )
-        big = green_table(
-            transition_matrix(mu_letters, ball(6), Q).matrix, ball(6), Q
-        )
+        small = green_table(transition_matrix(mu_letters, ball(4), Q))
+        big = green_table(transition_matrix(mu_letters, ball(6), Q))
         k = small.size
         assert (big.green[:k, :k] - small.green >= -1e-13).all()
 
     def test_duality_green_symmetry(self, mu_mixed):
         # G_dual(s,t) m(s) = G(t,s) m(t), relatively, on matched truncations
         dom = ball(6)
-        g = green_table(transition_matrix(mu_mixed, dom, Q).matrix, dom, Q).green
-        gd = green_table(transition_matrix(mu_mixed.dual(), dom, Q).matrix, dom, Q).green
+        g = green_table(transition_matrix(mu_mixed, dom, Q)).green
+        gd = green_table(transition_matrix(mu_mixed.dual(), dom, Q)).green
         m = np.array([qdim(w, Q) for w in dom]) ** 2
         lhs = gd * m[:, None]
         rhs = (g * m[:, None]).T
@@ -173,12 +175,8 @@ class TestTruncationBound:
 
     def test_bound_dominates_observed_truncation(self, mu_letters):
         lam = norm_upper_bound(mu_letters, Q)
-        small = green_table(
-            transition_matrix(mu_letters, ball(6), Q).matrix, ball(6), Q
-        )
-        big = green_table(
-            transition_matrix(mu_letters, ball(10), Q).matrix, ball(10), Q
-        )
+        small = green_table(transition_matrix(mu_letters, ball(6), Q))
+        big = green_table(transition_matrix(mu_letters, ball(10), Q))
         for s in ("", "a", "ab"):
             for t in ("", "b", "aa"):
                 gap = abs(big.green_entry(s, t) - small.green_entry(s, t))
@@ -228,7 +226,7 @@ class TestHarnackAndMultiplicativity:
     def test_audits_read_a_rows_table_through_its_rows(self, audit_setup):
         # the interior's rows, solved in reverse order, give the full table's constants
         tm, lam, table, delta0, k, interior = audit_setup
-        rows = green_rows(tm.matrix, tm.domain, Q, interior[::-1], base="", lam=lam)
+        rows = green_rows(tm, interior[::-1], base="", lam=lam)
         har, har_rows = (harnack_audit(t, delta0, k, interior) for t in (table, rows))
         assert har_rows.empirical_delta == pytest.approx(har.empirical_delta, rel=1e-12)
         mult, mult_rows = (multiplicativity_audit(t, lam, delta0 ** k, 1, interior) for t in (table, rows))
@@ -251,39 +249,39 @@ class TestLastEntry:
     def test_exact_on_matched_truncations(self, walk8):
         tm, lam, table = walk8
         sub = branch("a", 8)
-        branch_table = green_table(tm.restrict(sub).matrix, sub, Q, base="a", lam=lam)
+        branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
         for s in ("b", "ab", "bb"):
             for t in ("a", "aa", "aba"):
-                resid = last_entry_audit("a", s, t, table, branch_table, tm.matrix, tm.range_bound)
+                resid = last_entry_audit("a", s, t, table, branch_table, tm)
                 assert resid < 1e-10
 
     def test_single_cut_for_nearest_neighbor(self, walk8):
         tm, lam, table = walk8
         sub = branch("ab", 8)
         assert entry_set(sub, "ab", tm.range_bound) == ["ab"]
-        branch_table = green_table(tm.restrict(sub).matrix, sub, Q, base="ab", lam=lam)
-        resid = last_entry_audit("ab", "b", "aab", table, branch_table, tm.matrix, tm.range_bound)
+        branch_table = green_table(tm.restrict(sub), base="ab", lam=lam)
+        resid = last_entry_audit("ab", "b", "aab", table, branch_table, tm)
         assert resid < 1e-10
 
     def test_two_step_measure_below_truncation_bounds(self, mu_mixed):
         dom = ball(8)
         tm = transition_matrix(mu_mixed, dom, Q)
         lam = norm_upper_bound(mu_mixed, Q)
-        table = green_table(tm.matrix, dom, Q, lam=lam)
+        table = green_table(tm, lam=lam)
         sub = branch("a", 8)
-        branch_table = green_table(tm.restrict(sub).matrix, sub, Q, base="a", lam=lam)
+        branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
         for s, t in (("b", "aa"), ("ab", "a")):
-            resid = last_entry_audit("a", s, t, table, branch_table, tm.matrix, tm.range_bound)
+            resid = last_entry_audit("a", s, t, table, branch_table, tm)
             assert resid < 1e-10
 
     def test_rejects_bad_sides(self, walk8):
         tm, lam, table = walk8
         sub = branch("a", 8)
-        branch_table = green_table(tm.restrict(sub).matrix, sub, Q, base="a", lam=lam)
+        branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
         with pytest.raises(ValueError):
-            last_entry_audit("a", "aa", "a", table, branch_table, tm.matrix, 1)
+            last_entry_audit("a", "aa", "a", table, branch_table, tm)
         with pytest.raises(ValueError):
-            last_entry_audit("a", "b", "bb", table, branch_table, tm.matrix, 1)
+            last_entry_audit("a", "b", "bb", table, branch_table, tm)
 
 
 class TestBoundaryProfile:
@@ -313,8 +311,8 @@ class TestBoundaryProfile:
 
     def test_two_radii_agree_within_truncation(self, mu_letters):
         lam = norm_upper_bound(mu_letters, Q)
-        t_small = green_table(transition_matrix(mu_letters, ball(6), Q).matrix, ball(6), Q, lam=lam)
-        t_big = green_table(transition_matrix(mu_letters, ball(8), Q).matrix, ball(8), Q, lam=lam)
+        t_small = green_table(transition_matrix(mu_letters, ball(6), Q), lam=lam)
+        t_big = green_table(transition_matrix(mu_letters, ball(8), Q), lam=lam)
         ray = ["a" * k for k in range(1, 5)]
         for s in ("a", "ba"):
             small = martin_rows(t_small, [s], ray)[0]
@@ -342,7 +340,7 @@ class TestBoundaryProfile:
 class TestGreenRows:
     def test_rows_match_dense_table(self, walk8):
         tm, _, table = walk8
-        rows = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="")
+        rows = green_rows(tm, ["a", "ba"], base="")
         assert rows.residual < 1e-10
         assert rows.rows == ["a", "ba", ""]
         for s in rows.rows:
@@ -350,14 +348,14 @@ class TestGreenRows:
 
     def test_returns_the_weighted_norm(self, walk8):
         tm, _, _ = walk8
-        rows = green_rows(tm.matrix, tm.domain, Q, ["a"], base="")
+        rows = green_rows(tm, ["a"], base="")
         assert rows.power_norm == weighted_operator_norm(tm.matrix, tm.haar_weights())
 
     def test_neumann_within_tail_bound_on_radius_12(self, mu_letters):
         dom = ball(12)
         tm = transition_matrix(mu_letters, dom, Q)
         lam = norm_upper_bound(mu_letters, Q)
-        gap = green_rows(tm.matrix, dom, Q, ["a", "ba"], base="", lam=lam).neumann_gap
+        gap = green_rows(tm, ["a", "ba"], base="", lam=lam).neumann_gap
         assert -1e-11 < gap <= 0.0
 
     def test_neumann_catches_a_perturbed_row(self, walk8, monkeypatch):
@@ -376,7 +374,7 @@ class TestGreenRows:
                 return x
 
         monkeypatch.setattr(kernels, "splu", PerturbedLU)
-        rows = green_rows(tm.matrix, tm.domain, Q, ["a"], base="", lam=lam)
+        rows = green_rows(tm, ["a"], base="", lam=lam)
         assert rows.residual < 1e-10
         assert rows.neumann_gap > 1e-11
 
@@ -403,19 +401,19 @@ class TestGreenRows:
 
         monkeypatch.setattr(kernels, "splu", PerturbedLU)
         # the residual gate is opened so that the error reaches the series check
-        rows = green_rows(tm.matrix, dom, Q, [""], base="", lam=lam, solver_tol=1e-8)
+        rows = green_rows(tm, [""], base="", lam=lam, solver_tol=1e-8)
         assert (rows.neumann_gap <= 0.0) is passes
 
     def test_residual_above_tolerance_raises(self, walk8):
         tm, _, _ = walk8
-        resid = green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="").residual
+        resid = green_rows(tm, ["a", "ba"], base="").residual
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            green_rows(tm.matrix, tm.domain, Q, ["a", "ba"], base="", solver_tol=resid / 2)
+            green_rows(tm, ["a", "ba"], base="", solver_tol=resid / 2)
 
     def test_table_reads_match_the_full_table_at_its_rows(self, walk8):
         tm, lam, table = walk8
-        rows = green_rows(tm.matrix, tm.domain, Q, ["ba", "aab", "a"], base="", lam=lam)
+        rows = green_rows(tm, ["ba", "aab", "a"], base="", lam=lam)
         assert rows.rows == ["ba", "aab", "a", ""] and rows.domain == table.domain
         diag = max(table.green_entry(v, v) for v in rows.rows)
         assert rows.diagonal_bound_gap() == pytest.approx(diag - 1.0 / (1.0 - lam), rel=1e-13)
@@ -426,7 +424,7 @@ class TestGreenRows:
 
     def test_martin_rows_rejects_an_unsolved_source(self, walk8):
         tm, _, _ = walk8
-        rows = green_rows(tm.matrix, tm.domain, Q, ["a"], base="")
+        rows = green_rows(tm, ["a"], base="")
         assert martin_rows(rows, ["a", ""], ["a", "aa"]).shape == (2, 2)
         with pytest.raises(ValueError, match="'ba'"):
             martin_rows(rows, ["a", "ba"], ["a", "aa"])
@@ -434,7 +432,7 @@ class TestGreenRows:
     def test_word_outside_the_domain_named(self, walk8):
         tm, _, _ = walk8
         with pytest.raises(ValueError, match="outside the domain: \\['a{9}'\\]"):
-            green_rows(tm.matrix, tm.domain, Q, ["a", "a" * 9], base="")
+            green_rows(tm, ["a", "a" * 9], base="")
 
 
 class TestLastEntryPathSumOracle:
@@ -444,7 +442,7 @@ class TestLastEntryPathSumOracle:
         dom = ball(5)
         tm = transition_matrix(mu_letters, dom, Q)
         lam = norm_upper_bound(mu_letters, Q)
-        table = green_table(tm.matrix, dom, Q, lam=lam)
+        table = green_table(tm, lam=lam)
         p = tm.matrix.toarray()
         x = "a"
         inside = np.array([w.endswith(x) for w in dom])
@@ -467,13 +465,13 @@ class TestLastEntryPathSumOracle:
         dom = ball(9)
         tm = transition_matrix(mu_letters, dom, Q)
         lam = norm_upper_bound(mu_letters, Q)
-        table = green_table(tm.matrix, dom, Q, lam=lam)
+        table = green_table(tm, lam=lam)
         resids = []
         for r_branch in (5, 7, 9):
             sub = branch("a", r_branch)
-            branch_table = green_table(tm.restrict(sub).matrix, sub, Q, base="a", lam=lam)
+            branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
             resids.append(
-                last_entry_audit("a", "b", "aa", table, branch_table, tm.matrix, tm.range_bound)
+                last_entry_audit("a", "b", "aa", table, branch_table, tm)
             )
         assert resids[0] > resids[1] > resids[2]
         assert resids[2] < 1e-10

@@ -170,24 +170,24 @@ class TestCutRule:
 class TestQMatrix:
     def test_dominated_by_classical(self, setup, mu_letters):
         ctx, _, p_branch = setup
-        qm = q_matrix(mu_letters, ctx).toarray()
+        qm = q_matrix(mu_letters, ctx).matrix.toarray()
         assert (np.abs(qm) <= p_branch + 1e-12).all()
 
     def test_zero_pattern_inside_classical(self, setup, mu_letters):
         ctx, _, p_branch = setup
-        qm = q_matrix(mu_letters, ctx).toarray()
+        qm = q_matrix(mu_letters, ctx).matrix.toarray()
         assert (np.abs(qm[p_branch == 0]) < 1e-14).all()
 
     def test_point_mass_at_root_gives_identity(self, setup):
         ctx, _, _ = setup
         qm = q_matrix(Measure({"": 1.0}), ctx)
-        assert np.array_equal(qm.toarray(), np.eye(len(ctx.omega)))
+        assert np.array_equal(qm.matrix.toarray(), np.eye(len(ctx.omega)))
 
     def test_exact_on_all_a_words(self, setup, mu_letters):
         # on the doubled-letter sub-branch the perturbed and classical
         # weights coincide exactly
         ctx, _, p_branch = setup
-        qm = q_matrix(mu_letters, ctx).toarray()
+        qm = q_matrix(mu_letters, ctx).matrix.toarray()
         sub = [i for i, w in enumerate(ctx.omega) if w.endswith("aa")]
         gap = np.abs(qm[np.ix_(sub, sub)] - p_branch[np.ix_(sub, sub)])
         assert gap.max() < 1e-12
@@ -198,10 +198,10 @@ class TestQMatrix:
         calls = []
         build = ctx.engine.normalized_V
         monkeypatch.setattr(ctx.engine, "normalized_V", lambda *a: calls.append(a) or build(*a))
-        first = q_matrix(mu_letters, ctx).toarray()
+        first = q_matrix(mu_letters, ctx).matrix.toarray()
         assert calls
         calls.clear()
-        assert np.array_equal(q_matrix(mu_letters, ctx).toarray(), first)
+        assert np.array_equal(q_matrix(mu_letters, ctx).matrix.toarray(), first)
         assert calls == []
 
     def test_cap_violation_reported(self, mu_letters):
@@ -214,7 +214,7 @@ class TestQMatrix:
         ctx, _, p_branch = setup
         qm = q_matrix(mu_letters, ctx)
         m = qdims(heap_indices(ctx.omega), Q) ** 2
-        assert weighted_operator_norm(qm, m) - weighted_operator_norm(p_branch, m) <= 1e-8
+        assert weighted_operator_norm(qm.matrix, m) - weighted_operator_norm(p_branch, m) <= 1e-8
 
 
 def entrywise_q_matrix(mu, ctx):
@@ -239,9 +239,10 @@ class TestSparseQMatrix:
     def test_matches_the_entrywise_oracle(self, case):
         mu, ctx = case
         qm = q_matrix(mu, ctx)
-        assert isinstance(qm, sp.csr_matrix)
+        assert qm.domain == ctx.omega and qm.q == ctx.q
+        assert isinstance(qm.matrix, sp.csr_matrix)
         want = entrywise_q_matrix(mu, ctx)
-        assert (np.abs(qm.toarray() - want) <= 1e-15 * np.abs(want)).all()
+        assert (np.abs(qm.matrix.toarray() - want) <= 1e-15 * np.abs(want)).all()
 
     def test_classical_off_the_traced_cells(self, case):
         mu, ctx = case
@@ -251,7 +252,7 @@ class TestSparseQMatrix:
                 traced[ctx.index[t], ctx.index[s]] = True
         classical = transition_matrix(mu, ball(ctx.radius), ctx.q).restrict(ctx.omega).matrix.toarray()
         assert 0 < traced.sum() < (classical != 0).sum() / 2
-        assert np.array_equal(q_matrix(mu, ctx).toarray()[~traced], classical[~traced])
+        assert np.array_equal(q_matrix(mu, ctx).matrix.toarray()[~traced], classical[~traced])
         assert residual_matrix(mu, ctx).toarray()[~traced].max() == 0.0
 
     def test_no_dense_table_at_ball_11(self):
@@ -288,7 +289,7 @@ class TestDecayAudit:
         p_branch = transition_matrix(mu_mixed, ball(5), q).restrict(ctx.omega).matrix.toarray()
         resid = residual_matrix(mu_mixed, ctx).toarray()
         assert resid.min() >= 0.0 and resid.max() > 1e-3
-        assert np.abs(resid - np.abs(q_matrix(mu_mixed, ctx).toarray() - p_branch)).max() <= 1e-14
+        assert np.abs(resid - np.abs(q_matrix(mu_mixed, ctx).matrix.toarray() - p_branch)).max() <= 1e-14
 
     def test_needs_enough_lengths(self, engine, mu_letters):
         ctx = BranchContext(engine, "a", 3)
@@ -353,19 +354,17 @@ class TestKroneckerFree:
 
 class TestGreenQ:
     def test_solver_tolerance_below_residual_raises(self, setup, mu_letters):
-        ctx, _, p_branch = setup
+        ctx, tm, _ = setup
         lam = norm_upper_bound(mu_letters, Q)
         qm, table = green_Q(mu_letters, ctx, lam=lam)
         assert table.residual > 0.0
         with pytest.raises(RuntimeError, match="residual"):
             green_Q(mu_letters, ctx, lam=lam, solver_tol=table.residual / 2)
         # the first sub-branch solve of the gap audit is the perturbed one on H_a
-        sub = [w for w in ctx.omega if w.endswith("a")]
-        ii = np.array([ctx.index[w] for w in sub])
-        resid = green_table(qm[np.ix_(ii, ii)], sub, Q, base="a", lam=lam).residual
+        resid = green_table(qm.restrict(branch("a", ctx.radius)), base="a", lam=lam).residual
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            gdif_audit(qm, ctx, p_branch, ["a", "ba"], lam=lam, solver_tol=resid / 2)
+            gdif_audit(qm, ctx, tm, ["a", "ba"], lam=lam, solver_tol=resid / 2)
 
     def test_solver_contract(self, setup, mu_letters):
         ctx, _, p_branch = setup
@@ -379,7 +378,7 @@ class TestGreenQ:
         ctx, tm, _ = setup
         lam = norm_upper_bound(mu_letters, Q)
         _, q_table = green_Q(mu_letters, ctx, lam=lam)
-        full = green_table(tm.matrix, tm.domain, Q, base="", lam=lam)
+        full = green_table(tm, base="", lam=lam)
         kq = martin_rows(q_table, ctx.omega, ctx.omega, root=full)
         assert kq.shape == (len(ctx.omega), len(ctx.omega))
         assert np.isfinite(kq).all()
@@ -389,28 +388,26 @@ class TestGreenQ:
         assert kq[0, t] == q_table.green[0, t] / full.green_entry("", "aa")
 
     def test_synthetic_identical_matrices_give_zero_gap(self, setup, mu_letters):
-        ctx, _, p_branch = setup
-        sub = [w for w in ctx.omega if w.endswith("aa")]
-        ii = np.array([ctx.index[w] for w in sub])
-        qm = q_matrix(mu_letters, ctx)
-        g_q = green_table(qm[np.ix_(ii, ii)], sub, Q, base="aa")
-        g_p = green_table(p_branch[np.ix_(ii, ii)], sub, Q, base="aa")
+        ctx, tm, _ = setup
+        sub = branch("aa", ctx.radius)
+        g_q = green_table(q_matrix(mu_letters, ctx).restrict(sub), base="aa")
+        g_p = green_table(tm.restrict(sub), base="aa")
         assert np.abs(g_q.green - g_p.green).max() < 1e-10
 
 
 class TestGdif:
     def test_envelope_along_alternating_branches(self, setup, mu_letters):
-        ctx, _, p_branch = setup
+        ctx, tm, _ = setup
         lam = norm_upper_bound(mu_letters, Q)
-        rep = gdif_audit(q_matrix(mu_letters, ctx), ctx, p_branch, ["a", "ba", "aba"], lam=lam)
+        rep = gdif_audit(q_matrix(mu_letters, ctx), ctx, tm, ["a", "ba", "aba"], lam=lam)
         assert rep.max_rel[0] > rep.max_rel[1] > rep.max_rel[2] > 0
         # anchored envelope: deeper branches decay at least as fast as q
         assert rep.envelope_gap <= 1.0 + 1e-9
 
     def test_rejects_words_outside_branch(self, setup, mu_letters):
-        ctx, _, p_branch = setup
+        ctx, tm, _ = setup
         with pytest.raises(ValueError):
-            gdif_audit(q_matrix(mu_letters, ctx), ctx, p_branch, ["b"])
+            gdif_audit(q_matrix(mu_letters, ctx), ctx, tm, ["b"])
 
 
 class TestBoundary:
@@ -420,7 +417,7 @@ class TestBoundary:
         lam = norm_upper_bound(mu_letters, Q)
         matched = ball(radius)
         tm = transition_matrix(mu_letters, matched, Q)
-        full = green_table(tm.matrix, matched, Q, base="", lam=lam)
+        full = green_table(tm, base="", lam=lam)
         _, q_table = green_Q(mu_letters, ctx, lam=lam)
         ray = ray_words("", "a", "a", radius - 1)
         s_list = ["a" * k for k in range(1, 6)]
@@ -437,6 +434,6 @@ class TestBoundary:
         ctx, tm, _ = setup
         lam = norm_upper_bound(mu_letters, Q)
         _, q_table = green_Q(mu_letters, ctx, lam=lam)
-        full = green_table(tm.matrix, tm.domain, Q, base="", lam=lam)
+        full = green_table(tm, base="", lam=lam)
         with pytest.raises(ValueError, match="leaves"):
             martin_rows(q_table, ["a"], ["b"], root=full)
