@@ -16,7 +16,6 @@ from aufwalk import (
     fuse,
     involution,
     is_generating,
-    norm_upper_bound,
     qdim,
     transition_matrix,
     weighted_operator_norm,
@@ -48,7 +47,7 @@ print(f"domain: ball(6), {tm.size} words; walk range {tm.range_bound}")
 print(f"largest interior row-sum deviation: {gap:.2e}")
 print(f"generating: {is_generating(mu, 4, q)}")
 
-lam = norm_upper_bound(mu, q)
+lam = tm.norm_bound
 measured = weighted_operator_norm(tm.matrix, tm.haar_weights())
 print(f"norm bound sum mu(r) dim(r)/qdim(r) = {lam:.6f}")
 print(f"power-iteration norm on the weighted space = {measured:.6f} (below the bound)")

@@ -17,7 +17,6 @@ from aufwalk import (
     green_Q,
     green_table,
     martin_rows,
-    norm_upper_bound,
     qhat_entry,
     ray_words,
     residual_matrix,
@@ -41,8 +40,7 @@ for u, s, t in [("a", "a", "aa"), ("b", "a", "ba"), ("a", "ba", "aba"), ("b", "a
     print(f"  u={u} {s} -> {t}: coefficient {val:+.6f}, classical {p:.6f}, gap {abs(val - p):.2e}")
 
 tm = transition_matrix(mu, ball(radius), q)
-lam = norm_upper_bound(mu, q)
-q_walk, q_table = green_Q(mu, ctx, lam=lam)
+q_walk, q_table = green_Q(mu, ctx)
 
 print()
 print("=== exponential closeness along the branch ===")
@@ -59,13 +57,13 @@ print(" passes, while the audit entry perturbation_rate compares with log q and 
 
 print()
 print("=== Green kernels on sub-branches ===")
-gd = gdif_audit(q_walk, ctx, tm, ["a", "ba", "aba", "baba"], lam=lam)
+gd = gdif_audit(q_walk, ctx, tm, ["a", "ba", "aba", "baba"])
 for x, rel in zip(gd.x_list, gd.max_rel):
     print(f"  sub-branch of {x:5s}: max relative gap |G_Q - G_P| / G_P = {rel:.3e}")
 
 print()
 print("=== boundary ray profiles (matched truncations) ===")
-full = green_table(tm, base="", lam=lam)
+full = green_table(tm, base="")
 ray = ray_words("", "a", "a", radius - 1)
 sources = ["a" * k for k in range(1, 6)]
 # the deepest ray point t_N stands for the boundary value

@@ -151,6 +151,8 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
         rays.append(tuple(_words(ray, "rays")))
     if not rays:
         raise ConfigError("rays must hold at least one [preperiod, period] pair")
+    if raw.get("boundarySources") == []:
+        raise ConfigError("boundarySources must hold at least one boundary source")
     cfg = RunConfig(
         model=model,
         measure=measure,
@@ -216,19 +218,20 @@ def write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def build_walk(cfg: RunConfig, radius: int):
-    """Transition matrix of the configured walk on the ball of the given
-    radius, and the analytic bound on its weighted operator norm."""
-    tm = fusion.transition_matrix(cfg.measure, words.ball(radius), cfg.q)
-    return tm, fusion.norm_upper_bound(cfg.measure, cfg.q)
+def build_walk(cfg: RunConfig, radius: int) -> fusion.TransitionMatrix:
+    """The configured walk on the ball of the given radius; a measure that
+    does not generate an irreducible walk is a config error."""
+    if not fusion.is_generating(cfg.measure, max(cfg.measure.range_bound, 4), cfg.q):
+        raise ConfigError("measure is not generating; the kernels need an irreducible walk")
+    return fusion.transition_matrix(cfg.measure, words.ball(radius), cfg.q)
 
 
-def root_table(cfg: RunConfig, tm, lam: float, sources: list[str] | None = None) -> kernels.KernelTable:
+def root_table(cfg: RunConfig, tm, sources: list[str] | None = None) -> kernels.KernelTable:
     """Green kernel of a walk, Martin kernel based at the root: the dense
     table, or the rows of the given sources and the root."""
     if sources is None:
-        return kernels.green_table(tm, lam=lam, solver_tol=cfg.solver_tol)
-    return kernels.green_rows(tm, sources, lam=lam, solver_tol=cfg.solver_tol)
+        return kernels.green_table(tm, solver_tol=cfg.solver_tol)
+    return kernels.green_rows(tm, sources, solver_tol=cfg.solver_tol)
 
 
 def _output_dir(cfg: RunConfig) -> Path:
@@ -246,17 +249,14 @@ def _interior_row_gap(cfg: RunConfig, tm) -> float:
 
 def cmd_walk(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
-    tm, lam = build_walk(cfg, cfg.ball_radius)
+    tm = build_walk(cfg, cfg.ball_radius)
     for s in cfg.sources:
         if s not in tm.index:
             raise ConfigError(f"source {s!r} outside the ball")
-    table = root_table(cfg, tm, lam, None if tm.size <= kernels.DENSE_LIMIT else cfg.sources)
+    table = root_table(cfg, tm, None if tm.size <= kernels.DENSE_LIMIT else cfg.sources)
     martin = kernels.martin_rows(table, cfg.sources, tm.domain)
     delta0, k_steps = _irreducibility(cfg, tm)
-    bounds = np.array([
-        kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, lam, tm.range_bound, cfg.q)
-        for s in cfg.sources
-    ])
+    bounds = np.array([kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, tm) for s in cfg.sources])
     write_csv(
         out / "green_martin.csv",
         ["s", "t", "G", "K", "truncationBound"],
@@ -275,7 +275,7 @@ def cmd_walk(cfg: RunConfig) -> int:
         "ballRadius": cfg.ball_radius,
         "domainSize": tm.size,
         "rangeBound": tm.range_bound,
-        "normBound": lam,
+        "normBound": tm.norm_bound,
         "powerIterationNorm": table.power_norm,
         "delta0": delta0,
         "kSteps": k_steps,
@@ -306,7 +306,7 @@ def _irreducibility(cfg: RunConfig, tm) -> tuple[float, int]:
     return min(delta0, float(data[data > 0].min())), k
 
 
-def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
+def branch_kernels(cfg: RunConfig, tm, ctx, rays):
     """The classical walk against the perturbed branch walk on matched
     truncations: the ball of the branch radius for the classical Green rows
     (sources and root), the truncated branch for the perturbed walk and table.
@@ -319,16 +319,16 @@ def branch_kernels(cfg: RunConfig, tm, lam: float, ctx, rays):
     source outside the ball of the branch radius is a config error.
     """
     depth = ctx.radius - 1
-    sources = cfg.boundary_sources or [
-        cfg.rays[0][1] * k + cfg.branch_z for k in range(0, min(5, depth - 1))
-    ]
+    sources = cfg.boundary_sources
+    if sources is None:
+        sources = [cfg.rays[0][1] * k + cfg.branch_z for k in range(0, min(5, depth - 1))]
     for s in sources:
         if len(s) > ctx.radius:
             raise ConfigError(
                 f"boundary source {s!r} outside the ball of the branch radius {ctx.radius}"
             )
-    full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), lam, sources)
-    q_walk, q_table = perturbed.green_Q(cfg.measure, ctx, lam=lam, solver_tol=cfg.solver_tol)
+    full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), sources)
+    q_walk, q_table = perturbed.green_Q(cfg.measure, ctx, solver_tol=cfg.solver_tol)
     inside = [s for s in sources if s in ctx.index]
     outside = [s for s in sources if s not in ctx.index]
     per_ray = []
@@ -352,27 +352,28 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         )
 
     q = cfg.q
+    if cfg.effective_q_radius() > cfg.ball_radius:
+        raise ConfigError(f"audit needs qRadius <= ballRadius, got qRadius {cfg.q_radius} > "
+                          f"ballRadius {cfg.ball_radius}")
     eng = IntertwinerEngine(cfg.model)
     # the defect audit forms x (x) y in each V and u x, u z in the projections
     eng.check_cap(*dict.fromkeys(
         w for u, x, y, z in _defect_families() for w in (x + y, u + x, u + z)
     ))
-    if not fusion.is_generating(cfg.measure, max(cfg.measure.range_bound, 4), q):
-        raise ConfigError("measure is not generating; audits need an irreducible walk")
-    tm, lam = build_walk(cfg, cfg.ball_radius)
-    table = root_table(cfg, tm, lam)
+    tm = build_walk(cfg, cfg.ball_radius)
+    table = root_table(cfg, tm)
     gap = _interior_row_gap(cfg, tm)
     add("stochasticity", "interior row sums of the transition matrix", gap, 1e-12, gap < 1e-12)
 
-    dual_gap = fusion.dual_audit(cfg.measure, min(cfg.ball_radius, 8), q)
+    dual_gap = fusion.dual_audit(tm.restrict(words.ball(min(cfg.ball_radius, 8))))
     add("dual_measure", "dimension-normalized duality identity", dual_gap, 1e-12, dual_gap < 1e-12)
 
     add(
         "norm_bound",
         "weighted operator norm against the dimension-ratio bound",
         table.power_norm,
-        lam + 1e-8,
-        table.power_norm <= lam + 1e-8 and lam < 1.0,
+        tm.norm_bound + 1e-8,
+        table.power_norm <= tm.norm_bound + 1e-8 and tm.norm_bound < 1.0,
     )
     add("green_residual", "resolvent identity of the Green solve", table.residual, cfg.solver_tol,
         table.residual <= cfg.solver_tol)
@@ -410,7 +411,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     add("qhat_domination", "perturbed weights dominated by classical ones", domination_gap,
         1e-12, domination_gap <= 1e-12)
 
-    q_walk, inside, _, [(ray, k_p, k_q)] = branch_kernels(cfg, tm, lam, ctx, cfg.rays[:1])
+    q_walk, inside, _, [(ray, k_p, k_q)] = branch_kernels(cfg, tm, ctx, cfg.rays[:1])
     if not inside:
         raise ConfigError(f"the boundary audits need a boundary source in the branch of "
                           f"{cfg.branch_z!r}")
@@ -428,19 +429,19 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     har = kernels.harnack_audit(table, delta0, k_steps, har_int)
     add("harnack", "uniform Harnack constant against the chain bound", har.empirical_delta,
         har.delta_bound, har.passes)
-    mult = kernels.multiplicativity_audit(table, lam, delta, tm.range_bound, har_int)
+    mult = kernels.multiplicativity_audit(table, delta, har_int)
     lower_ok, upper_ok = mult.verdicts()
     add("multiplicativity_lower", "geodesic product lower constant", mult.c1_lower,
         mult.lower_bound, lower_ok)
     add("multiplicativity_upper", "geodesic product upper constant", mult.c1_upper,
         mult.upper_bound, upper_ok)
 
-    resid = _last_entry_worst(cfg, tm, table)
+    resid = _last_entry_worst(cfg, table)
     add("last_entry", "decomposition of the Green kernel at the branch cut", resid, cfg.audit_tol,
         resid < cfg.audit_tol)
 
     x_list = [x for x in _alternating_branch_words(cfg.branch_z, 4) if len(x) <= ctx.radius - 2]
-    gdif = perturbed.gdif_audit(q_walk, ctx, tm, x_list, lam=lam, solver_tol=cfg.solver_tol)
+    gdif = perturbed.gdif_audit(q_walk, ctx, tm, x_list, solver_tol=cfg.solver_tol)
     add("gdif_envelope", "branch Green kernels differ by an envelope in the branch depth",
         gdif.envelope_gap, 1.0, gdif.envelope_gap <= 1.0 + 1e-12)
 
@@ -553,18 +554,17 @@ def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float]:
     return worst_or, worst_dom
 
 
-def _last_entry_worst(cfg: RunConfig, tm, table) -> float:
-    x = cfg.branch_z
-    branch_table = kernels.green_table(
-        tm.restrict(words.branch(x, cfg.ball_radius)), base=x, lam=table.lam, solver_tol=cfg.solver_tol
-    )
+def _last_entry_worst(cfg: RunConfig, table) -> float:
+    x, tm = cfg.branch_z, table.walk
+    branch_walk = tm.restrict(words.branch(x, cfg.ball_radius))
+    branch_table = kernels.green_table(branch_walk, base=x, solver_tol=cfg.solver_tol)
     margin = cfg.ball_radius - tm.range_bound
-    sources = [w for w in table.domain if not w.endswith(x) and 0 < len(w) <= 2]
-    targets = [w for w in branch_table.domain if len(w) <= min(4, margin)]
+    sources = [w for w in tm.domain if not w.endswith(x) and 0 < len(w) <= 2]
+    targets = [w for w in branch_walk.domain if len(w) <= min(4, margin)]
     worst = 0.0
     for s in sources[:4]:
         for t in targets[:6]:
-            worst = max(worst, kernels.last_entry_audit(x, s, t, table, branch_table, tm))
+            worst = max(worst, kernels.last_entry_audit(x, s, t, table, branch_table))
     return worst
 
 
@@ -597,8 +597,7 @@ def cmd_audit(cfg: RunConfig) -> int:
 def cmd_boundary(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     ctx = _branch_context(cfg, IntertwinerEngine(cfg.model))
-    tm, lam = build_walk(cfg, ctx.radius)
-    _, inside, outside, per_ray = branch_kernels(cfg, tm, lam, ctx, cfg.rays)
+    _, inside, outside, per_ray = branch_kernels(cfg, build_walk(cfg, ctx.radius), ctx, cfg.rays)
     sources = np.array([format_word(s) for s in inside + outside], dtype=str)
     header = ["s", "n", "t", "K_P", "K_Q", "ratio", "cauchyGapP", "cauchyGapQ"]
     for i, (ray, k_p, k_q) in enumerate(per_ray):

@@ -16,7 +16,10 @@ support word r and a cancellation length k, the words s whose first k
 letters spell bar of the last k letters of r are a bit-pattern match on the
 top k bits, and the component r[:-k] s[k:] is r's remaining bits placed above
 the low len(s) - k bits of s.  A few sampled rows are recomputed on the
-string route as a cross-check.
+string route as a cross-check.  A ``TransitionMatrix`` carries all a walk
+on one domain needs: the matrix, the words, their heap indices and
+positions, the measure, q, and the norm bound that certifies its Green
+kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from scipy.sparse.csgraph import breadth_first_order
 from .words import (
     EMPTY,
     ball,
-    ball_qdims,
     check_word,
     classical_dim,
     code_lengths,
@@ -148,6 +150,17 @@ class TransitionMatrix:
     def haar_weights(self) -> np.ndarray:
         return self.qdims() ** 2
 
+    @property
+    def norm_bound(self) -> float:
+        """The walk's certificate lam = sum_r mu(r) dim(r) / qdim(r) >= its
+        weighted operator norm (norm_upper_bound of its measure and q).
+
+        A perturbed branch walk (perturbed.q_matrix) keeps the classical
+        measure, so its bound is the classical one: valid, because
+        |qhat| <= p entrywise (qhat_entry enforces it), so its weighted norm
+        is at most the classical walk's."""
+        return norm_upper_bound(self.mu, self.q)
+
     def restrict(self, subdomain: list[str]) -> "TransitionMatrix":
         """Substochastic restriction to a sub-domain (kills exiting mass)."""
         idx = np.array([self.index[w] for w in subdomain])
@@ -246,19 +259,18 @@ def _check_sampled_rows(tm: TransitionMatrix) -> None:
                 )
 
 
-def dual_audit(mu: Measure, radius: int, q: float) -> float:
-    """Largest deviation of the duality identity relating the walks of mu and
-    of its involution image, in the dimension-normalized form
+def dual_audit(walk: TransitionMatrix) -> float:
+    """Largest deviation of the duality identity relating the walk of mu and
+    the walk of its involution image, in the dimension-normalized form
 
         p_dual(s, t) qdim(s)/qdim(t)  =  p(t, s) qdim(t)/qdim(s),
 
-    over all pairs in the ball.  Both sides are assembled through independent
-    matrix constructions.
+    over all pairs of the walk's domain.  The dual side is assembled anew on
+    that domain, through its own matrix construction.
     """
-    domain = ball(radius)
-    p = transition_matrix(mu, domain, q).matrix.toarray()
-    pdual = transition_matrix(mu.dual(), domain, q).matrix.toarray()
-    dims = ball_qdims(radius, q)
+    p = walk.matrix.toarray()
+    pdual = transition_matrix(walk.mu.dual(), walk.domain, walk.q).matrix.toarray()
+    dims = walk.qdims()
     lhs = pdual * (dims[:, None] / dims[None, :])
     rhs = (p * (dims[:, None] / dims[None, :])).T
     return float(np.max(np.abs(lhs - rhs)))

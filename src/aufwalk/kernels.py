@@ -2,15 +2,16 @@
 and the quantitative audits of their tree-geometry estimates.
 
 The Green kernel of a walk (a fusion.TransitionMatrix, which carries its
-weight matrix W, words, heap indices and word -> position map) whose W has
-spectral norm < 1 on the qdim^2-weighted l2 space is the resolvent
-(I - W)^-1, by sparse LU throughout: one factorisation of I - W gives the full
-table (green_table, up to DENSE_LIMIT words, a memory bound) or the rows of
-chosen sources and the base (green_rows), both as a KernelTable indexed by
-the walk's map, gated by the solve residual and checked against a truncated
-Neumann series with a rigorous tail bound.  The unit right-hand sides are
-solved in panels of a few columns, each checked as it is solved, so the full
-table costs one n x n array, the table itself.
+weight matrix W, words, heap indices, word -> position map and norm bound)
+whose W has spectral norm < 1 on the qdim^2-weighted l2 space is the
+resolvent (I - W)^-1, by sparse LU throughout: one factorisation of I - W
+gives the full table (green_table, up to DENSE_LIMIT words, a memory bound) or
+the rows of chosen sources and the base (green_rows), both as a KernelTable
+that carries its walk, gated by the solve residual and checked against a
+truncated Neumann series whose tail is bounded by the walk's norm bound.  The
+unit right-hand sides are solved in panels of a few columns, each checked as
+it is solved, so the full table costs one n x n array, the table itself.
+The audits read words, heap indices and the range from the table's walk.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .fusion import TransitionMatrix
-from .words import EMPTY, code_lengths, heap_index, heap_indices, qdim, qdims, tree_distance, tree_distances
+from .words import EMPTY, code_lengths, heap_index, qdim, qdims, tree_distance, tree_distances
 
 # largest domain of green_table: its table is one n x n float array (about
 # 135 MiB at the limit), solved in panels with no n x n temporaries
@@ -59,31 +60,30 @@ def weighted_operator_norm(matrix, weights: np.ndarray, iters: int = 600, tol: f
 
 @dataclass
 class KernelTable:
-    """Green kernel G(s, t) for the solved words s (``rows``, by default the
-    domain) and every t of an ordered word domain, whose word -> position map
-    is ``index``; Martin kernels (martin_rows) are normalized at ``base``,
-    which is always solved."""
+    """Green kernel G(s, t) of a walk for the solved words s (``rows``, by
+    default the walk's domain) and every t of the walk's domain, in its
+    order; Martin kernels (martin_rows) are normalized at ``base``, which is
+    always solved."""
 
-    domain: list[str]
+    walk: TransitionMatrix = field(repr=False)
     base: str
     green: np.ndarray
     residual: float
     power_norm: float
-    index: dict[str, int] = field(repr=False)
-    lam: float | None = None
     neumann_gap: float | None = None
     rows: list[str] | None = None
     row_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rows = self.domain if self.rows is None else self.rows
-        self.row_index = self.index if self.rows is self.domain else {w: i for i, w in enumerate(self.rows)}
+        domain = self.walk.domain
+        self.rows = domain if self.rows is None else self.rows
+        self.row_index = self.walk.index if self.rows is domain else {w: i for i, w in enumerate(self.rows)}
         if self.base not in self.row_index:
             raise ValueError(f"base {self.base!r} not in domain")
 
     @property
     def size(self) -> int:
-        return len(self.domain)
+        return self.walk.size
 
     def source_rows(self, sources: list[str]) -> np.ndarray:
         """The Green rows G(s, .) of the given solved words, one per source."""
@@ -93,19 +93,16 @@ class KernelTable:
         return self.green[[self.row_index[s] for s in sources]]
 
     def green_entry(self, s: str, t: str) -> float:
-        return float(self.green[self.row_index[s], self.index[t]])
+        return float(self.green[self.row_index[s], self.walk.index[t]])
 
     def diagonal_bound_gap(self) -> float:
-        """max over the solved v of G(v,v) - 1/(1 - lam); nonpositive when the
-        diagonal bound from the norm estimate holds."""
-        lam = self.lam if self.lam is not None else self.power_norm
-        diag = self.green[np.arange(len(self.rows)), [self.index[v] for v in self.rows]]
-        return float(diag.max() - 1.0 / (1.0 - lam))
+        """max over the solved v of G(v,v) - 1/(1 - lam), lam the walk's norm
+        bound; nonpositive when the diagonal bound holds."""
+        diag = self.green[np.arange(len(self.rows)), [self.walk.index[v] for v in self.rows]]
+        return float(diag.max() - 1.0 / (1.0 - self.walk.norm_bound))
 
 
-def green_table(
-    walk: TransitionMatrix, base: str = EMPTY, lam: float | None = None, solver_tol: float = SOLVER_TOL
-) -> KernelTable:
+def green_table(walk: TransitionMatrix, base: str = EMPTY, solver_tol: float = SOLVER_TOL) -> KernelTable:
     """Solve (I - W) G = I for the walk's weights W on its domain.
 
     Raises if the power-iteration norm on the weighted l2 space reaches
@@ -113,16 +110,12 @@ def green_table(
     """
     if walk.size > DENSE_LIMIT:
         raise ValueError(f"domain of size {walk.size} exceeds the dense solver limit {DENSE_LIMIT}")
-    green, residual, power_norm, gap = _green_solve(walk, lam, solver_tol)
-    return KernelTable(walk.domain, base, green, residual, power_norm, walk.index, lam, gap)
+    green, residual, power_norm, gap = _green_solve(walk, solver_tol)
+    return KernelTable(walk, base, green, residual, power_norm, gap)
 
 
 def green_rows(
-    walk: TransitionMatrix,
-    sources: list[str],
-    base: str = EMPTY,
-    lam: float | None = None,
-    solver_tol: float = SOLVER_TOL,
+    walk: TransitionMatrix, sources: list[str], base: str = EMPTY, solver_tol: float = SOLVER_TOL
 ) -> KernelTable:
     """The Green rows of the sources and of the base, on a domain of any
     size: one transposed solve per distinct word.
@@ -134,13 +127,12 @@ def green_rows(
     missing = [s for s in rows if s not in walk.index]
     if missing:
         raise ValueError(f"Green rows asked for words outside the domain: {missing}")
-    solved, residual, power_norm, gap = _green_solve(walk, lam, solver_tol, [walk.index[s] for s in rows])
-    green = np.ascontiguousarray(solved.T)
-    return KernelTable(walk.domain, base, green, residual, power_norm, walk.index, lam, gap, rows=rows)
+    solved, residual, power_norm, gap = _green_solve(walk, solver_tol, [walk.index[s] for s in rows])
+    return KernelTable(walk, base, np.ascontiguousarray(solved.T), residual, power_norm, gap, rows=rows)
 
 
 def _green_solve(
-    walk: TransitionMatrix, lam: float | None, solver_tol: float, rows: list[int] | None = None
+    walk: TransitionMatrix, solver_tol: float, rows: list[int] | None = None
 ) -> tuple[np.ndarray, float, float, float]:
     """The one solver core behind green_table and green_rows.
 
@@ -187,10 +179,9 @@ def _green_solve(
         raise RuntimeError(f"Green solve residual {residual} above tolerance {solver_tol}")
     if np.min(diagonals) <= 0.0:
         raise RuntimeError("Green kernel diagonal not positive")
-    # the tail estimate needs an upper bound on the norm: prefer the analytic
-    # one when supplied (power iteration approaches the norm from below)
-    tail_norm = lam if lam is not None and lam >= power_norm else min(1.0 - NORM_GUARD, power_norm * (1 + 1e-9) + 1e-12)
-    gap = _neumann_gap(a, x[:, checked], units[checked], weights, tail_norm)
+    # the tail estimate needs an upper bound on the norm, the walk's
+    # certificate: power iteration approaches the norm from below
+    gap = _neumann_gap(a, x[:, checked], units[checked], weights, walk.norm_bound)
     return x, residual, power_norm, gap
 
 
@@ -199,8 +190,6 @@ def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, ta
     vectors, against the truncated Neumann series; returns the largest excess
     over the rigorous tail bound (<= 0 is a pass).  Entry i of column j is off
     by at most tail * sqrt(weights[j] / weights[i]) on the weighted space."""
-    if tail_norm == 0.0:
-        return 0.0
     steps = min(600, max(40, int(math.ceil(math.log(1e-13) / math.log(tail_norm)))))
     vec = np.zeros_like(cols)
     vec[units, np.arange(len(units))] = 1.0
@@ -213,23 +202,24 @@ def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, ta
     return float((np.abs(cols - acc) - bound).max())
 
 
-def truncation_error_bound(radius: int, s: str, t, lam: float, range_bound: int, q: float):
-    """Rigorous bound on the truncation error of G(s, t) computed on the ball
-    of the given radius: any escaping path needs at least
+def truncation_error_bound(radius: int, s: str, t, walk: TransitionMatrix):
+    """Rigorous bound on the truncation error of G(s, t) of the walk computed
+    on the ball of the given radius: any escaping path needs at least
     N = ceil(2 (radius - max|s|,|t|) / range) steps, and the tail of the series
-    is controlled by the operator norm on the weighted space.
+    is controlled by the walk's norm bound on the weighted space.
 
     ``t`` is a word, giving a float, or an array of heap indices, giving an
     array.
     """
+    lam = walk.norm_bound
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
     codes = np.array([heap_index(t)]) if isinstance(t, str) else np.asarray(t, dtype=np.int64)
     depth = radius - np.maximum(len(s), code_lengths(codes))
     if (depth < 0).any():
         raise ValueError("s and t must lie inside the ball")
-    n_steps = np.ceil(2 * depth / range_bound)
-    bound = qdims(codes, q) / qdim(s, q) * lam ** n_steps / (1.0 - lam)
+    n_steps = np.ceil(2 * depth / walk.range_bound)
+    bound = qdims(codes, walk.q) / qdim(s, walk.q) * lam ** n_steps / (1.0 - lam)
     return float(bound[0]) if isinstance(t, str) else bound
 
 
@@ -240,15 +230,22 @@ class HarnackReport:
     passes: bool
 
 
+def _interior_block(table: KernelTable, interior: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """G(s, t) and the tree distance d(s, t) over the interior words, from
+    the table's rows and its walk's heap indices."""
+    idx = [table.walk.index[w] for w in interior]
+    codes = table.walk.codes[idx]
+    g = table.green[np.ix_([table.row_index[w] for w in interior], idx)]
+    return g, tree_distances(codes[:, None], codes[None, :])
+
+
 def harnack_audit(table: KernelTable, delta0: float, k_steps: int, interior: list[str]) -> HarnackReport:
     """Exhaustive scan of the two Harnack inequalities over interior triples;
     the empirical delta is the largest constant that passes, compared against
     the chain bound delta0^K."""
-    idx = [table.index[w] for w in interior]
-    g = table.green[np.ix_([table.row_index[w] for w in interior], idx)]
+    g, dist = _interior_block(table, interior)
     logg = np.log(g)
-    dist = _distance_matrix([table.domain[i] for i in idx])
-    n = len(idx)
+    n = len(interior)
     worst = math.inf
     safe = np.where(dist > 0, dist, 1)
     for t in range(n):
@@ -276,16 +273,13 @@ class MultiplicativityReport:
         return self.c1_lower <= self.lower_bound * (1 + 1e-12), self.c1_upper <= self.upper_bound * (1 + 1e-12)
 
 
-def multiplicativity_audit(
-    table: KernelTable, lam: float, delta: float, range_bound: int, interior: list[str]
-) -> MultiplicativityReport:
+def multiplicativity_audit(table: KernelTable, delta: float, interior: list[str]) -> MultiplicativityReport:
     """Measure both geodesic multiplicativity constants over interior triples
     s, t with v on the geodesic: the largest G(s,v)G(v,t)/G(s,t) against
-    1/(1-lam) and the largest G(s,t)/(G(s,v)G(v,t)) against 3(2/delta^2)^(S-1)."""
-    idx = [table.index[w] for w in interior]
-    g = table.green[np.ix_([table.row_index[w] for w in interior], idx)]
-    dist = _distance_matrix([table.domain[i] for i in idx])
-    n = len(idx)
+    1/(1-lam) and the largest G(s,t)/(G(s,v)G(v,t)) against 3(2/delta^2)^(S-1),
+    with lam the norm bound and S the range of the table's walk."""
+    g, dist = _interior_block(table, interior)
+    n = len(interior)
     c_lower = 0.0
     c_upper = 0.0
     for v in range(n):
@@ -298,8 +292,8 @@ def multiplicativity_audit(
     return MultiplicativityReport(
         c1_lower=c_lower,
         c1_upper=c_upper,
-        lower_bound=1.0 / (1.0 - lam),
-        upper_bound=3.0 * (2.0 / delta ** 2) ** (range_bound - 1),
+        lower_bound=1.0 / (1.0 - table.walk.norm_bound),
+        upper_bound=3.0 * (2.0 / delta ** 2) ** (table.walk.range_bound - 1),
     )
 
 
@@ -309,13 +303,11 @@ def entry_set(branch_domain: list[str], x: str, range_bound: int) -> list[str]:
     return [u for u in branch_domain if tree_distance(u, x) < range_bound]
 
 
-def last_entry_audit(
-    x: str, s: str, t: str, full_table: KernelTable, branch_table: KernelTable, walk: TransitionMatrix
-) -> float:
+def last_entry_audit(x: str, s: str, t: str, full_table: KernelTable, branch_table: KernelTable) -> float:
     """Relative residual of the last-entry decomposition
     G(s,t) = sum_u M(s,u) G_branch(u,t) over the entry cut of the branch of x,
-    where M(s,u) sums paths of the walk (on the domain of ``full_table``)
-    whose final step enters the branch from outside.
+    where M(s,u) sums paths of the walk of ``full_table`` whose final step
+    enters the branch from outside.
 
     With the branch table truncated at the same radius as the full table the
     identity is exact up to solver error.
@@ -324,15 +316,16 @@ def last_entry_audit(
         raise ValueError("source must lie outside the branch")
     if not t.endswith(x):
         raise ValueError("target must lie inside the branch")
-    outside = [i for i, w in enumerate(full_table.domain) if not w.endswith(x)]
-    cut = entry_set(branch_table.domain, x, walk.range_bound)
+    walk = full_table.walk
+    outside = [i for i, w in enumerate(walk.domain) if not w.endswith(x)]
+    cut = entry_set(branch_table.walk.domain, x, walk.range_bound)
     si = full_table.row_index[s]
     # M(s, .) = sum over outside v of G(s, v) P(v, .)
     m_s = walk.matrix[outside].T @ full_table.green[si, outside]
     lhs = full_table.green_entry(s, t)
     rhs = 0.0
     for u in cut:
-        rhs += float(m_s[full_table.index[u]]) * branch_table.green_entry(u, t)
+        rhs += float(m_s[walk.index[u]]) * branch_table.green_entry(u, t)
     return abs(lhs - rhs) / lhs
 
 
@@ -362,8 +355,8 @@ def martin_rows(
     either domain."""
     root = table if root is None else root
     try:
-        cols = [table.index[t] for t in targets]
-        root_cols = cols if root.index is table.index else [root.index[t] for t in targets]
+        cols = [table.walk.index[t] for t in targets]
+        root_cols = cols if root.walk is table.walk else [root.walk.index[t] for t in targets]
     except KeyError as exc:
         raise ValueError(f"ray leaves the domain at {exc.args[0]!r}") from None
     denom = root.green[root.row_index[root.base], root_cols]
@@ -380,8 +373,3 @@ def tail_decreasing(source: str, ray: list[str], values: np.ndarray, floor: floa
     tail = np.abs(np.diff(values))[dists.index(min(dists)):]
     return not bool(np.any((tail[1:] >= tail[:-1]) & (tail[1:] > floor)))
 
-
-def _distance_matrix(domain: list[str]) -> np.ndarray:
-    """Pairwise tree distances of a list of words."""
-    codes = heap_indices(domain)
-    return tree_distances(codes[:, None], codes[None, :])

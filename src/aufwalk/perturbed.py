@@ -12,6 +12,8 @@ Wherever the cut rule (exact_by_cut) applies the coefficient is the classical
 weight itself, so the branch walk is the classical branch walk with its matrix
 less a correction on the traced entries, a few per level.  Both are sparse,
 and the perturbed walk feeds the same Green-kernel solver as the classical one.
+It keeps the classical measure, whose norm bound also bounds the perturbed
+walk (|qhat| <= p), so its Green solves and audits take no separate bound.
 """
 
 from __future__ import annotations
@@ -303,14 +305,12 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
     )
 
 
-def green_Q(
-    mu: Measure, ctx: BranchContext, lam: float | None = None, solver_tol: float = SOLVER_TOL
-) -> tuple[TransitionMatrix, KernelTable]:
+def green_Q(mu: Measure, ctx: BranchContext, solver_tol: float = SOLVER_TOL) -> tuple[TransitionMatrix, KernelTable]:
     """The perturbed walk (q_matrix) and its Green kernel on the truncated
     branch, through the same solver as the classical tables (raising
     RuntimeError when the solve residual exceeds ``solver_tol``)."""
     walk = q_matrix(mu, ctx)
-    return walk, green_table(walk, base=ctx.z, lam=lam, solver_tol=solver_tol)
+    return walk, green_table(walk, base=ctx.z, solver_tol=solver_tol)
 
 
 @dataclass
@@ -325,11 +325,7 @@ class GdifReport:
 
 
 def gdif_audit(
-    q_walk: TransitionMatrix,
-    ctx: BranchContext,
-    p_walk: TransitionMatrix,
-    x_list: list[str],
-    lam: float | None = None,
+    q_walk: TransitionMatrix, ctx: BranchContext, p_walk: TransitionMatrix, x_list: list[str],
     solver_tol: float = SOLVER_TOL,
 ) -> GdifReport:
     """Relative gap between the Green kernels of the perturbed walk
@@ -344,8 +340,8 @@ def gdif_audit(
         sub = branch(x, ctx.radius)
         if len(sub) < 2:
             raise ValueError(f"sub-branch of {x!r} too small at radius {ctx.radius}")
-        g_q = green_table(q_walk.restrict(sub), base=x, lam=lam, solver_tol=solver_tol)
-        g_p = green_table(p_walk.restrict(sub), base=x, lam=lam, solver_tol=solver_tol)
+        g_q = green_table(q_walk.restrict(sub), base=x, solver_tol=solver_tol)
+        g_p = green_table(p_walk.restrict(sub), base=x, solver_tol=solver_tol)
         rels.append(float((np.abs(g_q.green - g_p.green) / g_p.green).max()))
     q = ctx.q
     anchored = rels[0] / (q ** len(x_list[0]))

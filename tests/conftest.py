@@ -8,7 +8,6 @@ from aufwalk import (
     ModelConfig,
     ball,
     green_table,
-    norm_upper_bound,
     transition_matrix,
 )
 
@@ -47,9 +46,7 @@ def mu_mixed():
 def walk8(mu_letters):
     domain = ball(8)
     tm = transition_matrix(mu_letters, domain, Q_DEFAULT)
-    lam = norm_upper_bound(mu_letters, Q_DEFAULT)
-    table = green_table(tm, base="", lam=lam)
-    return tm, lam, table
+    return tm, green_table(tm, base="")
 
 
 @pytest.fixture(scope="session")

@@ -70,9 +70,7 @@ def engines():
 @pytest.fixture(scope="module")
 def walk10():
     tm = transition_matrix(MU_AB, ball(10), 0.5)
-    lam = norm_upper_bound(MU_AB, 0.5)
-    table = green_table(tm, base="", lam=lam)
-    return tm, lam, table
+    return tm, green_table(tm, base="")
 
 
 def test_c01_stochasticity():
@@ -90,7 +88,7 @@ def test_c02_duality():
     worst = 0.0
     for q in QS:
         for mu in (MU_A, MU_AB, MU_MIX):
-            worst = max(worst, dual_audit(mu, 8, q))
+            worst = max(worst, dual_audit(transition_matrix(mu, ball(8), q)))
     criterion(2, "dual-measure identity on ball(8)", worst < 1e-12, f"max deviation {worst:.2e}")
 
 
@@ -100,7 +98,7 @@ def test_c03_norm_bound():
     for q in QS:
         for mu in (MU_AB, MU_MIX):
             tm = transition_matrix(mu, ball(12), q)
-            lam = norm_upper_bound(mu, q)
+            lam = tm.norm_bound
             nrm = weighted_operator_norm(tm.matrix, tm.haar_weights())
             ok = ok and nrm <= lam + 1e-8 and lam < 1.0
             details.append(f"q={q} |P|={nrm:.4f}<={lam:.4f}")
@@ -111,12 +109,10 @@ def test_c03_norm_bound():
 
 
 def test_c04_green_solver(walk10):
-    tm, lam, table = walk10
+    tm, table = walk10
     ok = table.residual < 1e-10 and table.neumann_gap <= 0.0 and table.diagonal_bound_gap() <= 0.0
     for q in (0.3, 0.7):
-        tmq = transition_matrix(MU_AB, ball(8), q)
-        lamq = norm_upper_bound(MU_AB, q)
-        tq = green_table(tmq, lam=lamq)
+        tq = green_table(transition_matrix(MU_AB, ball(8), q))
         ok = ok and tq.residual < 1e-10 and tq.neumann_gap <= 0.0 and tq.diagonal_bound_gap() <= 0.0
     criterion(4, "Green solve residual, Neumann cross-check, diagonal bound", ok,
               f"residual {table.residual:.2e}")
@@ -253,12 +249,11 @@ def test_c11_harnack_and_multiplicativity():
     details = []
     for q in QS:
         tm = transition_matrix(MU_AB, ball(8), q)
-        lam = norm_upper_bound(MU_AB, q)
-        table = green_table(tm, lam=lam)
+        table = green_table(tm)
         delta0, k = uniform_irreducibility_constants(tm, k_max=3)
         interior = [w for w in tm.domain if 8 - len(w) > tm.range_bound and len(w) <= 6]
         har = harnack_audit(table, delta0, k, interior)
-        mult = multiplicativity_audit(table, lam, delta0 ** k, tm.range_bound, interior)
+        mult = multiplicativity_audit(table, delta0 ** k, interior)
         ok = ok and har.passes and all(mult.verdicts())
         details.append(f"q={q} delta={har.empirical_delta:.4f}>={har.delta_bound:.4f}")
     criterion(11, "Harnack and geodesic multiplicativity with the chain constants", ok,
@@ -269,35 +264,32 @@ def test_c12_branch_green_envelope(engines):
     eng = engines[0.5]
     ctx = BranchContext(eng, "a", 7)
     tm = transition_matrix(MU_AB, ball(7), 0.5)
-    lam = norm_upper_bound(MU_AB, 0.5)
-    rep = gdif_audit(q_matrix(MU_AB, ctx), ctx, tm, ["a", "ba", "aba", "baba"], lam=lam)
+    rep = gdif_audit(q_matrix(MU_AB, ctx), ctx, tm, ["a", "ba", "aba", "baba"])
     ok = rep.envelope_gap <= 1.0 + 1e-9
     criterion(12, "perturbed branch Green kernels inside a single q^len(x) envelope", ok,
               f"relative gaps {[f'{r:.2e}' for r in rep.max_rel]}, envelope gap {rep.envelope_gap:.6f}")
 
 
 def test_c13_last_entry(walk10):
-    tm, lam, table = walk10
+    tm, table = walk10
     sub = branch("a", 10)
-    branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
+    branch_table = green_table(tm.restrict(sub), base="a")
     worst = 0.0
     for s in ("b", "ab", "bb"):
         for t in ("a", "aa", "aba", "baa"):
-            worst = max(worst, last_entry_audit("a", s, t, table, branch_table, tm))
+            worst = max(worst, last_entry_audit("a", s, t, table, branch_table))
     ok = worst < 1e-8
     # range-2 measure: residual must stay below the combined truncation bounds
     tm2 = transition_matrix(MU_MIX, ball(10), 0.5)
-    lam2 = norm_upper_bound(MU_MIX, 0.5)
-    table2 = green_table(tm2, base="", lam=lam2)
-    branch2 = green_table(tm2.restrict(sub), base="a", lam=lam2)
+    table2 = green_table(tm2, base="")
+    branch2 = green_table(tm2.restrict(sub), base="a")
     worst2 = 0.0
     combined = math.inf
     for s, t in (("b", "aa"), ("ab", "a")):
-        worst2 = max(worst2, last_entry_audit("a", s, t, table2, branch2, tm2))
+        worst2 = max(worst2, last_entry_audit("a", s, t, table2, branch2))
         combined = min(
             combined,
-            truncation_error_bound(10, s, t, lam2, 2, 0.5)
-            + truncation_error_bound(10, "a", t, lam2, 2, 0.5),
+            truncation_error_bound(10, s, t, tm2) + truncation_error_bound(10, "a", t, tm2),
         )
     ok = ok and worst2 <= combined
     criterion(13, "last-entry decomposition through the branch cut", ok,
@@ -310,11 +302,10 @@ def test_c14_boundary_profiles(engines):
     for q in QS:
         eng = IntertwinerEngine(ModelConfig.from_q(q, n=2, tensor_cap=10))
         ctx = BranchContext(eng, "a", 7)
-        lam = norm_upper_bound(MU_AB, q)
         matched = ball(7)
         tm = transition_matrix(MU_AB, matched, q)
-        full = green_table(tm, base="", lam=lam)
-        _, q_table = green_Q(MU_AB, ctx, lam=lam)
+        full = green_table(tm, base="")
+        _, q_table = green_Q(MU_AB, ctx)
         ray = ray_words("", "a", "a", 6)
         sources = ["a" * k for k in range(1, 6)]
         k_p = martin_rows(full, sources, ray)

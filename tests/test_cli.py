@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -25,6 +26,28 @@ from aufwalk.words import ball, format_word
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "config.example.json")
 GOLDEN_TWO_RAYS = str(Path(__file__).resolve().parent / "golden" / "two_rays.json")
+
+
+def count_conversions(monkeypatch, record, modules=(words, fusion, kernels, perturbed, cli)):
+    """Patch every name bound to words.heap_indices in the modules so that
+    each call passes its domain to ``record`` before converting it."""
+    real = words.heap_indices
+
+    def counting(domain):
+        record(domain)
+        return real(domain)
+
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counting)
+
+
+def one_line_error(capsys, prefix: str) -> str:
+    """The captured stderr, checked to be one line that starts with the prefix."""
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
 
 
 def make_config(tmp_path, **overrides):
@@ -86,20 +109,20 @@ class TestConfig:
     )
     def test_malformed_types_exit_2(self, tmp_path, capsys, overrides):
         assert main(["walk", str(make_config(tmp_path, **overrides))]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        err = one_line_error(capsys, "config error:")
 
     @pytest.mark.parametrize(
         "command, sources",
-        [("boundary", ["bbbbbbbbbb"]), ("boundary", ["aaaaaaaaaa"]), ("audit", ["b"])],
+        [("boundary", ["bbbbbbbbbb"]), ("boundary", ["aaaaaaaaaa"]), ("audit", ["b"]),
+         ("boundary", []), ("audit", [])],
     )
     def test_unusable_boundary_sources_exit_2(self, tmp_path, capsys, command, sources):
-        # outside the ball of the branch radius, or (for audit) none in the branch
+        # outside the ball of the branch radius, (for audit) none in the branch, or
+        # none at all: an empty list is not the absent key, no default sources stand in
         path = make_config(tmp_path, ballRadius=7, qRadius=6, boundarySources=sources)
         assert main([command, str(path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert "boundary source" in err
+        err = one_line_error(capsys, "config error:")
+        assert "boundary source" in err and (sources or "boundarySources" in err)
 
     @pytest.mark.parametrize(
         "overrides, unknown",
@@ -114,8 +137,7 @@ class TestConfig:
     )
     def test_unknown_keys_exit_2_naming_each(self, tmp_path, capsys, overrides, unknown):
         assert main(["walk", str(make_config(tmp_path, **overrides))]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: unknown config keys") and err.count("\n") == 1
+        err = one_line_error(capsys, "config error: unknown config keys")
         assert all(key in err for key in unknown)
 
     def test_missing_file_exits_2(self, tmp_path):
@@ -139,8 +161,7 @@ class TestConfig:
     @pytest.mark.parametrize("command", ["boundary", "audit"])
     def test_empty_rays_exit_2(self, tmp_path, capsys, command):
         assert main([command, str(make_config(tmp_path, rays=[]))]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: rays") and err.count("\n") == 1
+        err = one_line_error(capsys, "config error: rays")
 
     def test_huge_n_exits_2_before_allocating(self, tmp_path):
         """n = 10^9 at q = 1e-10 is reachable, and its model would hold a
@@ -175,9 +196,8 @@ class TestInternalErrors:
     def test_residual_failure_exits_4_without_traceback(self, tmp_path, capsys, command):
         path = make_config(tmp_path, tolerances={"solver": 1e-300, "audit": 1e-8})
         assert main([command, str(path)]) == EXIT_INTERNAL
-        err = capsys.readouterr().err
-        assert err.startswith("internal error: RuntimeError:") and "residual" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        err = one_line_error(capsys, "internal error: RuntimeError:")
+        assert "residual" in err and "Traceback" not in err
 
 
     @pytest.mark.parametrize("fault", ["out_of_range", "corrupted_row"])
@@ -194,10 +214,9 @@ class TestInternalErrors:
 
         monkeypatch.setattr(fusion, "_assemble", faulty)
         assert main(["walk", str(make_config(tmp_path))]) == EXIT_INTERNAL
-        err = capsys.readouterr().err
-        assert err.startswith("internal error: AssertionError:")
+        err = one_line_error(capsys, "internal error: AssertionError:")
         assert ("violates the range bound" if fault == "out_of_range" else "by fusion") in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "Traceback" not in err
 
 
 class TestWalk:
@@ -289,12 +308,11 @@ class TestCsvEmitter:
         domain = ball(12)
         assert len(domain) > kernels.DENSE_LIMIT
         tm = fusion.transition_matrix(cfg.measure, domain, cfg.q)
-        lam = fusion.norm_upper_bound(cfg.measure, cfg.q)
-        rows = kernels.green_rows(tm, cfg.sources, lam=lam, solver_tol=cfg.solver_tol)
+        rows = kernels.green_rows(tm, cfg.sources, solver_tol=cfg.solver_tol)
         base = rows.source_rows([""])[0]
         lines = ["s,t,G,K,truncationBound"]
         for s in cfg.sources:
-            bounds = kernels.truncation_error_bound(12, s, np.arange(len(domain)), lam, tm.range_bound, cfg.q)
+            bounds = kernels.truncation_error_bound(12, s, np.arange(len(domain)), tm)
             for t, g, b, bound in zip(domain, rows.source_rows([s])[0].tolist(), base.tolist(), bounds.tolist()):
                 lines.append(f"{format_word(s)},{format_word(t)},{g:.17g},{g / b:.17g},{bound:.17g}")
         assert_same_text((tmp_path / "out" / "green_martin.csv").read_text(), "\n".join(lines) + "\n")
@@ -302,33 +320,23 @@ class TestCsvEmitter:
     @pytest.mark.parametrize("radius", [6, 12])
     def test_walk_converts_its_words_once(self, tmp_path, monkeypatch, radius):
         """One heap_indices call for the ball, on the table path and the row
-        path alike; the sub-ball scan and the solver reuse its codes."""
+        path alike, after the generating check's ball of radius 4; the
+        sub-ball scan and the solver reuse its codes."""
         calls = []
-        real = words.heap_indices
-
-        def counting(domain):
-            calls.append(len(domain))
-            return real(domain)
-
-        for module in (words, fusion, kernels):
-            monkeypatch.setattr(module, "heap_indices", counting)
+        count_conversions(monkeypatch, lambda domain: calls.append(len(domain)))
         path = make_config(tmp_path, ballRadius=radius, sources=["e", "ab"])
         assert main(["walk", str(path)]) == EXIT_OK
-        assert calls == [2 ** (radius + 1) - 1]
+        assert calls == [31, 2 ** (radius + 1) - 1]
 
     @pytest.mark.parametrize("command", ["audit", "boundary"])
     def test_green_solves_convert_no_words(self, tmp_path, monkeypatch, command):
         """Every Green solve, the sub-branch solves of the audits included,
         reads the heap indices and word positions its walk carries: no
         heap_indices call happens inside green_table or green_rows, and a
-        KernelTable cannot be built without its walk's index."""
-        real = words.heap_indices
+        KernelTable holds its walk in place of a domain, index or bound."""
         solves = (kernels.green_table, kernels.green_rows)
         depth, calls = [0], []
-
-        def counting(domain):
-            calls.append(depth[0])
-            return real(domain)
+        count_conversions(monkeypatch, lambda domain: calls.append(depth[0]))
 
         def solving(solve):
             def inside(*args, **kwargs):
@@ -339,28 +347,33 @@ class TestCsvEmitter:
                     depth[0] -= 1
             return inside
 
-        for module in (words, fusion, kernels, perturbed, cli):
+        for module in (fusion, kernels, perturbed, cli):
             for name, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, name, counting)
-                elif any(value is solve for solve in solves):
+                if any(value is solve for solve in solves):
                     monkeypatch.setattr(module, name, solving(value))
         assert main([command, EXAMPLE, "--out", str(tmp_path)]) in (EXIT_OK, EXIT_AUDIT)
         assert calls and not any(calls)
-        with pytest.raises(TypeError, match="index"):
-            kernels.KernelTable(["", "a"], "", np.eye(2), 0.0, 0.5)
+        fields = {f.name for f in dataclasses.fields(kernels.KernelTable)}
+        assert "walk" in fields and not fields & {"domain", "index", "lam"}
 
-    def test_zero_base_green_exits_4(self, tmp_path, capsys):
-        # from e the walk of the point mass at a never reaches b: G(e, b) = 0
+    def test_audit_converts_each_domain_once(self, tmp_path, monkeypatch):
+        """Four conversions on audit: the generating check's ball, the walk's
+        ball, the dual walk's ball and the perturbed walk's branch."""
+        calls = []
+        count_conversions(monkeypatch, lambda domain: calls.append(len(domain)))
+        assert main(["audit", EXAMPLE, "--out", str(tmp_path)]) == EXIT_AUDIT
+        assert calls == [31, 511, 511, 127]
+
+    def test_zero_base_green_exits_4(self, tmp_path, capsys, monkeypatch):
+        # past the generating check, G(e, b) = 0 under the point mass at a trips the Martin guard
+        monkeypatch.setattr(fusion, "is_generating", lambda mu, radius, q: True)
         path = make_config(tmp_path, ballRadius=3, measure={"a": 1.0})
         assert main(["walk", str(path)]) == EXIT_INTERNAL
-        err = capsys.readouterr().err
-        assert err.startswith("internal error:") and err.count("\n") == 1
+        err = one_line_error(capsys, "internal error:")
         # the boundary rows divide by G(e, t_n) alike: the walk of ab never reaches a
         path = make_config(tmp_path, ballRadius=5, measure={"ab": 1.0})
         assert main(["boundary", str(path)]) == EXIT_INTERNAL
-        err = capsys.readouterr().err
-        assert err.startswith("internal error:") and err.count("\n") == 1
+        err = one_line_error(capsys, "internal error:")
 
     def test_no_sources_header_only(self, tmp_path):
         path = make_config(tmp_path, ballRadius=3, sources=[])
@@ -464,10 +477,10 @@ class TestBoundarySources:
         # the reference: martin_rows on the full Green table of the same ball
         cfg = load_config(config, q=q)
         ctx = cli._branch_context(cfg, IntertwinerEngine(cfg.model))
-        tm, lam = cli.build_walk(cfg, ctx.radius)
-        q_walk, inside, outside, per_ray = cli.branch_kernels(cfg, tm, lam, ctx, cfg.rays)
-        dense = cli.root_table(cfg, tm, lam)
-        q_table = kernels.green_table(q_walk, base=ctx.z, lam=lam)
+        tm = cli.build_walk(cfg, ctx.radius)
+        q_walk, inside, outside, per_ray = cli.branch_kernels(cfg, tm, ctx, cfg.rays)
+        dense = cli.root_table(cfg, tm)
+        q_table = kernels.green_table(q_walk, base=ctx.z)
         assert inside and len(per_ray) == len(cfg.rays)
         for ray, k_p, k_q in per_ray:
             want_p = kernels.martin_rows(dense, inside + outside, ray)
@@ -478,9 +491,20 @@ class TestBoundarySources:
 
 class TestAuditGuards:
     def test_non_generating_measure_exits_2(self, tmp_path, capsys):
-        path = make_config(tmp_path, measure={"aa": 1.0})
+        # every command builds its walk behind the generating check
+        for measure in ({"aa": 1.0}, {"a": 1.0}, {"aa": 0.5, "bb": 0.5}, {"ab": 0.5, "ba": 0.5}):
+            path = str(make_config(tmp_path, measure=measure))
+            for command in ("walk", "boundary", "audit"):
+                assert main([command, path]) == EXIT_CONFIG, (command, measure)
+                err = one_line_error(capsys, "config error: measure is not generating")
+
+    def test_q_radius_above_ball_radius_exits_2(self, tmp_path, capsys):
+        path = make_config(tmp_path, ballRadius=6, qRadius=7)
         assert main(["audit", str(path)]) == EXIT_CONFIG
-        assert "not generating" in capsys.readouterr().err
+        err = one_line_error(capsys, "config error:")
+        assert "qRadius 7" in err and "ballRadius 6" in err
+        # boundary builds the ball of the branch radius itself
+        assert main(["boundary", str(path)]) == EXIT_OK
 
     def test_defect_words_over_cap_exit_3_before_the_walk(self, tmp_path, capsys, monkeypatch):
         calls = []

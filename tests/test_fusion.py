@@ -128,16 +128,16 @@ class TestTransitions:
 
 class TestDualAudit:
     def test_symmetric_measure(self, mu_letters):
-        assert dual_audit(mu_letters, 6, Q) < 1e-12
+        assert dual_audit(transition_matrix(mu_letters, ball(6), Q)) < 1e-12
 
     def test_point_mass(self):
-        assert dual_audit(Measure({"a": 1.0}), 5, Q) < 1e-12
+        assert dual_audit(transition_matrix(Measure({"a": 1.0}), ball(5), Q)) < 1e-12
 
     def test_random_measure(self, rng):
         w = rng.random(3) + 0.1
         w /= w.sum()
         mu = Measure({"a": w[0], "b": w[1], "ab": w[2]})
-        assert dual_audit(mu, 6, Q) < 1e-12
+        assert dual_audit(transition_matrix(mu, ball(6), Q)) < 1e-12
 
 
 class TestGenerating:

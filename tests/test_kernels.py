@@ -9,7 +9,6 @@ from aufwalk import kernels
 from aufwalk.fusion import (
     Measure,
     TransitionMatrix,
-    norm_upper_bound,
     transition_matrix,
     uniform_irreducibility_constants,
 )
@@ -49,9 +48,8 @@ class TestWeightedNorm:
         for mu in (mu_letters, mu_mixed):
             for q in (0.3, 0.5, 0.7):
                 tm = transition_matrix(mu, ball(8), q)
-                lam = norm_upper_bound(mu, q)
                 nrm = weighted_operator_norm(tm.matrix, tm.haar_weights())
-                assert nrm <= lam + 1e-8
+                assert nrm <= tm.norm_bound + 1e-8
                 assert nrm < 1.0
                 # one path: dense input is converted to the same CSR matrix
                 assert weighted_operator_norm(tm.matrix.toarray(), tm.haar_weights()) == nrm
@@ -79,21 +77,21 @@ class TestGreenTable:
         assert table.green_entry("", "") == pytest.approx(1.0 / 0.92, rel=1e-12)
 
     def test_residual_and_diag(self, walk8):
-        tm, lam, table = walk8
+        tm, table = walk8
         assert table.residual < 1e-10
         assert table.green.diagonal().min() >= 1.0
         assert table.diagonal_bound_gap() <= 0.0
 
     def test_neumann_within_tail_bound(self, walk8):
-        _, _, table = walk8
+        _, table = walk8
         assert table.neumann_gap <= 0.0
 
     def test_green_entries_nonnegative(self, walk8):
-        assert walk8[2].green.min() >= 0.0
+        assert walk8[1].green.min() >= 0.0
 
     def test_dense_and_csr_input_give_identical_tables(self, walk8):
-        tm, lam, table = walk8
-        dense = green_table(TransitionMatrix(tm.domain, tm.matrix.toarray(), tm.mu, Q), base="", lam=lam)
+        tm, table = walk8
+        dense = green_table(TransitionMatrix(tm.domain, tm.matrix.toarray(), tm.mu, Q), base="")
         assert np.array_equal(dense.green, table.green)
         assert (dense.residual, dense.power_norm, dense.neumann_gap) == (
             table.residual, table.power_norm, table.neumann_gap
@@ -121,10 +119,10 @@ class TestGreenTable:
         assert table.residual == np.abs(tm.matrix @ g - g + np.eye(tm.size)).max()
 
     def test_residual_above_tolerance_raises(self, walk8):
-        tm, lam, table = walk8
+        tm, table = walk8
         assert table.residual > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            green_table(tm, base="", lam=lam, solver_tol=table.residual / 2)
+            green_table(tm, base="", solver_tol=table.residual / 2)
 
     def test_memory_is_one_table(self, mu_letters):
         """At ball 10 (2047 words, a 32 MiB table) the solve allocates the
@@ -164,59 +162,63 @@ class TestGreenTable:
 
 
 class TestTruncationBound:
-    def test_frozen_value(self):
-        got = truncation_error_bound(12, "", "", 0.8, 1, Q)
+    # the walk of mu_letters at q = 0.5 has range 1 and norm bound 2 / [2]_q = 0.8
+    def test_frozen_value(self, walk8):
+        got = truncation_error_bound(12, "", "", walk8[0])
         assert got == pytest.approx(0.8 ** 24 / 0.2, rel=1e-12)
 
-    def test_doubling_depth_squares_factor(self):
-        b1 = truncation_error_bound(8, "", "", 0.8, 1, Q)
-        b2 = truncation_error_bound(16, "", "", 0.8, 1, Q)
+    def test_doubling_depth_squares_factor(self, walk8):
+        b1 = truncation_error_bound(8, "", "", walk8[0])
+        b2 = truncation_error_bound(16, "", "", walk8[0])
         assert b2 == pytest.approx(b1 ** 2 * 0.2, rel=1e-10)
 
     def test_bound_dominates_observed_truncation(self, mu_letters):
-        lam = norm_upper_bound(mu_letters, Q)
         small = green_table(transition_matrix(mu_letters, ball(6), Q))
         big = green_table(transition_matrix(mu_letters, ball(10), Q))
         for s in ("", "a", "ab"):
             for t in ("", "b", "aa"):
                 gap = abs(big.green_entry(s, t) - small.green_entry(s, t))
-                assert gap <= truncation_error_bound(6, s, t, lam, 1, Q)
+                assert gap <= truncation_error_bound(6, s, t, small.walk)
 
-    def test_rejects_outside(self):
+    def test_rejects_outside(self, walk8):
         with pytest.raises(ValueError):
-            truncation_error_bound(3, "aaaa", "", 0.8, 1, Q)
+            truncation_error_bound(3, "aaaa", "", walk8[0])
 
-    def test_heap_index_array_matches_words(self):
+    def test_heap_index_array_matches_words(self, mu_mixed):
+        walk = transition_matrix(mu_mixed, ball(2), Q)
         domain = ball(5)[::-1][3:40]
-        got = truncation_error_bound(6, "ab", heap_indices(domain), 0.8, 2, Q)
-        assert got.tolist() == [truncation_error_bound(6, "ab", t, 0.8, 2, Q) for t in domain]
+        got = truncation_error_bound(6, "ab", heap_indices(domain), walk)
+        assert got.tolist() == [truncation_error_bound(6, "ab", t, walk) for t in domain]
 
 
 class TestDistanceMatrix:
     @pytest.mark.parametrize("domain", [ball(5), ball(5)[50:3:-2]], ids=["ball", "reversed"])
-    def test_matches_pairwise_tree_distance(self, domain):
-        want = [[tree_distance(s, t) for t in domain] for s in domain]
-        assert kernels._distance_matrix(domain).tolist() == want
+    def test_matches_pairwise_tree_distance(self, walk8, domain):
+        # the audits read G and the distances of their interior words off the table and its walk
+        table = walk8[1]
+        g, dist = kernels._interior_block(table, domain)
+        assert dist.tolist() == [[tree_distance(s, t) for t in domain] for s in domain]
+        assert g.tolist() == [[table.green_entry(s, t) for t in domain] for s in domain]
 
 
 @pytest.fixture(scope="module")
 def audit_setup(walk8):
-    tm, lam, table = walk8
+    tm, table = walk8
     delta0, k = uniform_irreducibility_constants(tm, k_max=3)
     interior = [w for w in tm.domain if 8 - len(w) > tm.range_bound and len(w) <= 6]
-    return tm, lam, table, delta0, k, interior
+    return tm, table, delta0, k, interior
 
 
 class TestHarnackAndMultiplicativity:
     def test_harnack_passes_with_chain_bound(self, audit_setup):
-        tm, lam, table, delta0, k, interior = audit_setup
+        tm, table, delta0, k, interior = audit_setup
         rep = harnack_audit(table, delta0, k, interior)
         assert rep.passes
         assert rep.empirical_delta >= rep.delta_bound
 
     def test_multiplicativity_constants(self, audit_setup):
-        tm, lam, table, delta0, k, interior = audit_setup
-        rep = multiplicativity_audit(table, lam, delta0 ** k, tm.range_bound, interior)
+        tm, table, delta0, k, interior = audit_setup
+        rep = multiplicativity_audit(table, delta0 ** k, interior)
         assert rep.c1_lower <= rep.lower_bound
         assert rep.c1_upper <= rep.upper_bound
         assert all(rep.verdicts())
@@ -225,68 +227,64 @@ class TestHarnackAndMultiplicativity:
 
     def test_audits_read_a_rows_table_through_its_rows(self, audit_setup):
         # the interior's rows, solved in reverse order, give the full table's constants
-        tm, lam, table, delta0, k, interior = audit_setup
-        rows = green_rows(tm, interior[::-1], base="", lam=lam)
+        tm, table, delta0, k, interior = audit_setup
+        rows = green_rows(tm, interior[::-1], base="")
         har, har_rows = (harnack_audit(t, delta0, k, interior) for t in (table, rows))
         assert har_rows.empirical_delta == pytest.approx(har.empirical_delta, rel=1e-12)
-        mult, mult_rows = (multiplicativity_audit(t, lam, delta0 ** k, 1, interior) for t in (table, rows))
+        mult, mult_rows = (multiplicativity_audit(t, delta0 ** k, interior) for t in (table, rows))
         assert mult_rows.c1_lower == pytest.approx(mult.c1_lower, rel=1e-12)
         assert mult_rows.c1_upper == pytest.approx(mult.c1_upper, rel=1e-12)
 
     def test_martin_positive_and_bounded(self, audit_setup):
-        tm, lam, table, delta0, k, interior = audit_setup
-        martin = martin_rows(table, table.domain, table.domain)
+        tm, table, delta0, k, interior = audit_setup
+        martin = martin_rows(table, tm.domain, tm.domain)
         assert martin.min() > 0
         delta = delta0 ** k
         gee = table.green_entry("", "")
         for s in interior:
             bound = delta ** -len(s) * gee
-            cols = [table.index[t] for t in interior]
-            assert martin[table.index[s], cols].max() <= bound
+            cols = [tm.index[t] for t in interior]
+            assert martin[tm.index[s], cols].max() <= bound
 
 
 class TestLastEntry:
     def test_exact_on_matched_truncations(self, walk8):
-        tm, lam, table = walk8
-        sub = branch("a", 8)
-        branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
+        tm, table = walk8
+        branch_table = green_table(tm.restrict(branch("a", 8)), base="a")
         for s in ("b", "ab", "bb"):
             for t in ("a", "aa", "aba"):
-                resid = last_entry_audit("a", s, t, table, branch_table, tm)
+                resid = last_entry_audit("a", s, t, table, branch_table)
                 assert resid < 1e-10
 
     def test_single_cut_for_nearest_neighbor(self, walk8):
-        tm, lam, table = walk8
+        tm, table = walk8
         sub = branch("ab", 8)
         assert entry_set(sub, "ab", tm.range_bound) == ["ab"]
-        branch_table = green_table(tm.restrict(sub), base="ab", lam=lam)
-        resid = last_entry_audit("ab", "b", "aab", table, branch_table, tm)
+        branch_table = green_table(tm.restrict(sub), base="ab")
+        resid = last_entry_audit("ab", "b", "aab", table, branch_table)
         assert resid < 1e-10
 
     def test_two_step_measure_below_truncation_bounds(self, mu_mixed):
         dom = ball(8)
         tm = transition_matrix(mu_mixed, dom, Q)
-        lam = norm_upper_bound(mu_mixed, Q)
-        table = green_table(tm, lam=lam)
-        sub = branch("a", 8)
-        branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
+        table = green_table(tm)
+        branch_table = green_table(tm.restrict(branch("a", 8)), base="a")
         for s, t in (("b", "aa"), ("ab", "a")):
-            resid = last_entry_audit("a", s, t, table, branch_table, tm)
+            resid = last_entry_audit("a", s, t, table, branch_table)
             assert resid < 1e-10
 
     def test_rejects_bad_sides(self, walk8):
-        tm, lam, table = walk8
-        sub = branch("a", 8)
-        branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
+        tm, table = walk8
+        branch_table = green_table(tm.restrict(branch("a", 8)), base="a")
         with pytest.raises(ValueError):
-            last_entry_audit("a", "aa", "a", table, branch_table, tm)
+            last_entry_audit("a", "aa", "a", table, branch_table)
         with pytest.raises(ValueError):
-            last_entry_audit("a", "b", "bb", table, branch_table, tm)
+            last_entry_audit("a", "b", "bb", table, branch_table)
 
 
 class TestBoundaryProfile:
     def test_root_profile_is_one(self, walk8):
-        _, _, table = walk8
+        _, table = walk8
         values = martin_rows(table, [""], ["a" * k for k in range(1, 8)])
         assert values.shape == (1, 7)
         assert all(v == pytest.approx(1.0, abs=1e-14) for v in values[0])
@@ -298,28 +296,27 @@ class TestBoundaryProfile:
             ray_words("", "a", "", 0)
 
     def test_leaves_domain_rejected(self, walk8):
-        _, _, table = walk8
+        _, table = walk8
         with pytest.raises(ValueError, match="leaves"):
             martin_rows(table, [""], ["a" * 9])
 
     def test_tail_decreasing_for_on_and_off_axis(self, walk8):
-        _, _, table = walk8
+        _, table = walk8
         ray = ["a" * k for k in range(1, 8)]
         sources = ["a", "aaa", "ba", "bba"]
         for s, values in zip(sources, martin_rows(table, sources, ray)):
             assert tail_decreasing(s, ray, values)
 
     def test_two_radii_agree_within_truncation(self, mu_letters):
-        lam = norm_upper_bound(mu_letters, Q)
-        t_small = green_table(transition_matrix(mu_letters, ball(6), Q), lam=lam)
-        t_big = green_table(transition_matrix(mu_letters, ball(8), Q), lam=lam)
+        t_small = green_table(transition_matrix(mu_letters, ball(6), Q))
+        t_big = green_table(transition_matrix(mu_letters, ball(8), Q))
         ray = ["a" * k for k in range(1, 5)]
         for s in ("a", "ba"):
             small = martin_rows(t_small, [s], ray)[0]
             big = martin_rows(t_big, [s], ray)[0]
             for t, v_small, v_big in zip(ray, small, big):
-                bound_s = truncation_error_bound(6, s, t, lam, 1, Q)
-                bound_t = truncation_error_bound(6, "", t, lam, 1, Q)
+                bound_s = truncation_error_bound(6, s, t, t_small.walk)
+                bound_t = truncation_error_bound(6, "", t, t_small.walk)
                 ge = t_small.green_entry("", t)
                 tol = (bound_s + abs(v_small) * bound_t) / ge * 4.0
                 assert abs(v_small - v_big) <= tol
@@ -339,29 +336,28 @@ class TestBoundaryProfile:
 
 class TestGreenRows:
     def test_rows_match_dense_table(self, walk8):
-        tm, _, table = walk8
+        tm, table = walk8
         rows = green_rows(tm, ["a", "ba"], base="")
         assert rows.residual < 1e-10
         assert rows.rows == ["a", "ba", ""]
         for s in rows.rows:
-            assert np.abs(rows.source_rows([s])[0] - table.green[table.index[s], :]).max() < 1e-11
+            assert np.abs(rows.source_rows([s])[0] - table.green[tm.index[s], :]).max() < 1e-11
 
     def test_returns_the_weighted_norm(self, walk8):
-        tm, _, _ = walk8
+        tm, _ = walk8
         rows = green_rows(tm, ["a"], base="")
         assert rows.power_norm == weighted_operator_norm(tm.matrix, tm.haar_weights())
 
     def test_neumann_within_tail_bound_on_radius_12(self, mu_letters):
         dom = ball(12)
         tm = transition_matrix(mu_letters, dom, Q)
-        lam = norm_upper_bound(mu_letters, Q)
-        gap = green_rows(tm, ["a", "ba"], base="", lam=lam).neumann_gap
+        gap = green_rows(tm, ["a", "ba"], base="").neumann_gap
         assert -1e-11 < gap <= 0.0
 
     def test_neumann_catches_a_perturbed_row(self, walk8, monkeypatch):
         # an error of 5e-11 in G(a, a) passes the 1e-10 residual gate but not
         # the series check, whose bound there is about 1e-12
-        tm, lam, _ = walk8
+        tm, _ = walk8
         real_splu = kernels.splu
 
         class PerturbedLU:
@@ -374,7 +370,7 @@ class TestGreenRows:
                 return x
 
         monkeypatch.setattr(kernels, "splu", PerturbedLU)
-        rows = green_rows(tm, ["a"], base="", lam=lam)
+        rows = green_rows(tm, ["a"], base="")
         assert rows.residual < 1e-10
         assert rows.neumann_gap > 1e-11
 
@@ -387,7 +383,6 @@ class TestGreenRows:
         1e-10 fails."""
         dom = ball(10)
         tm = transition_matrix(mu_letters, dom, Q)
-        lam = norm_upper_bound(mu_letters, Q)
         real_splu = kernels.splu
 
         class PerturbedLU:
@@ -401,36 +396,36 @@ class TestGreenRows:
 
         monkeypatch.setattr(kernels, "splu", PerturbedLU)
         # the residual gate is opened so that the error reaches the series check
-        rows = green_rows(tm, [""], base="", lam=lam, solver_tol=1e-8)
+        rows = green_rows(tm, [""], base="", solver_tol=1e-8)
         assert (rows.neumann_gap <= 0.0) is passes
 
     def test_residual_above_tolerance_raises(self, walk8):
-        tm, _, _ = walk8
+        tm, _ = walk8
         resid = green_rows(tm, ["a", "ba"], base="").residual
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
             green_rows(tm, ["a", "ba"], base="", solver_tol=resid / 2)
 
     def test_table_reads_match_the_full_table_at_its_rows(self, walk8):
-        tm, lam, table = walk8
-        rows = green_rows(tm, ["ba", "aab", "a"], base="", lam=lam)
-        assert rows.rows == ["ba", "aab", "a", ""] and rows.domain == table.domain
+        tm, table = walk8
+        rows = green_rows(tm, ["ba", "aab", "a"], base="")
+        assert rows.rows == ["ba", "aab", "a", ""] and rows.walk is table.walk
         diag = max(table.green_entry(v, v) for v in rows.rows)
-        assert rows.diagonal_bound_gap() == pytest.approx(diag - 1.0 / (1.0 - lam), rel=1e-13)
-        assert table.diagonal_bound_gap() == table.green.diagonal().max() - 1.0 / (1.0 - lam)
+        assert rows.diagonal_bound_gap() == pytest.approx(diag - 1.0 / (1.0 - tm.norm_bound), rel=1e-13)
+        assert table.diagonal_bound_gap() == table.green.diagonal().max() - 1.0 / (1.0 - tm.norm_bound)
         for s in rows.rows:
             for t in ("", "a", "ab", "bab", "aabb", "b" * 8):
                 assert rows.green_entry(s, t) == pytest.approx(table.green_entry(s, t), rel=1e-13)
 
     def test_martin_rows_rejects_an_unsolved_source(self, walk8):
-        tm, _, _ = walk8
+        tm, _ = walk8
         rows = green_rows(tm, ["a"], base="")
         assert martin_rows(rows, ["a", ""], ["a", "aa"]).shape == (2, 2)
         with pytest.raises(ValueError, match="'ba'"):
             martin_rows(rows, ["a", "ba"], ["a", "aa"])
 
     def test_word_outside_the_domain_named(self, walk8):
-        tm, _, _ = walk8
+        tm, _ = walk8
         with pytest.raises(ValueError, match="outside the domain: \\['a{9}'\\]"):
             green_rows(tm, ["a", "a" * 9], base="")
 
@@ -441,8 +436,7 @@ class TestLastEntryPathSumOracle:
         # constrained to enter the branch from outside
         dom = ball(5)
         tm = transition_matrix(mu_letters, dom, Q)
-        lam = norm_upper_bound(mu_letters, Q)
-        table = green_table(tm, lam=lam)
+        table = green_table(tm)
         p = tm.matrix.toarray()
         x = "a"
         inside = np.array([w.endswith(x) for w in dom])
@@ -464,14 +458,11 @@ class TestLastEntryPathSumOracle:
         # up a truncation deficit that shrinks as the branch deepens
         dom = ball(9)
         tm = transition_matrix(mu_letters, dom, Q)
-        lam = norm_upper_bound(mu_letters, Q)
-        table = green_table(tm, lam=lam)
+        table = green_table(tm)
         resids = []
         for r_branch in (5, 7, 9):
             sub = branch("a", r_branch)
-            branch_table = green_table(tm.restrict(sub), base="a", lam=lam)
-            resids.append(
-                last_entry_audit("a", "b", "aa", table, branch_table, tm)
-            )
+            branch_table = green_table(tm.restrict(sub), base="a")
+            resids.append(last_entry_audit("a", "b", "aa", table, branch_table))
         assert resids[0] > resids[1] > resids[2]
         assert resids[2] < 1e-10

@@ -215,6 +215,8 @@ class TestQMatrix:
         qm = q_matrix(mu_letters, ctx)
         m = qdims(heap_indices(ctx.omega), Q) ** 2
         assert weighted_operator_norm(qm.matrix, m) - weighted_operator_norm(p_branch, m) <= 1e-8
+        assert qm.norm_bound == norm_upper_bound(mu_letters, ctx.q)
+        assert weighted_operator_norm(qm.matrix, m) <= qm.norm_bound
 
 
 def entrywise_q_matrix(mu, ctx):
@@ -355,30 +357,27 @@ class TestKroneckerFree:
 class TestGreenQ:
     def test_solver_tolerance_below_residual_raises(self, setup, mu_letters):
         ctx, tm, _ = setup
-        lam = norm_upper_bound(mu_letters, Q)
-        qm, table = green_Q(mu_letters, ctx, lam=lam)
+        qm, table = green_Q(mu_letters, ctx)
         assert table.residual > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            green_Q(mu_letters, ctx, lam=lam, solver_tol=table.residual / 2)
+            green_Q(mu_letters, ctx, solver_tol=table.residual / 2)
         # the first sub-branch solve of the gap audit is the perturbed one on H_a
-        resid = green_table(qm.restrict(branch("a", ctx.radius)), base="a", lam=lam).residual
+        resid = green_table(qm.restrict(branch("a", ctx.radius)), base="a").residual
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            gdif_audit(qm, ctx, tm, ["a", "ba"], lam=lam, solver_tol=resid / 2)
+            gdif_audit(qm, ctx, tm, ["a", "ba"], solver_tol=resid / 2)
 
     def test_solver_contract(self, setup, mu_letters):
         ctx, _, p_branch = setup
-        lam = norm_upper_bound(mu_letters, Q)
-        qm, table = green_Q(mu_letters, ctx, lam=lam)
+        qm, table = green_Q(mu_letters, ctx)
         assert table.residual < 1e-10
         assert table.green.diagonal().min() >= 1.0 - 1e-12
         assert table.power_norm <= weighted_operator_norm(p_branch, qdims(heap_indices(ctx.omega), Q) ** 2) + 1e-8
 
     def test_martin_Q_bounded(self, setup, mu_letters):
         ctx, tm, _ = setup
-        lam = norm_upper_bound(mu_letters, Q)
-        _, q_table = green_Q(mu_letters, ctx, lam=lam)
-        full = green_table(tm, base="", lam=lam)
+        _, q_table = green_Q(mu_letters, ctx)
+        full = green_table(tm, base="")
         kq = martin_rows(q_table, ctx.omega, ctx.omega, root=full)
         assert kq.shape == (len(ctx.omega), len(ctx.omega))
         assert np.isfinite(kq).all()
@@ -398,8 +397,7 @@ class TestGreenQ:
 class TestGdif:
     def test_envelope_along_alternating_branches(self, setup, mu_letters):
         ctx, tm, _ = setup
-        lam = norm_upper_bound(mu_letters, Q)
-        rep = gdif_audit(q_matrix(mu_letters, ctx), ctx, tm, ["a", "ba", "aba"], lam=lam)
+        rep = gdif_audit(q_matrix(mu_letters, ctx), ctx, tm, ["a", "ba", "aba"])
         assert rep.max_rel[0] > rep.max_rel[1] > rep.max_rel[2] > 0
         # anchored envelope: deeper branches decay at least as fast as q
         assert rep.envelope_gap <= 1.0 + 1e-9
@@ -414,11 +412,10 @@ class TestBoundary:
     def test_ratio_trend_and_positivity(self, engine, mu_letters):
         radius = 7
         ctx = BranchContext(engine, "a", radius)
-        lam = norm_upper_bound(mu_letters, Q)
         matched = ball(radius)
         tm = transition_matrix(mu_letters, matched, Q)
-        full = green_table(tm, base="", lam=lam)
-        _, q_table = green_Q(mu_letters, ctx, lam=lam)
+        full = green_table(tm, base="")
+        _, q_table = green_Q(mu_letters, ctx)
         ray = ray_words("", "a", "a", radius - 1)
         s_list = ["a" * k for k in range(1, 6)]
         k_p = martin_rows(full, s_list, ray)
@@ -432,8 +429,7 @@ class TestBoundary:
 
     def test_ray_outside_branch_rejected(self, setup, mu_letters):
         ctx, tm, _ = setup
-        lam = norm_upper_bound(mu_letters, Q)
-        _, q_table = green_Q(mu_letters, ctx, lam=lam)
-        full = green_table(tm, base="", lam=lam)
+        _, q_table = green_Q(mu_letters, ctx)
+        full = green_table(tm, base="")
         with pytest.raises(ValueError, match="leaves"):
             martin_rows(q_table, ["a"], ["b"], root=full)

@@ -116,7 +116,7 @@ def test_interior_rows_stochastic(mu, q):
 @PROPERTY
 @given(measures(), deformations)
 def test_duality_identity(mu, q):
-    assert dual_audit(mu, 5, q) < 1e-12
+    assert dual_audit(transition_matrix(mu, ball(5), q)) < 1e-12
 
 
 @PROPERTY
