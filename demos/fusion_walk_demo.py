@@ -45,7 +45,7 @@ interior = tm.interior_words(6)
 gap = max(abs(sums[tm.index[w]] - 1.0) for w in interior)
 print(f"domain: ball(6), {tm.size} words; walk range {tm.range_bound}")
 print(f"largest interior row-sum deviation: {gap:.2e}")
-print(f"generating: {is_generating(mu, 4, q)}")
+print(f"generating: {is_generating(tm)}")
 
 lam = tm.norm_bound
 measured = weighted_operator_norm(tm.matrix, tm.haar_weights())

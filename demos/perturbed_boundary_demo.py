@@ -27,8 +27,10 @@ q = 0.5
 radius = 7
 mu = Measure({"a": 0.5, "b": 0.5})
 eng = IntertwinerEngine(ModelConfig.from_q(q, n=2, tensor_cap=10))
-ctx = BranchContext(eng, "a", radius)
-print(f"branch of z = 'a' (y = {ctx.y}), truncated at radius {radius}: {len(ctx.omega)} words")
+# the classical walk on the ball, at the engine's q; the branch walk is its restriction
+tm = transition_matrix(mu, ball(radius), eng.q)
+ctx = BranchContext(eng, tm, "a", radius)
+print(f"branch of z = 'a' (y = {ctx.y}), truncated at radius {radius}: {ctx.walk.size} words")
 
 print()
 print("=== one-step coefficients vs classical weights ===")
@@ -39,12 +41,11 @@ for u, s, t in [("a", "a", "aa"), ("b", "a", "ba"), ("a", "ba", "aba"), ("b", "a
     p = multiplicity(t, u, s) * qdim(t, q) / (qdim(u, q) * qdim(s, q))
     print(f"  u={u} {s} -> {t}: coefficient {val:+.6f}, classical {p:.6f}, gap {abs(val - p):.2e}")
 
-tm = transition_matrix(mu, ball(radius), q)
-q_walk, q_table = green_Q(mu, ctx)
+q_walk, q_table = green_Q(ctx)
 
 print()
 print("=== exponential closeness along the branch ===")
-resid = residual_matrix(mu, ctx)
+resid = residual_matrix(ctx)
 print(f"the perturbed matrix is the classical one less a correction on {resid.nnz} "
       f"of its {q_walk.matrix.nnz} entries (the traced ones)")
 rep = decay_audit(resid, ctx)
@@ -57,7 +58,7 @@ print(" passes, while the audit entry perturbation_rate compares with log q and 
 
 print()
 print("=== Green kernels on sub-branches ===")
-gd = gdif_audit(q_walk, ctx, tm, ["a", "ba", "aba", "baba"])
+gd = gdif_audit(q_walk, ctx, ["a", "ba", "aba", "baba"])
 for x, rel in zip(gd.x_list, gd.max_rel):
     print(f"  sub-branch of {x:5s}: max relative gap |G_Q - G_P| / G_P = {rel:.3e}")
 

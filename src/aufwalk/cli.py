@@ -88,14 +88,15 @@ CONFIG_KEYS = {
     "tolerances.": ("solver", "audit"),
 }
 
-_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
 
 
 def _checked(value, name: str, kind):
-    """The value checked against one JSON type; a number accepts integers,
-    and booleans are neither."""
+    """The value checked against one JSON type; a number accepts integers
+    but no NaN or infinity, and booleans are neither."""
     allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, allowed):
+    if (isinstance(value, bool) or not isinstance(value, allowed)
+            or kind is float and not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{name} must be {_KINDS[kind]}, got {json.dumps(value)}")
     return float(value) if kind is float else value
 
@@ -148,7 +149,10 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
     for ray in _typed(raw, "rays", list, [["e", "a"]]):
         if not isinstance(ray, list) or len(ray) != 2:
             raise ConfigError(f"each ray must be a [preperiod, period] pair, got {json.dumps(ray)}")
-        rays.append(tuple(_words(ray, "rays")))
+        pre, per = _words(ray, "rays")
+        if not per:
+            raise ConfigError(f"rays must have nonempty periods, got {json.dumps(ray)}")
+        rays.append((pre, per))
     if not rays:
         raise ConfigError("rays must hold at least one [preperiod, period] pair")
     if raw.get("boundarySources") == []:
@@ -221,17 +225,10 @@ def write_json(path: Path, payload) -> None:
 def build_walk(cfg: RunConfig, radius: int) -> fusion.TransitionMatrix:
     """The configured walk on the ball of the given radius; a measure that
     does not generate an irreducible walk is a config error."""
-    if not fusion.is_generating(cfg.measure, max(cfg.measure.range_bound, 4), cfg.q):
+    walk = fusion.transition_matrix(cfg.measure, words.ball(radius), cfg.q)
+    if not fusion.is_generating(walk):
         raise ConfigError("measure is not generating; the kernels need an irreducible walk")
-    return fusion.transition_matrix(cfg.measure, words.ball(radius), cfg.q)
-
-
-def root_table(cfg: RunConfig, tm, sources: list[str] | None = None) -> kernels.KernelTable:
-    """Green kernel of a walk, Martin kernel based at the root: the dense
-    table, or the rows of the given sources and the root."""
-    if sources is None:
-        return kernels.green_table(tm, solver_tol=cfg.solver_tol)
-    return kernels.green_rows(tm, sources, solver_tol=cfg.solver_tol)
+    return walk
 
 
 def _output_dir(cfg: RunConfig) -> Path:
@@ -253,7 +250,8 @@ def cmd_walk(cfg: RunConfig) -> int:
     for s in cfg.sources:
         if s not in tm.index:
             raise ConfigError(f"source {s!r} outside the ball")
-    table = root_table(cfg, tm, None if tm.size <= kernels.DENSE_LIMIT else cfg.sources)
+    table = (kernels.green_table(tm, solver_tol=cfg.solver_tol) if tm.size <= kernels.DENSE_LIMIT
+             else kernels.green_rows(tm, cfg.sources, solver_tol=cfg.solver_tol))
     martin = kernels.martin_rows(table, cfg.sources, tm.domain)
     delta0, k_steps = _irreducibility(cfg, tm)
     bounds = np.array([kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, tm) for s in cfg.sources])
@@ -327,10 +325,10 @@ def branch_kernels(cfg: RunConfig, tm, ctx, rays):
             raise ConfigError(
                 f"boundary source {s!r} outside the ball of the branch radius {ctx.radius}"
             )
-    full = root_table(cfg, tm.restrict(words.ball(ctx.radius)), sources)
-    q_walk, q_table = perturbed.green_Q(cfg.measure, ctx, solver_tol=cfg.solver_tol)
-    inside = [s for s in sources if s in ctx.index]
-    outside = [s for s in sources if s not in ctx.index]
+    full = kernels.green_rows(tm.restrict(words.ball(ctx.radius)), sources, solver_tol=cfg.solver_tol)
+    q_walk, q_table = perturbed.green_Q(ctx, solver_tol=cfg.solver_tol)
+    inside = [s for s in sources if s in ctx.walk.index]
+    outside = [s for s in sources if s not in ctx.walk.index]
     per_ray = []
     for pre, per in rays:
         ray = kernels.ray_words(pre, per, cfg.branch_z, depth)
@@ -361,7 +359,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         w for u, x, y, z in _defect_families() for w in (x + y, u + x, u + z)
     ))
     tm = build_walk(cfg, cfg.ball_radius)
-    table = root_table(cfg, tm)
+    table = kernels.green_table(tm, solver_tol=cfg.solver_tol)
     gap = _interior_row_gap(cfg, tm)
     add("stochasticity", "interior row sums of the transition matrix", gap, 1e-12, gap < 1e-12)
 
@@ -404,7 +402,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     add("defect_decay", "projection commutation defects decay with the length exponent",
         rate_gap, 0.2, rate_gap <= 0.2)
 
-    ctx = _branch_context(cfg, eng)
+    ctx = perturbed.BranchContext(eng, tm, cfg.branch_z, cfg.effective_q_radius())
     oracle_gap, domination_gap = _qhat_checks(cfg, ctx)
     add("qhat_oracle", "trace formula against the partial-trace evaluation", oracle_gap, 1e-9,
         oracle_gap < 1e-9)
@@ -415,7 +413,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     if not inside:
         raise ConfigError(f"the boundary audits need a boundary source in the branch of "
                           f"{cfg.branch_z!r}")
-    decay = perturbed.decay_audit(perturbed.residual_matrix(cfg.measure, ctx), ctx)
+    decay = perturbed.decay_audit(perturbed.residual_matrix(ctx), ctx)
     env_gap = decay.envelope_gap()
     add("perturbation_envelope", "single-constant envelope of the perturbation",
         env_gap, 0.0, env_gap <= 0.0)
@@ -441,7 +439,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         resid < cfg.audit_tol)
 
     x_list = [x for x in _alternating_branch_words(cfg.branch_z, 4) if len(x) <= ctx.radius - 2]
-    gdif = perturbed.gdif_audit(q_walk, ctx, tm, x_list, solver_tol=cfg.solver_tol)
+    gdif = perturbed.gdif_audit(q_walk, ctx, x_list, solver_tol=cfg.solver_tol)
     add("gdif_envelope", "branch Green kernels differ by an envelope in the branch depth",
         gdif.envelope_gap, 1.0, gdif.envelope_gap <= 1.0 + 1e-12)
 
@@ -458,10 +456,6 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     add("boundary_ratio_trend", "perturbed-to-classical ratio moves toward 1 along the ray",
         trend[-1], trend[0], trend_ok and cauchy)
     return entries
-
-
-def _branch_context(cfg: RunConfig, eng):
-    return perturbed.BranchContext(eng, cfg.branch_z, cfg.effective_q_radius())
 
 
 def _conjugate_equation_residual(eng) -> float:
@@ -545,7 +539,7 @@ def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float]:
     worst_or = 0.0
     worst_dom = -math.inf
     q = cfg.q
-    for (u, s, t) in perturbed.required_entries(cfg.measure, ctx):
+    for (u, s, t) in perturbed.required_entries(ctx):
         val = perturbed.qhat_entry(u, s, t, ctx)
         oracle, resid = perturbed.qhat_oracle(u, s, t, ctx)
         worst_or = max(worst_or, abs(val - oracle), resid)
@@ -596,8 +590,10 @@ def cmd_audit(cfg: RunConfig) -> int:
 
 def cmd_boundary(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
-    ctx = _branch_context(cfg, IntertwinerEngine(cfg.model))
-    _, inside, outside, per_ray = branch_kernels(cfg, build_walk(cfg, ctx.radius), ctx, cfg.rays)
+    # a negative branch radius leaves an empty branch, which BranchContext rejects
+    tm = build_walk(cfg, max(cfg.effective_q_radius(), 0))
+    ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.effective_q_radius())
+    _, inside, outside, per_ray = branch_kernels(cfg, tm, ctx, cfg.rays)
     sources = np.array([format_word(s) for s in inside + outside], dtype=str)
     header = ["s", "n", "t", "K_P", "K_Q", "ratio", "cauchyGapP", "cauchyGapQ"]
     for i, (ray, k_p, k_q) in enumerate(per_ray):

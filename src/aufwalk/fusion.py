@@ -19,7 +19,7 @@ the low len(s) - k bits of s.  A few sampled rows are recomputed on the
 string route as a cross-check.  A ``TransitionMatrix`` carries all a walk
 on one domain needs: the matrix, the words, their heap indices and
 positions, the measure, q, and the norm bound that certifies its Green
-kernel.
+kernel; its restriction to a sub-domain equals the assembly there bit for bit.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class Measure:
         for w, p in weights.items():
             check_word(w)
             p = float(p)
-            if p <= 0.0:
-                raise ValueError(f"weight of {w!r} must be positive, got {p}")
+            if not 0.0 < p < np.inf:
+                raise ValueError(f"weight of {w!r} must be finite and positive, got {p}")
             cleaned[w] = p
         if not cleaned:
             raise ValueError("measure must have nonempty support")
@@ -163,7 +163,10 @@ class TransitionMatrix:
 
     def restrict(self, subdomain: list[str]) -> "TransitionMatrix":
         """Substochastic restriction to a sub-domain (kills exiting mass)."""
-        idx = np.array([self.index[w] for w in subdomain])
+        try:
+            idx = np.array([self.index[w] for w in subdomain])
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} lies outside the walk's domain") from None
         sub = self.matrix[idx][:, idx]
         return TransitionMatrix(subdomain, sp.csr_matrix(sub), self.mu, self.q, self.codes[idx])
 
@@ -276,17 +279,14 @@ def dual_audit(walk: TransitionMatrix) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def is_generating(mu: Measure, radius: int, q: float) -> bool:
-    """True iff every word in the ball is reachable from e and can reach e
-    through positive transition weights (BFS both ways on the truncated walk)."""
-    if radius < mu.range_bound:
-        raise ValueError("radius must be at least the range of the walk")
-    tm = transition_matrix(mu, ball(radius), q)
-    n = tm.size
-    root = tm.index[EMPTY]
-    fwd = breadth_first_order(tm.matrix, root, directed=True, return_predecessors=False)
-    bwd = breadth_first_order(tm.matrix.T.tocsr(), root, directed=True, return_predecessors=False)
-    return len(fwd) == n and len(bwd) == n
+def is_generating(walk: TransitionMatrix) -> bool:
+    """True iff every word of the walk's ball, cut to radius max(range, 4), is
+    reachable from e and can reach e through positive weights (BFS both ways)."""
+    radius = int(code_lengths(walk.codes).max(initial=0))
+    tm = walk.restrict(ball(min(radius, max(walk.range_bound, 4))))
+    fwd, bwd = (breadth_first_order(m, tm.index[EMPTY], directed=True, return_predecessors=False)
+                for m in (tm.matrix, tm.matrix.T.tocsr()))
+    return len(fwd) == len(bwd) == tm.size
 
 
 def norm_upper_bound(mu: Measure, q: float) -> float:

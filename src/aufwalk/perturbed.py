@@ -10,21 +10,22 @@ over the block H_u (x) H_s, which is real, dominated entrywise by the
 classical weights, and exponentially close to them far from the root.
 Wherever the cut rule (exact_by_cut) applies the coefficient is the classical
 weight itself, so the branch walk is the classical branch walk with its matrix
-less a correction on the traced entries, a few per level.  Both are sparse,
-and the perturbed walk feeds the same Green-kernel solver as the classical one.
-It keeps the classical measure, whose norm bound also bounds the perturbed
-walk (|qhat| <= p), so its Green solves and audits take no separate bound.
+less a correction on the traced entries, a few per level.  The classical
+branch walk is BranchContext.walk, which every function here reads.  Both are
+sparse and feed the same Green-kernel solver.  The perturbed walk keeps the
+classical measure, whose norm bound also bounds it (|qhat| <= p).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fusion import Measure, TransitionMatrix, fuse, transition_matrix
+from .fusion import TransitionMatrix, fuse
 from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply
 from .kernels import SOLVER_TOL, KernelTable, green_table
 from .words import branch, involution, qdim
@@ -34,27 +35,27 @@ DOMINATION_TOL = 1e-12
 
 
 class BranchContext:
-    """Branch data for one z: the word y = bar(z) z and the truncated branch
-    domain.  Computed coefficients live in the engine's memo."""
+    """Branch data for one z: the word y = bar(z) z and the classical walk on
+    the truncated branch, restricted from a walk at the engine's q whose domain
+    holds it.  Computed coefficients live in the engine's memo."""
 
-    def __init__(self, engine: IntertwinerEngine, z: str, radius: int):
+    def __init__(self, engine: IntertwinerEngine, walk: TransitionMatrix, z: str, radius: int):
         if not z:
             raise ValueError("branch word z must be nonempty")
+        omega = branch(z, radius)
+        if len(omega) < 2:
+            raise ValueError(
+                f"branch of {z!r} truncated at radius {radius} has {len(omega)} words; "
+                f"increase the radius or the tensor cap"
+            )
+        if walk.q != engine.q:
+            raise ValueError(f"walk at q = {walk.q!r} on an engine at q = {engine.q!r}")
         self.engine = engine
+        self.walk = walk.restrict(omega)
+        self.q = walk.q
         self.z = z
         self.y = involution(z) + z
         self.radius = radius
-        self.omega = branch(z, radius)
-        if len(self.omega) < 2:
-            raise ValueError(
-                f"branch of {z!r} truncated at radius {radius} has {len(self.omega)} words; "
-                f"increase the radius or the tensor cap"
-            )
-        self.index = {w: i for i, w in enumerate(self.omega)}
-
-    @property
-    def q(self) -> float:
-        return self.engine.q
 
     def contains(self, w: str) -> bool:
         return w.endswith(self.z)
@@ -193,55 +194,49 @@ def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, floa
     return coeff, residual
 
 
-def required_entries(mu: Measure, ctx: BranchContext) -> list[tuple[str, str, str]]:
-    """All (u, s, t) coefficient triples needed to assemble the branch matrix
-    of mu on the truncated domain."""
-    mud = mu.dual()
-    out = []
-    for t in ctx.omega:
-        for u in mud.support:
-            for s in fuse(u, t):
-                if s in ctx.index:
-                    out.append((u, t, s))
-    return out
+def required_entries(ctx: BranchContext) -> list[tuple[str, str, str]]:
+    """All (u, s, t) coefficient triples needed to assemble the perturbed
+    branch matrix of the walk's measure on the truncated branch."""
+    walk, support = ctx.walk, ctx.walk.mu.dual().support
+    return [(u, t, s) for t in walk.domain for u in support for s in fuse(u, t) if s in walk.index]
 
 
-def q_matrix(mu: Measure, ctx: BranchContext) -> TransitionMatrix:
-    """The perturbed walk on the truncated branch: the classical branch walk
-    of mu, whose matrix loses the correction p - qhat on the traced entries,
-    so qhat_entry runs only where the cut rule does not decide.  Fails
-    loudly, listing the offending entries, when a traced coefficient exceeds
-    the tensor cap."""
-    walk = transition_matrix(mu, ctx.omega, ctx.q)
-    walk.matrix = walk.matrix - _traced(mu, ctx, lambda u, s, t, p: p - qhat_entry(u, s, t, ctx))
+def q_matrix(ctx: BranchContext) -> TransitionMatrix:
+    """The perturbed walk on the truncated branch: a copy of the classical
+    branch walk ctx.walk whose matrix loses the correction p - qhat on the
+    traced entries, so qhat_entry runs only where the cut rule does not
+    decide.  ctx.walk is left as it is.  Fails loudly, listing the offending
+    entries, when a traced coefficient exceeds the tensor cap."""
+    walk = copy.copy(ctx.walk)
+    walk.matrix = ctx.walk.matrix - _traced(ctx, lambda u, s, t, p: p - qhat_entry(u, s, t, ctx))
     return walk
 
 
-def residual_matrix(mu: Measure, ctx: BranchContext) -> sp.csr_matrix:
+def residual_matrix(ctx: BranchContext) -> sp.csr_matrix:
     """The perturbation residual p - qhat on the truncated branch, with the
     weights of q_matrix, built entry by entry as p eps^2 / 2 from the
     commutation defect (see commutation_defect) rather than as a difference of
     O(1) numbers, so small residuals keep their relative accuracy.  Entries
     the cut rule decides (exact_by_cut) have residual 0 and are not stored."""
-    return _traced(mu, ctx, lambda u, s, t, p: p * commutation_defect(u, s, t, ctx) ** 2 / 2)
+    return _traced(ctx, lambda u, s, t, p: p * commutation_defect(u, s, t, ctx) ** 2 / 2)
 
 
-def _traced(mu: Measure, ctx: BranchContext, term) -> sp.csr_matrix:
+def _traced(ctx: BranchContext, term) -> sp.csr_matrix:
     """The branch matrix with entry (t, s) = sum over u of
     mud(u) (m_s / m_t)^2 term(u, s, t, p), p = m_t / (m_u m_s), over the
     traced entries: the required ones with nonempty u that the cut rule leaves
     to the trace.  The cap is checked on all of them up front."""
-    traced = [(u, s, t) for (u, s, t) in required_entries(mu, ctx) if u and not exact_by_cut(u, s, t, ctx.z)]
+    traced = [(u, s, t) for (u, s, t) in required_entries(ctx) if u and not exact_by_cut(u, s, t, ctx.z)]
     cap = ctx.engine.cfg.tensor_cap
     blocked = [u + s + ctx.y for (u, s, t) in traced if len(u) + len(s) + len(ctx.y) > cap]
     if blocked:
         raise TensorCapError(blocked[:8], cap)
-    mud, q = mu.dual(), ctx.q
-    out = sp.dok_matrix((len(ctx.omega), len(ctx.omega)))
+    walk, mud, q = ctx.walk, ctx.walk.mu.dual(), ctx.q
+    out = sp.dok_matrix((walk.size, walk.size))
     for (u, s, t) in traced:
         m_s, m_t = qdim(s, q), qdim(t, q)
         p = m_t / (qdim(u, q) * m_s)
-        out[ctx.index[t], ctx.index[s]] += mud.weight(u) * (m_s / m_t) ** 2 * term(u, s, t, p)
+        out[walk.index[t], walk.index[s]] += mud.weight(u) * (m_s / m_t) ** 2 * term(u, s, t, p)
     return out.tocsr()
 
 
@@ -285,7 +280,7 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
     coo = sp.coo_matrix(resid)
     for i, value in zip(coo.row.tolist(), coo.data.tolist()):
         if value > RESIDUAL_FLOOR:
-            length = len(ctx.omega[i])
+            length = len(ctx.walk.domain[i])
             per_length[length] = max(per_length.get(length, 0.0), value)
             n_pairs += 1
     if len(per_length) < 4:
@@ -305,11 +300,11 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
     )
 
 
-def green_Q(mu: Measure, ctx: BranchContext, solver_tol: float = SOLVER_TOL) -> tuple[TransitionMatrix, KernelTable]:
+def green_Q(ctx: BranchContext, solver_tol: float = SOLVER_TOL) -> tuple[TransitionMatrix, KernelTable]:
     """The perturbed walk (q_matrix) and its Green kernel on the truncated
     branch, through the same solver as the classical tables (raising
     RuntimeError when the solve residual exceeds ``solver_tol``)."""
-    walk = q_matrix(mu, ctx)
+    walk = q_matrix(ctx)
     return walk, green_table(walk, base=ctx.z, solver_tol=solver_tol)
 
 
@@ -325,14 +320,13 @@ class GdifReport:
 
 
 def gdif_audit(
-    q_walk: TransitionMatrix, ctx: BranchContext, p_walk: TransitionMatrix, x_list: list[str],
-    solver_tol: float = SOLVER_TOL,
+    q_walk: TransitionMatrix, ctx: BranchContext, x_list: list[str], solver_tol: float = SOLVER_TOL,
 ) -> GdifReport:
     """Relative gap between the Green kernels of the perturbed walk
-    (``q_walk``, from q_matrix) and the classical walk (``p_walk``, on any
-    domain that holds the branch), each restricted to the sub-branches of the
-    given words, and the envelope gap against q^len(x) anchored at the first
-    word.  Each sub-branch solve raises RuntimeError above ``solver_tol``."""
+    (``q_walk``, from q_matrix) and the classical branch walk ctx.walk, each
+    restricted to the sub-branches of the given words, and the envelope gap
+    against q^len(x) anchored at the first word.  Each sub-branch solve
+    raises RuntimeError above ``solver_tol``."""
     rels = []
     for x in x_list:
         if not x.endswith(ctx.z):
@@ -341,7 +335,7 @@ def gdif_audit(
         if len(sub) < 2:
             raise ValueError(f"sub-branch of {x!r} too small at radius {ctx.radius}")
         g_q = green_table(q_walk.restrict(sub), base=x, solver_tol=solver_tol)
-        g_p = green_table(p_walk.restrict(sub), base=x, solver_tol=solver_tol)
+        g_p = green_table(ctx.walk.restrict(sub), base=x, solver_tol=solver_tol)
         rels.append(float((np.abs(g_q.green - g_p.green) / g_p.green).max()))
     q = ctx.q
     anchored = rels[0] / (q ** len(x_list[0]))

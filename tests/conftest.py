@@ -49,9 +49,10 @@ def walk8(mu_letters):
     return tm, green_table(tm, base="")
 
 
-@pytest.fixture(scope="session")
-def branch_ctx(engine):
-    return BranchContext(engine, "a", 6)
+def branch_context(engine, mu, z, radius):
+    """The branch of z truncated at the radius, restricted from the walk of
+    mu on the ball of that radius at the engine's q."""
+    return BranchContext(engine, transition_matrix(mu, ball(radius), engine.q), z, radius)
 
 
 def random_word(rng, max_len=8):

@@ -211,10 +211,10 @@ def test_c09_qhat_realness_and_domination(engines):
     worst_oracle = 0.0
     worst_dom = -math.inf
     for q, eng in engines.items():
-        ctx = BranchContext(eng, "a", 6)
         mus = (MU_AB, MU_MIX) if q == 0.5 else (MU_AB,)
         for mu in mus:
-            for (u, s, t) in required_entries(mu, ctx):
+            ctx = BranchContext(eng, transition_matrix(mu, ball(6), eng.q), "a", 6)
+            for (u, s, t) in required_entries(ctx):
                 val = qhat_entry(u, s, t, ctx)
                 oracle, resid = qhat_oracle(u, s, t, ctx)
                 worst_oracle = max(worst_oracle, abs(val - oracle), resid)
@@ -227,13 +227,13 @@ def test_c09_qhat_realness_and_domination(engines):
 
 def test_c10_perturbation_envelope(engines):
     eng = engines[0.5]
-    ctx = BranchContext(eng, "a", 5)
+    ctx = BranchContext(eng, transition_matrix(MU_AB, ball(5), eng.q), "a", 5)
     identity_gap = 0.0
-    for (u, s, t) in required_entries(MU_AB, ctx):
+    for (u, s, t) in required_entries(ctx):
         p = qdim(t, 0.5) / (qdim(u, 0.5) * qdim(s, 0.5))
         eps = commutation_defect(u, s, t, ctx)
         identity_gap = max(identity_gap, abs(p - qhat_entry(u, s, t, ctx) - p * eps ** 2 / 2))
-    rep = decay_audit(residual_matrix(MU_AB, ctx), ctx)
+    rep = decay_audit(residual_matrix(ctx), ctx)
     envelope_ok = rep.envelope_gap() <= 0.0 and set(rep.lengths) <= set(range(1, 6))
     # second order in the defect: the residual decays at twice the defect rate
     slope_ratio = rep.fitted_rate / (2.0 * rep.target_rate)
@@ -262,9 +262,8 @@ def test_c11_harnack_and_multiplicativity():
 
 def test_c12_branch_green_envelope(engines):
     eng = engines[0.5]
-    ctx = BranchContext(eng, "a", 7)
-    tm = transition_matrix(MU_AB, ball(7), 0.5)
-    rep = gdif_audit(q_matrix(MU_AB, ctx), ctx, tm, ["a", "ba", "aba", "baba"])
+    ctx = BranchContext(eng, transition_matrix(MU_AB, ball(7), eng.q), "a", 7)
+    rep = gdif_audit(q_matrix(ctx), ctx, ["a", "ba", "aba", "baba"])
     ok = rep.envelope_gap <= 1.0 + 1e-9
     criterion(12, "perturbed branch Green kernels inside a single q^len(x) envelope", ok,
               f"relative gaps {[f'{r:.2e}' for r in rep.max_rel]}, envelope gap {rep.envelope_gap:.6f}")
@@ -301,11 +300,10 @@ def test_c14_boundary_profiles(engines):
     details = []
     for q in QS:
         eng = IntertwinerEngine(ModelConfig.from_q(q, n=2, tensor_cap=10))
-        ctx = BranchContext(eng, "a", 7)
-        matched = ball(7)
-        tm = transition_matrix(MU_AB, matched, q)
+        tm = transition_matrix(MU_AB, ball(7), eng.q)
+        ctx = BranchContext(eng, tm, "a", 7)
         full = green_table(tm, base="")
-        _, q_table = green_Q(MU_AB, ctx)
+        _, q_table = green_Q(ctx)
         ray = ray_words("", "a", "a", 6)
         sources = ["a" * k for k in range(1, 6)]
         k_p = martin_rows(full, sources, ray)

@@ -105,11 +105,26 @@ class TestConfig:
             {"measure": {"a": "0.5", "b": 0.5}},
             {"ballRadius": True},
             {"tolerances": {"solver": 0.0}},
+            {"measure": {"a": math.nan, "b": 0.5}},
+            {"tolerances": {"solver": math.inf}},
+            {"model": {"q": math.nan}},
+            {"tolerances": {"audit": -math.inf}},
+            {"model": {"fDiag": [2.0, 10 ** 400]}},
         ],
     )
     def test_malformed_types_exit_2(self, tmp_path, capsys, overrides):
         assert main(["walk", str(make_config(tmp_path, **overrides))]) == EXIT_CONFIG
         err = one_line_error(capsys, "config error:")
+
+    @pytest.mark.parametrize("command", ["walk", "boundary"])
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [({"measure": {"a": math.nan, "b": 0.5}}, "weight of a"), ({"tolerances": {"solver": math.inf}}, "solver")],
+    )
+    def test_non_finite_numbers_exit_2_naming_the_key(self, tmp_path, capsys, command, overrides, named):
+        # JSON's NaN and Infinity literals parse as floats; neither reaches a solve
+        assert main([command, str(make_config(tmp_path, **overrides))]) == EXIT_CONFIG
+        err = one_line_error(capsys, f"config error: {named} must be a finite number")
 
     @pytest.mark.parametrize(
         "command, sources",
@@ -162,6 +177,13 @@ class TestConfig:
     def test_empty_rays_exit_2(self, tmp_path, capsys, command):
         assert main([command, str(make_config(tmp_path, rays=[]))]) == EXIT_CONFIG
         err = one_line_error(capsys, "config error: rays")
+
+    @pytest.mark.parametrize("command", ["walk", "boundary", "audit"])
+    def test_empty_ray_period_exits_2_at_load(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(fusion, "transition_matrix", None)  # nothing is assembled
+        assert main([command, str(make_config(tmp_path, rays=[["e", "a"], ["b", "e"]]))]) == EXIT_CONFIG
+        err = one_line_error(capsys, "config error: rays must have nonempty periods")
+        assert '["b", "e"]' in err
 
     def test_huge_n_exits_2_before_allocating(self, tmp_path):
         """n = 10^9 at q = 1e-10 is reachable, and its model would hold a
@@ -320,13 +342,26 @@ class TestCsvEmitter:
     @pytest.mark.parametrize("radius", [6, 12])
     def test_walk_converts_its_words_once(self, tmp_path, monkeypatch, radius):
         """One heap_indices call for the ball, on the table path and the row
-        path alike, after the generating check's ball of radius 4; the
-        sub-ball scan and the solver reuse its codes."""
+        path alike; the generating check, the sub-ball scan and the solver
+        reuse its codes."""
         calls = []
         count_conversions(monkeypatch, lambda domain: calls.append(len(domain)))
         path = make_config(tmp_path, ballRadius=radius, sources=["e", "ab"])
         assert main(["walk", str(path)]) == EXIT_OK
-        assert calls == [31, 2 ** (radius + 1) - 1]
+        assert calls == [2 ** (radius + 1) - 1]
+
+    @pytest.mark.parametrize("command, assemblies", [("walk", 1), ("boundary", 1), ("audit", 2)])
+    def test_one_classical_assembly_per_walk(self, tmp_path, monkeypatch, command, assemblies):
+        """The ball walk is the only classical assembly (audit adds the dual
+        walk of dual_measure): the generating check and the branch walk are
+        restrictions of it."""
+        calls = []
+        real = fusion.transition_matrix
+        monkeypatch.setattr(fusion, "transition_matrix", lambda *args: calls.append(args[1]) or real(*args))
+        assert main([command, EXAMPLE, "--out", str(tmp_path)]) in (EXIT_OK, EXIT_AUDIT)
+        assert len(calls) == assemblies
+        cfg = load_config(EXAMPLE)
+        assert calls[0] == ball(cfg.ball_radius if command != "boundary" else cfg.effective_q_radius())
 
     @pytest.mark.parametrize("command", ["audit", "boundary"])
     def test_green_solves_convert_no_words(self, tmp_path, monkeypatch, command):
@@ -357,16 +392,24 @@ class TestCsvEmitter:
         assert "walk" in fields and not fields & {"domain", "index", "lam"}
 
     def test_audit_converts_each_domain_once(self, tmp_path, monkeypatch):
-        """Four conversions on audit: the generating check's ball, the walk's
-        ball, the dual walk's ball and the perturbed walk's branch."""
+        """Two conversions on audit, the walk's ball and the dual walk's ball:
+        the generating check and the branch walks are restrictions that keep
+        their codes."""
         calls = []
         count_conversions(monkeypatch, lambda domain: calls.append(len(domain)))
         assert main(["audit", EXAMPLE, "--out", str(tmp_path)]) == EXIT_AUDIT
-        assert calls == [31, 511, 511, 127]
+        assert calls == [511, 511]
+
+    def test_boundary_converts_one_ball(self, tmp_path, monkeypatch):
+        """One conversion on boundary, the ball of the branch radius 7."""
+        calls = []
+        count_conversions(monkeypatch, lambda domain: calls.append(len(domain)))
+        assert main(["boundary", EXAMPLE, "--out", str(tmp_path)]) == EXIT_OK
+        assert calls == [255]
 
     def test_zero_base_green_exits_4(self, tmp_path, capsys, monkeypatch):
         # past the generating check, G(e, b) = 0 under the point mass at a trips the Martin guard
-        monkeypatch.setattr(fusion, "is_generating", lambda mu, radius, q: True)
+        monkeypatch.setattr(fusion, "is_generating", lambda walk: True)
         path = make_config(tmp_path, ballRadius=3, measure={"a": 1.0})
         assert main(["walk", str(path)]) == EXIT_INTERNAL
         err = one_line_error(capsys, "internal error:")
@@ -476,10 +519,10 @@ class TestBoundarySources:
     def test_rows_only_kernels_match_the_dense_table(self, config, q):
         # the reference: martin_rows on the full Green table of the same ball
         cfg = load_config(config, q=q)
-        ctx = cli._branch_context(cfg, IntertwinerEngine(cfg.model))
-        tm = cli.build_walk(cfg, ctx.radius)
+        tm = cli.build_walk(cfg, cfg.effective_q_radius())
+        ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.effective_q_radius())
         q_walk, inside, outside, per_ray = cli.branch_kernels(cfg, tm, ctx, cfg.rays)
-        dense = cli.root_table(cfg, tm)
+        dense = kernels.green_table(tm, solver_tol=cfg.solver_tol)
         q_table = kernels.green_table(q_walk, base=ctx.z)
         assert inside and len(per_ray) == len(cfg.rays)
         for ray, k_p, k_q in per_ray:
@@ -497,6 +540,21 @@ class TestAuditGuards:
             for command in ("walk", "boundary", "audit"):
                 assert main([command, path]) == EXIT_CONFIG, (command, measure)
                 err = one_line_error(capsys, "config error: measure is not generating")
+
+    def test_long_support_word_needs_no_larger_ball(self, tmp_path, capsys):
+        # the generating check restricts the configured ball; it builds no
+        # ball of the measure's range (23 here, past the radius cap 20)
+        measure = {"a": 0.25, "b": 0.25, "abababababababababababa": 0.5}
+        path = str(make_config(tmp_path, measure=measure, ballRadius=6, qRadius=4))
+        for command in ("walk", "boundary"):
+            assert main([command, path]) == EXIT_OK, capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap, radius", [(3, 0), (1, -2)])
+    def test_branch_too_small_for_the_cap_exits_2(self, tmp_path, capsys, cap, radius):
+        # the branch radius is tensorCap - 2 len(z) - 1 under letter steps
+        assert main(["boundary", str(make_config(tmp_path, tensorCap=cap))]) == EXIT_CONFIG
+        err = one_line_error(capsys, f"config error: branch of 'a' truncated at radius {radius} has 0 words")
+        assert "increase the radius or the tensor cap" in err
 
     def test_q_radius_above_ball_radius_exits_2(self, tmp_path, capsys):
         path = make_config(tmp_path, ballRadius=6, qRadius=7)

@@ -142,16 +142,16 @@ class TestDualAudit:
 
 class TestGenerating:
     def test_symmetric_letters(self, mu_letters):
-        assert is_generating(mu_letters, 4, Q)
+        assert is_generating(transition_matrix(mu_letters, ball(4), Q))
 
     def test_double_letter_not_generating(self):
-        assert not is_generating(Measure({"aa": 1.0}), 4, Q)
+        assert not is_generating(transition_matrix(Measure({"aa": 1.0}), ball(4), Q))
 
     def test_point_mass_at_root(self):
-        assert not is_generating(Measure({"": 1.0}), 2, Q)
+        assert not is_generating(transition_matrix(Measure({"": 1.0}), ball(2), Q))
 
     def test_mixed(self, mu_mixed):
-        assert is_generating(mu_mixed, 4, Q)
+        assert is_generating(transition_matrix(mu_mixed, ball(4), Q))
 
 
 class TestNormBound:

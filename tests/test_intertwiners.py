@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aufwalk.fusion import Measure
+from aufwalk.fusion import Measure, transition_matrix
 from aufwalk.intertwiners import (
     Intertwiner,
     IntertwinerEngine,
@@ -432,11 +432,12 @@ class TestConcurrency:
         cfg = ModelConfig.from_q(0.5, tensor_cap=8)
         eng = IntertwinerEngine(cfg)
         eng._memos = YieldingDict()
-        ctx = BranchContext(eng, "a", 5)
-        entries = required_entries(Measure({"a": 0.5, "b": 0.5}), ctx)
+        walk = transition_matrix(Measure({"a": 0.5, "b": 0.5}), ball(5), cfg.q)
+        ctx = BranchContext(eng, walk, "a", 5)
+        entries = required_entries(ctx)
         # eight consecutive requests of each entry: the threads race on every key
         calls = [e for e in entries for _ in range(8)]
-        serial = BranchContext(IntertwinerEngine(cfg), "a", 5)
+        serial = BranchContext(IntertwinerEngine(cfg), walk, "a", 5)
         expected = [qhat_entry(*e, serial) for e in calls]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -28,24 +28,37 @@ from aufwalk.perturbed import (
     residual_matrix,
     trace_routes,
 )
-from aufwalk.words import ball, branch, heap_indices, involution, qdim, qdims
+from aufwalk.words import ball, branch, involution, qdim
+from conftest import branch_context
 
 Q = 0.5
 
 
 @pytest.fixture(scope="module")
 def setup(engine, mu_letters):
-    ctx = BranchContext(engine, "a", 6)
-    tm = transition_matrix(mu_letters, ball(6), Q)
-    p_branch = tm.restrict(ctx.omega).matrix.toarray()
-    return ctx, tm, p_branch
+    tm = transition_matrix(mu_letters, ball(6), engine.q)
+    ctx = BranchContext(engine, tm, "a", 6)
+    return ctx, tm, ctx.walk.matrix.toarray()
 
 
 class TestBranchContext:
-    def test_y_is_zbar_z(self, engine):
-        ctx = BranchContext(engine, "ab", 5)
+    def test_y_is_zbar_z(self, engine, mu_letters):
+        ctx = branch_context(engine, mu_letters, "ab", 5)
         assert ctx.y == involution("ab") + "ab" == "abab"
-        assert all(w.endswith("ab") for w in ctx.omega)
+        assert all(w.endswith("ab") for w in ctx.walk.domain)
+
+    def test_holds_the_restricted_walk(self, setup, mu_letters):
+        ctx, tm, _ = setup
+        assert ctx.walk.domain == branch("a", 6) and ctx.walk.mu is mu_letters and ctx.q == tm.q
+        assert not {"omega", "index"} & set(vars(ctx))
+
+    def test_walk_must_hold_the_branch(self, engine, mu_letters):
+        with pytest.raises(ValueError, match="'aaaaaa'"):
+            BranchContext(engine, transition_matrix(mu_letters, ball(5), engine.q), "a", 6)
+
+    def test_walk_at_another_q_rejected(self, engine, mu_letters):
+        with pytest.raises(ValueError, match="engine"):
+            BranchContext(engine, transition_matrix(mu_letters, ball(6), 0.3), "a", 6)
 
     def test_membership_matches_fusion(self, setup):
         # w lies in the branch of z iff w is a component of w (x) y, y = bar(z) z
@@ -55,7 +68,7 @@ class TestBranchContext:
 
     def test_rejects_empty(self, engine):
         with pytest.raises(ValueError):
-            BranchContext(engine, "", 4)
+            BranchContext(engine, transition_matrix(Measure({"a": 0.5, "b": 0.5}), ball(4), engine.q), "", 4)
 
 
 class TestQhatEntry:
@@ -76,9 +89,8 @@ class TestQhatEntry:
 
     def test_oracle_agreement_and_domination(self, setup):
         ctx, _, _ = setup
-        mu = Measure({"a": 0.5, "b": 0.5})
         worst = 0.0
-        for (u, s, t) in required_entries(mu, ctx):
+        for (u, s, t) in required_entries(ctx):
             val = qhat_entry(u, s, t, ctx)
             oracle, resid = qhat_oracle(u, s, t, ctx)
             worst = max(worst, abs(val - oracle), resid)
@@ -92,12 +104,12 @@ class TestQhatEntry:
             qhat_entry("a", "ab", "b", ctx)
 
     def test_cap_exceeded_lists_entry(self, engine, mu_letters):
-        small = BranchContext(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=5)), "a", 6)
+        small = branch_context(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=5)), mu_letters, "a", 6)
         with pytest.raises(TensorCapError):
             qhat_entry("a", "aba", "aaba", small)
 
-    def test_cut_rule_entry_above_cap_is_classical(self):
-        small = BranchContext(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=5)), "a", 6)
+    def test_cut_rule_entry_above_cap_is_classical(self, mu_letters):
+        small = branch_context(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=5)), mu_letters, "a", 6)
         u, s, t = "a", "a" * 5, "a" * 6
         assert exact_by_cut(u, s, t, small.z)
         q = small.q
@@ -131,9 +143,9 @@ def cut_gaps():
     mu = Measure({w: 1 / 14 for w in ball(3) if w})
     out = {}
     for q, z, radius in CUT_GRID:
-        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=14)), z, radius)
+        ctx = branch_context(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=14)), mu, z, radius)
         gaps = {name: (0, 0.0) for name in CUT_RULES}
-        for (u, s, t) in set(required_entries(mu, ctx)):
+        for (u, s, t) in set(required_entries(ctx)):
             chosen = [name for name, rule in CUT_RULES.items() if rule(u, s, t, z)]
             if not chosen:
                 continue
@@ -168,65 +180,72 @@ class TestCutRule:
 
 
 class TestQMatrix:
-    def test_dominated_by_classical(self, setup, mu_letters):
+    def test_dominated_by_classical(self, setup):
         ctx, _, p_branch = setup
-        qm = q_matrix(mu_letters, ctx).matrix.toarray()
+        qm = q_matrix(ctx).matrix.toarray()
         assert (np.abs(qm) <= p_branch + 1e-12).all()
 
-    def test_zero_pattern_inside_classical(self, setup, mu_letters):
+    def test_leaves_the_classical_walk_unchanged(self, setup):
         ctx, _, p_branch = setup
-        qm = q_matrix(mu_letters, ctx).matrix.toarray()
+        before = ctx.walk.matrix
+        qm = q_matrix(ctx)
+        assert ctx.walk.matrix is before and np.array_equal(before.toarray(), p_branch)
+        assert qm.matrix is not before and not np.array_equal(qm.matrix.toarray(), p_branch)
+        assert qm.domain is ctx.walk.domain and qm.index is ctx.walk.index and qm.codes is ctx.walk.codes
+
+    def test_zero_pattern_inside_classical(self, setup):
+        ctx, _, p_branch = setup
+        qm = q_matrix(ctx).matrix.toarray()
         assert (np.abs(qm[p_branch == 0]) < 1e-14).all()
 
-    def test_point_mass_at_root_gives_identity(self, setup):
-        ctx, _, _ = setup
-        qm = q_matrix(Measure({"": 1.0}), ctx)
-        assert np.array_equal(qm.matrix.toarray(), np.eye(len(ctx.omega)))
+    def test_point_mass_at_root_gives_identity(self, engine):
+        ctx = branch_context(engine, Measure({"": 1.0}), "a", 6)
+        qm = q_matrix(ctx)
+        assert np.array_equal(qm.matrix.toarray(), np.eye(ctx.walk.size))
 
-    def test_exact_on_all_a_words(self, setup, mu_letters):
+    def test_exact_on_all_a_words(self, setup):
         # on the doubled-letter sub-branch the perturbed and classical
         # weights coincide exactly
         ctx, _, p_branch = setup
-        qm = q_matrix(mu_letters, ctx).matrix.toarray()
-        sub = [i for i, w in enumerate(ctx.omega) if w.endswith("aa")]
+        qm = q_matrix(ctx).matrix.toarray()
+        sub = [i for i, w in enumerate(ctx.walk.domain) if w.endswith("aa")]
         gap = np.abs(qm[np.ix_(sub, sub)] - p_branch[np.ix_(sub, sub)])
         assert gap.max() < 1e-12
 
     def test_second_assembly_traces_nothing(self, mu_letters, monkeypatch):
         # every computed coefficient is read back from the engine memo
-        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=8)), "a", 5)
+        ctx = branch_context(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=8)), mu_letters, "a", 5)
         calls = []
         build = ctx.engine.normalized_V
         monkeypatch.setattr(ctx.engine, "normalized_V", lambda *a: calls.append(a) or build(*a))
-        first = q_matrix(mu_letters, ctx).matrix.toarray()
+        first = q_matrix(ctx).matrix.toarray()
         assert calls
         calls.clear()
-        assert np.array_equal(q_matrix(mu_letters, ctx).matrix.toarray(), first)
+        assert np.array_equal(q_matrix(ctx).matrix.toarray(), first)
         assert calls == []
 
     def test_cap_violation_reported(self, mu_letters):
-        eng = IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=6))
-        ctx = BranchContext(eng, "a", 6)
+        ctx = branch_context(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=6)), mu_letters, "a", 6)
         with pytest.raises(TensorCapError):
-            q_matrix(mu_letters, ctx)
+            q_matrix(ctx)
 
     def test_norm_dominated_by_classical(self, setup, mu_letters):
         ctx, _, p_branch = setup
-        qm = q_matrix(mu_letters, ctx)
-        m = qdims(heap_indices(ctx.omega), Q) ** 2
+        qm = q_matrix(ctx)
+        m = ctx.walk.haar_weights()
         assert weighted_operator_norm(qm.matrix, m) - weighted_operator_norm(p_branch, m) <= 1e-8
         assert qm.norm_bound == norm_upper_bound(mu_letters, ctx.q)
         assert weighted_operator_norm(qm.matrix, m) <= qm.norm_bound
 
 
-def entrywise_q_matrix(mu, ctx):
+def entrywise_q_matrix(ctx):
     """The branch matrix entry by entry: mud(u) (m_s / m_t)^2 qhat_u(s, t)
     summed over every required entry, traced or not, into a dense array."""
-    mud = mu.dual()
-    dims = qdims(heap_indices(ctx.omega), ctx.q)
-    out = np.zeros((len(ctx.omega), len(ctx.omega)))
-    for (u, s, t) in required_entries(mu, ctx):
-        si, ti = ctx.index[s], ctx.index[t]
+    mud = ctx.walk.mu.dual()
+    dims = ctx.walk.qdims()
+    out = np.zeros((ctx.walk.size, ctx.walk.size))
+    for (u, s, t) in required_entries(ctx):
+        si, ti = ctx.walk.index[s], ctx.walk.index[t]
         out[ti, si] += mud.weight(u) * (dims[si] / dims[ti]) ** 2 * qhat_entry(u, s, t, ctx)
     return out
 
@@ -235,38 +254,55 @@ class TestSparseQMatrix:
     @pytest.fixture(params=[(0.3, "mu_letters"), (0.3, "mu_mixed"), (0.7, "mu_letters"), (0.7, "mu_mixed")])
     def case(self, request):
         q, measure = request.param
-        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=10)), "a", 5)
-        return request.getfixturevalue(measure), ctx
+        return branch_context(
+            IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=10)), request.getfixturevalue(measure), "a", 5
+        )
 
     def test_matches_the_entrywise_oracle(self, case):
-        mu, ctx = case
-        qm = q_matrix(mu, ctx)
-        assert qm.domain == ctx.omega and qm.q == ctx.q
+        ctx = case
+        qm = q_matrix(ctx)
+        assert qm.domain == ctx.walk.domain and qm.q == ctx.q
         assert isinstance(qm.matrix, sp.csr_matrix)
-        want = entrywise_q_matrix(mu, ctx)
+        want = entrywise_q_matrix(ctx)
         assert (np.abs(qm.matrix.toarray() - want) <= 1e-15 * np.abs(want)).all()
 
     def test_classical_off_the_traced_cells(self, case):
-        mu, ctx = case
-        traced = np.zeros((len(ctx.omega), len(ctx.omega)), dtype=bool)
-        for (u, s, t) in required_entries(mu, ctx):
+        ctx = case
+        traced = np.zeros((ctx.walk.size, ctx.walk.size), dtype=bool)
+        for (u, s, t) in required_entries(ctx):
             if u and not exact_by_cut(u, s, t, ctx.z):
-                traced[ctx.index[t], ctx.index[s]] = True
-        classical = transition_matrix(mu, ball(ctx.radius), ctx.q).restrict(ctx.omega).matrix.toarray()
+                traced[ctx.walk.index[t], ctx.walk.index[s]] = True
+        classical = transition_matrix(ctx.walk.mu, ctx.walk.domain, ctx.q).matrix.toarray()
         assert 0 < traced.sum() < (classical != 0).sum() / 2
-        assert np.array_equal(q_matrix(mu, ctx).matrix.toarray()[~traced], classical[~traced])
-        assert residual_matrix(mu, ctx).toarray()[~traced].max() == 0.0
+        assert np.array_equal(q_matrix(ctx).matrix.toarray()[~traced], classical[~traced])
+        assert residual_matrix(ctx).toarray()[~traced].max() == 0.0
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("weights", [
+        {"a": 0.5, "b": 0.5}, {"a": 0.25, "b": 0.25, "ab": 0.5}, {"a": 0.25, "b": 0.25, "aa": 0.25, "ba": 0.25},
+    ])
+    def test_restricted_ball_walk_is_the_branch_assembly(self, q, weights):
+        """A restriction of the ball walk, to a branch or to the generating
+        check's ball of radius 4, equals the assembly there bit for bit, with
+        the same sparsity structure, so no sub-domain needs an assembly of its own."""
+        mu = Measure(weights)
+        ball_walk = transition_matrix(mu, ball(7), q)
+        for sub in (branch("a", 7), branch("ab", 6), branch("b", 5), ball(4)):
+            got = ball_walk.restrict(sub).matrix
+            want = transition_matrix(mu, sub, q).matrix
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), (sub[0], part)
 
     def test_no_dense_table_at_ball_11(self):
         """At cap 14, ball 11 (2047 words, one n x n float table is 32 MiB)
         both assemblies stay a small fraction of a table, cold or warm."""
-        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=14)), "a", 11)
-        mu = Measure({"a": 0.35, "b": 0.65})
-        assert len(ctx.omega) == 2047
+        engine = IntertwinerEngine(ModelConfig.from_q(Q, tensor_cap=14))
+        ctx = branch_context(engine, Measure({"a": 0.35, "b": 0.65}), "a", 11)
+        assert ctx.walk.size == 2047
         for build in (q_matrix, residual_matrix, q_matrix):
             tracemalloc.start()
             try:
-                build(mu, ctx)
+                build(ctx)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -274,9 +310,9 @@ class TestSparseQMatrix:
 
 
 class TestDecayAudit:
-    def test_envelope_and_rate(self, setup, mu_letters):
+    def test_envelope_and_rate(self, setup):
         ctx, _, _ = setup
-        rep = decay_audit(residual_matrix(mu_letters, ctx), ctx)
+        rep = decay_audit(residual_matrix(ctx), ctx)
         assert rep.envelope_gap() <= 0.0
         assert rep.n_pairs >= 4
         # measured slope: one factor of q^2 per unit length (the trace kills
@@ -287,24 +323,24 @@ class TestDecayAudit:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     def test_residual_matrix_is_the_difference(self, q, mu_mixed):
         """The residual built from the defects is |q_matrix - p| entry by entry."""
-        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=10)), "a", 5)
-        p_branch = transition_matrix(mu_mixed, ball(5), q).restrict(ctx.omega).matrix.toarray()
-        resid = residual_matrix(mu_mixed, ctx).toarray()
+        ctx = branch_context(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=10)), mu_mixed, "a", 5)
+        p_branch = ctx.walk.matrix.toarray()
+        resid = residual_matrix(ctx).toarray()
         assert resid.min() >= 0.0 and resid.max() > 1e-3
-        assert np.abs(resid - np.abs(q_matrix(mu_mixed, ctx).matrix.toarray() - p_branch)).max() <= 1e-14
+        assert np.abs(resid - np.abs(q_matrix(ctx).matrix.toarray() - p_branch)).max() <= 1e-14
 
     def test_needs_enough_lengths(self, engine, mu_letters):
-        ctx = BranchContext(engine, "a", 3)
+        ctx = branch_context(engine, mu_letters, "a", 3)
         with pytest.raises(ValueError, match="lengths"):
-            decay_audit(residual_matrix(mu_letters, ctx), ctx)
+            decay_audit(residual_matrix(ctx), ctx)
 
 
 class TestTraceRoutes:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     def test_residual_is_half_the_squared_defect(self, q, mu_letters):
         # no rate window here: at q = 0.7 lengths 1-5 are still pre-asymptotic
-        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=10)), "a", 5)
-        for (u, s, t) in required_entries(mu_letters, ctx):
+        ctx = branch_context(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=10)), mu_letters, "a", 5)
+        for (u, s, t) in required_entries(ctx):
             route_a, route_b = trace_routes(u, s, t, ctx)
             ident = np.eye(route_a.shape[1])
             assert np.abs(route_a.T @ route_a - ident).max() < 1e-12
@@ -343,8 +379,8 @@ def kron_qhat(u, s, t, ctx):
 class TestKroneckerFree:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     def test_entries_and_routes_match_kron_formula(self, q, mu_mixed):
-        ctx = BranchContext(IntertwinerEngine(ModelConfig.from_q(q, n=2, tensor_cap=10)), "a", 5)
-        entries = required_entries(mu_mixed, ctx)
+        ctx = branch_context(IntertwinerEngine(ModelConfig.from_q(q, n=2, tensor_cap=10)), mu_mixed, "a", 5)
+        entries = required_entries(ctx)
         assert len(entries) > 50
         for (u, s, t) in entries:
             assert qhat_entry(u, s, t, ctx) == pytest.approx(kron_qhat(u, s, t, ctx), abs=1e-13)
@@ -355,67 +391,67 @@ class TestKroneckerFree:
 
 
 class TestGreenQ:
-    def test_solver_tolerance_below_residual_raises(self, setup, mu_letters):
-        ctx, tm, _ = setup
-        qm, table = green_Q(mu_letters, ctx)
+    def test_solver_tolerance_below_residual_raises(self, setup):
+        ctx, _, _ = setup
+        qm, table = green_Q(ctx)
         assert table.residual > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            green_Q(mu_letters, ctx, solver_tol=table.residual / 2)
+            green_Q(ctx, solver_tol=table.residual / 2)
         # the first sub-branch solve of the gap audit is the perturbed one on H_a
         resid = green_table(qm.restrict(branch("a", ctx.radius)), base="a").residual
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            gdif_audit(qm, ctx, tm, ["a", "ba"], solver_tol=resid / 2)
+            gdif_audit(qm, ctx, ["a", "ba"], solver_tol=resid / 2)
 
-    def test_solver_contract(self, setup, mu_letters):
+    def test_solver_contract(self, setup):
         ctx, _, p_branch = setup
-        qm, table = green_Q(mu_letters, ctx)
+        qm, table = green_Q(ctx)
         assert table.residual < 1e-10
         assert table.green.diagonal().min() >= 1.0 - 1e-12
-        assert table.power_norm <= weighted_operator_norm(p_branch, qdims(heap_indices(ctx.omega), Q) ** 2) + 1e-8
+        assert table.power_norm <= weighted_operator_norm(p_branch, ctx.walk.haar_weights()) + 1e-8
 
-    def test_martin_Q_bounded(self, setup, mu_letters):
+    def test_martin_Q_bounded(self, setup):
         ctx, tm, _ = setup
-        _, q_table = green_Q(mu_letters, ctx)
+        _, q_table = green_Q(ctx)
         full = green_table(tm, base="")
-        kq = martin_rows(q_table, ctx.omega, ctx.omega, root=full)
-        assert kq.shape == (len(ctx.omega), len(ctx.omega))
+        omega, index = ctx.walk.domain, ctx.walk.index
+        kq = martin_rows(q_table, omega, omega, root=full)
+        assert kq.shape == (len(omega), len(omega))
         assert np.isfinite(kq).all()
-        assert kq[ctx.index["a"], ctx.index["a"]] > 0
+        assert kq[index["a"], index["a"]] > 0
         # normalised by the classical G(e, t), not by the branch table's own base
-        t = ctx.index["aa"]
+        t = index["aa"]
         assert kq[0, t] == q_table.green[0, t] / full.green_entry("", "aa")
 
-    def test_synthetic_identical_matrices_give_zero_gap(self, setup, mu_letters):
+    def test_synthetic_identical_matrices_give_zero_gap(self, setup):
         ctx, tm, _ = setup
         sub = branch("aa", ctx.radius)
-        g_q = green_table(q_matrix(mu_letters, ctx).restrict(sub), base="aa")
+        g_q = green_table(q_matrix(ctx).restrict(sub), base="aa")
         g_p = green_table(tm.restrict(sub), base="aa")
         assert np.abs(g_q.green - g_p.green).max() < 1e-10
 
 
 class TestGdif:
-    def test_envelope_along_alternating_branches(self, setup, mu_letters):
-        ctx, tm, _ = setup
-        rep = gdif_audit(q_matrix(mu_letters, ctx), ctx, tm, ["a", "ba", "aba"])
+    def test_envelope_along_alternating_branches(self, setup):
+        ctx, _, _ = setup
+        rep = gdif_audit(q_matrix(ctx), ctx, ["a", "ba", "aba"])
         assert rep.max_rel[0] > rep.max_rel[1] > rep.max_rel[2] > 0
         # anchored envelope: deeper branches decay at least as fast as q
         assert rep.envelope_gap <= 1.0 + 1e-9
 
-    def test_rejects_words_outside_branch(self, setup, mu_letters):
-        ctx, tm, _ = setup
+    def test_rejects_words_outside_branch(self, setup):
+        ctx, _, _ = setup
         with pytest.raises(ValueError):
-            gdif_audit(q_matrix(mu_letters, ctx), ctx, tm, ["b"])
+            gdif_audit(q_matrix(ctx), ctx, ["b"])
 
 
 class TestBoundary:
     def test_ratio_trend_and_positivity(self, engine, mu_letters):
         radius = 7
-        ctx = BranchContext(engine, "a", radius)
-        matched = ball(radius)
-        tm = transition_matrix(mu_letters, matched, Q)
+        tm = transition_matrix(mu_letters, ball(radius), engine.q)
+        ctx = BranchContext(engine, tm, "a", radius)
         full = green_table(tm, base="")
-        _, q_table = green_Q(mu_letters, ctx)
+        _, q_table = green_Q(ctx)
         ray = ray_words("", "a", "a", radius - 1)
         s_list = ["a" * k for k in range(1, 6)]
         k_p = martin_rows(full, s_list, ray)
@@ -427,9 +463,9 @@ class TestBoundary:
             assert tail_decreasing(s, ray, p_values)
             assert tail_decreasing(s, ray, q_values)
 
-    def test_ray_outside_branch_rejected(self, setup, mu_letters):
+    def test_ray_outside_branch_rejected(self, setup):
         ctx, tm, _ = setup
-        _, q_table = green_Q(mu_letters, ctx)
+        _, q_table = green_Q(ctx)
         full = green_table(tm, base="")
         with pytest.raises(ValueError, match="leaves"):
             martin_rows(q_table, ["a"], ["b"], root=full)

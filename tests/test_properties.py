@@ -105,8 +105,8 @@ def test_assembled_matrix_matches_transition_prob(mu, q, x):
 @PROPERTY
 @given(measures(), deformations)
 def test_interior_rows_stochastic(mu, q):
-    assume(is_generating(mu, RADIUS, q))
     tm = transition_matrix(mu, ball(RADIUS), q)
+    assume(is_generating(tm))
     sums = tm.row_sums()
     interior = tm.interior_words(RADIUS)
     assert interior
