@@ -14,6 +14,7 @@ block coordinates agree with the ambient ones because the bases are isometric.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -40,6 +41,11 @@ def _root_below_one(t: float) -> float:
     """The root r < 1 of r + 1/r = t > 2, in the form free of cancellation
     (t - sqrt(t^2 - 4) loses every digit once t^2 dwarfs 4)."""
     return 2.0 / (t + math.sqrt(t * t - 4.0))
+
+
+def _is_normal(x: float) -> bool:
+    """Whether x is a normal positive float, so that 1/x is finite too."""
+    return sys.float_info.min <= x <= sys.float_info.max
 
 
 def _check_size(n: int, tensor_cap: int) -> None:
@@ -72,9 +78,15 @@ class ModelConfig:
         _check_size(self.n, self.tensor_cap)
         if len(self.f_diag) != self.n or any(f <= 0 for f in self.f_diag):
             raise ValueError("f_diag must be n positive reals")
-        trace = sum(self.rho)
-        trace_inv = sum(1.0 / r for r in self.rho)
-        if abs(trace - trace_inv) > 1e-12 * max(trace, trace_inv):
+        rho = self.rho
+        if not all(_is_normal(r) for r in rho):
+            raise ValueError(
+                f"fDiag {list(self.f_diag)} squares to rho = {rho}; each must be a normal positive float"
+            )
+        trace = sum(rho)
+        trace_inv = sum(1.0 / r for r in rho)
+        # an overflowed sum is not normalized, though the relative test passes it (inf > inf is false)
+        if not math.isfinite(trace + trace_inv) or abs(trace - trace_inv) > 1e-12 * max(trace, trace_inv):
             raise ValueError(
                 f"character not normalized: sum rho = {trace!r}, sum 1/rho = {trace_inv!r}"
             )
@@ -101,6 +113,10 @@ class ModelConfig:
         if t <= 2.0:
             raise ValueError(f"q = {q} is not reachable with n = {n} (needs q + 1/q > n)")
         r = _root_below_one(t)
+        if not _is_normal(r):
+            raise ValueError(
+                f"q = {q} is too small: the eigenvalues of the character are not normal floats"
+            )
         rho = (r, 1.0 / r) + (1.0,) * (n - 2)
         return cls(n=n, f_diag=tuple(x ** 0.5 for x in rho), tensor_cap=tensor_cap)
 

@@ -10,13 +10,19 @@ the rows of chosen sources and the base (green_rows), both as a KernelTable
 that carries its walk, gated by the solve residual and checked against a
 truncated Neumann series whose tail is bounded by the walk's norm bound.  The
 unit right-hand sides are solved in panels of a few columns, each checked as
-it is solved, so the full table costs one n x n array, the table itself.
+it is solved, so the full table costs one n x n array, the table itself.  The
+panels of a large solve are split into a run per CPU the process may use,
+solved at once by the caller and a thread pool; each run writes its own
+columns and the gates read the panels' numbers in panel order, so the bytes
+do not depend on how many CPUs there are.
 The audits read words, heap indices and the range from the table's walk.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +33,21 @@ from .fusion import TransitionMatrix
 from .words import EMPTY, code_lengths, heap_index, qdim, qdims, tree_distance, tree_distances
 
 # largest domain of green_table: its table is one n x n float array (about
-# 135 MiB at the limit), solved in panels with no n x n temporaries
+# 135 MiB at the limit), solved in panels over the usable CPUs with no n x n
+# temporaries
 DENSE_LIMIT = 4200
 SOLVER_TOL = 1e-10
 NORM_GUARD = 1e-6
-# unit columns per solve in _green_solve: 8-32 were fastest at n = 4095,
-# and the panel temporaries stay a few n-vectors wide
+# unit columns per solve in _green_solve: of 8, 16 and 32, 16 was fastest for a
+# process's first table at n = 4095 on one worker and on two (32 wins on later
+# calls, but malloc trims its 1 MiB temporaries and faults them in again on the
+# first); each worker's panel temporaries stay a few n-vectors wide
 _PANEL = 16
+# table entries (n x unit columns) that pay for a run of their own: a thread
+# costs about 1 ms to start and warm on a 2-CPU host, and a second worker
+# gained nothing on a 511-word table (261k entries), 10-20% on a 1023-word
+# one (1M) and a third on a 2047-word one
+_RUN_ENTRIES = 1 << 19
 
 
 def weighted_operator_norm(matrix, weights: np.ndarray, iters: int = 600, tol: float = 1e-13) -> float:
@@ -143,7 +157,10 @@ def _green_solve(
     is the same.  The unit columns are solved in panels of _PANEL, each with
     its residual A X - X + E and its diagonal taken before it is stored, so no
     n x n right-hand side, residual or copy is formed; both gates cover every
-    column.  Returns (X, residual, power-iteration norm, Neumann gap).
+    column.  The panels are split into runs, one per usable CPU, at most one
+    per panel and per _RUN_ENTRIES entries of X; the caller solves the first
+    and a thread pool the others.
+    Returns (X, residual, power-iteration norm, Neumann gap).
     """
     n = walk.size
     w = sp.csr_matrix(walk.matrix, dtype=float)
@@ -160,19 +177,38 @@ def _green_solve(
     else:
         a, weights, units, trans, checked = w.T.tocsr(), 1.0 / m, np.asarray(rows), "T", slice(None)
     x = np.empty((n, len(units)), order="F")
-    residuals, diagonals = [], []
-    for start in range(0, len(units), _PANEL):
-        at = units[start:start + _PANEL]
-        cols = np.arange(len(at))
-        rhs = np.zeros((n, len(at)))
-        rhs[at, cols] = 1.0
-        panel = lu.solve(rhs, trans=trans)
-        r = a @ panel
-        r -= panel
-        r += rhs
-        residuals.append(np.abs(r).max())
-        diagonals.append(panel[at, cols].min())
-        x[:, start:start + len(at)] = panel
+
+    def solve_run(run: range) -> list[tuple[float, float]]:
+        # one loop per run, not a call per panel: rebinding keeps one panel's
+        # arrays allocated until the next panel's exist, and freeing them all
+        # between panels lets malloc trim the heap and fault it in again
+        # (about 120k page faults at n = 4095)
+        numbers = []
+        for start in run:
+            at = units[start:start + _PANEL]
+            cols = np.arange(len(at))
+            rhs = np.zeros((n, len(at)))
+            rhs[at, cols] = 1.0
+            panel = lu.solve(rhs, trans=trans)
+            r = a @ panel
+            r -= panel
+            r += rhs
+            numbers.append((np.abs(r).max(), panel[at, cols].min()))
+            x[:, start:start + len(at)] = panel
+        return numbers
+
+    # the solves and products release the GIL.  Each worker solves one run of
+    # consecutive panels into its own columns of x (a task per panel would cost
+    # a thread handoff each, up to a small panel's solve); the caller is the
+    # first worker, so a one-run solve starts no thread, and the gates'
+    # numbers come back in panel order
+    starts = range(0, len(units), _PANEL)
+    workers = min(len(os.sched_getaffinity(0)), len(starts), math.ceil(n * len(units) / _RUN_ENTRIES))
+    runs = [starts[k * len(starts) // workers:(k + 1) * len(starts) // workers] for k in range(workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        others = pool.map(solve_run, runs[1:])
+        numbers = solve_run(runs[0]) + [pair for run in others for pair in run]
+    residuals, diagonals = zip(*numbers)
     # np.max and np.min keep a NaN of any panel, as one max over the table did
     residual = float(np.max(residuals))
     if residual > solver_tol:

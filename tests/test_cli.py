@@ -127,6 +127,15 @@ class TestConfig:
         err = one_line_error(capsys, f"config error: {named} must be a finite number")
 
     @pytest.mark.parametrize(
+        "overrides, argv, named",
+        [({}, ["--q", "1e-320"], "q = 1e-320"), ({"model": {"n": 2, "fDiag": [1e-200, 1e200]}}, [], "fDiag")],
+    )
+    def test_character_out_of_float_range_exits_2_naming_the_key(self, tmp_path, capsys, overrides, argv, named):
+        # q + 1/q overflows, or rho = f^2 leaves the float range: no 1/rho is taken
+        assert main(["walk", str(make_config(tmp_path, **overrides)), *argv]) == EXIT_CONFIG
+        assert named in one_line_error(capsys, "config error:")
+
+    @pytest.mark.parametrize(
         "command, sources",
         [("boundary", ["bbbbbbbbbb"]), ("boundary", ["aaaaaaaaaa"]), ("audit", ["b"]),
          ("boundary", []), ("audit", [])],

@@ -75,6 +75,21 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="not normalized"):
             ModelConfig(n=2, f_diag=(2.0, 1.0))
 
+    @pytest.mark.parametrize("f_diag", [(1e-200, 1e200), (1e-160, 1e160), (0.5, 1e-300)])
+    def test_rho_outside_the_normal_floats_rejected(self, f_diag):
+        with pytest.raises(ValueError, match="normal positive float"):
+            ModelConfig(n=2, f_diag=f_diag)
+
+    def test_overflowing_trace_is_not_normalized(self):
+        # each rho = 1e308 is normal, but their sum overflows to inf
+        with pytest.raises(ValueError, match="not normalized"):
+            ModelConfig(n=2, f_diag=(1e154, 1e154))
+
+    @pytest.mark.parametrize("q", [1e-160, 1e-320, 5e-324])
+    def test_q_too_small_for_floats_rejected(self, q):
+        with pytest.raises(ValueError, match="too small"):
+            ModelConfig.from_q(q)
+
     def test_cap_limits(self):
         with pytest.raises(ValueError):
             ModelConfig.from_q(0.5, tensor_cap=15)

@@ -1,4 +1,10 @@
+import json
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from aufwalk import kernels
+from aufwalk.cli import EXIT_INTERNAL, main
 from aufwalk.fusion import (
     Measure,
     TransitionMatrix,
@@ -28,6 +35,7 @@ from aufwalk.kernels import (
 from aufwalk.words import ball, branch, heap_indices, qdim, tree_distance
 
 Q = 0.5
+EXAMPLE = Path(__file__).resolve().parent.parent / "demos" / "config.example.json"
 
 
 class TestWeightedNorm:
@@ -159,6 +167,124 @@ class TestGreenTable:
         rhs = (g * m[:, None]).T
         rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
         assert rel.max() < 1e-9
+
+
+def allow_cpus(monkeypatch, count, run_entries=kernels._RUN_ENTRIES):
+    """Let the process use ``count`` CPUs, with a run of panels per
+    ``run_entries`` table entries (1: a run per panel, up to ``count``)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(kernels, "_RUN_ENTRIES", run_entries)
+
+
+class TestPanelPool:
+    """The panels are split into a run per usable CPU, at most one per panel
+    and per _RUN_ENTRIES table entries; the caller solves the first run and a
+    pool's threads the others.  The table's bytes do not depend on how many
+    runs there are."""
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_table_is_the_same_on_any_cpu_count(self, walk8, monkeypatch, cpus):
+        # eight workers on fewer cores, switching threads every microsecond: a
+        # lost or misplaced column write would change the table
+        tm, table = walk8
+        allow_cpus(monkeypatch, cpus, run_entries=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            other = green_table(tm, base="")
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(other.green, table.green)
+        assert (other.residual, other.power_norm, other.neumann_gap) == (
+            table.residual, table.power_norm, table.neumann_gap
+        )
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_rows_of_two_panels_are_the_same_on_any_cpu_count(self, walk8, monkeypatch, cpus):
+        tm, _ = walk8
+        sources = tm.domain[1:kernels._PANEL + 2]
+        rows = green_rows(tm, sources, base="")
+        assert len(rows.rows) > kernels._PANEL
+        allow_cpus(monkeypatch, cpus, run_entries=1)
+        other = green_rows(tm, sources, base="")
+        assert np.array_equal(other.green, rows.green)
+        assert (other.residual, other.power_norm, other.neumann_gap) == (
+            rows.residual, rows.power_norm, rows.neumann_gap
+        )
+
+    def test_one_worker_per_cpu_up_to_the_panels(self, walk8, monkeypatch):
+        tm, _ = walk8
+        pools = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                pools.append([max_workers, 0])
+
+            def submit(self, fn, *args):
+                pools[-1][1] += 1
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(kernels, "ThreadPoolExecutor", Recording)
+        big = transition_matrix(tm.mu, ball(10), Q)
+        allow_cpus(monkeypatch, 3)
+        green_table(big)  # 2047^2 entries: eight runs' worth
+        green_table(tm)  # 511^2 entries: under one run's worth
+        allow_cpus(monkeypatch, 3, run_entries=1)
+        green_table(tm)
+        green_rows(tm, ["a", "ba"])
+        allow_cpus(monkeypatch, 1, run_entries=1)
+        green_table(tm)
+        # [workers, runs handed to threads]: the caller solves the first run,
+        # so a one-run solve starts no thread
+        assert pools == [[3, 2], [1, 0], [3, 2], [1, 0], [1, 0]]
+
+    def solve_failing_last_panel(self, monkeypatch, fault):
+        """Patch splu so that, on two CPUs, the solve of the full table's last
+        panel (in the last worker's run) runs ``fault`` on it in that worker."""
+        real_splu = kernels.splu
+
+        class FaultyLU:
+            def __init__(self, a):
+                self.lu = real_splu(a)
+
+            def solve(self, rhs, trans="N"):
+                x = self.lu.solve(rhs, trans=trans)
+                if rhs[-1, -1] == 1.0:
+                    assert threading.current_thread() is not threading.main_thread()
+                    fault(x)
+                return x
+
+        allow_cpus(monkeypatch, 2, run_entries=1)
+        monkeypatch.setattr(kernels, "splu", FaultyLU)
+
+    def test_worker_error_reaches_the_caller(self, walk8, monkeypatch):
+        tm, _ = walk8
+        error = RuntimeError("solve failed")
+
+        def fail(x):
+            raise error
+
+        self.solve_failing_last_panel(monkeypatch, fail)
+        with pytest.raises(RuntimeError) as caught:
+            green_table(tm)
+        assert caught.value is error
+
+    def test_worker_residual_failure_raises_and_exits_4(self, tmp_path, walk8, monkeypatch, capsys):
+        tm, _ = walk8
+
+        def corrupt(x):
+            x[:, 0] += 1e-6
+
+        self.solve_failing_last_panel(monkeypatch, corrupt)
+        with pytest.raises(RuntimeError, match="residual"):
+            green_table(tm)
+        config = json.loads(Path(EXAMPLE).read_text())
+        config.update(ballRadius=8, outputDir=str(tmp_path / "out"))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["walk", str(tmp_path / "config.json")]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: Green solve residual") and err.count("\n") == 1
 
 
 class TestTruncationBound:
