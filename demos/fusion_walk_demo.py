@@ -48,9 +48,9 @@ print(f"largest interior row-sum deviation: {gap:.2e}")
 print(f"generating: {is_generating(tm)}")
 
 lam = tm.norm_bound
-measured = weighted_operator_norm(tm.matrix, tm.haar_weights())
+bottom, top = weighted_operator_norm(tm.matrix, tm.haar_weights())
 print(f"norm bound sum mu(r) dim(r)/qdim(r) = {lam:.6f}")
-print(f"power-iteration norm on the weighted space = {measured:.6f} (below the bound)")
+print(f"certified norm interval on the weighted space = [{bottom:.6f}, {top:.6f}] (below the bound)")
 
 print()
 print("row of the matrix at s = 'ba':")

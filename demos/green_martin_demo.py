@@ -26,7 +26,8 @@ tm = transition_matrix(mu, domain, q)
 lam = tm.norm_bound
 table = green_table(tm, base="")
 print(f"Green table on ball({radius}): {table.size} vertices")
-print(f"solver residual {table.residual:.2e}, norm {table.power_norm:.4f} <= {lam:.4f}")
+bottom, top = table.norm_interval
+print(f"solver residual {table.residual:.2e}, norm in [{bottom:.4f}, {top:.4f}], top <= {lam:.4f}")
 print(f"G(e,e) = {table.green_entry('', ''):.8f}  (diagonal capped by 1/(1-lam) = {1/(1-lam):.3f})")
 
 print()

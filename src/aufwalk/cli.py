@@ -274,7 +274,7 @@ def cmd_walk(cfg: RunConfig) -> int:
         "domainSize": tm.size,
         "rangeBound": tm.range_bound,
         "normBound": tm.norm_bound,
-        "powerIterationNorm": table.power_norm,
+        "normInterval": list(table.norm_interval),
         "delta0": delta0,
         "kSteps": k_steps,
         "solverResidual": table.residual,
@@ -304,6 +304,21 @@ def _irreducibility(cfg: RunConfig, tm) -> tuple[float, int]:
     return min(delta0, float(data[data > 0].min())), k
 
 
+def boundary_sources(cfg: RunConfig, radius: int) -> list[str]:
+    """The configured boundary sources, by default per^k z for the period
+    of ray 0, k < min(5, radius - 2), as long as per^k z fits in the ball of
+    the branch radius; a configured source outside that ball is a config
+    error."""
+    sources = cfg.boundary_sources
+    if sources is None:
+        per, z = cfg.rays[0][1], cfg.branch_z
+        sources = [per * k + z for k in range(min(5, radius - 2)) if k * len(per) + len(z) <= radius]
+    for s in sources:
+        if len(s) > radius:
+            raise ConfigError(f"boundary source {s!r} outside the ball of the branch radius {radius}")
+    return sources
+
+
 def branch_kernels(cfg: RunConfig, tm, ctx, rays):
     """The classical walk against the perturbed branch walk on matched
     truncations: the ball of the branch radius for the classical Green rows
@@ -313,18 +328,10 @@ def branch_kernels(cfg: RunConfig, tm, ctx, rays):
     and for each ray its words t_1..t_N, the classical Martin kernel K_P(s, t_n)
     of the sources inside and then outside, and the perturbed K_Q(s, t_n) =
     G_Q(s, t_n) / G_P(e, t_n) of the sources inside (rows by source, columns
-    along the ray).  The sources default to per^k z for the period of ray 0; a
-    source outside the ball of the branch radius is a config error.
+    along the ray).
     """
     depth = ctx.radius - 1
-    sources = cfg.boundary_sources
-    if sources is None:
-        sources = [cfg.rays[0][1] * k + cfg.branch_z for k in range(0, min(5, depth - 1))]
-    for s in sources:
-        if len(s) > ctx.radius:
-            raise ConfigError(
-                f"boundary source {s!r} outside the ball of the branch radius {ctx.radius}"
-            )
+    sources = boundary_sources(cfg, ctx.radius)
     full = kernels.green_rows(tm.restrict(words.ball(ctx.radius)), sources, solver_tol=cfg.solver_tol)
     q_walk, q_table = perturbed.green_Q(ctx, solver_tol=cfg.solver_tol)
     inside = [s for s in sources if s in ctx.walk.index]
@@ -358,6 +365,10 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     eng.check_cap(*dict.fromkeys(
         w for u, x, y, z in _defect_families() for w in (x + y, u + x, u + z)
     ))
+    # the sources are checked before any solve; the branch of z holds the words ending in z
+    if not any(s.endswith(cfg.branch_z) for s in boundary_sources(cfg, cfg.effective_q_radius())):
+        raise ConfigError(f"the boundary audits need a boundary source in the branch of "
+                          f"{cfg.branch_z!r}")
     tm = build_walk(cfg, cfg.ball_radius)
     table = kernels.green_table(tm, solver_tol=cfg.solver_tol)
     gap = _interior_row_gap(cfg, tm)
@@ -366,13 +377,9 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     dual_gap = fusion.dual_audit(tm.restrict(words.ball(min(cfg.ball_radius, 8))))
     add("dual_measure", "dimension-normalized duality identity", dual_gap, 1e-12, dual_gap < 1e-12)
 
-    add(
-        "norm_bound",
-        "weighted operator norm against the dimension-ratio bound",
-        table.power_norm,
-        tm.norm_bound + 1e-8,
-        table.power_norm <= tm.norm_bound + 1e-8 and tm.norm_bound < 1.0,
-    )
+    top = table.norm_interval[1]
+    add("norm_bound", "certified weighted operator norm against the dimension-ratio bound", top,
+        tm.norm_bound, top <= tm.norm_bound < 1.0)
     add("green_residual", "resolvent identity of the Green solve", table.residual, cfg.solver_tol,
         table.residual <= cfg.solver_tol)
     diag_gap = table.diagonal_bound_gap()
@@ -410,9 +417,6 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         1e-12, domination_gap <= 1e-12)
 
     q_walk, inside, _, [(ray, k_p, k_q)] = branch_kernels(cfg, tm, ctx, cfg.rays[:1])
-    if not inside:
-        raise ConfigError(f"the boundary audits need a boundary source in the branch of "
-                          f"{cfg.branch_z!r}")
     decay = perturbed.decay_audit(perturbed.residual_matrix(ctx), ctx)
     env_gap = decay.envelope_gap()
     add("perturbation_envelope", "single-constant envelope of the perturbation",

@@ -39,8 +39,10 @@ class TensorCapError(RuntimeError):
 
 def _root_below_one(t: float) -> float:
     """The root r < 1 of r + 1/r = t > 2, in the form free of cancellation
-    (t - sqrt(t^2 - 4) loses every digit once t^2 dwarfs 4)."""
-    return 2.0 / (t + math.sqrt(t * t - 4.0))
+    (t - sqrt(t^2 - 4) loses every digit once t^2 dwarfs 4).  Where t^2
+    overflows, r = 1/t to the last bit (the next term is 1/t^3)."""
+    t2 = t * t
+    return 1.0 / t if math.isinf(t2) else 2.0 / (t + math.sqrt(t2 - 4.0))
 
 
 def _is_normal(x: float) -> bool:

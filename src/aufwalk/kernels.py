@@ -7,8 +7,11 @@ whose W has spectral norm < 1 on the qdim^2-weighted l2 space is the
 resolvent (I - W)^-1, by sparse LU throughout: one factorisation of I - W
 gives the full table (green_table, up to DENSE_LIMIT words, a memory bound) or
 the rows of chosen sources and the base (green_rows), both as a KernelTable
-that carries its walk, gated by the solve residual and checked against a
-truncated Neumann series whose tail is bounded by the walk's norm bound.  The
+that carries its walk.  Each solve first certifies an interval around that
+norm (weighted_operator_norm: Collatz-Wielandt steps until the top is at most
+the walk's norm bound, usually one) and refuses a top within NORM_GUARD of 1;
+it is gated by the solve residual and checked against a truncated Neumann
+series whose tail is bounded by the certified top.  The
 unit right-hand sides are solved in panels of a few columns, each checked as
 it is solved, so the full table costs one n x n array, the table itself.  The
 panels of a large solve are split into a run per CPU the process may use,
@@ -50,26 +53,39 @@ _PANEL = 16
 _RUN_ENTRIES = 1 << 19
 
 
-def weighted_operator_norm(matrix, weights: np.ndarray, iters: int = 600, tol: float = 1e-13) -> float:
-    """Operator norm of the matrix on l2 with the given vertex weights,
-    by power iteration on the symmetrized conjugate; deterministic start,
-    converges to the norm from below.  Dense input is converted to CSR."""
+def weighted_operator_norm(
+    matrix, weights: np.ndarray, bound: float = 0.0, iters: int = 600, tol: float = 1e-9
+) -> tuple[float, float]:
+    """Certified interval (bottom, top) around the operator norm of the
+    matrix on l2 with the given vertex weights.  Dense input is converted to
+    CSR.
+
+    With A = D M D^-1 the conjugate by D = diag(sqrt(weights)) and
+    B = |A|^T |A|, it iterates v -> Bv from the all-ones vector.  Each step
+    gives the bottom |Av| / |v| <= ||A|| and, where v has no zero entry, the
+    Collatz-Wielandt top sqrt(max_i (Bv)_i / v_i) >= rho(B)^(1/2) = || |A| ||
+    >= ||A||, widened by 1 + 1e-12 for the rounding of the products.  Taking
+    |A| keeps the top valid for a signed matrix.  It stops at the first top
+    <= bound, once top - bottom <= tol * top, or after iters steps, and
+    returns the largest bottom and the smallest top it saw.
+    """
     w = np.sqrt(np.asarray(weights, dtype=float))
     a = (sp.diags(w) @ sp.csr_matrix(matrix, dtype=float) @ sp.diags(1.0 / w)).tocsr()
-    at = a.T.tocsr()
-    v = np.ones(a.shape[0]) / math.sqrt(a.shape[0])
-    est = 0.0
+    signed = a.data.min(initial=0.0) < 0.0
+    b = abs(a) if signed else a
+    v = np.ones(a.shape[0])
+    bottom, top = 0.0, math.inf
     for _ in range(iters):
-        u = at @ (a @ v)
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            return 0.0
-        v = u / nrm
-        new = math.sqrt(nrm)
-        if abs(new - est) <= tol * max(new, 1.0):
-            return new
-        est = new
-    return est
+        u = b @ v
+        bottom = max(bottom, float(np.linalg.norm(a @ v if signed else u) / np.linalg.norm(v)))
+        bv = b.T @ u
+        if v.min() > 0.0:
+            top = min(top, math.sqrt((bv / v).max()) * (1.0 + 1e-12))
+        nrm = np.linalg.norm(bv)
+        if top <= bound or top - bottom <= tol * top or nrm == 0.0:
+            break
+        v = bv / nrm
+    return bottom, top
 
 
 @dataclass
@@ -83,7 +99,7 @@ class KernelTable:
     base: str
     green: np.ndarray
     residual: float
-    power_norm: float
+    norm_interval: tuple[float, float]
     neumann_gap: float | None = None
     rows: list[str] | None = None
     row_index: dict[str, int] = field(init=False, repr=False)
@@ -119,13 +135,13 @@ class KernelTable:
 def green_table(walk: TransitionMatrix, base: str = EMPTY, solver_tol: float = SOLVER_TOL) -> KernelTable:
     """Solve (I - W) G = I for the walk's weights W on its domain.
 
-    Raises if the power-iteration norm on the weighted l2 space reaches
+    Raises if the certified top of the norm on the weighted l2 space reaches
     1 - 1e-6 (invalid input) or if the solve residual exceeds the tolerance.
     """
     if walk.size > DENSE_LIMIT:
         raise ValueError(f"domain of size {walk.size} exceeds the dense solver limit {DENSE_LIMIT}")
-    green, residual, power_norm, gap = _green_solve(walk, solver_tol)
-    return KernelTable(walk, base, green, residual, power_norm, gap)
+    green, residual, norm_interval, gap = _green_solve(walk, solver_tol)
+    return KernelTable(walk, base, green, residual, norm_interval, gap)
 
 
 def green_rows(
@@ -141,13 +157,13 @@ def green_rows(
     missing = [s for s in rows if s not in walk.index]
     if missing:
         raise ValueError(f"Green rows asked for words outside the domain: {missing}")
-    solved, residual, power_norm, gap = _green_solve(walk, solver_tol, [walk.index[s] for s in rows])
-    return KernelTable(walk, base, np.ascontiguousarray(solved.T), residual, power_norm, gap, rows=rows)
+    solved, residual, norm_interval, gap = _green_solve(walk, solver_tol, [walk.index[s] for s in rows])
+    return KernelTable(walk, base, np.ascontiguousarray(solved.T), residual, norm_interval, gap, rows=rows)
 
 
 def _green_solve(
     walk: TransitionMatrix, solver_tol: float, rows: list[int] | None = None
-) -> tuple[np.ndarray, float, float, float]:
+) -> tuple[np.ndarray, float, tuple[float, float], float]:
     """The one solver core behind green_table and green_rows.
 
     With ``rows`` None it solves (I - W) X = I for the full table; with a
@@ -160,16 +176,19 @@ def _green_solve(
     column.  The panels are split into runs, one per usable CPU, at most one
     per panel and per _RUN_ENTRIES entries of X; the caller solves the first
     and a thread pool the others.
-    Returns (X, residual, power-iteration norm, Neumann gap).
+    The norm interval is iterated until its top is at most the walk's norm
+    bound; the top guards the solve and bounds the Neumann tail.
+    Returns (X, residual, norm interval, Neumann gap).
     """
     n = walk.size
     w = sp.csr_matrix(walk.matrix, dtype=float)
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match domain size {n}")
     m = walk.haar_weights()
-    power_norm = weighted_operator_norm(w, m)
-    if power_norm >= 1.0 - NORM_GUARD:
-        raise ValueError(f"operator norm {power_norm} too close to 1; Green kernel unreliable")
+    norm_interval = weighted_operator_norm(w, m, walk.norm_bound)
+    top = norm_interval[1]
+    if top >= 1.0 - NORM_GUARD:
+        raise ValueError(f"operator norm bound {top} too close to 1; Green kernel unreliable")
     lu = splu(sp.identity(n, format="csc") - w.tocsc())
     if rows is None:
         # the Neumann check samples three columns of the table
@@ -203,7 +222,9 @@ def _green_solve(
     # first worker, so a one-run solve starts no thread, and the gates'
     # numbers come back in panel order
     starts = range(0, len(units), _PANEL)
-    workers = min(len(os.sched_getaffinity(0)), len(starts), math.ceil(n * len(units) / _RUN_ENTRIES))
+    # sched_getaffinity exists on Linux only
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(starts), math.ceil(n * len(units) / _RUN_ENTRIES))
     runs = [starts[k * len(starts) // workers:(k + 1) * len(starts) // workers] for k in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
         others = pool.map(solve_run, runs[1:])
@@ -215,10 +236,8 @@ def _green_solve(
         raise RuntimeError(f"Green solve residual {residual} above tolerance {solver_tol}")
     if np.min(diagonals) <= 0.0:
         raise RuntimeError("Green kernel diagonal not positive")
-    # the tail estimate needs an upper bound on the norm, the walk's
-    # certificate: power iteration approaches the norm from below
-    gap = _neumann_gap(a, x[:, checked], units[checked], weights, walk.norm_bound)
-    return x, residual, power_norm, gap
+    gap = _neumann_gap(a, x[:, checked], units[checked], weights, top)
+    return x, residual, norm_interval, gap
 
 
 def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, tail_norm: float) -> float:
@@ -226,7 +245,7 @@ def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, ta
     vectors, against the truncated Neumann series; returns the largest excess
     over the rigorous tail bound (<= 0 is a pass).  Entry i of column j is off
     by at most tail * sqrt(weights[j] / weights[i]) on the weighted space."""
-    steps = min(600, max(40, int(math.ceil(math.log(1e-13) / math.log(tail_norm)))))
+    steps = _neumann_steps(tail_norm)
     vec = np.zeros_like(cols)
     vec[units, np.arange(len(units))] = 1.0
     acc = vec.copy()
@@ -236,6 +255,14 @@ def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, ta
     tail = tail_norm ** (steps + 1) / (1.0 - tail_norm)
     bound = tail * np.sqrt(weights[units][None, :] / weights[:, None]) + 1e-12
     return float((np.abs(cols - acc) - bound).max())
+
+
+def _neumann_steps(tail_norm: float) -> int:
+    """Terms of the Neumann check: enough for a tail of 1e-13, 40 to 600 of
+    them; one when the norm is 0, where the series stops at I."""
+    if tail_norm == 0.0:
+        return 1
+    return min(600, max(40, math.ceil(math.log(1e-13) / math.log(tail_norm))))
 
 
 def truncation_error_bound(radius: int, s: str, t, walk: TransitionMatrix):

@@ -99,9 +99,9 @@ def test_c03_norm_bound():
         for mu in (MU_AB, MU_MIX):
             tm = transition_matrix(mu, ball(12), q)
             lam = tm.norm_bound
-            nrm = weighted_operator_norm(tm.matrix, tm.haar_weights())
-            ok = ok and nrm <= lam + 1e-8 and lam < 1.0
-            details.append(f"q={q} |P|={nrm:.4f}<={lam:.4f}")
+            bottom, top = weighted_operator_norm(tm.matrix, tm.haar_weights(), lam)
+            ok = ok and bottom <= top <= lam < 1.0
+            details.append(f"q={q} |P| in [{bottom:.4f}, {top:.4f}], top<={lam:.4f}")
     bound_05 = norm_upper_bound(MU_AB, ModelConfig.from_q(0.5).q)
     ok = ok and abs(bound_05 - 0.8) < 1e-12
     criterion(3, "weighted operator norm on ball(12) below the dimension bound", ok,

@@ -140,9 +140,11 @@ class TestConfig:
         [("boundary", ["bbbbbbbbbb"]), ("boundary", ["aaaaaaaaaa"]), ("audit", ["b"]),
          ("boundary", []), ("audit", [])],
     )
-    def test_unusable_boundary_sources_exit_2(self, tmp_path, capsys, command, sources):
+    def test_unusable_boundary_sources_exit_2(self, tmp_path, capsys, monkeypatch, command, sources):
         # outside the ball of the branch radius, (for audit) none in the branch, or
-        # none at all: an empty list is not the absent key, no default sources stand in
+        # none at all: an empty list is not the absent key, no default sources stand in;
+        # each is found before any Green solve
+        monkeypatch.setattr(kernels, "_green_solve", None)
         path = make_config(tmp_path, ballRadius=7, qRadius=6, boundarySources=sources)
         assert main([command, str(path)]) == EXIT_CONFIG
         err = one_line_error(capsys, "config error:")
@@ -174,6 +176,11 @@ class TestConfig:
     def test_tiny_q_walk_runs(self, tmp_path):
         path = make_config(tmp_path)
         assert main(["walk", str(path), "--q", "1e-9"]) == EXIT_OK
+
+    def test_q_whose_trace_squared_overflows_exits_2_on_qdim(self, tmp_path, capsys):
+        # q = 1e-160 is a valid model; qdim^2 on the ball of radius 5 is not a float
+        assert main(["walk", str(make_config(tmp_path)), "--q", "1e-160"]) == EXIT_CONFIG
+        assert "qdim^2 overflows a float on the ball of radius 5" in one_line_error(capsys, "config error:")
 
     def test_qdim_overflow_exits_2_before_building(self, tmp_path, capsys):
         path = make_config(tmp_path)
@@ -512,6 +519,13 @@ class TestIndecomposableTriples:
 
 
 class TestBoundarySources:
+    def test_default_sources_of_a_two_letter_period_fit_the_branch(self, tmp_path):
+        # per^k z for k < 5 would reach ababababa, past the branch radius 7
+        path = make_config(tmp_path, ballRadius=8, rays=[["b", "ab"]])
+        assert main(["boundary", str(path)]) == EXIT_OK
+        lines = (tmp_path / "out" / "boundary_ray0.csv").read_text().splitlines()
+        assert {line.split(",")[0] for line in lines[1:]} == {"a", "aba", "ababa", "abababa"}
+
     def test_root_source_gives_unit_classical_column(self, tmp_path):
         path = make_config(tmp_path, ballRadius=6, qRadius=6, boundarySources=["e", "a"])
         assert main(["boundary", str(path)]) == EXIT_OK

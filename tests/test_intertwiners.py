@@ -85,10 +85,15 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="not normalized"):
             ModelConfig(n=2, f_diag=(1e154, 1e154))
 
-    @pytest.mark.parametrize("q", [1e-160, 1e-320, 5e-324])
+    @pytest.mark.parametrize("q", [1e-320, 5e-324])
     def test_q_too_small_for_floats_rejected(self, q):
         with pytest.raises(ValueError, match="too small"):
             ModelConfig.from_q(q)
+
+    @pytest.mark.parametrize("q", [1e-160, 1e-300])
+    def test_tiny_q_kept_where_t_squared_overflows(self, q):
+        # t = q + 1/q squares past the float range; the root is then 1/t
+        assert ModelConfig.from_q(q).q == pytest.approx(q, rel=1e-15)
 
     def test_cap_limits(self):
         with pytest.raises(ValueError):

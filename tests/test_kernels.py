@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh, splu
 
-from aufwalk import kernels
-from aufwalk.cli import EXIT_INTERNAL, main
+from aufwalk import cli, kernels
+from aufwalk.cli import EXIT_AUDIT, EXIT_INTERNAL, main
 from aufwalk.fusion import (
     Measure,
     TransitionMatrix,
@@ -38,29 +38,76 @@ Q = 0.5
 EXAMPLE = Path(__file__).resolve().parent.parent / "demos" / "config.example.json"
 
 
+BENCHMARK_WEIGHTS = (0.3, 0.35, 0.4, 0.45, 0.55, 0.6, 0.65, 0.7)
+
+
+def eigsh_norm(matrix, weights) -> float:
+    """Oracle: the weighted operator norm from the top eigenvalue of A^T A,
+    A = D M D^-1 with D = diag(sqrt(weights))."""
+    d = np.sqrt(weights)
+    a = sp.diags(d) @ sp.csr_matrix(matrix) @ sp.diags(1.0 / d)
+    return float(np.sqrt(eigsh((a.T @ a).tocsc(), k=1, which="LA", return_eigenvectors=False)[0]))
+
+
 class TestWeightedNorm:
     def test_zero_matrix(self):
-        assert weighted_operator_norm(np.zeros((4, 4)), np.ones(4)) == 0.0
+        assert weighted_operator_norm(np.zeros((4, 4)), np.ones(4)) == (0.0, 0.0)
+        assert weighted_operator_norm(np.zeros((1, 1)), np.ones(1), 0.8) == (0.0, 0.0)
 
     def test_diagonal(self):
         w = np.diag([0.3, 0.7, 0.1])
-        assert weighted_operator_norm(w, np.ones(3)) == pytest.approx(0.7, rel=1e-10)
+        bottom, top = weighted_operator_norm(w, np.ones(3))
+        assert bottom <= 0.7 <= top
+        assert (bottom, top) == pytest.approx((0.7, 0.7), rel=1e-9)
 
     def test_weighting_matters(self):
         w = np.array([[0.0, 1.0], [0.0, 0.0]])
         m = np.array([4.0, 1.0])
         # conjugation by sqrt(m) rescales the single entry by 2
-        assert weighted_operator_norm(w, m) == pytest.approx(2.0, rel=1e-10)
+        assert weighted_operator_norm(w, m) == pytest.approx((2.0, 2.0), rel=1e-10)
+
+    def test_signed_matrix(self):
+        # a rotation by 45 degrees scaled by 1/sqrt(2): the top bounds the
+        # norm of |A| (all entries 1/2, norm 1), the bottom that of A itself
+        w = np.array([[0.5, -0.5], [0.5, 0.5]])
+        bottom, top = weighted_operator_norm(w, np.ones(2))
+        assert bottom == pytest.approx(np.sqrt(0.5), rel=1e-15) and bottom <= np.sqrt(0.5)
+        assert top == pytest.approx(1.0, rel=1e-11) and top >= 1.0
 
     def test_below_analytic_bound(self, mu_letters, mu_mixed):
         for mu in (mu_letters, mu_mixed):
             for q in (0.3, 0.5, 0.7):
                 tm = transition_matrix(mu, ball(8), q)
-                nrm = weighted_operator_norm(tm.matrix, tm.haar_weights())
-                assert nrm <= tm.norm_bound + 1e-8
-                assert nrm < 1.0
+                bottom, top = weighted_operator_norm(tm.matrix, tm.haar_weights(), tm.norm_bound)
+                assert bottom <= top <= tm.norm_bound < 1.0
                 # one path: dense input is converted to the same CSR matrix
-                assert weighted_operator_norm(tm.matrix.toarray(), tm.haar_weights()) == nrm
+                assert weighted_operator_norm(tm.matrix.toarray(), tm.haar_weights(), tm.norm_bound) == (bottom, top)
+
+    @pytest.mark.parametrize("weight", BENCHMARK_WEIGHTS)
+    def test_interval_holds_the_eigsh_norm(self, weight):
+        """At every weight of the benchmark grid (ball 10, q = 0.5) the
+        interval a solve takes, stopped at the first top <= lam, and the
+        interval iterated to its tolerance both hold the oracle's norm."""
+        tm = transition_matrix(Measure({"a": weight, "b": 1.0 - weight}), ball(10), Q)
+        m = tm.haar_weights()
+        norm = eigsh_norm(tm.matrix, m)
+        bottom, top = weighted_operator_norm(tm.matrix, m, tm.norm_bound)
+        assert bottom <= norm <= top <= tm.norm_bound
+        # the first step already certifies the bound, with room to spare
+        assert top < tm.norm_bound - 0.1
+        tight_bottom, tight_top = weighted_operator_norm(tm.matrix, m)
+        # the oracle's own rounding is below 1e-13 relative
+        assert bottom <= tight_bottom <= norm * (1.0 + 1e-13) and norm <= tight_top <= top
+        assert tight_top - tight_bottom < 1e-3 * norm
+
+    def test_top_above_lam_iterates_to_the_norm(self, mu_letters):
+        # a walk rescaled past its bound: no top reaches lam, the interval
+        # still closes on the norm
+        tm = transition_matrix(mu_letters, ball(6), Q)
+        m = tm.haar_weights()
+        scaled = tm.matrix * (0.9 / eigsh_norm(tm.matrix, m))
+        bottom, top = weighted_operator_norm(scaled, m, tm.norm_bound)
+        assert tm.norm_bound < bottom <= 0.9 * (1.0 + 1e-13) and 0.9 <= top < 0.9 * (1.0 + 1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +122,34 @@ class TestGreenTable:
         dom = ball(2)
         table = green_table(TransitionMatrix(dom, np.zeros((len(dom), len(dom))), Measure({"a": 1.0}), Q))
         assert np.array_equal(table.green, np.eye(len(dom)))
+
+    def test_radius_zero_zero_matrix_passes(self, mu_letters):
+        # the certified top is 0: the Neumann check is one exact step
+        tm = transition_matrix(mu_letters, ball(0), Q)
+        assert tm.matrix.nnz == 0
+        table = green_table(tm)
+        assert table.norm_interval == (0.0, 0.0)
+        assert np.array_equal(table.green, np.eye(1))
+        assert table.residual == 0.0 and table.neumann_gap <= 0.0
+
+    def test_neumann_check_near_q_one_is_not_vacuous(self, monkeypatch):
+        """At q = 0.99 lam is about 0.99995, which would ask 600 terms for a
+        tail of about 2e4; the certified top asks fewer, and the tail bound
+        then holds the sampled columns."""
+        tm = transition_matrix(Measure({"a": 0.35, "b": 0.65}), ball(8), 0.99)
+        steps = []
+        real_steps = kernels._neumann_steps
+
+        def record(norm):
+            steps.append(real_steps(norm))
+            return steps[-1]
+
+        monkeypatch.setattr(kernels, "_neumann_steps", record)
+        table = green_table(tm)
+        assert tm.norm_bound > 0.9999 and real_steps(tm.norm_bound) == 600
+        assert table.norm_interval[1] < 0.85 and steps == [real_steps(table.norm_interval[1])]
+        assert steps[0] < 600
+        assert table.neumann_gap <= 0.0
 
     def test_three_point_ball_scalar_series(self, mu_letters):
         # oracle: the explicit 3x3 matrix has a single return loop e->a|b->e
@@ -101,8 +176,8 @@ class TestGreenTable:
         tm, table = walk8
         dense = green_table(TransitionMatrix(tm.domain, tm.matrix.toarray(), tm.mu, Q), base="")
         assert np.array_equal(dense.green, table.green)
-        assert (dense.residual, dense.power_norm, dense.neumann_gap) == (
-            table.residual, table.power_norm, table.neumann_gap
+        assert (dense.residual, dense.norm_interval, dense.neumann_gap) == (
+            table.residual, table.norm_interval, table.neumann_gap
         )
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
@@ -195,8 +270,8 @@ class TestPanelPool:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(other.green, table.green)
-        assert (other.residual, other.power_norm, other.neumann_gap) == (
-            table.residual, table.power_norm, table.neumann_gap
+        assert (other.residual, other.norm_interval, other.neumann_gap) == (
+            table.residual, table.norm_interval, table.neumann_gap
         )
 
     @pytest.mark.parametrize("cpus", [1, 3])
@@ -208,8 +283,8 @@ class TestPanelPool:
         allow_cpus(monkeypatch, cpus, run_entries=1)
         other = green_rows(tm, sources, base="")
         assert np.array_equal(other.green, rows.green)
-        assert (other.residual, other.power_norm, other.neumann_gap) == (
-            rows.residual, rows.power_norm, rows.neumann_gap
+        assert (other.residual, other.norm_interval, other.neumann_gap) == (
+            rows.residual, rows.norm_interval, rows.neumann_gap
         )
 
     def test_one_worker_per_cpu_up_to_the_panels(self, walk8, monkeypatch):
@@ -238,6 +313,17 @@ class TestPanelPool:
         # [workers, runs handed to threads]: the caller solves the first run,
         # so a one-run solve starts no thread
         assert pools == [[3, 2], [1, 0], [3, 2], [1, 0], [1, 0]]
+
+    def test_cpu_count_stands_in_without_sched_getaffinity(self, walk7, monkeypatch):
+        # sched_getaffinity exists on Linux only; os.cpu_count() stands in
+        tm, table = walk7
+        monkeypatch.setattr(kernels, "_RUN_ENTRIES", 1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        other = green_table(tm)
+        assert np.array_equal(other.green, table.green)
+        assert (other.residual, other.norm_interval, other.neumann_gap) == (
+            table.residual, table.norm_interval, table.neumann_gap
+        )
 
     def solve_failing_last_panel(self, monkeypatch, fault):
         """Patch splu so that, on two CPUs, the solve of the full table's last
@@ -472,7 +558,7 @@ class TestGreenRows:
     def test_returns_the_weighted_norm(self, walk8):
         tm, _ = walk8
         rows = green_rows(tm, ["a"], base="")
-        assert rows.power_norm == weighted_operator_norm(tm.matrix, tm.haar_weights())
+        assert rows.norm_interval == weighted_operator_norm(tm.matrix, tm.haar_weights(), tm.norm_bound)
 
     def test_neumann_within_tail_bound_on_radius_12(self, mu_letters):
         dom = ball(12)
@@ -592,3 +678,23 @@ class TestLastEntryPathSumOracle:
             resids.append(last_entry_audit("a", "b", "aa", table, branch_table))
         assert resids[0] > resids[1] > resids[2]
         assert resids[2] < 1e-10
+
+
+def test_audit_fails_a_walk_above_its_norm_bound(tmp_path, monkeypatch):
+    """A walk rescaled to norm 0.9, above lam = 0.8 but below 1: its solves
+    still run, and the certified top fails norm_bound (exit 1)."""
+    real_build = cli.build_walk
+
+    def rescaled(cfg, radius):
+        walk = real_build(cfg, radius)
+        scale = 0.9 / eigsh_norm(walk.matrix, walk.haar_weights())
+        return TransitionMatrix(walk.domain, walk.matrix * scale, walk.mu, walk.q, walk.codes)
+
+    monkeypatch.setattr(cli, "build_walk", rescaled)
+    assert main(["audit", str(EXAMPLE), "--radius", "6", "--out", str(tmp_path)]) == EXIT_AUDIT
+    report = json.loads((tmp_path / "audit_report.json").read_text())
+    entry = next(e for e in report["audits"] if e["name"] == "norm_bound")
+    assert entry["bound"] == pytest.approx(0.8, rel=1e-12) and 0.9 <= entry["measured"] < 0.9 * (1.0 + 1e-8)
+    assert entry["pass"] is False
+    green_residual = next(e for e in report["audits"] if e["name"] == "green_residual")
+    assert green_residual["pass"] is True
