@@ -200,17 +200,31 @@ def write_csv(path: Path, header: list[str], columns: list) -> None:
 
     A column that numpy reads as floating point prints each value with
     ``%.17g``, which gives the bytes of ``f"{x:.17g}"`` (nan, inf, -0 and
-    subnormals included); every other column prints with ``str``.  Rows are
-    filled into one template a block at a time, with a single ``%`` per block.
+    subnormals included); every other column prints with ``str``.  Each
+    distinct bit pattern of a float column is formatted once, so 0.0 and -0.0
+    stay apart and every NaN prints ``nan``, and its rows take that text by
+    index.  Rows are filled into one template a block at a time, with a single
+    ``%`` per block.
     """
-    cols = [np.asarray(c) for c in columns]
-    n = len(cols[0])
-    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    # each column as (values, None), or for floats as (text of each distinct
+    # bit pattern, each row's index into that text)
+    cols = []
+    for c in map(np.asarray, columns):
+        if c.dtype.kind == "f":
+            # exact for narrower floats, whose %.17g went through a Python float
+            values = c.astype(np.float64, copy=False)
+            _, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
+            cols.append((np.array(["%.17g" % x for x in values[first].tolist()], dtype=object), inverse))
+        else:
+            cols.append((c, None))
+    n = len(columns[0])
     width = len(cols)
+    row = ",".join(["%s"] * width) + "\n"
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in cols]
+            stop = start + CSV_BLOCK_ROWS
+            block = [(c[start:stop] if index is None else c[index[start:stop]]).tolist() for c, index in cols]
             rows = len(block[0])
             flat = [None] * (rows * width)
             for j, values in enumerate(block):
@@ -238,10 +252,10 @@ def _output_dir(cfg: RunConfig) -> Path:
 
 
 def _interior_row_gap(cfg: RunConfig, tm) -> float:
-    interior = tm.interior_words(cfg.ball_radius)
-    if not interior:
-        return 0.0
-    return float(np.abs(tm.row_sums()[[tm.index[w] for w in interior]] - 1.0).max())
+    """The largest |row sum - 1| over the words farther than the range from
+    the frontier of the ball (0.0 when there are none)."""
+    interior = words.code_lengths(tm.codes) < cfg.ball_radius - tm.range_bound
+    return float(np.abs(tm.row_sums()[interior] - 1.0).max(initial=0.0))
 
 
 def cmd_walk(cfg: RunConfig) -> int:
@@ -417,13 +431,20 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         1e-12, domination_gap <= 1e-12)
 
     q_walk, inside, _, [(ray, k_p, k_q)] = branch_kernels(cfg, tm, ctx, cfg.rays[:1])
-    decay = perturbed.decay_audit(perturbed.residual_matrix(ctx), ctx)
-    env_gap = decay.envelope_gap()
-    add("perturbation_envelope", "single-constant envelope of the perturbation",
-        env_gap, 0.0, env_gap <= 0.0)
-    slope_gap = abs(decay.fitted_rate / decay.target_rate - 1.0)
-    add("perturbation_rate", "fitted perturbation decay slope against log q", slope_gap, 0.15,
-        slope_gap <= 0.15)
+    envelope = ("perturbation_envelope", "single-constant envelope of the perturbation")
+    rate = ("perturbation_rate", "fitted perturbation decay slope against log q")
+    try:
+        decay = perturbed.decay_audit(perturbed.residual_matrix(ctx), ctx)
+    except perturbed.TooFewLengths as exc:
+        # a valid config whose residuals leave too few lengths to fit: the
+        # residual code is at fault, so both entries fail and the audit goes on
+        for name, anchor in (envelope, rate):
+            add(name, anchor, exc.usable, perturbed.MIN_DECAY_LENGTHS, False)
+    else:
+        env_gap = decay.envelope_gap()
+        add(*envelope, env_gap, 0.0, env_gap <= 0.0)
+        slope_gap = abs(decay.fitted_rate / decay.target_rate - 1.0)
+        add(*rate, slope_gap, 0.15, slope_gap <= 0.15)
 
     delta0, k_steps = _irreducibility(cfg, tm)
     delta = delta0 ** k_steps

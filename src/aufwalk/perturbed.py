@@ -32,6 +32,16 @@ from .words import branch, involution, qdim
 
 RESIDUAL_FLOOR = 1e-12
 DOMINATION_TOL = 1e-12
+#: source lengths with a residual above the floor that decay_audit needs for its fit
+MIN_DECAY_LENGTHS = 4
+
+
+class TooFewLengths(ValueError):
+    """decay_audit found fewer than MIN_DECAY_LENGTHS lengths with usable residuals."""
+
+    def __init__(self, usable: int):
+        super().__init__(f"only {usable} lengths with usable residuals; need at least {MIN_DECAY_LENGTHS}")
+        self.usable = usable
 
 
 class BranchContext:
@@ -273,7 +283,8 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
     entry is a sum of p eps^2 / 2 terms, formed without cancellation, so the
     fit reads the residual itself and not the round-off of qhat - p.  Residuals
     below the floor are discarded; the envelope slope is fitted on the
-    per-length maxima by least squares and compared with log q.
+    per-length maxima by least squares and compared with log q.  Fewer than
+    MIN_DECAY_LENGTHS lengths above the floor raise TooFewLengths.
     """
     per_length: dict[int, float] = {}
     n_pairs = 0
@@ -283,8 +294,8 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
             length = len(ctx.walk.domain[i])
             per_length[length] = max(per_length.get(length, 0.0), value)
             n_pairs += 1
-    if len(per_length) < 4:
-        raise ValueError(f"only {len(per_length)} lengths with usable residuals; need at least 4")
+    if len(per_length) < MIN_DECAY_LENGTHS:
+        raise TooFewLengths(len(per_length))
     lengths = sorted(per_length)
     maxima = [per_length[l] for l in lengths]
     slope, _ = np.polyfit(lengths, np.log(maxima), 1)

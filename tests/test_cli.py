@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aufwalk import cli, fusion, kernels, perturbed, words
 from aufwalk.cli import (
@@ -286,6 +287,23 @@ class TestWalk:
         }
         assert first == second
 
+    @pytest.mark.parametrize("measure, radius", [
+        ({"a": 0.35, "b": 0.65}, 6),
+        ({"a": 0.35, "b": 0.65}, 12),
+        ({"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2}, 6),
+        ({"a": 0.35, "b": 0.65}, 1),
+        ({"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2}, 2),
+    ])
+    def test_interior_row_gap_matches_the_interior_words(self, tmp_path, measure, radius):
+        """The interior by code lengths is the word list of interior_words;
+        radius <= range leaves it empty and the gap 0.0."""
+        cfg = load_config(str(make_config(tmp_path, ballRadius=radius, measure=measure)))
+        tm = fusion.transition_matrix(cfg.measure, ball(radius), cfg.q)
+        interior = tm.interior_words(radius)
+        want = max((abs(tm.row_sums()[tm.index[w]] - 1.0) for w in interior), default=0.0)
+        assert cli._interior_row_gap(cfg, tm) == want
+        assert bool(interior) == (radius > tm.range_bound)
+
 
 def row_csv(header, rows):
     """The row-at-a-time formatter that write_csv replaced, as the reference."""
@@ -308,6 +326,19 @@ EDGE_FLOATS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1,
     2.2250738585072014e-308, -1e-310, 1.0 / 3.0, 123456789.0, 1e17, 1e16, -2.5,
 ]
+
+
+# columns of few distinct bit patterns, which write_csv formats once each
+REPEATED_COLUMNS = {
+    # 0.0 == -0.0 as values, so a formatter keyed on values would merge them
+    "signed_zeros": np.array([0.0, -0.0] * 9 + [-0.0]),
+    # NaNs of both signs and one with a payload, then 1.5: each NaN a distinct bit pattern printing nan
+    "nans": np.tile(np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000123, 0x3FF8000000000000],
+                             dtype=np.uint64).view(np.float64), 5),
+    # %.17g of a float32 goes through the exact float64 of its value
+    "float32": np.array([0.1, 1.0 / 3.0, -0.0, 3.4e38, 1e-45, 0.1], dtype=np.float32),
+    "three_values": np.array([0.1, -2.5e-300, 1.0 / 3.0])[np.random.default_rng(3).integers(0, 3, size=10**5)],
+}
 
 
 class TestCsvEmitter:
@@ -336,6 +367,19 @@ class TestCsvEmitter:
         n = len(values)
         write_csv(tmp_path / "t.csv", ["x", "i"], [values, np.arange(n)])
         assert_same_text((tmp_path / "t.csv").read_text(), row_csv(["x", "i"], zip(values.tolist(), range(n))))
+
+    @pytest.mark.parametrize("block_rows", [4, cli.CSV_BLOCK_ROWS])
+    @pytest.mark.parametrize("name", sorted(REPEATED_COLUMNS))
+    def test_repeated_values_match_row_formatter(self, tmp_path, monkeypatch, name, block_rows):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        values = REPEATED_COLUMNS[name]
+        n = len(values)
+        write_csv(tmp_path / "t.csv", ["x", "i"], [values, np.arange(n)])
+        assert_same_text((tmp_path / "t.csv").read_text(), row_csv(["x", "i"], zip(values.tolist(), range(n))))
+
+    def test_zero_rows_give_the_header_only(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["x", "w"], [np.zeros(0), np.array([], dtype=str)])
+        assert (tmp_path / "t.csv").read_text() == "x,w\n"
 
     def test_walk_csv_renders_green_rows(self, tmp_path):
         """The sparse path: every value of green_martin.csv is the 17-digit
@@ -477,6 +521,22 @@ class TestAudit:
         assert failing == {"perturbation_rate"}
         assert code == EXIT_AUDIT
         assert report["overallPass"] is False
+
+    def test_too_few_residual_lengths_fail_two_entries(self, tmp_path, monkeypatch, capsys):
+        """Residuals that leave fewer than four usable lengths are the code's
+        fault on a valid config: both perturbation entries fail with the
+        usable count against 4, the later entries still run and audit exits 1."""
+        monkeypatch.setattr(perturbed, "residual_matrix", lambda ctx: sp.csr_matrix((ctx.walk.size,) * 2))
+        path = make_config(tmp_path, ballRadius=7, qRadius=6)
+        assert main(["audit", str(path)]) == EXIT_AUDIT
+        capsys.readouterr()
+        report = json.loads((tmp_path / "out" / "audit_report.json").read_text())
+        entries = {e["name"]: e for e in report["audits"]}
+        assert {"harnack", "gdif_envelope", "boundary_ratio_trend"} <= set(entries)
+        failing = {name for name, e in entries.items() if not e["pass"]}
+        assert failing == {"perturbation_envelope", "perturbation_rate"}
+        for name in failing:
+            assert (entries[name]["measured"], entries[name]["bound"]) == (0.0, 4.0)
 
     def test_rate_insensitive_to_the_norm_route(self, tmp_path, monkeypatch, capsys):
         """The almost-isometry norms by SVD or by Schur (Frobenius over
