@@ -12,8 +12,11 @@ import numpy as np
 from aufwalk import (
     Measure,
     ball,
+    ball_words,
     classical_dim,
+    format_word,
     fuse,
+    heap_index,
     involution,
     is_generating,
     qdim,
@@ -38,11 +41,11 @@ for w in ["a", "ab", "aa", "abab", "aabb"]:
 print()
 print("=== the induced walk ===")
 mu = Measure({"a": 0.5, "b": 0.5})
-domain = ball(6)
+domain = ball(6)  # heap indices; on a ball a word's position is its heap index
 tm = transition_matrix(mu, domain, q)
 sums = tm.row_sums()
-interior = tm.interior_words(6)
-gap = max(abs(sums[tm.index[w]] - 1.0) for w in interior)
+interior = [i for i, w in enumerate(ball_words(6)) if 6 - len(w) > tm.range_bound]
+gap = max(abs(sums[i] - 1.0) for i in interior)
 print(f"domain: ball(6), {tm.size} words; walk range {tm.range_bound}")
 print(f"largest interior row-sum deviation: {gap:.2e}")
 print(f"generating: {is_generating(tm)}")
@@ -54,7 +57,7 @@ print(f"certified norm interval on the weighted space = [{bottom:.6f}, {top:.6f}
 
 print()
 print("row of the matrix at s = 'ba':")
-i = tm.index["ba"]
+i = heap_index("ba")
 row = tm.matrix.getrow(i).tocoo()
 for j, v in sorted(zip(row.col, row.data)):
-    print(f"   ba -> {domain[j] or 'e':5s}  p = {v:.6f}")
+    print(f"   ba -> {format_word(j):5s}  p = {v:.6f}")

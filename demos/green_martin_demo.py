@@ -8,6 +8,8 @@ from aufwalk import (
     ball,
     branch,
     green_table,
+    heap_index,
+    heap_indices,
     harnack_audit,
     last_entry_audit,
     martin_rows,
@@ -16,6 +18,7 @@ from aufwalk import (
     truncation_error_bound,
     uniform_irreducibility_constants,
 )
+from aufwalk.words import code_lengths
 
 q = 0.5
 radius = 8
@@ -24,11 +27,11 @@ mu = Measure({"a": 0.5, "b": 0.5})
 domain = ball(radius)
 tm = transition_matrix(mu, domain, q)
 lam = tm.norm_bound
-table = green_table(tm, base="")
+table = green_table(tm)  # based at the root, heap index 0
 print(f"Green table on ball({radius}): {table.size} vertices")
 bottom, top = table.norm_interval
 print(f"solver residual {table.residual:.2e}, norm in [{bottom:.4f}, {top:.4f}], top <= {lam:.4f}")
-print(f"G(e,e) = {table.green_entry('', ''):.8f}  (diagonal capped by 1/(1-lam) = {1/(1-lam):.3f})")
+print(f"G(e,e) = {table.green_entry(0, 0):.8f}  (diagonal capped by 1/(1-lam) = {1/(1-lam):.3f})")
 
 print()
 print("=== truncation control ===")
@@ -39,7 +42,8 @@ for w in ["", "a", "ab"]:
 print()
 print("=== Harnack and multiplicativity on the interior ===")
 delta0, k = uniform_irreducibility_constants(tm, k_max=3)
-interior = [w for w in domain if radius - len(w) > tm.range_bound and len(w) <= 6]
+lengths = code_lengths(domain)
+interior = domain[(radius - lengths > tm.range_bound) & (lengths <= 6)]
 har = harnack_audit(table, delta0, k, interior)
 print(f"chain constants delta0 = {delta0:.4f}, K = {k}; bound delta0^K = {har.delta_bound:.4f}")
 print(f"empirical Harnack constant {har.empirical_delta:.4f}  (passes: {har.passes})")
@@ -50,13 +54,14 @@ print(f"geodesic product constants: lower {mult.c1_lower:.4f} <= {mult.lower_bou
 print()
 print("=== last-entry decomposition at the branch of 'a' ===")
 sub = branch("a", radius)
-branch_table = green_table(tm.restrict(sub), base="a")
+branch_table = green_table(tm.restrict(sub), base=heap_index("a"))
 for s, t in [("b", "aa"), ("ab", "aba"), ("bb", "a")]:
-    resid = last_entry_audit("a", s, t, table, branch_table)
+    resid = last_entry_audit(heap_index("a"), heap_index(s), heap_index(t), table, branch_table)
     print(f"G({s},{t}) vs sum over the cut: relative residual {resid:.2e}")
 
 print()
 print("Martin kernel rows (base e): K(s, t) for s in {e, a, ba}")
 sources = ["", "a", "ba"]
-for s, vals in zip(sources, martin_rows(table, sources, ["a" * k for k in range(1, 6)])):
+ray = heap_indices(["a" * k for k in range(1, 6)])
+for s, vals in zip(sources, martin_rows(table, heap_indices(sources), ray)):
     print(f"  s={s or 'e':3s}: K(s, a^n) = " + ", ".join(f"{v:.5f}" for v in vals))

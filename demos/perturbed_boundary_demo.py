@@ -16,6 +16,7 @@ from aufwalk import (
     gdif_audit,
     green_Q,
     green_table,
+    heap_indices,
     martin_rows,
     qhat_entry,
     ray_words,
@@ -64,12 +65,12 @@ for x, rel in zip(gd.x_list, gd.max_rel):
 
 print()
 print("=== boundary ray profiles (matched truncations) ===")
-full = green_table(tm, base="")
+full = green_table(tm)
 ray = ray_words("", "a", "a", radius - 1)
 sources = ["a" * k for k in range(1, 6)]
-# the deepest ray point t_N stands for the boundary value
-k_p = martin_rows(full, sources, ray)[:, -1]
-k_q = martin_rows(q_table, sources, ray, root=full)[:, -1]
+# the deepest ray point t_N stands for the boundary value; words are heap indices
+k_p = martin_rows(full, heap_indices(sources), ray)[:, -1]
+k_q = martin_rows(q_table, heap_indices(sources), ray, root=full)[:, -1]
 print("ray t_n = a^n; sources s = a^j approach the same boundary point:")
 for s, kp, kq in zip(sources, k_p, k_q):
     print(f"  s = {s:6s} K_P = {kp:9.5f}  K_Q = {kq:9.5f}  "

@@ -4,9 +4,12 @@ Green and Martin kernels, and numerical audits of the kernel estimates."""
 
 from .words import (
     ball,
+    ball_words,
     branch,
     classical_dim,
     format_word,
+    heap_index,
+    heap_indices,
     indecomposable_factors,
     involution,
     parse_word,
@@ -14,6 +17,7 @@ from .words import (
     qdim,
     qnumber,
     tree_distance,
+    word,
 )
 from .fusion import (
     Measure,
@@ -61,9 +65,9 @@ from .perturbed import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ball", "branch", "classical_dim", "format_word",
-    "indecomposable_factors", "involution", "parse_word", "qbinom", "qdim",
-    "qnumber", "tree_distance",
+    "ball", "ball_words", "branch", "classical_dim", "format_word", "heap_index",
+    "heap_indices", "indecomposable_factors", "involution", "parse_word", "qbinom",
+    "qdim", "qnumber", "tree_distance", "word",
     "Measure", "TransitionMatrix", "dual_audit", "fuse", "is_generating",
     "multiplicity", "norm_upper_bound", "transition_matrix", "transition_prob",
     "uniform_irreducibility_constants",

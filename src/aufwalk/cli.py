@@ -262,20 +262,24 @@ def cmd_walk(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     tm = build_walk(cfg, cfg.ball_radius)
     for s in cfg.sources:
-        if s not in tm.index:
+        if len(s) > cfg.ball_radius:
             raise ConfigError(f"source {s!r} outside the ball")
+    sources = words.heap_indices(cfg.sources)
     table = (kernels.green_table(tm, solver_tol=cfg.solver_tol) if tm.size <= kernels.DENSE_LIMIT
-             else kernels.green_rows(tm, cfg.sources, solver_tol=cfg.solver_tol))
-    martin = kernels.martin_rows(table, cfg.sources, tm.domain)
+             else kernels.green_rows(tm, sources, solver_tol=cfg.solver_tol))
+    martin = kernels.martin_rows(table, sources, tm.codes)
     delta0, k_steps = _irreducibility(cfg, tm)
     bounds = np.array([kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, tm) for s in cfg.sources])
+    # the ball's words in heap order from one string table, serialized ("e" for the root)
+    targets = np.array(words.ball_words(cfg.ball_radius), dtype=object)
+    targets[0] = format_word(targets[0])
     write_csv(
         out / "green_martin.csv",
         ["s", "t", "G", "K", "truncationBound"],
         [
-            np.repeat(np.array([format_word(s) for s in cfg.sources], dtype=str), tm.size),
-            np.tile(np.array([format_word(t) for t in tm.domain]), len(cfg.sources)),
-            table.source_rows(cfg.sources).ravel(),
+            np.repeat(np.array([format_word(s) for s in cfg.sources], dtype=object), tm.size),
+            np.tile(targets, len(cfg.sources)),
+            table.source_rows(sources).ravel(),
             martin.ravel(),
             bounds.ravel(),
         ],
@@ -342,20 +346,21 @@ def branch_kernels(cfg: RunConfig, tm, ctx, rays):
     and for each ray its words t_1..t_N, the classical Martin kernel K_P(s, t_n)
     of the sources inside and then outside, and the perturbed K_Q(s, t_n) =
     G_Q(s, t_n) / G_P(e, t_n) of the sources inside (rows by source, columns
-    along the ray).
+    along the ray).  Sources and ray words are heap indices.
     """
     depth = ctx.radius - 1
-    sources = boundary_sources(cfg, ctx.radius)
+    sources = words.heap_indices(boundary_sources(cfg, ctx.radius))
     full = kernels.green_rows(tm.restrict(words.ball(ctx.radius)), sources, solver_tol=cfg.solver_tol)
     q_walk, q_table = perturbed.green_Q(ctx, solver_tol=cfg.solver_tol)
-    inside = [s for s in sources if s in ctx.walk.index]
-    outside = [s for s in sources if s not in ctx.walk.index]
+    # every source lies in the ball of the branch radius, so in the branch iff it ends in z
+    in_branch = words.ends_with(sources, words.heap_index(cfg.branch_z))
+    inside, outside = sources[in_branch], sources[~in_branch]
     per_ray = []
     for pre, per in rays:
         ray = kernels.ray_words(pre, per, cfg.branch_z, depth)
         per_ray.append((
             ray,
-            kernels.martin_rows(full, inside + outside, ray),
+            kernels.martin_rows(full, np.concatenate([inside, outside]), ray),
             kernels.martin_rows(q_table, inside, ray, root=full),
         ))
     return q_walk, inside, outside, per_ray
@@ -448,7 +453,8 @@ def run_audits(cfg: RunConfig) -> list[dict]:
 
     delta0, k_steps = _irreducibility(cfg, tm)
     delta = delta0 ** k_steps
-    har_int = [w for w in tm.domain if cfg.ball_radius - len(w) > tm.range_bound and len(w) <= 6]
+    lengths = words.code_lengths(tm.codes)
+    har_int = tm.codes[(cfg.ball_radius - lengths > tm.range_bound) & (lengths <= 6)]
     har = kernels.harnack_audit(table, delta0, k_steps, har_int)
     add("harnack", "uniform Harnack constant against the chain bound", har.empirical_delta,
         har.delta_bound, har.passes)
@@ -505,14 +511,14 @@ def _duality_norm_gap(eng) -> float:
 
 def _rank_rows(eng, max_len: int) -> list[tuple[str, int, int]]:
     """(x, projection rank, classical dimension) for every word up to max_len."""
-    return [(w, eng.irr_dim(w), words.classical_dim(w)) for w in words.ball(max_len)]
+    return [(w, eng.irr_dim(w), words.classical_dim(w)) for w in words.ball_words(max_len)]
 
 
 def _indecomposable_triples(limit: int, cap: int = 14):
     """(s, v, t) with v nonempty, len(svt) <= limit, len(s v vbar t) <= cap
     and sv, v vbar, vbar t indecomposable, in the order of the triple product
     of the ball of radius limit - 1 (sorted by length)."""
-    pool = words.ball(limit - 1)
+    pool = words.ball_words(limit - 1)
     lengths = [len(w) for w in pool]
 
     def upto(k: int) -> list[str]:
@@ -574,15 +580,16 @@ def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float]:
 
 
 def _last_entry_worst(cfg: RunConfig, table) -> float:
-    x, tm = cfg.branch_z, table.walk
-    branch_walk = tm.restrict(words.branch(x, cfg.ball_radius))
+    x, tm = words.heap_index(cfg.branch_z), table.walk
+    branch_walk = tm.restrict(words.branch(cfg.branch_z, cfg.ball_radius))
     branch_table = kernels.green_table(branch_walk, base=x, solver_tol=cfg.solver_tol)
     margin = cfg.ball_radius - tm.range_bound
-    sources = [w for w in tm.domain if not w.endswith(x) and 0 < len(w) <= 2]
-    targets = [w for w in branch_walk.domain if len(w) <= min(4, margin)]
+    lengths = words.code_lengths(tm.codes)
+    sources = tm.codes[~words.ends_with(tm.codes, x) & (lengths > 0) & (lengths <= 2)]
+    targets = branch_walk.codes[words.code_lengths(branch_walk.codes) <= min(4, margin)]
     worst = 0.0
-    for s in sources[:4]:
-        for t in targets[:6]:
+    for s in sources[:4].tolist():
+        for t in targets[:6].tolist():
             worst = max(worst, kernels.last_entry_audit(x, s, t, table, branch_table))
     return worst
 
@@ -619,7 +626,7 @@ def cmd_boundary(cfg: RunConfig) -> int:
     tm = build_walk(cfg, max(cfg.effective_q_radius(), 0))
     ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.effective_q_radius())
     _, inside, outside, per_ray = branch_kernels(cfg, tm, ctx, cfg.rays)
-    sources = np.array([format_word(s) for s in inside + outside], dtype=str)
+    sources = np.array([format_word(s) for s in np.concatenate([inside, outside])], dtype=object)
     header = ["s", "n", "t", "K_P", "K_Q", "ratio", "cauchyGapP", "cauchyGapQ"]
     for i, (ray, k_p, k_q) in enumerate(per_ray):
         # sources outside the branch carry only the classical kernel: their
@@ -629,7 +636,7 @@ def cmd_boundary(cfg: RunConfig) -> int:
         columns = [
             np.repeat(sources, len(ray)),
             np.tile(np.arange(1, len(ray) + 1), len(sources)),
-            np.tile(np.array([format_word(t) for t in ray], dtype=str), len(sources)),
+            np.tile(np.array([format_word(t) for t in ray], dtype=object), len(sources)),
             k_p.ravel(),
             k_q.ravel(),
             (k_q / k_p).ravel(),

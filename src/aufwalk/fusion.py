@@ -29,19 +29,19 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
 from .words import (
-    EMPTY,
     ball,
     check_word,
     classical_dim,
     code_lengths,
     heap_index,
-    heap_indices,
     involution,
+    locate,
     qdim,
     qdims,
     tree_distance,
     tree_distances,
     validate_q,
+    word,
 )
 
 MASS_TOL = 1e-12
@@ -113,25 +113,19 @@ def transition_prob(mu: Measure, s: str, t: str, q: float) -> float:
 
 
 class TransitionMatrix:
-    """Transition weights of the walk restricted to a finite ordered domain.
+    """Transition weights of the walk restricted to a finite domain, given by
+    its sorted, distinct heap indices.
 
     The restriction is substochastic: mass stepping outside the domain is
     killed, so row sums are 1 only at vertices farther than the walk range
     from the domain frontier.
     """
 
-    def __init__(
-        self,
-        domain: list[str],
-        matrix: sp.csr_matrix,
-        mu: Measure,
-        q: float,
-        codes: np.ndarray | None = None,
-    ):
-        self.domain = list(domain)
-        self.index = {w: i for i, w in enumerate(self.domain)}
-        #: heap indices of the domain words, computed when not given
-        self.codes = heap_indices(self.domain) if codes is None else codes
+    def __init__(self, codes: np.ndarray, matrix: sp.csr_matrix, mu: Measure, q: float):
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.ndim != 1 or np.any(codes[1:] <= codes[:-1]):
+            raise ValueError("a walk's domain must be strictly increasing heap indices")
+        self.codes = codes
         self.matrix = matrix
         self.mu = mu
         self.q = q
@@ -139,7 +133,16 @@ class TransitionMatrix:
 
     @property
     def size(self) -> int:
-        return len(self.domain)
+        return len(self.codes)
+
+    def positions(self, codes) -> np.ndarray:
+        """Positions of the words with the given heap indices in the domain;
+        raises ValueError naming the first word outside it."""
+        codes = np.asarray(codes, dtype=np.int64)
+        pos, inside = locate(self.codes, codes)
+        if not inside.all():
+            raise ValueError(f"{word(codes[~inside][0])!r} lies outside the walk's domain")
+        return pos
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
@@ -161,38 +164,32 @@ class TransitionMatrix:
         is at most the classical walk's."""
         return norm_upper_bound(self.mu, self.q)
 
-    def restrict(self, subdomain: list[str]) -> "TransitionMatrix":
-        """Substochastic restriction to a sub-domain (kills exiting mass)."""
-        try:
-            idx = np.array([self.index[w] for w in subdomain])
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]!r} lies outside the walk's domain") from None
+    def restrict(self, subdomain) -> "TransitionMatrix":
+        """Substochastic restriction to a sub-domain of sorted heap indices
+        (kills exiting mass)."""
+        idx = self.positions(subdomain)
         sub = self.matrix[idx][:, idx]
-        return TransitionMatrix(subdomain, sp.csr_matrix(sub), self.mu, self.q, self.codes[idx])
-
-    def interior_words(self, frontier_radius: int) -> list[str]:
-        """Vertices whose distance to the length-R frontier exceeds the range."""
-        return [w for w in self.domain if frontier_radius - len(w) > self.range_bound]
+        return TransitionMatrix(subdomain, sp.csr_matrix(sub), self.mu, self.q)
 
 
-def transition_matrix(mu: Measure, domain: list[str], q: float) -> TransitionMatrix:
+def transition_matrix(mu: Measure, domain, q: float) -> TransitionMatrix:
+    """The walk of mu on the domain of sorted heap indices (``words.ball``,
+    ``words.branch`` or any sorted subset)."""
     validate_q(q)
-    codes = heap_indices(domain)
-    tm = TransitionMatrix(domain, _assemble(mu, codes, q), mu, q, codes)
+    codes = np.asarray(domain, dtype=np.int64)
+    tm = TransitionMatrix(codes, _assemble(mu, codes, q), mu, q)
     _assert_bounded_range(tm)
     _check_sampled_rows(tm)
     return tm
 
 
 def _assemble(mu: Measure, codes: np.ndarray, q: float) -> sp.csr_matrix:
-    """The weights p(s, t) between the words with the given heap indices, one
-    vector step per support word r and cancellation length k."""
+    """The weights p(s, t) between the words with the given sorted heap
+    indices, one vector step per support word r and cancellation length k."""
     n = len(codes)
     lengths = code_lengths(codes)
     bits = codes + 1 - (np.int64(1) << lengths)
     dims = qdims(codes, q)
-    order = np.argsort(codes, kind="stable")
-    keys = codes[order]
     rows, cols, vals = [], [], []
     for r, w in mu.items():
         dr = qdim(r, q)
@@ -205,9 +202,8 @@ def _assemble(mu: Measure, codes: np.ndarray, q: float) -> sp.csr_matrix:
             tail = lengths[i] - k  # letters of s that survive
             t_bits = ((r_bits >> k) << tail) + (bits[i] & ((np.int64(1) << tail) - 1))
             t_code = (np.int64(1) << (len(r) - k + tail)) - 1 + t_bits
-            pos = np.minimum(np.searchsorted(keys, t_code), n - 1)
-            hit = keys[pos] == t_code
-            i, j = i[hit], order[pos[hit]]
+            pos, hit = locate(codes, t_code)
+            i, j = i[hit], pos[hit]
             rows.append(i)
             cols.append(j)
             vals.append(w * dims[j] / (dr * dims[i]))
@@ -223,35 +219,31 @@ def _assert_bounded_range(tm: TransitionMatrix) -> None:
     if bad.size:
         i, j = coo.row[bad[0]], coo.col[bad[0]]
         raise AssertionError(
-            f"entry ({tm.domain[i]!r}, {tm.domain[j]!r}) violates the range bound "
+            f"entry ({word(tm.codes[i])!r}, {word(tm.codes[j])!r}) violates the range bound "
             f"{tm.range_bound} (distance {int(dist[bad[0]])})"
         )
 
 
 def _check_sampled_rows(tm: TransitionMatrix) -> None:
-    """Recompute the rows of the root (when present) and of the first, middle
-    and last domain words on the string route: the same columns, entries
-    within CROSS_CHECK_RTOL, and tree distances equal to the array ones."""
-    if tm.size == 0:
-        return
-    sampled = {0, (tm.size - 1) // 2, tm.size - 1}
-    if EMPTY in tm.index:
-        sampled.add(tm.index[EMPTY])
-    for i in sorted(sampled):
-        s = tm.domain[i]
+    """Recompute the rows of the first (the root, when present), middle and
+    last domain words on the string route: the same columns, entries within
+    CROSS_CHECK_RTOL, and tree distances equal to the array ones."""
+    for i in sorted({0, (tm.size - 1) // 2, tm.size - 1} if tm.size else ()):
+        s = word(tm.codes[i])
         row = tm.matrix.getrow(i)
         got = dict(zip(row.indices.tolist(), row.data.tolist()))
-        targets = {t for r in tm.mu.support for t in fuse(r, s) if t in tm.index}
-        want = {tm.index[t]: transition_prob(tm.mu, s, t, tm.q) for t in targets}
+        targets = list(dict.fromkeys(t for r in tm.mu.support for t in fuse(r, s)))
+        pos, inside = locate(tm.codes, [heap_index(t) for t in targets])
+        want = {j: transition_prob(tm.mu, s, t, tm.q) for j, t, ok in zip(pos.tolist(), targets, inside) if ok}
         if set(got) != set(want):
             raise AssertionError(
-                f"row {s!r}: assembled columns {sorted(tm.domain[j] for j in got)} differ from "
-                f"the fusion components {sorted(tm.domain[j] for j in want)}"
+                f"row {s!r}: assembled columns {sorted(word(tm.codes[j]) for j in got)} differ from "
+                f"the fusion components {sorted(word(tm.codes[j]) for j in want)}"
             )
         cols = np.array(sorted(got), dtype=np.int64)
         dist = tree_distances(np.full(len(cols), tm.codes[i]), tm.codes[cols])
         for j, d in zip(cols.tolist(), dist.tolist()):
-            t = tm.domain[j]
+            t = word(tm.codes[j])
             if abs(got[j] - want[j]) > CROSS_CHECK_RTOL * abs(want[j]):
                 raise AssertionError(
                     f"entry ({s!r}, {t!r}) is {got[j]!r} assembled, {want[j]!r} by fusion"
@@ -272,7 +264,7 @@ def dual_audit(walk: TransitionMatrix) -> float:
     that domain, through its own matrix construction.
     """
     p = walk.matrix.toarray()
-    pdual = transition_matrix(walk.mu.dual(), walk.domain, walk.q).matrix.toarray()
+    pdual = transition_matrix(walk.mu.dual(), walk.codes, walk.q).matrix.toarray()
     dims = walk.qdims()
     lhs = pdual * (dims[:, None] / dims[None, :])
     rhs = (p * (dims[:, None] / dims[None, :])).T
@@ -284,7 +276,8 @@ def is_generating(walk: TransitionMatrix) -> bool:
     reachable from e and can reach e through positive weights (BFS both ways)."""
     radius = int(code_lengths(walk.codes).max(initial=0))
     tm = walk.restrict(ball(min(radius, max(walk.range_bound, 4))))
-    fwd, bwd = (breadth_first_order(m, tm.index[EMPTY], directed=True, return_predecessors=False)
+    # the root is heap index 0, the first word of the ball
+    fwd, bwd = (breadth_first_order(m, 0, directed=True, return_predecessors=False)
                 for m in (tm.matrix, tm.matrix.T.tocsr()))
     return len(fwd) == len(bwd) == tm.size
 
@@ -310,16 +303,10 @@ def uniform_irreducibility_constants(tm: TransitionMatrix, k_max: int = 12) -> t
     delta0 = float(data[data > 0].min())
     # adjacency restricted to pairs that stay clear of the frontier, so that
     # connecting chains are not killed by the truncation
-    radius = max(len(w) for w in tm.domain)
-    margin = k_max * tm.range_bound
-    ok = np.array([len(w) + margin <= radius for w in tm.domain])
+    lengths = code_lengths(tm.codes)
+    ok = np.flatnonzero(lengths + k_max * tm.range_bound <= lengths.max())
     need = np.zeros((tm.size, tm.size), dtype=bool)
-    for i, s in enumerate(tm.domain):
-        if not ok[i]:
-            continue
-        for j, t in enumerate(tm.domain):
-            if ok[j] and tree_distance(s, t) == 1:
-                need[i, j] = True
+    need[np.ix_(ok, ok)] = tree_distances(tm.codes[ok, None], tm.codes[None, ok]) == 1
     if not need.any():
         raise ValueError("domain too small for the requested chain margin")
     reach = (tm.matrix.toarray() > 0).astype(np.float64)

@@ -2,23 +2,25 @@
 and the quantitative audits of their tree-geometry estimates.
 
 The Green kernel of a walk (a fusion.TransitionMatrix, which carries its
-weight matrix W, words, heap indices, word -> position map and norm bound)
+weight matrix W, the sorted heap indices of its domain and its norm bound)
 whose W has spectral norm < 1 on the qdim^2-weighted l2 space is the
 resolvent (I - W)^-1, by sparse LU throughout: one factorisation of I - W
 gives the full table (green_table, up to DENSE_LIMIT words, a memory bound) or
 the rows of chosen sources and the base (green_rows), both as a KernelTable
-that carries its walk.  Each solve first certifies an interval around that
+that carries its walk.  Words are heap indices here: sources, targets, rows
+and the base alike.  Each solve first certifies an interval around that
 norm (weighted_operator_norm: Collatz-Wielandt steps until the top is at most
 the walk's norm bound, usually one) and refuses a top within NORM_GUARD of 1;
 it is gated by the solve residual and checked against a truncated Neumann
-series whose tail is bounded by the certified top.  The
+series whose tail is bounded by the certified top.  The series needs no
+solve, so a large one runs on a worker thread beside the factorisation and
+is compared with the solved columns afterwards.  The
 unit right-hand sides are solved in panels of a few columns, each checked as
 it is solved, so the full table costs one n x n array, the table itself.  The
 panels of a large solve are split into a run per CPU the process may use,
 solved at once by the caller and a thread pool; each run writes its own
 columns and the gates read the panels' numbers in panel order, so the bytes
 do not depend on how many CPUs there are.
-The audits read words, heap indices and the range from the table's walk.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .fusion import TransitionMatrix
-from .words import EMPTY, code_lengths, heap_index, qdim, qdims, tree_distance, tree_distances
+from .words import code_lengths, ends_with, heap_index, locate, qdim, qdims, tree_distances, word
 
 # largest domain of green_table: its table is one n x n float array (about
 # 135 MiB at the limit), solved in panels over the usable CPUs with no n x n
@@ -49,7 +51,9 @@ _PANEL = 16
 # table entries (n x unit columns) that pay for a run of their own: a thread
 # costs about 1 ms to start and warm on a 2-CPU host, and a second worker
 # gained nothing on a 511-word table (261k entries), 10-20% on a 1023-word
-# one (1M) and a third on a 2047-word one
+# one (1M) and a third on a 2047-word one.  The Neumann series goes to a
+# worker beside the factorisation by the same rule, counting the entries of
+# its iterates over all its steps (n x checked columns x steps)
 _RUN_ENTRIES = 1 << 19
 
 
@@ -90,50 +94,59 @@ def weighted_operator_norm(
 
 @dataclass
 class KernelTable:
-    """Green kernel G(s, t) of a walk for the solved words s (``rows``, by
-    default the walk's domain) and every t of the walk's domain, in its
-    order; Martin kernels (martin_rows) are normalized at ``base``, which is
-    always solved."""
+    """Green kernel G(s, t) of a walk for the solved words s (``rows``, heap
+    indices, by default the walk's domain) and every t of the walk's domain,
+    in its order; Martin kernels (martin_rows) are normalized at ``base``, a
+    heap index, which is always solved."""
 
     walk: TransitionMatrix = field(repr=False)
-    base: str
+    base: int
     green: np.ndarray
     residual: float
     norm_interval: tuple[float, float]
     neumann_gap: float | None = None
-    rows: list[str] | None = None
-    row_index: dict[str, int] = field(init=False, repr=False)
+    rows: np.ndarray | None = None
+    # the rows in sorted order, and where each sits in ``rows``
+    _sorted: np.ndarray = field(init=False, repr=False)
+    _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        domain = self.walk.domain
-        self.rows = domain if self.rows is None else self.rows
-        self.row_index = self.walk.index if self.rows is domain else {w: i for i, w in enumerate(self.rows)}
-        if self.base not in self.row_index:
-            raise ValueError(f"base {self.base!r} not in domain")
+        self.rows = self.walk.codes if self.rows is None else np.asarray(self.rows, dtype=np.int64)
+        self._order = np.argsort(self.rows, kind="stable")
+        self._sorted = self.rows[self._order]
+        if not locate(self._sorted, [self.base])[1][0]:
+            raise ValueError(f"base {word(self.base)!r} not in domain")
 
     @property
     def size(self) -> int:
         return self.walk.size
 
-    def source_rows(self, sources: list[str]) -> np.ndarray:
-        """The Green rows G(s, .) of the given solved words, one per source."""
-        missing = [s for s in sources if s not in self.row_index]
-        if missing:
-            raise ValueError(f"no solved Green row for {missing}")
-        return self.green[[self.row_index[s] for s in sources]]
+    def row_positions(self, codes) -> np.ndarray:
+        """Rows of ``green`` that hold the solved words with the given heap
+        indices; raises ValueError naming the words with no solved row."""
+        codes = np.asarray(codes, dtype=np.int64)
+        pos, inside = locate(self._sorted, codes)
+        if not inside.all():
+            raise ValueError(f"no solved Green row for {[word(c) for c in codes[~inside]]}")
+        return self._order[pos]
 
-    def green_entry(self, s: str, t: str) -> float:
-        return float(self.green[self.row_index[s], self.walk.index[t]])
+    def source_rows(self, sources) -> np.ndarray:
+        """The Green rows G(s, .) of the given solved words, one per source."""
+        return self.green[self.row_positions(sources)]
+
+    def green_entry(self, s: int, t: int) -> float:
+        return float(self.green[self.row_positions([s])[0], self.walk.positions([t])[0]])
 
     def diagonal_bound_gap(self) -> float:
         """max over the solved v of G(v,v) - 1/(1 - lam), lam the walk's norm
         bound; nonpositive when the diagonal bound holds."""
-        diag = self.green[np.arange(len(self.rows)), [self.walk.index[v] for v in self.rows]]
+        diag = self.green[np.arange(len(self.rows)), self.walk.positions(self.rows)]
         return float(diag.max() - 1.0 / (1.0 - self.walk.norm_bound))
 
 
-def green_table(walk: TransitionMatrix, base: str = EMPTY, solver_tol: float = SOLVER_TOL) -> KernelTable:
-    """Solve (I - W) G = I for the walk's weights W on its domain.
+def green_table(walk: TransitionMatrix, base: int = 0, solver_tol: float = SOLVER_TOL) -> KernelTable:
+    """Solve (I - W) G = I for the walk's weights W on its domain; the base
+    defaults to the root (heap index 0).
 
     Raises if the certified top of the norm on the weighted l2 space reaches
     1 - 1e-6 (invalid input) or if the solve residual exceeds the tolerance.
@@ -144,38 +157,39 @@ def green_table(walk: TransitionMatrix, base: str = EMPTY, solver_tol: float = S
     return KernelTable(walk, base, green, residual, norm_interval, gap)
 
 
-def green_rows(
-    walk: TransitionMatrix, sources: list[str], base: str = EMPTY, solver_tol: float = SOLVER_TOL
-) -> KernelTable:
-    """The Green rows of the sources and of the base, on a domain of any
-    size: one transposed solve per distinct word.
+def green_rows(walk: TransitionMatrix, sources, base: int = 0, solver_tol: float = SOLVER_TOL) -> KernelTable:
+    """The Green rows of the sources and of the base (heap indices), on a
+    domain of any size: one transposed solve per distinct word.
 
     Raises ValueError for a word outside the domain, and like green_table on
     the norm guard and when the worst row residual exceeds the tolerance.
     """
-    rows = list(dict.fromkeys(list(sources) + [base]))
-    missing = [s for s in rows if s not in walk.index]
-    if missing:
-        raise ValueError(f"Green rows asked for words outside the domain: {missing}")
-    solved, residual, norm_interval, gap = _green_solve(walk, solver_tol, [walk.index[s] for s in rows])
+    rows = np.array(list(dict.fromkeys([int(s) for s in sources] + [int(base)])), dtype=np.int64)
+    pos, inside = locate(walk.codes, rows)
+    if not inside.all():
+        raise ValueError(f"Green rows asked for words outside the domain: {[word(c) for c in rows[~inside]]}")
+    solved, residual, norm_interval, gap = _green_solve(walk, solver_tol, pos)
     return KernelTable(walk, base, np.ascontiguousarray(solved.T), residual, norm_interval, gap, rows=rows)
 
 
 def _green_solve(
-    walk: TransitionMatrix, solver_tol: float, rows: list[int] | None = None
+    walk: TransitionMatrix, solver_tol: float, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, tuple[float, float], float]:
     """The one solver core behind green_table and green_rows.
 
-    With ``rows`` None it solves (I - W) X = I for the full table; with a
-    list of domain indices it solves (I - W)^T X = E, whose columns are the
-    Green rows at those indices.  Both are columns of (I - A)^-1 with A = W on
-    the weights m = qdim^2, or A = W^T on the dual weights 1/m, where the norm
-    is the same.  The unit columns are solved in panels of _PANEL, each with
-    its residual A X - X + E and its diagonal taken before it is stored, so no
-    n x n right-hand side, residual or copy is formed; both gates cover every
-    column.  The panels are split into runs, one per usable CPU, at most one
-    per panel and per _RUN_ENTRIES entries of X; the caller solves the first
-    and a thread pool the others.
+    With ``rows`` None it solves (I - W) X = I for the full table; with an
+    array of domain positions it solves (I - W)^T X = E, whose columns are the
+    Green rows at those positions.  Both are columns of (I - A)^-1 with A = W
+    on the weights m = qdim^2, or A = W^T on the dual weights 1/m, where the
+    norm is the same.  The unit columns are solved in panels of _PANEL, each
+    with its residual A X - X + E and its diagonal taken before it is stored,
+    so no n x n right-hand side, residual or copy is formed; both gates cover
+    every column.  The panels are split into runs, one per usable CPU, at most
+    one per panel and per _RUN_ENTRIES entries of X; the caller solves the
+    first and a thread pool the others.  The Neumann series of the checked
+    columns (three of the table, every row of a rows solve) needs A only: with
+    more than one usable CPU and at least _RUN_ENTRIES entries over its steps
+    it runs on the pool while the caller factorises, and inline otherwise.
     The norm interval is iterated until its top is at most the walk's norm
     bound; the top guards the solve and bounds the Neumann tail.
     Returns (X, residual, norm interval, Neumann gap).
@@ -189,7 +203,6 @@ def _green_solve(
     top = norm_interval[1]
     if top >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm bound {top} too close to 1; Green kernel unreliable")
-    lu = splu(sp.identity(n, format="csc") - w.tocsc())
     if rows is None:
         # the Neumann check samples three columns of the table
         a, weights, units, trans, checked = w, m, np.arange(n), "N", sorted({0, (n - 1) // 2, n - 1})
@@ -226,9 +239,15 @@ def _green_solve(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, len(starts), math.ceil(n * len(units) / _RUN_ENTRIES))
     runs = [starts[k * len(starts) // workers:(k + 1) * len(starts) // workers] for k in range(workers)]
+    checked_units = units[checked]
+    steps = _neumann_steps(top)
+    beside = cpus > 1 and n * len(checked_units) * steps >= _RUN_ENTRIES
     with ThreadPoolExecutor(workers) as pool:
+        series = pool.submit(_neumann_series, a, checked_units, steps) if beside else None
+        lu = splu(sp.identity(n, format="csc") - w.tocsc())
         others = pool.map(solve_run, runs[1:])
         numbers = solve_run(runs[0]) + [pair for run in others for pair in run]
+        partial_sums = series.result() if beside else _neumann_series(a, checked_units, steps)
     residuals, diagonals = zip(*numbers)
     # np.max and np.min keep a NaN of any panel, as one max over the table did
     residual = float(np.max(residuals))
@@ -236,25 +255,34 @@ def _green_solve(
         raise RuntimeError(f"Green solve residual {residual} above tolerance {solver_tol}")
     if np.min(diagonals) <= 0.0:
         raise RuntimeError("Green kernel diagonal not positive")
-    gap = _neumann_gap(a, x[:, checked], units[checked], weights, top)
+    gap = _neumann_gap(x[:, checked], partial_sums, checked_units, weights, top, steps)
     return x, residual, norm_interval, gap
 
 
-def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, tail_norm: float) -> float:
-    """Compare solved columns of (I - A)^-1, the ones at the given unit
-    vectors, against the truncated Neumann series; returns the largest excess
-    over the rigorous tail bound (<= 0 is a pass).  Entry i of column j is off
-    by at most tail * sqrt(weights[j] / weights[i]) on the weighted space."""
-    steps = _neumann_steps(tail_norm)
-    vec = np.zeros_like(cols)
+def _neumann_series(a, units: np.ndarray, steps: int) -> np.ndarray:
+    """The truncated Neumann series sum_{k <= steps} A^k e_u of (I - A)^-1,
+    one column per given unit vector e_u."""
+    vec = np.zeros((a.shape[0], len(units)))
     vec[units, np.arange(len(units))] = 1.0
     acc = vec.copy()
     for _ in range(steps):
         vec = a @ vec
         acc += vec
+    return acc
+
+
+def _neumann_gap(
+    cols: np.ndarray, partial_sums: np.ndarray, units: np.ndarray, weights: np.ndarray, tail_norm: float,
+    steps: int,
+) -> float:
+    """Compare solved columns of (I - A)^-1, the ones at the given unit
+    vectors, against their Neumann series truncated after ``steps`` terms;
+    returns the largest excess over the rigorous tail bound (<= 0 is a pass).
+    Entry i of column j is off by at most tail * sqrt(weights[j] / weights[i])
+    on the weighted space."""
     tail = tail_norm ** (steps + 1) / (1.0 - tail_norm)
     bound = tail * np.sqrt(weights[units][None, :] / weights[:, None]) + 1e-12
-    return float((np.abs(cols - acc) - bound).max())
+    return float((np.abs(cols - partial_sums) - bound).max())
 
 
 def _neumann_steps(tail_norm: float) -> int:
@@ -293,17 +321,17 @@ class HarnackReport:
     passes: bool
 
 
-def _interior_block(table: KernelTable, interior: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """G(s, t) and the tree distance d(s, t) over the interior words, from
-    the table's rows and its walk's heap indices."""
-    idx = [table.walk.index[w] for w in interior]
-    codes = table.walk.codes[idx]
-    g = table.green[np.ix_([table.row_index[w] for w in interior], idx)]
+def _interior_block(table: KernelTable, interior) -> tuple[np.ndarray, np.ndarray]:
+    """G(s, t) and the tree distance d(s, t) over the interior words, given
+    by heap indices, from the table's rows."""
+    codes = np.asarray(interior, dtype=np.int64)
+    g = table.green[np.ix_(table.row_positions(codes), table.walk.positions(codes))]
     return g, tree_distances(codes[:, None], codes[None, :])
 
 
-def harnack_audit(table: KernelTable, delta0: float, k_steps: int, interior: list[str]) -> HarnackReport:
-    """Exhaustive scan of the two Harnack inequalities over interior triples;
+def harnack_audit(table: KernelTable, delta0: float, k_steps: int, interior) -> HarnackReport:
+    """Exhaustive scan of the two Harnack inequalities over interior triples
+    (the interior given by heap indices);
     the empirical delta is the largest constant that passes, compared against
     the chain bound delta0^K."""
     g, dist = _interior_block(table, interior)
@@ -336,9 +364,9 @@ class MultiplicativityReport:
         return self.c1_lower <= self.lower_bound * (1 + 1e-12), self.c1_upper <= self.upper_bound * (1 + 1e-12)
 
 
-def multiplicativity_audit(table: KernelTable, delta: float, interior: list[str]) -> MultiplicativityReport:
+def multiplicativity_audit(table: KernelTable, delta: float, interior) -> MultiplicativityReport:
     """Measure both geodesic multiplicativity constants over interior triples
-    s, t with v on the geodesic: the largest G(s,v)G(v,t)/G(s,t) against
+    s, t with v on the geodesic (the interior given by heap indices): the largest G(s,v)G(v,t)/G(s,t) against
     1/(1-lam) and the largest G(s,t)/(G(s,v)G(v,t)) against 3(2/delta^2)^(S-1),
     with lam the norm bound and S the range of the table's walk."""
     g, dist = _interior_block(table, interior)
@@ -360,79 +388,78 @@ def multiplicativity_audit(table: KernelTable, delta: float, interior: list[str]
     )
 
 
-def entry_set(branch_domain: list[str], x: str, range_bound: int) -> list[str]:
+def entry_set(branch_domain: np.ndarray, x: int, range_bound: int) -> np.ndarray:
     """The cut through which every path must enter the branch of x: branch
-    vertices within the open ball of the walk range around x."""
-    return [u for u in branch_domain if tree_distance(u, x) < range_bound]
+    vertices within the open ball of the walk range around x (heap indices)."""
+    branch_domain = np.asarray(branch_domain, dtype=np.int64)
+    return branch_domain[tree_distances(branch_domain, x) < range_bound]
 
 
-def last_entry_audit(x: str, s: str, t: str, full_table: KernelTable, branch_table: KernelTable) -> float:
+def last_entry_audit(x: int, s: int, t: int, full_table: KernelTable, branch_table: KernelTable) -> float:
     """Relative residual of the last-entry decomposition
     G(s,t) = sum_u M(s,u) G_branch(u,t) over the entry cut of the branch of x,
     where M(s,u) sums paths of the walk of ``full_table`` whose final step
-    enters the branch from outside.
+    enters the branch from outside.  Words are heap indices.
 
     With the branch table truncated at the same radius as the full table the
     identity is exact up to solver error.
     """
-    if s.endswith(x):
+    if ends_with([s], x)[0]:
         raise ValueError("source must lie outside the branch")
-    if not t.endswith(x):
+    if not ends_with([t], x)[0]:
         raise ValueError("target must lie inside the branch")
     walk = full_table.walk
-    outside = [i for i, w in enumerate(walk.domain) if not w.endswith(x)]
-    cut = entry_set(branch_table.walk.domain, x, walk.range_bound)
-    si = full_table.row_index[s]
+    outside = np.flatnonzero(~ends_with(walk.codes, x))
+    cut = entry_set(branch_table.walk.codes, x, walk.range_bound)
+    si = full_table.row_positions([s])[0]
     # M(s, .) = sum over outside v of G(s, v) P(v, .)
     m_s = walk.matrix[outside].T @ full_table.green[si, outside]
     lhs = full_table.green_entry(s, t)
     rhs = 0.0
-    for u in cut:
-        rhs += float(m_s[walk.index[u]]) * branch_table.green_entry(u, t)
+    for u, i in zip(cut.tolist(), walk.positions(cut).tolist()):
+        rhs += float(m_s[i]) * branch_table.green_entry(u, t)
     return abs(lhs - rhs) / lhs
 
 
-def ray_words(preperiod: str, period: str, suffix: str, depth: int) -> list[str]:
+def ray_words(preperiod: str, period: str, suffix: str, depth: int) -> np.ndarray:
     """Finite truncations of the eventually periodic left-infinite word
-    ...period period preperiod suffix, deepest last."""
+    ...period period preperiod suffix, deepest last, as heap indices."""
     if not period:
         raise ValueError("period must be nonempty")
     out = []
     w = preperiod + suffix
     while len(w) <= depth:
         if w:
-            out.append(w)
+            out.append(heap_index(w))
         w = period + w
     if not out:
         raise ValueError("ray does not reach the domain")
-    return out
+    return np.array(out, dtype=np.int64)
 
 
-def martin_rows(
-    table: KernelTable, sources: list[str], targets: list[str], root: KernelTable | None = None
-) -> np.ndarray:
+def martin_rows(table: KernelTable, sources, targets, root: KernelTable | None = None) -> np.ndarray:
     """Martin kernel K(s, t) = G(s, t) / G_root(base, t), rows by source and
-    columns by target.  The root table defaults to ``table``; the classical
-    rows of the ball normalise the perturbed branch table.  Raises
-    ValueError when a source has no solved row or a target lies outside
-    either domain."""
+    columns by target, all heap indices.  The root table defaults to
+    ``table``; the classical rows of the ball normalise the perturbed branch
+    table.  Raises ValueError when a source has no solved row or a target
+    lies outside either domain."""
     root = table if root is None else root
-    try:
-        cols = [table.walk.index[t] for t in targets]
-        root_cols = cols if root.walk is table.walk else [root.walk.index[t] for t in targets]
-    except KeyError as exc:
-        raise ValueError(f"ray leaves the domain at {exc.args[0]!r}") from None
-    denom = root.green[root.row_index[root.base], root_cols]
+    targets = np.asarray(targets, dtype=np.int64)
+    cols, inside = locate(table.walk.codes, targets)
+    root_cols, root_inside = (cols, inside) if root.walk is table.walk else locate(root.walk.codes, targets)
+    if not (inside & root_inside).all():
+        raise ValueError(f"ray leaves the domain at {word(targets[~(inside & root_inside)][0])!r}")
+    denom = root.green[root.row_positions([root.base])[0], root_cols]
     # a zero G(e, t) leaves the Martin kernel undefined: raise, as float division does
     with np.errstate(divide="raise", invalid="raise"):
         return table.source_rows(sources)[:, cols] / denom[None, :]
 
 
-def tail_decreasing(source: str, ray: list[str], values: np.ndarray, floor: float = 1e-11) -> bool:
+def tail_decreasing(source: int, ray: np.ndarray, values: np.ndarray, floor: float = 1e-11) -> bool:
     """True if past the junction of the source with the ray (its first
     closest point) the gaps |K(s, t_n+1) - K(s, t_n)| of the kernel values
-    along the ray strictly decrease until they reach the numerical floor."""
-    dists = [tree_distance(source, t) for t in ray]
-    tail = np.abs(np.diff(values))[dists.index(min(dists)):]
+    along the ray strictly decrease until they reach the numerical floor;
+    the source and the ray are heap indices."""
+    dists = tree_distances(source, ray)
+    tail = np.abs(np.diff(values))[int(np.argmin(dists)):]
     return not bool(np.any((tail[1:] >= tail[:-1]) & (tail[1:] > floor)))
-

@@ -13,7 +13,10 @@ weight itself, so the branch walk is the classical branch walk with its matrix
 less a correction on the traced entries, a few per level.  The classical
 branch walk is BranchContext.walk, which every function here reads.  Both are
 sparse and feed the same Green-kernel solver.  The perturbed walk keeps the
-classical measure, whose norm bound also bounds it (|qhat| <= p).
+classical measure, whose norm bound also bounds it (|qhat| <= p).  The walks
+name their words by heap index; the coefficients are traced on the
+intertwiner stack, which works on strings, so the branch's heap indices are
+converted to words where the entries are listed (required_entries).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import scipy.sparse as sp
 from .fusion import TransitionMatrix, fuse
 from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply
 from .kernels import SOLVER_TOL, KernelTable, green_table
-from .words import branch, involution, qdim
+from .words import branch, code_lengths, heap_index, involution, qdim, word
 
 RESIDUAL_FLOOR = 1e-12
 DOMINATION_TOL = 1e-12
@@ -206,9 +209,11 @@ def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, floa
 
 def required_entries(ctx: BranchContext) -> list[tuple[str, str, str]]:
     """All (u, s, t) coefficient triples needed to assemble the perturbed
-    branch matrix of the walk's measure on the truncated branch."""
-    walk, support = ctx.walk, ctx.walk.mu.dual().support
-    return [(u, t, s) for t in walk.domain for u in support for s in fuse(u, t) if s in walk.index]
+    branch matrix of the walk's measure on the truncated branch, as words for
+    the intertwiner stack, in the order of the branch's heap indices."""
+    codes, support = ctx.walk.codes.tolist(), ctx.walk.mu.dual().support
+    inside = set(codes)
+    return [(u, t, s) for t in map(word, codes) for u in support for s in fuse(u, t) if heap_index(s) in inside]
 
 
 def q_matrix(ctx: BranchContext) -> TransitionMatrix:
@@ -242,11 +247,13 @@ def _traced(ctx: BranchContext, term) -> sp.csr_matrix:
     if blocked:
         raise TensorCapError(blocked[:8], cap)
     walk, mud, q = ctx.walk, ctx.walk.mu.dual(), ctx.q
+    rows = walk.positions([heap_index(t) for (u, s, t) in traced]).tolist()
+    cols = walk.positions([heap_index(s) for (u, s, t) in traced]).tolist()
     out = sp.dok_matrix((walk.size, walk.size))
-    for (u, s, t) in traced:
+    for (u, s, t), i, j in zip(traced, rows, cols):
         m_s, m_t = qdim(s, q), qdim(t, q)
         p = m_t / (qdim(u, q) * m_s)
-        out[walk.index[t], walk.index[s]] += mud.weight(u) * (m_s / m_t) ** 2 * term(u, s, t, p)
+        out[i, j] += mud.weight(u) * (m_s / m_t) ** 2 * term(u, s, t, p)
     return out.tocsr()
 
 
@@ -289,9 +296,9 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
     per_length: dict[int, float] = {}
     n_pairs = 0
     coo = sp.coo_matrix(resid)
-    for i, value in zip(coo.row.tolist(), coo.data.tolist()):
+    row_lengths = code_lengths(ctx.walk.codes)[coo.row].tolist()
+    for length, value in zip(row_lengths, coo.data.tolist()):
         if value > RESIDUAL_FLOOR:
-            length = len(ctx.walk.domain[i])
             per_length[length] = max(per_length.get(length, 0.0), value)
             n_pairs += 1
     if len(per_length) < MIN_DECAY_LENGTHS:
@@ -316,7 +323,7 @@ def green_Q(ctx: BranchContext, solver_tol: float = SOLVER_TOL) -> tuple[Transit
     branch, through the same solver as the classical tables (raising
     RuntimeError when the solve residual exceeds ``solver_tol``)."""
     walk = q_matrix(ctx)
-    return walk, green_table(walk, base=ctx.z, solver_tol=solver_tol)
+    return walk, green_table(walk, base=heap_index(ctx.z), solver_tol=solver_tol)
 
 
 @dataclass
@@ -345,8 +352,8 @@ def gdif_audit(
         sub = branch(x, ctx.radius)
         if len(sub) < 2:
             raise ValueError(f"sub-branch of {x!r} too small at radius {ctx.radius}")
-        g_q = green_table(q_walk.restrict(sub), base=x, solver_tol=solver_tol)
-        g_p = green_table(ctx.walk.restrict(sub), base=x, solver_tol=solver_tol)
+        g_q = green_table(q_walk.restrict(sub), base=heap_index(x), solver_tol=solver_tol)
+        g_p = green_table(ctx.walk.restrict(sub), base=heap_index(x), solver_tol=solver_tol)
         rels.append(float((np.abs(g_q.green - g_p.green) / g_p.green).max()))
     q = ctx.q
     anchored = rels[0] / (q ** len(x_list[0]))

@@ -6,17 +6,20 @@ obtained from the other by adding one letter on the left, so the ball of
 radius R around the root is the binary left-extension tree truncated at
 depth R.
 
-Strings are the API and the serialized form.  Array code works on one
-integer encoding, the heap index ``2^len(w) - 1 + bits(w)``, where ``bits``
-reads a as 0 and b as 1 with the *last* letter as bit 0.  Heap indices
-enumerate ``ball`` order (by length, then a < b), prepending a letter to a
-word of length L adds 2^L to its bits, and the common suffix of two words of
-lengths L, M has length ``min(ctz(bits xor bits'), L, M)``.
+Every vertex has one integer name, its heap index ``2^len(w) - 1 + bits(w)``,
+where ``bits`` reads a as 0 and b as 1 with the *last* letter as bit 0.  The
+tree stack names vertices by heap index only: ``ball`` and ``branch`` return
+sorted int64 arrays of them, heap order is ``ball`` order (by length, then
+a < b), so a word's position in a ball is its heap index, and a branch of x
+is the set of indices whose low len(x) bits spell x (``ends_with``).
+Prepending a letter to a word of length L adds 2^L to its bits, and the
+common suffix of two words of lengths L, M has length
+``min(ctz(bits xor bits'), L, M)``.  Strings are the serialized form and the
+names the intertwiner stack works on: ``heap_index``/``heap_indices`` and
+``word``/``ball_words`` convert between the two.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -28,6 +31,7 @@ BALL_RADIUS_CAP = 20
 
 _BAR = {"a": "b", "b": "a"}
 _TO_BITS = str.maketrans("ab", "01")
+_FROM_BITS = str.maketrans("01", "ab")
 
 
 class RadiusCapError(ValueError):
@@ -47,7 +51,10 @@ def parse_word(text: str) -> str:
     return check_word(text)
 
 
-def format_word(w: str) -> str:
+def format_word(w) -> str:
+    """The serialized form of a word, given as a string or by its heap index."""
+    if not isinstance(w, str):
+        w = word(w)
     return w if w else "e"
 
 
@@ -147,6 +154,15 @@ def heap_index(w: str) -> int:
     return int("1" + check_word(w).translate(_TO_BITS), 2) - 1
 
 
+def word(code) -> str:
+    """The word with the given heap index, the inverse of heap_index."""
+    code = int(code)
+    if code < 0:
+        raise ValueError(f"heap index must be >= 0, got {code}")
+    length = (code + 1).bit_length() - 1
+    return format(code + 1 - (1 << length), f"0{length}b").translate(_FROM_BITS) if length else EMPTY
+
+
 def heap_indices(domain) -> np.ndarray:
     """Heap indices of a sequence of words, as an int64 array."""
     arr = np.array(list(domain), dtype=str)
@@ -208,20 +224,55 @@ def _check_radius(radius: int) -> None:
         )
 
 
-def ball(radius: int) -> list[str]:
-    """All words of length <= radius, in length-lexicographic order (a < b),
-    which is heap-index order."""
+def ball(radius: int) -> np.ndarray:
+    """The heap indices of all words of length <= radius, 0 .. 2^(radius+1) - 2:
+    length-lexicographic order (a < b)."""
     _check_radius(radius)
-    out = [EMPTY]
-    for length in range(1, radius + 1):
-        out.extend("".join(p) for p in product(ALPHABET, repeat=length))
+    return np.arange((1 << (radius + 1)) - 1, dtype=np.int64)
+
+
+def ball_words(radius: int) -> list[str]:
+    """The words of the ball as strings, in heap order, one table per level:
+    the level of length L + 1 is each word of length L followed by a, then
+    by b, since bits(w c) = 2 bits(w) + c."""
+    _check_radius(radius)
+    level, out = [EMPTY], [EMPTY]
+    for _ in range(radius):
+        level = [w + c for w in level for c in ALPHABET]
+        out += level
     return out
 
 
-def branch(x: str, radius: int) -> list[str]:
-    """The branch of words ending in x, truncated to the ball of the given radius:
-    all ux with len(u) <= radius - len(x), in length-lexicographic order of u."""
-    check_word(x)
+def ends_with(codes: np.ndarray, x: int) -> np.ndarray:
+    """Whether each word, given by heap index, ends in the word with heap
+    index x: its length is at least len(x) and its low len(x) bits are x's."""
+    codes = np.asarray(codes, dtype=np.int64)
+    k = (int(x) + 1).bit_length() - 1
+    lengths = code_lengths(codes)
+    low = (codes + 1 - (np.int64(1) << lengths)) & ((1 << k) - 1)
+    return (lengths >= k) & (low == int(x) + 1 - (1 << k))
+
+
+def branch(x: str, radius: int) -> np.ndarray:
+    """The branch of words ending in x, truncated to the ball of the given
+    radius, as sorted heap indices: every ux with len(u) <= radius - len(x),
+    in length-lexicographic order of u."""
+    tail = heap_index(x) + 1 - (1 << len(x))
     if radius > BALL_RADIUS_CAP:
         raise RadiusCapError(f"radius {radius} exceeds the cap {BALL_RADIUS_CAP}")
-    return [u + x for u in ball(radius - len(x))] if radius >= len(x) else []
+    # the words of length L ending in x: L - len(x) free high bits above bits(x)
+    levels = [(1 << length) - 1 + (np.arange(1 << (length - len(x)), dtype=np.int64) << len(x)) + tail
+              for length in range(len(x), radius + 1)]
+    return np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)
+
+
+def locate(domain: np.ndarray, codes) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, inside) of the given heap indices in a domain of sorted,
+    distinct heap indices: the index itself when the domain is a ball,
+    np.searchsorted otherwise; a position is meaningful where inside holds."""
+    codes = np.asarray(codes, dtype=np.int64)
+    n = len(domain)
+    if n and domain[-1] == n - 1:
+        return codes, (codes >= 0) & (codes < n)
+    pos = np.minimum(np.searchsorted(domain, codes), max(n - 1, 0))
+    return pos, (domain[pos] == codes) if n else np.zeros(codes.shape, dtype=bool)

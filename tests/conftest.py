@@ -46,7 +46,7 @@ def mu_mixed():
 def walk8(mu_letters):
     domain = ball(8)
     tm = transition_matrix(mu_letters, domain, Q_DEFAULT)
-    return tm, green_table(tm, base="")
+    return tm, green_table(tm)
 
 
 def branch_context(engine, mu, z, radius):

@@ -47,7 +47,17 @@ from aufwalk.perturbed import (
     required_entries,
     residual_matrix,
 )
-from aufwalk.words import ball, branch, classical_dim, indecomposable_factors, involution, qdim
+from aufwalk.words import (
+    ball,
+    branch,
+    classical_dim,
+    code_lengths,
+    heap_index,
+    heap_indices,
+    indecomposable_factors,
+    involution,
+    qdim,
+)
 from aufwalk.cli import main as cli_main
 
 QS = (0.3, 0.5, 0.7)
@@ -70,7 +80,7 @@ def engines():
 @pytest.fixture(scope="module")
 def walk10():
     tm = transition_matrix(MU_AB, ball(10), 0.5)
-    return tm, green_table(tm, base="")
+    return tm, green_table(tm)
 
 
 def test_c01_stochasticity():
@@ -78,9 +88,9 @@ def test_c01_stochasticity():
     for q in QS:
         for mu in (MU_A, MU_AB, MU_MIX):
             tm = transition_matrix(mu, ball(10), q)
-            interior = tm.interior_words(10)
-            sums = tm.row_sums()
-            worst = max(worst, max(abs(sums[tm.index[w]] - 1.0) for w in interior))
+            # the words farther than the range from the length-10 frontier
+            interior = code_lengths(tm.codes) < 10 - tm.range_bound
+            worst = max(worst, float(np.abs(tm.row_sums()[interior] - 1.0).max()))
     criterion(1, "interior row sums equal 1 on ball(10)", worst < 1e-12, f"max gap {worst:.2e}")
 
 
@@ -251,7 +261,8 @@ def test_c11_harnack_and_multiplicativity():
         tm = transition_matrix(MU_AB, ball(8), q)
         table = green_table(tm)
         delta0, k = uniform_irreducibility_constants(tm, k_max=3)
-        interior = [w for w in tm.domain if 8 - len(w) > tm.range_bound and len(w) <= 6]
+        lengths = code_lengths(tm.codes)
+        interior = tm.codes[(8 - lengths > tm.range_bound) & (lengths <= 6)]
         har = harnack_audit(table, delta0, k, interior)
         mult = multiplicativity_audit(table, delta0 ** k, interior)
         ok = ok and har.passes and all(mult.verdicts())
@@ -271,21 +282,21 @@ def test_c12_branch_green_envelope(engines):
 
 def test_c13_last_entry(walk10):
     tm, table = walk10
-    sub = branch("a", 10)
-    branch_table = green_table(tm.restrict(sub), base="a")
+    sub, x = branch("a", 10), heap_index("a")
+    branch_table = green_table(tm.restrict(sub), base=x)
     worst = 0.0
-    for s in ("b", "ab", "bb"):
-        for t in ("a", "aa", "aba", "baa"):
-            worst = max(worst, last_entry_audit("a", s, t, table, branch_table))
+    for s in heap_indices(["b", "ab", "bb"]):
+        for t in heap_indices(["a", "aa", "aba", "baa"]):
+            worst = max(worst, last_entry_audit(x, s, t, table, branch_table))
     ok = worst < 1e-8
     # range-2 measure: residual must stay below the combined truncation bounds
     tm2 = transition_matrix(MU_MIX, ball(10), 0.5)
-    table2 = green_table(tm2, base="")
-    branch2 = green_table(tm2.restrict(sub), base="a")
+    table2 = green_table(tm2)
+    branch2 = green_table(tm2.restrict(sub), base=x)
     worst2 = 0.0
     combined = math.inf
     for s, t in (("b", "aa"), ("ab", "a")):
-        worst2 = max(worst2, last_entry_audit("a", s, t, table2, branch2))
+        worst2 = max(worst2, last_entry_audit(x, heap_index(s), heap_index(t), table2, branch2))
         combined = min(
             combined,
             truncation_error_bound(10, s, t, tm2) + truncation_error_bound(10, "a", t, tm2),
@@ -302,10 +313,10 @@ def test_c14_boundary_profiles(engines):
         eng = IntertwinerEngine(ModelConfig.from_q(q, n=2, tensor_cap=10))
         tm = transition_matrix(MU_AB, ball(7), eng.q)
         ctx = BranchContext(eng, tm, "a", 7)
-        full = green_table(tm, base="")
+        full = green_table(tm)
         _, q_table = green_Q(ctx)
         ray = ray_words("", "a", "a", 6)
-        sources = ["a" * k for k in range(1, 6)]
+        sources = heap_indices(["a" * k for k in range(1, 6)])
         k_p = martin_rows(full, sources, ray)
         k_q = martin_rows(q_table, sources, ray, root=full)
         trend = np.abs(k_q[:, -1] / k_p[:, -1] - 1.0)

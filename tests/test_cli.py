@@ -23,7 +23,7 @@ from aufwalk.cli import (
     write_csv,
 )
 from aufwalk.intertwiners import Intertwiner, IntertwinerEngine
-from aufwalk.words import ball, format_word
+from aufwalk.words import ball, ball_words, format_word, heap_index, heap_indices
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "config.example.json")
 GOLDEN_TWO_RAYS = str(Path(__file__).resolve().parent / "golden" / "two_rays.json")
@@ -295,14 +295,17 @@ class TestWalk:
         ({"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2}, 2),
     ])
     def test_interior_row_gap_matches_the_interior_words(self, tmp_path, measure, radius):
-        """The interior by code lengths is the word list of interior_words;
-        radius <= range leaves it empty and the gap 0.0."""
+        """The gap is the largest |row sum - 1| over the code-length mask of
+        the interior, which holds exactly the words farther than the range
+        from the length-radius frontier; radius <= range leaves it empty and
+        the gap 0.0."""
         cfg = load_config(str(make_config(tmp_path, ballRadius=radius, measure=measure)))
         tm = fusion.transition_matrix(cfg.measure, ball(radius), cfg.q)
-        interior = tm.interior_words(radius)
-        want = max((abs(tm.row_sums()[tm.index[w]] - 1.0) for w in interior), default=0.0)
+        interior = words.code_lengths(tm.codes) < radius - tm.range_bound
+        assert interior.tolist() == [radius - len(w) > tm.range_bound for w in ball_words(radius)]
+        want = max((abs(tm.row_sums()[i] - 1.0) for i in np.flatnonzero(interior)), default=0.0)
         assert cli._interior_row_gap(cfg, tm) == want
-        assert bool(interior) == (radius > tm.range_bound)
+        assert interior.any() == (radius > tm.range_bound)
 
 
 def row_csv(header, rows):
@@ -390,25 +393,29 @@ class TestCsvEmitter:
         domain = ball(12)
         assert len(domain) > kernels.DENSE_LIMIT
         tm = fusion.transition_matrix(cfg.measure, domain, cfg.q)
-        rows = kernels.green_rows(tm, cfg.sources, solver_tol=cfg.solver_tol)
-        base = rows.source_rows([""])[0]
+        rows = kernels.green_rows(tm, heap_indices(cfg.sources), solver_tol=cfg.solver_tol)
+        base = rows.source_rows([0])[0]
         lines = ["s,t,G,K,truncationBound"]
         for s in cfg.sources:
             bounds = kernels.truncation_error_bound(12, s, np.arange(len(domain)), tm)
-            for t, g, b, bound in zip(domain, rows.source_rows([s])[0].tolist(), base.tolist(), bounds.tolist()):
+            g_row = rows.source_rows([heap_index(s)])[0]
+            for t, g, b, bound in zip(ball_words(12), g_row.tolist(), base.tolist(), bounds.tolist()):
                 lines.append(f"{format_word(s)},{format_word(t)},{g:.17g},{g / b:.17g},{bound:.17g}")
         assert_same_text((tmp_path / "out" / "green_martin.csv").read_text(), "\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("radius", [6, 12])
     def test_walk_converts_its_words_once(self, tmp_path, monkeypatch, radius):
-        """One heap_indices call for the ball, on the table path and the row
-        path alike; the generating check, the sub-ball scan and the solver
-        reuse its codes."""
-        calls = []
-        count_conversions(monkeypatch, lambda domain: calls.append(len(domain)))
+        """One heap_indices call, for the configured sources, on the table
+        path and the row path alike: the ball is heap indices from the start,
+        and the generating check, the sub-ball scan and the solver read them.
+        The one string table of the ball is the CSV's word column."""
+        calls, tables = [], []
+        count_conversions(monkeypatch, lambda domain: calls.append(list(domain)))
+        real_table = words.ball_words
+        monkeypatch.setattr(words, "ball_words", lambda r: tables.append(r) or real_table(r))
         path = make_config(tmp_path, ballRadius=radius, sources=["e", "ab"])
         assert main(["walk", str(path)]) == EXIT_OK
-        assert calls == [2 ** (radius + 1) - 1]
+        assert calls == [["", "ab"]] and tables == [radius]
 
     @pytest.mark.parametrize("command, assemblies", [("walk", 1), ("boundary", 1), ("audit", 2)])
     def test_one_classical_assembly_per_walk(self, tmp_path, monkeypatch, command, assemblies):
@@ -421,7 +428,8 @@ class TestCsvEmitter:
         assert main([command, EXAMPLE, "--out", str(tmp_path)]) in (EXIT_OK, EXIT_AUDIT)
         assert len(calls) == assemblies
         cfg = load_config(EXAMPLE)
-        assert calls[0] == ball(cfg.ball_radius if command != "boundary" else cfg.effective_q_radius())
+        want = ball(cfg.ball_radius if command != "boundary" else cfg.effective_q_radius())
+        assert all(np.array_equal(domain, want) for domain in calls)
 
     @pytest.mark.parametrize("command", ["audit", "boundary"])
     def test_green_solves_convert_no_words(self, tmp_path, monkeypatch, command):
@@ -451,21 +459,17 @@ class TestCsvEmitter:
         fields = {f.name for f in dataclasses.fields(kernels.KernelTable)}
         assert "walk" in fields and not fields & {"domain", "index", "lam"}
 
-    def test_audit_converts_each_domain_once(self, tmp_path, monkeypatch):
-        """Two conversions on audit, the walk's ball and the dual walk's ball:
-        the generating check and the branch walks are restrictions that keep
-        their codes."""
+    @pytest.mark.parametrize("command", ["audit", "boundary"])
+    def test_converts_only_its_boundary_sources(self, tmp_path, monkeypatch, command):
+        """No domain is converted on audit or boundary: the walk's ball, the
+        dual walk's ball and the branch walks are heap indices from the start
+        or restrictions that keep them.  The one heap_indices call is the
+        configured boundary sources (five by default at branch radius 7)."""
         calls = []
-        count_conversions(monkeypatch, lambda domain: calls.append(len(domain)))
-        assert main(["audit", EXAMPLE, "--out", str(tmp_path)]) == EXIT_AUDIT
-        assert calls == [511, 511]
-
-    def test_boundary_converts_one_ball(self, tmp_path, monkeypatch):
-        """One conversion on boundary, the ball of the branch radius 7."""
-        calls = []
-        count_conversions(monkeypatch, lambda domain: calls.append(len(domain)))
-        assert main(["boundary", EXAMPLE, "--out", str(tmp_path)]) == EXIT_OK
-        assert calls == [255]
+        count_conversions(monkeypatch, lambda domain: calls.append(list(domain)))
+        assert main([command, EXAMPLE, "--out", str(tmp_path)]) in (EXIT_OK, EXIT_AUDIT)
+        cfg = load_config(EXAMPLE)
+        assert calls == [cli.boundary_sources(cfg, cfg.effective_q_radius())] and len(calls[0]) == 5
 
     def test_zero_base_green_exits_4(self, tmp_path, capsys, monkeypatch):
         # past the generating check, G(e, b) = 0 under the point mass at a trips the Martin guard
@@ -564,7 +568,7 @@ class TestIndecomposableTriples:
     @staticmethod
     def brute_force(limit, cap):
         """The reference: every triple of the word pool, filtered."""
-        for s, v, t in itertools.product(ball(limit - 1), repeat=3):
+        for s, v, t in itertools.product(ball_words(limit - 1), repeat=3):
             if not v or len(s) + len(v) + len(t) > limit or len(s) + 2 * len(v) + len(t) > cap:
                 continue
             vb = words.involution(v)
@@ -606,10 +610,10 @@ class TestBoundarySources:
         ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.effective_q_radius())
         q_walk, inside, outside, per_ray = cli.branch_kernels(cfg, tm, ctx, cfg.rays)
         dense = kernels.green_table(tm, solver_tol=cfg.solver_tol)
-        q_table = kernels.green_table(q_walk, base=ctx.z)
-        assert inside and len(per_ray) == len(cfg.rays)
+        q_table = kernels.green_table(q_walk, base=heap_index(ctx.z))
+        assert inside.size and len(per_ray) == len(cfg.rays)
         for ray, k_p, k_q in per_ray:
-            want_p = kernels.martin_rows(dense, inside + outside, ray)
+            want_p = kernels.martin_rows(dense, np.concatenate([inside, outside]), ray)
             want_q = kernels.martin_rows(q_table, inside, ray, root=dense)
             assert np.abs(k_p / want_p - 1.0).max() <= 1e-13
             assert np.abs(k_q / want_q - 1.0).max() <= 1e-13

@@ -4,6 +4,7 @@ import pytest
 from aufwalk import fusion
 from aufwalk.fusion import (
     Measure,
+    TransitionMatrix,
     dual_audit,
     fuse,
     is_generating,
@@ -13,7 +14,7 @@ from aufwalk.fusion import (
     transition_prob,
     uniform_irreducibility_constants,
 )
-from aufwalk.words import ball, branch, involution, qdim, qnumber
+from aufwalk.words import ball, branch, code_lengths, heap_index, heap_indices, involution, qdim, qnumber, word
 from conftest import random_word
 
 Q = 0.5
@@ -99,10 +100,10 @@ class TestTransitions:
 
     def test_row_sums_interior(self, mu_mixed):
         tm = transition_matrix(mu_mixed, ball(7), Q)
-        interior = tm.interior_words(7)
-        sums = tm.row_sums()
-        gaps = [abs(sums[tm.index[w]] - 1.0) for w in interior]
-        assert max(gaps) < 1e-12
+        # the words farther than the range from the length-7 frontier
+        interior = code_lengths(tm.codes) < 7 - tm.range_bound
+        assert interior.any()
+        assert np.abs(tm.row_sums()[interior] - 1.0).max() < 1e-12
 
     def test_rows_substochastic(self, mu_letters):
         tm = transition_matrix(mu_letters, ball(5), Q)
@@ -115,15 +116,35 @@ class TestTransitions:
 
         for i, j, v in zip(coo.row, coo.col, coo.data):
             if v != 0:
-                assert tree_distance(tm.domain[i], tm.domain[j]) <= tm.range_bound
+                assert tree_distance(word(tm.codes[i]), word(tm.codes[j])) <= tm.range_bound
 
     def test_restrict_is_submatrix(self, mu_letters):
         tm = transition_matrix(mu_letters, ball(5), Q)
         sub = branch("a", 5)
         tms = tm.restrict(sub)
+        assert tms.codes.tolist() == sub.tolist()
         for i, s in enumerate(sub):
             for j, t in enumerate(sub):
-                assert tms.matrix[i, j] == tm.matrix[tm.index[s], tm.index[t]]
+                assert tms.matrix[i, j] == tm.matrix[tm.positions([s])[0], tm.positions([t])[0]]
+
+    @pytest.mark.parametrize("weights", [{"a": 0.5, "b": 0.5}, {"a": 0.25, "b": 0.25, "ab": 0.5}])
+    def test_restrict_by_codes_is_the_branch_assembly(self, weights):
+        """A restriction to a branch, to a sub-ball and to a sorted subset that
+        skips the root equals the assembly there bit for bit; a sub-domain
+        reaching past the walk's ball raises ValueError naming its first word
+        outside, and an unsorted one is refused."""
+        mu = Measure(weights)
+        walk = transition_matrix(mu, ball(6), Q)
+        for sub in (branch("ab", 6), ball(3), np.arange(5, 120, 7)):
+            got, want = walk.restrict(sub).matrix, transition_matrix(mu, sub, Q).matrix
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), part
+        with pytest.raises(ValueError, match="'aaaaaaa' lies outside the walk's domain"):
+            walk.restrict(np.concatenate([branch("a", 6), heap_indices(["aaaaaaa", "bbbbbbbb"])]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            walk.restrict(branch("a", 6)[::-1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TransitionMatrix(np.array([0, 0]), walk.matrix[:2, :2], mu, Q)
 
 
 class TestDualAudit:
@@ -192,18 +213,19 @@ class TestMatrixEntriesMatchScalarRoute:
         tm = transition_matrix(mu_mixed, ball(5), Q)
         for s in ("", "a", "ab", "ba", "bb"):
             for t in ("", "a", "ab", "aab", "abab"):
-                assert tm.matrix[tm.index[s], tm.index[t]] == pytest.approx(
+                assert tm.matrix[heap_index(s), heap_index(t)] == pytest.approx(
                     transition_prob(mu_mixed, s, t, Q), abs=1e-15
                 )
 
 
 class TestAssemblyChecks:
-    """The checks that guard the array assembly catch planted faults."""
+    """The checks that guard the array assembly catch planted faults.  On a
+    ball a word's position is its heap index."""
 
     def test_planted_out_of_range_entry_is_named(self, mu_letters):
         tm = transition_matrix(mu_letters, ball(5), Q)
         mat = tm.matrix.tolil()
-        mat[tm.index["a"], tm.index["bbbb"]] = 1e-3
+        mat[heap_index("a"), heap_index("bbbb")] = 1e-3
         tm.matrix = mat.tocsr()
         with pytest.raises(AssertionError, match=r"\('a', 'bbbb'\) violates the range bound 1 \(distance 5\)"):
             fusion._assert_bounded_range(tm)
@@ -211,7 +233,7 @@ class TestAssemblyChecks:
     @pytest.mark.parametrize("row", ["", "bbbbb"])
     def test_corrupted_sampled_row_fails_the_string_route(self, mu_mixed, row):
         tm = transition_matrix(mu_mixed, ball(5), Q)
-        i = tm.index[row]
+        i = heap_index(row)
         tm.matrix.data[tm.matrix.indptr[i]] *= 1.0 + 1e-12
         with pytest.raises(AssertionError, match="by fusion"):
             fusion._check_sampled_rows(tm)

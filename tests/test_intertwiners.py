@@ -18,7 +18,7 @@ from aufwalk.intertwiners import (
     vtilde_norm_indecomposable,
 )
 from aufwalk.perturbed import BranchContext, exact_by_cut, qhat_entry, required_entries
-from aufwalk.words import ball, classical_dim, indecomposable_factors, involution, qdim, qnumber
+from aufwalk.words import ball, ball_words, classical_dim, indecomposable_factors, involution, qdim, qnumber
 
 Q = 0.5
 
@@ -133,7 +133,7 @@ class TestDualityMaps:
 
 class TestProjections:
     def test_ranks_match_classical_dims(self, engine):
-        for w in ball(7):
+        for w in ball_words(7):
             assert engine.irr_dim(w) == classical_dim(w)
 
     def test_projection_properties(self, engine):
@@ -313,7 +313,7 @@ class TestVtilde:
     def test_matches_outer_product_einsum(self, engine):
         # reference: the 5-index outer product of the inclusion of H_st with
         # the duality vector, contracted against both inclusions at once
-        pool = [w for w in ball(2)] + ["aba", "bab", "aab"]
+        pool = ball_words(2) + ["aba", "bab", "aab"]
         count = 0
         for s, v, t in itertools.product(pool, repeat=3):
             if not v or len(s) + 2 * len(v) + len(t) > 8:

@@ -32,7 +32,7 @@ from aufwalk.kernels import (
     truncation_error_bound,
     weighted_operator_norm,
 )
-from aufwalk.words import ball, branch, heap_indices, qdim, tree_distance
+from aufwalk.words import ball, ball_words, branch, code_lengths, heap_index, heap_indices, qdim, tree_distance, word
 
 Q = 0.5
 EXAMPLE = Path(__file__).resolve().parent.parent / "demos" / "config.example.json"
@@ -157,7 +157,7 @@ class TestGreenTable:
         dom = ball(1)
         tm = transition_matrix(mu_letters, dom, 0.5)
         table = green_table(tm)
-        assert table.green_entry("", "") == pytest.approx(1.0 / 0.92, rel=1e-12)
+        assert table.green_entry(0, 0) == pytest.approx(1.0 / 0.92, rel=1e-12)
 
     def test_residual_and_diag(self, walk8):
         tm, table = walk8
@@ -174,7 +174,7 @@ class TestGreenTable:
 
     def test_dense_and_csr_input_give_identical_tables(self, walk8):
         tm, table = walk8
-        dense = green_table(TransitionMatrix(tm.domain, tm.matrix.toarray(), tm.mu, Q), base="")
+        dense = green_table(TransitionMatrix(tm.codes, tm.matrix.toarray(), tm.mu, Q))
         assert np.array_equal(dense.green, table.green)
         assert (dense.residual, dense.norm_interval, dense.neumann_gap) == (
             table.residual, table.norm_interval, table.neumann_gap
@@ -205,7 +205,7 @@ class TestGreenTable:
         tm, table = walk8
         assert table.residual > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            green_table(tm, base="", solver_tol=table.residual / 2)
+            green_table(tm, solver_tol=table.residual / 2)
 
     def test_memory_is_one_table(self, mu_letters):
         """At ball 10 (2047 words, a 32 MiB table) the solve allocates the
@@ -224,7 +224,7 @@ class TestGreenTable:
         # a stochastic 2-cycle has norm 1 in the flat weighting
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="norm"):
-            green_table(TransitionMatrix(["", "a"], w, Measure({"a": 1.0}), Q))
+            green_table(TransitionMatrix(heap_indices(["", "a"]), w, Measure({"a": 1.0}), Q))
 
     def test_monotone_in_domain(self, mu_letters):
         small = green_table(transition_matrix(mu_letters, ball(4), Q))
@@ -237,7 +237,7 @@ class TestGreenTable:
         dom = ball(6)
         g = green_table(transition_matrix(mu_mixed, dom, Q)).green
         gd = green_table(transition_matrix(mu_mixed.dual(), dom, Q)).green
-        m = np.array([qdim(w, Q) for w in dom]) ** 2
+        m = np.array([qdim(w, Q) for w in ball_words(6)]) ** 2
         lhs = gd * m[:, None]
         rhs = (g * m[:, None]).T
         rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
@@ -266,7 +266,7 @@ class TestPanelPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            other = green_table(tm, base="")
+            other = green_table(tm)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(other.green, table.green)
@@ -277,11 +277,11 @@ class TestPanelPool:
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_rows_of_two_panels_are_the_same_on_any_cpu_count(self, walk8, monkeypatch, cpus):
         tm, _ = walk8
-        sources = tm.domain[1:kernels._PANEL + 2]
-        rows = green_rows(tm, sources, base="")
+        sources = tm.codes[1:kernels._PANEL + 2]
+        rows = green_rows(tm, sources)
         assert len(rows.rows) > kernels._PANEL
         allow_cpus(monkeypatch, cpus, run_entries=1)
-        other = green_rows(tm, sources, base="")
+        other = green_rows(tm, sources)
         assert np.array_equal(other.green, rows.green)
         assert (other.residual, other.norm_interval, other.neumann_gap) == (
             rows.residual, rows.norm_interval, rows.neumann_gap
@@ -294,25 +294,59 @@ class TestPanelPool:
         class Recording(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 super().__init__(max_workers)
-                pools.append([max_workers, 0])
+                pools.append([max_workers, 0, 0])
 
             def submit(self, fn, *args):
-                pools[-1][1] += 1
+                pools[-1][1 if fn is kernels._neumann_series else 2] += 1
                 return super().submit(fn, *args)
 
         monkeypatch.setattr(kernels, "ThreadPoolExecutor", Recording)
         big = transition_matrix(tm.mu, ball(10), Q)
         allow_cpus(monkeypatch, 3)
-        green_table(big)  # 2047^2 entries: eight runs' worth
+        green_table(big)  # 2047^2 entries: eight runs' worth; a series of 2047 x 3 x 60 entries
         green_table(tm)  # 511^2 entries: under one run's worth
         allow_cpus(monkeypatch, 3, run_entries=1)
         green_table(tm)
-        green_rows(tm, ["a", "ba"])
+        green_rows(tm, heap_indices(["a", "ba"]))
         allow_cpus(monkeypatch, 1, run_entries=1)
         green_table(tm)
-        # [workers, runs handed to threads]: the caller solves the first run,
-        # so a one-run solve starts no thread
-        assert pools == [[3, 2], [1, 0], [3, 2], [1, 0], [1, 0]]
+        # [workers, series handed to a thread, runs handed to threads]: the
+        # caller solves the first run, so a one-run solve starts no thread for
+        # its panels, and on one CPU nothing runs beside the factorisation
+        assert pools == [[3, 0, 2], [1, 0, 0], [3, 1, 2], [1, 1, 0], [1, 0, 0]]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_neumann_series_beside_the_factorisation_is_the_serial_one(self, monkeypatch, cpus):
+        """At ball 12 (8191 words, two rows and the base over about 60 steps)
+        the series goes to a worker on two CPUs and stays with the caller on
+        one; the Neumann gap and the rows are bitwise the serial ones.  On two
+        CPUs the factorisation waits for the series to start, so the two must
+        run at once."""
+        tm = transition_matrix(Measure({"a": 0.35, "b": 0.65}), ball(12), Q)
+        sources = heap_indices(["ab", "bba"])
+        allow_cpus(monkeypatch, 1)
+        serial = green_rows(tm, sources)
+        on_main, started = [], threading.Event()
+        real_series, real_splu = kernels._neumann_series, kernels.splu
+
+        def series(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            started.set()
+            return real_series(*args)
+
+        def factorise(a):
+            if cpus > 1:
+                assert started.wait(timeout=30), "the series did not start beside the factorisation"
+            return real_splu(a)
+
+        monkeypatch.setattr(kernels, "_neumann_series", series)
+        monkeypatch.setattr(kernels, "splu", factorise)
+        allow_cpus(monkeypatch, cpus)
+        other = green_rows(tm, sources)
+        assert on_main == [cpus == 1]
+        assert other.neumann_gap == serial.neumann_gap and -1e-11 < other.neumann_gap <= 0.0
+        assert np.array_equal(other.green, serial.green)
+        assert (other.residual, other.norm_interval) == (serial.residual, serial.norm_interval)
 
     def test_cpu_count_stands_in_without_sched_getaffinity(self, walk7, monkeypatch):
         # sched_getaffinity exists on Linux only; os.cpu_count() stands in
@@ -389,7 +423,8 @@ class TestTruncationBound:
         big = green_table(transition_matrix(mu_letters, ball(10), Q))
         for s in ("", "a", "ab"):
             for t in ("", "b", "aa"):
-                gap = abs(big.green_entry(s, t) - small.green_entry(s, t))
+                si, ti = heap_index(s), heap_index(t)
+                gap = abs(big.green_entry(si, ti) - small.green_entry(si, ti))
                 assert gap <= truncation_error_bound(6, s, t, small.walk)
 
     def test_rejects_outside(self, walk8):
@@ -398,7 +433,7 @@ class TestTruncationBound:
 
     def test_heap_index_array_matches_words(self, mu_mixed):
         walk = transition_matrix(mu_mixed, ball(2), Q)
-        domain = ball(5)[::-1][3:40]
+        domain = ball_words(5)[::-1][3:40]
         got = truncation_error_bound(6, "ab", heap_indices(domain), walk)
         assert got.tolist() == [truncation_error_bound(6, "ab", t, walk) for t in domain]
 
@@ -409,7 +444,8 @@ class TestDistanceMatrix:
         # the audits read G and the distances of their interior words off the table and its walk
         table = walk8[1]
         g, dist = kernels._interior_block(table, domain)
-        assert dist.tolist() == [[tree_distance(s, t) for t in domain] for s in domain]
+        words_ = [word(c) for c in domain]
+        assert dist.tolist() == [[tree_distance(s, t) for t in words_] for s in words_]
         assert g.tolist() == [[table.green_entry(s, t) for t in domain] for s in domain]
 
 
@@ -417,7 +453,8 @@ class TestDistanceMatrix:
 def audit_setup(walk8):
     tm, table = walk8
     delta0, k = uniform_irreducibility_constants(tm, k_max=3)
-    interior = [w for w in tm.domain if 8 - len(w) > tm.range_bound and len(w) <= 6]
+    lengths = code_lengths(tm.codes)
+    interior = tm.codes[(8 - lengths > tm.range_bound) & (lengths <= 6)]
     return tm, table, delta0, k, interior
 
 
@@ -440,7 +477,7 @@ class TestHarnackAndMultiplicativity:
     def test_audits_read_a_rows_table_through_its_rows(self, audit_setup):
         # the interior's rows, solved in reverse order, give the full table's constants
         tm, table, delta0, k, interior = audit_setup
-        rows = green_rows(tm, interior[::-1], base="")
+        rows = green_rows(tm, interior[::-1])
         har, har_rows = (harnack_audit(t, delta0, k, interior) for t in (table, rows))
         assert har_rows.empirical_delta == pytest.approx(har.empirical_delta, rel=1e-12)
         mult, mult_rows = (multiplicativity_audit(t, delta0 ** k, interior) for t in (table, rows))
@@ -449,73 +486,73 @@ class TestHarnackAndMultiplicativity:
 
     def test_martin_positive_and_bounded(self, audit_setup):
         tm, table, delta0, k, interior = audit_setup
-        martin = martin_rows(table, tm.domain, tm.domain)
+        martin = martin_rows(table, tm.codes, tm.codes)
         assert martin.min() > 0
         delta = delta0 ** k
-        gee = table.green_entry("", "")
+        gee = table.green_entry(0, 0)
         for s in interior:
-            bound = delta ** -len(s) * gee
-            cols = [tm.index[t] for t in interior]
-            assert martin[tm.index[s], cols].max() <= bound
+            bound = delta ** -len(word(s)) * gee
+            # on a ball a word's position is its heap index
+            assert martin[s, interior].max() <= bound
 
 
 class TestLastEntry:
     def test_exact_on_matched_truncations(self, walk8):
         tm, table = walk8
-        branch_table = green_table(tm.restrict(branch("a", 8)), base="a")
-        for s in ("b", "ab", "bb"):
-            for t in ("a", "aa", "aba"):
-                resid = last_entry_audit("a", s, t, table, branch_table)
+        branch_table = green_table(tm.restrict(branch("a", 8)), base=heap_index("a"))
+        for s in heap_indices(["b", "ab", "bb"]):
+            for t in heap_indices(["a", "aa", "aba"]):
+                resid = last_entry_audit(heap_index("a"), s, t, table, branch_table)
                 assert resid < 1e-10
 
     def test_single_cut_for_nearest_neighbor(self, walk8):
         tm, table = walk8
-        sub = branch("ab", 8)
-        assert entry_set(sub, "ab", tm.range_bound) == ["ab"]
-        branch_table = green_table(tm.restrict(sub), base="ab")
-        resid = last_entry_audit("ab", "b", "aab", table, branch_table)
+        sub, x = branch("ab", 8), heap_index("ab")
+        assert entry_set(sub, x, tm.range_bound).tolist() == [x]
+        branch_table = green_table(tm.restrict(sub), base=x)
+        resid = last_entry_audit(x, heap_index("b"), heap_index("aab"), table, branch_table)
         assert resid < 1e-10
 
     def test_two_step_measure_below_truncation_bounds(self, mu_mixed):
         dom = ball(8)
         tm = transition_matrix(mu_mixed, dom, Q)
         table = green_table(tm)
-        branch_table = green_table(tm.restrict(branch("a", 8)), base="a")
+        branch_table = green_table(tm.restrict(branch("a", 8)), base=heap_index("a"))
         for s, t in (("b", "aa"), ("ab", "a")):
-            resid = last_entry_audit("a", s, t, table, branch_table)
+            resid = last_entry_audit(heap_index("a"), heap_index(s), heap_index(t), table, branch_table)
             assert resid < 1e-10
 
     def test_rejects_bad_sides(self, walk8):
         tm, table = walk8
-        branch_table = green_table(tm.restrict(branch("a", 8)), base="a")
-        with pytest.raises(ValueError):
-            last_entry_audit("a", "aa", "a", table, branch_table)
-        with pytest.raises(ValueError):
-            last_entry_audit("a", "b", "bb", table, branch_table)
+        branch_table = green_table(tm.restrict(branch("a", 8)), base=heap_index("a"))
+        with pytest.raises(ValueError, match="source"):
+            last_entry_audit(heap_index("a"), heap_index("aa"), heap_index("a"), table, branch_table)
+        with pytest.raises(ValueError, match="target"):
+            last_entry_audit(heap_index("a"), heap_index("b"), heap_index("bb"), table, branch_table)
 
 
 class TestBoundaryProfile:
     def test_root_profile_is_one(self, walk8):
         _, table = walk8
-        values = martin_rows(table, [""], ["a" * k for k in range(1, 8)])
+        values = martin_rows(table, [0], heap_indices(["a" * k for k in range(1, 8)]))
         assert values.shape == (1, 7)
         assert all(v == pytest.approx(1.0, abs=1e-14) for v in values[0])
 
     def test_ray_words(self):
-        assert ray_words("", "a", "a", 4) == ["a", "aa", "aaa", "aaaa"]
-        assert ray_words("b", "ab", "", 5) == ["b", "abb", "ababb"]
+        assert ray_words("", "a", "a", 4).tolist() == heap_indices(["a", "aa", "aaa", "aaaa"]).tolist()
+        assert ray_words("b", "ab", "", 5).tolist() == heap_indices(["b", "abb", "ababb"]).tolist()
         with pytest.raises(ValueError):
             ray_words("", "a", "", 0)
 
     def test_leaves_domain_rejected(self, walk8):
         _, table = walk8
         with pytest.raises(ValueError, match="leaves"):
-            martin_rows(table, [""], ["a" * 9])
+            martin_rows(table, [0], [heap_index("a" * 9)])
 
     def test_tail_decreasing_for_on_and_off_axis(self, walk8):
         _, table = walk8
-        ray = ["a" * k for k in range(1, 8)]
-        sources = ["a", "aaa", "ba", "bba"]
+        ray = heap_indices(["a" * k for k in range(1, 8)])
+        sources = heap_indices(["a", "aaa", "ba", "bba"])
         for s, values in zip(sources, martin_rows(table, sources, ray)):
             assert tail_decreasing(s, ray, values)
 
@@ -524,46 +561,47 @@ class TestBoundaryProfile:
         t_big = green_table(transition_matrix(mu_letters, ball(8), Q))
         ray = ["a" * k for k in range(1, 5)]
         for s in ("a", "ba"):
-            small = martin_rows(t_small, [s], ray)[0]
-            big = martin_rows(t_big, [s], ray)[0]
+            small = martin_rows(t_small, [heap_index(s)], heap_indices(ray))[0]
+            big = martin_rows(t_big, [heap_index(s)], heap_indices(ray))[0]
             for t, v_small, v_big in zip(ray, small, big):
                 bound_s = truncation_error_bound(6, s, t, t_small.walk)
                 bound_t = truncation_error_bound(6, "", t, t_small.walk)
-                ge = t_small.green_entry("", t)
+                ge = t_small.green_entry(0, heap_index(t))
                 tol = (bound_s + abs(v_small) * bound_t) / ge * 4.0
                 assert abs(v_small - v_big) <= tol
 
     def test_tail_decreasing_from_the_merge_point(self):
-        ray = ["a", "aa", "aaa", "aaaa", "aaaaa"]
+        ray = heap_indices(["a", "aa", "aaa", "aaaa", "aaaaa"])
+        a, aaa = heap_index("a"), heap_index("aaa")
         # gaps 0.5, 0.25, 0.125, 0.0625: decreasing throughout
-        assert tail_decreasing("a", ray, np.array([1.0, 1.5, 1.75, 1.875, 1.9375]))
+        assert tail_decreasing(a, ray, np.array([1.0, 1.5, 1.75, 1.875, 1.9375]))
         # a rising gap before the merge point of "aaa" is not checked, one after it is
         rising_early = np.array([1.0, 1.1, 1.6, 1.85, 1.975])
-        assert tail_decreasing("aaa", ray, rising_early)
-        assert not tail_decreasing("a", ray, rising_early)
+        assert tail_decreasing(aaa, ray, rising_early)
+        assert not tail_decreasing(a, ray, rising_early)
         # gaps at the numerical floor may stall
-        assert tail_decreasing("a", ray, np.array([1.0, 1.5, 1.5 + 4e-12, 1.5 + 8e-12, 1.5 + 12e-12]))
-        assert not tail_decreasing("a", ray, np.array([1.0, 1.5, 1.5, 1.5, 1.5 + 1e-10]))
+        assert tail_decreasing(a, ray, np.array([1.0, 1.5, 1.5 + 4e-12, 1.5 + 8e-12, 1.5 + 12e-12]))
+        assert not tail_decreasing(a, ray, np.array([1.0, 1.5, 1.5, 1.5, 1.5 + 1e-10]))
 
 
 class TestGreenRows:
     def test_rows_match_dense_table(self, walk8):
         tm, table = walk8
-        rows = green_rows(tm, ["a", "ba"], base="")
+        rows = green_rows(tm, heap_indices(["a", "ba"]))
         assert rows.residual < 1e-10
-        assert rows.rows == ["a", "ba", ""]
+        assert rows.rows.tolist() == heap_indices(["a", "ba", ""]).tolist()
         for s in rows.rows:
-            assert np.abs(rows.source_rows([s])[0] - table.green[tm.index[s], :]).max() < 1e-11
+            assert np.abs(rows.source_rows([s])[0] - table.green[s, :]).max() < 1e-11
 
     def test_returns_the_weighted_norm(self, walk8):
         tm, _ = walk8
-        rows = green_rows(tm, ["a"], base="")
+        rows = green_rows(tm, [heap_index("a")])
         assert rows.norm_interval == weighted_operator_norm(tm.matrix, tm.haar_weights(), tm.norm_bound)
 
     def test_neumann_within_tail_bound_on_radius_12(self, mu_letters):
         dom = ball(12)
         tm = transition_matrix(mu_letters, dom, Q)
-        gap = green_rows(tm, ["a", "ba"], base="").neumann_gap
+        gap = green_rows(tm, heap_indices(["a", "ba"])).neumann_gap
         assert -1e-11 < gap <= 0.0
 
     def test_neumann_catches_a_perturbed_row(self, walk8, monkeypatch):
@@ -578,11 +616,11 @@ class TestGreenRows:
 
             def solve(self, rhs, trans="N"):
                 x = self.lu.solve(rhs, trans=trans)
-                x[tm.index["a"], 0] += 5e-11
+                x[heap_index("a"), 0] += 5e-11
                 return x
 
         monkeypatch.setattr(kernels, "splu", PerturbedLU)
-        rows = green_rows(tm, ["a"], base="")
+        rows = green_rows(tm, [heap_index("a")])
         assert rows.residual < 1e-10
         assert rows.neumann_gap > 1e-11
 
@@ -603,43 +641,44 @@ class TestGreenRows:
 
             def solve(self, rhs, trans="N"):
                 x = self.lu.solve(rhs, trans=trans)
-                x[tm.index["ababababab"], 0] += error
+                x[heap_index("ababababab"), 0] += error
                 return x
 
         monkeypatch.setattr(kernels, "splu", PerturbedLU)
         # the residual gate is opened so that the error reaches the series check
-        rows = green_rows(tm, [""], base="", solver_tol=1e-8)
+        rows = green_rows(tm, [0], solver_tol=1e-8)
         assert (rows.neumann_gap <= 0.0) is passes
 
     def test_residual_above_tolerance_raises(self, walk8):
         tm, _ = walk8
-        resid = green_rows(tm, ["a", "ba"], base="").residual
+        resid = green_rows(tm, heap_indices(["a", "ba"])).residual
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
-            green_rows(tm, ["a", "ba"], base="", solver_tol=resid / 2)
+            green_rows(tm, heap_indices(["a", "ba"]), solver_tol=resid / 2)
 
     def test_table_reads_match_the_full_table_at_its_rows(self, walk8):
         tm, table = walk8
-        rows = green_rows(tm, ["ba", "aab", "a"], base="")
-        assert rows.rows == ["ba", "aab", "a", ""] and rows.walk is table.walk
+        rows = green_rows(tm, heap_indices(["ba", "aab", "a"]))
+        assert rows.rows.tolist() == heap_indices(["ba", "aab", "a", ""]).tolist() and rows.walk is table.walk
         diag = max(table.green_entry(v, v) for v in rows.rows)
         assert rows.diagonal_bound_gap() == pytest.approx(diag - 1.0 / (1.0 - tm.norm_bound), rel=1e-13)
         assert table.diagonal_bound_gap() == table.green.diagonal().max() - 1.0 / (1.0 - tm.norm_bound)
         for s in rows.rows:
-            for t in ("", "a", "ab", "bab", "aabb", "b" * 8):
+            for t in heap_indices(["", "a", "ab", "bab", "aabb", "b" * 8]):
                 assert rows.green_entry(s, t) == pytest.approx(table.green_entry(s, t), rel=1e-13)
 
     def test_martin_rows_rejects_an_unsolved_source(self, walk8):
         tm, _ = walk8
-        rows = green_rows(tm, ["a"], base="")
-        assert martin_rows(rows, ["a", ""], ["a", "aa"]).shape == (2, 2)
+        rows = green_rows(tm, [heap_index("a")])
+        targets = heap_indices(["a", "aa"])
+        assert martin_rows(rows, heap_indices(["a", ""]), targets).shape == (2, 2)
         with pytest.raises(ValueError, match="'ba'"):
-            martin_rows(rows, ["a", "ba"], ["a", "aa"])
+            martin_rows(rows, heap_indices(["a", "ba"]), targets)
 
     def test_word_outside_the_domain_named(self, walk8):
         tm, _ = walk8
         with pytest.raises(ValueError, match="outside the domain: \\['a{9}'\\]"):
-            green_rows(tm, ["a", "a" * 9], base="")
+            green_rows(tm, heap_indices(["a", "a" * 9]))
 
 
 class TestLastEntryPathSumOracle:
@@ -651,9 +690,9 @@ class TestLastEntryPathSumOracle:
         table = green_table(tm)
         p = tm.matrix.toarray()
         x = "a"
-        inside = np.array([w.endswith(x) for w in dom])
+        inside = np.array([w.endswith(x) for w in ball_words(5)])
         s, u = "b", "a"
-        si, ui = tm.index[s], tm.index[u]
+        si, ui = heap_index(s), heap_index(u)
         steps = 400
         f = np.zeros(len(dom))
         f[si] = 1.0
@@ -661,7 +700,7 @@ class TestLastEntryPathSumOracle:
         for _ in range(steps):
             m_dp += float((f * ~inside) @ p[:, ui])
             f = f @ p
-        outside_idx = [i for i, w in enumerate(dom) if not w.endswith(x)]
+        outside_idx = [i for i, w in enumerate(ball_words(5)) if not w.endswith(x)]
         m_closed = float(table.green[si, outside_idx] @ p[outside_idx, ui])
         assert m_dp == pytest.approx(m_closed, rel=1e-10)
 
@@ -674,8 +713,8 @@ class TestLastEntryPathSumOracle:
         resids = []
         for r_branch in (5, 7, 9):
             sub = branch("a", r_branch)
-            branch_table = green_table(tm.restrict(sub), base="a")
-            resids.append(last_entry_audit("a", "b", "aa", table, branch_table))
+            branch_table = green_table(tm.restrict(sub), base=heap_index("a"))
+            resids.append(last_entry_audit(heap_index("a"), heap_index("b"), heap_index("aa"), table, branch_table))
         assert resids[0] > resids[1] > resids[2]
         assert resids[2] < 1e-10
 
@@ -688,7 +727,7 @@ def test_audit_fails_a_walk_above_its_norm_bound(tmp_path, monkeypatch):
     def rescaled(cfg, radius):
         walk = real_build(cfg, radius)
         scale = 0.9 / eigsh_norm(walk.matrix, walk.haar_weights())
-        return TransitionMatrix(walk.domain, walk.matrix * scale, walk.mu, walk.q, walk.codes)
+        return TransitionMatrix(walk.codes, walk.matrix * scale, walk.mu, walk.q)
 
     monkeypatch.setattr(cli, "build_walk", rescaled)
     assert main(["audit", str(EXAMPLE), "--radius", "6", "--out", str(tmp_path)]) == EXIT_AUDIT

@@ -28,7 +28,7 @@ from aufwalk.perturbed import (
     residual_matrix,
     trace_routes,
 )
-from aufwalk.words import ball, branch, involution, qdim
+from aufwalk.words import ball, ball_words, branch, ends_with, heap_index, heap_indices, involution, qdim, word
 from conftest import branch_context
 
 Q = 0.5
@@ -45,11 +45,11 @@ class TestBranchContext:
     def test_y_is_zbar_z(self, engine, mu_letters):
         ctx = branch_context(engine, mu_letters, "ab", 5)
         assert ctx.y == involution("ab") + "ab" == "abab"
-        assert all(w.endswith("ab") for w in ctx.walk.domain)
+        assert all(word(c).endswith("ab") for c in ctx.walk.codes)
 
     def test_holds_the_restricted_walk(self, setup, mu_letters):
         ctx, tm, _ = setup
-        assert ctx.walk.domain == branch("a", 6) and ctx.walk.mu is mu_letters and ctx.q == tm.q
+        assert ctx.walk.codes.tolist() == branch("a", 6).tolist() and ctx.walk.mu is mu_letters and ctx.q == tm.q
         assert not {"omega", "index"} & set(vars(ctx))
 
     def test_walk_must_hold_the_branch(self, engine, mu_letters):
@@ -63,7 +63,7 @@ class TestBranchContext:
     def test_membership_matches_fusion(self, setup):
         # w lies in the branch of z iff w is a component of w (x) y, y = bar(z) z
         ctx, _, _ = setup
-        for w in ball(5):
+        for w in ball_words(5):
             assert (multiplicity(w, w, ctx.y) == 1) == ctx.contains(w) == w.endswith("a")
 
     def test_rejects_empty(self, engine):
@@ -140,7 +140,7 @@ def cut_gaps():
     selects, for the uniform measure on the 14 words of length <= 3, and the
     worst |qhat - p| / p over them, with qhat the full partial trace of
     qhat_oracle (which never takes the cut rule)."""
-    mu = Measure({w: 1 / 14 for w in ball(3) if w})
+    mu = Measure({w: 1 / 14 for w in ball_words(3) if w})
     out = {}
     for q, z, radius in CUT_GRID:
         ctx = branch_context(IntertwinerEngine(ModelConfig.from_q(q, tensor_cap=14)), mu, z, radius)
@@ -191,7 +191,7 @@ class TestQMatrix:
         qm = q_matrix(ctx)
         assert ctx.walk.matrix is before and np.array_equal(before.toarray(), p_branch)
         assert qm.matrix is not before and not np.array_equal(qm.matrix.toarray(), p_branch)
-        assert qm.domain is ctx.walk.domain and qm.index is ctx.walk.index and qm.codes is ctx.walk.codes
+        assert qm.codes is ctx.walk.codes
 
     def test_zero_pattern_inside_classical(self, setup):
         ctx, _, p_branch = setup
@@ -208,7 +208,7 @@ class TestQMatrix:
         # weights coincide exactly
         ctx, _, p_branch = setup
         qm = q_matrix(ctx).matrix.toarray()
-        sub = [i for i, w in enumerate(ctx.walk.domain) if w.endswith("aa")]
+        sub = np.flatnonzero(ends_with(ctx.walk.codes, heap_index("aa")))
         gap = np.abs(qm[np.ix_(sub, sub)] - p_branch[np.ix_(sub, sub)])
         assert gap.max() < 1e-12
 
@@ -257,7 +257,7 @@ def entrywise_q_matrix(ctx):
     dims = ctx.walk.qdims()
     out = np.zeros((ctx.walk.size, ctx.walk.size))
     for (u, s, t) in required_entries(ctx):
-        si, ti = ctx.walk.index[s], ctx.walk.index[t]
+        si, ti = ctx.walk.positions(heap_indices([s, t]))
         out[ti, si] += mud.weight(u) * (dims[si] / dims[ti]) ** 2 * qhat_entry(u, s, t, ctx)
     return out
 
@@ -273,7 +273,7 @@ class TestSparseQMatrix:
     def test_matches_the_entrywise_oracle(self, case):
         ctx = case
         qm = q_matrix(ctx)
-        assert qm.domain == ctx.walk.domain and qm.q == ctx.q
+        assert qm.codes is ctx.walk.codes and qm.q == ctx.q
         assert isinstance(qm.matrix, sp.csr_matrix)
         want = entrywise_q_matrix(ctx)
         assert (np.abs(qm.matrix.toarray() - want) <= 1e-15 * np.abs(want)).all()
@@ -283,8 +283,8 @@ class TestSparseQMatrix:
         traced = np.zeros((ctx.walk.size, ctx.walk.size), dtype=bool)
         for (u, s, t) in required_entries(ctx):
             if u and not exact_by_cut(u, s, t, ctx.z):
-                traced[ctx.walk.index[t], ctx.walk.index[s]] = True
-        classical = transition_matrix(ctx.walk.mu, ctx.walk.domain, ctx.q).matrix.toarray()
+                traced[tuple(ctx.walk.positions(heap_indices([t, s])))] = True
+        classical = transition_matrix(ctx.walk.mu, ctx.walk.codes, ctx.q).matrix.toarray()
         assert 0 < traced.sum() < (classical != 0).sum() / 2
         assert np.array_equal(q_matrix(ctx).matrix.toarray()[~traced], classical[~traced])
         assert residual_matrix(ctx).toarray()[~traced].max() == 0.0
@@ -410,7 +410,7 @@ class TestGreenQ:
         with pytest.raises(RuntimeError, match="residual"):
             green_Q(ctx, solver_tol=table.residual / 2)
         # the first sub-branch solve of the gap audit is the perturbed one on H_a
-        resid = green_table(qm.restrict(branch("a", ctx.radius)), base="a").residual
+        resid = green_table(qm.restrict(branch("a", ctx.radius)), base=heap_index("a")).residual
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
             gdif_audit(qm, ctx, ["a", "ba"], solver_tol=resid / 2)
@@ -426,21 +426,21 @@ class TestGreenQ:
     def test_martin_Q_bounded(self, setup):
         ctx, tm, _ = setup
         _, q_table = green_Q(ctx)
-        full = green_table(tm, base="")
-        omega, index = ctx.walk.domain, ctx.walk.index
+        full = green_table(tm)
+        omega = ctx.walk.codes
         kq = martin_rows(q_table, omega, omega, root=full)
         assert kq.shape == (len(omega), len(omega))
         assert np.isfinite(kq).all()
-        assert kq[index["a"], index["a"]] > 0
+        a, aa = ctx.walk.positions(heap_indices(["a", "aa"]))
+        assert kq[a, a] > 0
         # normalised by the classical G(e, t), not by the branch table's own base
-        t = index["aa"]
-        assert kq[0, t] == q_table.green[0, t] / full.green_entry("", "aa")
+        assert kq[0, aa] == q_table.green[0, aa] / full.green_entry(0, heap_index("aa"))
 
     def test_synthetic_identical_matrices_give_zero_gap(self, setup):
         ctx, tm, _ = setup
         sub = branch("aa", ctx.radius)
-        g_q = green_table(q_matrix(ctx).restrict(sub), base="aa")
-        g_p = green_table(tm.restrict(sub), base="aa")
+        g_q = green_table(q_matrix(ctx).restrict(sub), base=heap_index("aa"))
+        g_p = green_table(tm.restrict(sub), base=heap_index("aa"))
         assert np.abs(g_q.green - g_p.green).max() < 1e-10
 
 
@@ -463,10 +463,10 @@ class TestBoundary:
         radius = 7
         tm = transition_matrix(mu_letters, ball(radius), engine.q)
         ctx = BranchContext(engine, tm, "a", radius)
-        full = green_table(tm, base="")
+        full = green_table(tm)
         _, q_table = green_Q(ctx)
         ray = ray_words("", "a", "a", radius - 1)
-        s_list = ["a" * k for k in range(1, 6)]
+        s_list = heap_indices(["a" * k for k in range(1, 6)])
         k_p = martin_rows(full, s_list, ray)
         k_q = martin_rows(q_table, s_list, ray, root=full)
         trend = np.abs(k_q[:, -1] / k_p[:, -1] - 1.0)
@@ -479,6 +479,6 @@ class TestBoundary:
     def test_ray_outside_branch_rejected(self, setup):
         ctx, tm, _ = setup
         _, q_table = green_Q(ctx)
-        full = green_table(tm, base="")
-        with pytest.raises(ValueError, match="leaves"):
-            martin_rows(q_table, ["a"], ["b"], root=full)
+        full = green_table(tm)
+        with pytest.raises(ValueError, match="leaves the domain at 'b'"):
+            martin_rows(q_table, [heap_index("a")], [heap_index("b")], root=full)

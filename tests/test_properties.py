@@ -20,13 +20,17 @@ from aufwalk.words import (
     EMPTY,
     ball,
     ball_qdims,
+    ball_words,
     branch,
+    code_lengths,
+    ends_with,
     format_word,
     heap_index,
     heap_indices,
     parse_word,
     qdim,
     qdims,
+    word,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
@@ -67,22 +71,55 @@ def measures_with_root(draw):
 @given(words)
 def test_heap_index_round_trips_through_ball_order(w):
     i = heap_index(w)
-    assert ball(len(w))[i] == w
+    assert ball_words(len(w))[i] == w and word(i) == w and ball(len(w))[i] == i
     assert heap_indices([w, w + "a", "b" + w]).tolist() == [i, heap_index(w + "a"), heap_index("b" + w)]
 
 
 @pytest.mark.parametrize("radius", [0, 1, 5, 9])
 def test_heap_indices_enumerate_ball(radius):
-    words_ = ball(radius)
-    assert heap_indices(words_).tolist() == list(range(len(words_)))
+    words_ = ball_words(radius)
+    assert heap_indices(words_).tolist() == ball(radius).tolist() == list(range(len(words_)))
     assert heap_indices(words_[::-1]).tolist() == list(range(len(words_)))[::-1]
     assert words_ == sorted(words_, key=lambda w: (len(w), w))
+
+
+def test_string_table_and_heap_index_round_trip_up_to_radius_12():
+    """Every word up to radius 12: the per-level string table lists it at its
+    heap index, and word() inverts heap_index; each smaller ball's table is a
+    prefix of the larger one."""
+    table = ball_words(12)
+    assert len(table) == 2 ** 13 - 1
+    assert [heap_index(w) for w in table] == list(range(len(table)))
+    assert heap_indices(table).tolist() == ball(12).tolist()
+    assert [word(c) for c in ball(12)] == table
+    assert code_lengths(ball(12)).tolist() == [len(w) for w in table]
+    for radius in range(12):
+        assert ball_words(radius) == table[: 2 ** (radius + 1) - 1]
+
+
+@PROPERTY
+@given(st.text(alphabet="ab", max_size=12))
+def test_string_table_holds_each_word_at_its_heap_index(w):
+    i = heap_index(w)
+    assert ball_words(12)[i] == w == word(i) == format_word(i).replace("e", "")
+
+
+@PROPERTY
+@given(st.text(alphabet="ab", max_size=5), st.integers(min_value=0, max_value=9))
+def test_branch_is_the_codes_whose_low_letters_spell_x(x, radius):
+    """words.branch(x, r) is exactly the heap indices of the ball whose low
+    len(x) letters spell x, sorted: the string route and the bit mask agree."""
+    pool, table = ball(radius), ball_words(radius)
+    want = [heap_index(w) for w in table if w.endswith(x)]
+    assert branch(x, radius).tolist() == want
+    assert ends_with(pool, heap_index(x)).tolist() == [w.endswith(x) for w in table]
+    assert pool[ends_with(pool, heap_index(x))].tolist() == want
 
 
 @PROPERTY
 @given(deformations, st.integers(min_value=0, max_value=9), st.lists(words, max_size=6))
 def test_qdim_array_matches_scalar(q, radius, extra):
-    want = np.array([qdim(w, q) for w in ball(radius)])
+    want = np.array([qdim(w, q) for w in ball_words(radius)])
     assert np.abs(ball_qdims(radius, q) / want - 1.0).max() <= 1e-14
     if extra:
         got = qdims(heap_indices(extra), q)
@@ -92,11 +129,12 @@ def test_qdim_array_matches_scalar(q, radius, extra):
 @PROPERTY
 @given(measures_with_root(), deformations, st.text(alphabet="ab", min_size=1, max_size=2))
 def test_assembled_matrix_matches_transition_prob(mu, q, x):
-    # a ball, a branch and a reversed sub-domain that skips the root
-    for domain in (ball(4), branch(x, 5), ball(5)[40:3:-3]):
+    # a ball, a branch and a sorted sub-domain that skips the root
+    for domain in (ball(4), branch(x, 5), ball(5)[3:40:3]):
         tm = transition_matrix(mu, domain, q)
         got = tm.matrix.toarray()
-        want = np.array([[transition_prob(mu, s, t, q) for t in domain] for s in domain])
+        domain_words = [word(c) for c in domain]
+        want = np.array([[transition_prob(mu, s, t, q) for t in domain_words] for s in domain_words])
         assert np.array_equal(got != 0.0, want != 0.0)
         nz = want != 0.0
         assert np.abs(got[nz] / want[nz] - 1.0).max(initial=0.0) <= 1e-14
@@ -107,10 +145,9 @@ def test_assembled_matrix_matches_transition_prob(mu, q, x):
 def test_interior_rows_stochastic(mu, q):
     tm = transition_matrix(mu, ball(RADIUS), q)
     assume(is_generating(tm))
-    sums = tm.row_sums()
-    interior = tm.interior_words(RADIUS)
-    assert interior
-    assert max(abs(sums[tm.index[w]] - 1.0) for w in interior) < 1e-12
+    interior = code_lengths(tm.codes) < RADIUS - tm.range_bound
+    assert interior.any()
+    assert np.abs(tm.row_sums()[interior] - 1.0).max() < 1e-12
 
 
 @PROPERTY

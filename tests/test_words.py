@@ -6,10 +6,12 @@ import pytest
 from aufwalk.words import (
     RadiusCapError,
     ball,
+    ball_words,
     branch,
     classical_dim,
     common_suffix_length,
     format_word,
+    heap_index,
     indecomposable_factors,
     involution,
     parse_word,
@@ -17,6 +19,7 @@ from aufwalk.words import (
     qdim,
     qnumber,
     tree_distance,
+    word,
 )
 from conftest import random_word
 
@@ -165,7 +168,7 @@ class TestTreeGeometry:
                 assert tree_distance(u, v) == 1
 
     def test_metric_on_ball(self):
-        words = ball(4)
+        words = ball_words(4)
         n = len(words)
         d = np.zeros((n, n), dtype=int)
         for i in range(n):
@@ -184,8 +187,9 @@ class TestTreeGeometry:
 
 class TestBallAndBranch:
     def test_ball_examples(self):
-        assert ball(0) == [""]
-        assert ball(1) == ["", "a", "b"]
+        assert ball(0).tolist() == [0] and ball_words(0) == [""]
+        assert ball(1).tolist() == [0, 1, 2] and ball_words(1) == ["", "a", "b"]
+        assert ball(2).dtype == np.int64
 
     def test_ball_size_matches_enumeration(self):
         # oracle: breadth-first enumeration by left extension
@@ -195,35 +199,42 @@ class TestBallAndBranch:
             for _ in range(radius):
                 frontier = [c + w for w in frontier for c in "ab"]
                 seen.update(frontier)
-            got = ball(radius)
+            got = ball_words(radius)
             assert len(got) == 2 ** (radius + 1) - 1
             assert set(got) == seen
+            assert ball(radius).tolist() == [heap_index(w) for w in got]
 
     def test_ball_ordering(self):
-        words = ball(3)
+        words = ball_words(3)
         keys = [(len(w), w) for w in words]
         assert keys == sorted(keys)
 
     def test_ball_distance_is_length(self, rng):
-        for w in ball(4):
+        for w in ball_words(4):
             assert tree_distance("", w) == len(w)
 
     def test_radius_cap(self):
-        with pytest.raises(RadiusCapError):
-            ball(21)
+        for build in (ball, ball_words):
+            with pytest.raises(RadiusCapError):
+                build(21)
 
     def test_branch(self):
-        got = branch("ab", 4)
+        got = [word(c) for c in branch("ab", 4)]
         assert got == ["ab", "aab", "bab", "aaab", "abab", "baab", "bbab"]
         assert all(w.endswith("ab") for w in got)
-        assert branch("ab", 1) == []
-        assert branch("", 2) == ball(2)
+        assert branch("ab", 1).tolist() == []
+        assert branch("", 2).tolist() == ball(2).tolist()
 
 
 class TestSerialization:
     def test_roundtrip(self):
         assert parse_word("e") == ""
         assert format_word("") == "e"
+        # a heap index formats as its word
+        assert format_word(0) == "e" and format_word(np.int64(5)) == "ba"
+        assert word(heap_index("abba")) == "abba"
+        with pytest.raises(ValueError):
+            word(-1)
         assert parse_word("ab") == "ab"
         with pytest.raises(ValueError):
             parse_word("xy")
