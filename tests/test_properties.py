@@ -101,7 +101,7 @@ def test_string_table_and_heap_index_round_trip_up_to_radius_12():
 @given(st.text(alphabet="ab", max_size=12))
 def test_string_table_holds_each_word_at_its_heap_index(w):
     i = heap_index(w)
-    assert ball_words(12)[i] == w == word(i) == format_word(i).replace("e", "")
+    assert ball_words(12)[i] == w == word(i) and format_word(i) == (w or "e")
 
 
 @PROPERTY
