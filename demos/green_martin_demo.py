@@ -36,7 +36,7 @@ print(f"G(e,e) = {table.green_entry(0, 0):.8f}  (diagonal capped by 1/(1-lam) = 
 print()
 print("=== truncation control ===")
 for w in ["", "a", "ab"]:
-    bound = truncation_error_bound(radius, w, w, tm)
+    bound = truncation_error_bound(radius, heap_index(w), heap_index(w), tm)
     print(f"rigorous truncation bound at ({w or 'e'},{w or 'e'}): {bound:.2e}")
 
 print()

@@ -269,7 +269,7 @@ def cmd_walk(cfg: RunConfig) -> int:
              else kernels.green_rows(tm, sources, solver_tol=cfg.solver_tol))
     martin = kernels.martin_rows(table, sources, tm.codes)
     delta0, k_steps = _irreducibility(cfg, tm)
-    bounds = np.array([kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, tm) for s in cfg.sources])
+    bounds = np.array([kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, tm) for s in sources])
     # the ball's words in heap order from one string table, serialized ("e" for the root)
     targets = np.array(words.ball_words(cfg.ball_radius), dtype=object)
     targets[0] = format_word(targets[0])

@@ -12,9 +12,7 @@ and the base alike.  Each solve first certifies an interval around that
 norm (weighted_operator_norm: Collatz-Wielandt steps until the top is at most
 the walk's norm bound, usually one) and refuses a top within NORM_GUARD of 1;
 it is gated by the solve residual and checked against a truncated Neumann
-series whose tail is bounded by the certified top.  The series needs no
-solve, so a large one runs on a worker thread beside the factorisation and
-is compared with the solved columns afterwards.  The
+series whose tail is bounded by the certified top.  The
 unit right-hand sides are solved in panels of a few columns, each checked as
 it is solved, so the full table costs one n x n array, the table itself.  The
 panels of a large solve are split into a run per CPU the process may use,
@@ -35,7 +33,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .fusion import TransitionMatrix
-from .words import code_lengths, ends_with, heap_index, locate, qdim, qdims, tree_distances, word
+from .words import code_lengths, ends_with, heap_index, locate, qdims, tree_distances, word
+# the word-level qdim stays importable from here: perfbench's tracer rebinds it in every
+# module that holds it
+from .words import qdim  # noqa: F401
 
 # largest domain of green_table: its table is one n x n float array (about
 # 135 MiB at the limit), solved in panels over the usable CPUs with no n x n
@@ -51,9 +52,7 @@ _PANEL = 16
 # table entries (n x unit columns) that pay for a run of their own: a thread
 # costs about 1 ms to start and warm on a 2-CPU host, and a second worker
 # gained nothing on a 511-word table (261k entries), 10-20% on a 1023-word
-# one (1M) and a third on a 2047-word one.  The Neumann series goes to a
-# worker beside the factorisation by the same rule, counting the entries of
-# its iterates over all its steps (n x checked columns x steps)
+# one (1M) and a third on a 2047-word one
 _RUN_ENTRIES = 1 << 19
 
 
@@ -186,10 +185,7 @@ def _green_solve(
     so no n x n right-hand side, residual or copy is formed; both gates cover
     every column.  The panels are split into runs, one per usable CPU, at most
     one per panel and per _RUN_ENTRIES entries of X; the caller solves the
-    first and a thread pool the others.  The Neumann series of the checked
-    columns (three of the table, every row of a rows solve) needs A only: with
-    more than one usable CPU and at least _RUN_ENTRIES entries over its steps
-    it runs on the pool while the caller factorises, and inline otherwise.
+    first and a thread pool the others.
     The norm interval is iterated until its top is at most the walk's norm
     bound; the top guards the solve and bounds the Neumann tail.
     Returns (X, residual, norm interval, Neumann gap).
@@ -203,6 +199,7 @@ def _green_solve(
     top = norm_interval[1]
     if top >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm bound {top} too close to 1; Green kernel unreliable")
+    lu = splu(sp.identity(n, format="csc") - w.tocsc())
     if rows is None:
         # the Neumann check samples three columns of the table
         a, weights, units, trans, checked = w, m, np.arange(n), "N", sorted({0, (n - 1) // 2, n - 1})
@@ -239,15 +236,9 @@ def _green_solve(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, len(starts), math.ceil(n * len(units) / _RUN_ENTRIES))
     runs = [starts[k * len(starts) // workers:(k + 1) * len(starts) // workers] for k in range(workers)]
-    checked_units = units[checked]
-    steps = _neumann_steps(top)
-    beside = cpus > 1 and n * len(checked_units) * steps >= _RUN_ENTRIES
     with ThreadPoolExecutor(workers) as pool:
-        series = pool.submit(_neumann_series, a, checked_units, steps) if beside else None
-        lu = splu(sp.identity(n, format="csc") - w.tocsc())
         others = pool.map(solve_run, runs[1:])
         numbers = solve_run(runs[0]) + [pair for run in others for pair in run]
-        partial_sums = series.result() if beside else _neumann_series(a, checked_units, steps)
     residuals, diagonals = zip(*numbers)
     # np.max and np.min keep a NaN of any panel, as one max over the table did
     residual = float(np.max(residuals))
@@ -255,34 +246,25 @@ def _green_solve(
         raise RuntimeError(f"Green solve residual {residual} above tolerance {solver_tol}")
     if np.min(diagonals) <= 0.0:
         raise RuntimeError("Green kernel diagonal not positive")
-    gap = _neumann_gap(x[:, checked], partial_sums, checked_units, weights, top, steps)
+    gap = _neumann_gap(a, x[:, checked], units[checked], weights, top)
     return x, residual, norm_interval, gap
 
 
-def _neumann_series(a, units: np.ndarray, steps: int) -> np.ndarray:
-    """The truncated Neumann series sum_{k <= steps} A^k e_u of (I - A)^-1,
-    one column per given unit vector e_u."""
-    vec = np.zeros((a.shape[0], len(units)))
+def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, tail_norm: float) -> float:
+    """Compare solved columns of (I - A)^-1, the ones at the given unit
+    vectors, against the truncated Neumann series; returns the largest excess
+    over the rigorous tail bound (<= 0 is a pass).  Entry i of column j is off
+    by at most tail * sqrt(weights[j] / weights[i]) on the weighted space."""
+    steps = _neumann_steps(tail_norm)
+    vec = np.zeros_like(cols)
     vec[units, np.arange(len(units))] = 1.0
     acc = vec.copy()
     for _ in range(steps):
         vec = a @ vec
         acc += vec
-    return acc
-
-
-def _neumann_gap(
-    cols: np.ndarray, partial_sums: np.ndarray, units: np.ndarray, weights: np.ndarray, tail_norm: float,
-    steps: int,
-) -> float:
-    """Compare solved columns of (I - A)^-1, the ones at the given unit
-    vectors, against their Neumann series truncated after ``steps`` terms;
-    returns the largest excess over the rigorous tail bound (<= 0 is a pass).
-    Entry i of column j is off by at most tail * sqrt(weights[j] / weights[i])
-    on the weighted space."""
     tail = tail_norm ** (steps + 1) / (1.0 - tail_norm)
     bound = tail * np.sqrt(weights[units][None, :] / weights[:, None]) + 1e-12
-    return float((np.abs(cols - partial_sums) - bound).max())
+    return float((np.abs(cols - acc) - bound).max())
 
 
 def _neumann_steps(tail_norm: float) -> int:
@@ -293,25 +275,27 @@ def _neumann_steps(tail_norm: float) -> int:
     return min(600, max(40, math.ceil(math.log(1e-13) / math.log(tail_norm))))
 
 
-def truncation_error_bound(radius: int, s: str, t, walk: TransitionMatrix):
+def truncation_error_bound(radius: int, s: int, t, walk: TransitionMatrix):
     """Rigorous bound on the truncation error of G(s, t) of the walk computed
     on the ball of the given radius: any escaping path needs at least
     N = ceil(2 (radius - max|s|,|t|) / range) steps, and the tail of the series
     is controlled by the walk's norm bound on the weighted space.
 
-    ``t`` is a word, giving a float, or an array of heap indices, giving an
-    array.
+    Words are heap indices: ``t`` is one, giving a float, or an array of them,
+    giving an array.
     """
     lam = walk.norm_bound
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    codes = np.array([heap_index(t)]) if isinstance(t, str) else np.asarray(t, dtype=np.int64)
-    depth = radius - np.maximum(len(s), code_lengths(codes))
+    codes = np.append(np.asarray(t, dtype=np.int64), s)
+    lengths = code_lengths(codes)
+    depth = radius - np.maximum(lengths[-1], lengths[:-1])
     if (depth < 0).any():
         raise ValueError("s and t must lie inside the ball")
     n_steps = np.ceil(2 * depth / walk.range_bound)
-    bound = qdims(codes, walk.q) / qdim(s, walk.q) * lam ** n_steps / (1.0 - lam)
-    return float(bound[0]) if isinstance(t, str) else bound
+    dims = qdims(codes, walk.q)
+    bound = dims[:-1] / dims[-1] * lam ** n_steps / (1.0 - lam)
+    return float(bound[0]) if np.ndim(t) == 0 else bound
 
 
 @dataclass

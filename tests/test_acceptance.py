@@ -299,7 +299,8 @@ def test_c13_last_entry(walk10):
         worst2 = max(worst2, last_entry_audit(x, heap_index(s), heap_index(t), table2, branch2))
         combined = min(
             combined,
-            truncation_error_bound(10, s, t, tm2) + truncation_error_bound(10, "a", t, tm2),
+            truncation_error_bound(10, heap_index(s), heap_index(t), tm2)
+            + truncation_error_bound(10, heap_index("a"), heap_index(t), tm2),
         )
     ok = ok and worst2 <= combined
     criterion(13, "last-entry decomposition through the branch cut", ok,

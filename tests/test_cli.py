@@ -397,7 +397,7 @@ class TestCsvEmitter:
         base = rows.source_rows([0])[0]
         lines = ["s,t,G,K,truncationBound"]
         for s in cfg.sources:
-            bounds = kernels.truncation_error_bound(12, s, np.arange(len(domain)), tm)
+            bounds = kernels.truncation_error_bound(12, heap_index(s), np.arange(len(domain)), tm)
             g_row = rows.source_rows([heap_index(s)])[0]
             for t, g, b, bound in zip(ball_words(12), g_row.tolist(), base.tolist(), bounds.tolist()):
                 lines.append(f"{format_word(s)},{format_word(t)},{g:.17g},{g / b:.17g},{bound:.17g}")

@@ -274,7 +274,7 @@ class TestPanelPool:
             table.residual, table.norm_interval, table.neumann_gap
         )
 
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_rows_of_two_panels_are_the_same_on_any_cpu_count(self, walk8, monkeypatch, cpus):
         tm, _ = walk8
         sources = tm.codes[1:kernels._PANEL + 2]
@@ -294,59 +294,25 @@ class TestPanelPool:
         class Recording(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 super().__init__(max_workers)
-                pools.append([max_workers, 0, 0])
+                pools.append([max_workers, 0])
 
             def submit(self, fn, *args):
-                pools[-1][1 if fn is kernels._neumann_series else 2] += 1
+                pools[-1][1] += 1
                 return super().submit(fn, *args)
 
         monkeypatch.setattr(kernels, "ThreadPoolExecutor", Recording)
         big = transition_matrix(tm.mu, ball(10), Q)
         allow_cpus(monkeypatch, 3)
-        green_table(big)  # 2047^2 entries: eight runs' worth; a series of 2047 x 3 x 60 entries
+        green_table(big)  # 2047^2 entries: eight runs' worth
         green_table(tm)  # 511^2 entries: under one run's worth
         allow_cpus(monkeypatch, 3, run_entries=1)
         green_table(tm)
         green_rows(tm, heap_indices(["a", "ba"]))
         allow_cpus(monkeypatch, 1, run_entries=1)
         green_table(tm)
-        # [workers, series handed to a thread, runs handed to threads]: the
-        # caller solves the first run, so a one-run solve starts no thread for
-        # its panels, and on one CPU nothing runs beside the factorisation
-        assert pools == [[3, 0, 2], [1, 0, 0], [3, 1, 2], [1, 1, 0], [1, 0, 0]]
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_neumann_series_beside_the_factorisation_is_the_serial_one(self, monkeypatch, cpus):
-        """At ball 12 (8191 words, two rows and the base over about 60 steps)
-        the series goes to a worker on two CPUs and stays with the caller on
-        one; the Neumann gap and the rows are bitwise the serial ones.  On two
-        CPUs the factorisation waits for the series to start, so the two must
-        run at once."""
-        tm = transition_matrix(Measure({"a": 0.35, "b": 0.65}), ball(12), Q)
-        sources = heap_indices(["ab", "bba"])
-        allow_cpus(monkeypatch, 1)
-        serial = green_rows(tm, sources)
-        on_main, started = [], threading.Event()
-        real_series, real_splu = kernels._neumann_series, kernels.splu
-
-        def series(*args):
-            on_main.append(threading.current_thread() is threading.main_thread())
-            started.set()
-            return real_series(*args)
-
-        def factorise(a):
-            if cpus > 1:
-                assert started.wait(timeout=30), "the series did not start beside the factorisation"
-            return real_splu(a)
-
-        monkeypatch.setattr(kernels, "_neumann_series", series)
-        monkeypatch.setattr(kernels, "splu", factorise)
-        allow_cpus(monkeypatch, cpus)
-        other = green_rows(tm, sources)
-        assert on_main == [cpus == 1]
-        assert other.neumann_gap == serial.neumann_gap and -1e-11 < other.neumann_gap <= 0.0
-        assert np.array_equal(other.green, serial.green)
-        assert (other.residual, other.norm_interval) == (serial.residual, serial.norm_interval)
+        # [workers, runs handed to threads]: the caller solves the first run,
+        # so a one-run solve starts no thread
+        assert pools == [[3, 2], [1, 0], [3, 2], [1, 0], [1, 0]]
 
     def test_cpu_count_stands_in_without_sched_getaffinity(self, walk7, monkeypatch):
         # sched_getaffinity exists on Linux only; os.cpu_count() stands in
@@ -410,12 +376,12 @@ class TestPanelPool:
 class TestTruncationBound:
     # the walk of mu_letters at q = 0.5 has range 1 and norm bound 2 / [2]_q = 0.8
     def test_frozen_value(self, walk8):
-        got = truncation_error_bound(12, "", "", walk8[0])
+        got = truncation_error_bound(12, 0, 0, walk8[0])
         assert got == pytest.approx(0.8 ** 24 / 0.2, rel=1e-12)
 
     def test_doubling_depth_squares_factor(self, walk8):
-        b1 = truncation_error_bound(8, "", "", walk8[0])
-        b2 = truncation_error_bound(16, "", "", walk8[0])
+        b1 = truncation_error_bound(8, 0, 0, walk8[0])
+        b2 = truncation_error_bound(16, 0, 0, walk8[0])
         assert b2 == pytest.approx(b1 ** 2 * 0.2, rel=1e-10)
 
     def test_bound_dominates_observed_truncation(self, mu_letters):
@@ -425,17 +391,18 @@ class TestTruncationBound:
             for t in ("", "b", "aa"):
                 si, ti = heap_index(s), heap_index(t)
                 gap = abs(big.green_entry(si, ti) - small.green_entry(si, ti))
-                assert gap <= truncation_error_bound(6, s, t, small.walk)
+                assert gap <= truncation_error_bound(6, si, ti, small.walk)
 
     def test_rejects_outside(self, walk8):
         with pytest.raises(ValueError):
-            truncation_error_bound(3, "aaaa", "", walk8[0])
+            truncation_error_bound(3, heap_index("aaaa"), 0, walk8[0])
 
     def test_heap_index_array_matches_words(self, mu_mixed):
         walk = transition_matrix(mu_mixed, ball(2), Q)
         domain = ball_words(5)[::-1][3:40]
-        got = truncation_error_bound(6, "ab", heap_indices(domain), walk)
-        assert got.tolist() == [truncation_error_bound(6, "ab", t, walk) for t in domain]
+        codes = heap_indices(domain)
+        got = truncation_error_bound(6, heap_index("ab"), codes, walk)
+        assert got.tolist() == [truncation_error_bound(6, heap_index("ab"), t, walk) for t in codes]
 
 
 class TestDistanceMatrix:
@@ -564,8 +531,8 @@ class TestBoundaryProfile:
             small = martin_rows(t_small, [heap_index(s)], heap_indices(ray))[0]
             big = martin_rows(t_big, [heap_index(s)], heap_indices(ray))[0]
             for t, v_small, v_big in zip(ray, small, big):
-                bound_s = truncation_error_bound(6, s, t, t_small.walk)
-                bound_t = truncation_error_bound(6, "", t, t_small.walk)
+                bound_s = truncation_error_bound(6, heap_index(s), heap_index(t), t_small.walk)
+                bound_t = truncation_error_bound(6, 0, heap_index(t), t_small.walk)
                 ge = t_small.green_entry(0, heap_index(t))
                 tol = (bound_s + abs(v_small) * bound_t) / ge * 4.0
                 assert abs(v_small - v_big) <= tol
