@@ -4,10 +4,11 @@ and the quantitative audits of their tree-geometry estimates.
 The Green kernel of a walk (a fusion.TransitionMatrix, which carries its
 weight matrix W, the sorted heap indices of its domain and its norm bound)
 whose W has spectral norm < 1 on the qdim^2-weighted l2 space is the
-resolvent (I - W)^-1, by sparse LU throughout: one factorisation of I - W
-gives the full table (green_table, up to DENSE_LIMIT words, a memory bound) or
-the rows of chosen sources and the base (green_rows), both as a KernelTable
-that carries its walk.  Words are heap indices here: sources, targets, rows
+resolvent (I - W)^-1, by sparse LU throughout: one factorisation of I - W,
+eliminated in reversed heap order (_LeavesFirstLU), gives the full table
+(green_table, up to DENSE_LIMIT words, a memory bound) or the rows of chosen
+sources and the base (green_rows), both as a KernelTable that carries its
+walk.  Words are heap indices here: sources, targets, rows
 and the base alike.  Each solve first certifies an interval around that
 norm (weighted_operator_norm: Collatz-Wielandt steps until the top is at most
 the walk's norm bound, usually one) and refuses a top within NORM_GUARD of 1;
@@ -19,6 +20,16 @@ panels of a large solve are split into a run per CPU the process may use,
 solved at once by the caller and a thread pool; each run writes its own
 columns and the gates read the panels' numbers in panel order, so the bytes
 do not depend on how many CPUs there are.
+
+A longer word has a larger heap index, so reversed heap order eliminates
+every word after every longer word, its children in the tree among them.  A range-1 walk only steps along tree edges, so each pivot is a leaf of
+the tree that is left, its elimination touches only its parent, and the
+factors have no fill (Parter's leaves-first elimination); SuperLU's partial
+pivoting takes no row swap there.  A longer range fills about as much as
+COLAMD's ordering (1.4% more to 9.8% less at ball 9 on range 2 and 3 walks).
+On a 2-vCPU host the 4095-word table of `walk --radius 11` took the
+benchmark's walk-dense compute_s from 0.51 s under COLAMD to 0.32 s
+(medians of 10 alternating pairs, BENCH_24.json).
 """
 
 from __future__ import annotations
@@ -44,15 +55,16 @@ from .words import qdim  # noqa: F401
 DENSE_LIMIT = 4200
 SOLVER_TOL = 1e-10
 NORM_GUARD = 1e-6
-# unit columns per solve in _green_solve: of 8, 16 and 32, 16 was fastest for a
-# process's first table at n = 4095 on one worker and on two (32 wins on later
-# calls, but malloc trims its 1 MiB temporaries and faults them in again on the
-# first); each worker's panel temporaries stay a few n-vectors wide
+# unit columns per solve in _green_solve: of 8, 16 and 32, 16 gave the fastest
+# first table of a process at n = 4095 on two workers (green_table medians of
+# eight processes: 0.33 s, against 0.36 s for 8 and 0.45 s for 32) and tied
+# with 8 on one (0.54 s; 0.69 s for 32); each worker's panel temporaries stay a
+# few n-vectors wide
 _PANEL = 16
-# table entries (n x unit columns) that pay for a run of their own: a thread
-# costs about 1 ms to start and warm on a 2-CPU host, and a second worker
-# gained nothing on a 511-word table (261k entries), 10-20% on a 1023-word
-# one (1M) and a third on a 2047-word one
+# table entries (n x unit columns) that pay for a run of their own: on a 2-CPU
+# host a second worker made a 511-word table (261k entries) slower, 11 -> 13
+# ms, a 1023-word one (1M) 20% faster, 31 -> 25 ms, and a 2047-word one
+# a third faster, 114 -> 77 ms
 _RUN_ENTRIES = 1 << 19
 
 
@@ -199,12 +211,14 @@ def _green_solve(
     top = norm_interval[1]
     if top >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm bound {top} too close to 1; Green kernel unreliable")
-    lu = splu(sp.identity(n, format="csc") - w.tocsc())
+    lu = _LeavesFirstLU(w)
     if rows is None:
         # the Neumann check samples three columns of the table
         a, weights, units, trans, checked = w, m, np.arange(n), "N", sorted({0, (n - 1) // 2, n - 1})
     else:
-        a, weights, units, trans, checked = w.T.tocsr(), 1.0 / m, np.asarray(rows), "T", slice(None)
+        # W^T as the CSC view of W's arrays: its products add in the order of
+        # a CSR copy, with no conversion
+        a, weights, units, trans, checked = w.T, 1.0 / m, np.asarray(rows), "T", slice(None)
     x = np.empty((n, len(units)), order="F")
 
     def solve_run(run: range) -> list[tuple[float, float]]:
@@ -248,6 +262,28 @@ def _green_solve(
         raise RuntimeError("Green kernel diagonal not positive")
     gap = _neumann_gap(a, x[:, checked], units[checked], weights, top)
     return x, residual, norm_interval, gap
+
+
+class _LeavesFirstLU:
+    """SuperLU factors of I - W, for a sparse W on a domain of sorted heap
+    indices, eliminated in reversed domain order with SuperLU's partial
+    pivoting; ``solve`` takes and returns domain order."""
+
+    def __init__(self, w):
+        n = w.shape[0]
+        c = w.tocsc()
+        # column j of the reversed W is column n - 1 - j of W with its rows
+        # mirrored, so sorted rows stay sorted
+        reversed_w = sp.csc_matrix(
+            (c.data[::-1], n - 1 - c.indices[::-1], c.indptr[-1] - c.indptr[::-1]), shape=(n, n)
+        )
+        a = sp.identity(n, format="csc") - reversed_w
+        # SuperLU copies its input: hold no other n-sized array while it factors
+        del c, reversed_w
+        self.lu = splu(a, permc_spec="NATURAL")
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        return self.lu.solve(rhs[::-1], trans=trans)[::-1]
 
 
 def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, tail_norm: float) -> float:

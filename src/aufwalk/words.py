@@ -21,6 +21,8 @@ names the intertwiner stack works on: ``heap_index``/``heap_indices`` and
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 ALPHABET = ("a", "b")
@@ -124,8 +126,11 @@ def classical_dim(w: str) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=4)
 def ball_qdims(radius: int, q: float) -> np.ndarray:
-    """qdim of every word of the ball, in heap order, by a level recurrence.
+    """qdim of every word of the ball, in heap order, by a level recurrence;
+    read-only, and kept for the last few (radius, q), so that a walk's
+    assembly, its weights and its truncation bounds compute it once.
 
     Appending a letter to w either extends its last indecomposable factor or,
     when it repeats w's last letter, closes that factor and starts a new one.
@@ -146,7 +151,9 @@ def ball_qdims(radius: int, q: float) -> np.ndarray:
         run = np.where(cut, 1, (run + 1)[:, None]).ravel()
         last = np.tile(np.array([0, 1], dtype=np.int64), len(last))
         levels.append(closed * open_dim[run])
-    return np.concatenate(levels)
+    dims = np.concatenate(levels)
+    dims.flags.writeable = False
+    return dims
 
 
 def heap_index(w: str) -> int:

@@ -417,6 +417,16 @@ class TestCsvEmitter:
         assert main(["walk", str(path)]) == EXIT_OK
         assert calls == [["", "ab"]] and tables == [radius]
 
+    @pytest.mark.parametrize("radius", [6, 12])
+    def test_walk_computes_the_ball_qdims_once(self, tmp_path, radius):
+        """The assembly, the solve's weights and every source's truncation
+        bound read one computation of the ball's quantum dimensions."""
+        words.ball_qdims.cache_clear()
+        path = make_config(tmp_path, ballRadius=radius, sources=["e", "ab", "b"])
+        assert main(["walk", str(path)]) == EXIT_OK
+        info = words.ball_qdims.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 4
+
     @pytest.mark.parametrize("command, assemblies", [("walk", 1), ("boundary", 1), ("audit", 2)])
     def test_one_classical_assembly_per_walk(self, tmp_path, monkeypatch, command, assemblies):
         """The ball walk is the only classical assembly (audit adds the dual
