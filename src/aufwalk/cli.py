@@ -195,41 +195,58 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
 CSV_BLOCK_ROWS = 8192
 
 
-def write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write a CSV file from whole columns of equal length, one row per index.
+class WordColumn:
+    """A CSV column of the serialized words with the given heap indices,
+    rendered a block of rows at a time: no string of it outlives its block."""
+
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return words.format_words(self.codes[rows])
+
+
+def write_csv(path: Path, header: list[str], sections) -> None:
+    """Write a CSV file from sections of rows, one after another, each a
+    list of whole columns of equal length; a generator of sections builds
+    each one only when it is written.
 
     A column that numpy reads as floating point prints each value with
     ``%.17g``, which gives the bytes of ``f"{x:.17g}"`` (nan, inf, -0 and
-    subnormals included); every other column prints with ``str``.  Each
-    distinct bit pattern of a float column is formatted once, so 0.0 and -0.0
-    stay apart and every NaN prints ``nan``, and its rows take that text by
-    index.  Rows are filled into one template a block at a time, with a single
-    ``%`` per block.
+    subnormals included); a WordColumn prints its words and every other
+    column prints with ``str``.  Each distinct bit pattern of a float column
+    is formatted once per section, so 0.0 and -0.0 stay apart and every NaN
+    prints ``nan``, and its rows take that text by index.  Rows are filled
+    into one template a block at a time, with a single ``%`` per block.
     """
-    # each column as (values, None), or for floats as (text of each distinct
-    # bit pattern, each row's index into that text)
-    cols = []
-    for c in map(np.asarray, columns):
-        if c.dtype.kind == "f":
-            # exact for narrower floats, whose %.17g went through a Python float
-            values = c.astype(np.float64, copy=False)
-            _, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
-            cols.append((np.array(["%.17g" % x for x in values[first].tolist()], dtype=object), inverse))
-        else:
-            cols.append((c, None))
-    n = len(columns[0])
-    width = len(cols)
-    row = ",".join(["%s"] * width) + "\n"
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            stop = start + CSV_BLOCK_ROWS
-            block = [(c[start:stop] if index is None else c[index[start:stop]]).tolist() for c, index in cols]
-            rows = len(block[0])
-            flat = [None] * (rows * width)
-            for j, values in enumerate(block):
-                flat[j::width] = values
-            f.write((row * rows) % tuple(flat))
+        for columns in sections:
+            # each column as (values, None), or for floats as (text of each
+            # distinct bit pattern, each row's index into that text)
+            cols = []
+            for c in columns:
+                c = c if isinstance(c, WordColumn) else np.asarray(c)
+                if isinstance(c, WordColumn) or c.dtype.kind != "f":
+                    cols.append((c, None))
+                    continue
+                # exact for narrower floats, whose %.17g went through a Python float
+                values = c.astype(np.float64, copy=False)
+                _, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
+                cols.append((np.array(["%.17g" % x for x in values[first].tolist()], dtype=object), inverse))
+            width = len(cols)
+            row = ",".join(["%s"] * width) + "\n"
+            for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+                stop = start + CSV_BLOCK_ROWS
+                block = [(c[start:stop] if index is None else c[index[start:stop]]).tolist() for c, index in cols]
+                rows = len(block[0])
+                flat = [None] * (rows * width)
+                for j, values in enumerate(block):
+                    flat[j::width] = values
+                f.write((row * rows) % tuple(flat))
 
 
 def write_json(path: Path, payload) -> None:
@@ -267,23 +284,22 @@ def cmd_walk(cfg: RunConfig) -> int:
     sources = words.heap_indices(cfg.sources)
     table = (kernels.green_table(tm, solver_tol=cfg.solver_tol) if tm.size <= kernels.DENSE_LIMIT
              else kernels.green_rows(tm, sources, solver_tol=cfg.solver_tol))
-    martin = kernels.martin_rows(table, sources, tm.codes)
+    # every source's Martin row divides by the same G(base, t): the first one
+    # fails a walk with a zero there before any file is written
+    kernels.martin_rows(table, sources[:1], tm.codes)
     delta0, k_steps = _irreducibility(cfg, tm)
-    bounds = np.array([kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, tm) for s in sources])
-    # the ball's words in heap order from one string table, serialized ("e" for the root)
-    targets = np.array(words.ball_words(cfg.ball_radius), dtype=object)
-    targets[0] = format_word(targets[0])
-    write_csv(
-        out / "green_martin.csv",
-        ["s", "t", "G", "K", "truncationBound"],
+    # one section per source, built as it is written: its Green, Martin and
+    # bound rows beside the ball's words, rendered a block at a time
+    write_csv(out / "green_martin.csv", ["s", "t", "G", "K", "truncationBound"], (
         [
-            np.repeat(np.array([format_word(s) for s in cfg.sources], dtype=object), tm.size),
-            np.tile(targets, len(cfg.sources)),
-            table.source_rows(sources).ravel(),
-            martin.ravel(),
-            bounds.ravel(),
-        ],
-    )
+            np.broadcast_to(format_word(s), tm.size),
+            WordColumn(tm.codes),
+            table.source_rows([s])[0],
+            kernels.martin_rows(table, [s], tm.codes)[0],
+            kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, tm),
+        ]
+        for s in sources.tolist()
+    ))
     manifest = {
         "configHash": cfg.config_hash(),
         "q": cfg.q,
@@ -643,7 +659,7 @@ def cmd_boundary(cfg: RunConfig) -> int:
             gap_p.ravel(),
             gap_q.ravel(),
         ]
-        write_csv(out / f"boundary_ray{i}.csv", header, columns)
+        write_csv(out / f"boundary_ray{i}.csv", header, [columns])
     return EXIT_OK
 
 
@@ -654,14 +670,14 @@ def cmd_intertwiner(cfg: RunConfig) -> int:
     write_csv(
         out / "projection_ranks.csv",
         ["x", "rank", "classicalDim"],
-        [[format_word(w) for w, _, _ in ranks], [r for _, r, _ in ranks], [d for _, _, d in ranks]],
+        [[[format_word(w) for w, _, _ in ranks], [r for _, r, _ in ranks], [d for _, _, d in ranks]]],
     )
     norms = list(_vtilde_rows(eng))
     word_columns = [[format_word(row[k]) for row in norms] for k in range(3)]
     write_csv(
         out / "vtilde_norms.csv",
         ["s", "v", "t", "norm", "closedForm", "relErr"],
-        word_columns + [[row[k] for row in norms] for k in range(3, 6)],
+        [word_columns + [[row[k] for row in norms] for k in range(3, 6)]],
     )
     return EXIT_OK
 

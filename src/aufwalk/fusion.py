@@ -30,6 +30,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .words import (
     ball,
+    ball_qdims,
     check_word,
     classical_dim,
     code_lengths,
@@ -185,43 +186,67 @@ def transition_matrix(mu: Measure, domain, q: float) -> TransitionMatrix:
 
 def _assemble(mu: Measure, codes: np.ndarray, q: float) -> sp.csr_matrix:
     """The weights p(s, t) between the words with the given sorted heap
-    indices, one vector step per support word r and cancellation length k."""
+    indices, one vector step per support word r, cancellation length k and
+    length of s.
+
+    The words s of one length L whose first k letters spell bar(z), z the
+    last k letters of r, are one interval of heap indices (their top k bits
+    are fixed), so one slice of the sorted domain; their components
+    r[:-k] s[k:] keep the low L - k bits of s, so each is s shifted by one
+    offset.  Each step holds arrays of its own slice only, and the entries
+    are gathered as int32 positions (heap indices stay below 2^21).
+    """
     n = len(codes)
-    lengths = code_lengths(codes)
-    bits = codes + 1 - (np.int64(1) << lengths)
-    dims = qdims(codes, q)
+    # sorted codes: the last word is the longest
+    radius = int(code_lengths(codes[-1:]).max(initial=0))
+    dims = ball_qdims(radius, q)
     rows, cols, vals = [], [], []
     for r, w in mu.items():
         dr = qdim(r, q)
         r_bits = heap_index(r) + 1 - (1 << len(r))
-        for k in range(min(len(r), int(lengths.max(initial=0))) + 1):
+        for k in range(min(len(r), radius) + 1):
             # s must start with bar(z) for the last k letters z of r
             pattern = heap_index(involution(r[len(r) - k:])) + 1 - (1 << k)
-            i = np.flatnonzero(lengths >= k)
-            i = i[bits[i] >> (lengths[i] - k) == pattern]
-            tail = lengths[i] - k  # letters of s that survive
-            t_bits = ((r_bits >> k) << tail) + (bits[i] & ((np.int64(1) << tail) - 1))
-            t_code = (np.int64(1) << (len(r) - k + tail)) - 1 + t_bits
-            pos, hit = locate(codes, t_code)
-            i, j = i[hit], pos[hit]
-            rows.append(i)
-            cols.append(j)
-            vals.append(w * dims[j] / (dr * dims[i]))
-    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+            for tail in range(radius - k + 1):  # letters of s that survive
+                first = (1 << (k + tail)) - 1 + (pattern << tail)
+                lo, hi = np.searchsorted(codes, [first, first + (1 << tail)])
+                s = codes[lo:hi]
+                t = s + ((1 << (len(r) - k + tail)) - 1 + ((r_bits >> k) << tail) - first)
+                pos, hit = locate(codes, t)
+                i = np.flatnonzero(hit)
+                rows.append((i + lo).astype(np.int32))
+                cols.append(pos[i].astype(np.int32))
+                vals.append(w * dims[t[i]] / (dr * dims[s[i]]))
+    # each concatenation frees its pieces before the next one, and all before the CSR is built
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     mat.sum_duplicates()
     return mat
 
 
+#: rows per block of the range check
+CHECK_BLOCK_ROWS = 1 << 12
+
+
 def _assert_bounded_range(tm: TransitionMatrix) -> None:
-    coo = tm.matrix.tocoo()
-    dist = tree_distances(tm.codes[coo.row], tm.codes[coo.col])
-    bad = np.flatnonzero(dist > tm.range_bound)
-    if bad.size:
-        i, j = coo.row[bad[0]], coo.col[bad[0]]
-        raise AssertionError(
-            f"entry ({word(tm.codes[i])!r}, {word(tm.codes[j])!r}) violates the range bound "
-            f"{tm.range_bound} (distance {int(dist[bad[0]])})"
-        )
+    """Every stored entry joins words within the walk's range: the tree
+    distances are taken over blocks of CSR rows, so the check holds a
+    block's codes and distances at a time."""
+    mat = tm.matrix.tocsr()
+    for start in range(0, tm.size, CHECK_BLOCK_ROWS):
+        stop = min(start + CHECK_BLOCK_ROWS, tm.size)
+        indptr = mat.indptr[start:stop + 1]
+        row = np.repeat(tm.codes[start:stop], np.diff(indptr))
+        col = mat.indices[indptr[0]:indptr[-1]]
+        dist = tree_distances(row, tm.codes[col])
+        bad = np.flatnonzero(dist > tm.range_bound)
+        if bad.size:
+            raise AssertionError(
+                f"entry ({word(row[bad[0]])!r}, {word(tm.codes[col[bad[0]]])!r}) violates the range "
+                f"bound {tm.range_bound} (distance {int(dist[bad[0]])})"
+            )
 
 
 def _check_sampled_rows(tm: TransitionMatrix) -> None:
@@ -274,7 +299,8 @@ def dual_audit(walk: TransitionMatrix) -> float:
 def is_generating(walk: TransitionMatrix) -> bool:
     """True iff every word of the walk's ball, cut to radius max(range, 4), is
     reachable from e and can reach e through positive weights (BFS both ways)."""
-    radius = int(code_lengths(walk.codes).max(initial=0))
+    # sorted codes: the last word is the longest
+    radius = int(code_lengths(walk.codes[-1:]).max(initial=0))
     tm = walk.restrict(ball(min(radius, max(walk.range_bound, 4))))
     # the root is heap index 0, the first word of the ball
     fwd, bwd = (breadth_first_order(m, 0, directed=True, return_predecessors=False)

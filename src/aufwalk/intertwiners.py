@@ -409,19 +409,6 @@ class IntertwinerEngine:
         defect = float(np.linalg.norm(term1 - term2, 2))
         return defect, (len(z) + len(x) - len(y)) / 2.0
 
-    def cor_defect(self, u: str, v: str, x: str, y: str) -> float:
-        """Composite defect comparing the two orders of splitting ux against
-        tensoring with y; decays like q^(len(x) - len(y)/2) for x in the
-        branch of y."""
-        v1 = self.normalized_V(u + x, u + v, involution(v) + x).array
-        v2 = self.normalized_V(u + x, u + x, y).array
-        v3 = self.normalized_V(involution(v) + x, involution(v) + x, y).array
-        d_y = self.irr_dim(y)
-        d_uv = self.irr_dim(u + v)
-        lhs = kron_apply(v1, v2, right=d_y)
-        rhs = kron_apply(v3, v1, left=d_uv)
-        return float(np.linalg.norm(lhs - rhs, 2))
-
 
 def kron_apply(m: np.ndarray, x: np.ndarray, left: int = 1, right: int = 1) -> np.ndarray:
     """(i_left (x) m (x) i_right) @ x without forming the Kronecker product:

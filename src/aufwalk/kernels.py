@@ -22,14 +22,30 @@ columns and the gates read the panels' numbers in panel order, so the bytes
 do not depend on how many CPUs there are.
 
 A longer word has a larger heap index, so reversed heap order eliminates
-every word after every longer word, its children in the tree among them.  A range-1 walk only steps along tree edges, so each pivot is a leaf of
-the tree that is left, its elimination touches only its parent, and the
-factors have no fill (Parter's leaves-first elimination); SuperLU's partial
-pivoting takes no row swap there.  A longer range fills about as much as
-COLAMD's ordering (1.4% more to 9.8% less at ball 9 on range 2 and 3 walks).
+every word after every longer word, its children in the tree among them.  A
+range-1 walk only steps along tree edges, so each pivot is a leaf of the tree
+that is left, its elimination touches only its parent, and the factors have
+no fill (Parter's leaves-first elimination); SuperLU's partial pivoting takes
+no row swap there.  A longer range fills about as much as COLAMD's ordering
+(1.4% more to 9.8% less at ball 9 on range 2 and 3 walks).
 On a 2-vCPU host the 4095-word table of `walk --radius 11` took the
 benchmark's walk-dense compute_s from 0.51 s under COLAMD to 0.32 s
 (medians of 10 alternating pairs, BENCH_24.json).
+
+SuperLU factors in panels of consecutive columns, for which it keeps an
+n x panel dense work array and integer arrays beside it (Demmel et al., SIAM
+J. Matrix Anal. Appl. 20(3), 1999).  Panels pay when supernodes span several
+columns, and leaves-first elimination of a range-1 walk leaves one-column
+supernodes, so the rows solve factors with panels of one column.  That drops
+the n x 10 work arrays of the default (the factorisation of a radius-16 walk
+peaks at 98 MiB RSS, not 138) and makes it 2-3x faster (0.08-0.11 -> 0.03-0.05
+s at radius 16), with the same L/U pattern and row permutation; the updates
+of a column add in another order, so the factors may move by round-off.  The
+full table keeps SuperLU's default panel of 10: its work arrays stay under
+1 MiB at DENSE_LIMIT, and the table's panel loop is faster after them, since
+glibc's malloc raises its mmap threshold when they are freed and then serves
+the loop's 512 KiB temporaries from reused heap pages (with one-column panels
+the 4095-word table took about 45k more page faults and its walk 30% longer).
 """
 
 from __future__ import annotations
@@ -211,7 +227,7 @@ def _green_solve(
     top = norm_interval[1]
     if top >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm bound {top} too close to 1; Green kernel unreliable")
-    lu = _LeavesFirstLU(w)
+    lu = _LeavesFirstLU(w, narrow=rows is not None)
     if rows is None:
         # the Neumann check samples three columns of the table
         a, weights, units, trans, checked = w, m, np.arange(n), "N", sorted({0, (n - 1) // 2, n - 1})
@@ -267,9 +283,10 @@ def _green_solve(
 class _LeavesFirstLU:
     """SuperLU factors of I - W, for a sparse W on a domain of sorted heap
     indices, eliminated in reversed domain order with SuperLU's partial
-    pivoting; ``solve`` takes and returns domain order."""
+    pivoting, in panels of one column when ``narrow`` (see above); ``solve``
+    takes and returns domain order."""
 
-    def __init__(self, w):
+    def __init__(self, w, narrow: bool = False):
         n = w.shape[0]
         c = w.tocsc()
         # column j of the reversed W is column n - 1 - j of W with its rows
@@ -280,7 +297,7 @@ class _LeavesFirstLU:
         a = sp.identity(n, format="csc") - reversed_w
         # SuperLU copies its input: hold no other n-sized array while it factors
         del c, reversed_w
-        self.lu = splu(a, permc_spec="NATURAL")
+        self.lu = splu(a, permc_spec="NATURAL", panel_size=1 if narrow else None)
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         return self.lu.solve(rhs[::-1], trans=trans)[::-1]

@@ -16,7 +16,7 @@ Prepending a letter to a word of length L adds 2^L to its bits, and the
 common suffix of two words of lengths L, M has length
 ``min(ctz(bits xor bits'), L, M)``.  Strings are the serialized form and the
 names the intertwiner stack works on: ``heap_index``/``heap_indices`` and
-``word``/``ball_words`` convert between the two.
+``word``/``ball_words``/``format_words`` convert between the two.
 """
 
 from __future__ import annotations
@@ -168,6 +168,23 @@ def word(code) -> str:
         raise ValueError(f"heap index must be >= 0, got {code}")
     length = (code + 1).bit_length() - 1
     return format(code + 1 - (1 << length), f"0{length}b").translate(_FROM_BITS) if length else EMPTY
+
+
+def format_words(codes) -> np.ndarray:
+    """The serialized forms of the words with the given heap indices ("e"
+    for the root), as a numpy str array built from one letter array."""
+    codes = np.asarray(codes, dtype=np.int64)
+    lengths = code_lengths(codes)
+    width = max(int(lengths.max(initial=0)), 1)
+    # the bits left-aligned to the width: letter j is bit width - 1 - j; the
+    # slots past a word's end hold NUL, which numpy's str drops
+    left = ((codes + 1 - (np.int64(1) << lengths)) << (width - lengths)).astype(np.uint32)
+    letters = left[..., None] >> np.arange(width - 1, -1, -1, dtype=np.uint32)
+    letters &= 1
+    letters += ord("a")
+    letters[np.arange(width) >= lengths[..., None]] = 0
+    letters[lengths == 0, 0] = ord("e")
+    return letters.view(f"U{width}").reshape(codes.shape)
 
 
 def heap_indices(domain) -> np.ndarray:

@@ -358,7 +358,7 @@ class TestCsvEmitter:
             list(range(-3, n - 3)),
             [format_word(w) for w in ball(3)[:n]],
         ]
-        write_csv(tmp_path / "t.csv", header, columns)
+        write_csv(tmp_path / "t.csv", header, [columns])
         assert (tmp_path / "t.csv").read_text() == row_csv(header, zip(*columns))
 
     def test_random_doubles_match_row_formatter(self, tmp_path):
@@ -368,7 +368,7 @@ class TestCsvEmitter:
         signs = np.where(np.arange(3000) % 2, 1.0, -1.0)
         values = np.concatenate([bits.view(np.float64) * signs, 5e-324 * np.arange(1, 200) ** 3])
         n = len(values)
-        write_csv(tmp_path / "t.csv", ["x", "i"], [values, np.arange(n)])
+        write_csv(tmp_path / "t.csv", ["x", "i"], [[values, np.arange(n)]])
         assert_same_text((tmp_path / "t.csv").read_text(), row_csv(["x", "i"], zip(values.tolist(), range(n))))
 
     @pytest.mark.parametrize("block_rows", [4, cli.CSV_BLOCK_ROWS])
@@ -377,11 +377,11 @@ class TestCsvEmitter:
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
         values = REPEATED_COLUMNS[name]
         n = len(values)
-        write_csv(tmp_path / "t.csv", ["x", "i"], [values, np.arange(n)])
+        write_csv(tmp_path / "t.csv", ["x", "i"], [[values, np.arange(n)]])
         assert_same_text((tmp_path / "t.csv").read_text(), row_csv(["x", "i"], zip(values.tolist(), range(n))))
 
     def test_zero_rows_give_the_header_only(self, tmp_path):
-        write_csv(tmp_path / "t.csv", ["x", "w"], [np.zeros(0), np.array([], dtype=str)])
+        write_csv(tmp_path / "t.csv", ["x", "w"], [[np.zeros(0), np.array([], dtype=str)]])
         assert (tmp_path / "t.csv").read_text() == "x,w\n"
 
     def test_walk_csv_renders_green_rows(self, tmp_path):
@@ -408,14 +408,50 @@ class TestCsvEmitter:
         """One heap_indices call, for the configured sources, on the table
         path and the row path alike: the ball is heap indices from the start,
         and the generating check, the sub-ball scan and the solver read them.
-        The one string table of the ball is the CSV's word column."""
-        calls, tables = [], []
+        The CSV's word column is rendered from heap indices a block at a
+        time, once per source: no string table of the ball is built."""
+        calls, tables, blocks = [], [], []
         count_conversions(monkeypatch, lambda domain: calls.append(list(domain)))
-        real_table = words.ball_words
-        monkeypatch.setattr(words, "ball_words", lambda r: tables.append(r) or real_table(r))
+        monkeypatch.setattr(words, "ball_words", lambda r: tables.append(r))
+        real_format = words.format_words
+        monkeypatch.setattr(words, "format_words", lambda codes: blocks.append(len(codes)) or real_format(codes))
         path = make_config(tmp_path, ballRadius=radius, sources=["e", "ab"])
         assert main(["walk", str(path)]) == EXIT_OK
-        assert calls == [["", "ab"]] and tables == [radius]
+        assert calls == [["", "ab"]] and tables == []
+        n, rows = len(ball(radius)), cli.CSV_BLOCK_ROWS
+        assert blocks == 2 * [min(rows, n - start) for start in range(0, n, rows)]
+
+    @pytest.mark.parametrize("radius, block_rows", [(6, 5), (12, 1000)])
+    def test_walk_csv_by_source_and_block_matches_row_formatter(self, tmp_path, monkeypatch, radius, block_rows):
+        """The CSV written one source and one block at a time equals the
+        row-at-a-time reference, on the full table (radius 6) and the rows
+        path (radius 12); three sources, e among them, and blocks that
+        straddle levels and end each source part-filled."""
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        path = make_config(tmp_path, ballRadius=radius, measure={"a": 0.35, "b": 0.65}, sources=["ab", "e", "bba"])
+        assert main(["walk", str(path)]) == EXIT_OK
+        cfg = load_config(str(path))
+        tm = fusion.transition_matrix(cfg.measure, ball(radius), cfg.q)
+        sources = heap_indices(cfg.sources)
+        table = (kernels.green_table(tm, solver_tol=cfg.solver_tol) if tm.size <= kernels.DENSE_LIMIT
+                 else kernels.green_rows(tm, sources, solver_tol=cfg.solver_tol))
+        rows = []
+        for s in sources.tolist():
+            g = table.source_rows([s])[0].tolist()
+            k = kernels.martin_rows(table, [s], tm.codes)[0].tolist()
+            bound = kernels.truncation_error_bound(radius, s, tm.codes, tm).tolist()
+            rows += [(format_word(s), format_word(t), *v) for t, *v in zip(ball_words(radius), g, k, bound)]
+        header = ["s", "t", "G", "K", "truncationBound"]
+        assert_same_text((tmp_path / "out" / "green_martin.csv").read_text(), row_csv(header, rows))
+
+    def test_sections_follow_one_another(self, tmp_path, monkeypatch):
+        """Sections of different lengths, floats repeated across them, print
+        as the rows of one table."""
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        first = [[0.1, -0.0, 0.1, 2.5], ["a", "b", "c", "d"]]
+        second = [[0.1, math.nan, -0.0], ["e", "f", "g"]]
+        write_csv(tmp_path / "t.csv", ["x", "w"], iter([first, [[], []], second]))
+        assert (tmp_path / "t.csv").read_text() == row_csv(["x", "w"], [*zip(*first), *zip(*second)])
 
     @pytest.mark.parametrize("radius", [6, 12])
     def test_walk_computes_the_ball_qdims_once(self, tmp_path, radius):

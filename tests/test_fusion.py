@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,19 @@ from aufwalk.fusion import (
     transition_prob,
     uniform_irreducibility_constants,
 )
-from aufwalk.words import ball, branch, code_lengths, heap_index, heap_indices, involution, qdim, qnumber, word
+from aufwalk.words import (
+    ball,
+    ball_qdims,
+    branch,
+    code_lengths,
+    heap_index,
+    heap_indices,
+    involution,
+    qdim,
+    qnumber,
+    tree_distance,
+    word,
+)
 from conftest import random_word
 
 Q = 0.5
@@ -112,8 +126,6 @@ class TestTransitions:
     def test_bounded_range(self, mu_mixed):
         tm = transition_matrix(mu_mixed, ball(6), Q)
         coo = tm.matrix.tocoo()
-        from aufwalk.words import tree_distance
-
         for i, j, v in zip(coo.row, coo.col, coo.data):
             if v != 0:
                 assert tree_distance(word(tm.codes[i]), word(tm.codes[j])) <= tm.range_bound
@@ -229,6 +241,38 @@ class TestAssemblyChecks:
         tm.matrix = mat.tocsr()
         with pytest.raises(AssertionError, match=r"\('a', 'bbbb'\) violates the range bound 1 \(distance 5\)"):
             fusion._assert_bounded_range(tm)
+
+    @pytest.mark.parametrize("block_rows", [10, fusion.CHECK_BLOCK_ROWS])
+    def test_planted_entry_is_caught_in_every_row_block(self, mu_letters, monkeypatch, block_rows):
+        """The range check runs over blocks of CSR rows; an entry planted in
+        any row of ball(5) is named, so with blocks of 10 rows the first
+        block ("a", row 1), the middle ones ("abbab", row 44) and the partial
+        tail block of rows 60-62 ("bbbbb") are all covered."""
+        monkeypatch.setattr(fusion, "CHECK_BLOCK_ROWS", block_rows)
+        clean = transition_matrix(mu_letters, ball(5), Q)
+        for i in range(clean.size):
+            s = word(i)
+            t = "aaaaa" if s.startswith("b") or not s else "bbbbb"
+            mat = clean.matrix.tolil()
+            mat[i, heap_index(t)] = 1e-3
+            tm = TransitionMatrix(clean.codes, mat.tocsr(), clean.mu, clean.q)
+            with pytest.raises(AssertionError, match=rf"\({s!r}, {t!r}\) violates the range bound 1 "
+                                                     rf"\(distance {tree_distance(s, t)}\)"):
+                fusion._assert_bounded_range(tm)
+
+    def test_assembly_peaks_within_three_times_its_csr(self, mu_letters):
+        """transition_matrix at radius 14, the ball's quantum dimensions
+        included, allocates at most three times the bytes of the CSR it
+        returns (tracemalloc sees numpy's buffers)."""
+        ball_qdims.cache_clear()
+        tracemalloc.start()
+        try:
+            tm = transition_matrix(mu_letters, ball(14), Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = tm.matrix
+        assert peak <= 3 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
     @pytest.mark.parametrize("row", ["", "bbbbb"])
     def test_corrupted_sampled_row_fails_the_string_route(self, mu_mixed, row):

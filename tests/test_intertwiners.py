@@ -387,13 +387,6 @@ class TestDefects:
         rate = (math.log(d2) - math.log(d1)) / (e2 - e1)
         assert rate == pytest.approx(math.log(engine.q), rel=0.2)
 
-    def test_composite_defect_decay(self, engine):
-        vals = {x: engine.cor_defect("a", "a", x, "ba") for x in ("a", "ba", "aba")}
-        assert vals["a"] > vals["ba"] > vals["aba"] > 0
-        # decay exponent per unit branch depth stays near log q
-        rate = math.log(vals["aba"] / vals["a"]) / 2.0
-        assert rate == pytest.approx(math.log(engine.q), rel=0.25)
-
 
 class TestIntertwinerAlgebra:
     def test_compose_checks_labels(self, engine):

@@ -272,6 +272,34 @@ class TestLeavesFirstLU:
         colamd = splu(sp.identity(tm.size, format="csc") - tm.matrix.tocsc(), permc_spec="COLAMD")
         assert fill(kernels._LeavesFirstLU(tm.matrix).lu) <= 1.02 * fill(colamd)
 
+    @pytest.mark.parametrize("mu", [{"a": 0.5, "b": 0.5}, {"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2},
+                                    {"a": 0.3, "b": 0.3, "aab": 0.2, "bba": 0.2}])
+    def test_one_column_panels_keep_the_factors(self, mu):
+        """SuperLU's one-column panels give the L/U pattern and the row
+        permutation of its default panels, and the entries to round-off."""
+        tm = transition_matrix(Measure(mu), ball(9), Q)
+        wide, narrow = (kernels._LeavesFirstLU(tm.matrix, narrow=flag).lu for flag in (False, True))
+        assert np.array_equal(wide.perm_r, narrow.perm_r)
+        for factor in ("L", "U"):
+            a, b = (getattr(lu, factor).tocsr().sorted_indices() for lu in (wide, narrow))
+            assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            assert np.abs(a.data - b.data).max() <= 1e-15 * np.abs(a.data).max()
+
+    def test_only_the_rows_solve_takes_one_column_panels(self, walk8, monkeypatch):
+        """The rows solve drops SuperLU's panel work arrays; the full table
+        keeps the default panels."""
+        tm, _ = walk8
+        panels = []
+
+        def recording(a, **options):
+            panels.append(options["panel_size"])
+            return splu(a, **options)
+
+        monkeypatch.setattr(kernels, "splu", recording)
+        green_table(tm)
+        green_rows(tm, [heap_index("ab")])
+        assert panels == [None, 1]
+
 
 def allow_cpus(monkeypatch, count, run_entries=kernels._RUN_ENTRIES):
     """Let the process use ``count`` CPUs, with a run of panels per

@@ -11,6 +11,7 @@ from aufwalk.words import (
     classical_dim,
     common_suffix_length,
     format_word,
+    format_words,
     heap_index,
     indecomposable_factors,
     involution,
@@ -238,3 +239,14 @@ class TestSerialization:
         assert parse_word("ab") == "ab"
         with pytest.raises(ValueError):
             parse_word("xy")
+
+    @pytest.mark.parametrize("radius", [0, 1, 5, 12])
+    def test_format_words_renders_each_word(self, radius):
+        """The array rendering gives format_word of every heap index, the
+        root as "e", for a whole ball and for an unsorted selection."""
+        assert format_words(ball(radius)).tolist() == [format_word(i) for i in ball(radius)]
+        codes = np.random.default_rng(radius).integers(0, len(ball(radius)), size=50)
+        assert format_words(codes).tolist() == [format_word(i) for i in codes]
+
+    def test_format_words_of_no_words(self):
+        assert format_words(np.zeros(0, dtype=np.int64)).tolist() == []
