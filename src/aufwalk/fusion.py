@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from .words import (
     ball,
@@ -331,19 +331,12 @@ def uniform_irreducibility_constants(tm: TransitionMatrix, k_max: int = 12) -> t
     # connecting chains are not killed by the truncation
     lengths = code_lengths(tm.codes)
     ok = np.flatnonzero(lengths + k_max * tm.range_bound <= lengths.max())
-    need = np.zeros((tm.size, tm.size), dtype=bool)
-    need[np.ix_(ok, ok)] = tree_distances(tm.codes[ok, None], tm.codes[None, ok]) == 1
-    if not need.any():
+    adjacent = tree_distances(tm.codes[ok, None], tm.codes[None, ok]) == 1
+    if not adjacent.any():
         raise ValueError("domain too small for the requested chain margin")
-    reach = (tm.matrix.toarray() > 0).astype(np.float64)
-    power = reach.copy()
-    best_k = 0
-    for k in range(1, k_max + 1):
-        hit = need & (power > 0)
-        if hit.any():
-            best_k = k
-        need &= ~hit
-        if not need.any():
-            return delta0, best_k
-        power = (power @ reach > 0).astype(np.float64)
-    raise AssertionError(f"{int(need.sum())} adjacent pairs not connected within {k_max} steps")
+    # fewest steps along positive weights from each interior word, through any word
+    steps = shortest_path(tm.matrix > 0, unweighted=True, indices=ok)[:, ok][adjacent]
+    far = int((steps > k_max).sum())
+    if far:
+        raise AssertionError(f"{far} adjacent pairs not connected within {k_max} steps")
+    return delta0, int(steps.max())

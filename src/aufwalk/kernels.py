@@ -1,51 +1,48 @@
 """Green and Martin kernels of substochastic matrices on tree domains,
 and the quantitative audits of their tree-geometry estimates.
 
-The Green kernel of a walk (a fusion.TransitionMatrix, which carries its
-weight matrix W, the sorted heap indices of its domain and its norm bound)
-whose W has spectral norm < 1 on the qdim^2-weighted l2 space is the
-resolvent (I - W)^-1, by sparse LU throughout: one factorisation of I - W,
-eliminated in reversed heap order (_LeavesFirstLU), gives the full table
-(green_table, up to DENSE_LIMIT words, a memory bound) or the rows of chosen
-sources and the base (green_rows), both as a KernelTable that carries its
-walk.  Words are heap indices here: sources, targets, rows
-and the base alike.  Each solve first certifies an interval around that
-norm (weighted_operator_norm: Collatz-Wielandt steps until the top is at most
-the walk's norm bound, usually one) and refuses a top within NORM_GUARD of 1;
-it is gated by the solve residual and checked against a truncated Neumann
-series whose tail is bounded by the certified top.  The
-unit right-hand sides are solved in panels of a few columns, each checked as
-it is solved, so the full table costs one n x n array, the table itself.  The
-panels of a large solve are split into a run per CPU the process may use,
-solved at once by the caller and a thread pool; each run writes its own
-columns and the gates read the panels' numbers in panel order, so the bytes
-do not depend on how many CPUs there are.
+A walk is a fusion.TransitionMatrix: its weights W, the sorted heap indices
+of its domain and its norm bound.  Words are heap indices here: sources,
+targets, rows and the base alike.  Where W has norm < 1 on the
+qdim^2-weighted l2 space, the Green kernel is G = (I - W)^-1, and every
+kernel the audits read comes from Green rows G(s, .).  One solve gives them
+(_green_solve): it factors (I - W)^T once by sparse LU and solves the unit
+columns of the sorted rows asked for, column s being the row G(s, .).
+green_table asks for every word (up to DENSE_LIMIT, a memory bound),
+green_rows for the sources and the base; both return a KernelTable.
 
-A longer word has a larger heap index, so reversed heap order eliminates
-every word after every longer word, its children in the tree among them.  A
-range-1 walk only steps along tree edges, so each pivot is a leaf of the tree
-that is left, its elimination touches only its parent, and the factors have
-no fill (Parter's leaves-first elimination); SuperLU's partial pivoting takes
-no row swap there.  A longer range fills about as much as COLAMD's ordering
-(1.4% more to 9.8% less at ball 9 on range 2 and 3 walks).
-On a 2-vCPU host the 4095-word table of `walk --radius 11` took the
-benchmark's walk-dense compute_s from 0.51 s under COLAMD to 0.32 s
-(medians of 10 alternating pairs, BENCH_24.json).
+Each solve first certifies an interval around the norm
+(weighted_operator_norm: Collatz-Wielandt steps until the top is at most the
+walk's norm bound, usually one) and refuses a top within NORM_GUARD of 1.
+It is gated by its residual, and its first, middle and last rows are checked
+against a truncated Neumann series of W^T, whose tail the top bounds on the
+dual weights 1/qdim^2.  The columns are solved in panels, each gated as it is
+solved, so the full table costs one n x n array, the table itself.  A large
+solve's panels are split into a run per usable CPU, solved at once by the
+caller and a thread pool; each run writes its own columns and the gates read
+the panels' numbers in panel order, so the bytes do not depend on how many
+CPUs there are.
 
-SuperLU factors in panels of consecutive columns, for which it keeps an
-n x panel dense work array and integer arrays beside it (Demmel et al., SIAM
-J. Matrix Anal. Appl. 20(3), 1999).  Panels pay when supernodes span several
-columns, and leaves-first elimination of a range-1 walk leaves one-column
-supernodes, so the rows solve factors with panels of one column.  That drops
-the n x 10 work arrays of the default (the factorisation of a radius-16 walk
-peaks at 98 MiB RSS, not 138) and makes it 2-3x faster (0.08-0.11 -> 0.03-0.05
-s at radius 16), with the same L/U pattern and row permutation; the updates
-of a column add in another order, so the factors may move by round-off.  The
-full table keeps SuperLU's default panel of 10: its work arrays stay under
-1 MiB at DENSE_LIMIT, and the table's panel loop is faster after them, since
-glibc's malloc raises its mmap threshold when they are freed and then serves
-the loop's 512 KiB temporaries from reused heap pages (with one-column panels
-the 4095-word table took about 45k more page faults and its walk 30% longer).
+The factors eliminate in reversed heap order (_LeavesFirstLU): every word
+after every longer word, its children in the tree among them.  A range-1
+walk only steps along tree edges, so each pivot is a leaf of what is left
+and touches only its parent: no fill (Parter's leaves-first elimination) and
+no row swap.  A longer range fills about as much as COLAMD's ordering, and
+the 4095-word table of `walk --radius 11` took the benchmark's walk-dense
+compute_s from 0.51 s under COLAMD to 0.32 s on 2 vCPUs (BENCH_24.json).
+SuperLU's transposed solve on factors of I - W was about 15% slower there
+than the plain solve on factors of the transpose.
+
+SuperLU factors in panels of columns with an n x panel dense work array
+(Demmel et al., SIAM J. Matrix Anal. Appl. 20(3), 1999), which pays only
+when supernodes span several columns; a range-1 walk's are one column wide.
+So a solve of fewer rows than words factors with one-column panels: at
+radius 16 the walk peaks at 98 MiB RSS, not 138, and factors 2-3x faster,
+with the same L/U pattern and row permutation.  The full table keeps the
+default panel of 10: its work arrays stay under 1 MiB, and once they are
+freed glibc's malloc has raised its mmap threshold and serves the panel
+loop's 512 KiB temporaries from reused heap pages (one-column panels cost
+the 4095-word table about 45k more page faults and its walk 30%).
 """
 
 from __future__ import annotations
@@ -71,6 +68,10 @@ from .words import qdim  # noqa: F401
 DENSE_LIMIT = 4200
 SOLVER_TOL = 1e-10
 NORM_GUARD = 1e-6
+# steps and relative width at which weighted_operator_norm stops when no top
+# reaches the bound
+_NORM_STEPS = 600
+_NORM_TOL = 1e-9
 # unit columns per solve in _green_solve: of 8, 16 and 32, 16 gave the fastest
 # first table of a process at n = 4095 on two workers (green_table medians of
 # eight processes: 0.33 s, against 0.36 s for 8 and 0.45 s for 32) and tied
@@ -84,9 +85,7 @@ _PANEL = 16
 _RUN_ENTRIES = 1 << 19
 
 
-def weighted_operator_norm(
-    matrix, weights: np.ndarray, bound: float = 0.0, iters: int = 600, tol: float = 1e-9
-) -> tuple[float, float]:
+def weighted_operator_norm(matrix, weights: np.ndarray, bound: float = 0.0) -> tuple[float, float]:
     """Certified interval (bottom, top) around the operator norm of the
     matrix on l2 with the given vertex weights.  Dense input is converted to
     CSR.
@@ -97,8 +96,8 @@ def weighted_operator_norm(
     Collatz-Wielandt top sqrt(max_i (Bv)_i / v_i) >= rho(B)^(1/2) = || |A| ||
     >= ||A||, widened by 1 + 1e-12 for the rounding of the products.  Taking
     |A| keeps the top valid for a signed matrix.  It stops at the first top
-    <= bound, once top - bottom <= tol * top, or after iters steps, and
-    returns the largest bottom and the smallest top it saw.
+    <= bound, once top - bottom <= _NORM_TOL * top, or after _NORM_STEPS
+    steps, and returns the largest bottom and the smallest top it saw.
     """
     w = np.sqrt(np.asarray(weights, dtype=float))
     a = (sp.diags(w) @ sp.csr_matrix(matrix, dtype=float) @ sp.diags(1.0 / w)).tocsr()
@@ -106,14 +105,14 @@ def weighted_operator_norm(
     b = abs(a) if signed else a
     v = np.ones(a.shape[0])
     bottom, top = 0.0, math.inf
-    for _ in range(iters):
+    for _ in range(_NORM_STEPS):
         u = b @ v
         bottom = max(bottom, float(np.linalg.norm(a @ v if signed else u) / np.linalg.norm(v)))
         bv = b.T @ u
         if v.min() > 0.0:
             top = min(top, math.sqrt((bv / v).max()) * (1.0 + 1e-12))
         nrm = np.linalg.norm(bv)
-        if top <= bound or top - bottom <= tol * top or nrm == 0.0:
+        if top <= bound or top - bottom <= _NORM_TOL * top or nrm == 0.0:
             break
         v = bv / nrm
     return bottom, top
@@ -121,28 +120,18 @@ def weighted_operator_norm(
 
 @dataclass
 class KernelTable:
-    """Green kernel G(s, t) of a walk for the solved words s (``rows``, heap
-    indices, by default the walk's domain) and every t of the walk's domain,
-    in its order; Martin kernels (martin_rows) are normalized at ``base``, a
-    heap index, which is always solved."""
+    """Green kernel G(s, t) of a walk for the solved words s (``rows``,
+    sorted heap indices) and every t of the walk's domain, in its order;
+    Martin kernels (martin_rows) are normalized at ``base``, a heap index,
+    which is always solved."""
 
     walk: TransitionMatrix = field(repr=False)
+    rows: np.ndarray
     base: int
     green: np.ndarray
     residual: float
     norm_interval: tuple[float, float]
-    neumann_gap: float | None = None
-    rows: np.ndarray | None = None
-    # the rows in sorted order, and where each sits in ``rows``
-    _sorted: np.ndarray = field(init=False, repr=False)
-    _order: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.rows = self.walk.codes if self.rows is None else np.asarray(self.rows, dtype=np.int64)
-        self._order = np.argsort(self.rows, kind="stable")
-        self._sorted = self.rows[self._order]
-        if not locate(self._sorted, [self.base])[1][0]:
-            raise ValueError(f"base {word(self.base)!r} not in domain")
+    neumann_gap: float
 
     @property
     def size(self) -> int:
@@ -152,10 +141,10 @@ class KernelTable:
         """Rows of ``green`` that hold the solved words with the given heap
         indices; raises ValueError naming the words with no solved row."""
         codes = np.asarray(codes, dtype=np.int64)
-        pos, inside = locate(self._sorted, codes)
+        pos, inside = locate(self.rows, codes)
         if not inside.all():
             raise ValueError(f"no solved Green row for {[word(c) for c in codes[~inside]]}")
-        return self._order[pos]
+        return pos
 
     def source_rows(self, sources) -> np.ndarray:
         """The Green rows G(s, .) of the given solved words, one per source."""
@@ -172,69 +161,61 @@ class KernelTable:
 
 
 def green_table(walk: TransitionMatrix, base: int = 0, solver_tol: float = SOLVER_TOL) -> KernelTable:
-    """Solve (I - W) G = I for the walk's weights W on its domain; the base
-    defaults to the root (heap index 0).
+    """The Green table G = (I - W)^-1 of the walk's weights W on its domain,
+    every word's row; the base defaults to the root (heap index 0).
 
-    Raises if the certified top of the norm on the weighted l2 space reaches
-    1 - 1e-6 (invalid input) or if the solve residual exceeds the tolerance.
+    Raises ValueError above DENSE_LIMIT words, and like _green_solve.
     """
     if walk.size > DENSE_LIMIT:
         raise ValueError(f"domain of size {walk.size} exceeds the dense solver limit {DENSE_LIMIT}")
-    green, residual, norm_interval, gap = _green_solve(walk, solver_tol)
-    return KernelTable(walk, base, green, residual, norm_interval, gap)
+    return _green_solve(walk, walk.codes, base, solver_tol)
 
 
 def green_rows(walk: TransitionMatrix, sources, base: int = 0, solver_tol: float = SOLVER_TOL) -> KernelTable:
-    """The Green rows of the sources and of the base (heap indices), on a
-    domain of any size: one transposed solve per distinct word.
-
-    Raises ValueError for a word outside the domain, and like green_table on
-    the norm guard and when the worst row residual exceeds the tolerance.
-    """
-    rows = np.array(list(dict.fromkeys([int(s) for s in sources] + [int(base)])), dtype=np.int64)
-    pos, inside = locate(walk.codes, rows)
-    if not inside.all():
-        raise ValueError(f"Green rows asked for words outside the domain: {[word(c) for c in rows[~inside]]}")
-    solved, residual, norm_interval, gap = _green_solve(walk, solver_tol, pos)
-    return KernelTable(walk, base, np.ascontiguousarray(solved.T), residual, norm_interval, gap, rows=rows)
+    """The Green rows of the sources and of the base (heap indices), in
+    sorted order, on a domain of any size.  Raises like _green_solve."""
+    rows = np.unique(np.append(np.asarray(sources, dtype=np.int64), base))
+    return _green_solve(walk, rows, base, solver_tol)
 
 
-def _green_solve(
-    walk: TransitionMatrix, solver_tol: float, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, float, tuple[float, float], float]:
-    """The one solver core behind green_table and green_rows.
+def _green_solve(walk: TransitionMatrix, rows: np.ndarray, base: int, solver_tol: float) -> KernelTable:
+    """The one solver core: the Green rows of ``rows`` (sorted heap indices
+    of domain words) with the Martin base ``base``.
 
-    With ``rows`` None it solves (I - W) X = I for the full table; with an
-    array of domain positions it solves (I - W)^T X = E, whose columns are the
-    Green rows at those positions.  Both are columns of (I - A)^-1 with A = W
-    on the weights m = qdim^2, or A = W^T on the dual weights 1/m, where the
-    norm is the same.  The unit columns are solved in panels of _PANEL, each
-    with its residual A X - X + E and its diagonal taken before it is stored,
-    so no n x n right-hand side, residual or copy is formed; both gates cover
-    every column.  The panels are split into runs, one per usable CPU, at most
-    one per panel and per _RUN_ENTRIES entries of X; the caller solves the
-    first and a thread pool the others.
+    It solves (I - W)^T X = E for the unit columns E of the rows' positions;
+    X holds the rows as columns, and X^T is the table.  The columns are solved
+    in panels of _PANEL, each with its residual W^T X - X + E and its
+    diagonal taken before it is stored, so no n x n right-hand side, residual
+    or copy is formed; both gates cover every column.  The panels are split
+    into runs, one per usable CPU, at most one per panel and per _RUN_ENTRIES
+    entries of X; the caller solves the first and a thread pool the others.
     The norm interval is iterated until its top is at most the walk's norm
     bound; the top guards the solve and bounds the Neumann tail.
-    Returns (X, residual, norm interval, Neumann gap).
+
+    Raises ValueError for a row or base outside the domain and when the
+    certified top reaches 1 - NORM_GUARD (invalid input), and RuntimeError
+    when the worst residual exceeds the tolerance or a diagonal entry is not
+    positive.
     """
     n = walk.size
     w = sp.csr_matrix(walk.matrix, dtype=float)
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match domain size {n}")
+    asked = np.append(rows, base)
+    pos, inside = locate(walk.codes, asked)
+    if not inside.all():
+        outside = [word(c) for c in np.unique(asked[~inside])]
+        raise ValueError(f"Green rows asked for words outside the domain: {outside}")
+    units = pos[:-1]
     m = walk.haar_weights()
     norm_interval = weighted_operator_norm(w, m, walk.norm_bound)
     top = norm_interval[1]
     if top >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm bound {top} too close to 1; Green kernel unreliable")
-    lu = _LeavesFirstLU(w, narrow=rows is not None)
-    if rows is None:
-        # the Neumann check samples three columns of the table
-        a, weights, units, trans, checked = w, m, np.arange(n), "N", sorted({0, (n - 1) // 2, n - 1})
-    else:
-        # W^T as the CSC view of W's arrays: its products add in the order of
-        # a CSR copy, with no conversion
-        a, weights, units, trans, checked = w.T, 1.0 / m, np.asarray(rows), "T", slice(None)
+    # W^T as the CSC view of W's arrays: its products add in the order of a
+    # CSR copy, with no conversion
+    a = w.T
+    lu = _LeavesFirstLU(a, narrow=len(units) < n)
     x = np.empty((n, len(units)), order="F")
 
     def solve_run(run: range) -> list[tuple[float, float]]:
@@ -248,7 +229,7 @@ def _green_solve(
             cols = np.arange(len(at))
             rhs = np.zeros((n, len(at)))
             rhs[at, cols] = 1.0
-            panel = lu.solve(rhs, trans=trans)
+            panel = lu.solve(rhs)
             r = a @ panel
             r -= panel
             r += rhs
@@ -276,15 +257,20 @@ def _green_solve(
         raise RuntimeError(f"Green solve residual {residual} above tolerance {solver_tol}")
     if np.min(diagonals) <= 0.0:
         raise RuntimeError("Green kernel diagonal not positive")
-    gap = _neumann_gap(a, x[:, checked], units[checked], weights, top)
-    return x, residual, norm_interval, gap
+    # the Neumann check samples the first, middle and last row; a solve of at
+    # most three rows is checked in place, with no copy of its columns
+    k = len(units)
+    checked = slice(None) if k <= 3 else [0, (k - 1) // 2, k - 1]
+    gap = _neumann_gap(a, x[:, checked], units[checked], 1.0 / m, top)
+    # x is Fortran-ordered: its transpose is the C-ordered table, not a copy
+    return KernelTable(walk, rows, base, x.T, residual, norm_interval, gap)
 
 
 class _LeavesFirstLU:
     """SuperLU factors of I - W, for a sparse W on a domain of sorted heap
-    indices, eliminated in reversed domain order with SuperLU's partial
-    pivoting, in panels of one column when ``narrow`` (see above); ``solve``
-    takes and returns domain order."""
+    indices (the Green solve passes the walk's W^T), eliminated in reversed
+    domain order with SuperLU's partial pivoting, in panels of one column
+    when ``narrow`` (see above); ``solve`` takes and returns domain order."""
 
     def __init__(self, w, narrow: bool = False):
         n = w.shape[0]
@@ -299,8 +285,8 @@ class _LeavesFirstLU:
         del c, reversed_w
         self.lu = splu(a, permc_spec="NATURAL", panel_size=1 if narrow else None)
 
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        return self.lu.solve(rhs[::-1], trans=trans)[::-1]
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self.lu.solve(rhs[::-1])[::-1]
 
 
 def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, tail_norm: float) -> float:
@@ -315,9 +301,18 @@ def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, ta
     for _ in range(steps):
         vec = a @ vec
         acc += vec
+    del vec
     tail = tail_norm ** (steps + 1) / (1.0 - tail_norm)
-    bound = tail * np.sqrt(weights[units][None, :] / weights[:, None]) + 1e-12
-    return float((np.abs(cols - acc) - bound).max())
+    # |cols - acc| - (tail * sqrt(...) + 1e-12) by the same operations, in
+    # place: after the series only the sum and the bound are n x k arrays
+    bound = weights[units][None, :] / weights[:, None]
+    np.sqrt(bound, out=bound)
+    bound *= tail
+    bound += 1e-12
+    np.subtract(cols, acc, out=acc)
+    np.abs(acc, out=acc)
+    acc -= bound
+    return float(acc.max())
 
 
 def _neumann_steps(tail_norm: float) -> int:

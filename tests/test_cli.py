@@ -287,6 +287,16 @@ class TestWalk:
         }
         assert first == second
 
+    def test_walk_pins_the_witness_above_1500_words(self, tmp_path):
+        """walk --radius 11 (4095 words) under {aa, b, aba} scans the witness
+        on ball 8: a range of 3 leaves k_max = 2 there, which K = 2 needs (a
+        ball-6 scan would leave k_max = 1 and raise)."""
+        path = make_config(tmp_path, ballRadius=11, measure={"aa": 0.3, "b": 0.4, "aba": 0.3})
+        assert main(["walk", str(path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert (manifest["domainSize"], manifest["rangeBound"]) == (4095, 3)
+        assert (manifest["delta0"], manifest["kSteps"]) == (0.0026574394463667757, 2)
+
     @pytest.mark.parametrize("measure, radius", [
         ({"a": 0.35, "b": 0.65}, 6),
         ({"a": 0.35, "b": 0.65}, 12),

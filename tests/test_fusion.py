@@ -219,6 +219,37 @@ class TestUniformIrreducibility:
         delta0, k = uniform_irreducibility_constants(tm, k_max=3)
         assert delta0 > 0 and k <= 2
 
+    @pytest.mark.parametrize("mu", [{"a": 0.5, "b": 0.5}, {"aa": 0.3, "b": 0.4, "aba": 0.3},
+                                    {"a": 0.3, "b": 0.3, "aab": 0.2, "bba": 0.2}])
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    def test_steps_match_boolean_matrix_powers(self, mu, k_max):
+        """Oracle: K is the first power of the positive pattern that joins
+        the last adjacent pair of words clear of the frontier; pairs still
+        apart after k_max powers raise, counted, and no pair raises too."""
+        tm = transition_matrix(Measure(mu), ball(8), Q)
+        lengths = code_lengths(tm.codes)
+        ok = [i for i in range(tm.size) if lengths[i] + k_max * tm.range_bound <= 8]
+        need = np.zeros((tm.size, tm.size), dtype=bool)
+        for i in ok:
+            for j in ok:
+                need[i, j] = tree_distance(word(tm.codes[i]), word(tm.codes[j])) == 1
+        if not need.any():
+            with pytest.raises(ValueError, match="too small"):
+                uniform_irreducibility_constants(tm, k_max=k_max)
+            return
+        reach = (tm.matrix.toarray() > 0).astype(float)
+        power, k = reach.copy(), 0
+        for step in range(1, k_max + 1):
+            if (need & (power > 0)).any():
+                k = step
+            need &= power == 0
+            power = (power @ reach > 0).astype(float)
+        if need.any():
+            with pytest.raises(AssertionError, match=f"^{int(need.sum())} adjacent pairs"):
+                uniform_irreducibility_constants(tm, k_max=k_max)
+        else:
+            assert uniform_irreducibility_constants(tm, k_max=k_max) == (tm.matrix.data.min(), k)
+
 
 class TestMatrixEntriesMatchScalarRoute:
     def test_entries_equal_transition_prob(self, mu_mixed):

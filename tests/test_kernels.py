@@ -151,6 +151,23 @@ class TestGreenTable:
         assert steps[0] < 600
         assert table.neumann_gap <= 0.0
 
+    @pytest.mark.parametrize("row, sampled", [(0, True), (127, True), (254, True), (1, False)])
+    def test_neumann_check_samples_the_first_middle_and_last_row(self, walk7, monkeypatch, row, sampled):
+        # an error of 5e-11 on a diagonal entry passes the residual gate; the
+        # series check sees it on the three sampled rows of the 255-word table only
+        tm, _ = walk7
+
+        class PerturbedLU(kernels._LeavesFirstLU):
+            def solve(self, rhs):
+                x = super().solve(rhs)
+                x[row, rhs[row] == 1.0] += 5e-11
+                return x
+
+        monkeypatch.setattr(kernels, "_LeavesFirstLU", PerturbedLU)
+        table = green_table(tm)
+        assert table.residual < 1e-10
+        assert (table.neumann_gap > 1e-11) is sampled
+
     def test_three_point_ball_scalar_series(self, mu_letters):
         # oracle: the explicit 3x3 matrix has a single return loop e->a|b->e
         # of weight 2 * (1/2) * (1/2) / [2]^2, so G(e,e) = 1/(1 - 0.08)
@@ -189,17 +206,20 @@ class TestGreenTable:
         assert (np.abs(g - inv) / np.abs(inv)).max() < 1e-13
 
     def test_panels_give_the_one_shot_table(self, walk7):
-        # 255 words: fifteen full panels and a partial one
+        # 255 words: fifteen full panels and a partial one; the table is the
+        # transpose of the identity solved at once on the factors of (I - W)^T
         tm, table = walk7
         n = tm.size
         assert n % kernels._PANEL != 0
-        lu = kernels._LeavesFirstLU(tm.matrix)
-        assert np.array_equal(table.green, lu.solve(np.eye(n)))
+        lu = kernels._LeavesFirstLU(tm.matrix.T)
+        assert np.array_equal(table.green, lu.solve(np.eye(n)).T)
+        assert table.green.flags.c_contiguous
 
     def test_residual_covers_the_whole_table(self, walk7):
+        # the residual of the solved columns, the rows of G: W^T G^T - G^T + I
         tm, table = walk7
-        g = table.green
-        assert table.residual == np.abs(tm.matrix @ g - g + np.eye(tm.size)).max()
+        x = table.green.T
+        assert table.residual == np.abs(tm.matrix.T @ x - x + np.eye(tm.size)).max()
 
     def test_residual_above_tolerance_raises(self, walk8):
         tm, table = walk8
@@ -250,8 +270,8 @@ def fill(lu) -> int:
 
 
 class TestLeavesFirstLU:
-    """I - W is factored longest words first, so every word is eliminated
-    after its children in the tree."""
+    """(I - W)^T, the matrix every Green solve factors, is factored longest
+    words first, so every word is eliminated after its children in the tree."""
 
     @pytest.mark.parametrize("mu", [{"a": 0.35, "b": 0.65}, {"a": 0.5, "b": 0.5}, {"": 0.2, "a": 0.4, "b": 0.4}])
     @pytest.mark.parametrize("x", ["", "a", "ba", "abb"])
@@ -259,18 +279,18 @@ class TestLeavesFirstLU:
         # on the ball (x = e) and on branches of it the pattern of I - W is a
         # tree's, and each pivot is a leaf of what is left
         tm = transition_matrix(Measure(mu), ball(9), Q).restrict(branch(x, 9))
-        lu = kernels._LeavesFirstLU(tm.matrix).lu
+        lu = kernels._LeavesFirstLU(tm.matrix.T).lu
         assert fill(lu) == (sp.identity(tm.size) - tm.matrix).nnz
         assert np.array_equal(lu.perm_r, np.arange(tm.size))
 
     @pytest.mark.parametrize("longer", [("aa", "bb"), ("ab", "ba"), ("aab", "bba")])
     def test_a_longer_range_fills_about_as_colamd(self, longer):
-        # at ball 9 the fill is 1.014, 0.963 and 0.902 of COLAMD's (1.021,
-        # 0.951 and 0.910 at ball 6)
+        # at ball 9 the fill of (I - W)^T is 1.014, 0.963 and 0.933 of
+        # COLAMD's (1.021, 0.951 and 0.936 at ball 6)
         mu = Measure({"a": 0.3, "b": 0.3, longer[0]: 0.2, longer[1]: 0.2})
         tm = transition_matrix(mu, ball(9), Q)
-        colamd = splu(sp.identity(tm.size, format="csc") - tm.matrix.tocsc(), permc_spec="COLAMD")
-        assert fill(kernels._LeavesFirstLU(tm.matrix).lu) <= 1.02 * fill(colamd)
+        colamd = splu(sp.identity(tm.size, format="csc") - tm.matrix.T.tocsc(), permc_spec="COLAMD")
+        assert fill(kernels._LeavesFirstLU(tm.matrix.T).lu) <= 1.02 * fill(colamd)
 
     @pytest.mark.parametrize("mu", [{"a": 0.5, "b": 0.5}, {"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2},
                                     {"a": 0.3, "b": 0.3, "aab": 0.2, "bba": 0.2}])
@@ -278,7 +298,7 @@ class TestLeavesFirstLU:
         """SuperLU's one-column panels give the L/U pattern and the row
         permutation of its default panels, and the entries to round-off."""
         tm = transition_matrix(Measure(mu), ball(9), Q)
-        wide, narrow = (kernels._LeavesFirstLU(tm.matrix, narrow=flag).lu for flag in (False, True))
+        wide, narrow = (kernels._LeavesFirstLU(tm.matrix.T, narrow=flag).lu for flag in (False, True))
         assert np.array_equal(wide.perm_r, narrow.perm_r)
         for factor in ("L", "U"):
             a, b = (getattr(lu, factor).tocsr().sorted_indices() for lu in (wide, narrow))
@@ -388,8 +408,8 @@ class TestPanelPool:
         domain order, in that worker."""
 
         class FaultyLU(kernels._LeavesFirstLU):
-            def solve(self, rhs, trans="N"):
-                x = super().solve(rhs, trans=trans)
+            def solve(self, rhs):
+                x = super().solve(rhs)
                 if rhs[-1, -1] == 1.0:
                     assert threading.current_thread() is not threading.main_thread()
                     fault(x)
@@ -432,6 +452,19 @@ class TestTruncationBound:
     def test_frozen_value(self, walk8):
         got = truncation_error_bound(12, 0, 0, walk8[0])
         assert got == pytest.approx(0.8 ** 24 / 0.2, rel=1e-12)
+
+    @pytest.mark.parametrize("s, t", [("", ""), ("ab", "b"), ("", "abab"), ("bbb", "a")])
+    def test_frozen_value_at_range_two(self, s, t):
+        """An escaping path of a range-2 walk needs ceil(2 depth / 2) = depth
+        steps, so the bound is qdim(t)/qdim(s) lam^depth / (1 - lam); a bound
+        that ignored the range would take 2 depth steps and be lam^depth
+        smaller, not rigorous."""
+        walk = transition_matrix(Measure({"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2}), ball(2), Q)
+        assert walk.range_bound == 2
+        lam = walk.norm_bound
+        depth = 9 - max(len(s), len(t))
+        want = qdim(t, Q) / qdim(s, Q) * lam ** depth / (1.0 - lam)
+        assert truncation_error_bound(9, heap_index(s), heap_index(t), walk) == pytest.approx(want, rel=1e-12)
 
     def test_doubling_depth_squares_factor(self, walk8):
         b1 = truncation_error_bound(8, 0, 0, walk8[0])
@@ -486,6 +519,16 @@ class TestHarnackAndMultiplicativity:
         assert rep.passes
         assert rep.empirical_delta >= rep.delta_bound
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_harnack_fails_below_the_chain_bound(self, audit_setup, k):
+        """With delta0^K at the measured delta the audit passes, and with it
+        at the measured delta / 0.75 it fails: an audit that passed at half
+        the chain bound would pass both."""
+        tm, table, delta0, _, interior = audit_setup
+        worst = harnack_audit(table, delta0, 1, interior).empirical_delta
+        assert harnack_audit(table, worst ** (1 / k), k, interior).passes
+        assert not harnack_audit(table, (worst / 0.75) ** (1 / k), k, interior).passes
+
     def test_multiplicativity_constants(self, audit_setup):
         tm, table, delta0, k, interior = audit_setup
         rep = multiplicativity_audit(table, delta0 ** k, interior)
@@ -496,7 +539,7 @@ class TestHarnackAndMultiplicativity:
         assert rep.c1_upper <= 1.0 + 1e-12
 
     def test_audits_read_a_rows_table_through_its_rows(self, audit_setup):
-        # the interior's rows, solved in reverse order, give the full table's constants
+        # the interior's rows, asked for in reverse order, give the full table's constants
         tm, table, delta0, k, interior = audit_setup
         rows = green_rows(tm, interior[::-1])
         har, har_rows = (harnack_audit(t, delta0, k, interior) for t in (table, rows))
@@ -608,9 +651,10 @@ class TestBoundaryProfile:
 class TestGreenRows:
     def test_rows_match_dense_table(self, walk8):
         tm, table = walk8
-        rows = green_rows(tm, heap_indices(["a", "ba"]))
+        # the rows are the distinct sources and the base, sorted
+        rows = green_rows(tm, heap_indices(["ba", "a", "ba"]))
         assert rows.residual < 1e-10
-        assert rows.rows.tolist() == heap_indices(["a", "ba", ""]).tolist()
+        assert rows.rows.tolist() == heap_indices(["", "a", "ba"]).tolist()
         for s in rows.rows:
             assert np.abs(rows.source_rows([s])[0] - table.green[s, :]).max() < 1e-11
 
@@ -631,8 +675,8 @@ class TestGreenRows:
         tm, _ = walk8
 
         class PerturbedLU(kernels._LeavesFirstLU):
-            def solve(self, rhs, trans="N"):
-                x = super().solve(rhs, trans=trans)
+            def solve(self, rhs):
+                x = super().solve(rhs)
                 x[heap_index("a"), 0] += 5e-11
                 return x
 
@@ -652,8 +696,8 @@ class TestGreenRows:
         tm = transition_matrix(mu_letters, dom, Q)
 
         class PerturbedLU(kernels._LeavesFirstLU):
-            def solve(self, rhs, trans="N"):
-                x = super().solve(rhs, trans=trans)
+            def solve(self, rhs):
+                x = super().solve(rhs)
                 x[heap_index("ababababab"), 0] += error
                 return x
 
@@ -672,7 +716,7 @@ class TestGreenRows:
     def test_table_reads_match_the_full_table_at_its_rows(self, walk8):
         tm, table = walk8
         rows = green_rows(tm, heap_indices(["ba", "aab", "a"]))
-        assert rows.rows.tolist() == heap_indices(["ba", "aab", "a", ""]).tolist() and rows.walk is table.walk
+        assert rows.rows.tolist() == heap_indices(["", "a", "ba", "aab"]).tolist() and rows.walk is table.walk
         diag = max(table.green_entry(v, v) for v in rows.rows)
         assert rows.diagonal_bound_gap() == pytest.approx(diag - 1.0 / (1.0 - tm.norm_bound), rel=1e-13)
         assert table.diagonal_bound_gap() == table.green.diagonal().max() - 1.0 / (1.0 - tm.norm_bound)
