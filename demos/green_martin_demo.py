@@ -54,9 +54,9 @@ print(f"geodesic product constants: lower {mult.c1_lower:.4f} <= {mult.lower_bou
 print()
 print("=== last-entry decomposition at the branch of 'a' ===")
 sub = branch("a", radius)
-branch_table = green_table(tm.restrict(sub), base=heap_index("a"))
+branch_table = green_table(tm.restrict(sub))
 for s, t in [("b", "aa"), ("ab", "aba"), ("bb", "a")]:
-    resid = last_entry_audit(heap_index("a"), heap_index(s), heap_index(t), table, branch_table)
+    resid = last_entry_audit(heap_index(s), heap_index(t), table, branch_table)
     print(f"G({s},{t}) vs sum over the cut: relative residual {resid:.2e}")
 
 print()

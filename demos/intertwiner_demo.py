@@ -39,7 +39,7 @@ print("=== almost-isometries and their norms ===")
 print("v = e gives the plain inclusion (norm 1); general v inserts a duality")
 print("vector and the norm follows a ratio of Gaussian binomials:")
 for s, v, t in [("ab", "", "ba"), ("a", "b", "b"), ("ab", "a", "a"), ("b", "ab", "")]:
-    _, nrm = eng.vtilde(s, v, t)
+    nrm = eng.vtilde(s, v, t).norm
     closed = vtilde_norm_indecomposable(s, v, t, q) if v else 1.0
     print(f"  (s,v,t) = ({s or 'e'},{v or 'e'},{t or 'e'}): norm {nrm:.8f}, closed form {closed:.8f}")
 print(f"upper bound sqrt(qdim(v)) holds; e.g. v='ab': {math.sqrt(qdim('ab', q)):.6f}")

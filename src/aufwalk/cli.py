@@ -170,7 +170,8 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
         else None,
         solver_tol=_typed(tolerances, "solver", float, 1e-10),
         audit_tol=_typed(tolerances, "audit", float, 1e-8),
-        output_dir=str(out if out is not None else _typed(raw, "outputDir", str, "out")),
+        output_dir=str(out if out is not None
+                       else os.environ.get(OUTPUT_ENV) or _typed(raw, "outputDir", str, "out")),
         seed=_typed(raw, "seed", int, 0),
         raw=raw,
     )
@@ -185,9 +186,6 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
         raise ConfigError(
             f"qdim^2 overflows a float on the ball of radius {cfg.ball_radius} at q = {cfg.q!r}"
         )
-    env_out = os.environ.get(OUTPUT_ENV)
-    if env_out:
-        cfg.output_dir = env_out
     return cfg
 
 
@@ -284,7 +282,7 @@ def cmd_walk(cfg: RunConfig) -> int:
     sources = words.heap_indices(cfg.sources)
     table = (kernels.green_table(tm, solver_tol=cfg.solver_tol) if tm.size <= kernels.DENSE_LIMIT
              else kernels.green_rows(tm, sources, solver_tol=cfg.solver_tol))
-    # every source's Martin row divides by the same G(base, t): the first one
+    # every source's Martin row divides by the same G(e, t): the first one
     # fails a walk with a zero there before any file is written
     kernels.martin_rows(table, sources[:1], tm.codes)
     delta0, k_steps = _irreducibility(cfg, tm)
@@ -397,9 +395,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
                           f"ballRadius {cfg.ball_radius}")
     eng = IntertwinerEngine(cfg.model)
     # the defect audit forms x (x) y in each V and u x, u z in the projections
-    eng.check_cap(*dict.fromkeys(
-        w for u, x, y, z in _defect_families() for w in (x + y, u + x, u + z)
-    ))
+    eng.check_cap(*(w for u, x, y, z in _defect_families() for w in (x + y, u + x, u + z)))
     # the sources are checked before any solve; the branch of z holds the words ending in z
     if not any(s.endswith(cfg.branch_z) for s in boundary_sources(cfg, cfg.effective_q_radius())):
         raise ConfigError(f"the boundary audits need a boundary source in the branch of "
@@ -554,7 +550,7 @@ def _vtilde_rows(eng):
     """(s, v, t, norm, closed form, relative error) of the almost-isometries
     over the indecomposable triples of total length <= 6."""
     for s, v, t in _indecomposable_triples(6, eng.cfg.tensor_cap):
-        _, nrm = eng.vtilde(s, v, t)
+        nrm = eng.vtilde(s, v, t).norm
         closed = vtilde_norm_indecomposable(s, v, t, eng.q)
         yield s, v, t, nrm, closed, abs(nrm - closed) / closed
 
@@ -598,7 +594,7 @@ def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float]:
 def _last_entry_worst(cfg: RunConfig, table) -> float:
     x, tm = words.heap_index(cfg.branch_z), table.walk
     branch_walk = tm.restrict(words.branch(cfg.branch_z, cfg.ball_radius))
-    branch_table = kernels.green_table(branch_walk, base=x, solver_tol=cfg.solver_tol)
+    branch_table = kernels.green_table(branch_walk, solver_tol=cfg.solver_tol)
     margin = cfg.ball_radius - tm.range_bound
     lengths = words.code_lengths(tm.codes)
     sources = tm.codes[~words.ends_with(tm.codes, x) & (lengths > 0) & (lengths <= 2)]
@@ -606,7 +602,7 @@ def _last_entry_worst(cfg: RunConfig, table) -> float:
     worst = 0.0
     for s in sources[:4].tolist():
         for t in targets[:6].tolist():
-            worst = max(worst, kernels.last_entry_audit(x, s, t, table, branch_table))
+            worst = max(worst, kernels.last_entry_audit(s, t, table, branch_table))
     return worst
 
 

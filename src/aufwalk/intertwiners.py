@@ -28,12 +28,15 @@ SIGN_TOL = 1e-9
 
 
 class TensorCapError(RuntimeError):
-    """A requested basis or trace exceeds the configured tensor-length cap."""
+    """A requested basis or trace exceeds the configured tensor-length cap;
+    the message lists the first 8 words and counts the rest."""
 
     def __init__(self, words, cap):
         self.words = tuple(words)
         self.cap = cap
-        listing = ", ".join(repr(w) for w in self.words)
+        listing = ", ".join(repr(w) for w in self.words[:8])
+        if len(self.words) > 8:
+            listing += f" and {len(self.words) - 8} more"
         super().__init__(f"tensor words exceed cap {cap}: {listing}")
 
 
@@ -206,7 +209,9 @@ class IntertwinerEngine:
     # -- bases ---------------------------------------------------------------
 
     def check_cap(self, *tensor_words: str) -> None:
-        bad = [w for w in tensor_words if len(w) > self.cfg.tensor_cap]
+        """The one tensor-cap rule: raises TensorCapError for the distinct
+        words longer than the cap."""
+        bad = list(dict.fromkeys(w for w in tensor_words if len(w) > self.cfg.tensor_cap))
         if bad:
             raise TensorCapError(bad, self.cfg.tensor_cap)
 
@@ -363,14 +368,11 @@ class IntertwinerEngine:
 
     # -- the almost-isometries V tilde ------------------------------------------
 
-    def vtilde(self, s: str, v: str, t: str) -> tuple[Intertwiner, float]:
+    def vtilde(self, s: str, v: str, t: str) -> Intertwiner:
         """The morphism H_st -> H_sv (x) H_(vbar t) obtained by inserting the
-        duality vector of v into the inclusion of H_st; returns it together
-        with its operator norm, computed once per triple and memoized."""
+        duality vector of v into the inclusion of H_st."""
         vbar = involution(v)
-        total = len(s) + 2 * len(v) + len(t)
-        if total > self.cfg.tensor_cap:
-            raise TensorCapError([s + v + vbar + t], self.cfg.tensor_cap)
+        self.check_cap(s + v + vbar + t)
         a = self.inclusion_block(s, t)
         d_s, d_t = self.irr_dim(s), self.irr_dim(t)
         d_v, d_vb = self.irr_dim(v), self.irr_dim(vbar)
@@ -383,16 +385,16 @@ class IntertwinerEngine:
         left = np.tensordot(left, a.reshape(d_s, d_t, -1), axes=([0], [0]))  # (a, l, j, c)
         arr = np.tensordot(p2, left, axes=([0, 1], [1, 2]))  # (b, a, c)
         arr = arr.transpose(1, 0, 2).reshape(p1.shape[2] * p2.shape[2], a.shape[1])
-        iv = Intertwiner((s + v, vbar + t), (s + t,), arr)
-        return iv, self._memo(("vnorm", s, v, t), lambda: iv.norm)
+        return Intertwiner((s + v, vbar + t), (s + t,), arr)
 
-    def normalized_V(self, z: str, x: str, y: str) -> Intertwiner:
-        """The isometry V(z, x (x) y) for a component z of x (x) y."""
-        s, v, t = split_component(z, x, y)
-        iv, nrm = self.vtilde(s, v, t)
+    def normalized_V(self, z: str, x: str, y: str) -> np.ndarray:
+        """The isometry V(z, x (x) y) for a component z of x (x) y, as its
+        array in the block bases of H_z and H_x (x) H_y."""
+        iv = self.vtilde(*split_component(z, x, y))
+        nrm = iv.norm
         if nrm <= 0.0:
             raise ArithmeticError(f"vanishing morphism for ({z!r}, {x!r}, {y!r})")
-        return Intertwiner(iv.target, iv.source, iv.array / nrm)
+        return iv.array / nrm
 
     # -- defect estimates --------------------------------------------------------
 
@@ -400,7 +402,7 @@ class IntertwinerEngine:
         """Measured commutation defect of V(z, x (x) y) against the projection
         onto H_uz resp. H_ux, and the predicted decay exponent
         (len(z) + len(x) - len(y)) / 2."""
-        vb = self.normalized_V(z, x, y).array
+        vb = self.normalized_V(z, x, y)
         d_u, d_y = self.irr_dim(u), self.irr_dim(y)
         inc_uz = self.inclusion_block(u, z)
         inc_ux = self.inclusion_block(u, x)

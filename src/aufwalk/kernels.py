@@ -3,13 +3,15 @@ and the quantitative audits of their tree-geometry estimates.
 
 A walk is a fusion.TransitionMatrix: its weights W, the sorted heap indices
 of its domain and its norm bound.  Words are heap indices here: sources,
-targets, rows and the base alike.  Where W has norm < 1 on the
-qdim^2-weighted l2 space, the Green kernel is G = (I - W)^-1, and every
-kernel the audits read comes from Green rows G(s, .).  One solve gives them
-(_green_solve): it factors (I - W)^T once by sparse LU and solves the unit
-columns of the sorted rows asked for, column s being the row G(s, .).
-green_table asks for every word (up to DENSE_LIMIT, a memory bound),
-green_rows for the sources and the base; both return a KernelTable.
+targets and rows alike.  Where W has norm < 1 on the qdim^2-weighted l2
+space, the Green kernel is G = (I - W)^-1, and every kernel the audits read
+comes from Green rows G(s, .).  One solve gives them (_green_solve): it
+factors (I - W)^T once by sparse LU and solves the unit columns of the
+sorted rows asked for, column s being the row G(s, .).  green_table asks for
+every word (up to DENSE_LIMIT, a memory bound), green_rows for the sources
+and the domain's root, its first heap index; both return a KernelTable.
+The root is always solved: it is the Martin base, the word at which
+martin_rows normalises (e for a ball, x for the branch of x).
 
 Each solve first certifies an interval around the norm
 (weighted_operator_norm: Collatz-Wielandt steps until the top is at most the
@@ -122,12 +124,11 @@ def weighted_operator_norm(matrix, weights: np.ndarray, bound: float = 0.0) -> t
 class KernelTable:
     """Green kernel G(s, t) of a walk for the solved words s (``rows``,
     sorted heap indices) and every t of the walk's domain, in its order;
-    Martin kernels (martin_rows) are normalized at ``base``, a heap index,
-    which is always solved."""
+    the domain's root, walk.codes[0], is always solved, and Martin kernels
+    (martin_rows) are normalized at it."""
 
     walk: TransitionMatrix = field(repr=False)
     rows: np.ndarray
-    base: int
     green: np.ndarray
     residual: float
     norm_interval: tuple[float, float]
@@ -160,27 +161,28 @@ class KernelTable:
         return float(diag.max() - 1.0 / (1.0 - self.walk.norm_bound))
 
 
-def green_table(walk: TransitionMatrix, base: int = 0, solver_tol: float = SOLVER_TOL) -> KernelTable:
+def green_table(walk: TransitionMatrix, solver_tol: float = SOLVER_TOL) -> KernelTable:
     """The Green table G = (I - W)^-1 of the walk's weights W on its domain,
-    every word's row; the base defaults to the root (heap index 0).
+    every word's row.
 
     Raises ValueError above DENSE_LIMIT words, and like _green_solve.
     """
     if walk.size > DENSE_LIMIT:
         raise ValueError(f"domain of size {walk.size} exceeds the dense solver limit {DENSE_LIMIT}")
-    return _green_solve(walk, walk.codes, base, solver_tol)
+    return _green_solve(walk, walk.codes, solver_tol)
 
 
-def green_rows(walk: TransitionMatrix, sources, base: int = 0, solver_tol: float = SOLVER_TOL) -> KernelTable:
-    """The Green rows of the sources and of the base (heap indices), in
-    sorted order, on a domain of any size.  Raises like _green_solve."""
-    rows = np.unique(np.append(np.asarray(sources, dtype=np.int64), base))
-    return _green_solve(walk, rows, base, solver_tol)
+def green_rows(walk: TransitionMatrix, sources, solver_tol: float = SOLVER_TOL) -> KernelTable:
+    """The Green rows of the sources (heap indices) and of the domain's
+    root, in sorted order, on a domain of any size.  Raises like
+    _green_solve."""
+    rows = np.unique(np.append(np.asarray(sources, dtype=np.int64), walk.codes[0]))
+    return _green_solve(walk, rows, solver_tol)
 
 
-def _green_solve(walk: TransitionMatrix, rows: np.ndarray, base: int, solver_tol: float) -> KernelTable:
+def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) -> KernelTable:
     """The one solver core: the Green rows of ``rows`` (sorted heap indices
-    of domain words) with the Martin base ``base``.
+    of domain words).
 
     It solves (I - W)^T X = E for the unit columns E of the rows' positions;
     X holds the rows as columns, and X^T is the table.  The columns are solved
@@ -192,7 +194,7 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, base: int, solver_tol
     The norm interval is iterated until its top is at most the walk's norm
     bound; the top guards the solve and bounds the Neumann tail.
 
-    Raises ValueError for a row or base outside the domain and when the
+    Raises ValueError for a row outside the domain and when the
     certified top reaches 1 - NORM_GUARD (invalid input), and RuntimeError
     when the worst residual exceeds the tolerance or a diagonal entry is not
     positive.
@@ -201,12 +203,10 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, base: int, solver_tol
     w = sp.csr_matrix(walk.matrix, dtype=float)
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match domain size {n}")
-    asked = np.append(rows, base)
-    pos, inside = locate(walk.codes, asked)
+    units, inside = locate(walk.codes, rows)
     if not inside.all():
-        outside = [word(c) for c in np.unique(asked[~inside])]
+        outside = [word(c) for c in np.unique(rows[~inside])]
         raise ValueError(f"Green rows asked for words outside the domain: {outside}")
-    units = pos[:-1]
     m = walk.haar_weights()
     norm_interval = weighted_operator_norm(w, m, walk.norm_bound)
     top = norm_interval[1]
@@ -263,7 +263,7 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, base: int, solver_tol
     checked = slice(None) if k <= 3 else [0, (k - 1) // 2, k - 1]
     gap = _neumann_gap(a, x[:, checked], units[checked], 1.0 / m, top)
     # x is Fortran-ordered: its transpose is the C-ordered table, not a copy
-    return KernelTable(walk, rows, base, x.T, residual, norm_interval, gap)
+    return KernelTable(walk, rows, x.T, residual, norm_interval, gap)
 
 
 class _LeavesFirstLU:
@@ -420,29 +420,32 @@ def multiplicativity_audit(table: KernelTable, delta: float, interior) -> Multip
     )
 
 
-def entry_set(branch_domain: np.ndarray, x: int, range_bound: int) -> np.ndarray:
-    """The cut through which every path must enter the branch of x: branch
-    vertices within the open ball of the walk range around x (heap indices)."""
+def entry_set(branch_domain: np.ndarray, range_bound: int) -> np.ndarray:
+    """The cut through which every path must enter the branch of x, the
+    domain's root and shortest word: branch vertices within the open ball of
+    the walk range around x (heap indices)."""
     branch_domain = np.asarray(branch_domain, dtype=np.int64)
-    return branch_domain[tree_distances(branch_domain, x) < range_bound]
+    return branch_domain[tree_distances(branch_domain, branch_domain[0]) < range_bound]
 
 
-def last_entry_audit(x: int, s: int, t: int, full_table: KernelTable, branch_table: KernelTable) -> float:
+def last_entry_audit(s: int, t: int, full_table: KernelTable, branch_table: KernelTable) -> float:
     """Relative residual of the last-entry decomposition
     G(s,t) = sum_u M(s,u) G_branch(u,t) over the entry cut of the branch of x,
-    where M(s,u) sums paths of the walk of ``full_table`` whose final step
-    enters the branch from outside.  Words are heap indices.
+    the root of ``branch_table``'s domain, where M(s,u) sums paths of the walk
+    of ``full_table`` whose final step enters the branch from outside.  Words
+    are heap indices.
 
     With the branch table truncated at the same radius as the full table the
     identity is exact up to solver error.
     """
+    x = branch_table.walk.codes[0]
     if ends_with([s], x)[0]:
         raise ValueError("source must lie outside the branch")
     if not ends_with([t], x)[0]:
         raise ValueError("target must lie inside the branch")
     walk = full_table.walk
     outside = np.flatnonzero(~ends_with(walk.codes, x))
-    cut = entry_set(branch_table.walk.codes, x, walk.range_bound)
+    cut = entry_set(branch_table.walk.codes, walk.range_bound)
     si = full_table.row_positions([s])[0]
     # M(s, .) = sum over outside v of G(s, v) P(v, .)
     m_s = walk.matrix[outside].T @ full_table.green[si, outside]
@@ -470,18 +473,18 @@ def ray_words(preperiod: str, period: str, suffix: str, depth: int) -> np.ndarra
 
 
 def martin_rows(table: KernelTable, sources, targets, root: KernelTable | None = None) -> np.ndarray:
-    """Martin kernel K(s, t) = G(s, t) / G_root(base, t), rows by source and
-    columns by target, all heap indices.  The root table defaults to
-    ``table``; the classical rows of the ball normalise the perturbed branch
-    table.  Raises ValueError when a source has no solved row or a target
-    lies outside either domain."""
+    """Martin kernel K(s, t) = G(s, t) / G_root(o, t), o the root of the root
+    table's domain, rows by source and columns by target, all heap indices.
+    The root table defaults to ``table``; the classical rows of the ball
+    normalise the perturbed branch table.  Raises ValueError when a source
+    has no solved row or a target lies outside either domain."""
     root = table if root is None else root
     targets = np.asarray(targets, dtype=np.int64)
     cols, inside = locate(table.walk.codes, targets)
     root_cols, root_inside = (cols, inside) if root.walk is table.walk else locate(root.walk.codes, targets)
     if not (inside & root_inside).all():
         raise ValueError(f"ray leaves the domain at {word(targets[~(inside & root_inside)][0])!r}")
-    denom = root.green[root.row_positions([root.base])[0], root_cols]
+    denom = root.green[root.row_positions(root.walk.codes[:1])[0], root_cols]
     # a zero G(e, t) leaves the Martin kernel undefined: raise, as float division does
     with np.errstate(divide="raise", invalid="raise"):
         return table.source_rows(sources)[:, cols] / denom[None, :]

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fusion import TransitionMatrix, fuse
-from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply
+from .intertwiners import Intertwiner, IntertwinerEngine, kron_apply
 from .kernels import SOLVER_TOL, KernelTable, green_table
 from .words import branch, code_lengths, heap_index, involution, qdim, word
 
@@ -142,13 +142,8 @@ def _isometries(u: str, s: str, t: str, ctx: BranchContext):
     """V(t, u(x)s), V(t, t(x)y) and V(s, s(x)y) as arrays, once the block
     H_u (x) H_s (x) H_y is checked against the tensor cap."""
     eng = ctx.engine
-    if len(u) + len(s) + len(ctx.y) > eng.cfg.tensor_cap:
-        raise TensorCapError([u + s + ctx.y], eng.cfg.tensor_cap)
-    return (
-        eng.normalized_V(t, u, s).array,
-        eng.normalized_V(t, t, ctx.y).array,
-        eng.normalized_V(s, s, ctx.y).array,
-    )
+    eng.check_cap(u + s + ctx.y)
+    return eng.normalized_V(t, u, s), eng.normalized_V(t, t, ctx.y), eng.normalized_V(s, s, ctx.y)
 
 
 def trace_routes(u: str, s: str, t: str, ctx: BranchContext) -> tuple[np.ndarray, np.ndarray]:
@@ -242,10 +237,7 @@ def _traced(ctx: BranchContext, term) -> sp.csr_matrix:
     traced entries: the required ones with nonempty u that the cut rule leaves
     to the trace.  The cap is checked on all of them up front."""
     traced = [(u, s, t) for (u, s, t) in required_entries(ctx) if u and not exact_by_cut(u, s, t, ctx.z)]
-    cap = ctx.engine.cfg.tensor_cap
-    blocked = [u + s + ctx.y for (u, s, t) in traced if len(u) + len(s) + len(ctx.y) > cap]
-    if blocked:
-        raise TensorCapError(blocked[:8], cap)
+    ctx.engine.check_cap(*(u + s + ctx.y for (u, s, t) in traced))
     walk, mud, q = ctx.walk, ctx.walk.mu.dual(), ctx.q
     rows = walk.positions([heap_index(t) for (u, s, t) in traced]).tolist()
     cols = walk.positions([heap_index(s) for (u, s, t) in traced]).tolist()
@@ -323,7 +315,7 @@ def green_Q(ctx: BranchContext, solver_tol: float = SOLVER_TOL) -> tuple[Transit
     branch, through the same solver as the classical tables (raising
     RuntimeError when the solve residual exceeds ``solver_tol``)."""
     walk = q_matrix(ctx)
-    return walk, green_table(walk, base=heap_index(ctx.z), solver_tol=solver_tol)
+    return walk, green_table(walk, solver_tol=solver_tol)
 
 
 @dataclass
@@ -352,8 +344,8 @@ def gdif_audit(
         sub = branch(x, ctx.radius)
         if len(sub) < 2:
             raise ValueError(f"sub-branch of {x!r} too small at radius {ctx.radius}")
-        g_q = green_table(q_walk.restrict(sub), base=heap_index(x), solver_tol=solver_tol)
-        g_p = green_table(ctx.walk.restrict(sub), base=heap_index(x), solver_tol=solver_tol)
+        g_q = green_table(q_walk.restrict(sub), solver_tol=solver_tol)
+        g_p = green_table(ctx.walk.restrict(sub), solver_tol=solver_tol)
         rels.append(float((np.abs(g_q.green - g_p.green) / g_p.green).max()))
     q = ctx.q
     anchored = rels[0] / (q ** len(x_list[0]))

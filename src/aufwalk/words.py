@@ -188,19 +188,12 @@ def format_words(codes) -> np.ndarray:
 
 
 def heap_indices(domain) -> np.ndarray:
-    """Heap indices of a sequence of words, as an int64 array."""
-    arr = np.array(list(domain), dtype=str)
-    n, width = len(arr), arr.dtype.itemsize // 4
-    _check_radius(width)
-    letters = arr.view(np.uint32).reshape(n, width)
-    lengths = np.count_nonzero(letters, axis=1)
-    is_b = letters == ord("b")
-    if np.count_nonzero(is_b | (letters == ord("a"))) != lengths.sum():
-        for w in arr.tolist():
-            check_word(w)
-    # the letters as a left-aligned width-bit number, then shifted to the right
-    left = is_b.astype(np.int64) @ (np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64))
-    return (np.int64(1) << lengths) - 1 + (left >> (width - lengths))
+    """Heap indices of a sequence of words, as an int64 array.  Raises
+    ValueError for a non-word and RadiusCapError for a word longer than
+    BALL_RADIUS_CAP."""
+    domain = [check_word(w) for w in domain]
+    _check_radius(max(map(len, domain), default=0))
+    return np.array([heap_index(w) for w in domain], dtype=np.int64)
 
 
 def code_lengths(codes: np.ndarray) -> np.ndarray:

@@ -181,7 +181,7 @@ def test_c07_vtilde_norms(engines):
     for q, eng in engines.items():
         lo, hi, count = math.inf, 0.0, 0
         for s, v, t in _triples(6, eng.cfg.tensor_cap):
-            _, nrm = eng.vtilde(s, v, t)
+            nrm = eng.vtilde(s, v, t).norm
             closed = vtilde_norm_indecomposable(s, v, t, q)
             worst = max(worst, abs(nrm - closed) / closed)
             ratio = nrm / math.sqrt(qdim(v, q))
@@ -283,20 +283,20 @@ def test_c12_branch_green_envelope(engines):
 def test_c13_last_entry(walk10):
     tm, table = walk10
     sub, x = branch("a", 10), heap_index("a")
-    branch_table = green_table(tm.restrict(sub), base=x)
+    branch_table = green_table(tm.restrict(sub))
     worst = 0.0
     for s in heap_indices(["b", "ab", "bb"]):
         for t in heap_indices(["a", "aa", "aba", "baa"]):
-            worst = max(worst, last_entry_audit(x, s, t, table, branch_table))
+            worst = max(worst, last_entry_audit(s, t, table, branch_table))
     ok = worst < 1e-8
     # range-2 measure: residual must stay below the combined truncation bounds
     tm2 = transition_matrix(MU_MIX, ball(10), 0.5)
     table2 = green_table(tm2)
-    branch2 = green_table(tm2.restrict(sub), base=x)
+    branch2 = green_table(tm2.restrict(sub))
     worst2 = 0.0
     combined = math.inf
     for s, t in (("b", "aa"), ("ab", "a")):
-        worst2 = max(worst2, last_entry_audit(x, heap_index(s), heap_index(t), table2, branch2))
+        worst2 = max(worst2, last_entry_audit(heap_index(s), heap_index(t), table2, branch2))
         combined = min(
             combined,
             truncation_error_bound(10, heap_index(s), heap_index(t), tm2)

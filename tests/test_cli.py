@@ -89,6 +89,15 @@ class TestConfig:
         cfg = load_config(str(make_config(tmp_path)))
         assert cfg.output_dir.endswith("env_out")
 
+    def test_out_flag_wins_over_env(self, tmp_path, monkeypatch):
+        # --out, then AUFWALK_OUT, then outputDir
+        monkeypatch.setenv("AUFWALK_OUT", str(tmp_path / "env_out"))
+        path = make_config(tmp_path)
+        assert load_config(str(path), out=str(tmp_path / "flag_out")).output_dir.endswith("flag_out")
+        assert main(["walk", str(path), "--radius", "3", "--out", str(tmp_path / "flag_out")]) == EXIT_OK
+        assert (tmp_path / "flag_out" / "manifest.json").exists()
+        assert not (tmp_path / "env_out").exists()
+
     def test_unnormalized_measure_exits_2(self, tmp_path, capsys):
         path = make_config(tmp_path, measure={"a": 0.5, "b": 0.6})
         assert main(["walk", str(path)]) == EXIT_CONFIG
@@ -666,7 +675,7 @@ class TestBoundarySources:
         ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.effective_q_radius())
         q_walk, inside, outside, per_ray = cli.branch_kernels(cfg, tm, ctx, cfg.rays)
         dense = kernels.green_table(tm, solver_tol=cfg.solver_tol)
-        q_table = kernels.green_table(q_walk, base=heap_index(ctx.z))
+        q_table = kernels.green_table(q_walk)
         assert inside.size and len(per_ray) == len(cfg.rays)
         for ray, k_p, k_q in per_ray:
             want_p = kernels.martin_rows(dense, np.concatenate([inside, outside]), ray)

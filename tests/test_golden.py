@@ -9,10 +9,16 @@ The corpus in ``tests/golden/`` was produced from the repository root with
     PYTHONPATH=src python -m aufwalk.cli intertwiner demos/config.example.json --radius 6 --out tests/golden/intertwiner
     PYTHONPATH=src python -m aufwalk.cli audit demos/config.example.json --radius 6 --out tests/golden/audit > tests/golden/audit/stdout.txt
     PYTHONPATH=src python -m aufwalk.cli boundary tests/golden/two_rays.json --out tests/golden/boundary_two_rays
+    PYTHONPATH=src python -m aufwalk.cli walk tests/golden/range2.json --out tests/golden/walk_range2
+    PYTHONPATH=src python -m aufwalk.cli boundary tests/golden/range2.json --out tests/golden/boundary_range2
+    PYTHONPATH=src python -m aufwalk.cli audit tests/golden/range2.json --out tests/golden/audit_range2 > tests/golden/audit_range2/stdout.txt
 
-``audit`` exits 1 (``perturbation_rate`` fails); every other run exits 0.
-``two_rays.json`` adds a second ray and boundary sources outside the branch,
-which cover the classical-only rows of ``boundary``.
+Both ``audit`` runs exit 1 (``perturbation_rate`` fails); every other run
+exits 0.  ``two_rays.json`` adds a second ray and boundary sources outside the
+branch, which cover the classical-only rows of ``boundary``.  ``range2.json``
+is the one range-2 measure, {a: .3, b: .3, aa: .2, bb: .2}, with the ray
+(ab)^k a: its classical Martin gaps along the ray (0.166, then 5.1e-4) are
+above round-off.
 """
 
 import json
@@ -36,6 +42,9 @@ RUNS = {
     "intertwiner": (["intertwiner", EXAMPLE, "--radius", "6"], EXIT_OK),
     "audit": (["audit", EXAMPLE, "--radius", "6"], EXIT_AUDIT),
     "boundary_two_rays": (["boundary", str(GOLDEN / "two_rays.json")], EXIT_OK),
+    "walk_range2": (["walk", str(GOLDEN / "range2.json")], EXIT_OK),
+    "boundary_range2": (["boundary", str(GOLDEN / "range2.json")], EXIT_OK),
+    "audit_range2": (["audit", str(GOLDEN / "range2.json")], EXIT_AUDIT),
 }
 
 

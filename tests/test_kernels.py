@@ -563,36 +563,36 @@ class TestHarnackAndMultiplicativity:
 class TestLastEntry:
     def test_exact_on_matched_truncations(self, walk8):
         tm, table = walk8
-        branch_table = green_table(tm.restrict(branch("a", 8)), base=heap_index("a"))
+        branch_table = green_table(tm.restrict(branch("a", 8)))
         for s in heap_indices(["b", "ab", "bb"]):
             for t in heap_indices(["a", "aa", "aba"]):
-                resid = last_entry_audit(heap_index("a"), s, t, table, branch_table)
+                resid = last_entry_audit(s, t, table, branch_table)
                 assert resid < 1e-10
 
     def test_single_cut_for_nearest_neighbor(self, walk8):
         tm, table = walk8
         sub, x = branch("ab", 8), heap_index("ab")
-        assert entry_set(sub, x, tm.range_bound).tolist() == [x]
-        branch_table = green_table(tm.restrict(sub), base=x)
-        resid = last_entry_audit(x, heap_index("b"), heap_index("aab"), table, branch_table)
+        assert entry_set(sub, tm.range_bound).tolist() == [x]
+        branch_table = green_table(tm.restrict(sub))
+        resid = last_entry_audit(heap_index("b"), heap_index("aab"), table, branch_table)
         assert resid < 1e-10
 
     def test_two_step_measure_below_truncation_bounds(self, mu_mixed):
         dom = ball(8)
         tm = transition_matrix(mu_mixed, dom, Q)
         table = green_table(tm)
-        branch_table = green_table(tm.restrict(branch("a", 8)), base=heap_index("a"))
+        branch_table = green_table(tm.restrict(branch("a", 8)))
         for s, t in (("b", "aa"), ("ab", "a")):
-            resid = last_entry_audit(heap_index("a"), heap_index(s), heap_index(t), table, branch_table)
+            resid = last_entry_audit(heap_index(s), heap_index(t), table, branch_table)
             assert resid < 1e-10
 
     def test_rejects_bad_sides(self, walk8):
         tm, table = walk8
-        branch_table = green_table(tm.restrict(branch("a", 8)), base=heap_index("a"))
+        branch_table = green_table(tm.restrict(branch("a", 8)))
         with pytest.raises(ValueError, match="source"):
-            last_entry_audit(heap_index("a"), heap_index("aa"), heap_index("a"), table, branch_table)
+            last_entry_audit(heap_index("aa"), heap_index("a"), table, branch_table)
         with pytest.raises(ValueError, match="target"):
-            last_entry_audit(heap_index("a"), heap_index("b"), heap_index("bb"), table, branch_table)
+            last_entry_audit(heap_index("b"), heap_index("bb"), table, branch_table)
 
 
 class TestBoundaryProfile:
@@ -651,7 +651,7 @@ class TestBoundaryProfile:
 class TestGreenRows:
     def test_rows_match_dense_table(self, walk8):
         tm, table = walk8
-        # the rows are the distinct sources and the base, sorted
+        # the rows are the distinct sources and the root, sorted
         rows = green_rows(tm, heap_indices(["ba", "a", "ba"]))
         assert rows.residual < 1e-10
         assert rows.rows.tolist() == heap_indices(["", "a", "ba"]).tolist()
@@ -770,8 +770,8 @@ class TestLastEntryPathSumOracle:
         resids = []
         for r_branch in (5, 7, 9):
             sub = branch("a", r_branch)
-            branch_table = green_table(tm.restrict(sub), base=heap_index("a"))
-            resids.append(last_entry_audit(heap_index("a"), heap_index("b"), heap_index("aa"), table, branch_table))
+            branch_table = green_table(tm.restrict(sub))
+            resids.append(last_entry_audit(heap_index("b"), heap_index("aa"), table, branch_table))
         assert resids[0] > resids[1] > resids[2]
         assert resids[2] < 1e-10
 

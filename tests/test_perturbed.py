@@ -370,9 +370,9 @@ class TestTraceRoutes:
 def kron_routes(u, s, t, ctx):
     """The trace routes through explicit Kronecker products with identities."""
     eng = ctx.engine
-    v_us = eng.normalized_V(t, u, s).array
-    v_ty = eng.normalized_V(t, t, ctx.y).array
-    v_sy = eng.normalized_V(s, s, ctx.y).array
+    v_us = eng.normalized_V(t, u, s)
+    v_ty = eng.normalized_V(t, t, ctx.y)
+    v_sy = eng.normalized_V(s, s, ctx.y)
     d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
     route_a = np.kron(np.eye(d_u), v_sy) @ v_us
     route_b = np.kron(v_us, np.eye(d_y)) @ v_ty
@@ -410,7 +410,7 @@ class TestGreenQ:
         with pytest.raises(RuntimeError, match="residual"):
             green_Q(ctx, solver_tol=table.residual / 2)
         # the first sub-branch solve of the gap audit is the perturbed one on H_a
-        resid = green_table(qm.restrict(branch("a", ctx.radius)), base=heap_index("a")).residual
+        resid = green_table(qm.restrict(branch("a", ctx.radius))).residual
         assert resid > 0.0
         with pytest.raises(RuntimeError, match="residual"):
             gdif_audit(qm, ctx, ["a", "ba"], solver_tol=resid / 2)
@@ -433,14 +433,14 @@ class TestGreenQ:
         assert np.isfinite(kq).all()
         a, aa = ctx.walk.positions(heap_indices(["a", "aa"]))
         assert kq[a, a] > 0
-        # normalised by the classical G(e, t), not by the branch table's own base
+        # normalised by the classical G(e, t), not at the branch table's own root
         assert kq[0, aa] == q_table.green[0, aa] / full.green_entry(0, heap_index("aa"))
 
     def test_synthetic_identical_matrices_give_zero_gap(self, setup):
         ctx, tm, _ = setup
         sub = branch("aa", ctx.radius)
-        g_q = green_table(q_matrix(ctx).restrict(sub), base=heap_index("aa"))
-        g_p = green_table(tm.restrict(sub), base=heap_index("aa"))
+        g_q = green_table(q_matrix(ctx).restrict(sub))
+        g_p = green_table(tm.restrict(sub))
         assert np.abs(g_q.green - g_p.green).max() < 1e-10
 
 
