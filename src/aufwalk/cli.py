@@ -1,7 +1,7 @@
 """Command line driver: walk | audit | boundary | intertwiner.
 
 One JSON config file, documented in the README, plus the overrides
---radius, --q and --out.  Exit codes: 0 pass, 1 audit failure, 2 config
+--radius and --out.  Exit codes: 0 pass, 1 audit failure, 2 config
 error, 3 resource cap, 4 internal error (a failed solve residual, norm or
 range assertion, arithmetic fault or exhausted memory; one line on stderr,
 no traceback).  Reruns with the same config produce byte-identical
@@ -111,7 +111,7 @@ def _words(items: list, name: str) -> list[str]:
     return [parse_word(_checked(w, f"each entry of {name}", str)) for w in items]
 
 
-def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
+def load_config(path: str, radius=None, out=None) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -132,11 +132,11 @@ def load_config(path: str, radius=None, q=None, out=None) -> RunConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     n = _typed(model_raw, "n", int, 2)
     cap = _typed(raw, "tensorCap", int, 10)
-    if q is not None:
-        model = ModelConfig.from_q(float(q), n=n, tensor_cap=cap)
-    elif "fDiag" in model_raw:
+    if "fDiag" in model_raw and "q" in model_raw:
+        raise ConfigError("model takes q or fDiag, not both")
+    if "fDiag" in model_raw:
         f_diag = tuple(_checked(f, "each entry of fDiag", float) for f in _typed(model_raw, "fDiag", list))
-        model = ModelConfig(n=n, f_diag=f_diag, tensor_cap=cap)
+        model = ModelConfig.from_f_diag(f_diag, n=n, tensor_cap=cap)
     elif "q" in model_raw:
         model = ModelConfig.from_q(_typed(model_raw, "q", float), n=n, tensor_cap=cap)
     else:
@@ -389,7 +389,6 @@ def run_audits(cfg: RunConfig) -> list[dict]:
              "pass": bool(ok)}
         )
 
-    q = cfg.q
     if cfg.effective_q_radius() > cfg.ball_radius:
         raise ConfigError(f"audit needs qRadius <= ballRadius, got qRadius {cfg.q_radius} > "
                           f"ballRadius {cfg.ball_radius}")
@@ -400,6 +399,9 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     if not any(s.endswith(cfg.branch_z) for s in boundary_sources(cfg, cfg.effective_q_radius())):
         raise ConfigError(f"the boundary audits need a boundary source in the branch of "
                           f"{cfg.branch_z!r}")
+    size = 2 ** (cfg.ball_radius + 1) - 1  # the ball's full table is refused before its walk is built
+    if size > kernels.DENSE_LIMIT:
+        raise RadiusCapError(f"domain of size {size} exceeds the dense solver limit {kernels.DENSE_LIMIT}")
     tm = build_walk(cfg, cfg.ball_radius)
     table = kernels.green_table(tm, solver_tol=cfg.solver_tol)
     gap = _interior_row_gap(cfg, tm)
@@ -430,7 +432,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     worst_rel, min_ratio = 0.0, math.inf
     for s, v, t, nrm, closed, rel in _vtilde_rows(eng):
         worst_rel = max(worst_rel, rel)
-        min_ratio = min(min_ratio, nrm / math.sqrt(words.qdim(v, q)))
+        min_ratio = min(min_ratio, nrm / math.sqrt(eng.qdim(v)))
     add("vtilde_norms", "Gaussian-binomial closed form of the almost-isometry norms", worst_rel,
         1e-8, worst_rel < 1e-8)
     add("vtilde_lower_ratio", "lower bound ratio of the almost-isometry norms", min_ratio, 0.0,
@@ -694,11 +696,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("config", help="path to the JSON run configuration")
     parser.add_argument("--radius", type=int, default=None, help="override ballRadius")
-    parser.add_argument("--q", type=float, default=None, help="override the deformation parameter")
     parser.add_argument("--out", default=None, help="override outputDir")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, radius=args.radius, q=args.q, out=args.out)
+        cfg = load_config(args.config, radius=args.radius, out=args.out)
         return COMMANDS[args.command](cfg)
     except (TensorCapError, RadiusCapError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -68,62 +68,61 @@ def _check_size(n: int, tensor_cap: int) -> None:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Deformation data: matrix size n, positive diagonal of F, tensor cap.
+    """Deformation data: q, the eigenvalues rho of the positive character
+    (rho_i = f_i^2 for F = diag(f)) and the tensor cap; n = len(rho).
 
-    The eigenvalues of the positive character are rho_i = f_i^2 and must
-    satisfy sum rho_i = sum 1/rho_i, which pins q in (0, 1) through
-    sum rho_i = q + 1/q.  q = 1 (unitary 2-by-2 F) is rejected.
+    rho must satisfy sum rho_i = sum 1/rho_i = q + 1/q with q in (0, 1), and
+    q = 1 (unitary 2-by-2 F) is rejected.  q is kept as given.
     """
 
-    n: int
-    f_diag: tuple[float, ...]
+    q: float
+    rho: tuple[float, ...]
     tensor_cap: int = 10
 
     def __post_init__(self):
         _check_size(self.n, self.tensor_cap)
-        if len(self.f_diag) != self.n or any(f <= 0 for f in self.f_diag):
-            raise ValueError("f_diag must be n positive reals")
-        rho = self.rho
-        if not all(_is_normal(r) for r in rho):
-            raise ValueError(
-                f"fDiag {list(self.f_diag)} squares to rho = {rho}; each must be a normal positive float"
-            )
-        trace = sum(rho)
-        trace_inv = sum(1.0 / r for r in rho)
+        if not all(_is_normal(r) for r in self.rho):
+            raise ValueError(f"rho = {self.rho}; each must be a normal positive float")
+        trace, trace_inv = sum(self.rho), sum(1.0 / r for r in self.rho)
         # an overflowed sum is not normalized, though the relative test passes it (inf > inf is false)
         if not math.isfinite(trace + trace_inv) or abs(trace - trace_inv) > 1e-12 * max(trace, trace_inv):
-            raise ValueError(
-                f"character not normalized: sum rho = {trace!r}, sum 1/rho = {trace_inv!r}"
-            )
+            raise ValueError(f"character not normalized: sum rho = {trace!r}, sum 1/rho = {trace_inv!r}")
         if trace <= 2.0 + 1e-12:
             raise ValueError("F is a unitary 2-by-2 matrix (q = 1); need q < 1")
+        if not 0.0 < self.q < 1.0 or abs(self.q + 1.0 / self.q - trace) > 1e-12 * trace:
+            raise ValueError(f"q = {self.q!r} must lie in (0, 1) with q + 1/q = sum rho = {trace!r}")
 
     @property
-    def rho(self) -> tuple[float, ...]:
-        return tuple(f * f for f in self.f_diag)
+    def n(self) -> int:
+        return len(self.rho)
 
     @property
     def lambdas(self) -> tuple[float, ...]:
         return tuple(r ** -0.5 for r in self.rho)
 
-    @property
-    def q(self) -> float:
-        return _root_below_one(sum(self.rho))
-
     @classmethod
     def from_q(cls, q: float, n: int = 2, tensor_cap: int = 10) -> "ModelConfig":
+        """The character (q, 1/q) at n = 2, above it (r, 1/r, 1, ..., 1) with r + 1/r = q + 1/q - n + 2."""
         validate_q(q)
         _check_size(n, tensor_cap)
         t = q + 1.0 / q - (n - 2)
         if t <= 2.0:
             raise ValueError(f"q = {q} is not reachable with n = {n} (needs q + 1/q > n)")
-        r = _root_below_one(t)
+        r = q if n == 2 else _root_below_one(t)
         if not _is_normal(r):
-            raise ValueError(
-                f"q = {q} is too small: the eigenvalues of the character are not normal floats"
-            )
-        rho = (r, 1.0 / r) + (1.0,) * (n - 2)
-        return cls(n=n, f_diag=tuple(x ** 0.5 for x in rho), tensor_cap=tensor_cap)
+            raise ValueError(f"q = {q} is too small: the eigenvalues of the character are not normal floats")
+        return cls(q=q, rho=(r, 1.0 / r) + (1.0,) * (n - 2), tensor_cap=tensor_cap)
+
+    @classmethod
+    def from_f_diag(cls, f_diag, n: int = 2, tensor_cap: int = 10) -> "ModelConfig":
+        """The character rho_i = f_i^2, and q < 1 with q + 1/q = sum rho."""
+        if len(f_diag) != n or any(f <= 0 for f in f_diag):
+            raise ValueError("fDiag must be n positive reals")
+        rho = tuple(f * f for f in f_diag)
+        if not all(_is_normal(r) for r in rho):
+            raise ValueError(f"fDiag {list(f_diag)} squares to rho = {rho}; each must be a normal positive float")
+        # a trace of at most 2 is not normalized or is unitary F, which __post_init__ reports
+        return cls(q=_root_below_one(max(sum(rho), 2.0)), rho=rho, tensor_cap=tensor_cap)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .fusion import TransitionMatrix
-from .words import code_lengths, ends_with, heap_index, locate, qdims, tree_distances, word
+from .words import RadiusCapError, code_lengths, ends_with, heap_index, locate, qdims, tree_distances, word
 # the word-level qdim stays importable from here: perfbench's tracer rebinds it in every
 # module that holds it
 from .words import qdim  # noqa: F401
@@ -102,7 +102,12 @@ def weighted_operator_norm(matrix, weights: np.ndarray, bound: float = 0.0) -> t
     steps, and returns the largest bottom and the smallest top it saw.
     """
     w = np.sqrt(np.asarray(weights, dtype=float))
-    a = (sp.diags(w) @ sp.csr_matrix(matrix, dtype=float) @ sp.diags(1.0 / w)).tocsr()
+    # A on M's own CSR pattern, each entry times w[row] and then 1/w[col]: the
+    # bits and order of the products diag(w) M diag(1/w) without their copies
+    m = sp.csr_matrix(matrix, dtype=float)
+    data = m.data * np.repeat(w, np.diff(m.indptr))
+    data *= (1.0 / w)[m.indices]
+    a = sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
     signed = a.data.min(initial=0.0) < 0.0
     b = abs(a) if signed else a
     v = np.ones(a.shape[0])
@@ -165,10 +170,10 @@ def green_table(walk: TransitionMatrix, solver_tol: float = SOLVER_TOL) -> Kerne
     """The Green table G = (I - W)^-1 of the walk's weights W on its domain,
     every word's row.
 
-    Raises ValueError above DENSE_LIMIT words, and like _green_solve.
+    Raises RadiusCapError (a ValueError) above DENSE_LIMIT words, and like _green_solve.
     """
     if walk.size > DENSE_LIMIT:
-        raise ValueError(f"domain of size {walk.size} exceeds the dense solver limit {DENSE_LIMIT}")
+        raise RadiusCapError(f"domain of size {walk.size} exceeds the dense solver limit {DENSE_LIMIT}")
     return _green_solve(walk, walk.codes, solver_tol)
 
 

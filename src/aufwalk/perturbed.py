@@ -124,11 +124,9 @@ def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:
         return dominator
 
     def trace() -> float:
-        eng = ctx.engine
-        v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
-        d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
-        composite = kron_apply(v_sy.T, kron_apply(v_us, v_ty, right=d_y), left=d_u) @ v_us.T
-        value = eng.weighted_trace(Intertwiner((u, s), (u, s), composite))
+        v_us, v_sy, route_b, d_u = _isometries(u, s, t, ctx)
+        composite = kron_apply(v_sy.T, route_b, left=d_u) @ v_us.T
+        value = ctx.engine.weighted_trace(Intertwiner((u, s), (u, s), composite))
         if abs(value) > dominator + DOMINATION_TOL:
             raise AssertionError(
                 f"coefficient {value} exceeds the classical weight {dominator} at ({u!r},{s!r},{t!r})"
@@ -139,11 +137,13 @@ def qhat_entry(u: str, s: str, t: str, ctx: BranchContext) -> float:
 
 
 def _isometries(u: str, s: str, t: str, ctx: BranchContext):
-    """V(t, u(x)s), V(t, t(x)y) and V(s, s(x)y) as arrays, once the block
-    H_u (x) H_s (x) H_y is checked against the tensor cap."""
+    """V(t, u(x)s), V(s, s(x)y), route B of trace_routes and dim u, once
+    the block H_u (x) H_s (x) H_y is checked against the tensor cap."""
     eng = ctx.engine
     eng.check_cap(u + s + ctx.y)
-    return eng.normalized_V(t, u, s), eng.normalized_V(t, t, ctx.y), eng.normalized_V(s, s, ctx.y)
+    v_us, v_ty = eng.normalized_V(t, u, s), eng.normalized_V(t, t, ctx.y)
+    route_b = kron_apply(v_us, v_ty, right=eng.irr_dim(ctx.y))
+    return v_us, eng.normalized_V(s, s, ctx.y), route_b, eng.irr_dim(u)
 
 
 def trace_routes(u: str, s: str, t: str, ctx: BranchContext) -> tuple[np.ndarray, np.ndarray]:
@@ -159,10 +159,8 @@ def trace_routes(u: str, s: str, t: str, ctx: BranchContext) -> tuple[np.ndarray
         raise ValueError(f"{s!r}, {t!r} must lie in the branch of {ctx.z!r}")
     if not u or t not in fuse(u, s):
         raise ValueError(f"{t!r} is not a component of {u!r} (x) {s!r}")
-    v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
-    eng = ctx.engine
-    d_u, d_y = eng.irr_dim(u), eng.irr_dim(ctx.y)
-    return kron_apply(v_sy, v_us, left=d_u), kron_apply(v_us, v_ty, right=d_y)
+    v_us, v_sy, route_b, d_u = _isometries(u, s, t, ctx)
+    return kron_apply(v_sy, v_us, left=d_u), route_b
 
 
 def commutation_defect(u: str, s: str, t: str, ctx: BranchContext) -> float:
@@ -189,14 +187,10 @@ def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, floa
     if t not in fuse(u, s):
         return 0.0, 0.0
     eng = ctx.engine
-    v_us, v_ty, v_sy = _isometries(u, s, t, ctx)
-    d_u, d_s, d_y = eng.irr_dim(u), eng.irr_dim(s), eng.irr_dim(ctx.y)
-    # route B of trace_routes, then back along V(t, u(x)s)*
-    evolved = kron_apply(v_us, v_ty, right=d_y) @ v_us.T
-    weight = eng.rho_weight(u)
-    partial = np.einsum(
-        "ba,bYaS->YS", weight, evolved.reshape(d_u, d_s * d_y, d_u, d_s), optimize=True
-    ) / eng.qdim(u)
+    v_us, v_sy, evolved, d_u = _isometries(u, s, t, ctx)
+    # route B of trace_routes, then back along V(t, u(x)s)*; rebinding frees route B
+    evolved = (evolved @ v_us.T).reshape(d_u, -1, d_u, eng.irr_dim(s))
+    partial = np.einsum("ba,bYaS->YS", eng.rho_weight(u), evolved, optimize=True) / eng.qdim(u)
     coeff = float(np.sum(partial * v_sy) / np.sum(v_sy * v_sy))
     residual = float(np.linalg.norm(partial - coeff * v_sy))
     return coeff, residual

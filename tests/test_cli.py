@@ -78,11 +78,24 @@ class TestConfig:
         assert cfg.config_hash() == load_config(str(path)).config_hash()
 
     def test_overrides(self, tmp_path):
-        path = make_config(tmp_path)
-        cfg = load_config(str(path), radius=3, q=0.3, out=str(tmp_path / "other"))
+        path = make_config(tmp_path, model={"n": 2, "q": 0.3})
+        cfg = load_config(str(path), radius=3, out=str(tmp_path / "other"))
         assert cfg.ball_radius == 3
-        assert cfg.q == pytest.approx(0.3, rel=1e-12)
+        assert cfg.q == 0.3
         assert cfg.output_dir.endswith("other")
+
+    def test_q_and_f_diag_together_exit_2(self, tmp_path, capsys):
+        # neither source of q is dropped without a word
+        path = make_config(tmp_path, model={"n": 2, "q": 0.3, "fDiag": [0.5 ** 0.5, 2.0 ** 0.5]})
+        assert main(["walk", str(path)]) == EXIT_CONFIG
+        assert "q or fDiag, not both" in one_line_error(capsys, "config error:")
+
+    def test_q_flag_is_gone(self, tmp_path, capsys):
+        # model.q or model.fDiag is the only source of q
+        with pytest.raises(SystemExit) as exit_info:
+            main(["walk", str(make_config(tmp_path)), "--q", "0.3"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "--q" in capsys.readouterr().err
 
     def test_env_output_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AUFWALK_OUT", str(tmp_path / "env_out"))
@@ -138,7 +151,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "overrides, argv, named",
-        [({}, ["--q", "1e-320"], "q = 1e-320"), ({"model": {"n": 2, "fDiag": [1e-200, 1e200]}}, [], "fDiag")],
+        [({"model": {"n": 2, "q": 1e-320}}, [], "q = 1e-320"),
+         ({"model": {"n": 2, "fDiag": [1e-200, 1e200]}}, [], "fDiag")],
     )
     def test_character_out_of_float_range_exits_2_naming_the_key(self, tmp_path, capsys, overrides, argv, named):
         # q + 1/q overflows, or rho = f^2 leaves the float range: no 1/rho is taken
@@ -184,18 +198,18 @@ class TestConfig:
         assert main(["walk", str(path), "--radius", "25"]) == EXIT_CAP
 
     def test_tiny_q_walk_runs(self, tmp_path):
-        path = make_config(tmp_path)
-        assert main(["walk", str(path), "--q", "1e-9"]) == EXIT_OK
+        path = make_config(tmp_path, model={"n": 2, "q": 1e-9})
+        assert main(["walk", str(path)]) == EXIT_OK
 
     def test_q_whose_trace_squared_overflows_exits_2_on_qdim(self, tmp_path, capsys):
         # q = 1e-160 is a valid model; qdim^2 on the ball of radius 5 is not a float
-        assert main(["walk", str(make_config(tmp_path)), "--q", "1e-160"]) == EXIT_CONFIG
+        assert main(["walk", str(make_config(tmp_path, model={"n": 2, "q": 1e-160}))]) == EXIT_CONFIG
         assert "qdim^2 overflows a float on the ball of radius 5" in one_line_error(capsys, "config error:")
 
     def test_qdim_overflow_exits_2_before_building(self, tmp_path, capsys):
-        path = make_config(tmp_path)
+        path = make_config(tmp_path, model={"n": 2, "q": 1e-9})
         start = time.perf_counter()
-        assert main(["walk", str(path), "--q", "1e-9", "--radius", "20"]) == EXIT_CONFIG
+        assert main(["walk", str(path), "--radius", "20"]) == EXIT_CONFIG
         assert time.perf_counter() - start < 1.0
         assert "overflow" in capsys.readouterr().err
 
@@ -277,6 +291,10 @@ class TestWalk:
         assert manifest["interiorRowSumGap"] < 1e-12
         assert (tmp_path / "out" / "green_martin.csv").exists()
 
+    def test_manifest_reports_the_configured_q(self, tmp_path):
+        assert main(["walk", EXAMPLE, "--radius", "3", "--out", str(tmp_path)]) == EXIT_OK
+        assert json.loads((tmp_path / "manifest.json").read_text())["q"] == 0.5
+
     def test_radius_zero_single_row(self, tmp_path):
         path = make_config(tmp_path, ballRadius=0)
         assert main(["walk", str(path)]) == EXIT_OK
@@ -304,7 +322,7 @@ class TestWalk:
         assert main(["walk", str(path)]) == EXIT_OK
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert (manifest["domainSize"], manifest["rangeBound"]) == (4095, 3)
-        assert (manifest["delta0"], manifest["kSteps"]) == (0.0026574394463667757, 2)
+        assert (manifest["delta0"], manifest["kSteps"]) == (0.002657439446366782, 2)
 
     @pytest.mark.parametrize("measure, radius", [
         ({"a": 0.35, "b": 0.65}, 6),
@@ -591,6 +609,15 @@ class TestAudit:
         assert code == EXIT_AUDIT
         assert report["overallPass"] is False
 
+    @pytest.mark.parametrize("radius", [12, 20])
+    def test_ball_past_the_dense_limit_exits_3_before_the_walk(self, tmp_path, capsys, monkeypatch, radius):
+        # the full table of a ball of radius 12 (8191 words) exceeds the dense
+        # solver limit; it is a resource cap, found before anything is assembled
+        monkeypatch.setattr(fusion, "transition_matrix", None)
+        assert main(["audit", str(make_config(tmp_path, ballRadius=radius))]) == EXIT_CAP
+        err = one_line_error(capsys, "resource cap:")
+        assert f"{2 ** (radius + 1) - 1} exceeds the dense solver limit {kernels.DENSE_LIMIT}" in err
+
     def test_too_few_residual_lengths_fail_two_entries(self, tmp_path, monkeypatch, capsys):
         """Residuals that leave fewer than four usable lengths are the code's
         fault on a valid config: both perturbation entries fail with the
@@ -668,9 +695,12 @@ class TestBoundarySources:
 
     @pytest.mark.parametrize("config", [EXAMPLE, GOLDEN_TWO_RAYS])
     @pytest.mark.parametrize("q", [0.3, 0.7])
-    def test_rows_only_kernels_match_the_dense_table(self, config, q):
+    def test_rows_only_kernels_match_the_dense_table(self, tmp_path, config, q):
         # the reference: martin_rows on the full Green table of the same ball
-        cfg = load_config(config, q=q)
+        raw = json.loads(Path(config).read_text())
+        raw["model"]["q"] = q
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        cfg = load_config(str(tmp_path / "config.json"))
         tm = cli.build_walk(cfg, cfg.effective_q_radius())
         ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.effective_q_radius())
         q_walk, inside, outside, per_ray = cli.branch_kernels(cfg, tm, ctx, cfg.rays)

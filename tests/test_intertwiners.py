@@ -63,27 +63,27 @@ class TestModelConfig:
 
     def test_cap_bounds_the_ambient_rows(self):
         # n^cap ambient rows at most 2^14, the bound cap 14 sets at n = 2
-        f_diag = ModelConfig.from_q(0.2, n=3, tensor_cap=8).f_diag
+        cfg = ModelConfig.from_q(0.2, n=3, tensor_cap=8)
         with pytest.raises(ValueError, match="tensor_cap"):
-            ModelConfig(n=3, f_diag=f_diag, tensor_cap=9)
+            ModelConfig(q=cfg.q, rho=cfg.rho, tensor_cap=9)
 
     def test_unitary_two_by_two_rejected(self):
         with pytest.raises(ValueError, match="q = 1|unitary"):
-            ModelConfig(n=2, f_diag=(1.0, 1.0))
+            ModelConfig.from_f_diag((1.0, 1.0), n=2)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
-            ModelConfig(n=2, f_diag=(2.0, 1.0))
+            ModelConfig.from_f_diag((2.0, 1.0), n=2)
 
     @pytest.mark.parametrize("f_diag", [(1e-200, 1e200), (1e-160, 1e160), (0.5, 1e-300)])
     def test_rho_outside_the_normal_floats_rejected(self, f_diag):
         with pytest.raises(ValueError, match="normal positive float"):
-            ModelConfig(n=2, f_diag=f_diag)
+            ModelConfig.from_f_diag(f_diag, n=2)
 
     def test_overflowing_trace_is_not_normalized(self):
         # each rho = 1e308 is normal, but their sum overflows to inf
         with pytest.raises(ValueError, match="not normalized"):
-            ModelConfig(n=2, f_diag=(1e154, 1e154))
+            ModelConfig.from_f_diag((1e154, 1e154), n=2)
 
     @pytest.mark.parametrize("q", [1e-320, 5e-324])
     def test_q_too_small_for_floats_rejected(self, q):
@@ -98,6 +98,35 @@ class TestModelConfig:
     def test_cap_limits(self):
         with pytest.raises(ValueError):
             ModelConfig.from_q(0.5, tensor_cap=15)
+
+    @pytest.mark.parametrize("q", [round(0.30 + 0.05 * k, 2) for k in range(9)])
+    def test_from_q_keeps_q_and_the_character_q_1_over_q(self, q):
+        cfg = ModelConfig.from_q(q, n=2)
+        assert cfg.q == q
+        assert cfg.rho == (q, 1.0 / q)
+
+    @pytest.mark.parametrize("q", [0.2, 0.3, 0.35])
+    def test_higher_n_keeps_q(self, q):
+        cfg = ModelConfig.from_q(q, n=3, tensor_cap=8)
+        assert cfg.q == q
+        assert sum(cfg.rho) == pytest.approx(q + 1.0 / q, rel=1e-12)
+
+    def test_from_f_diag_takes_the_root_of_the_trace(self):
+        # rho = f^2 sums to 2.5 with round-off, and q + 1/q = 2.5 has that root below 1
+        f_diag = (math.sqrt(0.5), math.sqrt(2.0))
+        cfg = ModelConfig.from_f_diag(f_diag, n=2)
+        assert cfg.q == 0.4999999999999998
+        assert cfg.rho == tuple(f * f for f in f_diag)
+
+    @pytest.mark.parametrize("q, rho", [
+        (0.3, (0.5, 2.0)),
+        (0.5 * (1 + 1e-11), (0.5, 2.0)),
+        (2.0, (0.5, 2.0)),  # q + 1/q agrees, but q is not below 1
+        (0.2, (0.5, 2.0, 1.0)),
+    ])
+    def test_q_that_disagrees_with_the_character_rejected(self, q, rho):
+        with pytest.raises(ValueError, match="q \\+ 1/q = sum rho"):
+            ModelConfig(q=q, rho=rho, tensor_cap=8)
 
 
 class TestDualityMaps:

@@ -83,6 +83,19 @@ class TestWeightedNorm:
                 # one path: dense input is converted to the same CSR matrix
                 assert weighted_operator_norm(tm.matrix.toarray(), tm.haar_weights(), tm.norm_bound) == (bottom, top)
 
+    def test_input_kept_and_signs_read_after_scaling(self, mu_mixed):
+        """The conjugate shares the input's CSR pattern and scales a copy of
+        its entries: the input keeps its bits, and a signed copy of the walk
+        gets the unsigned walk's first top (the top bounds || |A| ||)."""
+        tm = transition_matrix(mu_mixed, ball(7), Q)
+        w = tm.matrix
+        before = (w.data.copy(), w.indices.copy(), w.indptr.copy())
+        interval = weighted_operator_norm(w, tm.haar_weights(), tm.norm_bound)
+        assert all(np.array_equal(x, y) for x, y in zip(before, (w.data, w.indices, w.indptr)))
+        signed = w.copy()
+        signed.data[::2] *= -1.0
+        assert weighted_operator_norm(signed, tm.haar_weights(), tm.norm_bound)[1] == interval[1]
+
     @pytest.mark.parametrize("weight", BENCHMARK_WEIGHTS)
     def test_interval_holds_the_eigsh_norm(self, weight):
         """At every weight of the benchmark grid (ball 10, q = 0.5) the

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from aufwalk.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
 from aufwalk.fusion import Measure, dual_audit, fuse, is_generating, transition_matrix, transition_prob
+from aufwalk.intertwiners import ModelConfig
 from aufwalk.words import (
     EMPTY,
     ball,
@@ -48,6 +49,14 @@ def measures(draw):
     weights = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=k, max_size=k))
     total = sum(weights)
     return Measure({w: p / total for w, p in zip(support, weights)})
+
+
+@PROPERTY
+@given(st.floats(min_value=1e-300, max_value=0.99))
+def test_model_keeps_the_q_it_is_given(q):
+    cfg = ModelConfig.from_q(q, n=2)
+    assert cfg.q == q
+    assert cfg.rho == (q, 1.0 / q)
 
 
 @PROPERTY
