@@ -310,7 +310,7 @@ def cmd_walk(cfg: RunConfig) -> int:
         "delta0": delta0,
         "kSteps": k_steps,
         "solverResidual": table.residual,
-        "neumannGap": table.neumann_gap,
+        "greenErrorBound": table.error_bound,
         "interiorRowSumGap": _interior_row_gap(cfg, tm),
         "seed": cfg.seed,
     }
@@ -417,8 +417,8 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         table.residual <= cfg.solver_tol)
     diag_gap = table.diagonal_bound_gap()
     add("green_diagonal", "diagonal bounded by 1/(1-lambda)", diag_gap, 0.0, diag_gap <= 0.0)
-    add("neumann_check", "sampled columns against the truncated series", table.neumann_gap, 0.0,
-        table.neumann_gap <= 0.0)
+    add("green_certificate", "certified relative error bound of the Green rows", table.error_bound, 1e-12,
+        table.error_bound <= 1e-12)
 
     conj = _conjugate_equation_residual(eng)
     add("conjugate_equations", "standard duality pair identities", conj, 1e-10, conj < 1e-10)
@@ -496,6 +496,8 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         kernels.tail_decreasing(s, ray, k_q[i]) and kernels.tail_decreasing(s, ray, k_p[i])
         for i, s in enumerate(inside)
     )
+    # a Green error bound below 1 certifies every sign of its rows: this check follows from it
+    # where the branch table certifies the inside sources' rows, and stands for the rows it does not
     add("boundary_positivity", "perturbed Martin values positive at the deepest ray point",
         k_q_end.min(), 0.0, (k_q_end > 0).all())
     add("boundary_ratio_trend", "perturbed-to-classical ratio moves toward 1 along the ray",
@@ -525,7 +527,7 @@ def _duality_norm_gap(eng) -> float:
 
 def _rank_rows(eng, max_len: int) -> list[tuple[str, int, int]]:
     """(x, projection rank, classical dimension) for every word up to max_len."""
-    return [(w, eng.irr_dim(w), words.classical_dim(w)) for w in words.ball_words(max_len)]
+    return [(w, eng.irr_dim(w), words.classical_dim(w, eng.n)) for w in words.ball_words(max_len)]
 
 
 def _indecomposable_triples(limit: int, cap: int = 14):

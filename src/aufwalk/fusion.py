@@ -313,6 +313,7 @@ def norm_upper_bound(mu: Measure, q: float) -> float:
     sum_r mu(r) dim(r) / qdim(r).  Strictly below 1 unless all mass sits at e,
     in which case the returned value 1 signals the degenerate walk."""
     validate_q(q)
+    # dim(r) at n = 2 for every F: the walk's weights depend on F only through q, and so does this bound
     out = sum(w * classical_dim(r) / qdim(r, q) for r, w in mu.items())
     if any(r for r in mu.support) and out >= 1.0:
         raise AssertionError(f"norm bound {out} not below 1 for a moving walk")

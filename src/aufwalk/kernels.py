@@ -16,35 +16,30 @@ martin_rows normalises (e for a ball, x for the branch of x).
 Each solve first certifies an interval around the norm
 (weighted_operator_norm: Collatz-Wielandt steps until the top is at most the
 walk's norm bound, usually one) and refuses a top within NORM_GUARD of 1.
-It is gated by its residual, and its first, middle and last rows are checked
-against a truncated Neumann series of W^T, whose tail the top bounds on the
-dual weights 1/qdim^2.  The columns are solved in panels, each gated as it is
-solved, so the full table costs one n x n array, the table itself.  A large
+It is gated by its residual and diagonal and then certified (_Certificate):
+every row of a rows solve, and the first, middle and last row of a full
+table, gets a rigorous entrywise error bound from solves with the held factor,
+whose last term the top bounds on the dual weights 1/qdim^2.  The columns are
+solved in panels, each gated as it is solved, so the full table costs one
+n x n array, the table itself.  A large
 solve's panels are split into a run per usable CPU, solved at once by the
 caller and a thread pool; each run writes its own columns and the gates read
 the panels' numbers in panel order, so the bytes do not depend on how many
 CPUs there are.
 
-The factors eliminate in reversed heap order (_LeavesFirstLU): every word
-after every longer word, its children in the tree among them.  A range-1
-walk only steps along tree edges, so each pivot is a leaf of what is left
-and touches only its parent: no fill (Parter's leaves-first elimination) and
-no row swap.  A longer range fills about as much as COLAMD's ordering, and
-the 4095-word table of `walk --radius 11` took the benchmark's walk-dense
-compute_s from 0.51 s under COLAMD to 0.32 s on 2 vCPUs (BENCH_24.json).
-SuperLU's transposed solve on factors of I - W was about 15% slower there
-than the plain solve on factors of the transpose.
-
-SuperLU factors in panels of columns with an n x panel dense work array
-(Demmel et al., SIAM J. Matrix Anal. Appl. 20(3), 1999), which pays only
-when supernodes span several columns; a range-1 walk's are one column wide.
-So a solve of fewer rows than words factors with one-column panels: at
-radius 16 the walk peaks at 98 MiB RSS, not 138, and factors 2-3x faster,
-with the same L/U pattern and row permutation.  The full table keeps the
-default panel of 10: its work arrays stay under 1 MiB, and once they are
-freed glibc's malloc has raised its mmap threshold and serves the panel
-loop's 512 KiB temporaries from reused heap pages (one-column panels cost
-the 4095-word table about 45k more page faults and its walk 30%).
+The factors eliminate in reversed heap order (_LeavesFirstLU), every word
+after its children: a range-1 walk's pivots are leaves of what is left, so
+there is no fill (Parter) and no row swap, and a longer range fills about as
+much as COLAMD.  The 4095-word table of `walk --radius 11` went 0.51 ->
+0.32 s of compute on 2 vCPUs (BENCH_24.json); SuperLU's transposed solve on
+factors of I - W was about 15% slower than the plain one on factors of the
+transpose.  SuperLU's n x panel work array (Demmel et al., SIAM J. Matrix
+Anal. Appl. 20(3), 1999) pays only when supernodes span several columns, and
+a range-1 walk's span one, so a solve of fewer rows than words factors in
+one-column panels: the same L/U, 2-3x faster, and 98 MiB at radius 16, not
+138.  The full table keeps SuperLU's panel of 10, whose work arrays stay under
+1 MiB and leave glibc's mmap threshold raised for the panel loop (one-column
+panels cost the 4095-word table 45k page faults and its walk 30%).
 """
 
 from __future__ import annotations
@@ -64,9 +59,8 @@ from .words import RadiusCapError, code_lengths, ends_with, heap_index, locate, 
 # module that holds it
 from .words import qdim  # noqa: F401
 
-# largest domain of green_table: its table is one n x n float array (about
-# 135 MiB at the limit), solved in panels over the usable CPUs with no n x n
-# temporaries
+# largest domain of green_table: its table is one n x n float array (about 135
+# MiB at the limit), solved in panels over the usable CPUs, no n x n temporaries
 DENSE_LIMIT = 4200
 SOLVER_TOL = 1e-10
 NORM_GUARD = 1e-6
@@ -77,8 +71,7 @@ _NORM_TOL = 1e-9
 # unit columns per solve in _green_solve: of 8, 16 and 32, 16 gave the fastest
 # first table of a process at n = 4095 on two workers (green_table medians of
 # eight processes: 0.33 s, against 0.36 s for 8 and 0.45 s for 32) and tied
-# with 8 on one (0.54 s; 0.69 s for 32); each worker's panel temporaries stay a
-# few n-vectors wide
+# with 8 on one (0.54 s; 0.69 s for 32)
 _PANEL = 16
 # table entries (n x unit columns) that pay for a run of their own: on a 2-CPU
 # host a second worker made a 511-word table (261k entries) slower, 11 -> 13
@@ -130,14 +123,18 @@ class KernelTable:
     """Green kernel G(s, t) of a walk for the solved words s (``rows``,
     sorted heap indices) and every t of the walk's domain, in its order;
     the domain's root, walk.codes[0], is always solved, and Martin kernels
-    (martin_rows) are normalized at it."""
+    (martin_rows) are normalized at it.
+
+    ``error_bound`` is the largest certified |G - green| / |green| over every
+    row of a rows solve or the first, middle and last row of a full table;
+    below 1 it certifies the sign of every entry of those rows."""
 
     walk: TransitionMatrix = field(repr=False)
     rows: np.ndarray
     green: np.ndarray
     residual: float
     norm_interval: tuple[float, float]
-    neumann_gap: float
+    error_bound: float
 
     @property
     def size(self) -> int:
@@ -168,10 +165,8 @@ class KernelTable:
 
 def green_table(walk: TransitionMatrix, solver_tol: float = SOLVER_TOL) -> KernelTable:
     """The Green table G = (I - W)^-1 of the walk's weights W on its domain,
-    every word's row.
-
-    Raises RadiusCapError (a ValueError) above DENSE_LIMIT words, and like _green_solve.
-    """
+    every word's row.  Raises RadiusCapError (a ValueError) above DENSE_LIMIT
+    words, and like _green_solve."""
     if walk.size > DENSE_LIMIT:
         raise RadiusCapError(f"domain of size {walk.size} exceeds the dense solver limit {DENSE_LIMIT}")
     return _green_solve(walk, walk.codes, solver_tol)
@@ -191,18 +186,16 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
 
     It solves (I - W)^T X = E for the unit columns E of the rows' positions;
     X holds the rows as columns, and X^T is the table.  The columns are solved
-    in panels of _PANEL, each with its residual W^T X - X + E and its
-    diagonal taken before it is stored, so no n x n right-hand side, residual
-    or copy is formed; both gates cover every column.  The panels are split
-    into runs, one per usable CPU, at most one per panel and per _RUN_ENTRIES
-    entries of X; the caller solves the first and a thread pool the others.
-    The norm interval is iterated until its top is at most the walk's norm
-    bound; the top guards the solve and bounds the Neumann tail.
-
-    Raises ValueError for a row outside the domain and when the
-    certified top reaches 1 - NORM_GUARD (invalid input), and RuntimeError
-    when the worst residual exceeds the tolerance or a diagonal entry is not
-    positive.
+    in panels of _PANEL, each with its residual W^T X - X + E and its diagonal
+    taken before it is stored, so no n x n right-hand side, residual or copy is
+    formed; both gates cover every column.  The panels are split into runs,
+    one per usable CPU, at most one per panel and per _RUN_ENTRIES entries of
+    X; the caller solves the first and a thread pool the others.  The norm
+    top, iterated down to the walk's norm bound, guards the solve and bounds
+    the certificate's last term.  Raises ValueError for a row outside the
+    domain and when the top reaches 1 - NORM_GUARD (invalid input), and
+    RuntimeError when the worst residual exceeds the tolerance or a diagonal
+    entry is not positive.
     """
     n = walk.size
     w = sp.csr_matrix(walk.matrix, dtype=float)
@@ -220,14 +213,14 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     # W^T as the CSC view of W's arrays: its products add in the order of a
     # CSR copy, with no conversion
     a = w.T
-    lu = _LeavesFirstLU(a, narrow=len(units) < n)
+    narrow = len(units) < n
+    lu = _LeavesFirstLU(a, narrow)
     x = np.empty((n, len(units)), order="F")
 
     def solve_run(run: range) -> list[tuple[float, float]]:
-        # one loop per run, not a call per panel: rebinding keeps one panel's
-        # arrays allocated until the next panel's exist, and freeing them all
-        # between panels lets malloc trim the heap and fault it in again
-        # (about 120k page faults at n = 4095)
+        # one loop per run, not a call per panel: freeing a panel's arrays
+        # before the next exist lets malloc trim the heap and fault it in
+        # again (about 120k page faults at n = 4095)
         numbers = []
         for start in run:
             at = units[start:start + _PANEL]
@@ -243,10 +236,9 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
         return numbers
 
     # the solves and products release the GIL.  Each worker solves one run of
-    # consecutive panels into its own columns of x (a task per panel would cost
-    # a thread handoff each, up to a small panel's solve); the caller is the
-    # first worker, so a one-run solve starts no thread, and the gates'
-    # numbers come back in panel order
+    # consecutive panels into its own columns of x (a task per panel costs a
+    # thread handoff each); the caller is the first worker, so a one-run solve
+    # starts no thread, and the gates' numbers come back in panel order
     starts = range(0, len(units), _PANEL)
     # sched_getaffinity exists on Linux only
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -256,19 +248,21 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
         others = pool.map(solve_run, runs[1:])
         numbers = solve_run(runs[0]) + [pair for run in others for pair in run]
     residuals, diagonals = zip(*numbers)
-    # np.max and np.min keep a NaN of any panel, as one max over the table did
+    # np.max and np.min keep a NaN of any panel, and the negated comparisons fail it
     residual = float(np.max(residuals))
-    if residual > solver_tol:
+    if not residual <= solver_tol:
         raise RuntimeError(f"Green solve residual {residual} above tolerance {solver_tol}")
-    if np.min(diagonals) <= 0.0:
+    # a certified relative bound below 1 certifies every sign of its rows; this
+    # gate also covers the rows a full table leaves uncertified
+    if not np.min(diagonals) > 0.0:
         raise RuntimeError("Green kernel diagonal not positive")
-    # the Neumann check samples the first, middle and last row; a solve of at
-    # most three rows is checked in place, with no copy of its columns
-    k = len(units)
-    checked = slice(None) if k <= 3 else [0, (k - 1) // 2, k - 1]
-    gap = _neumann_gap(a, x[:, checked], units[checked], 1.0 / m, top)
+    certified = range(len(units)) if narrow else np.unique([0, (len(units) - 1) // 2, len(units) - 1])
+    certificate = _Certificate(a, m, top, lu, narrow)
+    # infinite at a zero entry; np.max keeps a NaN bound, as the gates' maxima do
+    with np.errstate(divide="ignore"):
+        bound = float(np.max([np.max(certificate.bounds(x[:, j], units[j]) / np.abs(x[:, j])) for j in certified]))
     # x is Fortran-ordered: its transpose is the C-ordered table, not a copy
-    return KernelTable(walk, rows, x.T, residual, norm_interval, gap)
+    return KernelTable(walk, rows, x.T, residual, norm_interval, bound)
 
 
 class _LeavesFirstLU:
@@ -294,38 +288,49 @@ class _LeavesFirstLU:
         return self.lu.solve(rhs[::-1])[::-1]
 
 
-def _neumann_gap(a, cols: np.ndarray, units: np.ndarray, weights: np.ndarray, tail_norm: float) -> float:
-    """Compare solved columns of (I - A)^-1, the ones at the given unit
-    vectors, against the truncated Neumann series; returns the largest excess
-    over the rigorous tail bound (<= 0 is a pass).  Entry i of column j is off
-    by at most tail * sqrt(weights[j] / weights[i]) on the weighted space."""
-    steps = _neumann_steps(tail_norm)
-    vec = np.zeros_like(cols)
-    vec[units, np.arange(len(units))] = 1.0
-    acc = vec.copy()
-    for _ in range(steps):
-        vec = a @ vec
-        acc += vec
-    del vec
-    tail = tail_norm ** (steps + 1) / (1.0 - tail_norm)
-    # |cols - acc| - (tail * sqrt(...) + 1e-12) by the same operations, in
-    # place: after the series only the sum and the bound are n x k arrays
-    bound = weights[units][None, :] / weights[:, None]
-    np.sqrt(bound, out=bound)
-    bound *= tail
-    bound += 1e-12
-    np.subtract(cols, acc, out=acc)
-    np.abs(acc, out=acc)
-    acc -= bound
-    return float(acc.max())
+class _Certificate:
+    """Entrywise bounds on the error of solved columns x of (I - A) x = e,
+    A = W^T of norm at most ``top`` < 1 on the dual weights 1/m (Rump, Acta
+    Numerica 19, 2010; gamma_k = k u / (1 - k u), u the unit roundoff, from
+    Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3).
 
+    r = |fl(e - (x - Ax))| + gamma_k (|A||x| + |x| + e), k the largest row
+    count of A plus 2, bounds the residual, and |(I - A)^-1| <= (I - |A|)^-1
+    makes (I - |A|)^-1 r an error bound.  Two solves with the held factor (a
+    factor of I - |A| when A has a negative entry) bound that entrywise, each
+    residual bounded like r; the image of the last is at most its norm on the
+    dual weights over 1 - top, times sqrt(m_i) at entry i.  With one solve
+    that term, about u^2 times the largest entry, made G = 5e-20 (ball 8,
+    mu(a) = 0.85) 1e-10 relative.  1 + gamma_(n + 3k + 25) covers the bound's
+    own roundings: k + 5 per residual bound, n + 2 in the norm, a few after."""
 
-def _neumann_steps(tail_norm: float) -> int:
-    """Terms of the Neumann check: enough for a tail of 1e-13, 40 to 600 of
-    them; one when the norm is 0, where the series stops at I."""
-    if tail_norm == 0.0:
-        return 1
-    return min(600, max(40, math.ceil(math.log(1e-13) / math.log(tail_norm))))
+    def __init__(self, a, weights: np.ndarray, top: float, lu: _LeavesFirstLU, narrow: bool):
+        signed = a.data.min(initial=0.0) < 0.0
+        self.a, self.abs_a = a, abs(a) if signed else a
+        self.lu = _LeavesFirstLU(self.abs_a, narrow) if signed else lu
+        n, u = a.shape[0], np.finfo(float).eps / 2
+        k = int(np.bincount(a.indices, minlength=n).max(initial=0)) + 2
+        self.gamma = k * u / (1.0 - k * u)
+        self.widen = 1.0 + (n + 3 * k + 25) * u / (1.0 - (n + 3 * k + 25) * u)
+        self.scale, self.top = np.sqrt(weights), top
+
+    def bounds(self, x: np.ndarray, unit: int) -> np.ndarray:
+        """Bounds on |G - x| entrywise, x the solved column at index ``unit``."""
+        r = np.zeros_like(x)
+        r[unit] = 1.0
+        r = self._residual_bound(self.a, x, r)
+        bound = np.zeros_like(x)
+        for _ in range(2):
+            y = self.lu.solve(r)
+            r = self._residual_bound(self.abs_a, y, r)
+            bound += np.abs(y, out=y)
+        bound += np.linalg.norm(r / self.scale) / (1.0 - self.top) * self.scale
+        return bound * self.widen
+
+    def _residual_bound(self, a, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """|fl(b - (x - a x))| + gamma_k (|A||x| + |x| + b), for b >= 0."""
+        abs_x = np.abs(x)
+        return np.abs(a @ x - x + b) + self.gamma * (self.abs_a @ abs_x + abs_x + b)
 
 
 def truncation_error_bound(radius: int, s: int, t, walk: TransitionMatrix):
@@ -368,9 +373,8 @@ def _interior_block(table: KernelTable, interior) -> tuple[np.ndarray, np.ndarra
 
 def harnack_audit(table: KernelTable, delta0: float, k_steps: int, interior) -> HarnackReport:
     """Exhaustive scan of the two Harnack inequalities over interior triples
-    (the interior given by heap indices);
-    the empirical delta is the largest constant that passes, compared against
-    the chain bound delta0^K."""
+    (the interior given by heap indices); the empirical delta is the largest
+    constant that passes, compared against the chain bound delta0^K."""
     g, dist = _interior_block(table, interior)
     logg = np.log(g)
     n = len(interior)
@@ -408,8 +412,7 @@ def multiplicativity_audit(table: KernelTable, delta: float, interior) -> Multip
     with lam the norm bound and S the range of the table's walk."""
     g, dist = _interior_block(table, interior)
     n = len(interior)
-    c_lower = 0.0
-    c_upper = 0.0
+    c_lower = c_upper = 0.0
     for v in range(n):
         on_geo = dist[:, v][:, None] + dist[v, :][None, :] == dist
         prod = np.outer(g[:, v], g[v, :])
@@ -417,12 +420,8 @@ def multiplicativity_audit(table: KernelTable, delta: float, interior) -> Multip
         c_lower = max(c_lower, float(ratio.max()))
         inv = np.where(on_geo, g / prod, 0.0)
         c_upper = max(c_upper, float(inv.max()))
-    return MultiplicativityReport(
-        c1_lower=c_lower,
-        c1_upper=c_upper,
-        lower_bound=1.0 / (1.0 - table.walk.norm_bound),
-        upper_bound=3.0 * (2.0 / delta ** 2) ** (table.walk.range_bound - 1),
-    )
+    return MultiplicativityReport(c_lower, c_upper, 1.0 / (1.0 - table.walk.norm_bound),
+                                  3.0 * (2.0 / delta ** 2) ** (table.walk.range_bound - 1))
 
 
 def entry_set(branch_domain: np.ndarray, range_bound: int) -> np.ndarray:

@@ -118,11 +118,17 @@ def qdim(w: str, q: float) -> float:
     return out
 
 
-def classical_dim(w: str) -> int:
-    """The q -> 1 limit of qdim: product of (len(f)+1) over indecomposable factors."""
+def classical_dim(w: str, n: int = 2) -> int:
+    """Classical dimension of the irreducible w of A_u(F), F of size n: the
+    product over indecomposable factors f of the Chebyshev value d_len(f),
+    d_k = n d_(k-1) - d_(k-2) from d_0 = 1, d_1 = n.  At n = 2, d_k = k + 1,
+    the q -> 1 limit of qdim."""
     out = 1
     for f in indecomposable_factors(w):
-        out *= len(f) + 1
+        prev, d = 1, n
+        for _ in range(len(f) - 1):
+            prev, d = d, n * d - prev
+        out *= d
     return out
 
 

@@ -120,12 +120,17 @@ def test_c03_norm_bound():
 
 def test_c04_green_solver(walk10):
     tm, table = walk10
-    ok = table.residual < 1e-10 and table.neumann_gap <= 0.0 and table.diagonal_bound_gap() <= 0.0
+    ok = table.residual < 1e-10 and table.error_bound <= 1e-12 and table.diagonal_bound_gap() <= 0.0
     for q in (0.3, 0.7):
         tq = green_table(transition_matrix(MU_AB, ball(8), q))
-        ok = ok and tq.residual < 1e-10 and tq.neumann_gap <= 0.0 and tq.diagonal_bound_gap() <= 0.0
-    criterion(4, "Green solve residual, Neumann cross-check, diagonal bound", ok,
-              f"residual {table.residual:.2e}")
+        ok = ok and tq.residual < 1e-10 and tq.error_bound <= 1e-12 and tq.diagonal_bound_gap() <= 0.0
+        # oracle: the certified rows (first, middle, last) against a dense inverse
+        n = tq.size
+        rows = [0, (n - 1) // 2, n - 1]
+        inv = np.linalg.inv(np.eye(n) - tq.walk.matrix.toarray())[rows]
+        ok = ok and (np.abs(tq.green[rows] - inv) / inv).max() <= tq.error_bound
+    criterion(4, "Green solve residual, certified error bound, diagonal bound", ok,
+              f"residual {table.residual:.2e}, error bound {table.error_bound:.2e}")
 
 
 def test_c05_conjugate_equations(engines):

@@ -592,6 +592,15 @@ class TestBoundaryAndIntertwiner:
         for line in norms[1:]:
             assert float(line.split(",")[-1]) < 1e-8
 
+    def test_intertwiner_ranks_are_the_classical_dimensions_at_n3(self, tmp_path):
+        # the n = 2 dimension missed on 62 of the 63 words at cap 5 (254 of 255 at cap 8)
+        path = make_config(tmp_path, model={"n": 3, "q": 0.3}, tensorCap=5)
+        assert main(["intertwiner", str(path)]) == EXIT_OK
+        rows = [line.split(",") for line in (tmp_path / "out" / "projection_ranks.csv").read_text().splitlines()]
+        assert rows[0] == ["x", "rank", "classicalDim"] and len(rows) == 64
+        assert ["ab", "8", "8"] in rows and ["aba", "21", "21"] in rows
+        assert all(rank == classical for _, rank, classical in rows[1:])
+
 
 class TestAudit:
     def test_audit_report_written(self, tmp_path):

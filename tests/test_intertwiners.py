@@ -510,3 +510,8 @@ class TestHigherRank:
         ident = Intertwiner(("a",), ("a",), np.eye(3))
         comp = rbar.adjoint.tensor(ident) @ ident.tensor(r)
         assert np.abs(comp.array - np.eye(3)).max() < 1e-10
+
+    def test_projection_ranks_are_the_classical_dimensions_at_n3(self):
+        eng = IntertwinerEngine(ModelConfig.from_q(0.3, n=3, tensor_cap=5))
+        for w in ball_words(5):
+            assert classical_dim(w, 3) == eng.irr_dim(w)

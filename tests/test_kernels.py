@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from aufwalk.kernels import (
     weighted_operator_norm,
 )
 from aufwalk.words import ball, ball_words, branch, code_lengths, heap_index, heap_indices, qdim, tree_distance, word
+from conftest import branch_context
 
 Q = 0.5
 EXAMPLE = Path(__file__).resolve().parent.parent / "demos" / "config.example.json"
@@ -47,6 +50,80 @@ def eigsh_norm(matrix, weights) -> float:
     d = np.sqrt(weights)
     a = sp.diags(d) @ sp.csr_matrix(matrix) @ sp.diags(1.0 / d)
     return float(np.sqrt(eigsh((a.T @ a).tocsc(), k=1, which="LA", return_eigenvectors=False)[0]))
+
+
+def neumann_steps(top: float) -> int:
+    """Terms of the series oracle: enough for a tail of 1e-13 at the
+    certified top, 40 to 600 of them; one when the top is 0."""
+    return 1 if top == 0.0 else min(600, max(40, math.ceil(math.log(1e-13) / math.log(top))))
+
+
+def neumann_excess(table, sources) -> float:
+    """Oracle: the largest excess of |G(s, .) - S_s| over the rigorous tail of
+    S_s plus a 1e-12 floor, S_s the truncated Neumann series of the unit
+    column of s under W^T (<= 0 is a pass).  On the dual weights 1/m the tail
+    is top^(N+1) / (1 - top), off by sqrt(m_t / m_s) at entry t."""
+    tm, top = table.walk, table.norm_interval[1]
+    a, m, steps = sp.csr_matrix(tm.matrix).T.tocsr(), tm.haar_weights(), neumann_steps(top)
+    worst = -math.inf
+    for s, row in zip(sources, table.source_rows(sources)):
+        vec = np.zeros(tm.size)
+        vec[tm.positions([s])[0]] = 1.0
+        acc = vec.copy()
+        for _ in range(steps):
+            vec = a @ vec
+            acc += vec
+        tail = top ** (steps + 1) / (1.0 - top) * np.sqrt(m / m[tm.positions([s])[0]])
+        worst = max(worst, float((np.abs(row - acc) - tail - 1e-12).max()))
+    return worst
+
+
+def certified_rows(table) -> np.ndarray:
+    """The rows a full table certifies: its first, middle and last."""
+    k = len(table.rows)
+    return table.rows[[0, (k - 1) // 2, k - 1]]
+
+
+def planted_lu(error, entry, relative=False):
+    """A factor class that adds ``error`` (times the solved value when
+    ``relative``) to one entry of the Green solve's unit columns: ``entry`` is
+    a (row, panel column) pair, or a row and the unit column it holds.  The
+    certificate's own solves take 1-D right-hand sides and stay untouched."""
+
+    class PlantedLU(kernels._LeavesFirstLU):
+        def solve(self, rhs):
+            x = super().solve(rhs)
+            if rhs.ndim == 2:
+                row, col = entry if isinstance(entry, tuple) else (entry, rhs[entry] == 1.0)
+                x[row, col] += error * (x[row, col] if relative else 1.0)
+            return x
+
+    return PlantedLU
+
+
+def exact_columns(walk, units) -> list[list[Fraction]]:
+    """Oracle: the columns of (I - W^T)^-1 at the given positions, by
+    Gauss-Jordan elimination in exact rationals on the float entries of W,
+    leaves first."""
+    w = walk.matrix.toarray()
+    n = len(w)
+    rows = [[Fraction(int(i == j)) - Fraction(w[j, i]) for j in range(n)] + [Fraction(int(i == u)) for u in units]
+            for i in range(n)]
+    for c in reversed(range(n)):
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [v - f * p for v, p in zip(rows[r], rows[c])]
+    return [[rows[i][n + k] for i in range(n)] for k in range(len(units))]
+
+
+def certificate_of(table):
+    """A certificate built as the Green solve of the table builds its own."""
+    a = sp.csr_matrix(table.walk.matrix).T
+    narrow = len(table.rows) < table.size
+    top = table.norm_interval[1]
+    return kernels._Certificate(a, table.walk.haar_weights(), top, kernels._LeavesFirstLU(a, narrow), narrow)
 
 
 class TestWeightedNorm:
@@ -137,49 +214,39 @@ class TestGreenTable:
         assert np.array_equal(table.green, np.eye(len(dom)))
 
     def test_radius_zero_zero_matrix_passes(self, mu_letters):
-        # the certified top is 0: the Neumann check is one exact step
+        # the certified top is 0: the bound is the rounding allowance alone,
+        # 2 gamma_2 on G(e, e) = 1
         tm = transition_matrix(mu_letters, ball(0), Q)
         assert tm.matrix.nnz == 0
         table = green_table(tm)
         assert table.norm_interval == (0.0, 0.0)
         assert np.array_equal(table.green, np.eye(1))
-        assert table.residual == 0.0 and table.neumann_gap <= 0.0
+        assert table.residual == 0.0 and 0.0 < table.error_bound < 1e-15
 
-    def test_neumann_check_near_q_one_is_not_vacuous(self, monkeypatch):
-        """At q = 0.99 lam is about 0.99995, which would ask 600 terms for a
-        tail of about 2e4; the certified top asks fewer, and the tail bound
-        then holds the sampled columns."""
+    def test_neumann_check_near_q_one_is_not_vacuous(self):
+        """At q = 0.99 lam is about 0.99995, which would ask the series oracle
+        for 600 terms and a tail of about 2e4; the certified top asks fewer,
+        the series then holds the certified rows, and the certificate bounds
+        their realised error against a dense inverse."""
         tm = transition_matrix(Measure({"a": 0.35, "b": 0.65}), ball(8), 0.99)
-        steps = []
-        real_steps = kernels._neumann_steps
-
-        def record(norm):
-            steps.append(real_steps(norm))
-            return steps[-1]
-
-        monkeypatch.setattr(kernels, "_neumann_steps", record)
         table = green_table(tm)
-        assert tm.norm_bound > 0.9999 and real_steps(tm.norm_bound) == 600
-        assert table.norm_interval[1] < 0.85 and steps == [real_steps(table.norm_interval[1])]
-        assert steps[0] < 600
-        assert table.neumann_gap <= 0.0
+        assert tm.norm_bound > 0.9999 and neumann_steps(tm.norm_bound) == 600
+        assert table.norm_interval[1] < 0.85 and neumann_steps(table.norm_interval[1]) < 600
+        rows = certified_rows(table)
+        assert neumann_excess(table, rows) <= 0.0
+        inv = np.linalg.inv(np.eye(tm.size) - tm.matrix.toarray())[rows]
+        assert (np.abs(table.source_rows(rows) - inv) / inv).max() <= table.error_bound <= 1e-12
 
     @pytest.mark.parametrize("row, sampled", [(0, True), (127, True), (254, True), (1, False)])
     def test_neumann_check_samples_the_first_middle_and_last_row(self, walk7, monkeypatch, row, sampled):
         # an error of 5e-11 on a diagonal entry passes the residual gate; the
-        # series check sees it on the three sampled rows of the 255-word table only
+        # certificate covers the rows the series check sampled, the first,
+        # middle and last of the 255-word table, and sees it there only
         tm, _ = walk7
-
-        class PerturbedLU(kernels._LeavesFirstLU):
-            def solve(self, rhs):
-                x = super().solve(rhs)
-                x[row, rhs[row] == 1.0] += 5e-11
-                return x
-
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", PerturbedLU)
+        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(5e-11, row))
         table = green_table(tm)
         assert table.residual < 1e-10
-        assert (table.neumann_gap > 1e-11) is sampled
+        assert (table.error_bound > 1e-11) is sampled
 
     def test_three_point_ball_scalar_series(self, mu_letters):
         # oracle: the explicit 3x3 matrix has a single return loop e->a|b->e
@@ -196,8 +263,11 @@ class TestGreenTable:
         assert table.diagonal_bound_gap() <= 0.0
 
     def test_neumann_within_tail_bound(self, walk8):
+        # the certified rows agree with the series oracle, and carry a bound
+        # far below the oracle's 1e-12 floor
         _, table = walk8
-        assert table.neumann_gap <= 0.0
+        assert neumann_excess(table, certified_rows(table)) <= 0.0
+        assert 0.0 < table.error_bound < 1e-13
 
     def test_green_entries_nonnegative(self, walk8):
         assert walk8[1].green.min() >= 0.0
@@ -206,8 +276,8 @@ class TestGreenTable:
         tm, table = walk8
         dense = green_table(TransitionMatrix(tm.codes, tm.matrix.toarray(), tm.mu, Q))
         assert np.array_equal(dense.green, table.green)
-        assert (dense.residual, dense.norm_interval, dense.neumann_gap) == (
-            table.residual, table.norm_interval, table.neumann_gap
+        assert (dense.residual, dense.norm_interval, dense.error_bound) == (
+            table.residual, table.norm_interval, table.error_bound
         )
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
@@ -360,8 +430,8 @@ class TestPanelPool:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(other.green, table.green)
-        assert (other.residual, other.norm_interval, other.neumann_gap) == (
-            table.residual, table.norm_interval, table.neumann_gap
+        assert (other.residual, other.norm_interval, other.error_bound) == (
+            table.residual, table.norm_interval, table.error_bound
         )
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -373,8 +443,8 @@ class TestPanelPool:
         allow_cpus(monkeypatch, cpus, run_entries=1)
         other = green_rows(tm, sources)
         assert np.array_equal(other.green, rows.green)
-        assert (other.residual, other.norm_interval, other.neumann_gap) == (
-            rows.residual, rows.norm_interval, rows.neumann_gap
+        assert (other.residual, other.norm_interval, other.error_bound) == (
+            rows.residual, rows.norm_interval, rows.error_bound
         )
 
     def test_one_worker_per_cpu_up_to_the_panels(self, walk8, monkeypatch):
@@ -411,8 +481,8 @@ class TestPanelPool:
         monkeypatch.delattr(os, "sched_getaffinity")
         other = green_table(tm)
         assert np.array_equal(other.green, table.green)
-        assert (other.residual, other.norm_interval, other.neumann_gap) == (
-            table.residual, table.norm_interval, table.neumann_gap
+        assert (other.residual, other.norm_interval, other.error_bound) == (
+            table.residual, table.norm_interval, table.error_bound
         )
 
     def solve_failing_last_panel(self, monkeypatch, fault):
@@ -679,45 +749,45 @@ class TestGreenRows:
     def test_neumann_within_tail_bound_on_radius_12(self, mu_letters):
         dom = ball(12)
         tm = transition_matrix(mu_letters, dom, Q)
-        gap = green_rows(tm, heap_indices(["a", "ba"])).neumann_gap
-        assert -1e-11 < gap <= 0.0
+        rows = green_rows(tm, heap_indices(["a", "ba"]))
+        assert neumann_excess(rows, rows.rows) <= 0.0
+        assert 0.0 < rows.error_bound < 1e-13
 
     def test_neumann_catches_a_perturbed_row(self, walk8, monkeypatch):
-        # an error of 5e-11 in G(a, a) passes the 1e-10 residual gate but not
-        # the series check, whose bound there is about 1e-12
+        # an error of 5e-11 in G(a, a) passes the 1e-10 residual gate but
+        # neither the series oracle, whose bound there is about 1e-12, nor the
+        # certificate
         tm, _ = walk8
-
-        class PerturbedLU(kernels._LeavesFirstLU):
-            def solve(self, rhs):
-                x = super().solve(rhs)
-                x[heap_index("a"), 0] += 5e-11
-                return x
-
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", PerturbedLU)
+        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(5e-11, (heap_index("a"), 0)))
         rows = green_rows(tm, [heap_index("a")])
         assert rows.residual < 1e-10
-        assert rows.neumann_gap > 1e-11
+        assert neumann_excess(rows, rows.rows) > 1e-11
+        assert rows.error_bound > 1e-11
 
     @pytest.mark.parametrize("error, passes", [(1e-10, True), (1e-9, False)])
     def test_neumann_bound_scales_with_the_dual_weights(self, mu_letters, monkeypatch, error, passes):
-        """On the row path entry t of the row of e may be off by about
-        tail * sqrt(m_t / m_e), which is 1365 tails at t = ababababab (radius
-        10, q = 0.5): an error of 1e-10 there is inside the bound, 1e-9 is not.
-        With the weights m in place of 1/m the bound is the 1e-12 floor, and
-        1e-10 fails."""
+        """On the row path the series oracle lets entry t of the row of e be
+        off by about tail * sqrt(m_t / m_e), which is 1365 tails at
+        t = ababababab (radius 10, q = 0.5): an error of 1e-10 there is inside
+        its bound, 1e-9 is not.  The certificate is relative on every entry:
+        against G(e, t) = 3.5e-4 the errors are 2.9e-7 and 2.9e-6, and it
+        bounds both."""
         dom = ball(10)
         tm = transition_matrix(mu_letters, dom, Q)
-
-        class PerturbedLU(kernels._LeavesFirstLU):
-            def solve(self, rhs):
-                x = super().solve(rhs)
-                x[heap_index("ababababab"), 0] += error
-                return x
-
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", PerturbedLU)
-        # the residual gate is opened so that the error reaches the series check
+        t = heap_index("ababababab")
+        clean = green_rows(tm, [0]).source_rows([0])[0, t]
+        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(error, (t, 0)))
+        # the residual gate is opened so that the error reaches the checks
         rows = green_rows(tm, [0], solver_tol=1e-8)
-        assert (rows.neumann_gap <= 0.0) is passes
+        assert (neumann_excess(rows, rows.rows) <= 0.0) is passes
+        assert rows.error_bound >= error / clean > 1e-7
+
+    def test_a_nan_entry_fails_the_residual_gate(self, walk8, monkeypatch):
+        # a NaN compares false with everything: the gate must not read it as small
+        tm, _ = walk8
+        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(math.nan, (heap_index("ab"), 0)))
+        with pytest.raises(RuntimeError, match="residual nan"):
+            green_rows(tm, [heap_index("a")])
 
     def test_residual_above_tolerance_raises(self, walk8):
         tm, _ = walk8
@@ -749,6 +819,107 @@ class TestGreenRows:
         tm, _ = walk8
         with pytest.raises(ValueError, match="outside the domain: \\['a{9}'\\]"):
             green_rows(tm, heap_indices(["a", "a" * 9]))
+
+
+class TestCertificate:
+    """The entrywise error bounds of the Green solve (_Certificate)."""
+
+    @pytest.mark.parametrize("mu", [{"a": 0.5, "b": 0.5}, {"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2}])
+    def test_exact_rational_oracle(self, mu):
+        """On the radius-4 ball (31 words) at q = 1/2, every entry of every
+        row of a rows solve is within its certified bound of the exact
+        solution for the float W; the table reports the largest relative one."""
+        tm = transition_matrix(Measure(mu), ball(4), 0.5)
+        assert tm.size == 31
+        table = green_rows(tm, heap_indices(["a", "bb", "aba", "abab"]))
+        units = tm.positions(table.rows)
+        certificate = certificate_of(table)
+        largest = 0.0
+        for x, unit, exact in zip(table.green, units, exact_columns(tm, units)):
+            bounds = certificate.bounds(x, unit)
+            assert all(abs(Fraction(float(g)) - e) <= Fraction(float(b)) for g, e, b in zip(x, exact, bounds))
+            largest = max(largest, float((bounds / x).max()))
+        assert largest == table.error_bound < 1e-13
+
+    def test_the_norm_term_alone_bounds_the_error_of_failed_solves(self, monkeypatch):
+        # the certificate's own solves return zeros: its entrywise terms
+        # vanish, and the norm term on the dual weights still holds every entry
+        class ZeroSolves(kernels._LeavesFirstLU):
+            def solve(self, rhs):
+                return super().solve(rhs) if rhs.ndim == 2 else np.zeros_like(rhs)
+
+        tm = transition_matrix(Measure({"a": 0.5, "b": 0.5}), ball(4), 0.5)
+        monkeypatch.setattr(kernels, "_LeavesFirstLU", ZeroSolves)
+        table = green_rows(tm, heap_indices(["a", "abab"]))
+        units = tm.positions(table.rows)
+        certificate = certificate_of(table)
+        for x, unit, exact in zip(table.green, units, exact_columns(tm, units)):
+            bounds = certificate.bounds(x, unit)
+            assert all(0.0 < b for b in bounds)
+            assert all(abs(Fraction(float(g)) - e) <= Fraction(float(b)) for g, e, b in zip(x, exact, bounds))
+
+    def test_second_solve_certifies_the_smallest_entries(self):
+        """Under mu(a) = 0.85 the table of ball 8 holds G(a^8, b^8) = 5.4e-20.
+        With one certifying solve the norm term made it 9.9e-11 relative; the
+        second keeps every certified entry near round-off."""
+        table = green_table(transition_matrix(Measure({"a": 0.85, "b": 0.15}), ball(8), 0.5))
+        assert table.green.min() < 1e-19
+        assert table.error_bound < 1e-13
+
+    def test_planted_relative_error_raises_its_entry_bound(self, walk8, monkeypatch):
+        """A relative error of 1e-12 planted in one solved entry, G(a, ab), and
+        not in the certificate's own solves raises that entry's bound above
+        1e-12, from under 1e-13 without it."""
+        tm, _ = walk8
+        a, t = heap_index("a"), heap_index("ab")
+
+        def entry_bound():
+            rows = green_rows(tm, [a])
+            assert rows.rows.tolist() == [0, a]
+            x = rows.source_rows([a])[0]
+            return certificate_of(rows).bounds(x, a)[t] / x[t], rows.error_bound
+
+        clean, clean_table = entry_bound()
+        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(1e-12, (t, 1), relative=True))
+        planted, planted_table = entry_bound()
+        assert clean <= clean_table < 1e-13
+        assert planted > 1e-12 and planted_table >= planted
+
+    def test_a_rows_solve_certifies_every_row(self, walk8, monkeypatch):
+        # the second of five rows, which the first, middle and last of a full
+        # table would not cover, carries a planted error of 5e-11
+        tm, _ = walk8
+        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(5e-11, (heap_index("a"), 1)))
+        rows = green_rows(tm, heap_indices(["a", "b", "ab", "ba"]))
+        assert rows.rows.tolist() == heap_indices(["", "a", "b", "ab", "ba"]).tolist()
+        assert rows.error_bound > 1e-11
+
+    def test_a_negative_entry_takes_the_factor_of_the_absolute_walk(self, engine, mu_letters, monkeypatch):
+        """A branch walk with a planted negative weight is certified with a
+        second factor, of I - |W^T|, and its certified rows stay within their
+        bounds of the exact solution."""
+        branch_walk = branch_context(engine, mu_letters, "a", 5).walk
+        w = branch_walk.matrix.tocsr(copy=True)
+        w.data[w.data.argmax()] *= -1.0
+        walk = TransitionMatrix(branch_walk.codes, w, branch_walk.mu, branch_walk.q)
+        factored = []
+
+        class Recording(kernels._LeavesFirstLU):
+            def __init__(self, matrix, narrow=False):
+                factored.append(sp.csc_matrix(matrix, copy=True))
+                super().__init__(matrix, narrow)
+
+        monkeypatch.setattr(kernels, "_LeavesFirstLU", Recording)
+        table = green_table(walk)
+        assert len(factored) == 2
+        signed, unsigned = factored
+        assert signed.data.min() < 0.0 and (unsigned != abs(signed)).nnz == 0
+        units = walk.positions(certified_rows(table))
+        certificate = certificate_of(table)
+        for x, unit, exact in zip(table.green[units], units, exact_columns(walk, units)):
+            bounds = certificate.bounds(x, unit)
+            assert all(abs(Fraction(float(g)) - e) <= Fraction(float(b)) for g, e, b in zip(x, exact, bounds))
+        assert 0.0 < table.error_bound < 1e-12
 
 
 class TestLastEntryPathSumOracle:

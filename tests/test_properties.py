@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aufwalk.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
+from aufwalk.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, load_config, main
 from aufwalk.fusion import Measure, dual_audit, fuse, is_generating, transition_matrix, transition_prob
 from aufwalk.intertwiners import ModelConfig
 from aufwalk.words import (
@@ -57,6 +57,36 @@ def test_model_keeps_the_q_it_is_given(q):
     cfg = ModelConfig.from_q(q, n=2)
     assert cfg.q == q
     assert cfg.rho == (q, 1.0 / q)
+
+
+@st.composite
+def model_sections(draw):
+    """A config's model section at n = 2 or 3, by q or by fDiag, with the q
+    the run must report: q itself, or the root that from_f_diag takes."""
+    n = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        # n = 3 reaches only q + 1/q > 3
+        q = draw(st.floats(min_value=0.05, max_value=0.8 if n == 2 else 0.38))
+        return {"n": n, "q": q}, q
+    f = draw(st.floats(min_value=1.05, max_value=4.0))
+    f_diag = [f, 1.0 / f] + [1.0] * (n - 2)
+    return {"n": n, "fDiag": f_diag}, ModelConfig.from_f_diag(f_diag, n, tensor_cap=5).q
+
+
+@PROPERTY
+@given(model_sections())
+def test_config_q_survives_to_the_walk_manifest(section):
+    """model.q reaches ModelConfig and the walk manifest bit for bit; an
+    fDiag model reaches them as from_f_diag's q."""
+    model, q = section
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({"model": model, "measure": {"a": 0.5, "b": 0.5}, "ballRadius": 3,
+                                    "tensorCap": 5, "sources": ["e", "a"], "outputDir": str(Path(tmp) / "out")}))
+        cfg = load_config(str(path))
+        assert (cfg.model.n, cfg.model.q, cfg.q) == (model["n"], q, q)
+        assert main(["walk", str(path)]) == EXIT_OK
+        assert json.loads((Path(tmp) / "out" / "manifest.json").read_text())["q"] == q
 
 
 @PROPERTY

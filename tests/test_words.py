@@ -129,6 +129,12 @@ class TestFactorsAndDimensions:
         assert classical_dim("aa") == 4
         assert classical_dim("bbaab") == 2 * 3 * 3
 
+    def test_classical_dim_follows_the_chebyshev_recursion_in_n(self):
+        # d_k = n d_(k-1) - d_(k-2): n, n^2 - 1, n^3 - 2n per alternating block
+        assert [classical_dim(w, 3) for w in ("", "a", "ab", "aba", "aa", "abba")] == [1, 3, 8, 21, 9, 64]
+        assert [classical_dim(w, 4) for w in ("ab", "aba", "abab")] == [15, 56, 209]
+        assert all(classical_dim(w, 2) == classical_dim(w) for w in ball_words(6))
+
     def test_q_to_one_limit(self, rng):
         q_near = 1.0 - 1e-8
         for _ in range(60):
