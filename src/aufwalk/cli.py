@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,19 +48,18 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A loaded config; load_config builds it and holds every default."""
+
     model: ModelConfig
     measure: Measure
-    ball_radius: int = 8
-    branch_z: str = "a"
-    q_radius: int | None = None
-    rays: list[tuple[str, str]] = field(default_factory=lambda: [("", "a")])
-    sources: list[str] = field(default_factory=lambda: [""])
-    boundary_sources: list[str] | None = None
-    solver_tol: float = 1e-10
-    audit_tol: float = 1e-8
-    output_dir: str = "out"
-    seed: int = 0
-    raw: dict = field(default_factory=dict)
+    ball_radius: int
+    branch_z: str
+    rays: list[tuple[str, str]]
+    sources: list[str]
+    boundary_sources: list[str] | None
+    solver_tol: float
+    output_dir: str
+    raw: dict
 
     @property
     def q(self) -> float:
@@ -70,22 +69,18 @@ class RunConfig:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    def effective_q_radius(self) -> int:
-        if self.q_radius is not None:
-            return self.q_radius
+    def branch_radius(self) -> int:
+        """The branch truncation radius: min(ballRadius, tensorCap - 2 len(branchZ) - range)."""
         reach = max(len(r) for r in self.measure.support)
-        return min(
-            self.ball_radius,
-            self.model.tensor_cap - 2 * len(self.branch_z) - reach,
-        )
+        return min(self.ball_radius, self.model.tensor_cap - 2 * len(self.branch_z) - reach)
 
 
 #: the keys a config may hold, at the top level and in its two nested objects
 CONFIG_KEYS = {
-    "": ("model", "measure", "ballRadius", "tensorCap", "branchZ", "qRadius", "rays", "sources",
-         "boundarySources", "tolerances", "outputDir", "seed"),
+    "": ("model", "measure", "ballRadius", "tensorCap", "branchZ", "rays", "sources",
+         "boundarySources", "tolerances", "outputDir"),
     "model.": ("n", "q", "fDiag"),
-    "tolerances.": ("solver", "audit"),
+    "tolerances.": ("solver",),
 }
 
 _KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
@@ -162,25 +157,22 @@ def load_config(path: str, radius=None, out=None) -> RunConfig:
         measure=measure,
         ball_radius=radius if radius is not None else _typed(raw, "ballRadius", int, 8),
         branch_z=parse_word(_typed(raw, "branchZ", str, "a")),
-        q_radius=_typed(raw, "qRadius", int) if "qRadius" in raw else None,
         rays=rays,
         sources=_words(_typed(raw, "sources", list, ["e"]), "sources"),
         boundary_sources=_words(_typed(raw, "boundarySources", list), "boundarySources")
         if "boundarySources" in raw
         else None,
         solver_tol=_typed(tolerances, "solver", float, 1e-10),
-        audit_tol=_typed(tolerances, "audit", float, 1e-8),
         output_dir=str(out if out is not None
                        else os.environ.get(OUTPUT_ENV) or _typed(raw, "outputDir", str, "out")),
-        seed=_typed(raw, "seed", int, 0),
         raw=raw,
     )
     if not cfg.branch_z:
         raise ConfigError("branchZ must be a nonempty word")
     if cfg.ball_radius < 0:
         raise ConfigError("ballRadius must be nonnegative")
-    if not (cfg.solver_tol > 0.0 and cfg.audit_tol > 0.0):
-        raise ConfigError("tolerances must be positive")
+    if not cfg.solver_tol > 0.0:
+        raise ConfigError("tolerances.solver must be positive")
     # the largest quantum dimension on the ball is [2]_q^R; its square weights the solver
     if 2 * cfg.ball_radius * math.log(cfg.q + 1.0 / cfg.q) >= math.log(sys.float_info.max):
         raise ConfigError(
@@ -312,7 +304,6 @@ def cmd_walk(cfg: RunConfig) -> int:
         "solverResidual": table.residual,
         "greenErrorBound": table.error_bound,
         "interiorRowSumGap": _interior_row_gap(cfg, tm),
-        "seed": cfg.seed,
     }
     write_json(out / "manifest.json", manifest)
     return EXIT_OK
@@ -389,14 +380,11 @@ def run_audits(cfg: RunConfig) -> list[dict]:
              "pass": bool(ok)}
         )
 
-    if cfg.effective_q_radius() > cfg.ball_radius:
-        raise ConfigError(f"audit needs qRadius <= ballRadius, got qRadius {cfg.q_radius} > "
-                          f"ballRadius {cfg.ball_radius}")
     eng = IntertwinerEngine(cfg.model)
     # the defect audit forms x (x) y in each V and u x, u z in the projections
     eng.check_cap(*(w for u, x, y, z in _defect_families() for w in (x + y, u + x, u + z)))
     # the sources are checked before any solve; the branch of z holds the words ending in z
-    if not any(s.endswith(cfg.branch_z) for s in boundary_sources(cfg, cfg.effective_q_radius())):
+    if not any(s.endswith(cfg.branch_z) for s in boundary_sources(cfg, cfg.branch_radius())):
         raise ConfigError(f"the boundary audits need a boundary source in the branch of "
                           f"{cfg.branch_z!r}")
     size = 2 ** (cfg.ball_radius + 1) - 1  # the ball's full table is refused before its walk is built
@@ -442,7 +430,7 @@ def run_audits(cfg: RunConfig) -> list[dict]:
     add("defect_decay", "projection commutation defects decay with the length exponent",
         rate_gap, 0.2, rate_gap <= 0.2)
 
-    ctx = perturbed.BranchContext(eng, tm, cfg.branch_z, cfg.effective_q_radius())
+    ctx = perturbed.BranchContext(eng, tm, cfg.branch_z, cfg.branch_radius())
     oracle_gap, domination_gap = _qhat_checks(cfg, ctx)
     add("qhat_oracle", "trace formula against the partial-trace evaluation", oracle_gap, 1e-9,
         oracle_gap < 1e-9)
@@ -480,13 +468,17 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         mult.upper_bound, upper_ok)
 
     resid = _last_entry_worst(cfg, table)
-    add("last_entry", "decomposition of the Green kernel at the branch cut", resid, cfg.audit_tol,
-        resid < cfg.audit_tol)
+    add("last_entry", "decomposition of the Green kernel at the branch cut", resid, 1e-8, resid < 1e-8)
 
+    gdif_entry = ("gdif_envelope", "branch Green kernels differ by an envelope in the branch depth")
     x_list = [x for x in _alternating_branch_words(cfg.branch_z, 4) if len(x) <= ctx.radius - 2]
-    gdif = perturbed.gdif_audit(q_walk, ctx, x_list, solver_tol=cfg.solver_tol)
-    add("gdif_envelope", "branch Green kernels differ by an envelope in the branch depth",
-        gdif.envelope_gap, 1.0, gdif.envelope_gap <= 1.0 + 1e-12)
+    if x_list:
+        gdif = perturbed.gdif_audit(q_walk, ctx, x_list, solver_tol=cfg.solver_tol)
+        add(*gdif_entry, gdif.envelope_gap, 1.0, gdif.envelope_gap <= 1.0 + 1e-12)
+    else:
+        # a branch too shallow for any sub-branch word: the entry fails on the
+        # number of usable words and the audit goes on
+        add(*gdif_entry, 0, 1, False)
 
     # the deepest ray point stands for the boundary value (no extrapolation)
     k_q_end = k_q[:, -1]
@@ -598,7 +590,9 @@ def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float]:
 def _last_entry_worst(cfg: RunConfig, table) -> float:
     x, tm = words.heap_index(cfg.branch_z), table.walk
     branch_walk = tm.restrict(words.branch(cfg.branch_z, cfg.ball_radius))
-    branch_table = kernels.green_table(branch_walk, solver_tol=cfg.solver_tol)
+    # the decomposition reads only the branch rows of the entry cut
+    branch_table = kernels.green_rows(branch_walk, kernels.entry_set(branch_walk.codes, tm.range_bound),
+                                      solver_tol=cfg.solver_tol)
     margin = cfg.ball_radius - tm.range_bound
     lengths = words.code_lengths(tm.codes)
     sources = tm.codes[~words.ends_with(tm.codes, x) & (lengths > 0) & (lengths <= 2)]
@@ -639,8 +633,8 @@ def cmd_audit(cfg: RunConfig) -> int:
 def cmd_boundary(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     # a negative branch radius leaves an empty branch, which BranchContext rejects
-    tm = build_walk(cfg, max(cfg.effective_q_radius(), 0))
-    ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.effective_q_radius())
+    tm = build_walk(cfg, max(cfg.branch_radius(), 0))
+    ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.branch_radius())
     _, inside, outside, per_ray = branch_kernels(cfg, tm, ctx, cfg.rays)
     sources = np.array([format_word(s) for s in np.concatenate([inside, outside])], dtype=object)
     header = ["s", "n", "t", "K_P", "K_Q", "ratio", "cauchyGapP", "cauchyGapQ"]

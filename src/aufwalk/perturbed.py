@@ -329,8 +329,10 @@ def gdif_audit(
     """Relative gap between the Green kernels of the perturbed walk
     (``q_walk``, from q_matrix) and the classical branch walk ctx.walk, each
     restricted to the sub-branches of the given words, and the envelope gap
-    against q^len(x) anchored at the first word.  Each sub-branch solve
-    raises RuntimeError above ``solver_tol``."""
+    against q^len(x) anchored at the first word.  Raises ValueError on an
+    empty list; each sub-branch solve raises RuntimeError above ``solver_tol``."""
+    if not x_list:
+        raise ValueError("gdif_audit needs at least one sub-branch word")
     rels = []
     for x in x_list:
         if not x.endswith(ctx.z):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import scipy.sparse as sp
 
 from aufwalk import cli, fusion, kernels, perturbed, words
 from aufwalk.cli import (
+    CONFIG_KEYS,
     EXIT_AUDIT,
     EXIT_CAP,
     EXIT_CONFIG,
@@ -25,8 +27,9 @@ from aufwalk.cli import (
 from aufwalk.intertwiners import Intertwiner, IntertwinerEngine
 from aufwalk.words import ball, ball_words, format_word, heap_index, heap_indices
 
-EXAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "config.example.json")
-GOLDEN_TWO_RAYS = str(Path(__file__).resolve().parent / "golden" / "two_rays.json")
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLE = str(ROOT / "demos" / "config.example.json")
+GOLDEN_TWO_RAYS = str(ROOT / "tests" / "golden" / "two_rays.json")
 
 
 def count_conversions(monkeypatch, record, modules=(words, fusion, kernels, perturbed, cli)):
@@ -60,9 +63,8 @@ def make_config(tmp_path, **overrides):
         "branchZ": "a",
         "rays": [["e", "a"]],
         "sources": ["e"],
-        "tolerances": {"solver": 1e-10, "audit": 1e-8},
+        "tolerances": {"solver": 1e-10},
         "outputDir": str(tmp_path / "out"),
-        "seed": 7,
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
@@ -131,7 +133,7 @@ class TestConfig:
             {"measure": {"a": math.nan, "b": 0.5}},
             {"tolerances": {"solver": math.inf}},
             {"model": {"q": math.nan}},
-            {"tolerances": {"audit": -math.inf}},
+            {"tolerances": {"solver": -math.inf}},
             {"model": {"fDiag": [2.0, 10 ** 400]}},
         ],
     )
@@ -169,7 +171,7 @@ class TestConfig:
         # none at all: an empty list is not the absent key, no default sources stand in;
         # each is found before any Green solve
         monkeypatch.setattr(kernels, "_green_solve", None)
-        path = make_config(tmp_path, ballRadius=7, qRadius=6, boundarySources=sources)
+        path = make_config(tmp_path, ballRadius=7, tensorCap=9, boundarySources=sources)
         assert main([command, str(path)]) == EXIT_CONFIG
         err = one_line_error(capsys, "config error:")
         assert "boundary source" in err and (sources or "boundarySources" in err)
@@ -183,12 +185,28 @@ class TestConfig:
                 {"seeds": 1, "model": {"n": 2, "q": 0.5, "Q": 0.3}, "tolerances": {"audti": 1e-8}},
                 ["seeds", "model.Q", "tolerances.audti"],
             ),
+            # keys that fed no computation, or duplicated one, are gone
+            ({"seed": 7}, ["seed"]),
+            ({"qRadius": 6}, ["qRadius"]),
+            ({"tolerances": {"solver": 1e-10, "audit": 1e-8}}, ["tolerances.audit"]),
         ],
     )
     def test_unknown_keys_exit_2_naming_each(self, tmp_path, capsys, overrides, unknown):
         assert main(["walk", str(make_config(tmp_path, **overrides))]) == EXIT_CONFIG
         err = one_line_error(capsys, "config error: unknown config keys")
         assert all(key in err for key in unknown)
+
+    def test_readme_config_block_holds_exactly_the_config_keys(self, tmp_path):
+        # the documented grammar loads, and advertises no key the loader refuses or lacks
+        grammar = (ROOT / "README.md").read_text().split("### Config grammar", 1)[1]
+        block = grammar.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        raw = json.loads(re.sub(r"//[^\n]*", "", block))
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(raw))
+        load_config(str(path))
+        assert sorted(raw) == sorted(CONFIG_KEYS[""])
+        assert sorted(raw["tolerances"]) == sorted(CONFIG_KEYS["tolerances."])
+        assert set(raw["model"]) <= set(CONFIG_KEYS["model."])
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["walk", str(tmp_path / "nope.json")]) == EXIT_CONFIG
@@ -256,7 +274,7 @@ class TestConfig:
 class TestInternalErrors:
     @pytest.mark.parametrize("command", ["walk", "boundary"])
     def test_residual_failure_exits_4_without_traceback(self, tmp_path, capsys, command):
-        path = make_config(tmp_path, tolerances={"solver": 1e-300, "audit": 1e-8})
+        path = make_config(tmp_path, tolerances={"solver": 1e-300})
         assert main([command, str(path)]) == EXIT_INTERNAL
         err = one_line_error(capsys, "internal error: RuntimeError:")
         assert "residual" in err and "Traceback" not in err
@@ -511,7 +529,7 @@ class TestCsvEmitter:
         assert main([command, EXAMPLE, "--out", str(tmp_path)]) in (EXIT_OK, EXIT_AUDIT)
         assert len(calls) == assemblies
         cfg = load_config(EXAMPLE)
-        want = ball(cfg.ball_radius if command != "boundary" else cfg.effective_q_radius())
+        want = ball(cfg.ball_radius if command != "boundary" else cfg.branch_radius())
         assert all(np.array_equal(domain, want) for domain in calls)
 
     @pytest.mark.parametrize("command", ["audit", "boundary"])
@@ -552,7 +570,7 @@ class TestCsvEmitter:
         count_conversions(monkeypatch, lambda domain: calls.append(list(domain)))
         assert main([command, EXAMPLE, "--out", str(tmp_path)]) in (EXIT_OK, EXIT_AUDIT)
         cfg = load_config(EXAMPLE)
-        assert calls == [cli.boundary_sources(cfg, cfg.effective_q_radius())] and len(calls[0]) == 5
+        assert calls == [cli.boundary_sources(cfg, cfg.branch_radius())] and len(calls[0]) == 5
 
     def test_zero_base_green_exits_4(self, tmp_path, capsys, monkeypatch):
         # past the generating check, G(e, b) = 0 under the point mass at a trips the Martin guard
@@ -573,7 +591,7 @@ class TestCsvEmitter:
 
 class TestBoundaryAndIntertwiner:
     def test_boundary_csv(self, tmp_path):
-        path = make_config(tmp_path, ballRadius=6, qRadius=6)
+        path = make_config(tmp_path, ballRadius=6)
         assert main(["boundary", str(path)]) == EXIT_OK
         lines = (tmp_path / "out" / "boundary_ray0.csv").read_text().splitlines()
         assert lines[0] == "s,n,t,K_P,K_Q,ratio,cauchyGapP,cauchyGapQ"
@@ -604,7 +622,7 @@ class TestBoundaryAndIntertwiner:
 
 class TestAudit:
     def test_audit_report_written(self, tmp_path):
-        path = make_config(tmp_path, ballRadius=7, qRadius=6)
+        path = make_config(tmp_path, ballRadius=7, tensorCap=9)
         code = main(["audit", str(path)])
         report = json.loads((tmp_path / "out" / "audit_report.json").read_text())
         names = {e["name"] for e in report["audits"]}
@@ -632,7 +650,7 @@ class TestAudit:
         fault on a valid config: both perturbation entries fail with the
         usable count against 4, the later entries still run and audit exits 1."""
         monkeypatch.setattr(perturbed, "residual_matrix", lambda ctx: sp.csr_matrix((ctx.walk.size,) * 2))
-        path = make_config(tmp_path, ballRadius=7, qRadius=6)
+        path = make_config(tmp_path, ballRadius=7, tensorCap=9)
         assert main(["audit", str(path)]) == EXIT_AUDIT
         capsys.readouterr()
         report = json.loads((tmp_path / "out" / "audit_report.json").read_text())
@@ -642,6 +660,22 @@ class TestAudit:
         assert failing == {"perturbation_envelope", "perturbation_rate"}
         for name in failing:
             assert (entries[name]["measured"], entries[name]["bound"]) == (0.0, 4.0)
+
+    def test_branch_too_shallow_for_gdif_fails_its_entry(self, tmp_path, capsys):
+        """At ballRadius 2 no sub-branch word of the branch of radius 2 is
+        short enough (len <= 0): gdif_envelope fails on 0 usable words
+        against 1, the later entries still run and audit exits 1."""
+        raw = json.loads(Path(EXAMPLE).read_text())
+        raw.update(ballRadius=2, boundarySources=["a"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["audit", str(path), "--out", str(tmp_path / "out")]) == EXIT_AUDIT
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "audit_report.json").read_text())
+        entries = {e["name"]: e for e in report["audits"]}
+        gdif = entries["gdif_envelope"]
+        assert (gdif["measured"], gdif["bound"], gdif["pass"]) == (0.0, 1.0, False)
+        assert "boundary_ratio_trend" in entries
 
     def test_rate_insensitive_to_the_norm_route(self, tmp_path, monkeypatch, capsys):
         """The almost-isometry norms by SVD or by Schur (Frobenius over
@@ -692,7 +726,7 @@ class TestBoundarySources:
         assert {line.split(",")[0] for line in lines[1:]} == {"a", "aba", "ababa", "abababa"}
 
     def test_root_source_gives_unit_classical_column(self, tmp_path):
-        path = make_config(tmp_path, ballRadius=6, qRadius=6, boundarySources=["e", "a"])
+        path = make_config(tmp_path, ballRadius=6, boundarySources=["e", "a"])
         assert main(["boundary", str(path)]) == EXIT_OK
         lines = (tmp_path / "out" / "boundary_ray0.csv").read_text().splitlines()
         root_rows = [l.split(",") for l in lines[1:] if l.startswith("e,")]
@@ -710,8 +744,8 @@ class TestBoundarySources:
         raw["model"]["q"] = q
         (tmp_path / "config.json").write_text(json.dumps(raw))
         cfg = load_config(str(tmp_path / "config.json"))
-        tm = cli.build_walk(cfg, cfg.effective_q_radius())
-        ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.effective_q_radius())
+        tm = cli.build_walk(cfg, cfg.branch_radius())
+        ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.branch_radius())
         q_walk, inside, outside, per_ray = cli.branch_kernels(cfg, tm, ctx, cfg.rays)
         dense = kernels.green_table(tm, solver_tol=cfg.solver_tol)
         q_table = kernels.green_table(q_walk)
@@ -736,9 +770,12 @@ class TestAuditGuards:
         # the generating check restricts the configured ball; it builds no
         # ball of the measure's range (23 here, past the radius cap 20)
         measure = {"a": 0.25, "b": 0.25, "abababababababababababa": 0.5}
-        path = str(make_config(tmp_path, measure=measure, ballRadius=6, qRadius=4))
-        for command in ("walk", "boundary"):
-            assert main([command, path]) == EXIT_OK, capsys.readouterr().err
+        path = str(make_config(tmp_path, measure=measure, ballRadius=6))
+        assert main(["walk", path]) == EXIT_OK, capsys.readouterr().err
+        # the range leaves no branch under any tensor cap: boundary exits 2
+        # at the branch check, building only the ball of radius 0
+        assert main(["boundary", path]) == EXIT_CONFIG
+        one_line_error(capsys, "config error: branch of 'a' truncated at radius -15 has 0 words")
 
     @pytest.mark.parametrize("cap, radius", [(3, 0), (1, -2)])
     def test_branch_too_small_for_the_cap_exits_2(self, tmp_path, capsys, cap, radius):
@@ -747,12 +784,11 @@ class TestAuditGuards:
         err = one_line_error(capsys, f"config error: branch of 'a' truncated at radius {radius} has 0 words")
         assert "increase the radius or the tensor cap" in err
 
-    def test_q_radius_above_ball_radius_exits_2(self, tmp_path, capsys):
-        path = make_config(tmp_path, ballRadius=6, qRadius=7)
-        assert main(["audit", str(path)]) == EXIT_CONFIG
-        err = one_line_error(capsys, "config error:")
-        assert "qRadius 7" in err and "ballRadius 6" in err
-        # boundary builds the ball of the branch radius itself
+    def test_branch_radius_never_exceeds_ball_radius(self, tmp_path):
+        # tensorCap 14 leaves room for a branch of radius 11; the ball of radius 6 caps it
+        path = make_config(tmp_path, ballRadius=6, tensorCap=14)
+        assert load_config(str(path)).branch_radius() == 6
+        assert main(["audit", str(path)]) == EXIT_AUDIT
         assert main(["boundary", str(path)]) == EXIT_OK
 
     def test_defect_words_over_cap_exit_3_before_the_walk(self, tmp_path, capsys, monkeypatch):

@@ -630,6 +630,15 @@ class TestHarnackAndMultiplicativity:
         mult, mult_rows = (multiplicativity_audit(t, delta0 ** k, interior) for t in (table, rows))
         assert mult_rows.c1_lower == pytest.approx(mult.c1_lower, rel=1e-12)
         assert mult_rows.c1_upper == pytest.approx(mult.c1_upper, rel=1e-12)
+        # the last-entry decomposition reads only the branch rows of the entry cut
+        branch_walk = tm.restrict(branch("a", 8))
+        branch_table = green_table(branch_walk)
+        cut_rows = green_rows(branch_walk, entry_set(branch_walk.codes, tm.range_bound))
+        assert cut_rows.rows.tolist() == [heap_index("a")]
+        for s in heap_indices(["b", "ab", "bb"]):
+            for t in heap_indices(["a", "aa", "aba"]):
+                assert last_entry_audit(s, t, table, cut_rows) == pytest.approx(
+                    last_entry_audit(s, t, table, branch_table), rel=1e-9, abs=1e-15)
 
     def test_martin_positive_and_bounded(self, audit_setup):
         tm, table, delta0, k, interior = audit_setup

@@ -457,6 +457,12 @@ class TestGdif:
         with pytest.raises(ValueError):
             gdif_audit(q_matrix(ctx), ctx, ["b"])
 
+    def test_rejects_an_empty_word_list(self, setup):
+        # no envelope is anchored without a first word
+        ctx, _, _ = setup
+        with pytest.raises(ValueError, match="at least one sub-branch word"):
+            gdif_audit(q_matrix(ctx), ctx, [])
+
 
 class TestBoundary:
     def test_ratio_trend_and_positivity(self, engine, mu_letters):

@@ -212,10 +212,9 @@ FUZZ_BASE = {
     "branchZ": "a",
     "rays": [["e", "a"]],
     "sources": ["e", "a"],
-    "tolerances": {"solver": 1e-10, "audit": 1e-8},
-    "seed": 7,
+    "tolerances": {"solver": 1e-10},
 }
-FUZZ_KEYS = sorted(FUZZ_BASE) + ["qRadius", "boundarySources"]
+FUZZ_KEYS = sorted(FUZZ_BASE) + ["boundarySources"]
 json_scalars = (
     st.none()
     | st.booleans()
@@ -270,3 +269,30 @@ def test_config_fuzz_audit_and_boundary_exit_cleanly(command, overrides, dropped
             overrides[key] = min(overrides[key], SMALL_BASE[key])
     allowed = {EXIT_OK, EXIT_CONFIG, EXIT_CAP} | ({EXIT_AUDIT} if command == "audit" else set())
     assert _run_mutated(command, SMALL_BASE, overrides, dropped - set(SIZE_KEYS)) in allowed
+
+
+# tensorCap 7 holds the defect audit's length-7 words, so an audit on this
+# base runs past the defect audit to the branch stages; its sizes are never
+# mutated or dropped (the defaults, ball 8 and cap 10, would take seconds)
+AUDIT_BASE = dict(FUZZ_BASE, ballRadius=4, tensorCap=7)
+AUDIT_FUZZ_KEYS = [k for k in FUZZ_KEYS if k not in SIZE_KEYS]
+
+
+def test_audit_base_reaches_the_last_entry(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(AUDIT_BASE))
+    assert main(["audit", str(path), "--out", str(tmp_path)]) == EXIT_AUDIT
+    entries = json.loads((tmp_path / "audit_report.json").read_text())["audits"]
+    assert len(entries) == 23 and entries[-1]["name"] == "boundary_ratio_trend"
+    assert [e["name"] for e in entries if not e["pass"]] == ["perturbation_rate"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(AUDIT_FUZZ_KEYS), json_values, max_size=2),
+    st.sets(st.sampled_from(AUDIT_FUZZ_KEYS), max_size=2),
+)
+def test_config_fuzz_audit_past_the_defect_audit_exits_cleanly(overrides, dropped):
+    """Malformed configs exit 0, 1, 2 or 3 from ``audit`` on a base that
+    reaches its last entry; nothing raises."""
+    assert _run_mutated("audit", AUDIT_BASE, overrides, dropped) in (EXIT_OK, EXIT_AUDIT, EXIT_CONFIG, EXIT_CAP)
