@@ -1,7 +1,8 @@
 """Command line driver: walk | audit | boundary | intertwiner.
 
-One JSON config file, documented in the README, plus the overrides
---radius and --out.  Exit codes: 0 pass, 1 audit failure, 2 config
+One JSON config file, documented in the README, plus --radius (its
+ballRadius, in the run and in the config hash) and --out DIR (default
+out).  Exit codes: 0 pass, 1 audit failure, 2 config
 error, 3 resource cap, 4 internal error (a failed solve residual, norm or
 range assertion, arithmetic fault or exhausted memory; one line on stderr,
 no traceback).  Reruns with the same config produce byte-identical
@@ -15,7 +16,6 @@ import bisect
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,8 +32,6 @@ from .intertwiners import (
     vtilde_norm_indecomposable,
 )
 from .words import RadiusCapError, format_word, indecomposable_factors, involution, parse_word
-
-OUTPUT_ENV = "AUFWALK_OUT"
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
@@ -58,7 +56,6 @@ class RunConfig:
     sources: list[str]
     boundary_sources: list[str] | None
     solver_tol: float
-    output_dir: str
     raw: dict
 
     @property
@@ -66,6 +63,7 @@ class RunConfig:
         return self.model.q
 
     def config_hash(self) -> str:
+        """The hash of the config as run (raw holds --radius as ballRadius)."""
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -78,7 +76,7 @@ class RunConfig:
 #: the keys a config may hold, at the top level and in its two nested objects
 CONFIG_KEYS = {
     "": ("model", "measure", "ballRadius", "tensorCap", "branchZ", "rays", "sources",
-         "boundarySources", "tolerances", "outputDir"),
+         "boundarySources", "tolerances"),
     "model.": ("n", "q", "fDiag"),
     "tolerances.": ("solver",),
 }
@@ -106,7 +104,7 @@ def _words(items: list, name: str) -> list[str]:
     return [parse_word(_checked(w, f"each entry of {name}", str)) for w in items]
 
 
-def load_config(path: str, radius=None, out=None) -> RunConfig:
+def load_config(path: str, radius=None) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -115,6 +113,9 @@ def load_config(path: str, radius=None, out=None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    if radius is not None:
+        # --radius stands for ballRadius, in the run and in its hash
+        raw = {**raw, "ballRadius": radius}
     model_raw = _typed(raw, "model", dict, {})
     tolerances = _typed(raw, "tolerances", dict, {})
     unknown = [
@@ -155,7 +156,7 @@ def load_config(path: str, radius=None, out=None) -> RunConfig:
     cfg = RunConfig(
         model=model,
         measure=measure,
-        ball_radius=radius if radius is not None else _typed(raw, "ballRadius", int, 8),
+        ball_radius=_typed(raw, "ballRadius", int, 8),
         branch_z=parse_word(_typed(raw, "branchZ", str, "a")),
         rays=rays,
         sources=_words(_typed(raw, "sources", list, ["e"]), "sources"),
@@ -163,8 +164,6 @@ def load_config(path: str, radius=None, out=None) -> RunConfig:
         if "boundarySources" in raw
         else None,
         solver_tol=_typed(tolerances, "solver", float, 1e-10),
-        output_dir=str(out if out is not None
-                       else os.environ.get(OUTPUT_ENV) or _typed(raw, "outputDir", str, "out")),
         raw=raw,
     )
     if not cfg.branch_z:
@@ -252,21 +251,17 @@ def build_walk(cfg: RunConfig, radius: int) -> fusion.TransitionMatrix:
     return walk
 
 
-def _output_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _interior(cfg: RunConfig, tm) -> np.ndarray:
+    """The mask of the ball's words farther than the range from its frontier."""
+    return words.code_lengths(tm.codes) < cfg.ball_radius - tm.range_bound
 
 
 def _interior_row_gap(cfg: RunConfig, tm) -> float:
-    """The largest |row sum - 1| over the words farther than the range from
-    the frontier of the ball (0.0 when there are none)."""
-    interior = words.code_lengths(tm.codes) < cfg.ball_radius - tm.range_bound
-    return float(np.abs(tm.row_sums()[interior] - 1.0).max(initial=0.0))
+    """The largest |row sum - 1| over the interior words (0.0 when there are none)."""
+    return float(np.abs(tm.row_sums()[_interior(cfg, tm)] - 1.0).max(initial=0.0))
 
 
-def cmd_walk(cfg: RunConfig) -> int:
-    out = _output_dir(cfg)
+def cmd_walk(cfg: RunConfig, out: Path) -> int:
     tm = build_walk(cfg, cfg.ball_radius)
     for s in cfg.sources:
         if len(s) > cfg.ball_radius:
@@ -453,19 +448,23 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         slope_gap = abs(decay.fitted_rate / decay.target_rate - 1.0)
         add(*rate, slope_gap, 0.15, slope_gap <= 0.15)
 
-    delta0, k_steps = _irreducibility(cfg, tm)
-    delta = delta0 ** k_steps
-    lengths = words.code_lengths(tm.codes)
-    har_int = tm.codes[(cfg.ball_radius - lengths > tm.range_bound) & (lengths <= 6)]
-    har = kernels.harnack_audit(table, delta0, k_steps, har_int)
-    add("harnack", "uniform Harnack constant against the chain bound", har.empirical_delta,
-        har.delta_bound, har.passes)
-    mult = kernels.multiplicativity_audit(table, delta, har_int)
-    lower_ok, upper_ok = mult.verdicts()
-    add("multiplicativity_lower", "geodesic product lower constant", mult.c1_lower,
-        mult.lower_bound, lower_ok)
-    add("multiplicativity_upper", "geodesic product upper constant", mult.c1_upper,
-        mult.upper_bound, upper_ok)
+    harnack = ("harnack", "uniform Harnack constant against the chain bound")
+    lower = ("multiplicativity_lower", "geodesic product lower constant")
+    upper = ("multiplicativity_upper", "geodesic product upper constant")
+    har_int = tm.codes[_interior(cfg, tm) & (words.code_lengths(tm.codes) <= 6)]
+    if len(har_int) < 2:
+        # a ball too small for two interior words leaves no pair to compare:
+        # the entries fail on the number of interior words and the audit goes on
+        for entry in (harnack, lower, upper):
+            add(*entry, len(har_int), 2, False)
+    else:
+        delta0, k_steps = _irreducibility(cfg, tm)
+        har = kernels.harnack_audit(table, delta0, k_steps, har_int)
+        add(*harnack, har.empirical_delta, har.delta_bound, har.passes)
+        mult = kernels.multiplicativity_audit(table, delta0 ** k_steps, har_int)
+        lower_ok, upper_ok = mult.verdicts()
+        add(*lower, mult.c1_lower, mult.lower_bound, lower_ok)
+        add(*upper, mult.c1_upper, mult.upper_bound, upper_ok)
 
     resid = _last_entry_worst(cfg, table)
     add("last_entry", "decomposition of the Green kernel at the branch cut", resid, 1e-8, resid < 1e-8)
@@ -614,8 +613,7 @@ def _alternating_branch_words(z: str, count: int) -> list[str]:
     return out
 
 
-def cmd_audit(cfg: RunConfig) -> int:
-    out = _output_dir(cfg)
+def cmd_audit(cfg: RunConfig, out: Path) -> int:
     entries = run_audits(cfg)
     ok = all(e["pass"] for e in entries)
     report = {
@@ -630,8 +628,7 @@ def cmd_audit(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_AUDIT
 
 
-def cmd_boundary(cfg: RunConfig) -> int:
-    out = _output_dir(cfg)
+def cmd_boundary(cfg: RunConfig, out: Path) -> int:
     # a negative branch radius leaves an empty branch, which BranchContext rejects
     tm = build_walk(cfg, max(cfg.branch_radius(), 0))
     ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.branch_radius())
@@ -657,8 +654,7 @@ def cmd_boundary(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_intertwiner(cfg: RunConfig) -> int:
-    out = _output_dir(cfg)
+def cmd_intertwiner(cfg: RunConfig, out: Path) -> int:
     eng = IntertwinerEngine(cfg.model)
     ranks = _rank_rows(eng, min(7, cfg.model.tensor_cap))
     write_csv(
@@ -692,11 +688,16 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("config", help="path to the JSON run configuration")
     parser.add_argument("--radius", type=int, default=None, help="override ballRadius")
-    parser.add_argument("--out", default=None, help="override outputDir")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, radius=args.radius, out=args.out)
-        return COMMANDS[args.command](cfg)
+        cfg = load_config(args.config, radius=args.radius)
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: {exc.strerror}") from None
+        return COMMANDS[args.command](cfg, out)
     except (TensorCapError, RadiusCapError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP

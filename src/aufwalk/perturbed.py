@@ -255,7 +255,6 @@ class DecayReport:
     fitted_rate: float
     fitted_c: float
     target_rate: float
-    n_pairs: int
 
     def envelope_gap(self) -> float:
         """Largest excess of a residual over fitted_c * q^len.
@@ -280,13 +279,11 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
     MIN_DECAY_LENGTHS lengths above the floor raise TooFewLengths.
     """
     per_length: dict[int, float] = {}
-    n_pairs = 0
     coo = sp.coo_matrix(resid)
     row_lengths = code_lengths(ctx.walk.codes)[coo.row].tolist()
     for length, value in zip(row_lengths, coo.data.tolist()):
         if value > RESIDUAL_FLOOR:
             per_length[length] = max(per_length.get(length, 0.0), value)
-            n_pairs += 1
     if len(per_length) < MIN_DECAY_LENGTHS:
         raise TooFewLengths(len(per_length))
     lengths = sorted(per_length)
@@ -300,7 +297,6 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
         fitted_rate=float(slope),
         fitted_c=float(envelope_c),
         target_rate=math.log(q),
-        n_pairs=n_pairs,
     )
 
 

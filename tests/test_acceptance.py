@@ -350,15 +350,13 @@ def test_c15_reproducibility(tmp_path):
         "rays": [["e", "a"]],
         "sources": ["e", "a"],
         "tolerances": {"solver": 1e-10},
-        "outputDir": str(tmp_path / "run"),
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(_json.dumps(cfg))
     blobs = []
     for _ in range(2):
-        assert cli_main(["walk", str(cfg_path)]) == 0
-        assert cli_main(["boundary", str(cfg_path)]) == 0
-        assert cli_main(["intertwiner", str(cfg_path)]) == 0
+        for command in ("walk", "boundary", "intertwiner"):
+            assert cli_main([command, str(cfg_path), "--out", str(tmp_path / "run")]) == 0
         blobs.append(
             {p.name: p.read_bytes() for p in sorted((tmp_path / "run").iterdir())}
         )

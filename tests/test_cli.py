@@ -54,6 +54,13 @@ def one_line_error(capsys, prefix: str) -> str:
     return err
 
 
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    """Every test runs in its own tmp_path, so a run without --out writes
+    its default out/ there."""
+    monkeypatch.chdir(tmp_path)
+
+
 def make_config(tmp_path, **overrides):
     cfg = {
         "model": {"n": 2, "q": 0.5},
@@ -64,7 +71,6 @@ def make_config(tmp_path, **overrides):
         "rays": [["e", "a"]],
         "sources": ["e"],
         "tolerances": {"solver": 1e-10},
-        "outputDir": str(tmp_path / "out"),
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
@@ -81,10 +87,25 @@ class TestConfig:
 
     def test_overrides(self, tmp_path):
         path = make_config(tmp_path, model={"n": 2, "q": 0.3})
-        cfg = load_config(str(path), radius=3, out=str(tmp_path / "other"))
+        cfg = load_config(str(path), radius=3)
         assert cfg.ball_radius == 3
         assert cfg.q == 0.3
-        assert cfg.output_dir.endswith("other")
+
+    def test_hash_names_the_radius_that_ran(self, tmp_path):
+        """The example run at --radius 6 carries the hash, and writes the
+        manifest, of a copy whose file says ballRadius 6; at its own radius 8
+        the hash differs."""
+        raw = json.loads(Path(EXAMPLE).read_text())
+        raw["ballRadius"] = 6
+        copy = tmp_path / "radius6.json"
+        copy.write_text(json.dumps(raw))
+        runs = {"flag": [EXAMPLE, "--radius", "6"], "file": [str(copy)], "own": [EXAMPLE]}
+        manifests = {}
+        for name, argv in runs.items():
+            assert main(["walk", *argv, "--out", name]) == EXIT_OK
+            manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifests["flag"] == manifests["file"]
+        assert manifests["flag"]["configHash"] != manifests["own"]["configHash"]
 
     def test_q_and_f_diag_together_exit_2(self, tmp_path, capsys):
         # neither source of q is dropped without a word
@@ -99,19 +120,22 @@ class TestConfig:
         assert exit_info.value.code == EXIT_CONFIG
         assert "--q" in capsys.readouterr().err
 
-    def test_env_output_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("AUFWALK_OUT", str(tmp_path / "env_out"))
-        cfg = load_config(str(make_config(tmp_path)))
-        assert cfg.output_dir.endswith("env_out")
-
-    def test_out_flag_wins_over_env(self, tmp_path, monkeypatch):
-        # --out, then AUFWALK_OUT, then outputDir
+    def test_out_is_the_only_output_directory(self, tmp_path, monkeypatch):
+        # --out DIR, by default out; the environment names no directory
         monkeypatch.setenv("AUFWALK_OUT", str(tmp_path / "env_out"))
         path = make_config(tmp_path)
-        assert load_config(str(path), out=str(tmp_path / "flag_out")).output_dir.endswith("flag_out")
         assert main(["walk", str(path), "--radius", "3", "--out", str(tmp_path / "flag_out")]) == EXIT_OK
+        assert main(["intertwiner", str(path)]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "flag_out", "out"]
         assert (tmp_path / "flag_out" / "manifest.json").exists()
-        assert not (tmp_path / "env_out").exists()
+        assert (tmp_path / "out" / "projection_ranks.csv").exists()
+
+    def test_out_that_is_no_directory_exits_2(self, tmp_path, capsys):
+        # a file in the way, or under the path, is a command-line error, not a traceback
+        path = make_config(tmp_path)
+        for out in (path, path / "out"):
+            assert main(["walk", str(path), "--out", str(out)]) == EXIT_CONFIG
+            assert f"--out {out}: " in one_line_error(capsys, "config error:")
 
     def test_unnormalized_measure_exits_2(self, tmp_path, capsys):
         path = make_config(tmp_path, measure={"a": 0.5, "b": 0.6})
@@ -189,6 +213,8 @@ class TestConfig:
             ({"seed": 7}, ["seed"]),
             ({"qRadius": 6}, ["qRadius"]),
             ({"tolerances": {"solver": 1e-10, "audit": 1e-8}}, ["tolerances.audit"]),
+            # --out is the one way to name the output directory
+            ({"outputDir": "out"}, ["outputDir"]),
         ],
     )
     def test_unknown_keys_exit_2_naming_each(self, tmp_path, capsys, overrides, unknown):
@@ -254,11 +280,12 @@ class TestConfig:
             "from aufwalk.cli import main\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2 ** 32, 2 ** 32))\n"
             "start = time.perf_counter()\n"
-            "code = main(['walk', sys.argv[1]])\n"
+            "code = main(['walk', sys.argv[1], '--out', sys.argv[2]])\n"
             "print(time.perf_counter() - start)\n"
             "sys.exit(code)\n"
         )
-        run = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True, text=True)
+        run = subprocess.run([sys.executable, "-c", child, str(path), str(tmp_path / "out")],
+                             capture_output=True, text=True, cwd=ROOT)
         assert run.returncode == EXIT_CONFIG
         assert run.stderr.startswith("config error: tensor_cap")
         assert float(run.stdout) < 1.0
@@ -661,21 +688,37 @@ class TestAudit:
         for name in failing:
             assert (entries[name]["measured"], entries[name]["bound"]) == (0.0, 4.0)
 
-    def test_branch_too_shallow_for_gdif_fails_its_entry(self, tmp_path, capsys):
-        """At ballRadius 2 no sub-branch word of the branch of radius 2 is
-        short enough (len <= 0): gdif_envelope fails on 0 usable words
-        against 1, the later entries still run and audit exits 1."""
+    @staticmethod
+    def audit_at_radius_2(tmp_path, capsys) -> dict:
+        """The entries of the example's audit at ballRadius 2, boundary source
+        a, which exits 1 with nothing on stderr."""
         raw = json.loads(Path(EXAMPLE).read_text())
         raw.update(ballRadius=2, boundarySources=["a"])
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
-        assert main(["audit", str(path), "--out", str(tmp_path / "out")]) == EXIT_AUDIT
+        assert main(["audit", str(path)]) == EXIT_AUDIT
         assert capsys.readouterr().err == ""
         report = json.loads((tmp_path / "out" / "audit_report.json").read_text())
-        entries = {e["name"]: e for e in report["audits"]}
+        return {e["name"]: e for e in report["audits"]}
+
+    def test_branch_too_shallow_for_gdif_fails_its_entry(self, tmp_path, capsys):
+        """At ballRadius 2 no sub-branch word of the branch of radius 2 is
+        short enough (len <= 0): gdif_envelope fails on 0 usable words
+        against 1, the later entries still run and audit exits 1."""
+        entries = self.audit_at_radius_2(tmp_path, capsys)
         gdif = entries["gdif_envelope"]
         assert (gdif["measured"], gdif["bound"], gdif["pass"]) == (0.0, 1.0, False)
         assert "boundary_ratio_trend" in entries
+
+    def test_one_interior_word_fails_harnack_and_multiplicativity(self, tmp_path, capsys):
+        """At ballRadius 2 under a range-1 measure the Harnack interior holds
+        e alone: no pair to compare, where harnack measured inf and both
+        multiplicativity entries the trivial (e, e, e) and passed.  Each of
+        the three fails on 1 interior word against 2 and audit exits 1."""
+        entries = self.audit_at_radius_2(tmp_path, capsys)
+        for name in ("harnack", "multiplicativity_lower", "multiplicativity_upper"):
+            assert (entries[name]["measured"], entries[name]["bound"], entries[name]["pass"]) == (1.0, 2.0, False)
+        assert {"last_entry", "boundary_ratio_trend"} <= set(entries)
 
     def test_rate_insensitive_to_the_norm_route(self, tmp_path, monkeypatch, capsys):
         """The almost-isometry norms by SVD or by Schur (Frobenius over

@@ -12,13 +12,18 @@ The corpus in ``tests/golden/`` was produced from the repository root with
     PYTHONPATH=src python -m aufwalk.cli walk tests/golden/range2.json --out tests/golden/walk_range2
     PYTHONPATH=src python -m aufwalk.cli boundary tests/golden/range2.json --out tests/golden/boundary_range2
     PYTHONPATH=src python -m aufwalk.cli audit tests/golden/range2.json --out tests/golden/audit_range2 > tests/golden/audit_range2/stdout.txt
+    PYTHONPATH=src python -m aufwalk.cli boundary tests/golden/n3.json --out tests/golden/boundary_n3
+    PYTHONPATH=src python -m aufwalk.cli intertwiner tests/golden/n3.json --out tests/golden/intertwiner_n3
 
 Both ``audit`` runs exit 1 (``perturbation_rate`` fails); every other run
 exits 0.  ``two_rays.json`` adds a second ray and boundary sources outside the
 branch, which cover the classical-only rows of ``boundary``.  ``range2.json``
 is the one range-2 measure, {a: .3, b: .3, aa: .2, bb: .2}, with the ray
 (ab)^k a: its classical Martin gaps along the ray (0.166, then 5.1e-4) are
-above round-off.
+above round-off.  ``n3.json`` is the one model past n = 2, {n: 3, q: 0.3} at
+tensorCap 6: its 127 projection ranks pin ``words.classical_dim`` at n = 3,
+and its K_Q, equal to the n = 2 values up to round-off, pins the n = 3 ones.
+Its ``audit`` would exit 3 (the defect words need cap 7), so it has none.
 """
 
 import json
@@ -28,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from aufwalk.cli import EXIT_AUDIT, EXIT_OK, OUTPUT_ENV, main
+from aufwalk.cli import EXIT_AUDIT, EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -45,6 +50,8 @@ RUNS = {
     "walk_range2": (["walk", str(GOLDEN / "range2.json")], EXIT_OK),
     "boundary_range2": (["boundary", str(GOLDEN / "range2.json")], EXIT_OK),
     "audit_range2": (["audit", str(GOLDEN / "range2.json")], EXIT_AUDIT),
+    "boundary_n3": (["boundary", str(GOLDEN / "n3.json")], EXIT_OK),
+    "intertwiner_n3": (["intertwiner", str(GOLDEN / "n3.json")], EXIT_OK),
 }
 
 
@@ -93,8 +100,7 @@ def _assert_same_text(name: str, got: str, want: str) -> None:
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_outputs_match_golden(run, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+def test_outputs_match_golden(run, tmp_path, capsys):
     argv, want_exit = RUNS[run]
     out = tmp_path / run
     assert main(argv + ["--out", str(out)]) == want_exit

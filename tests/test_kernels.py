@@ -523,9 +523,9 @@ class TestPanelPool:
         with pytest.raises(RuntimeError, match="residual"):
             green_table(tm)
         config = json.loads(Path(EXAMPLE).read_text())
-        config.update(ballRadius=8, outputDir=str(tmp_path / "out"))
+        config.update(ballRadius=8)
         (tmp_path / "config.json").write_text(json.dumps(config))
-        assert main(["walk", str(tmp_path / "config.json")]) == EXIT_INTERNAL
+        assert main(["walk", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert err.startswith("internal error: RuntimeError: Green solve residual") and err.count("\n") == 1
 

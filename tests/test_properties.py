@@ -82,10 +82,10 @@ def test_config_q_survives_to_the_walk_manifest(section):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps({"model": model, "measure": {"a": 0.5, "b": 0.5}, "ballRadius": 3,
-                                    "tensorCap": 5, "sources": ["e", "a"], "outputDir": str(Path(tmp) / "out")}))
+                                    "tensorCap": 5, "sources": ["e", "a"]}))
         cfg = load_config(str(path))
         assert (cfg.model.n, cfg.model.q, cfg.q) == (model["n"], q, q)
-        assert main(["walk", str(path)]) == EXIT_OK
+        assert main(["walk", str(path), "--out", str(Path(tmp) / "out")]) == EXIT_OK
         assert json.loads((Path(tmp) / "out" / "manifest.json").read_text())["q"] == q
 
 
