@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -180,22 +182,63 @@ def load_config(path: str, radius=None) -> RunConfig:
     return cfg
 
 
-#: rows per % operation in write_csv
+#: rows gathered into each byte array that write_csv writes
 CSV_BLOCK_ROWS = 8192
 
 
 class WordColumn:
     """A CSV column of the serialized words with the given heap indices,
-    rendered a block of rows at a time: no string of it outlives its block."""
+    rendered once however many sections print it."""
 
     def __init__(self, codes: np.ndarray):
         self.codes = codes
 
-    def __len__(self) -> int:
-        return len(self.codes)
+    @functools.cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The letters of each distinct word and each row's index into them."""
+        unique, index = np.unique(self.codes, return_inverse=True)
+        return words.format_words(unique), index.astype(np.min_scalar_type(len(unique)))
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return words.format_words(self.codes[rows])
+
+def _column_table(column) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 text of each distinct value of a CSV column, as the rows of
+    a NUL-padded uint8 array, and each row's index into them (in the
+    narrowest unsigned type, as the section holds it while it is written);
+    a text holding NUL raises ValueError, since the padding could not be
+    told from it."""
+    if isinstance(column, WordColumn):
+        return column.table
+    array = np.asarray(column)
+    if array.dtype.kind == "U" and not isinstance(column, np.ndarray):
+        # numpy's str type drops a trailing NUL, which must raise, not vanish
+        array = np.array(column, dtype=object)
+    if array.dtype.kind == "f":
+        # keyed on bit patterns, so 0.0 and -0.0 stay apart; exact for
+        # narrower floats, whose %.17g went through a Python float
+        bits, index = np.unique(array.astype(np.float64, copy=False).view(np.uint64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        text = ("%.17g\0" * len(values)) % tuple(values)
+    else:
+        unique, index = np.unique(array, return_inverse=True)
+        values = unique.tolist()
+        text = "".join(f"{v}\0" for v in values)
+    cells = text.encode().split(b"\0")[:-1]
+    if len(cells) != len(values):
+        raise ValueError("a CSV cell holds a NUL character")
+    table = np.array(cells, dtype=bytes)
+    return table.view(np.uint8).reshape(len(cells), table.itemsize), index.astype(np.min_scalar_type(len(cells)))
+
+
+@contextlib.contextmanager
+def _output(path: Path):
+    """The file at path opened for writing bytes, its directory made first;
+    an OSError on the way is a ConfigError that names the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("wb") as f:
+            yield f
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def write_csv(path: Path, header: list[str], sections) -> None:
@@ -206,40 +249,34 @@ def write_csv(path: Path, header: list[str], sections) -> None:
     A column that numpy reads as floating point prints each value with
     ``%.17g``, which gives the bytes of ``f"{x:.17g}"`` (nan, inf, -0 and
     subnormals included); a WordColumn prints its words and every other
-    column prints with ``str``.  Each distinct bit pattern of a float column
-    is formatted once per section, so 0.0 and -0.0 stay apart and every NaN
-    prints ``nan``, and its rows take that text by index.  Rows are filled
-    into one template a block at a time, with a single ``%`` per block.
+    column prints with ``str``.  Each column of a section is a table of the
+    UTF-8 text of each distinct value (bit pattern, for floats: every NaN
+    prints ``nan``) and each row's index into it.  A block of rows at a time
+    is gathered from the tables into one byte array, beside the commas and
+    newlines, and written without the tables' NUL padding; so a ``str``
+    cell holding NUL raises ValueError.
     """
-    with path.open("w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
+    with _output(path) as f:
+        f.write((",".join(header) + "\n").encode())
         for columns in sections:
-            # each column as (values, None), or for floats as (text of each
-            # distinct bit pattern, each row's index into that text)
-            cols = []
-            for c in columns:
-                c = c if isinstance(c, WordColumn) else np.asarray(c)
-                if isinstance(c, WordColumn) or c.dtype.kind != "f":
-                    cols.append((c, None))
-                    continue
-                # exact for narrower floats, whose %.17g went through a Python float
-                values = c.astype(np.float64, copy=False)
-                _, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
-                cols.append((np.array(["%.17g" % x for x in values[first].tolist()], dtype=object), inverse))
-            width = len(cols)
-            row = ",".join(["%s"] * width) + "\n"
-            for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-                stop = start + CSV_BLOCK_ROWS
-                block = [(c[start:stop] if index is None else c[index[start:stop]]).tolist() for c, index in cols]
-                rows = len(block[0])
-                flat = [None] * (rows * width)
-                for j, values in enumerate(block):
-                    flat[j::width] = values
-                f.write((row * rows) % tuple(flat))
+            tables = [_column_table(c) for c in columns]
+            # each column's text, then its comma (the last one's newline)
+            ends = np.cumsum([table.shape[1] + 1 for table, _ in tables])
+            rows = len(tables[0][1])
+            block = np.empty((min(rows, CSV_BLOCK_ROWS), ends[-1]), dtype=np.uint8)
+            block[:, ends - 1] = ord(",")
+            block[:, -1] = ord("\n")
+            for start in range(0, rows, CSV_BLOCK_ROWS):
+                part = block[: min(rows - start, CSV_BLOCK_ROWS)]
+                for (table, index), end in zip(tables, ends):
+                    texts = np.take(table, index[start: start + len(part)], axis=0)
+                    part[:, end - 1 - table.shape[1]: end - 1] = texts
+                f.write(part[part != 0])
 
 
 def write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with _output(path) as f:
+        f.write((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
 def build_walk(cfg: RunConfig, radius: int) -> fusion.TransitionMatrix:
@@ -274,11 +311,12 @@ def cmd_walk(cfg: RunConfig, out: Path) -> int:
     kernels.martin_rows(table, sources[:1], tm.codes)
     delta0, k_steps = _irreducibility(cfg, tm)
     # one section per source, built as it is written: its Green, Martin and
-    # bound rows beside the ball's words, rendered a block at a time
+    # bound rows beside the ball's words, which every section shares
+    targets = WordColumn(tm.codes)
     write_csv(out / "green_martin.csv", ["s", "t", "G", "K", "truncationBound"], (
         [
-            np.broadcast_to(format_word(s), tm.size),
-            WordColumn(tm.codes),
+            WordColumn(np.broadcast_to(s, tm.size)),
+            targets,
             table.source_rows([s])[0],
             kernels.martin_rows(table, [s], tm.codes)[0],
             kernels.truncation_error_bound(cfg.ball_radius, s, tm.codes, tm),
@@ -693,10 +731,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, radius=args.radius)
         out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"--out {args.out}: {exc.strerror}") from None
+        # a file in the way fails before the run; the first file written
+        # makes the directory, so a run that fails before it leaves none
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         return COMMANDS[args.command](cfg, out)
     except (TensorCapError, RadiusCapError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

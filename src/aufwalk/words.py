@@ -178,19 +178,21 @@ def word(code) -> str:
 
 def format_words(codes) -> np.ndarray:
     """The serialized forms of the words with the given heap indices ("e"
-    for the root), as a numpy str array built from one letter array."""
+    for the root) as ASCII bytes: a uint8 array of one row per word, as
+    wide as the longest word, with NUL past each word's end."""
     codes = np.asarray(codes, dtype=np.int64)
     lengths = code_lengths(codes)
     width = max(int(lengths.max(initial=0)), 1)
-    # the bits left-aligned to the width: letter j is bit width - 1 - j; the
-    # slots past a word's end hold NUL, which numpy's str drops
-    left = ((codes + 1 - (np.int64(1) << lengths)) << (width - lengths)).astype(np.uint32)
-    letters = left[..., None] >> np.arange(width - 1, -1, -1, dtype=np.uint32)
-    letters &= 1
-    letters += ord("a")
-    letters[np.arange(width) >= lengths[..., None]] = 0
+    # the bits left-aligned to the width: letter j is bit width - 1 - j
+    left = (codes + 1 - (np.int64(1) << lengths)) << (width - lengths)
+    letters = np.zeros(codes.shape + (width,), dtype=np.uint8)
+    for j in range(width):
+        bit = left >> (width - 1 - j)
+        bit &= 1
+        bit += ord("a")
+        np.copyto(letters[..., j], bit, casting="unsafe", where=lengths > j)
     letters[lengths == 0, 0] = ord("e")
-    return letters.view(f"U{width}").reshape(codes.shape)
+    return letters
 
 
 def heap_indices(domain) -> np.ndarray:

@@ -5,12 +5,16 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aufwalk import cli, fusion, kernels, perturbed, words
 from aufwalk.cli import (
@@ -136,6 +140,22 @@ class TestConfig:
         for out in (path, path / "out"):
             assert main(["walk", str(path), "--out", str(out)]) == EXIT_CONFIG
             assert f"--out {out}: " in one_line_error(capsys, "config error:")
+
+    @pytest.mark.parametrize("command, code", [("audit", EXIT_CAP), ("walk", EXIT_CONFIG)])
+    def test_failed_run_leaves_no_directory(self, tmp_path, command, code):
+        # audit at n = 3, tensorCap 6 exits 3 on its defect words, and a walk
+        # whose source lies outside the ball exits 2: neither writes a file,
+        # so neither makes the --out directory or its parents
+        config = (str(ROOT / "tests" / "golden" / "n3.json") if command == "audit"
+                  else str(make_config(tmp_path, ballRadius=3, sources=["abab"])))
+        assert main([command, config, "--out", str(tmp_path / "x" / command)]) == code
+        assert not (tmp_path / "x").exists()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        # a directory where the CSV goes: one config error line that names it
+        (tmp_path / "z" / "green_martin.csv").mkdir(parents=True)
+        assert main(["walk", EXAMPLE, "--radius", "4", "--out", str(tmp_path / "z")]) == EXIT_CONFIG
+        assert str(tmp_path / "z" / "green_martin.csv") in one_line_error(capsys, "config error:")
 
     def test_unnormalized_measure_exits_2(self, tmp_path, capsys):
         path = make_config(tmp_path, measure={"a": 0.5, "b": 0.6})
@@ -426,6 +446,52 @@ REPEATED_COLUMNS = {
 }
 
 
+# bit patterns the property draws beside random ones: signed zeros, NaNs
+# with payloads and of both signs, infinities, subnormals and the extremes
+EDGE_BITS = [0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000123, 0x7FF0000000000000,
+             0xFFF0000000000000, 1, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF, 0x3FF0000000000000]
+EDGE_BITS32 = [0, 1 << 31, 0x7FC00000, 0xFFC00123, 0x7F800000, 1, 0x007FFFFF, 0x7F7FFFFF, 0x3DCCCCCD]
+
+
+def csv_column(kind: str, rows: int):
+    """A strategy for one CSV column of the given kind and length, paired
+    with the Python values row_csv prints for it."""
+    def floats(bits, dtype, edges):
+        pattern = st.one_of(st.integers(0, (1 << bits) - 1), st.sampled_from(edges))
+        return st.lists(pattern, min_size=rows, max_size=rows).map(
+            lambda raw: np.array(raw, dtype=f"uint{bits}").view(dtype))
+
+    if kind == "float64":
+        return floats(64, np.float64, EDGE_BITS).map(lambda a: (a, a.tolist()))
+    if kind == "float32":
+        return floats(32, np.float32, EDGE_BITS32).map(lambda a: (a, a.tolist()))
+    if kind == "word":
+        # words of lengths 0-9, with e (heap index 0) in the middle
+        codes = st.lists(st.integers(0, 2 ** 10 - 2), min_size=rows, max_size=rows)
+        return codes.map(lambda c: c[: rows // 2] + [0] + c[rows // 2 + 1:] if rows else c).map(
+            lambda c: (cli.WordColumn(np.array(c, dtype=np.int64)), [format_word(w) for w in c]))
+    if kind == "int":
+        ints = st.one_of(st.integers(-(2 ** 63), 2 ** 63 - 1), st.integers(-(2 ** 70), 2 ** 70))
+        return st.lists(ints, min_size=rows, max_size=rows).map(lambda v: (v, v))
+    # str cells of any character but NUL (which raises) and lone surrogates (no UTF-8 form)
+    text = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\0"), max_size=6)
+    return st.lists(text, min_size=rows, max_size=rows).map(lambda v: (np.array(v, dtype=object), v))
+
+
+@st.composite
+def csv_tables(draw):
+    """Column kinds, then sections of 0-40 rows in those kinds (empty and
+    one-row sections among them), as (header, sections, rows for row_csv)."""
+    kinds = draw(st.lists(st.sampled_from(["float64", "float32", "word", "int", "str"]), min_size=1, max_size=4))
+    sections, rows = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 40)))
+        columns = [draw(csv_column(kind, n)) for kind in kinds]
+        sections.append([column for column, _ in columns])
+        rows += zip(*(values for _, values in columns))
+    return [f"c{j}" for j in range(len(kinds))], sections, rows
+
+
 class TestCsvEmitter:
     @pytest.mark.parametrize("block_rows", [4, cli.CSV_BLOCK_ROWS])
     def test_columns_match_row_formatter(self, tmp_path, monkeypatch, block_rows):
@@ -490,8 +556,9 @@ class TestCsvEmitter:
         """One heap_indices call, for the configured sources, on the table
         path and the row path alike: the ball is heap indices from the start,
         and the generating check, the sub-ball scan and the solver read them.
-        The CSV's word column is rendered from heap indices a block at a
-        time, once per source: no string table of the ball is built."""
+        The CSV's target column is rendered from heap indices to bytes once,
+        and both sources' sections print that rendering (each source column
+        renders its one word): no string table of the ball is built."""
         calls, tables, blocks = [], [], []
         count_conversions(monkeypatch, lambda domain: calls.append(list(domain)))
         monkeypatch.setattr(words, "ball_words", lambda r: tables.append(r))
@@ -500,8 +567,7 @@ class TestCsvEmitter:
         path = make_config(tmp_path, ballRadius=radius, sources=["e", "ab"])
         assert main(["walk", str(path)]) == EXIT_OK
         assert calls == [["", "ab"]] and tables == []
-        n, rows = len(ball(radius)), cli.CSV_BLOCK_ROWS
-        assert blocks == 2 * [min(rows, n - start) for start in range(0, n, rows)]
+        assert sorted(blocks) == [1, 1, len(ball(radius))]
 
     @pytest.mark.parametrize("radius, block_rows", [(6, 5), (12, 1000)])
     def test_walk_csv_by_source_and_block_matches_row_formatter(self, tmp_path, monkeypatch, radius, block_rows):
@@ -525,6 +591,25 @@ class TestCsvEmitter:
             rows += [(format_word(s), format_word(t), *v) for t, *v in zip(ball_words(radius), g, k, bound)]
         header = ["s", "t", "G", "K", "truncationBound"]
         assert_same_text((tmp_path / "out" / "green_martin.csv").read_text(), row_csv(header, rows))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(csv_tables(), st.integers(1, 50))
+    def test_any_table_matches_row_formatter(self, table, block_rows):
+        """Any sections of float (raw bit patterns, float64 and float32),
+        word, int and str columns, in blocks of 1-50 rows, print as the
+        row-at-a-time reference."""
+        header, sections, rows = table
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
+            path = Path(tmp) / "t.csv"
+            write_csv(path, header, sections)
+            assert path.read_bytes() == row_csv(header, rows).encode()
+
+    @pytest.mark.parametrize("cell", ["a\0b", "ab\0", "\0"])
+    def test_str_cell_holding_nul_raises(self, tmp_path, cell):
+        # the NUL padding would drop the character: the cell cannot be written as it is
+        for column in ([cell, "x"], np.array(["y", cell], dtype=object)):
+            with pytest.raises(ValueError, match="NUL"):
+                write_csv(tmp_path / "t.csv", ["w"], [[column]])
 
     def test_sections_follow_one_another(self, tmp_path, monkeypatch):
         """Sections of different lengths, floats repeated across them, print

@@ -248,11 +248,16 @@ class TestSerialization:
 
     @pytest.mark.parametrize("radius", [0, 1, 5, 12])
     def test_format_words_renders_each_word(self, radius):
-        """The array rendering gives format_word of every heap index, the
-        root as "e", for a whole ball and for an unsorted selection."""
-        assert format_words(ball(radius)).tolist() == [format_word(i) for i in ball(radius)]
-        codes = np.random.default_rng(radius).integers(0, len(ball(radius)), size=50)
-        assert format_words(codes).tolist() == [format_word(i) for i in codes]
+        """The byte rendering gives format_word of every heap index, the
+        root as "e", NUL-padded to the longest, for a whole ball and for an
+        unsorted selection."""
+        selection = np.random.default_rng(radius).integers(0, len(ball(radius)), size=50)
+        for codes in (ball(radius), selection):
+            letters = format_words(codes)
+            want = [format_word(i).encode() for i in codes]
+            width = max(map(len, want))
+            assert letters.dtype == np.uint8 and letters.shape == (len(codes), width)
+            assert [bytes(row) for row in letters] == [w.ljust(width, b"\0") for w in want]
 
     def test_format_words_of_no_words(self):
-        assert format_words(np.zeros(0, dtype=np.int64)).tolist() == []
+        assert format_words(np.zeros(0, dtype=np.int64)).shape == (0, 1)
