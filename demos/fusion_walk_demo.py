@@ -53,7 +53,7 @@ print(f"generating: {is_generating(tm)}")
 lam = tm.norm_bound
 bottom, top = weighted_operator_norm(tm.matrix, tm.haar_weights())
 print(f"norm bound sum mu(r) dim(r)/qdim(r) = {lam:.6f}")
-print(f"certified norm interval on the weighted space = [{bottom:.6f}, {top:.6f}] (below the bound)")
+print(f"one-step certified interval around the weighted norm = [{bottom:.6f}, {top:.6f}] (top at most the bound)")
 
 print()
 print("row of the matrix at s = 'ba':")

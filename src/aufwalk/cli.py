@@ -109,8 +109,8 @@ def _words(items: list, name: str) -> list[str]:
 def load_config(path: str, radius=None) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -174,11 +174,10 @@ def load_config(path: str, radius=None) -> RunConfig:
         raise ConfigError("ballRadius must be nonnegative")
     if not cfg.solver_tol > 0.0:
         raise ConfigError("tolerances.solver must be positive")
-    # the largest quantum dimension on the ball is [2]_q^R; its square weights the solver
-    if 2 * cfg.ball_radius * math.log(cfg.q + 1.0 / cfg.q) >= math.log(sys.float_info.max):
-        raise ConfigError(
-            f"qdim^2 overflows a float on the ball of radius {cfg.ball_radius} at q = {cfg.q!r}"
-        )
+    # the largest quantum dimension on a ball is [2]_q^R; its square weights the solver (no ball is past the cap)
+    radius = min(cfg.ball_radius, words.BALL_RADIUS_CAP)
+    if 2 * radius * math.log(cfg.q + 1.0 / cfg.q) >= math.log(sys.float_info.max):
+        raise ConfigError(f"qdim^2 overflows a float on the ball of radius {radius} at q = {cfg.q!r}")
     return cfg
 
 

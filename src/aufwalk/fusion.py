@@ -310,8 +310,10 @@ def is_generating(walk: TransitionMatrix) -> bool:
 
 def norm_upper_bound(mu: Measure, q: float) -> float:
     """Bound on the operator norm of the walk on the qdim^2-weighted l2 space:
-    sum_r mu(r) dim(r) / qdim(r).  Strictly below 1 unless all mass sits at e,
-    in which case the returned value 1 signals the degenerate walk."""
+    sum_r mu(r) dim(r) / qdim(r), as r (x) s has at most len(r) + 1 <= dim(r)
+    components (the Schur test of kernels.weighted_operator_norm).  Strictly
+    below 1 unless all mass sits at e, in which case the returned value 1
+    signals the degenerate walk."""
     validate_q(q)
     # dim(r) at n = 2 for every F: the walk's weights depend on F only through q, and so does this bound
     out = sum(w * classical_dim(r) / qdim(r, q) for r, w in mu.items())

@@ -14,8 +14,8 @@ The root is always solved: it is the Martin base, the word at which
 martin_rows normalises (e for a ball, x for the branch of x).
 
 Each solve first certifies an interval around the norm
-(weighted_operator_norm: Collatz-Wielandt steps until the top is at most the
-walk's norm bound, usually one) and refuses a top within NORM_GUARD of 1.
+(weighted_operator_norm: one Collatz-Wielandt step, whose top a Schur test
+keeps at most the walk's norm bound) and refuses a top within NORM_GUARD of 1.
 It is gated by its residual and diagonal and then certified (_Certificate):
 every row of a rows solve, and the first, middle and last row of a full
 table, gets a rigorous entrywise error bound from solves with the held factor,
@@ -64,10 +64,6 @@ from .words import qdim  # noqa: F401
 DENSE_LIMIT = 4200
 SOLVER_TOL = 1e-10
 NORM_GUARD = 1e-6
-# steps and relative width at which weighted_operator_norm stops when no top
-# reaches the bound
-_NORM_STEPS = 600
-_NORM_TOL = 1e-9
 # unit columns per solve in _green_solve: of 8, 16 and 32, 16 gave the fastest
 # first table of a process at n = 4095 on two workers (green_table medians of
 # eight processes: 0.33 s, against 0.36 s for 8 and 0.45 s for 32) and tied
@@ -80,19 +76,21 @@ _PANEL = 16
 _RUN_ENTRIES = 1 << 19
 
 
-def weighted_operator_norm(matrix, weights: np.ndarray, bound: float = 0.0) -> tuple[float, float]:
+def weighted_operator_norm(matrix, weights: np.ndarray) -> tuple[float, float]:
     """Certified interval (bottom, top) around the operator norm of the
-    matrix on l2 with the given vertex weights.  Dense input is converted to
-    CSR.
+    matrix on l2 with the given vertex weights, from one Collatz-Wielandt
+    step.  Dense input is converted to CSR.
 
-    With A = D M D^-1 the conjugate by D = diag(sqrt(weights)) and
-    B = |A|^T |A|, it iterates v -> Bv from the all-ones vector.  Each step
-    gives the bottom |Av| / |v| <= ||A|| and, where v has no zero entry, the
-    Collatz-Wielandt top sqrt(max_i (Bv)_i / v_i) >= rho(B)^(1/2) = || |A| ||
-    >= ||A||, widened by 1 + 1e-12 for the rounding of the products.  Taking
-    |A| keeps the top valid for a signed matrix.  It stops at the first top
-    <= bound, once top - bottom <= _NORM_TOL * top, or after _NORM_STEPS
-    steps, and returns the largest bottom and the smallest top it saw.
+    With A = D M D^-1 the conjugate by D = diag(sqrt(weights)) and u = |A| 1,
+    the bottom is |A 1| / |1| <= ||A|| and the top sqrt(max_i (|A|^T u)_i)
+    >= || |A| || >= ||A||, widened by 1 + 1e-12 for the rounding of the
+    products; |A| keeps the top valid for a signed matrix.  By Schur,
+    top^2 <= R C, R and C the largest row and column sums of |A|.  A walk of
+    mu has A(s, t) = sum_r mu(r) m(t; r, s) / qdim(r) on the qdim^2 weights,
+    and a row or a column meets at most len(r) + 1 <= dim(r) words per r, so
+    R, C <= lam (fusion.norm_upper_bound).  A restriction of the walk, or a
+    perturbed Q with |Q| <= P, has smaller sums: a top above the walk's
+    norm_bound means a wrongly assembled matrix.
     """
     w = np.sqrt(np.asarray(weights, dtype=float))
     # A on M's own CSR pattern, each entry times w[row] and then 1/w[col]: the
@@ -103,18 +101,10 @@ def weighted_operator_norm(matrix, weights: np.ndarray, bound: float = 0.0) -> t
     a = sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
     signed = a.data.min(initial=0.0) < 0.0
     b = abs(a) if signed else a
-    v = np.ones(a.shape[0])
-    bottom, top = 0.0, math.inf
-    for _ in range(_NORM_STEPS):
-        u = b @ v
-        bottom = max(bottom, float(np.linalg.norm(a @ v if signed else u) / np.linalg.norm(v)))
-        bv = b.T @ u
-        if v.min() > 0.0:
-            top = min(top, math.sqrt((bv / v).max()) * (1.0 + 1e-12))
-        nrm = np.linalg.norm(bv)
-        if top <= bound or top - bottom <= _NORM_TOL * top or nrm == 0.0:
-            break
-        v = bv / nrm
+    ones = np.ones(a.shape[0])
+    u = b @ ones
+    bottom = float(np.linalg.norm(a @ ones if signed else u) / np.linalg.norm(ones))
+    top = math.sqrt((b.T @ u).max()) * (1.0 + 1e-12)
     return bottom, top
 
 
@@ -191,8 +181,8 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     formed; both gates cover every column.  The panels are split into runs,
     one per usable CPU, at most one per panel and per _RUN_ENTRIES entries of
     X; the caller solves the first and a thread pool the others.  The norm
-    top, iterated down to the walk's norm bound, guards the solve and bounds
-    the certificate's last term.  Raises ValueError for a row outside the
+    top, one Collatz-Wielandt step, guards the solve and bounds the
+    certificate's last term.  Raises ValueError for a row outside the
     domain and when the top reaches 1 - NORM_GUARD (invalid input), and
     RuntimeError when the worst residual exceeds the tolerance or a diagonal
     entry is not positive.
@@ -206,7 +196,7 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
         outside = [word(c) for c in np.unique(rows[~inside])]
         raise ValueError(f"Green rows asked for words outside the domain: {outside}")
     m = walk.haar_weights()
-    norm_interval = weighted_operator_norm(w, m, walk.norm_bound)
+    norm_interval = weighted_operator_norm(w, m)
     top = norm_interval[1]
     if top >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm bound {top} too close to 1; Green kernel unreliable")

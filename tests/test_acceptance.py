@@ -109,7 +109,7 @@ def test_c03_norm_bound():
         for mu in (MU_AB, MU_MIX):
             tm = transition_matrix(mu, ball(12), q)
             lam = tm.norm_bound
-            bottom, top = weighted_operator_norm(tm.matrix, tm.haar_weights(), lam)
+            bottom, top = weighted_operator_norm(tm.matrix, tm.haar_weights())
             ok = ok and bottom <= top <= lam < 1.0
             details.append(f"q={q} |P| in [{bottom:.4f}, {top:.4f}], top<={lam:.4f}")
     bound_05 = norm_upper_bound(MU_AB, ModelConfig.from_q(0.5).q)

@@ -277,6 +277,30 @@ class TestConfig:
         assert time.perf_counter() - start < 1.0
         assert "overflow" in capsys.readouterr().err
 
+    def test_config_that_cannot_be_read_exits_2_naming_it(self, tmp_path, capsys):
+        # a directory in the config's place is a config error, not a traceback
+        assert main(["walk", str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"config {tmp_path}: " in one_line_error(capsys, "config error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_radius_past_the_cap_exits_3_where_qdim_overflows(self, tmp_path, capsys):
+        # at q = 0.5 qdim^2 overflows from radius 388 on, on balls past the
+        # cap that no command builds: the cap decides, as at radius 387
+        path = make_config(tmp_path)
+        assert main(["walk", str(path), "--radius", "388", "--out", str(tmp_path / "out")]) == EXIT_CAP
+        one_line_error(capsys, "resource cap:")
+
+    @pytest.mark.parametrize("command", ["boundary", "intertwiner"])
+    def test_radius_past_the_cap_runs_where_no_ball_is_built(self, tmp_path, command):
+        # the branch radius stops at the tensor cap, and intertwiner builds no
+        # ball: radius 400, where qdim^2 would overflow, writes the files of radius 30
+        path = make_config(tmp_path, tensorCap=6)
+        for radius in ("30", "400"):
+            assert main([command, str(path), "--radius", radius, "--out", str(tmp_path / radius)]) == EXIT_OK
+        files = sorted(p.name for p in (tmp_path / "30").iterdir())
+        assert files and files == sorted(p.name for p in (tmp_path / "400").iterdir())
+        assert all((tmp_path / "30" / f).read_bytes() == (tmp_path / "400" / f).read_bytes() for f in files)
+
     @pytest.mark.parametrize("command", ["boundary", "audit"])
     def test_empty_rays_exit_2(self, tmp_path, capsys, command):
         assert main([command, str(make_config(tmp_path, rays=[]))]) == EXIT_CONFIG

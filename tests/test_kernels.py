@@ -129,19 +129,22 @@ def certificate_of(table):
 class TestWeightedNorm:
     def test_zero_matrix(self):
         assert weighted_operator_norm(np.zeros((4, 4)), np.ones(4)) == (0.0, 0.0)
-        assert weighted_operator_norm(np.zeros((1, 1)), np.ones(1), 0.8) == (0.0, 0.0)
+        assert weighted_operator_norm(np.zeros((1, 1)), np.ones(1)) == (0.0, 0.0)
 
     def test_diagonal(self):
         w = np.diag([0.3, 0.7, 0.1])
         bottom, top = weighted_operator_norm(w, np.ones(3))
         assert bottom <= 0.7 <= top
-        assert (bottom, top) == pytest.approx((0.7, 0.7), rel=1e-9)
+        # one step from the all-ones vector: the bottom is |W 1| / |1|, the top
+        # the largest diagonal entry
+        assert (bottom, top) == pytest.approx((math.sqrt(0.59 / 3.0), 0.7), rel=1e-11)
 
     def test_weighting_matters(self):
         w = np.array([[0.0, 1.0], [0.0, 0.0]])
         m = np.array([4.0, 1.0])
-        # conjugation by sqrt(m) rescales the single entry by 2
-        assert weighted_operator_norm(w, m) == pytest.approx((2.0, 2.0), rel=1e-10)
+        # conjugation by sqrt(m) rescales the single entry by 2: A 1 = (2, 0)
+        # and A^T A 1 = (0, 4)
+        assert weighted_operator_norm(w, m) == pytest.approx((math.sqrt(2.0), 2.0), rel=1e-11)
 
     def test_signed_matrix(self):
         # a rotation by 45 degrees scaled by 1/sqrt(2): the top bounds the
@@ -155,49 +158,35 @@ class TestWeightedNorm:
         for mu in (mu_letters, mu_mixed):
             for q in (0.3, 0.5, 0.7):
                 tm = transition_matrix(mu, ball(8), q)
-                bottom, top = weighted_operator_norm(tm.matrix, tm.haar_weights(), tm.norm_bound)
+                bottom, top = weighted_operator_norm(tm.matrix, tm.haar_weights())
                 assert bottom <= top <= tm.norm_bound < 1.0
                 # one path: dense input is converted to the same CSR matrix
-                assert weighted_operator_norm(tm.matrix.toarray(), tm.haar_weights(), tm.norm_bound) == (bottom, top)
+                assert weighted_operator_norm(tm.matrix.toarray(), tm.haar_weights()) == (bottom, top)
 
     def test_input_kept_and_signs_read_after_scaling(self, mu_mixed):
         """The conjugate shares the input's CSR pattern and scales a copy of
         its entries: the input keeps its bits, and a signed copy of the walk
-        gets the unsigned walk's first top (the top bounds || |A| ||)."""
+        gets the unsigned walk's top (the top bounds || |A| ||)."""
         tm = transition_matrix(mu_mixed, ball(7), Q)
         w = tm.matrix
         before = (w.data.copy(), w.indices.copy(), w.indptr.copy())
-        interval = weighted_operator_norm(w, tm.haar_weights(), tm.norm_bound)
+        interval = weighted_operator_norm(w, tm.haar_weights())
         assert all(np.array_equal(x, y) for x, y in zip(before, (w.data, w.indices, w.indptr)))
         signed = w.copy()
         signed.data[::2] *= -1.0
-        assert weighted_operator_norm(signed, tm.haar_weights(), tm.norm_bound)[1] == interval[1]
+        assert weighted_operator_norm(signed, tm.haar_weights())[1] == interval[1]
 
     @pytest.mark.parametrize("weight", BENCHMARK_WEIGHTS)
     def test_interval_holds_the_eigsh_norm(self, weight):
         """At every weight of the benchmark grid (ball 10, q = 0.5) the
-        interval a solve takes, stopped at the first top <= lam, and the
-        interval iterated to its tolerance both hold the oracle's norm."""
+        interval a solve takes holds the oracle's norm."""
         tm = transition_matrix(Measure({"a": weight, "b": 1.0 - weight}), ball(10), Q)
         m = tm.haar_weights()
         norm = eigsh_norm(tm.matrix, m)
-        bottom, top = weighted_operator_norm(tm.matrix, m, tm.norm_bound)
+        bottom, top = weighted_operator_norm(tm.matrix, m)
         assert bottom <= norm <= top <= tm.norm_bound
-        # the first step already certifies the bound, with room to spare
+        # the one step certifies the bound with room to spare
         assert top < tm.norm_bound - 0.1
-        tight_bottom, tight_top = weighted_operator_norm(tm.matrix, m)
-        # the oracle's own rounding is below 1e-13 relative
-        assert bottom <= tight_bottom <= norm * (1.0 + 1e-13) and norm <= tight_top <= top
-        assert tight_top - tight_bottom < 1e-3 * norm
-
-    def test_top_above_lam_iterates_to_the_norm(self, mu_letters):
-        # a walk rescaled past its bound: no top reaches lam, the interval
-        # still closes on the norm
-        tm = transition_matrix(mu_letters, ball(6), Q)
-        m = tm.haar_weights()
-        scaled = tm.matrix * (0.9 / eigsh_norm(tm.matrix, m))
-        bottom, top = weighted_operator_norm(scaled, m, tm.norm_bound)
-        assert tm.norm_bound < bottom <= 0.9 * (1.0 + 1e-13) and 0.9 <= top < 0.9 * (1.0 + 1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -753,7 +742,7 @@ class TestGreenRows:
     def test_returns_the_weighted_norm(self, walk8):
         tm, _ = walk8
         rows = green_rows(tm, [heap_index("a")])
-        assert rows.norm_interval == weighted_operator_norm(tm.matrix, tm.haar_weights(), tm.norm_bound)
+        assert rows.norm_interval == weighted_operator_norm(tm.matrix, tm.haar_weights())
 
     def test_neumann_within_tail_bound_on_radius_12(self, mu_letters):
         dom = ball(12)
@@ -970,20 +959,21 @@ class TestLastEntryPathSumOracle:
 
 
 def test_audit_fails_a_walk_above_its_norm_bound(tmp_path, monkeypatch):
-    """A walk rescaled to norm 0.9, above lam = 0.8 but below 1: its solves
-    still run, and the certified top fails norm_bound (exit 1)."""
+    """A walk rescaled to a certified top of 0.9, above lam = 0.8 but below
+    1: its solves still run, and the top fails norm_bound (exit 1).  Scaled
+    to norm 0.9 instead, its top would reach 1 - NORM_GUARD (exit 2)."""
     real_build = cli.build_walk
 
     def rescaled(cfg, radius):
         walk = real_build(cfg, radius)
-        scale = 0.9 / eigsh_norm(walk.matrix, walk.haar_weights())
+        scale = 0.9 / weighted_operator_norm(walk.matrix, walk.haar_weights())[1]
         return TransitionMatrix(walk.codes, walk.matrix * scale, walk.mu, walk.q)
 
     monkeypatch.setattr(cli, "build_walk", rescaled)
     assert main(["audit", str(EXAMPLE), "--radius", "6", "--out", str(tmp_path)]) == EXIT_AUDIT
     report = json.loads((tmp_path / "audit_report.json").read_text())
     entry = next(e for e in report["audits"] if e["name"] == "norm_bound")
-    assert entry["bound"] == pytest.approx(0.8, rel=1e-12) and 0.9 <= entry["measured"] < 0.9 * (1.0 + 1e-8)
+    assert entry["bound"] == pytest.approx(0.8, rel=1e-12) and entry["measured"] == pytest.approx(0.9, rel=1e-12)
     assert entry["pass"] is False
     green_residual = next(e for e in report["audits"] if e["name"] == "green_residual")
     assert green_residual["pass"] is True

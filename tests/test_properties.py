@@ -11,12 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aufwalk.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, load_config, main
 from aufwalk.fusion import Measure, dual_audit, fuse, is_generating, transition_matrix, transition_prob
-from aufwalk.intertwiners import ModelConfig
+from aufwalk.intertwiners import IntertwinerEngine, ModelConfig
+from aufwalk.kernels import weighted_operator_norm
+from aufwalk.perturbed import BranchContext, q_matrix
 from aufwalk.words import (
     EMPTY,
     ball,
@@ -193,6 +196,35 @@ def test_interior_rows_stochastic(mu, q):
 @given(measures(), deformations)
 def test_duality_identity(mu, q):
     assert dual_audit(transition_matrix(mu, ball(5), q)) < 1e-12
+
+
+def abs_conjugate_sums(walk) -> tuple[float, float]:
+    """The largest row and column sums of |A|, A = D W D^-1 the conjugate of
+    the walk's weights by D = diag(qdim) (the square roots of its weights)."""
+    d = walk.qdims()
+    a = abs(sp.diags(d) @ walk.matrix @ sp.diags(1.0 / d))
+    return float(a.sum(axis=1).max()), float(a.sum(axis=0).max())
+
+
+@PROPERTY
+@given(measures(), st.floats(min_value=0.05, max_value=0.995), st.integers(min_value=5, max_value=9))
+def test_schur_bound_holds_on_walks_restrictions_and_q(mu, q, radius):
+    """The Schur test behind the norm certificate: on a ball, two branch
+    restrictions of it and the perturbed Q of a branch, every row and column
+    sum of |A| is at most lam (up to the rounding of the sums), so the one
+    Collatz-Wielandt top is at most the walk's norm_bound, as the audit
+    compares them."""
+    tm = transition_matrix(mu, ball(radius), q)
+    assume(is_generating(tm))
+    lam = tm.norm_bound
+    engine = IntertwinerEngine(ModelConfig.from_q(q, n=2, tensor_cap=radius + 2 + tm.range_bound))
+    walks = [tm, tm.restrict(branch("a", radius)), tm.restrict(branch("ab", radius)),
+             q_matrix(BranchContext(engine, tm, "a", radius))]
+    for walk in walks:
+        assert walk.norm_bound == lam
+        rows, cols = abs_conjugate_sums(walk)
+        assert max(rows, cols) <= lam * (1.0 + 1e-12), (rows, cols, lam)
+        assert weighted_operator_norm(walk.matrix, walk.haar_weights())[1] <= walk.norm_bound
 
 
 @PROPERTY
