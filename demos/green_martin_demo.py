@@ -18,6 +18,7 @@ from aufwalk import (
     truncation_error_bound,
     uniform_irreducibility_constants,
 )
+from aufwalk.cli import AUDITS
 from aufwalk.words import code_lengths
 
 q = 0.5
@@ -46,7 +47,9 @@ lengths = code_lengths(domain)
 interior = domain[(radius - lengths > tm.range_bound) & (lengths <= 6)]
 har = harnack_audit(table, delta0, k, interior)
 print(f"chain constants delta0 = {delta0:.4f}, K = {k}; bound delta0^K = {har.delta_bound:.4f}")
-print(f"empirical Harnack constant {har.empirical_delta:.4f}  (passes: {har.passes})")
+# the verdict is the audit table's comparison for the harnack entry
+verdict = next(a for group in AUDITS for a in group if a.name == "harnack").entry(har.empirical_delta, har.delta_bound)
+print(f"empirical Harnack constant {har.empirical_delta:.4f}  (passes: {verdict['pass']})")
 mult = multiplicativity_audit(table, har.delta_bound, interior)
 print(f"geodesic product constants: lower {mult.c1_lower:.4f} <= {mult.lower_bound:.4f}, "
       f"upper {mult.c1_upper:.4f} <= {mult.upper_bound:.4f}")

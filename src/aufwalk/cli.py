@@ -16,10 +16,13 @@ import bisect
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import eq, ge, gt, le, lt
 from pathlib import Path
 
 import numpy as np
@@ -362,12 +365,14 @@ def _irreducibility(cfg: RunConfig, tm) -> tuple[float, int]:
 def boundary_sources(cfg: RunConfig, radius: int) -> list[str]:
     """The configured boundary sources, by default per^k z for the period
     of ray 0, k < min(5, radius - 2), as long as per^k z fits in the ball of
-    the branch radius; a configured source outside that ball is a config
-    error."""
+    the branch radius; a configured source outside that ball, or no default
+    source (a branch radius below 3), is a config error."""
     sources = cfg.boundary_sources
     if sources is None:
         per, z = cfg.rays[0][1], cfg.branch_z
         sources = [per * k + z for k in range(min(5, radius - 2)) if k * len(per) + len(z) <= radius]
+        if not sources:
+            raise ConfigError(f"no default boundary source fits the branch radius {radius}; set boundarySources")
     for s in sources:
         if len(s) > radius:
             raise ConfigError(f"boundary source {s!r} outside the ball of the branch radius {radius}")
@@ -403,15 +408,64 @@ def branch_kernels(cfg: RunConfig, tm, ctx, rays):
     return q_walk, inside, outside, per_ray
 
 
-def run_audits(cfg: RunConfig) -> list[dict]:
-    entries: list[dict] = []
+@dataclass(frozen=True)
+class Audit:
+    """One entry of the audit table.  Its measured value passes when op (one
+    of lt, le, eq, gt, ge) holds between it and the bound, widened by the
+    relative slack (up for lt and le, down for gt and ge), and the side
+    condition, for the entry that names one, holds.  The bound is the
+    constant here or, where that is None, the one the entry's stage reports."""
 
-    def add(name, anchor, measured, bound, ok):
-        entries.append(
-            {"name": name, "anchor": anchor, "measured": float(measured), "bound": float(bound),
-             "pass": bool(ok)}
-        )
+    name: str
+    anchor: str
+    op: Callable[[float, float], bool]
+    bound: float | None = None
+    slack: float = 0.0
+    side: str = ""
 
+    def entry(self, measured, bound=None, holds=True) -> dict:
+        """The report entry of a measured value, against the bound given or else the table's."""
+        bound = float(self.bound if bound is None else bound)
+        limit = bound * (1 + self.slack if self.op in (lt, le) else 1 - self.slack)
+        return {"name": self.name, "anchor": self.anchor, "measured": float(measured), "bound": bound,
+                "pass": bool(holds and self.op(float(measured), limit))}
+
+
+#: The audit table in report order, one group of entries per stage of _stages.
+AUDITS = (
+    (Audit("stochasticity", "interior row sums of the transition matrix", lt, 1e-12),),
+    (Audit("dual_measure", "dimension-normalized duality identity", lt, 1e-12),),
+    (Audit("norm_bound", "certified weighted operator norm against the dimension-ratio bound", le),
+     Audit("green_residual", "resolvent identity of the Green solve", le),
+     Audit("green_diagonal", "diagonal bounded by 1/(1-lambda)", le, 0.0),
+     Audit("green_certificate", "certified relative error bound of the Green rows", le, 1e-12)),
+    (Audit("conjugate_equations", "standard duality pair identities", lt, 1e-10),
+     Audit("duality_normalization", "pairing norm equals the quantum dimension of a letter", lt, 1e-10)),
+    (Audit("fusion_dimensions", "projection ranks equal classical dimensions", eq, 0.0),),
+    (Audit("vtilde_norms", "Gaussian-binomial closed form of the almost-isometry norms", lt, 1e-8),
+     Audit("vtilde_lower_ratio", "lower bound ratio of the almost-isometry norms", gt, 0.0)),
+    (Audit("defect_decay", "projection commutation defects decay with the length exponent", le, 0.2),),
+    (Audit("qhat_oracle", "trace formula against the partial-trace evaluation", lt, 1e-9),
+     Audit("qhat_domination", "perturbed weights dominated by classical ones", le, 1e-12)),
+    (Audit("perturbation_envelope", "single-constant envelope of the perturbation", le, 0.0),
+     Audit("perturbation_rate", "fitted perturbation decay slope against log q", le, 0.15)),
+    (Audit("harnack", "uniform Harnack constant against the chain bound", ge, slack=1e-12),
+     Audit("multiplicativity_lower", "geodesic product lower constant", le, slack=1e-12),
+     Audit("multiplicativity_upper", "geodesic product upper constant", le, slack=1e-12)),
+    (Audit("last_entry", "decomposition of the Green kernel at the branch cut", lt, 1e-8),),
+    (Audit("gdif_envelope", "branch Green kernels differ by an envelope in the branch depth", le, 1.0, 1e-12),),
+    (Audit("boundary_positivity", "perturbed Martin values positive at the deepest ray point", gt, 0.0),
+     Audit("boundary_ratio_trend", "perturbed-to-classical ratio moves toward 1 along the ray", lt,
+           side="the ratio rises by at most 1e-9 relative per source; both kernels' Cauchy tails decrease")),
+)
+
+
+def _stages(cfg: RunConfig):
+    """The audit's checks of the tensor cap, the boundary sources and the
+    dense limit, then the stage of each group of AUDITS in order: a call
+    giving one value per entry, a (measured, bound) pair where the entry
+    holds no bound and (measured, bound, holds) where it names a side
+    condition.  The rows the stages read are built between them."""
     eng = IntertwinerEngine(cfg.model)
     # the defect audit forms x (x) y in each V and u x, u z in the projections
     eng.check_cap(*(w for u, x, y, z in _defect_families() for w in (x + y, u + x, u + z)))
@@ -424,129 +478,84 @@ def run_audits(cfg: RunConfig) -> list[dict]:
         raise RadiusCapError(f"domain of size {size} exceeds the dense solver limit {kernels.DENSE_LIMIT}")
     tm = build_walk(cfg, cfg.ball_radius)
     table = kernels.green_table(tm, solver_tol=cfg.solver_tol)
-    gap = _interior_row_gap(cfg, tm)
-    add("stochasticity", "interior row sums of the transition matrix", gap, 1e-12, gap < 1e-12)
+    yield lambda: [_interior_row_gap(cfg, tm)]
+    yield lambda: [fusion.dual_audit(tm.restrict(words.ball(min(cfg.ball_radius, 8))))]
+    yield lambda: [(table.norm_interval[1], tm.norm_bound), (table.residual, cfg.solver_tol),
+                   table.diagonal_bound_gap(), table.error_bound]
+    yield lambda: _duality_gaps(eng)
+    yield lambda: [sum(rank != dim for _, rank, dim in _rank_rows(eng, min(7, cfg.model.tensor_cap)))]
 
-    dual_gap = fusion.dual_audit(tm.restrict(words.ball(min(cfg.ball_radius, 8))))
-    add("dual_measure", "dimension-normalized duality identity", dual_gap, 1e-12, dual_gap < 1e-12)
-
-    top = table.norm_interval[1]
-    add("norm_bound", "certified weighted operator norm against the dimension-ratio bound", top,
-        tm.norm_bound, top <= tm.norm_bound < 1.0)
-    add("green_residual", "resolvent identity of the Green solve", table.residual, cfg.solver_tol,
-        table.residual <= cfg.solver_tol)
-    diag_gap = table.diagonal_bound_gap()
-    add("green_diagonal", "diagonal bounded by 1/(1-lambda)", diag_gap, 0.0, diag_gap <= 0.0)
-    add("green_certificate", "certified relative error bound of the Green rows", table.error_bound, 1e-12,
-        table.error_bound <= 1e-12)
-
-    conj = _conjugate_equation_residual(eng)
-    add("conjugate_equations", "standard duality pair identities", conj, 1e-10, conj < 1e-10)
-    rr = _duality_norm_gap(eng)
-    add("duality_normalization", "pairing norm equals the quantum dimension of a letter", rr,
-        1e-10, rr < 1e-10)
-
-    mism = sum(rank != dim for _, rank, dim in _rank_rows(eng, min(7, cfg.model.tensor_cap)))
-    add("fusion_dimensions", "projection ranks equal classical dimensions", mism, 0.0, mism == 0)
-
-    worst_rel, min_ratio = 0.0, math.inf
-    for s, v, t, nrm, closed, rel in _vtilde_rows(eng):
-        worst_rel = max(worst_rel, rel)
-        min_ratio = min(min_ratio, nrm / math.sqrt(eng.qdim(v)))
-    add("vtilde_norms", "Gaussian-binomial closed form of the almost-isometry norms", worst_rel,
-        1e-8, worst_rel < 1e-8)
-    add("vtilde_lower_ratio", "lower bound ratio of the almost-isometry norms", min_ratio, 0.0,
-        min_ratio > 0.0)
-
-    rate_gap = _defect_rate_gap(eng)
-    add("defect_decay", "projection commutation defects decay with the length exponent",
-        rate_gap, 0.2, rate_gap <= 0.2)
-
+    def vtilde():
+        worst_rel, min_ratio = 0.0, math.inf
+        for s, v, t, nrm, closed, rel in _vtilde_rows(eng):
+            worst_rel = max(worst_rel, rel)
+            min_ratio = min(min_ratio, nrm / math.sqrt(eng.qdim(v)))
+        return worst_rel, min_ratio
+    yield vtilde
+    yield lambda: [_defect_rate_gap(eng)]
     ctx = perturbed.BranchContext(eng, tm, cfg.branch_z, cfg.branch_radius())
-    oracle_gap, domination_gap = _qhat_checks(cfg, ctx)
-    add("qhat_oracle", "trace formula against the partial-trace evaluation", oracle_gap, 1e-9,
-        oracle_gap < 1e-9)
-    add("qhat_domination", "perturbed weights dominated by classical ones", domination_gap,
-        1e-12, domination_gap <= 1e-12)
-
+    yield lambda: _qhat_checks(ctx)
     q_walk, inside, _, [(ray, k_p, k_q)] = branch_kernels(cfg, tm, ctx, cfg.rays[:1])
-    envelope = ("perturbation_envelope", "single-constant envelope of the perturbation")
-    rate = ("perturbation_rate", "fitted perturbation decay slope against log q")
-    try:
-        decay = perturbed.decay_audit(perturbed.residual_matrix(ctx), ctx)
-    except perturbed.TooFewLengths as exc:
-        # a valid config whose residuals leave too few lengths to fit: the
-        # residual code is at fault, so both entries fail and the audit goes on
-        for name, anchor in (envelope, rate):
-            add(name, anchor, exc.usable, perturbed.MIN_DECAY_LENGTHS, False)
-    else:
-        env_gap = decay.envelope_gap()
-        add(*envelope, env_gap, 0.0, env_gap <= 0.0)
-        slope_gap = abs(decay.fitted_rate / decay.target_rate - 1.0)
-        add(*rate, slope_gap, 0.15, slope_gap <= 0.15)
 
-    harnack = ("harnack", "uniform Harnack constant against the chain bound")
-    lower = ("multiplicativity_lower", "geodesic product lower constant")
-    upper = ("multiplicativity_upper", "geodesic product upper constant")
-    har_int = tm.codes[_interior(cfg, tm) & (words.code_lengths(tm.codes) <= 6)]
-    if len(har_int) < 2:
-        # a ball too small for two interior words leaves no pair to compare:
-        # the entries fail on the number of interior words and the audit goes on
-        for entry in (harnack, lower, upper):
-            add(*entry, len(har_int), 2, False)
-    else:
+    def decay():
+        report = perturbed.decay_audit(perturbed.residual_matrix(ctx), ctx)
+        return report.envelope_gap(), abs(report.fitted_rate / report.target_rate - 1.0)
+    yield decay
+
+    def harnack():
+        interior = tm.codes[_interior(cfg, tm) & (words.code_lengths(tm.codes) <= 6)]
         delta0, k_steps = _irreducibility(cfg, tm)
-        har = kernels.harnack_audit(table, delta0, k_steps, har_int)
-        add(*harnack, har.empirical_delta, har.delta_bound, har.passes)
-        mult = kernels.multiplicativity_audit(table, delta0 ** k_steps, har_int)
-        lower_ok, upper_ok = mult.verdicts()
-        add(*lower, mult.c1_lower, mult.lower_bound, lower_ok)
-        add(*upper, mult.c1_upper, mult.upper_bound, upper_ok)
+        har = kernels.harnack_audit(table, delta0, k_steps, interior)
+        mult = kernels.multiplicativity_audit(table, delta0 ** k_steps, interior)
+        return ((har.empirical_delta, har.delta_bound), (mult.c1_lower, mult.lower_bound),
+                (mult.c1_upper, mult.upper_bound))
+    yield harnack
+    yield lambda: [_last_entry_worst(cfg, table)]
+    # z and its three alternating extensions, those with sub-branches of depth at least 2
+    alternating = itertools.accumulate(range(3), lambda w, _: involution(w[0]) + w, initial=cfg.branch_z)
+    x_list = [x for x in alternating if len(x) <= ctx.radius - 2]
+    yield lambda: [perturbed.gdif_audit(q_walk, ctx, x_list, solver_tol=cfg.solver_tol).envelope_gap]
 
-    resid = _last_entry_worst(cfg, table)
-    add("last_entry", "decomposition of the Green kernel at the branch cut", resid, 1e-8, resid < 1e-8)
+    def boundary():
+        # the deepest ray point stands for the boundary value (no extrapolation); a Green error
+        # bound below 1 certifies every sign of its rows, so positivity follows from it where the
+        # branch table certifies the inside sources' rows, and stands for the rows it does not
+        k_q_end = k_q[:, -1]
+        trend = np.abs(k_q_end / k_p[: len(inside), -1] - 1.0)
+        shape = all(b <= a * (1 + 1e-9) for a, b in zip(trend, trend[1:])) and all(
+            kernels.tail_decreasing(s, ray, k_q[i]) and kernels.tail_decreasing(s, ray, k_p[i])
+            for i, s in enumerate(inside)
+        )
+        return k_q_end.min(), (trend[-1], trend[0], shape)
+    yield boundary
 
-    gdif_entry = ("gdif_envelope", "branch Green kernels differ by an envelope in the branch depth")
-    x_list = [x for x in _alternating_branch_words(cfg.branch_z, 4) if len(x) <= ctx.radius - 2]
-    if x_list:
-        gdif = perturbed.gdif_audit(q_walk, ctx, x_list, solver_tol=cfg.solver_tol)
-        add(*gdif_entry, gdif.envelope_gap, 1.0, gdif.envelope_gap <= 1.0 + 1e-12)
-    else:
-        # a branch too shallow for any sub-branch word: the entry fails on the
-        # number of usable words and the audit goes on
-        add(*gdif_entry, 0, 1, False)
 
-    # the deepest ray point stands for the boundary value (no extrapolation)
-    k_q_end = k_q[:, -1]
-    trend = np.abs(k_q_end / k_p[: len(inside), -1] - 1.0)
-    trend_ok = all(b <= a * (1 + 1e-9) for a, b in zip(trend, trend[1:])) and trend[-1] < trend[0]
-    cauchy = all(
-        kernels.tail_decreasing(s, ray, k_q[i]) and kernels.tail_decreasing(s, ray, k_p[i])
-        for i, s in enumerate(inside)
-    )
-    # a Green error bound below 1 certifies every sign of its rows: this check follows from it
-    # where the branch table certifies the inside sources' rows, and stands for the rows it does not
-    add("boundary_positivity", "perturbed Martin values positive at the deepest ray point",
-        k_q_end.min(), 0.0, (k_q_end > 0).all())
-    add("boundary_ratio_trend", "perturbed-to-classical ratio moves toward 1 along the ray",
-        trend[-1], trend[0], trend_ok and cauchy)
+def run_audits(cfg: RunConfig) -> list[dict]:
+    """The entries of AUDITS, measured by their stages.  A stage that raises
+    Shortfall fails each entry of its group with measured = have and bound =
+    need, and the audit goes on."""
+    entries = []
+    for group, stage in zip(AUDITS, _stages(cfg), strict=True):
+        try:
+            values = stage()
+        except kernels.Shortfall as short:
+            values = [(short.have, short.need, False)] * len(group)
+        entries += [audit.entry(*(value if isinstance(value, tuple) else (value,)))
+                    for audit, value in zip(group, values, strict=True)]
     return entries
 
 
-def _conjugate_equation_residual(eng) -> float:
-    worst = 0.0
+def _duality_gaps(eng) -> tuple[float, float]:
+    """The worst residual of the conjugate equations of the duality maps
+    r, rbar, and the worst gap of their pairing norms to q + 1/q."""
     r, rbar = eng.duality_maps()
+    worst = 0.0
     for letter, rfirst, rsecond in (("a", r, rbar), ("b", rbar, r)):
         ident = Intertwiner((letter,), (letter,), np.eye(eng.n))
         lhs = rsecond.adjoint.tensor(ident) @ ident.tensor(rfirst)
         worst = max(worst, float(np.abs(lhs.array - np.eye(eng.n)).max()))
-    return worst
-
-
-def _duality_norm_gap(eng) -> float:
-    r, rbar = eng.duality_maps()
     target = eng.q + 1.0 / eng.q
-    return max(
+    return worst, max(
         abs(float((r.adjoint @ r).array[0, 0]) - target),
         abs(float((rbar.adjoint @ rbar).array[0, 0]) - target),
         abs(r.norm - math.sqrt(target)),
@@ -609,11 +618,11 @@ def _defect_rate_gap(eng) -> float:
     return abs(float(slope) / math.log(eng.q) - 1.0)
 
 
-def _qhat_checks(cfg: RunConfig, ctx) -> tuple[float, float]:
+def _qhat_checks(ctx) -> tuple[float, float]:
     """Worst oracle gap and domination excess over the required entries."""
     worst_or = 0.0
     worst_dom = -math.inf
-    q = cfg.q
+    q = ctx.q
     for (u, s, t) in perturbed.required_entries(ctx):
         val = perturbed.qhat_entry(u, s, t, ctx)
         oracle, resid = perturbed.qhat_oracle(u, s, t, ctx)
@@ -638,16 +647,6 @@ def _last_entry_worst(cfg: RunConfig, table) -> float:
         for t in targets[:6].tolist():
             worst = max(worst, kernels.last_entry_audit(s, t, table, branch_table))
     return worst
-
-
-def _alternating_branch_words(z: str, count: int) -> list[str]:
-    out = []
-    w = z
-    other = {"a": "b", "b": "a"}
-    for _ in range(count):
-        out.append(w)
-        w = other[w[0]] + w
-    return out
 
 
 def cmd_audit(cfg: RunConfig, out: Path) -> int:

@@ -30,21 +30,13 @@ import scipy.sparse as sp
 
 from .fusion import TransitionMatrix, fuse
 from .intertwiners import Intertwiner, IntertwinerEngine, kron_apply
-from .kernels import SOLVER_TOL, KernelTable, green_table
+from .kernels import SOLVER_TOL, KernelTable, Shortfall, green_table
 from .words import branch, code_lengths, heap_index, involution, qdim, word
 
 RESIDUAL_FLOOR = 1e-12
 DOMINATION_TOL = 1e-12
 #: source lengths with a residual above the floor that decay_audit needs for its fit
 MIN_DECAY_LENGTHS = 4
-
-
-class TooFewLengths(ValueError):
-    """decay_audit found fewer than MIN_DECAY_LENGTHS lengths with usable residuals."""
-
-    def __init__(self, usable: int):
-        super().__init__(f"only {usable} lengths with usable residuals; need at least {MIN_DECAY_LENGTHS}")
-        self.usable = usable
 
 
 class BranchContext:
@@ -276,7 +268,7 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
     fit reads the residual itself and not the round-off of qhat - p.  Residuals
     below the floor are discarded; the envelope slope is fitted on the
     per-length maxima by least squares and compared with log q.  Fewer than
-    MIN_DECAY_LENGTHS lengths above the floor raise TooFewLengths.
+    MIN_DECAY_LENGTHS lengths above the floor raise Shortfall.
     """
     per_length: dict[int, float] = {}
     coo = sp.coo_matrix(resid)
@@ -285,7 +277,7 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
         if value > RESIDUAL_FLOOR:
             per_length[length] = max(per_length.get(length, 0.0), value)
     if len(per_length) < MIN_DECAY_LENGTHS:
-        raise TooFewLengths(len(per_length))
+        raise Shortfall(len(per_length), MIN_DECAY_LENGTHS, "lengths with usable residuals")
     lengths = sorted(per_length)
     maxima = [per_length[l] for l in lengths]
     slope, _ = np.polyfit(lengths, np.log(maxima), 1)
@@ -325,10 +317,10 @@ def gdif_audit(
     """Relative gap between the Green kernels of the perturbed walk
     (``q_walk``, from q_matrix) and the classical branch walk ctx.walk, each
     restricted to the sub-branches of the given words, and the envelope gap
-    against q^len(x) anchored at the first word.  Raises ValueError on an
+    against q^len(x) anchored at the first word.  Raises Shortfall on an
     empty list; each sub-branch solve raises RuntimeError above ``solver_tol``."""
     if not x_list:
-        raise ValueError("gdif_audit needs at least one sub-branch word")
+        raise Shortfall(0, 1, "sub-branch words")
     rels = []
     for x in x_list:
         if not x.endswith(ctx.z):

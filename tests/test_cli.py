@@ -851,6 +851,89 @@ class TestAudit:
         assert abs(rates[1] - rates[0]) < 1e-14 * abs(rates[0])
 
 
+#: the comparison of each audit entry, in report order: (op, the constant
+#: bound or None where the stage reports it, the relative slack)
+AUDIT_COMPARISONS = {
+    "stochasticity": ("<", 1e-12, 0.0),
+    "dual_measure": ("<", 1e-12, 0.0),
+    "norm_bound": ("<=", None, 0.0),
+    "green_residual": ("<=", None, 0.0),
+    "green_diagonal": ("<=", 0.0, 0.0),
+    "green_certificate": ("<=", 1e-12, 0.0),
+    "conjugate_equations": ("<", 1e-10, 0.0),
+    "duality_normalization": ("<", 1e-10, 0.0),
+    "fusion_dimensions": ("==", 0.0, 0.0),
+    "vtilde_norms": ("<", 1e-8, 0.0),
+    "vtilde_lower_ratio": (">", 0.0, 0.0),
+    "defect_decay": ("<=", 0.2, 0.0),
+    "qhat_oracle": ("<", 1e-9, 0.0),
+    "qhat_domination": ("<=", 1e-12, 0.0),
+    "perturbation_envelope": ("<=", 0.0, 0.0),
+    "perturbation_rate": ("<=", 0.15, 0.0),
+    "harnack": (">=", None, 1e-12),
+    "multiplicativity_lower": ("<=", None, 1e-12),
+    "multiplicativity_upper": ("<=", None, 1e-12),
+    "last_entry": ("<", 1e-8, 0.0),
+    "gdif_envelope": ("<=", 1.0, 1e-12),
+    "boundary_positivity": (">", 0.0, 0.0),
+    "boundary_ratio_trend": ("<", None, 0.0),
+}
+COMPARE = {"<": float.__lt__, "<=": float.__le__, "==": float.__eq__, ">": float.__gt__, ">=": float.__ge__}
+
+
+class TestAuditTable:
+    def entries(self):
+        return [audit for group in cli.AUDITS for audit in group]
+
+    def test_the_table_holds_the_23_entries_in_report_order(self):
+        assert [audit.name for audit in self.entries()] == list(AUDIT_COMPARISONS)
+        assert [audit.name for audit in self.entries() if audit.side] == ["boundary_ratio_trend"]
+
+    @pytest.mark.parametrize("name", list(AUDIT_COMPARISONS))
+    def test_verdict_at_the_bound_follows_the_comparison(self, name):
+        """A measured value planted at the bound, at the bound widened by the
+        slack, and one ulp on each side of both, passes exactly when the
+        stated comparison holds; a stage's bound is planted at several
+        magnitudes."""
+        audit = next(a for a in self.entries() if a.name == name)
+        op, bound, slack = AUDIT_COMPARISONS[name]
+        for b in [bound] if bound is not None else [0.0, 2.5e-11, 0.8, 3.0]:
+            limit = b * (1 + slack) if op in ("<", "<=") else b * (1 - slack)
+            for point in {b, limit}:
+                for measured in (math.nextafter(point, -math.inf), point, math.nextafter(point, math.inf)):
+                    entry = audit.entry(measured) if bound is not None else audit.entry(measured, b)
+                    assert entry["bound"] == b and entry["measured"] == measured
+                    assert entry["pass"] is COMPARE[op](measured, limit), (name, b, measured)
+
+    def test_a_failed_side_condition_fails_at_any_value(self):
+        trend = next(a for a in self.entries() if a.name == "boundary_ratio_trend")
+        assert trend.entry(0.1, 0.2)["pass"] and not trend.entry(0.1, 0.2, False)["pass"]
+
+    def test_only_a_shortfall_is_recorded_as_failed_entries(self, tmp_path, monkeypatch, capsys):
+        """A ValueError from a stage that is not a Shortfall ends the audit
+        as a config error (exit 2, no report); a Shortfall fails its stage's
+        entries and the audit goes on."""
+        def not_a_shortfall(resid, ctx):
+            raise ValueError("planted")
+
+        path = make_config(tmp_path, ballRadius=6, tensorCap=9)
+        monkeypatch.setattr(perturbed, "decay_audit", not_a_shortfall)
+        assert main(["audit", str(path)]) == EXIT_CONFIG
+        one_line_error(capsys, "config error: planted")
+        assert not (tmp_path / "out").exists()
+
+        def shortfall(resid, ctx):
+            raise kernels.Shortfall(3, 4, "planted lengths")
+
+        monkeypatch.setattr(perturbed, "decay_audit", shortfall)
+        assert main(["audit", str(path)]) == EXIT_AUDIT
+        capsys.readouterr()
+        entries = json.loads((tmp_path / "out" / "audit_report.json").read_text())["audits"]
+        assert len(entries) == 23
+        failed = {e["name"]: (e["measured"], e["bound"]) for e in entries if not e["pass"]}
+        assert failed == {"perturbation_envelope": (3.0, 4.0), "perturbation_rate": (3.0, 4.0)}
+
+
 class TestIndecomposableTriples:
     @staticmethod
     def brute_force(limit, cap):
@@ -870,6 +953,24 @@ class TestIndecomposableTriples:
 
 
 class TestBoundarySources:
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [("boundary", {"ballRadius": 2}), ("boundary", {"tensorCap": 5}), ("audit", {"ballRadius": 2})],
+    )
+    def test_no_default_source_at_branch_radius_2_exits_2(self, tmp_path, capsys, monkeypatch, command, overrides):
+        """per^k z for k < radius - 2 leaves no default source at branch radius
+        2 (ballRadius 2, or tensorCap 5 under letter steps): boundary wrote the
+        CSV header alone and exited 0.  It exits 2 before any Green solve,
+        naming the branch radius, and writes nothing; so does audit (at
+        tensorCap 5 audit exits 3 first, on its defect words)."""
+        monkeypatch.setattr(kernels, "_green_solve", None)
+        path = make_config(tmp_path, **overrides)
+        assert load_config(str(path)).branch_radius() == 2
+        assert main([command, str(path)]) == EXIT_CONFIG
+        err = one_line_error(capsys, "config error: no default boundary source fits the branch radius 2")
+        assert "boundarySources" in err
+        assert not (tmp_path / "out").exists()
+
     def test_default_sources_of_a_two_letter_period_fit_the_branch(self, tmp_path):
         # per^k z for k < 5 would reach ababababa, past the branch radius 7
         path = make_config(tmp_path, ballRadius=8, rays=[["b", "ab"]])

@@ -584,11 +584,16 @@ def audit_setup(walk8):
     return tm, table, delta0, k, interior
 
 
+def passes(name: str, measured, bound) -> bool:
+    """The verdict of the audit table's entry on a measured value and its bound."""
+    return next(a for group in cli.AUDITS for a in group if a.name == name).entry(measured, bound)["pass"]
+
+
 class TestHarnackAndMultiplicativity:
     def test_harnack_passes_with_chain_bound(self, audit_setup):
         tm, table, delta0, k, interior = audit_setup
         rep = harnack_audit(table, delta0, k, interior)
-        assert rep.passes
+        assert passes("harnack", rep.empirical_delta, rep.delta_bound)
         assert rep.empirical_delta >= rep.delta_bound
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -598,15 +603,17 @@ class TestHarnackAndMultiplicativity:
         the chain bound would pass both."""
         tm, table, delta0, _, interior = audit_setup
         worst = harnack_audit(table, delta0, 1, interior).empirical_delta
-        assert harnack_audit(table, worst ** (1 / k), k, interior).passes
-        assert not harnack_audit(table, (worst / 0.75) ** (1 / k), k, interior).passes
+        for delta0, verdict in ((worst ** (1 / k), True), ((worst / 0.75) ** (1 / k), False)):
+            rep = harnack_audit(table, delta0, k, interior)
+            assert passes("harnack", rep.empirical_delta, rep.delta_bound) is verdict
 
     def test_multiplicativity_constants(self, audit_setup):
         tm, table, delta0, k, interior = audit_setup
         rep = multiplicativity_audit(table, delta0 ** k, interior)
         assert rep.c1_lower <= rep.lower_bound
         assert rep.c1_upper <= rep.upper_bound
-        assert all(rep.verdicts())
+        assert passes("multiplicativity_lower", rep.c1_lower, rep.lower_bound)
+        assert passes("multiplicativity_upper", rep.c1_upper, rep.upper_bound)
         # nearest-neighbor walk: cut vertices make the upper constant <= 1
         assert rep.c1_upper <= 1.0 + 1e-12
 

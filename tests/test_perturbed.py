@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from aufwalk.fusion import Measure, fuse, multiplicity, norm_upper_bound, transition_matrix
 from aufwalk.intertwiners import IntertwinerEngine, ModelConfig, TensorCapError
 from aufwalk.kernels import (
+    Shortfall,
     green_table,
     martin_rows,
     ray_words,
@@ -342,8 +343,9 @@ class TestDecayAudit:
 
     def test_needs_enough_lengths(self, engine, mu_letters):
         ctx = branch_context(engine, mu_letters, "a", 3)
-        with pytest.raises(ValueError, match="lengths"):
+        with pytest.raises(Shortfall, match="lengths") as info:
             decay_audit(residual_matrix(ctx), ctx)
+        assert info.value.need == 4 and info.value.have < 4
 
 
 class TestTraceRoutes:
@@ -457,10 +459,11 @@ class TestGdif:
             gdif_audit(q_matrix(ctx), ctx, ["b"])
 
     def test_rejects_an_empty_word_list(self, setup):
-        # no envelope is anchored without a first word
+        # no envelope is anchored without a first word: a shortfall of 0 words against 1
         ctx, _, _ = setup
-        with pytest.raises(ValueError, match="at least one sub-branch word"):
+        with pytest.raises(Shortfall, match="only 0 sub-branch words; need at least 1") as info:
             gdif_audit(q_matrix(ctx), ctx, [])
+        assert (info.value.have, info.value.need) == (0, 1)
 
 
 class TestBoundary:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from aufwalk.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, load_config, main
 from aufwalk.fusion import Measure, dual_audit, fuse, is_generating, transition_matrix, transition_prob
 from aufwalk.intertwiners import IntertwinerEngine, ModelConfig
-from aufwalk.kernels import weighted_operator_norm
+from aufwalk.kernels import green_rows, green_table, weighted_operator_norm
 from aufwalk.perturbed import BranchContext, q_matrix
 from aufwalk.words import (
     EMPTY,
@@ -31,6 +31,7 @@ from aufwalk.words import (
     format_word,
     heap_index,
     heap_indices,
+    involution,
     parse_word,
     qdim,
     qdims,
@@ -328,3 +329,74 @@ def test_config_fuzz_audit_past_the_defect_audit_exits_cleanly(overrides, droppe
     """Malformed configs exit 0, 1, 2 or 3 from ``audit`` on a base that
     reaches its last entry; nothing raises."""
     assert _run_mutated("audit", AUDIT_BASE, overrides, dropped) in (EXIT_OK, EXIT_AUDIT, EXIT_CONFIG, EXIT_CAP)
+
+
+# The two symmetries of the Green kernel, against which the word involution
+# is a negative control.  Measured on balls of radius 4-8 for q in [0.05,
+# 0.995] under measures of range <= 3 (among them {a: .35, b: .65},
+# {a, b, aa, bb} and {a: .3, b: .2, ab: .1, aab: .4} at radius 8, q = 0.5),
+# both held within 4.5e-16 of the largest entry, about two ulps.  The bound
+# leaves a factor above 20 for other BLAS and LAPACK builds and stays far
+# below the control's misses of 0.32-0.75.
+SYMMETRY_TOL = 1e-14
+LETTER_SWAP = str.maketrans("ab", "ba")
+
+
+def swapped(codes) -> np.ndarray:
+    """The heap indices of the letter-swapped words: a <-> b flips the low len(w) bits."""
+    codes = np.asarray(codes, dtype=np.int64)
+    offset = (np.int64(1) << code_lengths(codes)) - 1
+    return offset + ((codes - offset) ^ offset)
+
+
+def swap_measure(mu: Measure) -> Measure:
+    return Measure({w.translate(LETTER_SWAP): p for w, p in mu.items()})
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def test_letter_swap_on_heap_indices_is_the_word_swap():
+    codes = ball(6)
+    assert [word(c) for c in swapped(codes)] == [word(c).translate(LETTER_SWAP) for c in codes]
+
+
+@PROPERTY
+@given(measures(), st.floats(min_value=0.05, max_value=0.995), st.integers(min_value=4, max_value=8),
+       st.data())
+def test_letter_swap_and_time_reversal(mu, q, radius, data):
+    """G under the swapped measure at (swap s, swap t) is G(s, t), and
+    G(s, t) qdim(s)^2 is G(t, s) qdim(t)^2 under the dual measure
+    mu(r) -> mu(bar r); on the full table and on the rows of random sources
+    and targets.  The word involution in place of the swap misses."""
+    tm = transition_matrix(mu, ball(radius), q)
+    assume(is_generating(tm))
+    swap_tm = transition_matrix(swap_measure(mu), ball(radius), q)
+    dual_tm = transition_matrix(mu.dual(), ball(radius), q)
+    codes, d2 = tm.codes, qdims(tm.codes, q) ** 2
+    g, swap_g = green_table(tm).green, green_table(swap_tm).green
+    assert relative_gap(swap_g[np.ix_(swapped(codes), swapped(codes))], g) <= SYMMETRY_TOL
+    assert relative_gap((green_table(dual_tm).green * d2[:, None]).T, g * d2[:, None]) <= SYMMETRY_TOL
+    involuted = heap_indices([involution(word(c)) for c in codes])
+    assert relative_gap(swap_g[np.ix_(involuted, involuted)], g) > 1e3 * SYMMETRY_TOL
+
+    picks = st.lists(st.integers(min_value=0, max_value=len(codes) - 1), min_size=1, max_size=3, unique=True)
+    sources, targets = (np.array(sorted(data.draw(picks)), dtype=np.int64) for _ in range(2))
+    rows = green_rows(tm, sources).source_rows(sources)
+    swap_rows = green_rows(swap_tm, swapped(sources)).source_rows(swapped(sources))[:, swapped(codes)]
+    assert relative_gap(swap_rows, rows) <= SYMMETRY_TOL
+    dual_rows = green_rows(dual_tm, targets).source_rows(targets)[:, sources]
+    assert relative_gap((dual_rows * d2[targets, None]).T, rows[:, targets] * d2[sources, None]) <= SYMMETRY_TOL
+
+
+@pytest.mark.parametrize("support", [{"a": 0.35, "b": 0.65}, {"a": 0.25, "b": 0.25, "aa": 0.25, "bb": 0.25},
+                                     {"a": 0.3, "b": 0.2, "ab": 0.1, "aab": 0.4}])
+def test_word_involution_is_no_symmetry(support):
+    # the control at radius 8, q = 0.5: the involution misses by 0.34-0.71 where the swap holds
+    mu, codes = Measure(support), ball(8)
+    g = green_table(transition_matrix(mu, codes, 0.5)).green
+    swap_g = green_table(transition_matrix(swap_measure(mu), codes, 0.5)).green
+    involuted = heap_indices([involution(word(c)) for c in codes])
+    assert relative_gap(swap_g[np.ix_(swapped(codes), swapped(codes))], g) <= SYMMETRY_TOL
+    assert relative_gap(swap_g[np.ix_(involuted, involuted)], g) > 0.3
