@@ -350,6 +350,19 @@ class TestInternalErrors:
         err = one_line_error(capsys, "internal error: RuntimeError:")
         assert "residual" in err and "Traceback" not in err
 
+    def test_pivot_failure_exits_4_without_traceback(self, tmp_path, capsys, monkeypatch):
+        class PlantedPivot(kernels._LevelSweeps):
+            # the last word, a leaf, has the pivot 1 - W(t, t): planted at 0
+            def __init__(self, w):
+                w = w.tolil(copy=True)
+                w[w.shape[0] - 1, w.shape[0] - 1] = 1.0
+                super().__init__(w.tocsr())
+
+        monkeypatch.setattr(kernels, "_LevelSweeps", PlantedPivot)
+        assert main(["walk", str(make_config(tmp_path))]) == EXIT_INTERNAL
+        err = one_line_error(capsys, "internal error: RuntimeError: Green solve pivot 0.0 not positive")
+        assert "Traceback" not in err
+
 
     @pytest.mark.parametrize("fault", ["out_of_range", "corrupted_row"])
     def test_assembly_fault_exits_4_without_traceback(self, tmp_path, capsys, monkeypatch, fault):
@@ -368,6 +381,71 @@ class TestInternalErrors:
         err = one_line_error(capsys, "internal error: AssertionError:")
         assert ("violates the range bound" if fault == "out_of_range" else "by fusion") in err
         assert "Traceback" not in err
+
+
+def letter_swap(w: str) -> str:
+    """sigma: a <-> b in a serialized word; e is fixed."""
+    return w if w == "e" else w.translate(str.maketrans("ab", "ba"))
+
+
+def csv_rows(path: Path) -> tuple[list[str], dict]:
+    """The header and the rows of a CSV keyed by their word cells (s, t)."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    words = [i for i, h in enumerate(header) if h in ("s", "t")]
+    return header, {tuple(row[i] for i in words): row for row in rows}
+
+
+class TestLetterSwap:
+    """The letter swap sigma (a <-> b) is an automorphism of the fusion rules,
+    so a config and its sigma image (measure, sources, rays and branchZ
+    swapped) give the same numbers at the swapped words, end to end.  Every
+    numeric cell of walk, boundary and audit agrees within 1e-14 relative
+    plus 1e-14 absolute; measured worst 5.4e-15 relative (a classical Cauchy
+    gap of range2.json) and 1.3e-15 absolute (its K_P), the round-off-level
+    audit entries included.  The audit verdicts are equal."""
+
+    REL = ABS = 1e-14
+
+    @pytest.mark.parametrize("config", ["mu35", "range2"])
+    def test_outputs_commute_with_the_letter_swap(self, tmp_path, config):
+        if config == "mu35":
+            cfg = json.loads(make_config(tmp_path, measure={"a": 0.35, "b": 0.65}, ballRadius=6,
+                                         rays=[["e", "a"], ["b", "ab"]], sources=["e", "a", "ab"]).read_text())
+        else:
+            cfg = json.loads((ROOT / "tests" / "golden" / "range2.json").read_text())
+        image = dict(cfg, measure={letter_swap(w): p for w, p in cfg["measure"].items()},
+                     sources=[letter_swap(w) for w in cfg["sources"]],
+                     rays=[[letter_swap(w) for w in ray] for ray in cfg["rays"]],
+                     branchZ=letter_swap(cfg["branchZ"]))
+        outs = []
+        for name, config_json in (("config", cfg), ("image", image)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(config_json))
+            for command, code in (("walk", EXIT_OK), ("boundary", EXIT_OK), ("audit", EXIT_AUDIT)):
+                assert main([command, str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name / command)]) == code
+            outs.append(tmp_path / name)
+        mine, theirs = outs
+
+        def close(x, y):
+            x, y = float(x), float(y)
+            return (math.isnan(x) and math.isnan(y)) or abs(x - y) <= self.REL * max(abs(x), abs(y)) + self.ABS
+
+        files = [Path("walk/green_martin.csv")] + sorted(p.relative_to(mine) for p in (mine / "boundary").glob("*.csv"))
+        for name in files:
+            header, rows = csv_rows(mine / name)
+            other_header, other_rows = csv_rows(theirs / name)
+            assert header == other_header and len(rows) == len(other_rows) > 0
+            for key, row in rows.items():
+                other = other_rows[tuple(letter_swap(w) for w in key)]
+                assert all(close(x, y) for h, x, y in zip(header, row, other) if h not in ("s", "t")), (name, key)
+        manifest, other_manifest = (json.loads((side / "walk" / "manifest.json").read_text()) for side in outs)
+        for key, value in manifest.items():
+            if key != "configHash":
+                assert all(map(close, np.ravel(value), np.ravel(other_manifest[key]))), key
+        audits, other_audits = (json.loads((side / "audit" / "audit_report.json").read_text())["audits"]
+                                for side in outs)
+        assert [(a["name"], a["pass"]) for a in audits] == [(a["name"], a["pass"]) for a in other_audits]
+        for entry, other in zip(audits, other_audits):
+            assert close(entry["measured"], other["measured"]) and close(entry["bound"], other["bound"]), entry["name"]
 
 
 class TestWalk:

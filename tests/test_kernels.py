@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 
-from aufwalk import cli, kernels
+from aufwalk import cli, kernels, perturbed
 from aufwalk.cli import EXIT_AUDIT, EXIT_INTERNAL, main
 from aufwalk.fusion import (
     Measure,
@@ -84,16 +84,34 @@ def certified_rows(table) -> np.ndarray:
     return table.rows[[0, (k - 1) // 2, k - 1]]
 
 
-def planted_lu(error, entry, relative=False):
-    """A factor class that adds ``error`` (times the solved value when
-    ``relative``) to one entry of the Green solve's unit columns: ``entry`` is
-    a (row, panel column) pair, or a row and the unit column it holds.  The
-    certificate's own solves take 1-D right-hand sides and stay untouched."""
+def under_each_factor():
+    """Each factor class a Green solve may take, in turn: the level sweeps,
+    which the chooser gives every range-1 walk on a ball or branch, and
+    SuperLU, which it then gives every walk.  Yields a monkeypatch context
+    and the class, in whose place the test plants a subclass."""
+    for name in ("_LevelSweeps", "_LeavesFirstLU"):
+        with pytest.MonkeyPatch.context() as patch:
+            if name == "_LeavesFirstLU":
+                patch.setattr(kernels, "_factor", lambda walk, w, narrow: kernels._LeavesFirstLU(w.T, narrow))
+            yield patch, getattr(kernels, name)
 
-    class PlantedLU(kernels._LeavesFirstLU):
+
+def unit_panel(rhs) -> bool:
+    """True for the Green solve's own right-hand sides, unit columns; the
+    certificate's are its residual bounds."""
+    return bool(np.isin(rhs, (0.0, 1.0)).all())
+
+
+def planted_lu(base, error, entry, relative=False):
+    """A subclass of the factor class ``base`` that adds ``error`` (times the
+    solved value when ``relative``) to one entry of the Green solve's unit
+    columns: ``entry`` is a (row, panel column) pair, or a row and the unit
+    column it holds.  The certificate's own solves stay untouched."""
+
+    class PlantedLU(base):
         def solve(self, rhs):
             x = super().solve(rhs)
-            if rhs.ndim == 2:
+            if unit_panel(rhs):
                 row, col = entry if isinstance(entry, tuple) else (entry, rhs[entry] == 1.0)
                 x[row, col] += error * (x[row, col] if relative else 1.0)
             return x
@@ -120,10 +138,14 @@ def exact_columns(walk, units) -> list[list[Fraction]]:
 
 def certificate_of(table):
     """A certificate built as the Green solve of the table builds its own."""
-    a = sp.csr_matrix(table.walk.matrix).T
+    w = sp.csr_matrix(table.walk.matrix)
     narrow = len(table.rows) < table.size
-    top = table.norm_interval[1]
-    return kernels._Certificate(a, table.walk.haar_weights(), top, kernels._LeavesFirstLU(a, narrow), narrow)
+    return kernels._Certificate(table.walk, w, table.norm_interval[1], kernels._factor(table.walk, w, narrow), narrow)
+
+
+def column_bounds(certificate, x, unit) -> np.ndarray:
+    """The certificate's bounds on one solved column, the unit's at ``unit``."""
+    return certificate.bounds(x[:, None], np.array([unit]))[:, 0]
 
 
 class TestWeightedNorm:
@@ -227,15 +249,16 @@ class TestGreenTable:
         assert (np.abs(table.source_rows(rows) - inv) / inv).max() <= table.error_bound <= 1e-12
 
     @pytest.mark.parametrize("row, sampled", [(0, True), (127, True), (254, True), (1, False)])
-    def test_neumann_check_samples_the_first_middle_and_last_row(self, walk7, monkeypatch, row, sampled):
+    def test_neumann_check_samples_the_first_middle_and_last_row(self, walk7, row, sampled):
         # an error of 5e-11 on a diagonal entry passes the residual gate; the
         # certificate covers the rows the series check sampled, the first,
         # middle and last of the 255-word table, and sees it there only
         tm, _ = walk7
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(5e-11, row))
-        table = green_table(tm)
-        assert table.residual < 1e-10
-        assert (table.error_bound > 1e-11) is sampled
+        for patch, base in under_each_factor():
+            patch.setattr(kernels, base.__name__, planted_lu(base, 5e-11, row))
+            table = green_table(tm)
+            assert table.residual < 1e-10
+            assert (table.error_bound > 1e-11) is sampled
 
     def test_three_point_ball_scalar_series(self, mu_letters):
         # oracle: the explicit 3x3 matrix has a single return loop e->a|b->e
@@ -279,13 +302,17 @@ class TestGreenTable:
 
     def test_panels_give_the_one_shot_table(self, walk7):
         # 255 words: fifteen full panels and a partial one; the table is the
-        # transpose of the identity solved at once on the factors of (I - W)^T
-        tm, table = walk7
+        # transpose of the identity solved at once on the factors of (I - W)^T,
+        # the level sweeps' and SuperLU's alike
+        tm, _ = walk7
         n = tm.size
         assert n % kernels._PANEL != 0
-        lu = kernels._LeavesFirstLU(tm.matrix.T)
-        assert np.array_equal(table.green, lu.solve(np.eye(n)).T)
-        assert table.green.flags.c_contiguous
+        for _, base in under_each_factor():
+            table = green_table(tm)
+            factor = kernels._factor(tm, sp.csr_matrix(tm.matrix), False)
+            assert type(factor) is base
+            assert np.array_equal(table.green, factor.solve(np.eye(n)).T)
+            assert table.green.flags.c_contiguous
 
     def test_residual_covers_the_whole_table(self, walk7):
         # the residual of the solved columns, the rows of G: W^T G^T - G^T + I
@@ -377,10 +404,10 @@ class TestLeavesFirstLU:
             assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
             assert np.abs(a.data - b.data).max() <= 1e-15 * np.abs(a.data).max()
 
-    def test_only_the_rows_solve_takes_one_column_panels(self, walk8, monkeypatch):
+    def test_only_the_rows_solve_takes_one_column_panels(self, monkeypatch):
         """The rows solve drops SuperLU's panel work arrays; the full table
-        keeps the default panels."""
-        tm, _ = walk8
+        keeps the default panels.  A range-2 walk takes SuperLU."""
+        tm = transition_matrix(Measure({"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2}), ball(8), Q)
         panels = []
 
         def recording(a, **options):
@@ -391,6 +418,111 @@ class TestLeavesFirstLU:
         green_table(tm)
         green_rows(tm, [heap_index("ab")])
         assert panels == [None, 1]
+
+
+# the level sweeps and SuperLU agree on every Green entry within 16 ulps,
+# relative; the walks of TestLevelSweeps measured at most 1.4e-15 (6 ulps)
+SWEEP_ORACLE_REL = 16 * np.finfo(float).eps
+SWEEP_MEASURES = [{"a": 0.35, "b": 0.65}, {"a": 0.5, "b": 0.5}, {"": 0.2, "a": 0.3, "b": 0.5}]
+
+
+def assert_same_green(sweeps, superlu):
+    """Two solves of the same rows agree within SWEEP_ORACLE_REL entrywise."""
+    assert np.array_equal(sweeps.rows, superlu.rows)
+    assert (np.abs(sweeps.green - superlu.green) / np.abs(superlu.green)).max() <= SWEEP_ORACLE_REL
+
+
+class TestLevelSweeps:
+    """The level sweeps (_LevelSweeps), the factor of every range-1 walk on a
+    ball or a branch, against SuperLU (_LeavesFirstLU), their oracle."""
+
+    @pytest.mark.parametrize("mu", SWEEP_MEASURES)
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("x", ["", "ab"])
+    def test_rows_and_tables_match_superlu(self, mu, q, x):
+        # rows of four words of the radius-12 ball or branch, and the whole
+        # table at radius 8
+        for radius, solve in ((12, lambda walk: green_rows(walk, walk.codes[[1, 5, walk.size // 2, -1]])),
+                              (8, green_table)):
+            walk = transition_matrix(Measure(mu), ball(radius), q).restrict(branch(x, radius))
+            assert type(kernels._factor(walk, sp.csr_matrix(walk.matrix), False)) is kernels._LevelSweeps
+            assert_same_green(*(solve(walk) for _ in under_each_factor()))
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_the_perturbed_walk_of_the_example_and_its_absolute_factor(self, engine, mu_letters, signed):
+        """The perturbed branch walk Q of the example config (branch of a,
+        radius 7, 127 words) has no negative weight (the least is 0.08); a
+        copy with its largest weight negated is certified with the factor of
+        I - |W^T|, which the sweeps give too."""
+        walk = perturbed.q_matrix(branch_context(engine, mu_letters, "a", 7))
+        w = sp.csr_matrix(walk.matrix, copy=True)
+        if signed:
+            w.data[w.data.argmax()] *= -1.0
+        walk = TransitionMatrix(walk.codes, w, walk.mu, walk.q)
+        assert walk.size == 127 and bool(w.data.min() < 0.0) is signed
+        assert_same_green(*(green_table(walk) for _ in under_each_factor()))
+        eye = np.eye(walk.size)
+        sweeps, superlu = kernels._LevelSweeps(abs(w)).solve(eye), kernels._LeavesFirstLU(abs(w).T).solve(eye)
+        assert (np.abs(sweeps - superlu) / np.abs(superlu)).max() <= SWEEP_ORACLE_REL
+
+    @pytest.mark.parametrize("mu", SWEEP_MEASURES)
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_the_factors_are_superlus_to_the_bit(self, mu, q):
+        """Each level's first half, then its second: SuperLU's order in
+        reversed heap order.  The pivots are its U diagonal and the
+        multipliers up / d the negated entries of its L, bit for bit (the
+        halves the other way round miss in three of these nine walks)."""
+        walk = transition_matrix(Measure(mu), ball(9), q)
+        w, n = sp.csr_matrix(walk.matrix), walk.size
+        sweeps, lu = kernels._LevelSweeps(w), kernels._LeavesFirstLU(w.T).lu
+        assert np.array_equal(sweeps.d, lu.U.diagonal()[::-1])
+        lower = (lu.L - sp.identity(n)).tocoo()
+        assert lower.nnz == n - 1
+        assert np.array_equal(-lower.data, sweeps.lower[n - 1 - lower.col])
+
+    @pytest.mark.parametrize("mu", [{"a": 0.35, "b": 0.65}, {"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2}])
+    def test_a_block_of_columns_is_certified_as_each_column_alone(self, mu):
+        """The certificate bounds a block of solved columns at once, and
+        each column gets the bits it gets alone, under either factor."""
+        walk = transition_matrix(Measure(mu), ball(8), Q)
+        for _ in under_each_factor():
+            rows = green_rows(walk, heap_indices(["a", "ab", "bba"]))
+            units = walk.positions(rows.rows)
+            certificate = certificate_of(rows)
+            block = certificate.bounds(np.ascontiguousarray(rows.green.T), units)
+            for j, unit in enumerate(units):
+                assert np.array_equal(block[:, j], column_bounds(certificate, rows.green[j], unit))
+
+    @pytest.mark.parametrize("pivot", [0.0, -0.5, math.nan])
+    def test_a_pivot_that_is_not_positive_raises(self, mu_letters, pivot):
+        # the last word is a leaf: its pivot is 1 - W(t, t), planted here
+        w = transition_matrix(mu_letters, ball(3), Q).matrix.tolil(copy=True)
+        w[14, 14] = 1.0 - pivot
+        with pytest.raises(RuntimeError, match="pivot .* not positive"):
+            kernels._LevelSweeps(w.tocsr())
+
+    def test_an_entry_off_the_tree_raises(self, mu_letters):
+        # between the siblings aa and ba, which no range-1 step joins
+        w = transition_matrix(mu_letters, ball(3), Q).matrix.tolil(copy=True)
+        w[heap_index("aa"), heap_index("ba")] = 0.01
+        with pytest.raises(RuntimeError, match="off the tree's edges"):
+            kernels._LevelSweeps(w.tocsr())
+
+    def test_the_chooser_takes_superlu_off_range_one_and_complete_subtrees(self, mu_letters):
+        ball7 = transition_matrix(mu_letters, ball(7), Q)
+        range2 = transition_matrix(Measure({"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2}), ball(6), Q)
+        cases = [
+            (ball7, kernels._LevelSweeps),
+            (ball7.restrict(branch("ba", 7)), kernels._LevelSweeps),
+            (ball7.restrict(ball(0)), kernels._LevelSweeps),
+            (range2, kernels._LeavesFirstLU),
+            # a ball less its last word, and the same with a word of length 7
+            # in its place: not complete subtrees
+            (ball7.restrict(ball(6)[:-1]), kernels._LeavesFirstLU),
+            (ball7.restrict(np.append(ball(6)[:-1], heap_index("a" * 7))), kernels._LeavesFirstLU),
+        ]
+        for walk, factor in cases:
+            assert type(kernels._factor(walk, sp.csr_matrix(walk.matrix), False)) is factor
 
 
 def allow_cpus(monkeypatch, count, run_entries=kernels._RUN_ENTRIES):
@@ -474,12 +606,12 @@ class TestPanelPool:
             table.residual, table.norm_interval, table.error_bound
         )
 
-    def solve_failing_last_panel(self, monkeypatch, fault):
-        """Patch the factors so that, on two CPUs, the solve of the full
-        table's last panel (in the last worker's run) runs ``fault`` on it, in
-        domain order, in that worker."""
+    def solve_failing_last_panel(self, patch, base, fault):
+        """Patch the factor class ``base`` so that, on two CPUs, the solve of
+        the full table's last panel (in the last worker's run) runs ``fault``
+        on it, in domain order, in that worker."""
 
-        class FaultyLU(kernels._LeavesFirstLU):
+        class FaultyLU(base):
             def solve(self, rhs):
                 x = super().solve(rhs)
                 if rhs[-1, -1] == 1.0:
@@ -487,36 +619,38 @@ class TestPanelPool:
                     fault(x)
                 return x
 
-        allow_cpus(monkeypatch, 2, run_entries=1)
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", FaultyLU)
+        allow_cpus(patch, 2, run_entries=1)
+        patch.setattr(kernels, base.__name__, FaultyLU)
 
-    def test_worker_error_reaches_the_caller(self, walk8, monkeypatch):
+    def test_worker_error_reaches_the_caller(self, walk8):
         tm, _ = walk8
         error = RuntimeError("solve failed")
 
         def fail(x):
             raise error
 
-        self.solve_failing_last_panel(monkeypatch, fail)
-        with pytest.raises(RuntimeError) as caught:
-            green_table(tm)
-        assert caught.value is error
+        for patch, base in under_each_factor():
+            self.solve_failing_last_panel(patch, base, fail)
+            with pytest.raises(RuntimeError) as caught:
+                green_table(tm)
+            assert caught.value is error
 
-    def test_worker_residual_failure_raises_and_exits_4(self, tmp_path, walk8, monkeypatch, capsys):
+    def test_worker_residual_failure_raises_and_exits_4(self, tmp_path, walk8, capsys):
         tm, _ = walk8
 
         def corrupt(x):
             x[:, 0] += 1e-6
 
-        self.solve_failing_last_panel(monkeypatch, corrupt)
-        with pytest.raises(RuntimeError, match="residual"):
-            green_table(tm)
         config = json.loads(Path(EXAMPLE).read_text())
         config.update(ballRadius=8)
         (tmp_path / "config.json").write_text(json.dumps(config))
-        assert main(["walk", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == EXIT_INTERNAL
-        err = capsys.readouterr().err
-        assert err.startswith("internal error: RuntimeError: Green solve residual") and err.count("\n") == 1
+        for patch, base in under_each_factor():
+            self.solve_failing_last_panel(patch, base, corrupt)
+            with pytest.raises(RuntimeError, match="residual"):
+                green_table(tm)
+            assert main(["walk", str(tmp_path / "config.json"), "--out", str(tmp_path / base.__name__)]) == EXIT_INTERNAL
+            err = capsys.readouterr().err
+            assert err.startswith("internal error: RuntimeError: Green solve residual") and err.count("\n") == 1
 
 
 class TestTruncationBound:
@@ -758,19 +892,20 @@ class TestGreenRows:
         assert neumann_excess(rows, rows.rows) <= 0.0
         assert 0.0 < rows.error_bound < 1e-13
 
-    def test_neumann_catches_a_perturbed_row(self, walk8, monkeypatch):
+    def test_neumann_catches_a_perturbed_row(self, walk8):
         # an error of 5e-11 in G(a, a) passes the 1e-10 residual gate but
         # neither the series oracle, whose bound there is about 1e-12, nor the
         # certificate
         tm, _ = walk8
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(5e-11, (heap_index("a"), 0)))
-        rows = green_rows(tm, [heap_index("a")])
-        assert rows.residual < 1e-10
-        assert neumann_excess(rows, rows.rows) > 1e-11
-        assert rows.error_bound > 1e-11
+        for patch, base in under_each_factor():
+            patch.setattr(kernels, base.__name__, planted_lu(base, 5e-11, (heap_index("a"), 0)))
+            rows = green_rows(tm, [heap_index("a")])
+            assert rows.residual < 1e-10
+            assert neumann_excess(rows, rows.rows) > 1e-11
+            assert rows.error_bound > 1e-11
 
     @pytest.mark.parametrize("error, passes", [(1e-10, True), (1e-9, False)])
-    def test_neumann_bound_scales_with_the_dual_weights(self, mu_letters, monkeypatch, error, passes):
+    def test_neumann_bound_scales_with_the_dual_weights(self, mu_letters, error, passes):
         """On the row path the series oracle lets entry t of the row of e be
         off by about tail * sqrt(m_t / m_e), which is 1365 tails at
         t = ababababab (radius 10, q = 0.5): an error of 1e-10 there is inside
@@ -781,18 +916,20 @@ class TestGreenRows:
         tm = transition_matrix(mu_letters, dom, Q)
         t = heap_index("ababababab")
         clean = green_rows(tm, [0]).source_rows([0])[0, t]
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(error, (t, 0)))
-        # the residual gate is opened so that the error reaches the checks
-        rows = green_rows(tm, [0], solver_tol=1e-8)
-        assert (neumann_excess(rows, rows.rows) <= 0.0) is passes
-        assert rows.error_bound >= error / clean > 1e-7
+        for patch, base in under_each_factor():
+            patch.setattr(kernels, base.__name__, planted_lu(base, error, (t, 0)))
+            # the residual gate is opened so that the error reaches the checks
+            rows = green_rows(tm, [0], solver_tol=1e-8)
+            assert (neumann_excess(rows, rows.rows) <= 0.0) is passes
+            assert rows.error_bound >= error / clean > 1e-7
 
-    def test_a_nan_entry_fails_the_residual_gate(self, walk8, monkeypatch):
+    def test_a_nan_entry_fails_the_residual_gate(self, walk8):
         # a NaN compares false with everything: the gate must not read it as small
         tm, _ = walk8
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(math.nan, (heap_index("ab"), 0)))
-        with pytest.raises(RuntimeError, match="residual nan"):
-            green_rows(tm, [heap_index("a")])
+        for patch, base in under_each_factor():
+            patch.setattr(kernels, base.__name__, planted_lu(base, math.nan, (heap_index("ab"), 0)))
+            with pytest.raises(RuntimeError, match="residual nan"):
+                green_rows(tm, [heap_index("a")])
 
     def test_residual_above_tolerance_raises(self, walk8):
         tm, _ = walk8
@@ -841,27 +978,29 @@ class TestCertificate:
         certificate = certificate_of(table)
         largest = 0.0
         for x, unit, exact in zip(table.green, units, exact_columns(tm, units)):
-            bounds = certificate.bounds(x, unit)
+            bounds = column_bounds(certificate, x, unit)
             assert all(abs(Fraction(float(g)) - e) <= Fraction(float(b)) for g, e, b in zip(x, exact, bounds))
             largest = max(largest, float((bounds / x).max()))
         assert largest == table.error_bound < 1e-13
 
-    def test_the_norm_term_alone_bounds_the_error_of_failed_solves(self, monkeypatch):
+    def test_the_norm_term_alone_bounds_the_error_of_failed_solves(self):
         # the certificate's own solves return zeros: its entrywise terms
         # vanish, and the norm term on the dual weights still holds every entry
-        class ZeroSolves(kernels._LeavesFirstLU):
-            def solve(self, rhs):
-                return super().solve(rhs) if rhs.ndim == 2 else np.zeros_like(rhs)
-
         tm = transition_matrix(Measure({"a": 0.5, "b": 0.5}), ball(4), 0.5)
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", ZeroSolves)
-        table = green_rows(tm, heap_indices(["a", "abab"]))
-        units = tm.positions(table.rows)
-        certificate = certificate_of(table)
-        for x, unit, exact in zip(table.green, units, exact_columns(tm, units)):
-            bounds = certificate.bounds(x, unit)
-            assert all(0.0 < b for b in bounds)
-            assert all(abs(Fraction(float(g)) - e) <= Fraction(float(b)) for g, e, b in zip(x, exact, bounds))
+        for patch, base in under_each_factor():
+
+            class ZeroSolves(base):
+                def solve(self, rhs):
+                    return super().solve(rhs) if unit_panel(rhs) else np.zeros_like(rhs)
+
+            patch.setattr(kernels, base.__name__, ZeroSolves)
+            table = green_rows(tm, heap_indices(["a", "abab"]))
+            units = tm.positions(table.rows)
+            certificate = certificate_of(table)
+            for x, unit, exact in zip(table.green, units, exact_columns(tm, units)):
+                bounds = column_bounds(certificate, x, unit)
+                assert all(0.0 < b for b in bounds)
+                assert all(abs(Fraction(float(g)) - e) <= Fraction(float(b)) for g, e, b in zip(x, exact, bounds))
 
     def test_second_solve_certifies_the_smallest_entries(self):
         """Under mu(a) = 0.85 the table of ball 8 holds G(a^8, b^8) = 5.4e-20.
@@ -871,7 +1010,7 @@ class TestCertificate:
         assert table.green.min() < 1e-19
         assert table.error_bound < 1e-13
 
-    def test_planted_relative_error_raises_its_entry_bound(self, walk8, monkeypatch):
+    def test_planted_relative_error_raises_its_entry_bound(self, walk8):
         """A relative error of 1e-12 planted in one solved entry, G(a, ab), and
         not in the certificate's own solves raises that entry's bound above
         1e-12, from under 1e-13 without it."""
@@ -882,24 +1021,26 @@ class TestCertificate:
             rows = green_rows(tm, [a])
             assert rows.rows.tolist() == [0, a]
             x = rows.source_rows([a])[0]
-            return certificate_of(rows).bounds(x, a)[t] / x[t], rows.error_bound
+            return column_bounds(certificate_of(rows), x, a)[t] / x[t], rows.error_bound
 
         clean, clean_table = entry_bound()
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(1e-12, (t, 1), relative=True))
-        planted, planted_table = entry_bound()
         assert clean <= clean_table < 1e-13
-        assert planted > 1e-12 and planted_table >= planted
+        for patch, base in under_each_factor():
+            patch.setattr(kernels, base.__name__, planted_lu(base, 1e-12, (t, 1), relative=True))
+            planted, planted_table = entry_bound()
+            assert planted > 1e-12 and planted_table >= planted
 
-    def test_a_rows_solve_certifies_every_row(self, walk8, monkeypatch):
+    def test_a_rows_solve_certifies_every_row(self, walk8):
         # the second of five rows, which the first, middle and last of a full
         # table would not cover, carries a planted error of 5e-11
         tm, _ = walk8
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", planted_lu(5e-11, (heap_index("a"), 1)))
-        rows = green_rows(tm, heap_indices(["a", "b", "ab", "ba"]))
-        assert rows.rows.tolist() == heap_indices(["", "a", "b", "ab", "ba"]).tolist()
-        assert rows.error_bound > 1e-11
+        for patch, base in under_each_factor():
+            patch.setattr(kernels, base.__name__, planted_lu(base, 5e-11, (heap_index("a"), 1)))
+            rows = green_rows(tm, heap_indices(["a", "b", "ab", "ba"]))
+            assert rows.rows.tolist() == heap_indices(["", "a", "b", "ab", "ba"]).tolist()
+            assert rows.error_bound > 1e-11
 
-    def test_a_negative_entry_takes_the_factor_of_the_absolute_walk(self, engine, mu_letters, monkeypatch):
+    def test_a_negative_entry_takes_the_factor_of_the_absolute_walk(self, engine, mu_letters):
         """A branch walk with a planted negative weight is certified with a
         second factor, of I - |W^T|, and its certified rows stay within their
         bounds of the exact solution."""
@@ -907,24 +1048,26 @@ class TestCertificate:
         w = branch_walk.matrix.tocsr(copy=True)
         w.data[w.data.argmax()] *= -1.0
         walk = TransitionMatrix(branch_walk.codes, w, branch_walk.mu, branch_walk.q)
-        factored = []
+        for patch, base in under_each_factor():
+            factored, transposed = [], base is kernels._LeavesFirstLU
 
-        class Recording(kernels._LeavesFirstLU):
-            def __init__(self, matrix, narrow=False):
-                factored.append(sp.csc_matrix(matrix, copy=True))
-                super().__init__(matrix, narrow)
+            class Recording(base):
+                def __init__(self, matrix, *narrow):
+                    # the sweeps take W, SuperLU W^T: record W
+                    factored.append(sp.csr_matrix(matrix.T if transposed else matrix, copy=True))
+                    super().__init__(matrix, *narrow)
 
-        monkeypatch.setattr(kernels, "_LeavesFirstLU", Recording)
-        table = green_table(walk)
-        assert len(factored) == 2
-        signed, unsigned = factored
-        assert signed.data.min() < 0.0 and (unsigned != abs(signed)).nnz == 0
-        units = walk.positions(certified_rows(table))
-        certificate = certificate_of(table)
-        for x, unit, exact in zip(table.green[units], units, exact_columns(walk, units)):
-            bounds = certificate.bounds(x, unit)
-            assert all(abs(Fraction(float(g)) - e) <= Fraction(float(b)) for g, e, b in zip(x, exact, bounds))
-        assert 0.0 < table.error_bound < 1e-12
+            patch.setattr(kernels, base.__name__, Recording)
+            table = green_table(walk)
+            assert len(factored) == 2
+            signed, unsigned = factored
+            assert signed.data.min() < 0.0 and (unsigned != abs(signed)).nnz == 0
+            units = walk.positions(certified_rows(table))
+            certificate = certificate_of(table)
+            for x, unit, exact in zip(table.green[units], units, exact_columns(walk, units)):
+                bounds = column_bounds(certificate, x, unit)
+                assert all(abs(Fraction(float(g)) - e) <= Fraction(float(b)) for g, e, b in zip(x, exact, bounds))
+            assert 0.0 < table.error_bound < 1e-12
 
 
 class TestLastEntryPathSumOracle:
