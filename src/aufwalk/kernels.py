@@ -20,12 +20,8 @@ It is gated by its residual and diagonal and then certified (_Certificate):
 every row of a rows solve, and the first, middle and last row of a full
 table, gets a rigorous entrywise error bound from solves with the held factor,
 whose last term the top bounds on the dual weights 1/qdim^2.  The columns are
-solved in panels, each gated as it is solved, so the full table costs one
-n x n array, the table itself.  A large
-solve's panels are split into a run per usable CPU, solved at once by the
-caller and a thread pool; each run writes its own columns and the gates read
-the panels' numbers in panel order, so the bytes do not depend on how many
-CPUs there are.
+solved and gated in panels, in one loop on the caller's thread, so the full
+table costs one n x n array, the table itself.
 
 Every factor eliminates in reversed heap order, every word after its
 children, so a range-1 walk's pivots are leaves of what is left: no fill
@@ -33,27 +29,23 @@ children, so a range-1 walk's pivots are leaves of what is left: no fill
 (an H-matrix for a signed W) once its norm top is below 1.  On a ball or a
 branch, a complete subtree in heap order, the children of one level are the
 two halves of the next, so such a walk is factored and solved by level
-sweeps (_LevelSweeps): one numpy step per level on slices, no SuperLU.
-On 2 vCPUs the walk-sparse benchmark (radius 16) won 50 of 58 alternating
-pairs on compute_s, its medians 0.02-0.06 s lower in each of five sets
-(BENCH_37.json), and `walk --radius 20` went from 6.0 to 4.3 s and from 551
-to 467 MiB.  A range-2 walk
-fills about as much as COLAMD; it, or a walk on any other domain, is
-factored by SuperLU (_LeavesFirstLU), in one-column panels for a rows solve
-(SuperLU's n x panel work array pays only when supernodes span several
-columns: Demmel et al., SIAM J. Matrix Anal. Appl. 20(3), 1999) and in its
-default panels of 10 for a full table.  The level sweeps' full table of
-`walk --radius 11` takes about as many page faults as SuperLU's (18.9-19.1k
-against 18.3-18.5k): the panel loop does not rest on SuperLU's large free
-raising glibc's mmap threshold.  The certificate bounds its block of
+sweeps (_LevelSweeps): one numpy step per level on slices, no SuperLU.  Its
+full table takes no solve at all.  On a tree every path from s to t passes
+the geodesic, so G(s, t) = F(s, t) G(t, t), F(s, t) the product of the
+first-passage factors along it (Cartier, Symposia Math. 9, 1972; Woess,
+Random Walks on Infinite Graphs and Groups, 2000), and the sweeps'
+multipliers are the upward factors; the panel loop only gates that table.
+A range-2 walk fills about as much as COLAMD; it, or a walk on any other
+domain, is factored by SuperLU (_LeavesFirstLU), in one-column panels for a
+rows solve (SuperLU's n x panel work array pays only when supernodes span
+several columns: Demmel et al., SIAM J. Matrix Anal. Appl. 20(3), 1999) and
+in its default panels of 10 for a full table.  The certificate bounds its block of
 columns at once, with the same bits per column as a column alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,20 +59,18 @@ from .words import RadiusCapError, code_lengths, ends_with, heap_index, locate, 
 from .words import qdim  # noqa: F401
 
 # largest domain of green_table: its table is one n x n float array (about 135
-# MiB at the limit), solved in panels over the usable CPUs, no n x n temporaries
+# MiB at the limit), built or solved on one thread with no n x n temporaries
 DENSE_LIMIT = 4200
 SOLVER_TOL = 1e-10
 NORM_GUARD = 1e-6
-# unit columns per solve in _green_solve: of 8, 16 and 32, 16 gave the fastest
-# first table of a process at n = 4095 on two workers (green_table medians of
-# eight processes: 0.33 s, against 0.36 s for 8 and 0.45 s for 32) and tied
-# with 8 on one (0.54 s; 0.69 s for 32)
+# unit columns per step of _green_solve's loop, which solves and gates rows and
+# SuperLU tables and only gates a level-sweeps table.  First table of a
+# process at n = 4095 on one CPU, three processes each: the sweeps' table and
+# its gates took 0.099-0.102 s at 16, against 0.101-0.105 s at 8, 0.107-0.112
+# s at 32 and 0.127-0.134 s at 64 (the gates alone 0.053-0.059 s at 16,
+# 0.080-0.086 s at 64, 0.095-0.097 s at 256); a range-2 SuperLU table took
+# 0.41-0.43 s at 8 and 16, against 0.47 s at 32
 _PANEL = 16
-# table entries (n x unit columns) that pay for a run of their own: on a 2-CPU
-# host a second worker made a 511-word table (261k entries) slower, 11 -> 13
-# ms, a 1023-word one (1M) 20% faster, 31 -> 25 ms, and a 2047-word one
-# a third faster, 114 -> 77 ms
-_RUN_ENTRIES = 1 << 19
 
 
 def weighted_operator_norm(matrix, weights: np.ndarray) -> tuple[float, float]:
@@ -193,11 +183,11 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     X holds the rows as columns, and X^T is the table.  The columns are solved
     in panels of _PANEL, each with its residual W^T X - X + E and its diagonal
     taken before it is stored, so no n x n right-hand side, residual or copy is
-    formed; both gates cover every column.  The panels are split into runs,
-    one per usable CPU, at most one per panel and per _RUN_ENTRIES entries of
-    X; the caller solves the first and a thread pool the others.  The norm
-    top, one Collatz-Wielandt step, guards the solve and bounds the
-    certificate's last term.  Raises ValueError for a row outside the
+    formed; both gates cover every column.  A full table of level sweeps is
+    built whole from first-passage factors (_LevelSweeps.table), and the
+    panels of its columns are only gated.  Every step runs on the caller's
+    thread.  The norm top, one Collatz-Wielandt step, guards the solve and
+    bounds the certificate's last term.  Raises ValueError for a row outside the
     domain and when the top reaches 1 - NORM_GUARD (invalid input), and
     RuntimeError when the worst residual exceeds the tolerance, a diagonal
     entry is not positive or the level sweeps meet a pivot that is not.
@@ -210,8 +200,7 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     if not inside.all():
         outside = [word(c) for c in np.unique(rows[~inside])]
         raise ValueError(f"Green rows asked for words outside the domain: {outside}")
-    m = walk.haar_weights()
-    norm_interval = weighted_operator_norm(w, m)
+    norm_interval = weighted_operator_norm(w, walk.haar_weights())
     top = norm_interval[1]
     if top >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm bound {top} too close to 1; Green kernel unreliable")
@@ -222,40 +211,31 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     lu = _factor(walk, w, narrow)
     # a full table's columns in Fortran order, so that its transpose is the
     # C-ordered table with no copy; a few rows in C order, the certificate's
-    # block as it is (its products on a Fortran block run about 5x slower)
-    x = np.empty((n, len(units)), order="C" if narrow else "F")
-
-    def solve_run(run: range) -> list[tuple[float, float]]:
-        # one loop per run, not a call per panel: freeing a panel's arrays
-        # before the next exist lets malloc trim the heap and fault it in
-        # again (about 120k page faults at n = 4095)
-        numbers = []
-        for start in run:
-            at = units[start:start + _PANEL]
-            cols = np.arange(len(at))
-            rhs = np.zeros((n, len(at)))
-            rhs[at, cols] = 1.0
-            panel = lu.solve(rhs)
-            r = a @ panel
-            r -= panel
-            r += rhs
-            numbers.append((np.abs(r, out=r).max(), panel[at, cols].min()))
+    # block as it is (its products on a Fortran block run about 5x slower).
+    # The level sweeps give a full table whole, which the loop only gates
+    table = lu.table() if not narrow and isinstance(lu, _LevelSweeps) else None
+    x = np.empty((n, len(units)), order="C" if narrow else "F") if table is None else table.T
+    # one loop, not a call per panel: freeing a panel's arrays before the
+    # next exist lets malloc trim the heap and fault it in again (about 120k
+    # page faults at n = 4095).  So a table's panel is gated from a C-ordered
+    # copy: the product's own copy of the Fortran-ordered block, freed at once,
+    # took 47k minor faults at n = 4095 against 1.1k
+    numbers = []
+    for start in range(0, len(units), _PANEL):
+        at = units[start:start + _PANEL]
+        cols = np.arange(len(at))
+        rhs = np.zeros((n, len(at)))
+        rhs[at, cols] = 1.0
+        panel = lu.solve(rhs) if table is None else np.ascontiguousarray(x[:, start:start + len(at)])
+        r = a @ panel
+        r -= panel
+        r += rhs
+        numbers.append((np.abs(r, out=r).max(), panel[at, cols].min()))
+        if table is None:
             x[:, start:start + len(at)] = panel
-        return numbers
-
-    # SuperLU's solves, the products and each numpy step of the level sweeps
-    # release the GIL.  Each worker solves one run of consecutive panels into
-    # its own columns of x (a task per panel costs a thread handoff each); the
-    # caller is the first worker, so a one-run solve starts no thread, and the
-    # gates' numbers come back in panel order
-    starts = range(0, len(units), _PANEL)
-    # sched_getaffinity exists on Linux only
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(starts), math.ceil(n * len(units) / _RUN_ENTRIES))
-    runs = [starts[k * len(starts) // workers:(k + 1) * len(starts) // workers] for k in range(workers)]
-    with ThreadPoolExecutor(workers) as pool:
-        others = pool.map(solve_run, runs[1:])
-        numbers = solve_run(runs[0]) + [pair for run in others for pair in run]
+    # the last panel's arrays go before the certificate allocates its own:
+    # kept, they raised the peak RSS of `walk --radius 16` by 6 MiB
+    del rhs, panel, r
     residuals, diagonals = zip(*numbers)
     # np.max and np.min keep a NaN of any panel, and the negated comparisons fail it
     residual = float(np.max(residuals))
@@ -357,6 +337,43 @@ class _LevelSweeps:
         # scale the rows of a block of right-hand sides
         self.levels = [(parents, children, h, *(v[children].reshape(2, h, 1) for v in (up, down, d)))
                        for parents, children, h in levels]
+
+    def table(self) -> np.ndarray:
+        """The Green table G = (I - W)^-1, C-ordered, from first-passage
+        factors (Cartier, Symposia Math. 9, 1972; Woess, Random Walks on
+        Infinite Graphs and Groups, 2000), with no solve.
+
+        With p the parent of c, F(c, p) = up(c) / d(c) is the multiplier
+        ``lower``; top-down, F(p, c) = down(c) / (1/G(p, p) + down(c) F(c, p))
+        and 1/G(c, c) = d(c) (1 - F(c, p) F(p, c)), 1/G(e, e) = d(e).  A path
+        from c leaves c's subtree through p, so there G(c, t) = F(c, p) G(p, t),
+        and on it G(c, t) is G(t, t) times the F(p', c') on the way down from c
+        to t.  Products only: a zero first passage gives exact zeros.  The
+        subtree of word b of level L is column b of each deeper level L + k
+        as a (2^k, 2^L) grid, one strided step per (level, depth) pair."""
+        n = len(self.d)
+        # the table, 1/G(c, c) and F(p, c) (1 at the root, which has no parent)
+        g, inv_diag, first = np.empty((n, n)), self.d.copy(), np.ones(n)
+        for parents, children, _, lower, upper, _ in self.levels:
+            f = upper / (inv_diag[parents, None] + upper * lower)
+            first[children] = f.ravel()
+            inv_diag[children] *= (1.0 - lower * f).ravel()
+        diag, depth = 1.0 / inv_diag, n.bit_length() - 1
+        for level in range(depth + 1):
+            # the m words of the level, at rows m - 1 .. 2m - 2; ``below`` holds
+            # the products of F down from each of them to one deeper level
+            m, below = 1 << level, 1.0
+            if level:
+                parents, children, h, lower = self.levels[level - 1][:4]
+                np.multiply(lower, g[parents], out=g[children].reshape(2, h, n))
+            for k in range(depth - level + 1):
+                start = (1 << (level + k)) - 1
+                if k:
+                    below = (below * first[start:2 * start + 1].reshape(2, -1, m)).reshape(-1, m)
+                # a writeable view: entry (i, b) is row m - 1 + b, column start + i m + b
+                grid = np.einsum("bib->ib", g[m - 1:2 * m - 1, start:start + (m << k)].reshape(m, -1, m))
+                np.multiply(below, diag[start:2 * start + 1].reshape(-1, m), out=grid)
+        return g
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(I - W^T)^-1 rhs for a vector or a block of columns, each column

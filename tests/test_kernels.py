@@ -1,10 +1,7 @@
 import json
 import math
-import os
-import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,8 +102,9 @@ def unit_panel(rhs) -> bool:
 def planted_lu(base, error, entry, relative=False):
     """A subclass of the factor class ``base`` that adds ``error`` (times the
     solved value when ``relative``) to one entry of the Green solve's unit
-    columns: ``entry`` is a (row, panel column) pair, or a row and the unit
-    column it holds.  The certificate's own solves stay untouched."""
+    columns, or of the level sweeps' full table, which holds them as rows:
+    ``entry`` is a (row, panel column) pair, or a row and the unit column it
+    holds.  The certificate's own solves stay untouched."""
 
     class PlantedLU(base):
         def solve(self, rhs):
@@ -115,6 +113,13 @@ def planted_lu(base, error, entry, relative=False):
                 row, col = entry if isinstance(entry, tuple) else (entry, rhs[entry] == 1.0)
                 x[row, col] += error * (x[row, col] if relative else 1.0)
             return x
+
+        def table(self):
+            g = super().table()
+            # a full table's first panel holds the units 0 .. _PANEL - 1
+            row, col = entry if isinstance(entry, tuple) else (entry, entry)
+            g[col, row] += error * (g[col, row] if relative else 1.0)
+            return g
 
     return PlantedLU
 
@@ -301,9 +306,10 @@ class TestGreenTable:
         assert (np.abs(g - inv) / np.abs(inv)).max() < 1e-13
 
     def test_panels_give_the_one_shot_table(self, walk7):
-        # 255 words: fifteen full panels and a partial one; the table is the
-        # transpose of the identity solved at once on the factors of (I - W)^T,
-        # the level sweeps' and SuperLU's alike
+        # 255 words: fifteen full panels and a partial one.  SuperLU's table is
+        # the transpose of the identity solved at once on its factors of
+        # (I - W)^T, to the bit; the level sweeps' first-passage table is
+        # within 16 ulps of their own one-shot solve, entrywise
         tm, _ = walk7
         n = tm.size
         assert n % kernels._PANEL != 0
@@ -311,7 +317,11 @@ class TestGreenTable:
             table = green_table(tm)
             factor = kernels._factor(tm, sp.csr_matrix(tm.matrix), False)
             assert type(factor) is base
-            assert np.array_equal(table.green, factor.solve(np.eye(n)).T)
+            one_shot = factor.solve(np.eye(n)).T
+            if base is kernels._LeavesFirstLU:
+                assert np.array_equal(table.green, one_shot)
+            else:
+                assert (np.abs(table.green - one_shot) / one_shot).max() <= SWEEP_ORACLE_REL
             assert table.green.flags.c_contiguous
 
     def test_residual_covers_the_whole_table(self, walk7):
@@ -421,7 +431,8 @@ class TestLeavesFirstLU:
 
 
 # the level sweeps and SuperLU agree on every Green entry within 16 ulps,
-# relative; the walks of TestLevelSweeps measured at most 1.4e-15 (6 ulps)
+# relative; on the walks of TestLevelSweeps the rows measured at most 1.4e-15
+# (6 ulps) and the first-passage tables 2.0e-15 (9 ulps)
 SWEEP_ORACLE_REL = 16 * np.finfo(float).eps
 SWEEP_MEASURES = [{"a": 0.35, "b": 0.65}, {"a": 0.5, "b": 0.5}, {"": 0.2, "a": 0.3, "b": 0.5}]
 
@@ -525,104 +536,31 @@ class TestLevelSweeps:
             assert type(kernels._factor(walk, sp.csr_matrix(walk.matrix), False)) is factor
 
 
-def allow_cpus(monkeypatch, count, run_entries=kernels._RUN_ENTRIES):
-    """Let the process use ``count`` CPUs, with a run of panels per
-    ``run_entries`` table entries (1: a run per panel, up to ``count``)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(kernels, "_RUN_ENTRIES", run_entries)
+def fail_in_the_last_columns(patch, base, fault):
+    """Patch the factor class ``base`` so that ``fault`` runs on the solved
+    columns of the last unit, in domain order: on the level sweeps' full
+    table (its transpose) or on SuperLU's last panel."""
+
+    class FaultyLU(base):
+        def solve(self, rhs):
+            x = super().solve(rhs)
+            if rhs[-1, -1] == 1.0:
+                fault(x)
+            return x
+
+        def table(self):
+            g = super().table()
+            fault(g.T)
+            return g
+
+    patch.setattr(kernels, base.__name__, FaultyLU)
 
 
-class TestPanelPool:
-    """The panels are split into a run per usable CPU, at most one per panel
-    and per _RUN_ENTRIES table entries; the caller solves the first run and a
-    pool's threads the others.  The table's bytes do not depend on how many
-    runs there are."""
+class TestOneThread:
+    """Every Green solve runs on the caller's thread: the level sweeps' table
+    and its gates, and SuperLU's panels, in one loop."""
 
-    @pytest.mark.parametrize("cpus", [1, 8])
-    def test_table_is_the_same_on_any_cpu_count(self, walk8, monkeypatch, cpus):
-        # eight workers on fewer cores, switching threads every microsecond: a
-        # lost or misplaced column write would change the table
-        tm, table = walk8
-        allow_cpus(monkeypatch, cpus, run_entries=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            other = green_table(tm)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(other.green, table.green)
-        assert (other.residual, other.norm_interval, other.error_bound) == (
-            table.residual, table.norm_interval, table.error_bound
-        )
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_rows_of_two_panels_are_the_same_on_any_cpu_count(self, walk8, monkeypatch, cpus):
-        tm, _ = walk8
-        sources = tm.codes[1:kernels._PANEL + 2]
-        rows = green_rows(tm, sources)
-        assert len(rows.rows) > kernels._PANEL
-        allow_cpus(monkeypatch, cpus, run_entries=1)
-        other = green_rows(tm, sources)
-        assert np.array_equal(other.green, rows.green)
-        assert (other.residual, other.norm_interval, other.error_bound) == (
-            rows.residual, rows.norm_interval, rows.error_bound
-        )
-
-    def test_one_worker_per_cpu_up_to_the_panels(self, walk8, monkeypatch):
-        tm, _ = walk8
-        pools = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                super().__init__(max_workers)
-                pools.append([max_workers, 0])
-
-            def submit(self, fn, *args):
-                pools[-1][1] += 1
-                return super().submit(fn, *args)
-
-        monkeypatch.setattr(kernels, "ThreadPoolExecutor", Recording)
-        big = transition_matrix(tm.mu, ball(10), Q)
-        allow_cpus(monkeypatch, 3)
-        green_table(big)  # 2047^2 entries: eight runs' worth
-        green_table(tm)  # 511^2 entries: under one run's worth
-        allow_cpus(monkeypatch, 3, run_entries=1)
-        green_table(tm)
-        green_rows(tm, heap_indices(["a", "ba"]))
-        allow_cpus(monkeypatch, 1, run_entries=1)
-        green_table(tm)
-        # [workers, runs handed to threads]: the caller solves the first run,
-        # so a one-run solve starts no thread
-        assert pools == [[3, 2], [1, 0], [3, 2], [1, 0], [1, 0]]
-
-    def test_cpu_count_stands_in_without_sched_getaffinity(self, walk7, monkeypatch):
-        # sched_getaffinity exists on Linux only; os.cpu_count() stands in
-        tm, table = walk7
-        monkeypatch.setattr(kernels, "_RUN_ENTRIES", 1)
-        monkeypatch.delattr(os, "sched_getaffinity")
-        other = green_table(tm)
-        assert np.array_equal(other.green, table.green)
-        assert (other.residual, other.norm_interval, other.error_bound) == (
-            table.residual, table.norm_interval, table.error_bound
-        )
-
-    def solve_failing_last_panel(self, patch, base, fault):
-        """Patch the factor class ``base`` so that, on two CPUs, the solve of
-        the full table's last panel (in the last worker's run) runs ``fault``
-        on it, in domain order, in that worker."""
-
-        class FaultyLU(base):
-            def solve(self, rhs):
-                x = super().solve(rhs)
-                if rhs[-1, -1] == 1.0:
-                    assert threading.current_thread() is not threading.main_thread()
-                    fault(x)
-                return x
-
-        allow_cpus(patch, 2, run_entries=1)
-        patch.setattr(kernels, base.__name__, FaultyLU)
-
-    def test_worker_error_reaches_the_caller(self, walk8):
+    def test_a_solve_error_reaches_the_caller(self, walk8):
         tm, _ = walk8
         error = RuntimeError("solve failed")
 
@@ -630,27 +568,69 @@ class TestPanelPool:
             raise error
 
         for patch, base in under_each_factor():
-            self.solve_failing_last_panel(patch, base, fail)
+            fail_in_the_last_columns(patch, base, fail)
             with pytest.raises(RuntimeError) as caught:
                 green_table(tm)
             assert caught.value is error
 
-    def test_worker_residual_failure_raises_and_exits_4(self, tmp_path, walk8, capsys):
+    def test_a_fault_in_the_table_or_a_panel_fails_the_residual_gate_and_exits_4(self, tmp_path, walk8, capsys):
         tm, _ = walk8
 
         def corrupt(x):
-            x[:, 0] += 1e-6
+            x[:, -1] += 1e-6
 
         config = json.loads(Path(EXAMPLE).read_text())
         config.update(ballRadius=8)
         (tmp_path / "config.json").write_text(json.dumps(config))
         for patch, base in under_each_factor():
-            self.solve_failing_last_panel(patch, base, corrupt)
+            fail_in_the_last_columns(patch, base, corrupt)
             with pytest.raises(RuntimeError, match="residual"):
                 green_table(tm)
             assert main(["walk", str(tmp_path / "config.json"), "--out", str(tmp_path / base.__name__)]) == EXIT_INTERNAL
             err = capsys.readouterr().err
             assert err.startswith("internal error: RuntimeError: Green solve residual") and err.count("\n") == 1
+
+    def test_the_radius_11_table_starts_no_thread(self, mu_letters, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"the Green solve started a thread: {thread}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        table = green_table(transition_matrix(mu_letters, ball(11), Q))
+        assert table.size == 4095 and table.residual < 1e-10
+
+
+class TestFirstPassageTable:
+    """The level sweeps' full table (_LevelSweeps.table), from first-passage
+    factors, against dense inverses: on every row, not only the three the
+    certificate covers."""
+
+    def test_a_reducible_walk_keeps_the_exact_zeros(self):
+        # the point mass at a never steps to a word that does not end in a
+        # (walk refuses it by is_generating; green_table does not ask): F(e, b) = 0,
+        # and every G(s, t) that needs it is an exact zero, as in the dense inverse
+        tm = transition_matrix(Measure({"a": 1.0}), ball(4), Q)
+        table = green_table(tm)
+        inv = np.linalg.inv(np.eye(tm.size) - tm.matrix.toarray())
+        assert table.green_entry(0, heap_index("b")) == 0.0
+        assert np.array_equal(table.green == 0.0, inv == 0.0) and (inv == 0.0).sum() > tm.size
+        assert np.abs(table.green - inv).max() <= SWEEP_ORACLE_REL * np.abs(inv).max()
+
+    @pytest.mark.parametrize("case", ["q0.99", "branch", "signed_perturbed"])
+    def test_every_row_matches_the_dense_inverse(self, engine, mu_letters, case):
+        if case == "q0.99":
+            walk = transition_matrix(Measure({"a": 0.35, "b": 0.65}), ball(8), 0.99)
+        elif case == "branch":
+            walk = transition_matrix(Measure({"": 0.2, "a": 0.3, "b": 0.5}), ball(9), Q).restrict(branch("ab", 9))
+        else:
+            q_walk = perturbed.q_matrix(branch_context(engine, mu_letters, "a", 7))
+            w = sp.csr_matrix(q_walk.matrix, copy=True)
+            w.data[w.data.argmax()] *= -1.0
+            walk = TransitionMatrix(q_walk.codes, w, q_walk.mu, q_walk.q)
+            assert w.data.min() < 0.0
+        assert type(kernels._factor(walk, sp.csr_matrix(walk.matrix), False)) is kernels._LevelSweeps
+        green = green_table(walk).green
+        inv = np.linalg.inv(np.eye(walk.size) - walk.matrix.toarray())
+        assert np.abs(green - inv).max() <= SWEEP_ORACLE_REL * np.abs(inv).max()
 
 
 class TestTruncationBound:
