@@ -217,22 +217,22 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     x = np.empty((n, len(units)), order="C" if narrow else "F") if table is None else table.T
     # one loop, not a call per panel: freeing a panel's arrays before the
     # next exist lets malloc trim the heap and fault it in again (about 120k
-    # page faults at n = 4095).  So a table's panel is gated from a C-ordered
-    # copy: the product's own copy of the Fortran-ordered block, freed at once,
-    # took 47k minor faults at n = 4095 against 1.1k
+    # page faults at n = 4095).  So the gates read each stored panel from a
+    # C-ordered copy: the product's own copy of a Fortran-ordered block, freed
+    # at once, took 47k minor faults on the sweeps' table at n = 4095, not 1.1k
     numbers = []
     for start in range(0, len(units), _PANEL):
         at = units[start:start + _PANEL]
         cols = np.arange(len(at))
         rhs = np.zeros((n, len(at)))
         rhs[at, cols] = 1.0
-        panel = lu.solve(rhs) if table is None else np.ascontiguousarray(x[:, start:start + len(at)])
+        if table is None:
+            x[:, start:start + len(at)] = lu.solve(rhs)
+        panel = np.ascontiguousarray(x[:, start:start + len(at)])
         r = a @ panel
         r -= panel
         r += rhs
         numbers.append((np.abs(r, out=r).max(), panel[at, cols].min()))
-        if table is None:
-            x[:, start:start + len(at)] = panel
     # the last panel's arrays go before the certificate allocates its own:
     # kept, they raised the peak RSS of `walk --radius 16` by 6 MiB
     del rhs, panel, r
