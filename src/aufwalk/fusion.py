@@ -20,13 +20,15 @@ string route as a cross-check.  A ``TransitionMatrix`` carries all a walk
 on one domain needs: the matrix, the words, their heap indices and
 positions, the measure, q, and the norm bound that certifies its Green
 kernel; its restriction to a sub-domain equals the assembly there bit for bit.
+``is_generating`` and ``uniform_irreducibility_constants`` search the
+walk's stored pattern level by level, one sparse product per step
+(``_hops``), so the module needs no scipy beyond ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from .words import (
     ball,
@@ -296,16 +298,35 @@ def dual_audit(walk: TransitionMatrix) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _hops(matrix, sources, limit: int) -> np.ndarray:
+    """Fewest steps from each source index to each index along the stored
+    entries of a square sparse matrix (an explicit zero or a negative entry
+    is a step too), searched level by level up to ``limit`` steps: an array
+    of shape (len(sources), n), holding limit + 1 where an index is not
+    reached within the limit."""
+    m = matrix.tocsr()
+    # one product with the 0/1 pattern moves every source's frontier one step; ones cannot cancel
+    step = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape).T
+    out = np.full((len(sources), m.shape[0]), limit + 1)
+    front = np.zeros((m.shape[0], len(sources)), dtype=bool)
+    front[sources, np.arange(len(sources))] = True
+    for k in range(limit + 1):
+        front &= out.T > limit
+        if not front.any():
+            break
+        out.T[front] = k
+        front = step @ front != 0
+    return out
+
+
 def is_generating(walk: TransitionMatrix) -> bool:
     """True iff every word of the walk's ball, cut to radius max(range, 4), is
-    reachable from e and can reach e through positive weights (BFS both ways)."""
+    reachable from e and can reach e along the stored weights (a search both ways)."""
     # sorted codes: the last word is the longest
     radius = int(code_lengths(walk.codes[-1:]).max(initial=0))
     tm = walk.restrict(ball(min(radius, max(walk.range_bound, 4))))
     # the root is heap index 0, the first word of the ball
-    fwd, bwd = (breadth_first_order(m, 0, directed=True, return_predecessors=False)
-                for m in (tm.matrix, tm.matrix.T.tocsr()))
-    return len(fwd) == len(bwd) == tm.size
+    return all((_hops(m, [0], tm.size) <= tm.size).all() for m in (tm.matrix, tm.matrix.T))
 
 
 def norm_upper_bound(mu: Measure, q: float) -> float:
@@ -338,7 +359,7 @@ def uniform_irreducibility_constants(tm: TransitionMatrix, k_max: int = 12) -> t
     if not adjacent.any():
         raise ValueError("domain too small for the requested chain margin")
     # fewest steps along positive weights from each interior word, through any word
-    steps = shortest_path(tm.matrix > 0, unweighted=True, indices=ok)[:, ok][adjacent]
+    steps = _hops(tm.matrix > 0, ok, k_max)[:, ok][adjacent]
     far = int((steps > k_max).sum())
     if far:
         raise AssertionError(f"{far} adjacent pairs not connected within {k_max} steps")

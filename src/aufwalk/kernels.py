@@ -36,7 +36,9 @@ first-passage factors along it (Cartier, Symposia Math. 9, 1972; Woess,
 Random Walks on Infinite Graphs and Groups, 2000), and the sweeps'
 multipliers are the upward factors; the panel loop only gates that table.
 A range-2 walk fills about as much as COLAMD; it, or a walk on any other
-domain, is factored by SuperLU (_LeavesFirstLU), in one-column panels for a
+domain, is factored by SuperLU (_LeavesFirstLU, which imports
+scipy.sparse.linalg at its first factor, so a process whose walks all take
+the sweeps loads neither it nor scipy.linalg), in one-column panels for a
 rows solve (SuperLU's n x panel work array pays only when supernodes span
 several columns: Demmel et al., SIAM J. Matrix Anal. Appl. 20(3), 1999) and
 in its default panels of 10 for a full table.  The certificate bounds its block of
@@ -50,7 +52,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .fusion import TransitionMatrix
 from .words import RadiusCapError, code_lengths, ends_with, heap_index, locate, qdims, tree_distances, word
@@ -399,7 +400,8 @@ class _LeavesFirstLU:
     >= 2, or of a domain that is not a complete subtree, and the oracle of
     the level sweeps' tests.  It eliminates in reversed domain order with
     SuperLU's partial pivoting, in panels of one column when ``narrow`` (see
-    above); ``solve`` takes and returns domain order."""
+    above); ``solve`` takes and returns domain order.  SuperLU is imported
+    on first use."""
 
     def __init__(self, w, narrow: bool = False):
         n = w.shape[0]
@@ -412,6 +414,8 @@ class _LeavesFirstLU:
         a = sp.identity(n, format="csc") - reversed_w
         # SuperLU copies its input: hold no other n-sized array while it factors
         del c, reversed_w
+        from scipy.sparse.linalg import splu
+
         self.lu = splu(a, permc_spec="NATURAL", panel_size=1 if narrow else None)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -1,7 +1,11 @@
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from aufwalk import fusion
 from aufwalk.fusion import (
@@ -27,6 +31,7 @@ from aufwalk.words import (
     qdim,
     qnumber,
     tree_distance,
+    tree_distances,
     word,
 )
 from conftest import random_word
@@ -249,6 +254,119 @@ class TestUniformIrreducibility:
                 uniform_irreducibility_constants(tm, k_max=k_max)
         else:
             assert uniform_irreducibility_constants(tm, k_max=k_max) == (tm.matrix.data.min(), k)
+
+
+def csgraph_generating(walk):
+    """Oracle: is_generating by scipy's breadth-first order, both ways."""
+    radius = int(code_lengths(walk.codes[-1:]).max(initial=0))
+    tm = walk.restrict(ball(min(radius, max(walk.range_bound, 4))))
+    fwd, bwd = (breadth_first_order(m, 0, directed=True, return_predecessors=False)
+                for m in (tm.matrix, tm.matrix.T.tocsr()))
+    return len(fwd) == len(bwd) == tm.size
+
+
+def csgraph_constants(tm, k_max):
+    """Oracle: uniform_irreducibility_constants by scipy's unweighted
+    shortest paths over the whole domain."""
+    data = tm.matrix.data
+    delta0 = float(data[data > 0].min())
+    lengths = code_lengths(tm.codes)
+    ok = np.flatnonzero(lengths + k_max * tm.range_bound <= lengths.max())
+    adjacent = tree_distances(tm.codes[ok, None], tm.codes[None, ok]) == 1
+    if not adjacent.any():
+        raise ValueError("domain too small for the requested chain margin")
+    steps = shortest_path(tm.matrix > 0, unweighted=True, indices=ok)[:, ok][adjacent]
+    far = int((steps > k_max).sum())
+    if far:
+        raise AssertionError(f"{far} adjacent pairs not connected within {k_max} steps")
+    return delta0, int(steps.max())
+
+
+# every point mass and every even pair on the words of length <= 3, at most one of them of length 3
+SHORT_WORDS = [word(c) for c in range(15)]
+GRID_MEASURES = [{w: 1.0} for w in SHORT_WORDS] + [
+    {u: 0.5, v: 0.5} for u, v in itertools.combinations(SHORT_WORDS, 2) if len(u) + len(v) <= 5
+]
+
+
+def with_root_column(tm, value):
+    """The walk with every stored weight into the root set to ``value``: 0.0
+    keeps them stored, as explicit zeros."""
+    m = tm.matrix.copy()
+    m.data[m.indices == 0] = value
+    return TransitionMatrix(tm.codes, m, tm.mu, tm.q)
+
+
+class TestSearchAgainstCsgraph:
+    """is_generating and uniform_irreducibility_constants search the stored
+    pattern level by level (fusion._hops); scipy's csgraph is the oracle."""
+
+    @pytest.mark.parametrize("mu", GRID_MEASURES, ids=lambda mu: "+".join(w or "e" for w in mu))
+    def test_generating_is_breadth_first_orders(self, mu):
+        tm = transition_matrix(Measure(mu), ball(5), Q)
+        assert is_generating(tm) == csgraph_generating(tm)
+
+    def test_the_grid_holds_both_answers(self):
+        answers = {is_generating(transition_matrix(Measure(mu), ball(5), Q)) for mu in GRID_MEASURES}
+        assert answers == {True, False}
+        assert not is_generating(transition_matrix(Measure({"a": 1.0}), ball(5), Q))
+
+    def test_reached_from_e_but_never_back(self):
+        """No weight into e: every word is reached from e and none returns,
+        so only the backward search refuses the walk."""
+        tm = transition_matrix(Measure({"a": 0.5, "b": 0.5}), ball(5), Q)
+        m = with_root_column(tm, 0.0)
+        m.matrix.eliminate_zeros()
+        assert len(breadth_first_order(m.matrix, 0, return_predecessors=False)) == tm.size
+        assert not csgraph_generating(m)
+        assert not is_generating(m)
+
+    def test_a_stored_zero_is_a_step_as_in_csgraph(self):
+        tm = transition_matrix(Measure({"a": 0.5, "b": 0.5}), ball(5), Q)
+        stored = with_root_column(tm, 0.0)
+        assert (stored.matrix.data == 0.0).sum() == 2
+        assert csgraph_generating(stored)
+        assert is_generating(stored)
+
+    def test_hops_of_a_path_and_its_cut(self):
+        # 0 -> 1 -> 2, the first step an explicit zero
+        m = sp.csr_matrix((np.array([0.0, 1.0]), np.array([1, 2]), np.array([0, 1, 2, 2])), shape=(3, 3))
+        assert fusion._hops(m, [0], 2).tolist() == [[0, 1, 2]]
+        assert fusion._hops(m, [0, 2], 1).tolist() == [[0, 1, 2], [2, 2, 0]]
+        assert fusion._hops(m.T, [2], 5).tolist() == [[2, 1, 0]]
+
+    @pytest.mark.parametrize("radius", range(4, 9))
+    @pytest.mark.parametrize("mu", [{"a": 0.5, "b": 0.5}, {"": 0.2, "a": 0.3, "b": 0.5},
+                                    {"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2},
+                                    {"ab": 0.4999, "ba": 0.4999, "a": 0.0002},
+                                    {"a": 0.5, "aa": 0.5},
+                                    {"aa": 0.3, "b": 0.4, "aba": 0.3},
+                                    {"a": 0.3, "b": 0.3, "aab": 0.2, "bba": 0.2}])
+    def test_constants_are_shortest_paths(self, mu, radius):
+        """Every k_max that leaves an adjacent pair clear of the frontier gives
+        csgraph's (delta0, K), or raises its AssertionError word for word."""
+        tm = transition_matrix(Measure(mu), ball(radius), Q)
+        for k_max in range(1, (radius - 1) // tm.range_bound + 1):
+            try:
+                want = csgraph_constants(tm, k_max)
+            except AssertionError as err:
+                with pytest.raises(AssertionError, match=f"^{re.escape(str(err))}$"):
+                    uniform_irreducibility_constants(tm, k_max=k_max)
+            else:
+                assert uniform_irreducibility_constants(tm, k_max=k_max) == want
+
+    @pytest.mark.parametrize("mu, radius, k", [({"aa": 0.3, "b": 0.4, "aba": 0.3}, 8, 2),
+                                               ({"ab": 0.4999, "ba": 0.4999, "a": 0.0002}, 8, None),
+                                               ({"a": 0.5, "aa": 0.5}, 6, None)])
+    def test_a_k_max_below_k_raises(self, mu, radius, k):
+        """K = 2 raises at k_max = 1; a pair that needs more steps than the
+        ball allows, or that never connects, raises at every k_max."""
+        tm = transition_matrix(Measure(mu), ball(radius), Q)
+        if k is not None:
+            assert uniform_irreducibility_constants(tm, k_max=k)[1] == k
+        for k_max in range(1, k or (radius - 1) // tm.range_bound + 1):
+            with pytest.raises(AssertionError, match=f"within {k_max} steps$"):
+                uniform_irreducibility_constants(tm, k_max=k_max)
 
 
 class TestMatrixEntriesMatchScalarRoute:

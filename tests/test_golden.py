@@ -29,6 +29,8 @@ Its ``audit`` would exit 3 (the defect words need cap 7), so it has none.
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,12 +101,7 @@ def _assert_same_text(name: str, got: str, want: str) -> None:
         assert same, f"{name}:{no}: {g!r} != {w!r}"
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
-def test_outputs_match_golden(run, tmp_path, capsys):
-    argv, want_exit = RUNS[run]
-    out = tmp_path / run
-    assert main(argv + ["--out", str(out)]) == want_exit
-    stdout = capsys.readouterr().out
+def _assert_matches_golden(run: str, out: Path, stdout: str) -> None:
     expected = sorted(p.name for p in (GOLDEN / run).iterdir())
     if "stdout.txt" in expected:
         (out / "stdout.txt").write_text(stdout)
@@ -116,3 +113,62 @@ def test_outputs_match_golden(run, tmp_path, capsys):
             assert _same_json(json.loads(got), json.loads(want)), f"{run}/{name} differs"
         else:
             _assert_same_text(f"{run}/{name}", got, want)
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_outputs_match_golden(run, tmp_path, capsys):
+    argv, want_exit = RUNS[run]
+    out = tmp_path / run
+    assert main(argv + ["--out", str(out)]) == want_exit
+    _assert_matches_golden(run, out, capsys.readouterr().out)
+
+
+# prints the names of the modules loaded when the command returns, as the last line of stdout
+LOADED_AT_EXIT = (
+    "import json, sys\n"
+    "from aufwalk.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+# the parts of scipy that only SuperLU or a graph search would load; scipy.linalg brings scipy's own BLAS
+UNLOADED = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def _run_child(argv: list[str]) -> tuple[int, str, list[str]]:
+    """Exit code, stdout less its last line, and the modules a fresh
+    interpreter holds after running the CLI on argv."""
+    run = subprocess.run([sys.executable, "-c", LOADED_AT_EXIT, *argv], capture_output=True, text=True, cwd=ROOT)
+    stdout, _, last = run.stdout.rstrip("\n").rpartition("\n")
+    return run.returncode, stdout + "\n" if stdout else "", json.loads(last)
+
+
+def _scipy_parts(modules: list[str]) -> list[str]:
+    return [m for m in modules if any(m == name or m.startswith(name + ".") for name in UNLOADED)]
+
+
+class TestScipyImports:
+    """A range-1 run loads numpy, scipy and scipy.sparse, and nothing of
+    scipy that brings a second BLAS: its walks take the level sweeps, and the
+    graph searches run on the CSR pattern.  A range-2 walk loads SuperLU at
+    its first factorisation."""
+
+    @pytest.mark.parametrize("argv, want_exit", [
+        (["walk", EXAMPLE, "--radius", "11"], EXIT_OK),  # the full table
+        (["walk", EXAMPLE, "--radius", "12"], EXIT_OK),  # the rows solve
+        (["audit", EXAMPLE], EXIT_AUDIT),
+        (["boundary", EXAMPLE], EXIT_OK),
+        (["intertwiner", EXAMPLE], EXIT_OK),
+    ], ids=["walk11", "walk12", "audit", "boundary", "intertwiner"])
+    def test_a_range_one_run_loads_no_scipy_linalg(self, argv, want_exit, tmp_path):
+        code, _, modules = _run_child(argv + ["--out", str(tmp_path)])
+        assert code == want_exit
+        assert {"numpy", "scipy", "scipy.sparse"} <= set(modules)
+        assert _scipy_parts(modules) == []
+
+    def test_a_range_two_walk_loads_superlu_and_matches_golden(self, tmp_path):
+        argv, want_exit = RUNS["walk_range2"]
+        code, stdout, modules = _run_child(argv + ["--out", str(tmp_path)])
+        assert code == want_exit
+        assert "scipy.sparse.linalg" in modules
+        _assert_matches_golden("walk_range2", tmp_path, stdout)
