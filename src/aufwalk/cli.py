@@ -414,7 +414,8 @@ class Audit:
     of lt, le, eq, gt, ge) holds between it and the bound, widened by the
     relative slack (up for lt and le, down for gt and ge), and the side
     condition, for the entry that names one, holds.  The bound is the
-    constant here or, where that is None, the one the entry's stage reports."""
+    constant here or, where that is None, the one the entry's stage computes
+    (_stages): every bound of the table is one or the other."""
 
     name: str
     anchor: str
@@ -446,7 +447,7 @@ AUDITS = (
      Audit("vtilde_lower_ratio", "lower bound ratio of the almost-isometry norms", gt, 0.0)),
     (Audit("defect_decay", "projection commutation defects decay with the length exponent", le, 0.2),),
     (Audit("qhat_oracle", "trace formula against the partial-trace evaluation", lt, 1e-9),
-     Audit("qhat_domination", "perturbed weights dominated by classical ones", le, 1e-12)),
+     Audit("qhat_domination", "perturbed weights dominated by classical ones", le, perturbed.DOMINATION_TOL)),
     (Audit("perturbation_envelope", "single-constant envelope of the perturbation", le, 0.0),
      Audit("perturbation_rate", "fitted perturbation decay slope against log q", le, 0.15)),
     (Audit("harnack", "uniform Harnack constant against the chain bound", ge, slack=1e-12),
@@ -465,7 +466,9 @@ def _stages(cfg: RunConfig):
     dense limit, then the stage of each group of AUDITS in order: a call
     giving one value per entry, a (measured, bound) pair where the entry
     holds no bound and (measured, bound, holds) where it names a side
-    condition.  The rows the stages read are built between them."""
+    condition.  The rows the stages read are built between them; the
+    functions of kernels and perturbed that the stages call return
+    measurements, and every bound, envelope and rate is computed here."""
     eng = IntertwinerEngine(cfg.model)
     # the defect audit forms x (x) y in each V and u x, u z in the projections
     eng.check_cap(*(w for u, x, y, z in _defect_families() for w in (x + y, u + x, u + z)))
@@ -480,8 +483,9 @@ def _stages(cfg: RunConfig):
     table = kernels.green_table(tm, solver_tol=cfg.solver_tol)
     yield lambda: [_interior_row_gap(cfg, tm)]
     yield lambda: [fusion.dual_audit(tm.restrict(words.ball(min(cfg.ball_radius, 8))))]
+    # the full table's diagonal is G(v, v) for every v of the ball, against 1/(1 - lam)
     yield lambda: [(table.norm_interval[1], tm.norm_bound), (table.residual, cfg.solver_tol),
-                   table.diagonal_bound_gap(), table.error_bound]
+                   float(table.green.diagonal().max() - 1.0 / (1.0 - tm.norm_bound)), table.error_bound]
     yield lambda: _duality_gaps(eng)
     yield lambda: [sum(rank != dim for _, rank, dim in _rank_rows(eng, min(7, cfg.model.tensor_cap)))]
 
@@ -498,23 +502,37 @@ def _stages(cfg: RunConfig):
     q_walk, inside, _, [(ray, k_p, k_q)] = branch_kernels(cfg, tm, ctx, cfg.rays[:1])
 
     def decay():
-        report = perturbed.decay_audit(perturbed.residual_matrix(ctx), ctx)
-        return report.envelope_gap(), abs(report.fitted_rate / report.target_rate - 1.0)
+        lengths, maxima, slope = perturbed.decay_audit(perturbed.residual_matrix(ctx), ctx)
+        rate = math.log(ctx.q)
+        # c is the least constant with residual <= c q^len over these same maxima, so the
+        # envelope gap is <= 0 by construction: it confirms the bookkeeping, not an envelope
+        # (an a priori constant would; ROADMAP item 3).  The slope is compared with log q
+        c = max(m / ctx.q ** l for l, m in zip(lengths, maxima))
+        gap = max(m - c * math.exp(rate * l) * (1 + 1e-6) for l, m in zip(lengths, maxima))
+        return gap, abs(slope / rate - 1.0)
     yield decay
 
     def harnack():
         interior = tm.codes[_interior(cfg, tm) & (words.code_lengths(tm.codes) <= 6)]
         delta0, k_steps = _irreducibility(cfg, tm)
-        har = kernels.harnack_audit(table, delta0, k_steps, interior)
-        mult = kernels.multiplicativity_audit(table, delta0 ** k_steps, interior)
-        return ((har.empirical_delta, har.delta_bound), (mult.c1_lower, mult.lower_bound),
-                (mult.c1_upper, mult.upper_bound))
+        # the chain bound delta0^K; the geodesic constants against 1/(1 - lam) and
+        # 3 (2/delta^2)^(S-1), lam the norm bound and S the range of the walk
+        delta = delta0 ** k_steps
+        c_lower, c_upper = kernels.multiplicativity_audit(table, interior)
+        return ((kernels.harnack_audit(table, interior), delta), (c_lower, 1.0 / (1.0 - tm.norm_bound)),
+                (c_upper, 3.0 * (2.0 / delta ** 2) ** (tm.range_bound - 1)))
     yield harnack
     yield lambda: [_last_entry_worst(cfg, table)]
     # z and its three alternating extensions, those with sub-branches of depth at least 2
     alternating = itertools.accumulate(range(3), lambda w, _: involution(w[0]) + w, initial=cfg.branch_z)
     x_list = [x for x in alternating if len(x) <= ctx.radius - 2]
-    yield lambda: [perturbed.gdif_audit(q_walk, ctx, x_list, solver_tol=cfg.solver_tol).envelope_gap]
+
+    def gdif():
+        # the envelope c q^len(x) anchored at the first word: the largest ratio of a gap to it
+        rels = perturbed.gdif_audit(q_walk, ctx, x_list, solver_tol=cfg.solver_tol)
+        anchored = rels[0] / (ctx.q ** len(x_list[0]))
+        return [max(rel / (anchored * ctx.q ** len(x)) for rel, x in zip(rels, x_list))]
+    yield gdif
 
     def boundary():
         # the deepest ray point stands for the boundary value (no extrapolation); a Green error
@@ -619,7 +637,8 @@ def _defect_rate_gap(eng) -> float:
 
 
 def _qhat_checks(ctx) -> tuple[float, float]:
-    """Worst oracle gap and domination excess over the required entries."""
+    """Worst oracle gap and domination excess over the required entries,
+    each of which has t in u (x) s, with multiplicity 1."""
     worst_or = 0.0
     worst_dom = -math.inf
     q = ctx.q
@@ -627,7 +646,7 @@ def _qhat_checks(ctx) -> tuple[float, float]:
         val = perturbed.qhat_entry(u, s, t, ctx)
         oracle, resid = perturbed.qhat_oracle(u, s, t, ctx)
         worst_or = max(worst_or, abs(val - oracle), resid)
-        p = fusion.multiplicity(t, u, s) * words.qdim(t, q) / (words.qdim(u, q) * words.qdim(s, q))
+        p = words.qdim(t, q) / (words.qdim(u, q) * words.qdim(s, q))
         worst_dom = max(worst_dom, abs(val) - p)
     return worst_or, worst_dom
 

@@ -1,5 +1,7 @@
 """Green and Martin kernels of substochastic matrices on tree domains,
-and the quantitative audits of their tree-geometry estimates.
+and the measurements that audit their tree-geometry estimates: each audit
+function returns what it measured, and the bound it is compared with is
+computed beside its entry of the audit table (cli.AUDITS, cli._stages).
 
 A walk is a fusion.TransitionMatrix: its weights W, the sorted heap indices
 of its domain and its norm bound.  Words are heap indices here: sources,
@@ -151,12 +153,6 @@ class KernelTable:
 
     def green_entry(self, s: int, t: int) -> float:
         return float(self.green[self.row_positions([s])[0], self.walk.positions([t])[0]])
-
-    def diagonal_bound_gap(self) -> float:
-        """max over the solved v of G(v,v) - 1/(1 - lam), lam the walk's norm
-        bound; nonpositive when the diagonal bound holds."""
-        diag = self.green[np.arange(len(self.rows)), self.walk.positions(self.rows)]
-        return float(diag.max() - 1.0 / (1.0 - self.walk.norm_bound))
 
 
 def green_table(walk: TransitionMatrix, solver_tol: float = SOLVER_TOL) -> KernelTable:
@@ -522,12 +518,6 @@ class Shortfall(ValueError):
         self.have, self.need = have, need
 
 
-@dataclass
-class HarnackReport:
-    empirical_delta: float
-    delta_bound: float
-
-
 def _interior_block(table: KernelTable, interior) -> tuple[np.ndarray, np.ndarray]:
     """G(s, t) and the tree distance d(s, t) over the interior words, given
     by heap indices, from the table's rows; fewer than two words leave no
@@ -539,10 +529,10 @@ def _interior_block(table: KernelTable, interior) -> tuple[np.ndarray, np.ndarra
     return g, tree_distances(codes[:, None], codes[None, :])
 
 
-def harnack_audit(table: KernelTable, delta0: float, k_steps: int, interior) -> HarnackReport:
+def harnack_audit(table: KernelTable, interior) -> float:
     """Exhaustive scan of the two Harnack inequalities over interior triples
-    (the interior given by heap indices); the empirical delta is the largest
-    constant that passes, compared against the chain bound delta0^K."""
+    (the interior given by heap indices): the empirical delta, the largest
+    constant with which both hold."""
     g, dist = _interior_block(table, interior)
     logg = np.log(g)
     n = len(interior)
@@ -557,22 +547,13 @@ def harnack_audit(table: KernelTable, delta0: float, k_steps: int, interior) -> 
         diff2 = (logg[:, :] - logg[:, t][:, None]) / safe[t, :][None, :]
         diff2[:, t] = math.inf
         worst = min(worst, float(np.exp(diff2.min())))
-    return HarnackReport(worst, delta0 ** k_steps)
+    return worst
 
 
-@dataclass
-class MultiplicativityReport:
-    c1_lower: float
-    c1_upper: float
-    lower_bound: float
-    upper_bound: float
-
-
-def multiplicativity_audit(table: KernelTable, delta: float, interior) -> MultiplicativityReport:
-    """Measure both geodesic multiplicativity constants over interior triples
-    s, t with v on the geodesic (the interior given by heap indices): the largest G(s,v)G(v,t)/G(s,t) against
-    1/(1-lam) and the largest G(s,t)/(G(s,v)G(v,t)) against 3(2/delta^2)^(S-1),
-    with lam the norm bound and S the range of the table's walk."""
+def multiplicativity_audit(table: KernelTable, interior) -> tuple[float, float]:
+    """Both geodesic multiplicativity constants over interior triples s, t
+    with v on the geodesic (the interior given by heap indices): the largest
+    G(s,v)G(v,t)/G(s,t) and the largest G(s,t)/(G(s,v)G(v,t))."""
     g, dist = _interior_block(table, interior)
     n = len(interior)
     c_lower = c_upper = 0.0
@@ -583,8 +564,7 @@ def multiplicativity_audit(table: KernelTable, delta: float, interior) -> Multip
         c_lower = max(c_lower, float(ratio.max()))
         inv = np.where(on_geo, g / prod, 0.0)
         c_upper = max(c_upper, float(inv.max()))
-    return MultiplicativityReport(c_lower, c_upper, 1.0 / (1.0 - table.walk.norm_bound),
-                                  3.0 * (2.0 / delta ** 2) ** (table.walk.range_bound - 1))
+    return c_lower, c_upper
 
 
 def entry_set(branch_domain: np.ndarray, range_bound: int) -> np.ndarray:

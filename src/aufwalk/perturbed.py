@@ -17,13 +17,15 @@ classical measure, whose norm bound also bounds it (|qhat| <= p).  The walks
 name their words by heap index; the coefficients are traced on the
 intertwiner stack, which works on strings, so the branch's heap indices are
 converted to words where the entries are listed (required_entries).
+The two audit functions, decay_audit and gdif_audit, return measurements
+only: the rate and envelopes they are compared with are computed beside
+their entries of the audit table (cli.AUDITS, cli._stages).
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -235,40 +237,16 @@ def _traced(ctx: BranchContext, term) -> sp.csr_matrix:
     return out.tocsr()
 
 
-@dataclass
-class DecayReport:
-    """Per source length, the largest perturbation residual p - qhat (from
-    residual_matrix), the least-squares slope of their logs, the least
-    constant c with residual <= c q^len, and the rate log q they are
-    compared with."""
-
-    lengths: list[int]
-    maxima: list[float]
-    fitted_rate: float
-    fitted_c: float
-    target_rate: float
-
-    def envelope_gap(self) -> float:
-        """Largest excess of a residual over fitted_c * q^len.
-
-        fitted_c is the least constant over these same per-length maxima, so
-        the gap is <= 0 by construction: it confirms the bookkeeping, not an
-        envelope.  Checking a real envelope needs an a priori constant."""
-        return max(
-            m - self.fitted_c * math.exp(self.target_rate * l) * (1 + 1e-6)
-            for l, m in zip(self.lengths, self.maxima)
-        )
-
-
-def decay_audit(resid, ctx: BranchContext) -> DecayReport:
-    """Fit the decay of the perturbation residual against the source length.
+def decay_audit(resid, ctx: BranchContext) -> tuple[list[int], list[float], float]:
+    """The decay of the perturbation residual against the source length: the
+    source lengths, the largest residual at each, and the least-squares slope
+    of the logs of those maxima.
 
     ``resid`` is the branch matrix of p - qhat from residual_matrix: each
     entry is a sum of p eps^2 / 2 terms, formed without cancellation, so the
     fit reads the residual itself and not the round-off of qhat - p.  Residuals
-    below the floor are discarded; the envelope slope is fitted on the
-    per-length maxima by least squares and compared with log q.  Fewer than
-    MIN_DECAY_LENGTHS lengths above the floor raise Shortfall.
+    below the floor are discarded.  Fewer than MIN_DECAY_LENGTHS lengths above
+    the floor raise Shortfall.
     """
     per_length: dict[int, float] = {}
     coo = sp.coo_matrix(resid)
@@ -281,15 +259,7 @@ def decay_audit(resid, ctx: BranchContext) -> DecayReport:
     lengths = sorted(per_length)
     maxima = [per_length[l] for l in lengths]
     slope, _ = np.polyfit(lengths, np.log(maxima), 1)
-    q = ctx.q
-    envelope_c = max(m / q ** l for l, m in zip(lengths, maxima))
-    return DecayReport(
-        lengths=lengths,
-        maxima=maxima,
-        fitted_rate=float(slope),
-        fitted_c=float(envelope_c),
-        target_rate=math.log(q),
-    )
+    return lengths, maxima, float(slope)
 
 
 def green_Q(ctx: BranchContext, solver_tol: float = SOLVER_TOL) -> tuple[TransitionMatrix, KernelTable]:
@@ -300,24 +270,12 @@ def green_Q(ctx: BranchContext, solver_tol: float = SOLVER_TOL) -> tuple[Transit
     return walk, green_table(walk, solver_tol=solver_tol)
 
 
-@dataclass
-class GdifReport:
-    """Per sub-branch word x, the largest relative gap of the two Green
-    kernels; envelope_gap is the largest ratio of a gap to the envelope
-    c q^len(x) anchored at the first word (<= 1 when every gap stays inside)."""
-
-    x_list: list[str]
-    max_rel: list[float]
-    envelope_gap: float
-
-
 def gdif_audit(
     q_walk: TransitionMatrix, ctx: BranchContext, x_list: list[str], solver_tol: float = SOLVER_TOL,
-) -> GdifReport:
-    """Relative gap between the Green kernels of the perturbed walk
-    (``q_walk``, from q_matrix) and the classical branch walk ctx.walk, each
-    restricted to the sub-branches of the given words, and the envelope gap
-    against q^len(x) anchored at the first word.  Raises Shortfall on an
+) -> list[float]:
+    """Per word x, the largest relative gap between the Green kernels of the
+    perturbed walk (``q_walk``, from q_matrix) and the classical branch walk
+    ctx.walk, each restricted to the sub-branch of x.  Raises Shortfall on an
     empty list; each sub-branch solve raises RuntimeError above ``solver_tol``."""
     if not x_list:
         raise Shortfall(0, 1, "sub-branch words")
@@ -331,7 +289,4 @@ def gdif_audit(
         g_q = green_table(q_walk.restrict(sub), solver_tol=solver_tol)
         g_p = green_table(ctx.walk.restrict(sub), solver_tol=solver_tol)
         rels.append(float((np.abs(g_q.green - g_p.green) / g_p.green).max()))
-    q = ctx.q
-    anchored = rels[0] / (q ** len(x_list[0]))
-    gap = max(rel / (anchored * q ** len(x)) for rel, x in zip(rels, x_list))
-    return GdifReport(x_list=list(x_list), max_rel=rels, envelope_gap=gap)
+    return rels

@@ -481,6 +481,25 @@ class TestWalk:
         }
         assert first == second
 
+    def test_full_table_source_rows_agree_with_certified_rows(self, tmp_path):
+        """A full table certifies its first, middle and last rows only: e, a^9
+        and b^9 at radius 9.  So the manifest's greenErrorBound does not cover
+        the rows it prints for the sources a and ab.  Those rows agree with a
+        rows solve of the same walk, which certifies every row it solves,
+        within that solve's certified error bound."""
+        path = make_config(tmp_path, ballRadius=9, sources=["a", "ab"])
+        assert main(["walk", str(path)]) == EXIT_OK
+        tm = cli.build_walk(load_config(str(path)), 9)
+        sources = heap_indices(["a", "ab"])
+        assert tm.size <= kernels.DENSE_LIMIT
+        assert not np.isin(sources, tm.codes[[0, (tm.size - 1) // 2, tm.size - 1]]).any()
+        rows = kernels.green_rows(tm, sources)
+        assert rows.error_bound <= 1e-12
+        lines = (tmp_path / "out" / "green_martin.csv").read_text().splitlines()[1:]
+        printed = np.array([float(line.split(",")[2]) for line in lines]).reshape(len(sources), tm.size)
+        want = rows.source_rows(sources)
+        assert (np.abs(printed - want) / np.abs(want)).max() <= rows.error_bound
+
     def test_walk_pins_the_witness_above_1500_words(self, tmp_path):
         """walk --radius 11 (4095 words) under {aa, b, aba} scans the witness
         on ball 8: a range of 3 leaves k_max = 2 there, which K = 2 needs (a
@@ -982,6 +1001,66 @@ class TestAuditTable:
                     entry = audit.entry(measured) if bound is not None else audit.entry(measured, b)
                     assert entry["bound"] == b and entry["measured"] == measured
                     assert entry["pass"] is COMPARE[op](measured, limit), (name, b, measured)
+
+    def test_stage_bounds_are_the_papers_formulas(self, tmp_path, monkeypatch):
+        """The bounds, envelopes and rate the stages compute, against the
+        paper's formulas computed here: the chain bound delta0^K, 1/(1 - lam),
+        3 (2/delta^2)^(S-1), the rate log q and the envelope c q^len(x)
+        anchored at the first word.  The four measurement functions and the
+        chain constants are planted: each measured value at its bound, at the
+        bound widened by the slack (passing) and one ulp beyond (failing)."""
+        path = make_config(tmp_path, ballRadius=6, tensorCap=9, measure={"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2})
+        cfg = load_config(str(path))
+        q, lam, reach = cfg.q, fusion.norm_upper_bound(cfg.measure, cfg.q), 2
+        delta0, k = 0.3, 2
+        bounds = {
+            "harnack": delta0 ** k,
+            "multiplicativity_lower": 1.0 / (1.0 - lam),
+            "multiplicativity_upper": 3.0 * (2.0 / (delta0 ** k) ** 2) ** (reach - 1),
+            "perturbation_rate": 0.15,
+            "gdif_envelope": 1.0,
+        }
+        assert q == 0.5  # the planted gaps below are exact multiples of q^len(x)
+
+        def planted(name, point):
+            op, _, slack = AUDIT_COMPARISONS[name]
+            limit = bounds[name] * (1 + slack if op in ("<", "<=") else 1 - slack)
+            return {"bound": bounds[name], "limit": limit,
+                    "beyond": math.nextafter(limit, math.inf if op in ("<", "<=") else -math.inf)}[point]
+
+        # the slope whose |slope / log q - 1| is the largest at most 0.15, and the slope one ulp steeper
+        rate = math.log(q)
+        slope = rate * 1.15
+        while abs(slope / rate - 1.0) > 0.15:
+            slope = math.nextafter(slope, 0.0)
+        while abs(math.nextafter(slope, -math.inf) / rate - 1.0) <= 0.15:
+            slope = math.nextafter(slope, -math.inf)
+        slopes = {"bound": slope, "limit": slope, "beyond": math.nextafter(slope, -math.inf)}
+        lengths, maxima = [1, 2, 3, 4], [0.1 * q ** l * w for l, w in zip([1, 2, 3, 4], [1.0, 0.75, 1.25, 0.5])]
+        c = max(m / q ** l for l, m in zip(lengths, maxima))
+        envelope_gap = max(m - c * math.exp(math.log(q) * l) * (1 + 1e-6) for l, m in zip(lengths, maxima))
+        assert envelope_gap < 0.0
+
+        monkeypatch.setattr(cli, "_irreducibility", lambda cfg, tm: (delta0, k))
+        for point in ("bound", "limit", "beyond"):
+            values = {name: planted(name, point) for name in bounds}
+            monkeypatch.setattr(kernels, "harnack_audit", lambda table, interior: values["harnack"])
+            monkeypatch.setattr(kernels, "multiplicativity_audit", lambda table, interior: (
+                values["multiplicativity_lower"], values["multiplicativity_upper"]))
+            monkeypatch.setattr(perturbed, "decay_audit", lambda resid, ctx: (lengths, maxima, slopes[point]))
+            # the first word anchors the envelope; the second lies at half of it, the rest at the planted ratio
+            weights = [1.0, 0.5] + [values["gdif_envelope"]] * 2
+            monkeypatch.setattr(perturbed, "gdif_audit", lambda q_walk, ctx, x_list, solver_tol: [
+                q ** len(x) * w for x, w in zip(x_list, weights)])
+            entries = {e["name"]: e for e in cli.run_audits(cfg)}
+            for name in bounds:
+                assert entries[name]["bound"] == bounds[name], name
+                assert entries[name]["pass"] is (point != "beyond"), (name, point)
+            for name in ("harnack", "multiplicativity_lower", "multiplicativity_upper", "gdif_envelope"):
+                assert entries[name]["measured"] == values[name], (name, point)
+            assert entries["perturbation_rate"]["measured"] == abs(slopes[point] / math.log(q) - 1.0)
+            assert entries["perturbation_envelope"]["measured"] == envelope_gap
+            assert entries["perturbation_envelope"]["pass"]
 
     def test_a_failed_side_condition_fails_at_any_value(self):
         trend = next(a for a in self.entries() if a.name == "boundary_ratio_trend")

@@ -277,7 +277,7 @@ class TestGreenTable:
         tm, table = walk8
         assert table.residual < 1e-10
         assert table.green.diagonal().min() >= 1.0
-        assert table.diagonal_bound_gap() <= 0.0
+        assert table.green.diagonal().max() <= 1.0 / (1.0 - tm.norm_bound)
 
     def test_neumann_within_tail_bound(self, walk8):
         # the certified rows agree with the series oracle, and carry a bound
@@ -707,40 +707,39 @@ def passes(name: str, measured, bound) -> bool:
 class TestHarnackAndMultiplicativity:
     def test_harnack_passes_with_chain_bound(self, audit_setup):
         tm, table, delta0, k, interior = audit_setup
-        rep = harnack_audit(table, delta0, k, interior)
-        assert passes("harnack", rep.empirical_delta, rep.delta_bound)
-        assert rep.empirical_delta >= rep.delta_bound
+        empirical = harnack_audit(table, interior)
+        assert passes("harnack", empirical, delta0 ** k)
+        assert empirical >= delta0 ** k
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_harnack_fails_below_the_chain_bound(self, audit_setup, k):
         """With delta0^K at the measured delta the audit passes, and with it
         at the measured delta / 0.75 it fails: an audit that passed at half
         the chain bound would pass both."""
-        tm, table, delta0, _, interior = audit_setup
-        worst = harnack_audit(table, delta0, 1, interior).empirical_delta
+        tm, table, _, _, interior = audit_setup
+        worst = harnack_audit(table, interior)
         for delta0, verdict in ((worst ** (1 / k), True), ((worst / 0.75) ** (1 / k), False)):
-            rep = harnack_audit(table, delta0, k, interior)
-            assert passes("harnack", rep.empirical_delta, rep.delta_bound) is verdict
+            assert passes("harnack", worst, delta0 ** k) is verdict
 
     def test_multiplicativity_constants(self, audit_setup):
         tm, table, delta0, k, interior = audit_setup
-        rep = multiplicativity_audit(table, delta0 ** k, interior)
-        assert rep.c1_lower <= rep.lower_bound
-        assert rep.c1_upper <= rep.upper_bound
-        assert passes("multiplicativity_lower", rep.c1_lower, rep.lower_bound)
-        assert passes("multiplicativity_upper", rep.c1_upper, rep.upper_bound)
+        c_lower, c_upper = multiplicativity_audit(table, interior)
+        lower_bound = 1.0 / (1.0 - tm.norm_bound)
+        upper_bound = 3.0 * (2.0 / (delta0 ** k) ** 2) ** (tm.range_bound - 1)
+        assert c_lower <= lower_bound
+        assert c_upper <= upper_bound
+        assert passes("multiplicativity_lower", c_lower, lower_bound)
+        assert passes("multiplicativity_upper", c_upper, upper_bound)
         # nearest-neighbor walk: cut vertices make the upper constant <= 1
-        assert rep.c1_upper <= 1.0 + 1e-12
+        assert c_upper <= 1.0 + 1e-12
 
     def test_audits_read_a_rows_table_through_its_rows(self, audit_setup):
         # the interior's rows, asked for in reverse order, give the full table's constants
         tm, table, delta0, k, interior = audit_setup
         rows = green_rows(tm, interior[::-1])
-        har, har_rows = (harnack_audit(t, delta0, k, interior) for t in (table, rows))
-        assert har_rows.empirical_delta == pytest.approx(har.empirical_delta, rel=1e-12)
-        mult, mult_rows = (multiplicativity_audit(t, delta0 ** k, interior) for t in (table, rows))
-        assert mult_rows.c1_lower == pytest.approx(mult.c1_lower, rel=1e-12)
-        assert mult_rows.c1_upper == pytest.approx(mult.c1_upper, rel=1e-12)
+        assert harnack_audit(rows, interior) == pytest.approx(harnack_audit(table, interior), rel=1e-12)
+        mult, mult_rows = (multiplicativity_audit(t, interior) for t in (table, rows))
+        assert mult_rows == pytest.approx(mult, rel=1e-12)
         # the last-entry decomposition reads only the branch rows of the entry cut
         branch_walk = tm.restrict(branch("a", 8))
         branch_table = green_table(branch_walk)
@@ -923,9 +922,9 @@ class TestGreenRows:
         tm, table = walk8
         rows = green_rows(tm, heap_indices(["ba", "aab", "a"]))
         assert rows.rows.tolist() == heap_indices(["", "a", "ba", "aab"]).tolist() and rows.walk is table.walk
-        diag = max(table.green_entry(v, v) for v in rows.rows)
-        assert rows.diagonal_bound_gap() == pytest.approx(diag - 1.0 / (1.0 - tm.norm_bound), rel=1e-13)
-        assert table.diagonal_bound_gap() == table.green.diagonal().max() - 1.0 / (1.0 - tm.norm_bound)
+        # the solved rows' diagonal entries, as the full table has them
+        for v in rows.rows:
+            assert rows.green_entry(v, v) == pytest.approx(table.green_entry(v, v), rel=1e-13)
         for s in rows.rows:
             for t in heap_indices(["", "a", "ab", "bab", "aabb", "b" * 8]):
                 assert rows.green_entry(s, t) == pytest.approx(table.green_entry(s, t), rel=1e-13)

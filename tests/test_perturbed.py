@@ -1,4 +1,5 @@
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -324,13 +325,15 @@ class TestSparseQMatrix:
 class TestDecayAudit:
     def test_envelope_and_rate(self, setup):
         ctx, _, _ = setup
-        rep = decay_audit(residual_matrix(ctx), ctx)
-        assert rep.envelope_gap() <= 0.0
-        assert len(rep.lengths) >= 4
+        lengths, maxima, slope = decay_audit(residual_matrix(ctx), ctx)
+        # the least single constant over the maxima keeps each one inside c q^len
+        c = max(m / ctx.q ** l for l, m in zip(lengths, maxima))
+        assert max(m - c * ctx.q ** l * (1 + 1e-6) for l, m in zip(lengths, maxima)) <= 0.0
+        assert len(lengths) >= 4 and lengths == sorted(lengths) and len(maxima) == len(lengths)
         # measured slope: one factor of q^2 per unit length (the trace kills
         # the first-order defect), strictly below the guaranteed envelope
-        assert rep.fitted_rate <= rep.target_rate
-        assert rep.fitted_rate == pytest.approx(2.0 * rep.target_rate, rel=0.1)
+        assert slope <= math.log(ctx.q)
+        assert slope == pytest.approx(2.0 * math.log(ctx.q), rel=0.1)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     def test_residual_matrix_is_the_difference(self, q, mu_mixed):
@@ -448,10 +451,12 @@ class TestGreenQ:
 class TestGdif:
     def test_envelope_along_alternating_branches(self, setup):
         ctx, _, _ = setup
-        rep = gdif_audit(q_matrix(ctx), ctx, ["a", "ba", "aba"])
-        assert rep.max_rel[0] > rep.max_rel[1] > rep.max_rel[2] > 0
+        x_list = ["a", "ba", "aba"]
+        rels = gdif_audit(q_matrix(ctx), ctx, x_list)
+        assert rels[0] > rels[1] > rels[2] > 0
         # anchored envelope: deeper branches decay at least as fast as q
-        assert rep.envelope_gap <= 1.0 + 1e-9
+        c = rels[0] / ctx.q ** len(x_list[0])
+        assert max(rel / (c * ctx.q ** len(x)) for rel, x in zip(rels, x_list)) <= 1.0 + 1e-9
 
     def test_rejects_words_outside_branch(self, setup):
         ctx, _, _ = setup
