@@ -58,6 +58,7 @@ print(f"one-step certified interval around the weighted norm = [{bottom:.6f}, {t
 print()
 print("row of the matrix at s = 'ba':")
 i = heap_index("ba")
-row = tm.matrix.getrow(i).tocoo()
-for j, v in sorted(zip(row.col, row.data)):
+# the walk's weights are a CSR: row i holds indices and data[indptr[i]:indptr[i + 1]]
+row = slice(tm.matrix.indptr[i], tm.matrix.indptr[i + 1])
+for j, v in zip(tm.matrix.indices[row], tm.matrix.data[row]):
     print(f"   ba -> {format_word(j):5s}  p = {v:.6f}")

@@ -26,6 +26,9 @@ from operator import eq, ge, gt, le, lt
 from pathlib import Path
 
 import numpy as np
+# the bare package only (about 3 ms; no scipy.sparse): the benchmark's child process reads
+# sys.modules["scipy"].__version__ right after importing this module
+import scipy  # noqa: F401
 
 from . import fusion, kernels, perturbed, words
 from .fusion import Measure

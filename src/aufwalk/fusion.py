@@ -20,15 +20,17 @@ string route as a cross-check.  A ``TransitionMatrix`` carries all a walk
 on one domain needs: the matrix, the words, their heap indices and
 positions, the measure, q, and the norm bound that certifies its Green
 kernel; its restriction to a sub-domain equals the assembly there bit for bit.
-``is_generating`` and ``uniform_irreducibility_constants`` search the
-walk's stored pattern level by level, one sparse product per step
-(``_hops``), so the module needs no scipy beyond ``scipy.sparse``.
+The weights are held as a ``CSR``: scipy's canonical compressed sparse row
+arrays (sorted columns, no duplicates, int32 indices), built and read with
+numpy alone, so no command that stays on range-1 walks imports
+``scipy.sparse``.  ``is_generating`` and ``uniform_irreducibility_constants``
+search the walk's stored pattern level by level, one ``np.bincount`` per step
+(``_hops``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .words import (
     ball,
@@ -115,6 +117,97 @@ def transition_prob(mu: Measure, s: str, t: str, q: float) -> float:
     return out
 
 
+class CSR:
+    """A sparse matrix in compressed sparse row form, with scipy's attribute
+    names: row i holds the columns indices[indptr[i]:indptr[i + 1]] and
+    their values in data.  The constructors here (csr_from_entries,
+    as_csr) make it canonical, as scipy's sum_duplicates does: sorted
+    columns in each row, no duplicate."""
+
+    def __init__(self, indptr, indices, data, shape: tuple[int, int]):
+        self.indptr = np.asarray(indptr)
+        self.indices = np.asarray(indices)
+        self.data = np.asarray(data)
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry, in storage order."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        np.add.at(out, (self.rows(), self.indices), self.data)
+        return out
+
+
+def csr_from_entries(rows, cols, vals, shape: tuple[int, int], drop_zeros: bool = False) -> CSR:
+    """The canonical CSR of (row, column, value) entries: a stable sort by
+    row, then column, and duplicates summed one after another in the order
+    given, as scipy sums them (scipy's in-row sort is stable up to 16
+    entries a row, and a walk of range at most 3 has at most two entries at
+    one position, whose sum is the same in either order).  With
+    ``drop_zeros`` a sum of zero is not stored, as in scipy's sum of two
+    canonical matrices."""
+    keys = np.asarray(rows, dtype=np.int64) * shape[1]
+    keys += np.asarray(cols, dtype=np.int64)
+    return _csr_of_pieces([keys], [np.asarray(vals, dtype=float)], shape, drop_zeros)
+
+
+def _csr_of_pieces(key_pieces: list, value_pieces: list, shape: tuple[int, int], drop_zeros: bool = False) -> CSR:
+    """csr_from_entries on pieces of keys row * n_cols + col and of their
+    values.  It empties both lists, so that each concatenation frees its
+    pieces and each sorted copy frees what it sorts: at most an int64 and an
+    int32 array and two float arrays of the entries' length are held at
+    once, beside the keys."""
+    keys = np.concatenate(key_pieces)
+    key_pieces.clear()
+    vals = np.concatenate(value_pieces)
+    value_pieces.clear()
+    n_rows, n_cols = shape
+    index = np.int32 if max(n_rows, n_cols, len(keys)) < 2**31 else np.int64
+    order = np.argsort(keys, kind="stable").astype(index)
+    keys.sort()
+    vals = vals[order]
+    del order
+    if len(keys) > 1 and (repeat := keys[1:] == keys[:-1]).any():
+        first = np.concatenate([[True], ~repeat])
+        starts = np.flatnonzero(first)
+        # the k-th entry at a position is added in the k-th pass
+        rank = np.arange(len(keys)) - np.repeat(starts, np.diff(np.append(starts, len(keys))))
+        group = np.cumsum(first) - 1
+        data = vals[starts]
+        for k in range(1, int(rank.max()) + 1):
+            at = rank == k
+            data[group[at]] += vals[at]
+        keys, vals = keys[starts], data
+    if drop_zeros:
+        keys, vals = keys[vals != 0.0], vals[vals != 0.0]
+    bounds = np.arange(n_rows + 1, dtype=np.int64)
+    bounds *= n_cols
+    indptr = np.searchsorted(keys, bounds).astype(index)
+    del bounds
+    np.remainder(keys, max(n_cols, 1), out=keys)
+    return CSR(indptr, keys.astype(index), vals, shape)
+
+
+def as_csr(matrix) -> CSR:
+    """A CSR as it is (its data as float), or the CSR of a dense array's
+    nonzero entries in row-major order."""
+    if isinstance(matrix, CSR):
+        if matrix.data.dtype == float:
+            return matrix
+        return CSR(matrix.indptr, matrix.indices, matrix.data.astype(float), matrix.shape)
+    dense = np.asarray(matrix, dtype=float)
+    if dense.ndim != 2:
+        raise ValueError(f"a matrix must be two-dimensional, got shape {dense.shape}")
+    rows, cols = np.nonzero(dense)
+    return csr_from_entries(rows, cols, dense[rows, cols], dense.shape)
+
+
 class TransitionMatrix:
     """Transition weights of the walk restricted to a finite domain, given by
     its sorted, distinct heap indices.
@@ -124,12 +217,13 @@ class TransitionMatrix:
     from the domain frontier.
     """
 
-    def __init__(self, codes: np.ndarray, matrix: sp.csr_matrix, mu: Measure, q: float):
+    def __init__(self, codes: np.ndarray, matrix, mu: Measure, q: float):
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 1 or np.any(codes[1:] <= codes[:-1]):
             raise ValueError("a walk's domain must be strictly increasing heap indices")
         self.codes = codes
-        self.matrix = matrix
+        #: the weights, a CSR (a dense array is converted)
+        self.matrix = as_csr(matrix)
         self.mu = mu
         self.q = q
         self.range_bound = mu.range_bound
@@ -148,7 +242,14 @@ class TransitionMatrix:
         return pos
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
+        """Each row's sum by np.add.reduceat over its entries, as scipy's
+        sum(axis=1) takes it (pairwise past 8 entries, so not a bincount)."""
+        m = self.matrix
+        out = np.zeros(m.shape[0])
+        nonempty = np.flatnonzero(np.diff(m.indptr))
+        if nonempty.size:
+            out[nonempty] = np.add.reduceat(m.data, m.indptr[nonempty])
+        return out
 
     def qdims(self) -> np.ndarray:
         return qdims(self.codes, self.q)
@@ -171,8 +272,19 @@ class TransitionMatrix:
         """Substochastic restriction to a sub-domain of sorted heap indices
         (kills exiting mass)."""
         idx = self.positions(subdomain)
-        sub = self.matrix[idx][:, idx]
-        return TransitionMatrix(subdomain, sp.csr_matrix(sub), self.mu, self.q)
+        m = self.matrix
+        # the rows of idx in order, each keeping its entries whose column lies in idx
+        column = np.full(m.shape[1], -1, dtype=m.indices.dtype)
+        column[idx] = np.arange(len(idx))
+        counts = np.diff(m.indptr)[idx]
+        row = np.repeat(np.arange(len(idx)), counts)
+        entries = m.indptr[idx][row] + np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+        kept = column[m.indices[entries]]
+        keep = kept >= 0
+        indptr = np.zeros(len(idx) + 1, dtype=m.indptr.dtype)
+        np.cumsum(np.bincount(row[keep], minlength=len(idx)), out=indptr[1:])
+        sub = CSR(indptr, kept[keep], m.data[entries[keep]], (len(idx), len(idx)))
+        return TransitionMatrix(subdomain, sub, self.mu, self.q)
 
 
 def transition_matrix(mu: Measure, domain, q: float) -> TransitionMatrix:
@@ -186,7 +298,7 @@ def transition_matrix(mu: Measure, domain, q: float) -> TransitionMatrix:
     return tm
 
 
-def _assemble(mu: Measure, codes: np.ndarray, q: float) -> sp.csr_matrix:
+def _assemble(mu: Measure, codes: np.ndarray, q: float) -> CSR:
     """The weights p(s, t) between the words with the given sorted heap
     indices, one vector step per support word r, cancellation length k and
     length of s.
@@ -196,13 +308,14 @@ def _assemble(mu: Measure, codes: np.ndarray, q: float) -> sp.csr_matrix:
     are fixed), so one slice of the sorted domain; their components
     r[:-k] s[k:] keep the low L - k bits of s, so each is s shifted by one
     offset.  Each step holds arrays of its own slice only, and the entries
-    are gathered as int32 positions (heap indices stay below 2^21).
+    are gathered as keys row * n + col, then sorted and summed into the
+    canonical CSR (csr_from_entries).
     """
     n = len(codes)
     # sorted codes: the last word is the longest
     radius = int(code_lengths(codes[-1:]).max(initial=0))
     dims = ball_qdims(radius, q)
-    rows, cols, vals = [], [], []
+    keys, vals = [], []
     for r, w in mu.items():
         dr = qdim(r, q)
         r_bits = heap_index(r) + 1 - (1 << len(r))
@@ -216,16 +329,9 @@ def _assemble(mu: Measure, codes: np.ndarray, q: float) -> sp.csr_matrix:
                 t = s + ((1 << (len(r) - k + tail)) - 1 + ((r_bits >> k) << tail) - first)
                 pos, hit = locate(codes, t)
                 i = np.flatnonzero(hit)
-                rows.append((i + lo).astype(np.int32))
-                cols.append(pos[i].astype(np.int32))
+                keys.append((i + lo) * n + pos[i])
                 vals.append(w * dims[t[i]] / (dr * dims[s[i]]))
-    # each concatenation frees its pieces before the next one, and all before the CSR is built
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mat.sum_duplicates()
-    return mat
+    return _csr_of_pieces(keys, vals, (n, n))
 
 
 #: rows per block of the range check
@@ -236,7 +342,7 @@ def _assert_bounded_range(tm: TransitionMatrix) -> None:
     """Every stored entry joins words within the walk's range: the tree
     distances are taken over blocks of CSR rows, so the check holds a
     block's codes and distances at a time."""
-    mat = tm.matrix.tocsr()
+    mat = tm.matrix
     for start in range(0, tm.size, CHECK_BLOCK_ROWS):
         stop = min(start + CHECK_BLOCK_ROWS, tm.size)
         indptr = mat.indptr[start:stop + 1]
@@ -257,8 +363,8 @@ def _check_sampled_rows(tm: TransitionMatrix) -> None:
     CROSS_CHECK_RTOL, and tree distances equal to the array ones."""
     for i in sorted({0, (tm.size - 1) // 2, tm.size - 1} if tm.size else ()):
         s = word(tm.codes[i])
-        row = tm.matrix.getrow(i)
-        got = dict(zip(row.indices.tolist(), row.data.tolist()))
+        lo, hi = tm.matrix.indptr[i], tm.matrix.indptr[i + 1]
+        got = dict(zip(tm.matrix.indices[lo:hi].tolist(), tm.matrix.data[lo:hi].tolist()))
         targets = list(dict.fromkeys(t for r in tm.mu.support for t in fuse(r, s)))
         pos, inside = locate(tm.codes, [heap_index(t) for t in targets])
         want = {j: transition_prob(tm.mu, s, t, tm.q) for j, t, ok in zip(pos.tolist(), targets, inside) if ok}
@@ -298,24 +404,30 @@ def dual_audit(walk: TransitionMatrix) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _hops(matrix, sources, limit: int) -> np.ndarray:
+def _hops(matrix: CSR, sources, limit: int, entries=None, backward: bool = False) -> np.ndarray:
     """Fewest steps from each source index to each index along the stored
-    entries of a square sparse matrix (an explicit zero or a negative entry
-    is a step too), searched level by level up to ``limit`` steps: an array
-    of shape (len(sources), n), holding limit + 1 where an index is not
-    reached within the limit."""
-    m = matrix.tocsr()
-    # one product with the 0/1 pattern moves every source's frontier one step; ones cannot cancel
-    step = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape).T
-    out = np.full((len(sources), m.shape[0]), limit + 1)
-    front = np.zeros((m.shape[0], len(sources)), dtype=bool)
-    front[sources, np.arange(len(sources))] = True
-    for k in range(limit + 1):
+    entries of a square CSR (an explicit zero or a negative entry is a step
+    too), or along those the boolean mask ``entries`` keeps, searched level
+    by level up to ``limit`` steps; ``backward`` steps from column to row.
+    An array of shape (len(sources), n), holding limit + 1 where an index is
+    not reached within the limit."""
+    n, k = matrix.shape[0], len(sources)
+    tail, head = matrix.rows(), matrix.indices
+    if backward:
+        tail, head = head, tail
+    if entries is not None:
+        tail, head = tail[entries], head[entries]
+    # (head, source) keys: one bincount counts each frontier's steps into each index
+    keys = (head.astype(np.int64)[:, None] * k + np.arange(k)).ravel()
+    out = np.full((k, n), limit + 1)
+    front = np.zeros((n, k), dtype=bool)
+    front[sources, np.arange(k)] = True
+    for step in range(limit + 1):
         front &= out.T > limit
         if not front.any():
             break
-        out.T[front] = k
-        front = step @ front != 0
+        out.T[front] = step
+        front = np.bincount(keys, weights=front[tail].ravel(), minlength=n * k).reshape(n, k) > 0
     return out
 
 
@@ -326,7 +438,7 @@ def is_generating(walk: TransitionMatrix) -> bool:
     radius = int(code_lengths(walk.codes[-1:]).max(initial=0))
     tm = walk.restrict(ball(min(radius, max(walk.range_bound, 4))))
     # the root is heap index 0, the first word of the ball
-    return all((_hops(m, [0], tm.size) <= tm.size).all() for m in (tm.matrix, tm.matrix.T))
+    return all((_hops(tm.matrix, [0], tm.size, backward=back) <= tm.size).all() for back in (False, True))
 
 
 def norm_upper_bound(mu: Measure, q: float) -> float:
@@ -359,7 +471,7 @@ def uniform_irreducibility_constants(tm: TransitionMatrix, k_max: int = 12) -> t
     if not adjacent.any():
         raise ValueError("domain too small for the requested chain margin")
     # fewest steps along positive weights from each interior word, through any word
-    steps = _hops(tm.matrix > 0, ok, k_max)[:, ok][adjacent]
+    steps = _hops(tm.matrix, ok, k_max, entries=data > 0)[:, ok][adjacent]
     far = int((steps > k_max).sum())
     if far:
         raise AssertionError(f"{far} adjacent pairs not connected within {k_max} steps")

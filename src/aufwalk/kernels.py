@@ -53,9 +53,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fusion import TransitionMatrix
+from .fusion import CSR, TransitionMatrix, as_csr
 from .words import RadiusCapError, code_lengths, ends_with, heap_index, locate, qdims, tree_distances, word
 # the word-level qdim stays importable from here: perfbench's tracer rebinds it in every
 # module that holds it
@@ -79,7 +78,7 @@ _PANEL = 16
 def weighted_operator_norm(matrix, weights: np.ndarray) -> tuple[float, float]:
     """Certified interval (bottom, top) around the operator norm of the
     matrix on l2 with the given vertex weights, from one Collatz-Wielandt
-    step.  Dense input is converted to CSR.
+    step.  Dense input is converted to a CSR (fusion.as_csr).
 
     With A = D M D^-1 the conjugate by D = diag(sqrt(weights)) and u = |A| 1,
     the bottom is |A 1| / |1| <= ||A|| and the top sqrt(max_i (|A|^T u)_i)
@@ -95,16 +94,17 @@ def weighted_operator_norm(matrix, weights: np.ndarray) -> tuple[float, float]:
     w = np.sqrt(np.asarray(weights, dtype=float))
     # A on M's own CSR pattern, each entry times w[row] and then 1/w[col]: the
     # bits and order of the products diag(w) M diag(1/w) without their copies
-    m = sp.csr_matrix(matrix, dtype=float)
-    data = m.data * np.repeat(w, np.diff(m.indptr))
-    data *= (1.0 / w)[m.indices]
-    a = sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
-    signed = a.data.min(initial=0.0) < 0.0
-    b = abs(a) if signed else a
-    ones = np.ones(a.shape[0])
-    u = b @ ones
-    bottom = _l2(a @ ones if signed else u) / _l2(ones)
-    top = math.sqrt((b.T @ u).max()) * (1.0 + 1e-12)
+    m = as_csr(matrix)
+    n, rows = m.shape[0], m.rows()
+    a = m.data * w[rows]
+    a *= (1.0 / w)[m.indices]
+    signed = a.min(initial=0.0) < 0.0
+    b = np.abs(a) if signed else a
+    # A 1, |A| 1 and |A|^T u as bincounts in CSR entry order: the sums of a CSR
+    # product with ones and of a CSC product, term for term
+    u = np.bincount(rows, b, n)
+    bottom = _l2(np.bincount(rows, a, n) if signed else u) / _l2(np.ones(n))
+    top = math.sqrt(np.bincount(m.indices, b * u[rows], n).max()) * (1.0 + 1e-12)
     return bottom, top
 
 
@@ -190,7 +190,7 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     entry is not positive or the level sweeps meet a pivot that is not.
     """
     n = walk.size
-    w = sp.csr_matrix(walk.matrix, dtype=float)
+    w = walk.matrix
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match domain size {n}")
     units, inside = locate(walk.codes, rows)
@@ -201,9 +201,6 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     top = norm_interval[1]
     if top >= 1.0 - NORM_GUARD:
         raise ValueError(f"operator norm bound {top} too close to 1; Green kernel unreliable")
-    # W^T as the CSC view of W's arrays: its products add in the order of a
-    # CSR copy, with no conversion
-    a = w.T
     narrow = len(units) < n
     lu = _factor(walk, w, narrow)
     # a full table's columns in Fortran order, so that its transpose is the
@@ -218,21 +215,27 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     # C-ordered copy: the product's own copy of a Fortran-ordered block, freed
     # at once, took 47k minor faults on the sweeps' table at n = 4095, not 1.1k
     numbers = []
+    # the panel's copy and its residual, allocated once
+    copies, products = np.empty((2, n, min(_PANEL, len(units))))
     for start in range(0, len(units), _PANEL):
         at = units[start:start + _PANEL]
         cols = np.arange(len(at))
-        rhs = np.zeros((n, len(at)))
-        rhs[at, cols] = 1.0
         if table is None:
+            rhs = np.zeros((n, len(at)))
+            rhs[at, cols] = 1.0
             x[:, start:start + len(at)] = lu.solve(rhs)
-        panel = np.ascontiguousarray(x[:, start:start + len(at)])
-        r = a @ panel
+            del rhs
+        panel = copies[:, :len(at)]
+        panel[...] = x[:, start:start + len(at)]
+        # W^T X taken by the factor, which holds W; adding the unit columns at
+        # their entries alone gives |r| the bits of adding them whole
+        r = lu.product(panel, out=products[:, :len(at)])
         r -= panel
-        r += rhs
+        r[at, cols] += 1.0
         numbers.append((np.abs(r, out=r).max(), panel[at, cols].min()))
-    # the last panel's arrays go before the certificate allocates its own:
-    # kept, they raised the peak RSS of `walk --radius 16` by 6 MiB
-    del rhs, panel, r
+    # the panels' arrays go before the certificate allocates its own: kept,
+    # they raised the peak RSS of `walk --radius 16` by 6 MiB
+    del copies, products, panel, r
     residuals, diagonals = zip(*numbers)
     # np.max and np.min keep a NaN of any panel, and the negated comparisons fail it
     residual = float(np.max(residuals))
@@ -244,7 +247,7 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
         raise RuntimeError("Green kernel diagonal not positive")
     certified = slice(None) if narrow else np.unique([0, (len(units) - 1) // 2, len(units) - 1])
     block = x if narrow else np.ascontiguousarray(x[:, certified])
-    bounds = _Certificate(walk, w, top, lu, narrow).bounds(block, units[certified])
+    bounds = _Certificate(walk, top, lu, narrow).bounds(block, units[certified])
     # infinite at a zero entry; max keeps a NaN bound, as the gates' maxima do.
     # The bounds are positive, so |bounds / x| is bounds / |x|, in place
     with np.errstate(divide="ignore"):
@@ -252,14 +255,15 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     return KernelTable(walk, rows, np.ascontiguousarray(x.T), residual, norm_interval, bound)
 
 
-def _factor(walk: TransitionMatrix, w, narrow: bool):
+def _factor(walk: TransitionMatrix, w: CSR, narrow: bool):
     """The factor of I - W^T that a Green solve and its certificate use, W
     the CSR weights on the walk's domain (or their absolute values): level
     sweeps where the walk has range 1 and its domain is a complete subtree in
-    heap order, as every ball and branch is, and SuperLU otherwise."""
+    heap order, as every ball and branch is, and SuperLU otherwise.  Either
+    also takes the products W^T X of the gates and the certificate."""
     if walk.range_bound == 1 and _heap_subtree(walk.codes):
         return _LevelSweeps(w)
-    return _LeavesFirstLU(w.T, narrow)
+    return _LeavesFirstLU(w, narrow)
 
 
 def _heap_subtree(codes: np.ndarray) -> bool:
@@ -279,10 +283,44 @@ def _heap_subtree(codes: np.ndarray) -> bool:
     )
 
 
+#: a block with at least this many columns is multiplied by the level sweeps'
+#: stencil repeated across its columns, a narrower one a column at a time
+_WIDE = 8
+
+
+def _stencil(w: CSR) -> np.ndarray:
+    """The entries of a range-1 W on a complete subtree in heap order, as the
+    rows up, diag and down of a (3, n) array: up(c) = W(c, p), diag(c) =
+    W(c, c) and down(c) = W(p, c), p the parent of c.  Each stored entry
+    fills one slot: an entry off the tree's edges, or two entries at one
+    position, raises RuntimeError, so no entry is dropped or added twice."""
+    n = w.shape[0]
+    row, col = w.rows().astype(np.int64), w.indices.astype(np.int64)
+    # level j is positions [lo, 2 lo + 1), lo = 2^j - 1.  A word's parent drops
+    # its first letter: half a level back from the first half, a whole level
+    # back from the second; its children are lo + 1 and 2 (lo + 1) ahead
+    sizes = 1 << np.arange(n.bit_length(), dtype=np.int64)
+    lo = np.repeat(sizes - 1, sizes)[row]
+    half = (lo + 1) // 2
+    parent = np.where(row > 0, row - half * (1 + (row >= lo + half)), -1)
+    slot = np.select([col == parent, col == row, (col == row + lo + 1) | (col == row + 2 * (lo + 1))],
+                     [row, n + row, 2 * n + col], -1)
+    if (slot < 0).any():
+        raise RuntimeError("a range-1 walk has an entry off the tree's edges")
+    if np.bincount(slot, minlength=3 * n).max(initial=0) > 1:
+        raise RuntimeError("a range-1 walk stores two entries at one position")
+    stencil = np.zeros(3 * n)
+    # 0.0 + v, the sum a bincount of the one entry gives
+    stencil[slot] = w.data + 0.0
+    return stencil.reshape(3, n)
+
+
 class _LevelSweeps:
     """Leaves-first factors of I - W^T for a range-1 W on a complete subtree
     in heap order (_heap_subtree), W in CSR: Parter's order, with no fill and
-    no pivoting, one numpy step per level on slices.
+    no pivoting, one numpy step per level on slices.  The factors, and the
+    products W^T X of the gates and the certificate, read one stencil of W
+    (_stencil), never the CSR again.
 
     With up(c) = W(c, p) and down(c) = W(p, c), p the parent of c, the
     pivots are d = 1 - diag(W), less (up(c) * (1 / d(c))) * down(c) from each
@@ -293,30 +331,15 @@ class _LevelSweeps:
     below 1, so every pivot is positive; one that is not, NaN included,
     raises RuntimeError."""
 
-    def __init__(self, w):
+    def __init__(self, w: CSR):
         n = w.shape[0]
         # (parents, children, h) per level below the root: the 2h children
         # are the two halves, each in the order of the h parents
         levels = [(slice(h - 1, 2 * h - 1), slice(2 * h - 1, 4 * h - 1), h)
                   for h in (1 << j for j in range(n.bit_length() - 1))]
-        diag, up, down = np.zeros(n), np.zeros(n), np.zeros(n)
-        for j in range(n.bit_length()):
-            lo, hi = (1 << j) - 1, (1 << (j + 1)) - 1
-            row = np.repeat(np.arange(lo, hi, dtype=w.indices.dtype), np.diff(w.indptr[lo:hi + 1]))
-            col = w.indices[w.indptr[lo]:w.indptr[hi]]
-            val = w.data[w.indptr[lo]:w.indptr[hi]]
-            # a word's parent drops its first letter: half a level back from
-            # the first half, a whole level back from the second
-            half = (lo + 1) // 2
-            to_parent, to_self, to_child = col < row, col == row, col > row
-            step = (col - row)[to_child]
-            if not (np.array_equal(col[to_parent], (row - half * (1 + (row >= lo + half)))[to_parent])
-                    and ((step == lo + 1) | (step == 2 * (lo + 1))).all()):
-                raise RuntimeError("a range-1 walk has an entry off the tree's edges")
-            diag[lo:hi] = np.bincount(row[to_self] - lo, val[to_self], hi - lo)
-            up[lo:hi] = np.bincount(row[to_parent] - lo, val[to_parent], hi - lo)
-            if step.size:
-                down[hi:2 * hi + 1] = np.bincount(col[to_child] - hi, val[to_child], hi + 1)
+        self.stencil = _stencil(w)
+        self._slices, self._has_diag, self._wide = levels, bool((w.rows() == w.indices).any()), None
+        up, diag, down = self.stencil.copy()
         d = 1.0 - diag
         # a pivot that is not positive spreads to the root: the gate names the
         # first one eliminated, the last in heap order
@@ -389,33 +412,82 @@ class _LevelSweeps:
             below /= pivots
         return x
 
+    def product(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """W^T x for a vector or a block of columns, by level slices of the
+        stencil, into ``out`` when given.  Each entry adds, from +0.0, the term
+        of its parent, its own, its first child's and its second child's: the
+        order in which scipy's CSC product adds the stored entries of a column
+        of W, so that for a finite x the bits are scipy's.  A block of _WIDE
+        columns or more takes the stencil repeated across its columns, with a
+        work array, both kept for the last width; a narrower block goes a
+        column at a time, with no copy of the stencil."""
+        y = np.empty(x.shape) if out is None else out
+        xs, ys = x.reshape(len(x), -1), y.reshape(len(y), -1)
+        width = xs.shape[1]
+        if width >= _WIDE:
+            if self._wide is None or self._wide[0].shape[1] != width:
+                self._wide = (*(np.repeat(v, width).reshape(-1, width) for v in self.stencil),
+                              np.empty((len(x), width)))
+            self._add_terms(xs, ys, *self._wide)
+        else:
+            for j in range(width):
+                self._add_terms(xs[:, j], ys[:, j], *self.stencil, np.empty(len(x)))
+        # the first term is stored, not added to +0.0: this turns the -0.0 of
+        # an entry whose terms are all zeros into scipy's +0.0, and no other bit
+        y += 0.0
+        return y
+
+    def _add_terms(self, x: np.ndarray, y: np.ndarray, up, diag, down, terms) -> None:
+        """y = W^T x for a column, or a block with the stencil repeated to
+        its width, one step per level and term; terms is a work array like x."""
+        tail = x.shape[1:]
+        y[0] = 0.0
+        for parents, children, h in self._slices:
+            np.multiply(down[children].reshape((2, h) + tail), x[parents], out=y[children].reshape((2, h) + tail))
+        if self._has_diag:
+            y += diag * x
+        np.multiply(up, x, out=terms)
+        for parents, children, h in self._slices:
+            above = y[parents]
+            above += terms[children][:h]
+            above += terms[children][h:]
+
 
 class _LeavesFirstLU:
-    """SuperLU factors of I - W, for a sparse W on a domain of sorted heap
-    indices (_factor passes the walk's W^T): the factor of a walk of range
-    >= 2, or of a domain that is not a complete subtree, and the oracle of
-    the level sweeps' tests.  It eliminates in reversed domain order with
-    SuperLU's partial pivoting, in panels of one column when ``narrow`` (see
-    above); ``solve`` takes and returns domain order.  SuperLU is imported
-    on first use."""
+    """SuperLU factors of I - W^T, for the CSR weights W of a walk on a
+    domain of sorted heap indices: the factor of a walk of range >= 2, or of
+    a domain that is not a complete subtree, and the oracle of the level
+    sweeps' tests.  It eliminates in reversed domain order with SuperLU's
+    partial pivoting, in panels of one column when ``narrow`` (see above);
+    ``solve`` takes and returns domain order, and ``product`` is scipy's CSC
+    product W^T x.  scipy.sparse and SuperLU are imported on first use."""
 
-    def __init__(self, w, narrow: bool = False):
+    def __init__(self, w: CSR, narrow: bool = False):
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
         n = w.shape[0]
-        c = w.tocsc()
-        # column j of the reversed W is column n - 1 - j of W with its rows
+        # W^T in CSC is W's own arrays: its products add in the order of a CSR
+        # copy, with no conversion
+        self.a = c = sp.csc_matrix((w.data, w.indices, w.indptr), shape=(n, n))
+        # column j of the reversed W^T is column n - 1 - j of W^T with its rows
         # mirrored, so sorted rows stay sorted
         reversed_w = sp.csc_matrix(
             (c.data[::-1], n - 1 - c.indices[::-1], c.indptr[-1] - c.indptr[::-1]), shape=(n, n)
         )
         a = sp.identity(n, format="csc") - reversed_w
         # SuperLU copies its input: hold no other n-sized array while it factors
-        del c, reversed_w
-        from scipy.sparse.linalg import splu
-
+        del reversed_w
         self.lu = splu(a, permc_spec="NATURAL", panel_size=1 if narrow else None)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self.lu.solve(rhs[::-1])[::-1]
+
+    def product(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return self.a @ x
+        out[...] = self.a @ x
+        return out
 
 
 class _Certificate:
@@ -436,11 +508,12 @@ class _Certificate:
     covers the bound's own roundings: k + 5 per residual bound, n + 2 in the
     norm, a few after."""
 
-    def __init__(self, walk: TransitionMatrix, w, top: float, factor, narrow: bool):
-        abs_w = abs(w) if w.data.min(initial=0.0) < 0.0 else w
-        self.a = w.T
-        self.abs_a = self.a if abs_w is w else abs_w.T
-        self.lu = factor if abs_w is w else _factor(walk, abs_w, narrow)
+    def __init__(self, walk: TransitionMatrix, top: float, factor, narrow: bool):
+        w = walk.matrix
+        # the factor of W takes A x; a signed W gets a factor of |W| for |A| x and the solves
+        self.factor = self.abs_factor = factor
+        if w.data.min(initial=0.0) < 0.0:
+            self.abs_factor = _factor(walk, CSR(w.indptr, w.indices, np.abs(w.data), w.shape), narrow)
         n, u = w.shape[0], np.finfo(float).eps / 2
         k = int(np.bincount(w.indices, minlength=n).max(initial=0)) + 2
         self.gamma = k * u / (1.0 - k * u)
@@ -457,27 +530,27 @@ class _Certificate:
         # faults at radius 16 on three columns, 2.4k with these four)
         r, bound, work, y = np.zeros((4, *x.shape))
         r[units, np.arange(len(units))] = 1.0
-        self._residual_bound(self.a, x, r, work)
+        self._residual_bound(self.factor, x, r, work)
         for _ in range(2):
-            y[...] = self.lu.solve(r)
-            self._residual_bound(self.abs_a, y, r, work)
+            y[...] = self.abs_factor.solve(r)
+            self._residual_bound(self.abs_factor, y, r, work)
             bound += np.abs(y, out=y)
         norms = np.array([_l2(np.divide(column, self.scale, out=work[:, 0])) for column in r.T])
         bound += norms / (1.0 - self.top) * self.scale[:, None]
         bound *= self.widen
         return bound
 
-    def _residual_bound(self, a, x: np.ndarray, b: np.ndarray, work: np.ndarray) -> None:
+    def _residual_bound(self, factor, x: np.ndarray, b: np.ndarray, work: np.ndarray) -> None:
         """|fl(b - (x - a x))| + gamma_k (|A||x| + |x| + b), for b >= 0,
-        written over b, work an array like x.  Where neither A nor x has a
-        negative entry, as on an unsigned walk, |A||x| is the product a x
-        itself, to the bit."""
-        ax = a @ x
-        if a is self.abs_a and not x.min(initial=0.0) < 0.0:
+        written over b, work an array like x, a the product of the given
+        factor's weights.  Where neither A nor x has a negative entry, as on
+        an unsigned walk, |A||x| is the product a x itself, to the bit."""
+        ax = factor.product(x)
+        if factor is self.abs_factor and not x.min(initial=0.0) < 0.0:
             np.add(ax, x, out=work)
         else:
             np.abs(x, out=work)
-            work += self.abs_a @ work
+            work += self.abs_factor.product(work)
         work += b
         work *= self.gamma
         ax -= x
@@ -591,11 +664,14 @@ def last_entry_audit(s: int, t: int, full_table: KernelTable, branch_table: Kern
     if not ends_with([t], x)[0]:
         raise ValueError("target must lie inside the branch")
     walk = full_table.walk
-    outside = np.flatnonzero(~ends_with(walk.codes, x))
+    outside = ~ends_with(walk.codes, x)
     cut = entry_set(branch_table.walk.codes, walk.range_bound)
     si = full_table.row_positions([s])[0]
-    # M(s, .) = sum over outside v of G(s, v) P(v, .)
-    m_s = walk.matrix[outside].T @ full_table.green[si, outside]
+    # M(s, .) = sum over outside v of G(s, v) P(v, .), a bincount in CSR entry order
+    m = walk.matrix
+    rows = m.rows()
+    at = outside[rows]
+    m_s = np.bincount(m.indices[at], m.data[at] * full_table.green[si, rows[at]], walk.size)
     lhs = full_table.green_entry(s, t)
     rhs = 0.0
     for u, i in zip(cut.tolist(), walk.positions(cut).tolist()):

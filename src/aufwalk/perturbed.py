@@ -28,9 +28,8 @@ import copy
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fusion import TransitionMatrix, fuse
+from .fusion import CSR, TransitionMatrix, csr_from_entries, fuse
 from .intertwiners import Intertwiner, IntertwinerEngine, kron_apply
 from .kernels import SOLVER_TOL, KernelTable, Shortfall, green_table
 from .words import branch, code_lengths, heap_index, involution, qdim, word
@@ -206,11 +205,16 @@ def q_matrix(ctx: BranchContext) -> TransitionMatrix:
     decide.  ctx.walk is left as it is.  Fails loudly, listing the offending
     entries, when a traced coefficient exceeds the tensor cap."""
     walk = copy.copy(ctx.walk)
-    walk.matrix = ctx.walk.matrix - _traced(ctx, lambda u, s, t, p: p - qhat_entry(u, s, t, ctx))
+    p, correction = ctx.walk.matrix, _traced(ctx, lambda u, s, t, p: p - qhat_entry(u, s, t, ctx))
+    # P - correction as scipy subtracts two canonical CSRs: p + (-c) is p - c
+    # to the bit, and an entry that cancels to zero is not stored
+    walk.matrix = csr_from_entries(np.concatenate([p.rows(), correction.rows()]),
+                                   np.concatenate([p.indices, correction.indices]),
+                                   np.concatenate([p.data, -correction.data]), p.shape, drop_zeros=True)
     return walk
 
 
-def residual_matrix(ctx: BranchContext) -> sp.csr_matrix:
+def residual_matrix(ctx: BranchContext) -> CSR:
     """The perturbation residual p - qhat on the truncated branch, with the
     weights of q_matrix, built entry by entry as p eps^2 / 2 from the
     commutation defect (see commutation_defect) rather than as a difference of
@@ -219,7 +223,7 @@ def residual_matrix(ctx: BranchContext) -> sp.csr_matrix:
     return _traced(ctx, lambda u, s, t, p: p * commutation_defect(u, s, t, ctx) ** 2 / 2)
 
 
-def _traced(ctx: BranchContext, term) -> sp.csr_matrix:
+def _traced(ctx: BranchContext, term) -> CSR:
     """The branch matrix with entry (t, s) = sum over u of
     mud(u) (m_s / m_t)^2 term(u, s, t, p), p = m_t / (m_u m_s), over the
     traced entries: the required ones with nonempty u that the cut rule leaves
@@ -227,14 +231,15 @@ def _traced(ctx: BranchContext, term) -> sp.csr_matrix:
     traced = [(u, s, t) for (u, s, t) in required_entries(ctx) if u and not exact_by_cut(u, s, t, ctx.z)]
     ctx.engine.check_cap(*(u + s + ctx.y for (u, s, t) in traced))
     walk, mud, q = ctx.walk, ctx.walk.mu.dual(), ctx.q
-    rows = walk.positions([heap_index(t) for (u, s, t) in traced]).tolist()
-    cols = walk.positions([heap_index(s) for (u, s, t) in traced]).tolist()
-    out = sp.dok_matrix((walk.size, walk.size))
-    for (u, s, t), i, j in zip(traced, rows, cols):
+    rows = walk.positions([heap_index(t) for (u, s, t) in traced])
+    cols = walk.positions([heap_index(s) for (u, s, t) in traced])
+    vals = []
+    for u, s, t in traced:
         m_s, m_t = qdim(s, q), qdim(t, q)
         p = m_t / (qdim(u, q) * m_s)
-        out[i, j] += mud.weight(u) * (m_s / m_t) ** 2 * term(u, s, t, p)
-    return out.tocsr()
+        vals.append(mud.weight(u) * (m_s / m_t) ** 2 * term(u, s, t, p))
+    # the terms at one entry are summed in the order traced, and a sum of 0.0 is not stored
+    return csr_from_entries(rows, cols, vals, (walk.size, walk.size), drop_zeros=True)
 
 
 def decay_audit(resid, ctx: BranchContext) -> tuple[list[int], list[float], float]:
@@ -249,9 +254,8 @@ def decay_audit(resid, ctx: BranchContext) -> tuple[list[int], list[float], floa
     the floor raise Shortfall.
     """
     per_length: dict[int, float] = {}
-    coo = sp.coo_matrix(resid)
-    row_lengths = code_lengths(ctx.walk.codes)[coo.row].tolist()
-    for length, value in zip(row_lengths, coo.data.tolist()):
+    row_lengths = code_lengths(ctx.walk.codes)[resid.rows()].tolist()
+    for length, value in zip(row_lengths, resid.data.tolist()):
         if value > RESIDUAL_FLOOR:
             per_length[length] = max(per_length.get(length, 0.0), value)
     if len(per_length) < MIN_DECAY_LENGTHS:

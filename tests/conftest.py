@@ -10,6 +10,7 @@ from aufwalk import (
     green_table,
     transition_matrix,
 )
+from aufwalk.fusion import CSR
 
 Q_DEFAULT = 0.5
 RNG_SEED = 20240817
@@ -58,3 +59,21 @@ def branch_context(engine, mu, z, radius):
 def random_word(rng, max_len=8):
     length = int(rng.integers(0, max_len + 1))
     return "".join(rng.choice(["a", "b"], size=length))
+
+
+def to_scipy(m):
+    """The scipy CSR matrix on the arrays of a walk's fusion.CSR (no copy):
+    scipy.sparse is the tests' oracle for the CSR products and their editor
+    of walk weights."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def from_scipy(m):
+    """The canonical fusion.CSR of a scipy sparse matrix, as a walk holds it."""
+    import scipy.sparse as sp
+
+    c = sp.csr_matrix(m, copy=True)
+    c.sum_duplicates()
+    return CSR(c.indptr, c.indices, c.data, c.shape)

@@ -12,7 +12,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +29,7 @@ from aufwalk.cli import (
 )
 from aufwalk.intertwiners import Intertwiner, IntertwinerEngine
 from aufwalk.words import ball, ball_words, format_word, heap_index, heap_indices
+from conftest import from_scipy, to_scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE = str(ROOT / "demos" / "config.example.json")
@@ -354,9 +354,9 @@ class TestInternalErrors:
         class PlantedPivot(kernels._LevelSweeps):
             # the last word, a leaf, has the pivot 1 - W(t, t): planted at 0
             def __init__(self, w):
-                w = w.tolil(copy=True)
+                w = to_scipy(w).tolil(copy=True)
                 w[w.shape[0] - 1, w.shape[0] - 1] = 1.0
-                super().__init__(w.tocsr())
+                super().__init__(from_scipy(w))
 
         monkeypatch.setattr(kernels, "_LevelSweeps", PlantedPivot)
         assert main(["walk", str(make_config(tmp_path))]) == EXIT_INTERNAL
@@ -369,12 +369,12 @@ class TestInternalErrors:
         assemble = fusion._assemble
 
         def faulty(mu, codes, q):
-            mat = assemble(mu, codes, q).tolil()
+            mat = to_scipy(assemble(mu, codes, q)).tolil()
             if fault == "out_of_range":
                 mat[1, len(codes) - 1] = 1e-3  # from 'a' to the last word of the ball
             else:
                 mat[0, mat.rows[0][0]] *= 1.0 + 1e-12  # the root row is sampled
-            return mat.tocsr()
+            return from_scipy(mat)
 
         monkeypatch.setattr(fusion, "_assemble", faulty)
         assert main(["walk", str(make_config(tmp_path))]) == EXIT_INTERNAL
@@ -882,7 +882,7 @@ class TestAudit:
         """Residuals that leave fewer than four usable lengths are the code's
         fault on a valid config: both perturbation entries fail with the
         usable count against 4, the later entries still run and audit exits 1."""
-        monkeypatch.setattr(perturbed, "residual_matrix", lambda ctx: sp.csr_matrix((ctx.walk.size,) * 2))
+        monkeypatch.setattr(perturbed, "residual_matrix", lambda ctx: fusion.csr_from_entries([], [], [], (ctx.walk.size,) * 2))
         path = make_config(tmp_path, ballRadius=7, tensorCap=9)
         assert main(["audit", str(path)]) == EXIT_AUDIT
         capsys.readouterr()

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from aufwalk import fusion
@@ -34,7 +33,7 @@ from aufwalk.words import (
     tree_distances,
     word,
 )
-from conftest import random_word
+from conftest import from_scipy, random_word, to_scipy
 
 Q = 0.5
 
@@ -130,7 +129,7 @@ class TestTransitions:
 
     def test_bounded_range(self, mu_mixed):
         tm = transition_matrix(mu_mixed, ball(6), Q)
-        coo = tm.matrix.tocoo()
+        coo = to_scipy(tm.matrix).tocoo()
         for i, j, v in zip(coo.row, coo.col, coo.data):
             if v != 0:
                 assert tree_distance(word(tm.codes[i]), word(tm.codes[j])) <= tm.range_bound
@@ -142,7 +141,7 @@ class TestTransitions:
         assert tms.codes.tolist() == sub.tolist()
         for i, s in enumerate(sub):
             for j, t in enumerate(sub):
-                assert tms.matrix[i, j] == tm.matrix[tm.positions([s])[0], tm.positions([t])[0]]
+                assert tms.matrix.toarray()[i, j] == tm.matrix.toarray()[tm.positions([s])[0], tm.positions([t])[0]]
 
     @pytest.mark.parametrize("weights", [{"a": 0.5, "b": 0.5}, {"a": 0.25, "b": 0.25, "ab": 0.5}])
     def test_restrict_by_codes_is_the_branch_assembly(self, weights):
@@ -161,7 +160,7 @@ class TestTransitions:
         with pytest.raises(ValueError, match="strictly increasing"):
             walk.restrict(branch("a", 6)[::-1])
         with pytest.raises(ValueError, match="strictly increasing"):
-            TransitionMatrix(np.array([0, 0]), walk.matrix[:2, :2], mu, Q)
+            TransitionMatrix(np.array([0, 0]), walk.matrix.toarray()[:2, :2], mu, Q)
 
 
 class TestDualAudit:
@@ -261,7 +260,7 @@ def csgraph_generating(walk):
     radius = int(code_lengths(walk.codes[-1:]).max(initial=0))
     tm = walk.restrict(ball(min(radius, max(walk.range_bound, 4))))
     fwd, bwd = (breadth_first_order(m, 0, directed=True, return_predecessors=False)
-                for m in (tm.matrix, tm.matrix.T.tocsr()))
+                for m in (to_scipy(tm.matrix), to_scipy(tm.matrix).T.tocsr()))
     return len(fwd) == len(bwd) == tm.size
 
 
@@ -275,7 +274,7 @@ def csgraph_constants(tm, k_max):
     adjacent = tree_distances(tm.codes[ok, None], tm.codes[None, ok]) == 1
     if not adjacent.any():
         raise ValueError("domain too small for the requested chain margin")
-    steps = shortest_path(tm.matrix > 0, unweighted=True, indices=ok)[:, ok][adjacent]
+    steps = shortest_path(to_scipy(tm.matrix) > 0, unweighted=True, indices=ok)[:, ok][adjacent]
     far = int((steps > k_max).sum())
     if far:
         raise AssertionError(f"{far} adjacent pairs not connected within {k_max} steps")
@@ -292,9 +291,9 @@ GRID_MEASURES = [{w: 1.0} for w in SHORT_WORDS] + [
 def with_root_column(tm, value):
     """The walk with every stored weight into the root set to ``value``: 0.0
     keeps them stored, as explicit zeros."""
-    m = tm.matrix.copy()
+    m = to_scipy(tm.matrix).copy()
     m.data[m.indices == 0] = value
-    return TransitionMatrix(tm.codes, m, tm.mu, tm.q)
+    return TransitionMatrix(tm.codes, from_scipy(m), tm.mu, tm.q)
 
 
 class TestSearchAgainstCsgraph:
@@ -315,9 +314,10 @@ class TestSearchAgainstCsgraph:
         """No weight into e: every word is reached from e and none returns,
         so only the backward search refuses the walk."""
         tm = transition_matrix(Measure({"a": 0.5, "b": 0.5}), ball(5), Q)
-        m = with_root_column(tm, 0.0)
-        m.matrix.eliminate_zeros()
-        assert len(breadth_first_order(m.matrix, 0, return_predecessors=False)) == tm.size
+        stored = to_scipy(with_root_column(tm, 0.0).matrix)
+        stored.eliminate_zeros()
+        m = TransitionMatrix(tm.codes, from_scipy(stored), tm.mu, tm.q)
+        assert len(breadth_first_order(stored, 0, return_predecessors=False)) == tm.size
         assert not csgraph_generating(m)
         assert not is_generating(m)
 
@@ -330,10 +330,10 @@ class TestSearchAgainstCsgraph:
 
     def test_hops_of_a_path_and_its_cut(self):
         # 0 -> 1 -> 2, the first step an explicit zero
-        m = sp.csr_matrix((np.array([0.0, 1.0]), np.array([1, 2]), np.array([0, 1, 2, 2])), shape=(3, 3))
+        m = fusion.CSR(np.array([0, 1, 2, 2]), np.array([1, 2]), np.array([0.0, 1.0]), (3, 3))
         assert fusion._hops(m, [0], 2).tolist() == [[0, 1, 2]]
         assert fusion._hops(m, [0, 2], 1).tolist() == [[0, 1, 2], [2, 2, 0]]
-        assert fusion._hops(m.T, [2], 5).tolist() == [[2, 1, 0]]
+        assert fusion._hops(m, [2], 5, backward=True).tolist() == [[2, 1, 0]]
 
     @pytest.mark.parametrize("radius", range(4, 9))
     @pytest.mark.parametrize("mu", [{"a": 0.5, "b": 0.5}, {"": 0.2, "a": 0.3, "b": 0.5},
@@ -374,7 +374,7 @@ class TestMatrixEntriesMatchScalarRoute:
         tm = transition_matrix(mu_mixed, ball(5), Q)
         for s in ("", "a", "ab", "ba", "bb"):
             for t in ("", "a", "ab", "aab", "abab"):
-                assert tm.matrix[heap_index(s), heap_index(t)] == pytest.approx(
+                assert tm.matrix.toarray()[heap_index(s), heap_index(t)] == pytest.approx(
                     transition_prob(mu_mixed, s, t, Q), abs=1e-15
                 )
 
@@ -385,9 +385,9 @@ class TestAssemblyChecks:
 
     def test_planted_out_of_range_entry_is_named(self, mu_letters):
         tm = transition_matrix(mu_letters, ball(5), Q)
-        mat = tm.matrix.tolil()
+        mat = to_scipy(tm.matrix).tolil()
         mat[heap_index("a"), heap_index("bbbb")] = 1e-3
-        tm.matrix = mat.tocsr()
+        tm.matrix = from_scipy(mat)
         with pytest.raises(AssertionError, match=r"\('a', 'bbbb'\) violates the range bound 1 \(distance 5\)"):
             fusion._assert_bounded_range(tm)
 
@@ -402,9 +402,9 @@ class TestAssemblyChecks:
         for i in range(clean.size):
             s = word(i)
             t = "aaaaa" if s.startswith("b") or not s else "bbbbb"
-            mat = clean.matrix.tolil()
+            mat = to_scipy(clean.matrix).tolil()
             mat[i, heap_index(t)] = 1e-3
-            tm = TransitionMatrix(clean.codes, mat.tocsr(), clean.mu, clean.q)
+            tm = TransitionMatrix(clean.codes, from_scipy(mat), clean.mu, clean.q)
             with pytest.raises(AssertionError, match=rf"\({s!r}, {t!r}\) violates the range bound 1 "
                                                      rf"\(distance {tree_distance(s, t)}\)"):
                 fusion._assert_bounded_range(tm)
@@ -433,8 +433,8 @@ class TestAssemblyChecks:
 
     def test_dropped_entry_fails_the_string_route(self, mu_mixed):
         tm = transition_matrix(mu_mixed, ball(5), Q)
-        mat = tm.matrix.tolil()
+        mat = to_scipy(tm.matrix).tolil()
         mat[0, mat.rows[0][0]] = 0.0
-        tm.matrix = mat.tocsr()
+        tm.matrix = from_scipy(mat)
         with pytest.raises(AssertionError, match="differ from the fusion components"):
             fusion._check_sampled_rows(tm)

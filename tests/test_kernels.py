@@ -32,7 +32,7 @@ from aufwalk.kernels import (
     weighted_operator_norm,
 )
 from aufwalk.words import ball, ball_words, branch, code_lengths, heap_index, heap_indices, qdim, tree_distance, word
-from conftest import branch_context
+from conftest import branch_context, from_scipy, to_scipy
 
 Q = 0.5
 EXAMPLE = Path(__file__).resolve().parent.parent / "demos" / "config.example.json"
@@ -45,7 +45,7 @@ def eigsh_norm(matrix, weights) -> float:
     """Oracle: the weighted operator norm from the top eigenvalue of A^T A,
     A = D M D^-1 with D = diag(sqrt(weights))."""
     d = np.sqrt(weights)
-    a = sp.diags(d) @ sp.csr_matrix(matrix) @ sp.diags(1.0 / d)
+    a = sp.diags(d) @ to_scipy(matrix) @ sp.diags(1.0 / d)
     return float(np.sqrt(eigsh((a.T @ a).tocsc(), k=1, which="LA", return_eigenvectors=False)[0]))
 
 
@@ -61,7 +61,7 @@ def neumann_excess(table, sources) -> float:
     column of s under W^T (<= 0 is a pass).  On the dual weights 1/m the tail
     is top^(N+1) / (1 - top), off by sqrt(m_t / m_s) at entry t."""
     tm, top = table.walk, table.norm_interval[1]
-    a, m, steps = sp.csr_matrix(tm.matrix).T.tocsr(), tm.haar_weights(), neumann_steps(top)
+    a, m, steps = to_scipy(tm.matrix).T.tocsr(), tm.haar_weights(), neumann_steps(top)
     worst = -math.inf
     for s, row in zip(sources, table.source_rows(sources)):
         vec = np.zeros(tm.size)
@@ -89,7 +89,7 @@ def under_each_factor():
     for name in ("_LevelSweeps", "_LeavesFirstLU"):
         with pytest.MonkeyPatch.context() as patch:
             if name == "_LeavesFirstLU":
-                patch.setattr(kernels, "_factor", lambda walk, w, narrow: kernels._LeavesFirstLU(w.T, narrow))
+                patch.setattr(kernels, "_factor", lambda walk, w, narrow: kernels._LeavesFirstLU(w, narrow))
             yield patch, getattr(kernels, name)
 
 
@@ -143,9 +143,9 @@ def exact_columns(walk, units) -> list[list[Fraction]]:
 
 def certificate_of(table):
     """A certificate built as the Green solve of the table builds its own."""
-    w = sp.csr_matrix(table.walk.matrix)
     narrow = len(table.rows) < table.size
-    return kernels._Certificate(table.walk, w, table.norm_interval[1], kernels._factor(table.walk, w, narrow), narrow)
+    return kernels._Certificate(table.walk, table.norm_interval[1], kernels._factor(table.walk, table.walk.matrix, narrow),
+                                narrow)
 
 
 def column_bounds(certificate, x, unit) -> np.ndarray:
@@ -199,7 +199,7 @@ class TestWeightedNorm:
         before = (w.data.copy(), w.indices.copy(), w.indptr.copy())
         interval = weighted_operator_norm(w, tm.haar_weights())
         assert all(np.array_equal(x, y) for x, y in zip(before, (w.data, w.indices, w.indptr)))
-        signed = w.copy()
+        signed = from_scipy(to_scipy(w))
         signed.data[::2] *= -1.0
         assert weighted_operator_norm(signed, tm.haar_weights())[1] == interval[1]
 
@@ -315,7 +315,7 @@ class TestGreenTable:
         assert n % kernels._PANEL != 0
         for _, base in under_each_factor():
             table = green_table(tm)
-            factor = kernels._factor(tm, sp.csr_matrix(tm.matrix), False)
+            factor = kernels._factor(tm, tm.matrix, False)
             assert type(factor) is base
             one_shot = factor.solve(np.eye(n)).T
             if base is kernels._LeavesFirstLU:
@@ -328,7 +328,7 @@ class TestGreenTable:
         # the residual of the solved columns, the rows of G: W^T G^T - G^T + I
         tm, table = walk7
         x = table.green.T
-        assert table.residual == np.abs(tm.matrix.T @ x - x + np.eye(tm.size)).max()
+        assert table.residual == np.abs(to_scipy(tm.matrix).T @ x - x + np.eye(tm.size)).max()
 
     def test_residual_above_tolerance_raises(self, walk8):
         tm, table = walk8
@@ -388,8 +388,8 @@ class TestLeavesFirstLU:
         # on the ball (x = e) and on branches of it the pattern of I - W is a
         # tree's, and each pivot is a leaf of what is left
         tm = transition_matrix(Measure(mu), ball(9), Q).restrict(branch(x, 9))
-        lu = kernels._LeavesFirstLU(tm.matrix.T).lu
-        assert fill(lu) == (sp.identity(tm.size) - tm.matrix).nnz
+        lu = kernels._LeavesFirstLU(tm.matrix).lu
+        assert fill(lu) == (sp.identity(tm.size) - to_scipy(tm.matrix)).nnz
         assert np.array_equal(lu.perm_r, np.arange(tm.size))
 
     @pytest.mark.parametrize("longer", [("aa", "bb"), ("ab", "ba"), ("aab", "bba")])
@@ -398,8 +398,8 @@ class TestLeavesFirstLU:
         # COLAMD's (1.021, 0.951 and 0.936 at ball 6)
         mu = Measure({"a": 0.3, "b": 0.3, longer[0]: 0.2, longer[1]: 0.2})
         tm = transition_matrix(mu, ball(9), Q)
-        colamd = splu(sp.identity(tm.size, format="csc") - tm.matrix.T.tocsc(), permc_spec="COLAMD")
-        assert fill(kernels._LeavesFirstLU(tm.matrix.T).lu) <= 1.02 * fill(colamd)
+        colamd = splu(sp.identity(tm.size, format="csc") - to_scipy(tm.matrix).T.tocsc(), permc_spec="COLAMD")
+        assert fill(kernels._LeavesFirstLU(tm.matrix).lu) <= 1.02 * fill(colamd)
 
     @pytest.mark.parametrize("mu", [{"a": 0.5, "b": 0.5}, {"a": 0.3, "b": 0.3, "aa": 0.2, "bb": 0.2},
                                     {"a": 0.3, "b": 0.3, "aab": 0.2, "bba": 0.2}])
@@ -407,7 +407,7 @@ class TestLeavesFirstLU:
         """SuperLU's one-column panels give the L/U pattern and the row
         permutation of its default panels, and the entries to round-off."""
         tm = transition_matrix(Measure(mu), ball(9), Q)
-        wide, narrow = (kernels._LeavesFirstLU(tm.matrix.T, narrow=flag).lu for flag in (False, True))
+        wide, narrow = (kernels._LeavesFirstLU(tm.matrix, narrow=flag).lu for flag in (False, True))
         assert np.array_equal(wide.perm_r, narrow.perm_r)
         for factor in ("L", "U"):
             a, b = (getattr(lu, factor).tocsr().sorted_indices() for lu in (wide, narrow))
@@ -457,7 +457,7 @@ class TestLevelSweeps:
         for radius, solve in ((12, lambda walk: green_rows(walk, walk.codes[[1, 5, walk.size // 2, -1]])),
                               (8, green_table)):
             walk = transition_matrix(Measure(mu), ball(radius), q).restrict(branch(x, radius))
-            assert type(kernels._factor(walk, sp.csr_matrix(walk.matrix), False)) is kernels._LevelSweeps
+            assert type(kernels._factor(walk, walk.matrix, False)) is kernels._LevelSweeps
             assert_same_green(*(solve(walk) for _ in under_each_factor()))
 
     @pytest.mark.parametrize("signed", [False, True])
@@ -467,14 +467,14 @@ class TestLevelSweeps:
         copy with its largest weight negated is certified with the factor of
         I - |W^T|, which the sweeps give too."""
         walk = perturbed.q_matrix(branch_context(engine, mu_letters, "a", 7))
-        w = sp.csr_matrix(walk.matrix, copy=True)
+        w = to_scipy(walk.matrix).copy()
         if signed:
             w.data[w.data.argmax()] *= -1.0
-        walk = TransitionMatrix(walk.codes, w, walk.mu, walk.q)
+        walk = TransitionMatrix(walk.codes, from_scipy(w), walk.mu, walk.q)
         assert walk.size == 127 and bool(w.data.min() < 0.0) is signed
         assert_same_green(*(green_table(walk) for _ in under_each_factor()))
-        eye = np.eye(walk.size)
-        sweeps, superlu = kernels._LevelSweeps(abs(w)).solve(eye), kernels._LeavesFirstLU(abs(w).T).solve(eye)
+        eye, absolute = np.eye(walk.size), from_scipy(abs(w))
+        sweeps, superlu = kernels._LevelSweeps(absolute).solve(eye), kernels._LeavesFirstLU(absolute).solve(eye)
         assert (np.abs(sweeps - superlu) / np.abs(superlu)).max() <= SWEEP_ORACLE_REL
 
     @pytest.mark.parametrize("mu", SWEEP_MEASURES)
@@ -485,8 +485,8 @@ class TestLevelSweeps:
         multipliers up / d the negated entries of its L, bit for bit (the
         halves the other way round miss in three of these nine walks)."""
         walk = transition_matrix(Measure(mu), ball(9), q)
-        w, n = sp.csr_matrix(walk.matrix), walk.size
-        sweeps, lu = kernels._LevelSweeps(w), kernels._LeavesFirstLU(w.T).lu
+        w, n = walk.matrix, walk.size
+        sweeps, lu = kernels._LevelSweeps(w), kernels._LeavesFirstLU(w).lu
         assert np.array_equal(sweeps.d, lu.U.diagonal()[::-1])
         lower = (lu.L - sp.identity(n)).tocoo()
         assert lower.nnz == n - 1
@@ -508,17 +508,17 @@ class TestLevelSweeps:
     @pytest.mark.parametrize("pivot", [0.0, -0.5, math.nan])
     def test_a_pivot_that_is_not_positive_raises(self, mu_letters, pivot):
         # the last word is a leaf: its pivot is 1 - W(t, t), planted here
-        w = transition_matrix(mu_letters, ball(3), Q).matrix.tolil(copy=True)
+        w = to_scipy(transition_matrix(mu_letters, ball(3), Q).matrix).tolil(copy=True)
         w[14, 14] = 1.0 - pivot
         with pytest.raises(RuntimeError, match="pivot .* not positive"):
-            kernels._LevelSweeps(w.tocsr())
+            kernels._LevelSweeps(from_scipy(w))
 
     def test_an_entry_off_the_tree_raises(self, mu_letters):
         # between the siblings aa and ba, which no range-1 step joins
-        w = transition_matrix(mu_letters, ball(3), Q).matrix.tolil(copy=True)
+        w = to_scipy(transition_matrix(mu_letters, ball(3), Q).matrix).tolil(copy=True)
         w[heap_index("aa"), heap_index("ba")] = 0.01
         with pytest.raises(RuntimeError, match="off the tree's edges"):
-            kernels._LevelSweeps(w.tocsr())
+            kernels._LevelSweeps(from_scipy(w))
 
     def test_the_chooser_takes_superlu_off_range_one_and_complete_subtrees(self, mu_letters):
         ball7 = transition_matrix(mu_letters, ball(7), Q)
@@ -534,7 +534,7 @@ class TestLevelSweeps:
             (ball7.restrict(np.append(ball(6)[:-1], heap_index("a" * 7))), kernels._LeavesFirstLU),
         ]
         for walk, factor in cases:
-            assert type(kernels._factor(walk, sp.csr_matrix(walk.matrix), False)) is factor
+            assert type(kernels._factor(walk, walk.matrix, False)) is factor
 
 
 def fail_in_the_last_columns(patch, base, fault):
@@ -624,11 +624,11 @@ class TestFirstPassageTable:
             walk = transition_matrix(Measure({"": 0.2, "a": 0.3, "b": 0.5}), ball(9), Q).restrict(branch("ab", 9))
         else:
             q_walk = perturbed.q_matrix(branch_context(engine, mu_letters, "a", 7))
-            w = sp.csr_matrix(q_walk.matrix, copy=True)
+            w = to_scipy(q_walk.matrix).copy()
             w.data[w.data.argmax()] *= -1.0
-            walk = TransitionMatrix(q_walk.codes, w, q_walk.mu, q_walk.q)
+            walk = TransitionMatrix(q_walk.codes, from_scipy(w), q_walk.mu, q_walk.q)
             assert w.data.min() < 0.0
-        assert type(kernels._factor(walk, sp.csr_matrix(walk.matrix), False)) is kernels._LevelSweeps
+        assert type(kernels._factor(walk, walk.matrix, False)) is kernels._LevelSweeps
         green = green_table(walk).green
         inv = np.linalg.inv(np.eye(walk.size) - walk.matrix.toarray())
         assert np.abs(green - inv).max() <= SWEEP_ORACLE_REL * np.abs(inv).max()
@@ -1025,16 +1025,16 @@ class TestCertificate:
         second factor, of I - |W^T|, and its certified rows stay within their
         bounds of the exact solution."""
         branch_walk = branch_context(engine, mu_letters, "a", 5).walk
-        w = branch_walk.matrix.tocsr(copy=True)
+        w = to_scipy(branch_walk.matrix).copy()
         w.data[w.data.argmax()] *= -1.0
-        walk = TransitionMatrix(branch_walk.codes, w, branch_walk.mu, branch_walk.q)
+        walk = TransitionMatrix(branch_walk.codes, from_scipy(w), branch_walk.mu, branch_walk.q)
         for patch, base in under_each_factor():
-            factored, transposed = [], base is kernels._LeavesFirstLU
+            factored = []
 
             class Recording(base):
                 def __init__(self, matrix, *narrow):
-                    # the sweeps take W, SuperLU W^T: record W
-                    factored.append(sp.csr_matrix(matrix.T if transposed else matrix, copy=True))
+                    # both factors take W
+                    factored.append(to_scipy(matrix).copy())
                     super().__init__(matrix, *narrow)
 
             patch.setattr(kernels, base.__name__, Recording)
@@ -1097,7 +1097,7 @@ def test_audit_fails_a_walk_above_its_norm_bound(tmp_path, monkeypatch):
     def rescaled(cfg, radius):
         walk = real_build(cfg, radius)
         scale = 0.9 / weighted_operator_norm(walk.matrix, walk.haar_weights())[1]
-        return TransitionMatrix(walk.codes, walk.matrix * scale, walk.mu, walk.q)
+        return TransitionMatrix(walk.codes, from_scipy(to_scipy(walk.matrix) * scale), walk.mu, walk.q)
 
     monkeypatch.setattr(cli, "build_walk", rescaled)
     assert main(["audit", str(EXAMPLE), "--radius", "6", "--out", str(tmp_path)]) == EXIT_AUDIT

@@ -4,9 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from aufwalk.fusion import Measure, fuse, multiplicity, norm_upper_bound, transition_matrix
+from aufwalk.fusion import CSR, Measure, fuse, multiplicity, norm_upper_bound, transition_matrix
 from aufwalk.intertwiners import IntertwinerEngine, ModelConfig, TensorCapError
 from aufwalk.kernels import (
     Shortfall,
@@ -31,7 +30,7 @@ from aufwalk.perturbed import (
     trace_routes,
 )
 from aufwalk.words import ball, ball_words, branch, ends_with, heap_index, heap_indices, involution, qdim, word
-from conftest import branch_context
+from conftest import branch_context, from_scipy, to_scipy
 
 Q = 0.5
 
@@ -245,7 +244,7 @@ class TestQMatrix:
         assert q_bottom <= norm <= q_top <= p_top <= qm.norm_bound
         # range-1 coefficients are positive; with signs flipped |qhat| <= p
         # still holds, and so does the classical top
-        signed = qm.matrix.copy()
+        signed = from_scipy(to_scipy(qm.matrix))
         signed.data[::2] *= -1.0
         s_bottom, s_top = weighted_operator_norm(signed, m)
         assert s_bottom <= s_top == q_top <= p_top
@@ -275,7 +274,7 @@ class TestSparseQMatrix:
         ctx = case
         qm = q_matrix(ctx)
         assert qm.codes is ctx.walk.codes and qm.q == ctx.q
-        assert isinstance(qm.matrix, sp.csr_matrix)
+        assert isinstance(qm.matrix, CSR)
         want = entrywise_q_matrix(ctx)
         assert (np.abs(qm.matrix.toarray() - want) <= 1e-15 * np.abs(want)).all()
 

@@ -37,6 +37,7 @@ from aufwalk.words import (
     qdims,
     word,
 )
+from conftest import to_scipy
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 RADIUS = 6
@@ -203,7 +204,7 @@ def abs_conjugate_sums(walk) -> tuple[float, float]:
     """The largest row and column sums of |A|, A = D W D^-1 the conjugate of
     the walk's weights by D = diag(qdim) (the square roots of its weights)."""
     d = walk.qdims()
-    a = abs(sp.diags(d) @ walk.matrix @ sp.diags(1.0 / d))
+    a = abs(sp.diags(d) @ to_scipy(walk.matrix) @ sp.diags(1.0 / d))
     return float(a.sum(axis=1).max()), float(a.sum(axis=0).max())
 
 
