@@ -168,8 +168,9 @@ def green_rows(walk: TransitionMatrix, sources, solver_tol: float = SOLVER_TOL) 
     """The Green rows of the sources (heap indices) and of the domain's
     root, in sorted order, on a domain of any size.  Raises like
     _green_solve."""
-    rows = np.unique(np.append(np.asarray(sources, dtype=np.int64), walk.codes[0]))
-    return _green_solve(walk, rows, solver_tol)
+    rows = np.sort(np.append(np.asarray(sources, dtype=np.int64), walk.codes[0]))
+    # distinct rows without np.unique, whose plain form imports numpy.ma (about 15 ms)
+    return _green_solve(walk, rows[np.append(True, rows[1:] != rows[:-1])], solver_tol)
 
 
 def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) -> KernelTable:
@@ -227,12 +228,13 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
             del rhs
         panel = copies[:, :len(at)]
         panel[...] = x[:, start:start + len(at)]
-        # W^T X taken by the factor, which holds W; adding the unit columns at
-        # their entries alone gives |r| the bits of adding them whole
-        r = lu.product(panel, out=products[:, :len(at)])
-        r -= panel
+        # W^T X - X taken by the factor, which holds W; adding the unit columns
+        # at their entries alone gives |r| the bits of adding them whole
+        r = lu.product(panel, out=products[:, :len(at)], less=True)
         r[at, cols] += 1.0
-        numbers.append((np.abs(r, out=r).max(), panel[at, cols].min()))
+        # max |r| with no pass that writes: a NaN makes both ends NaN, and the
+        # outer abs turns an all-zero panel's -0.0 into the 0.0 of |r|
+        numbers.append((abs(max(r.max(), -r.min())), panel[at, cols].min()))
     # the panels' arrays go before the certificate allocates its own: kept,
     # they raised the peak RSS of `walk --radius 16` by 6 MiB
     del copies, products, panel, r
@@ -245,7 +247,7 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     # gate also covers the rows a full table leaves uncertified
     if not np.min(diagonals) > 0.0:
         raise RuntimeError("Green kernel diagonal not positive")
-    certified = slice(None) if narrow else np.unique([0, (len(units) - 1) // 2, len(units) - 1])
+    certified = slice(None) if narrow else np.array(sorted({0, (len(units) - 1) // 2, len(units) - 1}))
     block = x if narrow else np.ascontiguousarray(x[:, certified])
     bounds = _Certificate(walk, top, lu, narrow).bounds(block, units[certified])
     # infinite at a zero entry; max keeps a NaN bound, as the gates' maxima do.
@@ -286,6 +288,9 @@ def _heap_subtree(codes: np.ndarray) -> bool:
 #: a block with at least this many columns is multiplied by the level sweeps'
 #: stencil repeated across its columns, a narrower one a column at a time
 _WIDE = 8
+#: the products take the levels above this depth (under 64 parents each) in
+#: one gathered step: numpy's per-call cost, not their few rows, sets their time
+_SHALLOW = 6
 
 
 def _stencil(w: CSR) -> np.ndarray:
@@ -338,7 +343,17 @@ class _LevelSweeps:
         levels = [(slice(h - 1, 2 * h - 1), slice(2 * h - 1, 4 * h - 1), h)
                   for h in (1 << j for j in range(n.bit_length() - 1))]
         self.stencil = _stencil(w)
-        self._slices, self._has_diag, self._wide = levels, bool((w.rows() == w.indices).any()), None
+        # the shallow levels' parents 0 .. top - 1, as index arrays: their
+        # children's parents and their own first and second children; then per
+        # deeper level the parents, the children and their two halves
+        shallow = levels[:_SHALLOW]
+        self._top = ((1 << len(shallow)) - 1, *(np.concatenate([np.zeros(0, dtype=np.intp), *parts]) for parts in (
+            (np.tile(np.arange(p.start, p.stop), 2) for p, _, _ in shallow),
+            (np.arange(c.start, c.start + h) for _, c, h in shallow),
+            (np.arange(c.start + h, c.stop) for _, c, h in shallow))))
+        self._slices = [(parents, children, slice(children.start, children.start + h),
+                         slice(children.start + h, children.stop)) for parents, children, h in levels[_SHALLOW:]]
+        self._has_diag, self._wide = bool((w.rows() == w.indices).any()), None
         up, diag, down = self.stencil.copy()
         d = 1.0 - diag
         # a pivot that is not positive spreads to the root: the gate names the
@@ -412,45 +427,72 @@ class _LevelSweeps:
             below /= pivots
         return x
 
-    def product(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def product(self, x: np.ndarray, out: np.ndarray | None = None, less: bool = False) -> np.ndarray:
         """W^T x for a vector or a block of columns, by level slices of the
-        stencil, into ``out`` when given.  Each entry adds, from +0.0, the term
-        of its parent, its own, its first child's and its second child's: the
-        order in which scipy's CSC product adds the stored entries of a column
-        of W, so that for a finite x the bits are scipy's.  A block of _WIDE
-        columns or more takes the stencil repeated across its columns, with a
-        work array, both kept for the last width; a narrower block goes a
-        column at a time, with no copy of the stencil."""
+        stencil, into ``out`` when given (_add_terms); W^T x - x with
+        ``less``, the residual of the gates, taken in the same pass.  A block
+        of _WIDE columns or more takes the stencil repeated across its
+        columns, with a work array, both kept for the last width; a narrower
+        block goes a column at a time, with no copy of the stencil."""
         y = np.empty(x.shape) if out is None else out
         xs, ys = x.reshape(len(x), -1), y.reshape(len(y), -1)
-        width = xs.shape[1]
+        width, half = xs.shape[1], len(x) // 2 + 1
         if width >= _WIDE:
             if self._wide is None or self._wide[0].shape[1] != width:
                 self._wide = (*(np.repeat(v, width).reshape(-1, width) for v in self.stencil),
-                              np.empty((len(x), width)))
-            self._add_terms(xs, ys, *self._wide)
+                              np.empty((half, width)))
+            self._add_terms(xs, ys, *self._wide, less)
         else:
             for j in range(width):
-                self._add_terms(xs[:, j], ys[:, j], *self.stencil, np.empty(len(x)))
-        # the first term is stored, not added to +0.0: this turns the -0.0 of
-        # an entry whose terms are all zeros into scipy's +0.0, and no other bit
-        y += 0.0
+                self._add_terms(xs[:, j], ys[:, j], *self.stencil, np.empty(half), less)
         return y
 
-    def _add_terms(self, x: np.ndarray, y: np.ndarray, up, diag, down, terms) -> None:
+    def _add_terms(self, x: np.ndarray, y: np.ndarray, up, diag, down, work, less: bool) -> None:
         """y = W^T x for a column, or a block with the stencil repeated to
-        its width, one step per level and term; terms is a work array like x."""
-        tail = x.shape[1:]
+        its width, top down: a level stores its children's parent terms and
+        then adds its own terms and its children's to itself.  So each entry
+        adds, from +0.0, the term of its parent, its own, its first child's
+        and its second child's, the order in which scipy's CSC product adds
+        the stored entries of a column of W, and for a finite x the bits are
+        scipy's: the parent term is stored, not added to +0.0, and the +0.0
+        added to each finished level turns the -0.0 of an entry whose terms
+        are all zeros into scipy's +0.0, changing no other bit.  With ``less``
+        each finished level subtracts x instead, as scipy's r - x does; only
+        a zero of r - x may then differ in sign, which |r - x| does not read."""
         y[0] = 0.0
-        for parents, children, h in self._slices:
-            np.multiply(down[children].reshape((2, h) + tail), x[parents], out=y[children].reshape((2, h) + tail))
-        if self._has_diag:
-            y += diag * x
-        np.multiply(up, x, out=terms)
-        for parents, children, h in self._slices:
+        top, parent_of, first, second = self._top
+        if top:
+            children = slice(1, 2 * top + 1)
+            np.multiply(down[children], x[parent_of], out=y[children])
+            above, here = y[:top], x[:top]
+            if self._has_diag:
+                above += diag[:top] * here
+            above += up[first] * x[first]
+            above += up[second] * x[second]
+            if less:
+                above -= here
+            else:
+                above += 0.0
+        for parents, _, first, second in self._slices:
+            here, terms = x[parents], work[:parents.stop - parents.start]
+            np.multiply(down[first], here, out=y[first])
+            np.multiply(down[second], here, out=y[second])
             above = y[parents]
-            above += terms[children][:h]
-            above += terms[children][h:]
+            if self._has_diag:
+                above += np.multiply(diag[parents], here, out=terms)
+            above += np.multiply(up[first], x[first], out=terms)
+            above += np.multiply(up[second], x[second], out=terms)
+            if less:
+                above -= here
+            else:
+                above += 0.0
+        leaves = slice(len(x) // 2, len(x))
+        if self._has_diag:
+            y[leaves] += np.multiply(diag[leaves], x[leaves], out=work[:leaves.stop - leaves.start])
+        if less:
+            y[leaves] -= x[leaves]
+        else:
+            y[leaves] += 0.0
 
 
 class _LeavesFirstLU:
@@ -483,10 +525,13 @@ class _LeavesFirstLU:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self.lu.solve(rhs[::-1])[::-1]
 
-    def product(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def product(self, x: np.ndarray, out: np.ndarray | None = None, less: bool = False) -> np.ndarray:
+        y = self.a @ x
+        if less:
+            y -= x
         if out is None:
-            return self.a @ x
-        out[...] = self.a @ x
+            return y
+        out[...] = y
         return out
 
 
