@@ -465,11 +465,11 @@ AUDITS = (
 
 
 def _stages(cfg: RunConfig):
-    """The audit's checks of the tensor cap, the boundary sources and the
-    dense limit, then the stage of each group of AUDITS in order: a call
-    giving one value per entry, a (measured, bound) pair where the entry
-    holds no bound and (measured, bound, holds) where it names a side
-    condition.  The rows the stages read are built between them; the
+    """The audit's checks of the tensor cap, the boundary sources, the dense
+    limit and the oracle pass's budget, then the stage of each group of
+    AUDITS in order: a call giving one value per entry, a (measured, bound)
+    pair where the entry holds no bound and (measured, bound, holds) where it
+    names a side condition.  The rows the stages read are built between them; the
     functions of kernels and perturbed that the stages call return
     measurements, and every bound, envelope and rate is computed here."""
     eng = IntertwinerEngine(cfg.model)
@@ -482,6 +482,10 @@ def _stages(cfg: RunConfig):
     size = 2 ** (cfg.ball_radius + 1) - 1  # the ball's full table is refused before its walk is built
     if size > kernels.DENSE_LIMIT:
         raise RadiusCapError(f"domain of size {size} exceeds the dense solver limit {kernels.DENSE_LIMIT}")
+    # so is an oracle pass over the budget, from word lengths alone
+    need = perturbed.oracle_bytes(cfg.model.n, cfg.measure, cfg.branch_z, cfg.branch_radius())
+    if need > perturbed.ORACLE_BUDGET:
+        raise perturbed.OracleBudgetError(need)
     tm = build_walk(cfg, cfg.ball_radius)
     table = kernels.green_table(tm, solver_tol=cfg.solver_tol)
     yield lambda: [_interior_row_gap(cfg, tm)]

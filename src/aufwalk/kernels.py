@@ -712,16 +712,22 @@ def last_entry_audit(s: int, t: int, full_table: KernelTable, branch_table: Kern
     outside = ~ends_with(walk.codes, x)
     cut = entry_set(branch_table.walk.codes, walk.range_bound)
     si = full_table.row_positions([s])[0]
-    # M(s, .) = sum over outside v of G(s, v) P(v, .), a bincount in CSR entry order
-    m = walk.matrix
-    rows = m.rows()
-    at = outside[rows]
-    m_s = np.bincount(m.indices[at], m.data[at] * full_table.green[si, rows[at]], walk.size)
+    m_s = _last_steps(walk, full_table.green[si], outside)
     lhs = full_table.green_entry(s, t)
     rhs = 0.0
     for u, i in zip(cut.tolist(), walk.positions(cut).tolist()):
         rhs += float(m_s[i]) * branch_table.green_entry(u, t)
     return abs(lhs - rhs) / lhs
+
+
+def _last_steps(walk: TransitionMatrix, green_row: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """M(s, .) = sum over the words v of the mask ``outside`` of G(s, v) P(v, .),
+    G(s, .) the given Green row: a bincount in CSR entry order, the sums of
+    scipy's CSC product of the outside rows' transpose."""
+    m = walk.matrix
+    rows = m.rows()
+    at = outside[rows]
+    return np.bincount(m.indices[at], m.data[at] * green_row[rows[at]], walk.size)
 
 
 def ray_words(preperiod: str, period: str, suffix: str, depth: int) -> np.ndarray:

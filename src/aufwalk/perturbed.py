@@ -29,10 +29,10 @@ import math
 
 import numpy as np
 
-from .fusion import CSR, TransitionMatrix, csr_from_entries, fuse
-from .intertwiners import Intertwiner, IntertwinerEngine, kron_apply
+from .fusion import CSR, Measure, TransitionMatrix, csr_from_entries, fuse
+from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply, split_component
 from .kernels import SOLVER_TOL, KernelTable, Shortfall, green_table
-from .words import branch, code_lengths, heap_index, involution, qdim, word
+from .words import branch, classical_dim, code_lengths, heap_index, involution, qdim, word
 
 RESIDUAL_FLOOR = 1e-12
 DOMINATION_TOL = 1e-12
@@ -193,9 +193,60 @@ def required_entries(ctx: BranchContext) -> list[tuple[str, str, str]]:
     """All (u, s, t) coefficient triples needed to assemble the perturbed
     branch matrix of the walk's measure on the truncated branch, as words for
     the intertwiner stack, in the order of the branch's heap indices."""
-    codes, support = ctx.walk.codes.tolist(), ctx.walk.mu.dual().support
+    return _entries_on(ctx.walk.codes, ctx.walk.mu)
+
+
+def _entries_on(codes: np.ndarray, mu: Measure) -> list[tuple[str, str, str]]:
+    """required_entries on the domain of the given heap indices."""
+    codes, support = codes.tolist(), mu.dual().support
     inside = set(codes)
     return [(u, t, s) for t in map(word, codes) for u in support for s in fuse(u, t) if heap_index(s) in inside]
+
+
+#: bytes the audit's qhat_oracle pass may hold by oracle_bytes.  Measured
+#: peak RSS of `audit` is about 50 MiB plus twice the estimate: 57 MiB on the
+#: example config (estimate 6 MiB), 77 MiB on tests/golden/range2.json (2
+#: MiB), 147 MiB at cap 11, ball 10 (35 MiB) and 492 MiB at cap 12, ball 9
+#: (224 MiB).  So this budget keeps an audit near 600 MiB; cap 13, ball 10
+#: (1459 MiB) and cap 14, ball 11 (9692 MiB, which ran out of memory) are refused
+ORACLE_BUDGET = 256 << 20
+
+
+class OracleBudgetError(TensorCapError):
+    """The audit's qhat_oracle pass would hold more than ORACLE_BUDGET bytes
+    (oracle_bytes): a resource cap, raised before the pass allocates."""
+
+    def __init__(self, need: int):
+        super(TensorCapError, self).__init__(
+            f"the qhat_oracle pass would hold about {need >> 20} MiB of bases and arrays, over its "
+            f"budget of {ORACLE_BUDGET >> 20} MiB"
+        )
+        self.words, self.cap = (), ORACLE_BUDGET
+
+
+def oracle_bytes(n: int, mu: Measure, z: str, radius: int) -> int:
+    """The bytes the audit's qhat_oracle pass over the branch of z, with the
+    qhat_entry traces it compares, would hold, from word lengths and
+    classical dimensions alone: no basis is built.  It counts the memoised
+    ambient bases, n^len(w) x dim(w) floats, of every word whose basis its
+    isometries V(t, u(x)s), V(t, t(x)y) and V(s, s(x)y) read (the split
+    words of each, the suffixes of the cancelled word and the prefixes of
+    its involution, which the duality vectors nest through), closed under
+    prefixes as basis builds them, and its largest per-entry array, the
+    (dim u dim s)^2 dim y floats of qhat_oracle's evolved route."""
+    y = involution(z) + z
+    built, largest = set(), 0
+    for u, s, t in _entries_on(branch(z, radius), mu):
+        if not u:
+            continue
+        built |= {u, s, t, y}
+        for head, v, tail in (split_component(t, u, s), split_component(t, t, y), split_component(s, s, y)):
+            vbar = involution(v)
+            built |= {head, tail, head + v, vbar + tail}
+            built |= {v[i:] for i in range(len(v))} | {vbar[:i] for i in range(1, len(vbar) + 1)}
+        largest = max(largest, (classical_dim(u, n) * classical_dim(s, n)) ** 2 * classical_dim(y, n))
+    closure = {w[:k] for w in built for k in range(len(w) + 1)}
+    return 8 * (sum(n ** len(w) * classical_dim(w, n) for w in closure) + largest)
 
 
 def q_matrix(ctx: BranchContext) -> TransitionMatrix:

@@ -34,6 +34,7 @@ from conftest import from_scipy, to_scipy
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE = str(ROOT / "demos" / "config.example.json")
 GOLDEN_TWO_RAYS = str(ROOT / "tests" / "golden" / "two_rays.json")
+GOLDEN_RANGE2 = str(ROOT / "tests" / "golden" / "range2.json")
 
 
 def count_conversions(monkeypatch, record, modules=(words, fusion, kernels, perturbed, cli)):
@@ -877,6 +878,36 @@ class TestAudit:
         assert main(["audit", str(make_config(tmp_path, ballRadius=radius))]) == EXIT_CAP
         err = one_line_error(capsys, "resource cap:")
         assert f"{2 ** (radius + 1) - 1} exceeds the dense solver limit {kernels.DENSE_LIMIT}" in err
+
+    @pytest.mark.parametrize("q", [0.5, 0.8])
+    def test_an_oracle_pass_over_its_budget_exits_3_within_a_second(self, tmp_path, capsys, monkeypatch, q):
+        """At cap 14, ball 11 the qhat_oracle pass would hold about 9.5 GiB
+        (it ended in MemoryError after 39 s, or in a SIGKILL): the audit
+        refuses it from word lengths alone, before any walk is built."""
+        monkeypatch.setattr(fusion, "transition_matrix", None)
+        path = make_config(tmp_path, model={"n": 2, "q": q}, measure={"a": 0.35, "b": 0.65},
+                           tensorCap=14, ballRadius=11)
+        start = time.perf_counter()
+        assert main(["audit", str(path), "--out", str(tmp_path / "out")]) == EXIT_CAP
+        assert time.perf_counter() - start < 1.0
+        err = one_line_error(capsys, "resource cap: the qhat_oracle pass would hold about 9692 MiB")
+        assert err.endswith(f"over its budget of {perturbed.ORACLE_BUDGET >> 20} MiB\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, cap, ball, under", [
+        (EXAMPLE, None, None, True), (GOLDEN_RANGE2, None, None, True),
+        (EXAMPLE, 12, 9, True), (EXAMPLE, 13, 10, False), (EXAMPLE, 14, 11, False),
+    ])
+    def test_the_oracle_budget_admits_the_golden_audits(self, tmp_path, config, cap, ball, under):
+        """The golden audits and cap 12, ball 9 (its peak RSS 492 MiB) fit
+        the budget; cap 13, ball 10 and cap 14, ball 11 do not."""
+        raw = json.loads(Path(config).read_text())
+        if cap is not None:
+            raw.update(tensorCap=cap, ballRadius=ball)
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        cfg = load_config(str(tmp_path / "config.json"))
+        need = perturbed.oracle_bytes(cfg.model.n, cfg.measure, cfg.branch_z, cfg.branch_radius())
+        assert (need <= perturbed.ORACLE_BUDGET) is under
 
     def test_too_few_residual_lengths_fail_two_entries(self, tmp_path, monkeypatch, capsys):
         """Residuals that leave fewer than four usable lengths are the code's
