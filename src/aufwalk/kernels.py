@@ -3,8 +3,8 @@ and the measurements that audit their tree-geometry estimates: each audit
 function returns what it measured, and the bound it is compared with is
 computed beside its entry of the audit table (cli.AUDITS, cli._stages).
 
-A walk is a fusion.TransitionMatrix: its weights W, the sorted heap indices
-of its domain and its norm bound.  Words are heap indices here: sources,
+A walk is a fusion.TransitionMatrix: its weights W (a fusion.CSR of numpy
+arrays), the sorted heap indices of its domain and its norm bound.  Words are heap indices here: sources,
 targets and rows alike.  Where W has norm < 1 on the qdim^2-weighted l2
 space, the Green kernel is G = (I - W)^-1, and every kernel the audits read
 comes from Green rows G(s, .).  One solve gives them (_green_solve): it
@@ -37,11 +37,14 @@ the geodesic, so G(s, t) = F(s, t) G(t, t), F(s, t) the product of the
 first-passage factors along it (Cartier, Symposia Math. 9, 1972; Woess,
 Random Walks on Infinite Graphs and Groups, 2000), and the sweeps'
 multipliers are the upward factors; the panel loop only gates that table.
+The gates and the certificate take their products W^T X from the factor:
+the sweeps by level slices of one stencil of W's entries, with the bits of
+scipy's CSC product and without its import.
 A range-2 walk fills about as much as COLAMD; it, or a walk on any other
-domain, is factored by SuperLU (_LeavesFirstLU, which imports
-scipy.sparse.linalg at its first factor, so a process whose walks all take
-the sweeps loads neither it nor scipy.linalg), in one-column panels for a
-rows solve (SuperLU's n x panel work array pays only when supernodes span
+domain, is factored by SuperLU (_LeavesFirstLU, which imports scipy.sparse
+and SuperLU at its first factor, so a process whose walks all take the
+sweeps loads no module of scipy.sparse or scipy.linalg), in one-column
+panels for a rows solve (SuperLU's n x panel work array pays only when supernodes span
 several columns: Demmel et al., SIAM J. Matrix Anal. Appl. 20(3), 1999) and
 in its default panels of 10 for a full table.  The certificate bounds its block of
 columns at once, with the same bits per column as a column alone.
@@ -67,11 +70,12 @@ SOLVER_TOL = 1e-10
 NORM_GUARD = 1e-6
 # unit columns per step of _green_solve's loop, which solves and gates rows and
 # SuperLU tables and only gates a level-sweeps table.  First table of a
-# process at n = 4095 on one CPU, three processes each: the sweeps' table and
-# its gates took 0.099-0.102 s at 16, against 0.101-0.105 s at 8, 0.107-0.112
-# s at 32 and 0.127-0.134 s at 64 (the gates alone 0.053-0.059 s at 16,
-# 0.080-0.086 s at 64, 0.095-0.097 s at 256); a range-2 SuperLU table took
-# 0.41-0.43 s at 8 and 16, against 0.47 s at 32
+# process at n = 4095 on one CPU, three processes each, the gates' products
+# by level slices: the sweeps' table and its gates took 0.120-0.129 s at 16,
+# against 0.123-0.128 s at 8, 0.125-0.132 s at 32 and 0.146-0.148 s at 64
+# (the gates and the certificate alone 0.074-0.076 s at 16, 0.080-0.082 s at
+# 8, 0.080-0.087 s at 32, 0.102-0.104 s at 64); a range-2 SuperLU table took
+# 0.46-0.50 s at 16 and 0.47-0.53 s at 8, against 0.57-0.73 s at 32
 _PANEL = 16
 
 
@@ -215,8 +219,11 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     # page faults at n = 4095).  So the gates read each stored panel from a
     # C-ordered copy: the product's own copy of a Fortran-ordered block, freed
     # at once, took 47k minor faults on the sweeps' table at n = 4095, not 1.1k
-    numbers = []
-    # the panel's copy and its residual, allocated once
+    numbers, rhs = [], None
+    # the panel's copy and its residual, allocated once; a panel's right-hand
+    # side lives until the next one's: freed before the product, it let malloc
+    # trim the heap and fault it in again at every panel (a range-2 table at
+    # radius 11 on one CPU took 0.63-0.92 s, against 0.44-0.61 s)
     copies, products = np.empty((2, n, min(_PANEL, len(units))))
     for start in range(0, len(units), _PANEL):
         at = units[start:start + _PANEL]
@@ -225,7 +232,6 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
             rhs = np.zeros((n, len(at)))
             rhs[at, cols] = 1.0
             x[:, start:start + len(at)] = lu.solve(rhs)
-            del rhs
         panel = copies[:, :len(at)]
         panel[...] = x[:, start:start + len(at)]
         # W^T X - X taken by the factor, which holds W; adding the unit columns
@@ -237,7 +243,7 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
         numbers.append((abs(max(r.max(), -r.min())), panel[at, cols].min()))
     # the panels' arrays go before the certificate allocates its own: kept,
     # they raised the peak RSS of `walk --radius 16` by 6 MiB
-    del copies, products, panel, r
+    del copies, products, panel, r, rhs
     residuals, diagonals = zip(*numbers)
     # np.max and np.min keep a NaN of any panel, and the negated comparisons fail it
     residual = float(np.max(residuals))
@@ -347,10 +353,11 @@ class _LevelSweeps:
         # children's parents and their own first and second children; then per
         # deeper level the parents, the children and their two halves
         shallow = levels[:_SHALLOW]
-        self._top = ((1 << len(shallow)) - 1, *(np.concatenate([np.zeros(0, dtype=np.intp), *parts]) for parts in (
-            (np.tile(np.arange(p.start, p.stop), 2) for p, _, _ in shallow),
-            (np.arange(c.start, c.start + h) for _, c, h in shallow),
-            (np.arange(c.start + h, c.stop) for _, c, h in shallow))))
+        parent_of = [np.tile(np.arange(p.start, p.stop), 2) for p, _, _ in shallow]
+        first = [np.arange(c.start, c.start + h) for _, c, h in shallow]
+        second = [np.arange(c.start + h, c.stop) for _, c, h in shallow]
+        self._top = ((1 << len(shallow)) - 1,
+                     *(np.concatenate([np.zeros(0, dtype=np.intp), *parts]) for parts in (parent_of, first, second)))
         self._slices = [(parents, children, slice(children.start, children.start + h),
                          slice(children.start + h, children.stop)) for parents, children, h in levels[_SHALLOW:]]
         self._has_diag, self._wide = bool((w.rows() == w.indices).any()), None
@@ -526,6 +533,7 @@ class _LeavesFirstLU:
         return self.lu.solve(rhs[::-1])[::-1]
 
     def product(self, x: np.ndarray, out: np.ndarray | None = None, less: bool = False) -> np.ndarray:
+        """W^T x, or W^T x - x with ``less``, by scipy's CSC product."""
         y = self.a @ x
         if less:
             y -= x
