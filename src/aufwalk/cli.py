@@ -26,7 +26,7 @@ from operator import eq, ge, gt, le, lt
 from pathlib import Path
 
 import numpy as np
-# the bare package only (about 3 ms; no scipy.sparse): the benchmark's child process reads
+# the bare package only (about 3 ms; no scipy.sparse): perfbench/child.py reads
 # sys.modules["scipy"].__version__ right after importing this module
 import scipy  # noqa: F401
 
@@ -469,8 +469,8 @@ def _stages(cfg: RunConfig):
     limit and the oracle pass's budget, then the stage of each group of
     AUDITS in order: a call giving one value per entry, a (measured, bound)
     pair where the entry holds no bound and (measured, bound, holds) where it
-    names a side condition.  The rows the stages read are built between them; the
-    functions of kernels and perturbed that the stages call return
+    names a side condition.  The rows the stages read are built between
+    them; the functions of kernels and perturbed that the stages call return
     measurements, and every bound, envelope and rate is computed here."""
     eng = IntertwinerEngine(cfg.model)
     # the defect audit forms x (x) y in each V and u x, u z in the projections

@@ -195,12 +195,10 @@ def _csr_of_pieces(key_pieces: list, value_pieces: list, shape: tuple[int, int],
 
 
 def as_csr(matrix) -> CSR:
-    """A CSR as it is (its data as float), or the CSR of a dense array's
-    nonzero entries in row-major order."""
+    """A CSR as it is, or the CSR of a dense array's nonzero entries in
+    row-major order."""
     if isinstance(matrix, CSR):
-        if matrix.data.dtype == float:
-            return matrix
-        return CSR(matrix.indptr, matrix.indices, matrix.data.astype(float), matrix.shape)
+        return matrix
     dense = np.asarray(matrix, dtype=float)
     if dense.ndim != 2:
         raise ValueError(f"a matrix must be two-dimensional, got shape {dense.shape}")

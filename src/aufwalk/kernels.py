@@ -360,7 +360,9 @@ class _LevelSweeps:
                      *(np.concatenate([np.zeros(0, dtype=np.intp), *parts]) for parts in (parent_of, first, second)))
         self._slices = [(parents, children, slice(children.start, children.start + h),
                          slice(children.start + h, children.stop)) for parents, children, h in levels[_SHALLOW:]]
-        self._has_diag, self._wide = bool((w.rows() == w.indices).any()), None
+        # a zero of the stencil adds a zero term for a finite x, so a walk with
+        # no weight at e skips the diagonal's terms
+        self._has_diag, self._wide = bool(self.stencil[1].any()), None
         up, diag, down = self.stencil.copy()
         d = 1.0 - diag
         # a pivot that is not positive spreads to the root: the gate names the

@@ -13,11 +13,12 @@ weight itself, so the branch walk is the classical branch walk with its matrix
 less a correction on the traced entries, a few per level.  The classical
 branch walk is BranchContext.walk, which every function here reads.  Both are
 numpy CSR arrays (fusion.CSR), the correction summed from its traced entries
-as COO arrays, and both feed the same Green-kernel solver.  The perturbed walk keeps the
-classical measure, whose norm bound also bounds it (|qhat| <= p).  The walks
-name their words by heap index; the coefficients are traced on the
-intertwiner stack, which works on strings, so the branch's heap indices are
-converted to words where the entries are listed (required_entries).
+as COO arrays, and both feed the same Green-kernel solver.  The perturbed
+walk keeps the classical measure, whose norm bound also bounds it
+(|qhat| <= p).  The walks name their words by heap index; the coefficients
+are traced on the intertwiner stack, which works on strings, so the
+branch's heap indices are converted to words where the entries are listed
+(required_entries).
 The two audit functions, decay_audit and gdif_audit, return measurements
 only: the rate and envelopes they are compared with are computed beside
 their entries of the audit table (cli.AUDITS, cli._stages).  oracle_bytes
