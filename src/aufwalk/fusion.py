@@ -160,9 +160,9 @@ def csr_from_entries(rows, cols, vals, shape: tuple[int, int], drop_zeros: bool 
 def _csr_of_pieces(key_pieces: list, value_pieces: list, shape: tuple[int, int], drop_zeros: bool = False) -> CSR:
     """csr_from_entries on pieces of keys row * n_cols + col and of their
     values.  It empties both lists, so that each concatenation frees its
-    pieces and each sorted copy frees what it sorts: at most an int64 and an
-    int32 array and two float arrays of the entries' length are held at
-    once, beside the keys."""
+    pieces and each sorted copy frees what it sorts: beside the keys, at most
+    an int64 and an int32 array or two float arrays of the entries' length
+    are held at once."""
     keys = np.concatenate(key_pieces)
     key_pieces.clear()
     vals = np.concatenate(value_pieces)
@@ -170,7 +170,8 @@ def _csr_of_pieces(key_pieces: list, value_pieces: list, shape: tuple[int, int],
     n_rows, n_cols = shape
     index = np.int32 if max(n_rows, n_cols, len(keys)) < 2**31 else np.int64
     order = np.argsort(keys, kind="stable").astype(index)
-    keys.sort()
+    # the keys are runs of increasing keys, one per piece: a merge sort reads them as such
+    keys.sort(kind="stable")
     vals = vals[order]
     del order
     if len(keys) > 1 and (repeat := keys[1:] == keys[:-1]).any():
@@ -190,6 +191,7 @@ def _csr_of_pieces(key_pieces: list, value_pieces: list, shape: tuple[int, int],
     bounds *= n_cols
     indptr = np.searchsorted(keys, bounds).astype(index)
     del bounds
+    # the columns in place of the keys
     np.remainder(keys, max(n_cols, 1), out=keys)
     return CSR(indptr, keys.astype(index), vals, shape)
 

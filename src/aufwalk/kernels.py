@@ -99,16 +99,17 @@ def weighted_operator_norm(matrix, weights: np.ndarray) -> tuple[float, float]:
     # A on M's own CSR pattern, each entry times w[row] and then 1/w[col]: the
     # bits and order of the products diag(w) M diag(1/w) without their copies
     m = as_csr(matrix)
-    n, rows = m.shape[0], m.rows()
-    a = m.data * w[rows]
+    n, counts = m.shape[0], np.diff(m.indptr)
+    a = m.data * np.repeat(w, counts)
     a *= (1.0 / w)[m.indices]
     signed = a.min(initial=0.0) < 0.0
     b = np.abs(a) if signed else a
     # A 1, |A| 1 and |A|^T u as bincounts in CSR entry order: the sums of a CSR
     # product with ones and of a CSC product, term for term
+    rows = m.rows()
     u = np.bincount(rows, b, n)
     bottom = _l2(np.bincount(rows, a, n) if signed else u) / _l2(np.ones(n))
-    top = math.sqrt(np.bincount(m.indices, b * u[rows], n).max()) * (1.0 + 1e-12)
+    top = math.sqrt(np.bincount(m.indices, b * np.repeat(u, counts), n).max()) * (1.0 + 1e-12)
     return bottom, top
 
 
@@ -306,24 +307,29 @@ def _stencil(w: CSR) -> np.ndarray:
     fills one slot: an entry off the tree's edges, or two entries at one
     position, raises RuntimeError, so no entry is dropped or added twice."""
     n = w.shape[0]
-    row, col = w.rows().astype(np.int64), w.indices.astype(np.int64)
-    # level j is positions [lo, 2 lo + 1), lo = 2^j - 1.  A word's parent drops
-    # its first letter: half a level back from the first half, a whole level
-    # back from the second; its children are lo + 1 and 2 (lo + 1) ahead
-    sizes = 1 << np.arange(n.bit_length(), dtype=np.int64)
-    lo = np.repeat(sizes - 1, sizes)[row]
-    half = (lo + 1) // 2
-    parent = np.where(row > 0, row - half * (1 + (row >= lo + half)), -1)
-    slot = np.select([col == parent, col == row, (col == row + lo + 1) | (col == row + 2 * (lo + 1))],
-                     [row, n + row, 2 * n + col], -1)
-    if (slot < 0).any():
+    row, col = w.rows(), w.indices
+    # an entry joins a child c to its parent p, up (row c) or down (row p),
+    # or is c's own; its slot is c in the row of its kind
+    up = col < row
+    child = np.where(up, row, col)
+    if not ((col == row) | (_parents(n)[child] == np.where(up, col, row))).all():
         raise RuntimeError("a range-1 walk has an entry off the tree's edges")
+    slot = child + n * (1 + np.sign(col - row, dtype=child.dtype))
     if np.bincount(slot, minlength=3 * n).max(initial=0) > 1:
         raise RuntimeError("a range-1 walk stores two entries at one position")
     stencil = np.zeros(3 * n)
     # 0.0 + v, the sum a bincount of the one entry gives
     stencil[slot] = w.data + 0.0
     return stencil.reshape(3, n)
+
+
+def _parents(n: int) -> np.ndarray:
+    """The parent of each position of a complete subtree of n words in heap
+    order, -1 at the root: level j is positions [2^j - 1, 2^(j+1) - 1), and a
+    word's parent drops its first letter, so both halves of a level are the
+    children of the level before, in its order."""
+    levels = (np.tile(np.arange(h - 1, 2 * h - 1), 2) for h in (1 << j for j in range(n.bit_length() - 1)))
+    return np.concatenate([[-1], *levels])
 
 
 class _LevelSweeps:
