@@ -761,7 +761,7 @@ def main(argv=None) -> int:
         if not existing.is_dir():
             raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         return COMMANDS[args.command](cfg, out)
-    except (TensorCapError, RadiusCapError) as exc:
+    except (TensorCapError, RadiusCapError, perturbed.OracleBudgetError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ConfigError, ValueError) as exc:

@@ -271,7 +271,7 @@ def _factor(walk: TransitionMatrix, w: CSR, narrow: bool):
     heap order, as every ball and branch is, and SuperLU otherwise.  Either
     also takes the products W^T X of the gates and the certificate."""
     if walk.range_bound == 1 and _heap_subtree(walk.codes):
-        return _LevelSweeps(w)
+        return _LevelSweeps(w, narrow)
     return _LeavesFirstLU(w, narrow)
 
 
@@ -292,11 +292,13 @@ def _heap_subtree(codes: np.ndarray) -> bool:
     )
 
 
-#: a block with at least this many columns is multiplied by the level sweeps'
-#: stencil repeated across its columns, a narrower one a column at a time
-_WIDE = 8
 #: the products take the levels above this depth (under 64 parents each) in
-#: one gathered step: numpy's per-call cost, not their few rows, sets their time
+#: one gathered step: numpy's per-call cost, not their few rows, sets their
+#: time.  A 16-column gate panel at radius 11 took 0.263 ms at 6, against
+#: 0.291 ms with no gathered step (0), 0.290 at 2, 0.274 at 4, 0.267 at 8 and
+#: 0.338 at 10 (medians of 3000 interleaved calls on 2 vCPUs; 6 beat 0 in 92%
+#: of them); the radius-11 gate loop took 0.074 s at 6, 0.077 s at 8 and
+#: 0.079 s at 0 (medians of 16 processes each)
 _SHALLOW = 6
 
 
@@ -337,7 +339,8 @@ class _LevelSweeps:
     in heap order (_heap_subtree), W in CSR: Parter's order, with no fill and
     no pivoting, one numpy step per level on slices.  The factors, and the
     products W^T X of the gates and the certificate, read one stencil of W
-    (_stencil), never the CSR again.
+    (_stencil), never the CSR again; ``narrow`` marks the factor of a rows
+    solve, whose products hold no copy of it (product).
 
     With up(c) = W(c, p) and down(c) = W(p, c), p the parent of c, the
     pivots are d = 1 - diag(W), less (up(c) * (1 / d(c))) * down(c) from each
@@ -348,7 +351,7 @@ class _LevelSweeps:
     below 1, so every pivot is positive; one that is not, NaN included,
     raises RuntimeError."""
 
-    def __init__(self, w: CSR):
+    def __init__(self, w: CSR, narrow: bool = False):
         n = w.shape[0]
         # (parents, children, h) per level below the root: the 2h children
         # are the two halves, each in the order of the h parents
@@ -368,7 +371,7 @@ class _LevelSweeps:
                          slice(children.start + h, children.stop)) for parents, children, h in levels[_SHALLOW:]]
         # a zero of the stencil adds a zero term for a finite x, so a walk with
         # no weight at e skips the diagonal's terms
-        self._has_diag, self._wide = bool(self.stencil[1].any()), None
+        self._has_diag, self._narrow, self._wide = bool(self.stencil[1].any()), narrow, None
         up, diag, down = self.stencil.copy()
         d = 1.0 - diag
         # a pivot that is not positive spreads to the root: the gate names the
@@ -445,27 +448,34 @@ class _LevelSweeps:
     def product(self, x: np.ndarray, out: np.ndarray | None = None, less: bool = False) -> np.ndarray:
         """W^T x for a vector or a block of columns, by level slices of the
         stencil, into ``out`` when given (_add_terms); W^T x - x with
-        ``less``, the residual of the gates, taken in the same pass.  A block
-        of _WIDE columns or more takes the stencil repeated across its
-        columns, with a work array, both kept for the last width; a narrower
-        block goes a column at a time, with no copy of the stencil."""
+        ``less``, the residual of the gates, taken in the same pass.  The
+        factor of a rows solve (``narrow``) broadcasts the stencil across the
+        block's columns; a full table's repeats it to the panel's width, kept
+        with a work array for the last width."""
+        # The repeated stencil holds 3 n w floats, bounded only on a full
+        # table (n <= DENSE_LIMIT); a rows solve runs to 2^21 words.  Medians
+        # of 400 (radius 11) and 30 (radius 16) interleaved calls on 2 vCPUs:
+        # a 16-column panel at radius 11 took 0.22 ms repeated and 0.32 ms
+        # broadcast (a table has 256); 3 columns at radius 16 took 1.8 ms
+        # repeated, 1.8 ms more to repeat the stencil, and 2.4 ms broadcast.
+        # Repeated, the two rows of `walk --radius 16` peaked at 71.2 MiB
+        # against 63.8 MiB broadcast, and green_rows of three rows there took
+        # 0.055 s against 0.057 s (medians of 10 processes)
         y = np.empty(x.shape) if out is None else out
         xs, ys = x.reshape(len(x), -1), y.reshape(len(y), -1)
         width, half = xs.shape[1], len(x) // 2 + 1
-        if width >= _WIDE:
-            if self._wide is None or self._wide[0].shape[1] != width:
-                self._wide = (*(np.repeat(v, width).reshape(-1, width) for v in self.stencil),
-                              np.empty((half, width)))
-            self._add_terms(xs, ys, *self._wide, less)
-        else:
-            for j in range(width):
-                self._add_terms(xs[:, j], ys[:, j], *self.stencil, np.empty(half), less)
+        if self._narrow:
+            self._add_terms(xs, ys, *self.stencil[:, :, None], np.empty((half, width)), less)
+            return y
+        if self._wide is None or self._wide[0].shape[1] != width:
+            self._wide = (*(np.repeat(v, width).reshape(-1, width) for v in self.stencil), np.empty((half, width)))
+        self._add_terms(xs, ys, *self._wide, less)
         return y
 
     def _add_terms(self, x: np.ndarray, y: np.ndarray, up, diag, down, work, less: bool) -> None:
-        """y = W^T x for a column, or a block with the stencil repeated to
-        its width, top down: a level stores its children's parent terms and
-        then adds its own terms and its children's to itself.  So each entry
+        """y = W^T x for a block x, the stencil repeated or broadcast to its
+        width, top down: a level stores its children's parent terms and then
+        adds its own terms and its children's to itself.  So each entry
         adds, from +0.0, the term of its parent, its own, its first child's
         and its second child's, the order in which scipy's CSC product adds
         the stored entries of a column of W, and for a finite x the bits are

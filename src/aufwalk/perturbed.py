@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .fusion import CSR, Measure, TransitionMatrix, csr_from_entries, fuse
-from .intertwiners import Intertwiner, IntertwinerEngine, TensorCapError, kron_apply, split_component
+from .intertwiners import Intertwiner, IntertwinerEngine, kron_apply, split_component
 from .kernels import SOLVER_TOL, KernelTable, Shortfall, green_table
 from .words import branch, classical_dim, code_lengths, heap_index, involution, qdim, word
 
@@ -216,16 +216,14 @@ def _entries_on(codes: np.ndarray, mu: Measure) -> list[tuple[str, str, str]]:
 ORACLE_BUDGET = 256 << 20
 
 
-class OracleBudgetError(TensorCapError):
+class OracleBudgetError(RuntimeError):
     """The audit's qhat_oracle pass would hold more than ORACLE_BUDGET bytes
-    (oracle_bytes): a resource cap, raised before the pass allocates."""
+    (oracle_bytes): a resource cap, raised before the pass allocates, and
+    exit 3 like a TensorCapError."""
 
     def __init__(self, need: int):
-        super(TensorCapError, self).__init__(
-            f"the qhat_oracle pass would hold about {need >> 20} MiB of bases and arrays, over its "
-            f"budget of {ORACLE_BUDGET >> 20} MiB"
-        )
-        self.words, self.cap = (), ORACLE_BUDGET
+        super().__init__(f"the qhat_oracle pass would hold about {need >> 20} MiB of bases and arrays, "
+                         f"over its budget of {ORACLE_BUDGET >> 20} MiB")
 
 
 def oracle_bytes(n: int, mu: Measure, z: str, radius: int) -> int:

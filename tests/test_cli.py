@@ -354,10 +354,10 @@ class TestInternalErrors:
     def test_pivot_failure_exits_4_without_traceback(self, tmp_path, capsys, monkeypatch):
         class PlantedPivot(kernels._LevelSweeps):
             # the last word, a leaf, has the pivot 1 - W(t, t): planted at 0
-            def __init__(self, w):
+            def __init__(self, w, narrow):
                 w = to_scipy(w).tolil(copy=True)
                 w[w.shape[0] - 1, w.shape[0] - 1] = 1.0
-                super().__init__(from_scipy(w))
+                super().__init__(from_scipy(w), narrow)
 
         monkeypatch.setattr(kernels, "_LevelSweeps", PlantedPivot)
         assert main(["walk", str(make_config(tmp_path))]) == EXIT_INTERNAL

@@ -5,6 +5,8 @@ and the products the numpy code takes (bincounts in CSR entry order and the
 level sweeps' W^T X) are scipy's, bit for bit, on random measures of range
 1 to 3, on balls, branches and sorted subsets, signed walks included."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -233,16 +235,17 @@ class TestLevelSliceProducts:
     @PROPERTY
     @given(range_one_walks(), st.integers(1, 20))
     def test_w_transpose_x_is_scipys(self, walk, width):
-        """W^T X and |W|^T X by level slices, for blocks narrower and wider
-        than _WIDE and for a vector, against scipy's CSC product: the same
-        bits.  With ``less``, W^T X - X has scipy's values, and the same bits
-        wherever it is not zero."""
+        """W^T X and |W|^T X by level slices, for blocks and a vector, with
+        the stencil repeated (a full table's factor) and broadcast (a rows
+        solve's), against scipy's CSC product: the same bits.  With ``less``,
+        W^T X - X has scipy's values, and the same bits wherever it is not
+        zero."""
         weights, domain, q, seed, signed = walk
         m = transition_matrix(Measure(weights), domain, q).matrix
         m = signed_copy(m, seed) if signed else m
         x = blocks(m.shape[0], seed, width)
-        for w in (m, CSR(m.indptr, m.indices, np.abs(m.data), m.shape)):
-            sweeps, a = kernels._LevelSweeps(w), to_scipy(w).T
+        for w, narrow in itertools.product((m, CSR(m.indptr, m.indices, np.abs(m.data), m.shape)), (False, True)):
+            sweeps, a = kernels._LevelSweeps(w, narrow), to_scipy(w).T
             assert np.array_equal(bits(sweeps.product(x)), bits(a @ x))
             assert np.array_equal(bits(sweeps.product(x[:, 0])), bits(a @ x[:, 0]))
             got, want = sweeps.product(x, less=True), a @ x - x
