@@ -453,7 +453,8 @@ class _LevelSweeps:
         block's columns; a full table's repeats it to the panel's width, kept
         with a work array for the last width."""
         # The repeated stencil holds 3 n w floats, bounded only on a full
-        # table (n <= DENSE_LIMIT); a rows solve runs to 2^21 words.  Medians
+        # table (n <= DENSE_LIMIT); a rows solve runs to 2^21 words, where
+        # three rows would repeat it into 144 MiB.  Medians
         # of 400 (radius 11) and 30 (radius 16) interleaved calls on 2 vCPUs:
         # a 16-column panel at radius 11 took 0.22 ms repeated and 0.32 ms
         # broadcast (a table has 256); 3 columns at radius 16 took 1.8 ms
