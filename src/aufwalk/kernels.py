@@ -454,11 +454,11 @@ class _LevelSweeps:
         with a work array for the last width."""
         # The repeated stencil holds 3 n w floats, bounded only on a full
         # table (n <= DENSE_LIMIT); a rows solve runs to 2^21 words, where
-        # three rows would repeat it into 144 MiB.  Medians
-        # of 400 (radius 11) and 30 (radius 16) interleaved calls on 2 vCPUs:
-        # a 16-column panel at radius 11 took 0.22 ms repeated and 0.32 ms
-        # broadcast (a table has 256); 3 columns at radius 16 took 1.8 ms
-        # repeated, 1.8 ms more to repeat the stencil, and 2.4 ms broadcast.
+        # three rows would repeat it into 144 MiB.  Medians of 400 (radius
+        # 11) and 30 (radius 16) interleaved calls on 2 vCPUs: a 16-column
+        # panel at radius 11 took 0.22 ms repeated and 0.32 ms broadcast (a
+        # table has 256); 3 columns at radius 16 took 1.8 ms repeated, 1.8 ms
+        # more to repeat the stencil, and 2.4 ms broadcast.
         # Repeated, the two rows of `walk --radius 16` peaked at 71.2 MiB
         # against 63.8 MiB broadcast, and green_rows of three rows there took
         # 0.055 s against 0.057 s (medians of 10 processes)
