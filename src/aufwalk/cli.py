@@ -309,7 +309,8 @@ def cmd_walk(cfg: RunConfig, out: Path) -> int:
         if len(s) > cfg.ball_radius:
             raise ConfigError(f"source {s!r} outside the ball")
     sources = words.heap_indices(cfg.sources)
-    table = (kernels.green_table(tm, solver_tol=cfg.solver_tol) if tm.size <= kernels.DENSE_LIMIT
+    # a full table certifies the rows printed here beside its own three
+    table = (kernels.green_table(tm, solver_tol=cfg.solver_tol, certify=sources) if tm.size <= kernels.DENSE_LIMIT
              else kernels.green_rows(tm, sources, solver_tol=cfg.solver_tol))
     # every source's Martin row divides by the same G(e, t): the first one
     # fails a walk with a zero there before any file is written
@@ -695,7 +696,7 @@ def cmd_boundary(cfg: RunConfig, out: Path) -> int:
     tm = build_walk(cfg, max(cfg.branch_radius(), 0))
     ctx = perturbed.BranchContext(IntertwinerEngine(cfg.model), tm, cfg.branch_z, cfg.branch_radius())
     _, inside, outside, per_ray = branch_kernels(cfg, tm, ctx, cfg.rays)
-    sources = np.array([format_word(s) for s in np.concatenate([inside, outside])], dtype=object)
+    sources = np.concatenate([inside, outside])
     header = ["s", "n", "t", "K_P", "K_Q", "ratio", "cauchyGapP", "cauchyGapQ"]
     for i, (ray, k_p, k_q) in enumerate(per_ray):
         # sources outside the branch carry only the classical kernel: their
@@ -703,9 +704,9 @@ def cmd_boundary(cfg: RunConfig, out: Path) -> int:
         k_q = np.vstack([k_q, np.full((len(outside), len(ray)), math.nan)])
         gap_p, gap_q = (np.abs(np.diff(k, axis=1, prepend=k[:, :1])) for k in (k_p, k_q))
         columns = [
-            np.repeat(sources, len(ray)),
+            WordColumn(np.repeat(sources, len(ray))),
             np.tile(np.arange(1, len(ray) + 1), len(sources)),
-            np.tile(np.array([format_word(t) for t in ray], dtype=object), len(sources)),
+            WordColumn(np.tile(ray, len(sources))),
             k_p.ravel(),
             k_q.ravel(),
             (k_q / k_p).ravel(),

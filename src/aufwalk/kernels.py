@@ -4,50 +4,57 @@ function returns what it measured, and the bound it is compared with is
 computed beside its entry of the audit table (cli.AUDITS, cli._stages).
 
 A walk is a fusion.TransitionMatrix: its weights W (a fusion.CSR of numpy
-arrays), the sorted heap indices of its domain and its norm bound.  Words are heap indices here: sources,
-targets and rows alike.  Where W has norm < 1 on the qdim^2-weighted l2
-space, the Green kernel is G = (I - W)^-1, and every kernel the audits read
-comes from Green rows G(s, .).  One solve gives them (_green_solve): it
-factors (I - W)^T once (_factor) and solves the unit columns of the sorted
-rows asked for, column s being the row G(s, .).  green_table asks for
-every word (up to DENSE_LIMIT, a memory bound), green_rows for the sources
-and the domain's root, its first heap index; both return a KernelTable.
-The root is always solved: it is the Martin base, the word at which
-martin_rows normalises (e for a ball, x for the branch of x).
+arrays), the sorted heap indices of its domain and its norm bound.  Words
+are heap indices here: sources, targets and rows alike.  Where W has norm
+< 1 on the qdim^2-weighted l2 space, the Green kernel is G = (I - W)^-1,
+and every kernel the audits read comes from Green rows G(s, .).  One solve
+gives them (_green_solve): it factors (I - W)^T once (_factor) and solves
+the unit columns of the sorted rows asked for, column s being the row
+G(s, .).  green_table asks for every word (up to DENSE_LIMIT, a memory
+bound), green_rows for the sources and the domain's root, its first heap
+index; both return a KernelTable.  The root is always solved: it is the
+Martin base, the word at which martin_rows normalises (e for a ball, x for
+the branch of x).
 
 Each solve first certifies an interval around the norm
 (weighted_operator_norm: one Collatz-Wielandt step, whose top a Schur test
 keeps at most the walk's norm bound) and refuses a top within NORM_GUARD of 1.
 It is gated by its residual and diagonal and then certified (_Certificate):
-every row of a rows solve, and the first, middle and last row of a full
-table, gets a rigorous entrywise error bound from solves with the held factor,
-whose last term the top bounds on the dual weights 1/qdim^2.  The columns are
-solved and gated in panels, in one loop on the caller's thread, so the full
-table costs one n x n array, the table itself.
+every row of a rows solve, and the first, middle and last rows of a full
+table with those its caller names, get a rigorous entrywise error bound
+from solves with the held factor, whose last term the top bounds on the
+dual weights 1/qdim^2.  The columns are solved and gated in panels, in one
+loop on the caller's thread, so the full table costs one n x n array, the
+table itself.
 
 Every factor eliminates in reversed heap order, every word after its
 children, so a range-1 walk's pivots are leaves of what is left: no fill
 (Parter, SIAM Review 3, 1961), and no pivoting, since I - W is an M-matrix
 (an H-matrix for a signed W) once its norm top is below 1.  On a ball or a
-branch, a complete subtree in heap order, the children of one level are the
-two halves of the next, so such a walk is factored and solved by level
-sweeps (_LevelSweeps): one numpy step per level on slices, no SuperLU.  Its
-full table takes no solve at all.  On a tree every path from s to t passes
-the geodesic, so G(s, t) = F(s, t) G(t, t), F(s, t) the product of the
-first-passage factors along it (Cartier, Symposia Math. 9, 1972; Woess,
-Random Walks on Infinite Graphs and Groups, 2000), and the sweeps'
-multipliers are the upward factors; the panel loop only gates that table.
-The gates and the certificate take their products W^T X from the factor:
-the sweeps by level slices of one stencil of W's entries, with the bits of
-scipy's CSC product and without its import.
+branch, a complete subtree in heap order (words.branch), the children of
+one level are the two halves of the next, so such a walk is factored and
+solved by level sweeps (_LevelSweeps): one list of the levels (_levels),
+each its parents, its children and their two halves, which the factor, its
+table, its solves, its products and its stencil all read, and a few numpy
+steps per level on slices, no SuperLU.  Its full table takes no solve at
+all.  On a tree every path from s to t passes the geodesic, so
+G(s, t) = F(s, t) G(t, t), F(s, t) the product of the first-passage factors
+along it (Cartier, Symposia Math. 9, 1972; Woess, Random Walks on Infinite
+Graphs and Groups, 2000), and the sweeps' multipliers are the upward
+factors; the panel loop only gates that table.  The gates and the
+certificate take their products W^T X from the factor: the sweeps by the
+same level slices of one stencil of W's entries, every level in the same
+pass, with the bits of scipy's CSC product and without its import.
+
 A range-2 walk fills about as much as COLAMD; it, or a walk on any other
 domain, is factored by SuperLU (_LeavesFirstLU, which imports scipy.sparse
 and SuperLU at its first factor, so a process whose walks all take the
 sweeps loads no module of scipy.sparse or scipy.linalg), in one-column
-panels for a rows solve (SuperLU's n x panel work array pays only when supernodes span
-several columns: Demmel et al., SIAM J. Matrix Anal. Appl. 20(3), 1999) and
-in its default panels of 10 for a full table.  The certificate bounds its block of
-columns at once, with the same bits per column as a column alone.
+panels for a rows solve (SuperLU's n x panel work array pays only when
+supernodes span several columns: Demmel et al., SIAM J. Matrix Anal. Appl.
+20(3), 1999) and in its default panels of 10 for a full table.  The
+certificate bounds its block of columns at once, with the same bits per
+column as a column alone.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import CSR, TransitionMatrix, as_csr
-from .words import RadiusCapError, code_lengths, ends_with, heap_index, locate, qdims, tree_distances, word
+from .words import RadiusCapError, branch, code_lengths, ends_with, heap_index, locate, qdims, tree_distances, word
 # the word-level qdim stays importable from here: perfbench's tracer rebinds it in every
 # module that holds it
 from .words import qdim  # noqa: F401
@@ -129,8 +136,9 @@ class KernelTable:
     (martin_rows) are normalized at it.
 
     ``error_bound`` is the largest certified |G - green| / |green| over every
-    row of a rows solve or the first, middle and last row of a full table;
-    below 1 it certifies the sign of every entry of those rows."""
+    row of a rows solve, or over the first, middle and last rows of a full
+    table and the rows its caller named (green_table's ``certify``); below 1
+    it certifies the sign of every entry of those rows."""
 
     walk: TransitionMatrix = field(repr=False)
     rows: np.ndarray
@@ -160,13 +168,15 @@ class KernelTable:
         return float(self.green[self.row_positions([s])[0], self.walk.positions([t])[0]])
 
 
-def green_table(walk: TransitionMatrix, solver_tol: float = SOLVER_TOL) -> KernelTable:
+def green_table(walk: TransitionMatrix, solver_tol: float = SOLVER_TOL, certify=()) -> KernelTable:
     """The Green table G = (I - W)^-1 of the walk's weights W on its domain,
-    every word's row.  Raises RadiusCapError (a ValueError) above DENSE_LIMIT
-    words, and like _green_solve."""
+    every word's row.  Its certificate covers the first, middle and last rows
+    and those of the words ``certify`` names (heap indices), the rows its
+    caller prints.  Raises RadiusCapError (a ValueError) above DENSE_LIMIT
+    words, and like _green_solve and TransitionMatrix.positions."""
     if walk.size > DENSE_LIMIT:
         raise RadiusCapError(f"domain of size {walk.size} exceeds the dense solver limit {DENSE_LIMIT}")
-    return _green_solve(walk, walk.codes, solver_tol)
+    return _green_solve(walk, walk.codes, solver_tol, walk.positions(certify))
 
 
 def green_rows(walk: TransitionMatrix, sources, solver_tol: float = SOLVER_TOL) -> KernelTable:
@@ -178,9 +188,10 @@ def green_rows(walk: TransitionMatrix, sources, solver_tol: float = SOLVER_TOL) 
     return _green_solve(walk, rows[np.append(True, rows[1:] != rows[:-1])], solver_tol)
 
 
-def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) -> KernelTable:
+def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float, named=()) -> KernelTable:
     """The one solver core: the Green rows of ``rows`` (sorted heap indices
-    of domain words).
+    of domain words).  A rows solve certifies every row, a full table its
+    first, middle and last rows and those at the positions ``named``.
 
     It solves (I - W)^T X = E for the unit columns E of the rows' positions;
     X holds the rows as columns, and X^T is the table.  The columns are solved
@@ -254,7 +265,7 @@ def _green_solve(walk: TransitionMatrix, rows: np.ndarray, solver_tol: float) ->
     # gate also covers the rows a full table leaves uncertified
     if not np.min(diagonals) > 0.0:
         raise RuntimeError("Green kernel diagonal not positive")
-    certified = slice(None) if narrow else np.array(sorted({0, (len(units) - 1) // 2, len(units) - 1}))
+    certified = slice(None) if narrow else np.array(sorted({0, (n - 1) // 2, n - 1, *np.asarray(named).tolist()}))
     block = x if narrow else np.ascontiguousarray(x[:, certified])
     bounds = _Certificate(walk, top, lu, narrow).bounds(block, units[certified])
     # infinite at a zero entry; max keeps a NaN bound, as the gates' maxima do.
@@ -277,44 +288,44 @@ def _factor(walk: TransitionMatrix, w: CSR, narrow: bool):
 
 def _heap_subtree(codes: np.ndarray) -> bool:
     """True when the sorted heap indices are, for some depth D, the words y x
-    with len(y) <= D, x the first: then level j is positions
-    [2^j - 1, 2^(j+1) - 1), by bits(y), and its halves (y = a y', b y') are
-    the children of level j - 1 in its order."""
+    with len(y) <= D, x the first: words.branch(x, len(x) + D), whose level j
+    is positions [2^j - 1, 2^(j+1) - 1), by bits(y), and whose halves
+    (y = a y', b y') are the children of level j - 1 in its order."""
     n = len(codes)
     if n == 0 or n & (n + 1):
         return False
-    length = (int(codes[0]) + 1).bit_length() - 1
-    base = int(codes[0]) + 1 - (1 << length)
-    return all(
-        np.array_equal(codes[(1 << j) - 1:(1 << (j + 1)) - 1],
-                       (1 << (length + j)) - 1 + base + (np.arange(1 << j, dtype=np.int64) << length))
-        for j in range(n.bit_length())
-    )
+    x = word(int(codes[0]))
+    return np.array_equal(codes, branch(x, len(x) + n.bit_length() - 1))
 
 
-#: the products take the levels above this depth (under 64 parents each) in
-#: one gathered step: numpy's per-call cost, not their few rows, sets their
-#: time.  A 16-column gate panel at radius 11 took 0.263 ms at 6, against
-#: 0.291 ms with no gathered step (0), 0.290 at 2, 0.274 at 4, 0.267 at 8 and
-#: 0.338 at 10 (medians of 3000 interleaved calls on 2 vCPUs; 6 beat 0 in 92%
-#: of them); the radius-11 gate loop took 0.074 s at 6, 0.077 s at 8 and
-#: 0.079 s at 0 (medians of 16 processes each)
-_SHALLOW = 6
+def _levels(n: int) -> list[tuple[slice, slice, int, slice, slice]]:
+    """The levels below the root of a complete subtree of n words in heap
+    order: per level the slices of its h parents and its 2h children, h, and
+    the children's two halves, first (y = a y') and second (y = b y'), each
+    in the order of the parents."""
+    return [(slice(h - 1, 2 * h - 1), slice(2 * h - 1, 4 * h - 1), h, slice(2 * h - 1, 3 * h - 1),
+             slice(3 * h - 1, 4 * h - 1)) for h in (1 << j for j in range(n.bit_length() - 1))]
 
 
-def _stencil(w: CSR) -> np.ndarray:
+def _stencil(w: CSR, levels: list) -> np.ndarray:
     """The entries of a range-1 W on a complete subtree in heap order, as the
     rows up, diag and down of a (3, n) array: up(c) = W(c, p), diag(c) =
-    W(c, c) and down(c) = W(p, c), p the parent of c.  Each stored entry
-    fills one slot: an entry off the tree's edges, or two entries at one
-    position, raises RuntimeError, so no entry is dropped or added twice."""
+    W(c, c) and down(c) = W(p, c), p the parent of c, on the given _levels.
+    Each stored entry fills one slot: an entry off the tree's edges, or two
+    entries at one position, raises RuntimeError, so no entry is dropped or
+    added twice."""
     n = w.shape[0]
     row, col = w.rows(), w.indices
     # an entry joins a child c to its parent p, up (row c) or down (row p),
     # or is c's own; its slot is c in the row of its kind
     up = col < row
     child = np.where(up, row, col)
-    if not ((col == row) | (_parents(n)[child] == np.where(up, col, row))).all():
+    # a word's parent drops its first letter: both halves of a level are the
+    # children of the level above, in its order
+    parent = np.full(n, -1, dtype=child.dtype)
+    for parents, _, _, first, second in levels:
+        parent[first] = parent[second] = np.arange(parents.start, parents.stop)
+    if not ((col == row) | (parent[child] == np.where(up, col, row))).all():
         raise RuntimeError("a range-1 walk has an entry off the tree's edges")
     slot = child + n * (1 + np.sign(col - row, dtype=child.dtype))
     if np.bincount(slot, minlength=3 * n).max(initial=0) > 1:
@@ -325,50 +336,28 @@ def _stencil(w: CSR) -> np.ndarray:
     return stencil.reshape(3, n)
 
 
-def _parents(n: int) -> np.ndarray:
-    """The parent of each position of a complete subtree of n words in heap
-    order, -1 at the root: level j is positions [2^j - 1, 2^(j+1) - 1), and a
-    word's parent drops its first letter, so both halves of a level are the
-    children of the level before, in its order."""
-    levels = (np.tile(np.arange(h - 1, 2 * h - 1), 2) for h in (1 << j for j in range(n.bit_length() - 1)))
-    return np.concatenate([[-1], *levels])
-
-
 class _LevelSweeps:
     """Leaves-first factors of I - W^T for a range-1 W on a complete subtree
     in heap order (_heap_subtree), W in CSR: Parter's order, with no fill and
-    no pivoting, one numpy step per level on slices.  The factors, and the
+    no pivoting, a few numpy steps per level on slices.  The factors, and the
     products W^T X of the gates and the certificate, read one stencil of W
     (_stencil), never the CSR again; ``narrow`` marks the factor of a rows
     solve, whose products hold no copy of it (product).
 
+    ``levels`` (_levels) is the one list of the tree's levels that the
+    factor, its table, its solves, its products and the stencil read.
+
     With up(c) = W(c, p) and down(c) = W(p, c), p the parent of c, the
     pivots are d = 1 - diag(W), less (up(c) * (1 / d(c))) * down(c) from each
-    child c, the children of a level's parents being its two halves, the
-    first half and then the second: SuperLU's operations in its order, so
-    the pivots and the multipliers up / d are its own, to the bit.  I - W is
-    an M-matrix (an H-matrix for a signed W) when the certified top of |W| is
-    below 1, so every pivot is positive; one that is not, NaN included,
-    raises RuntimeError."""
+    child c, the first half and then the second: SuperLU's operations in its
+    order, so the pivots and the multipliers up / d are its own, to the bit.
+    I - W is an M-matrix (an H-matrix for a signed W) when the certified top
+    of |W| is below 1, so every pivot is positive; one that is not, NaN
+    included, raises RuntimeError."""
 
     def __init__(self, w: CSR, narrow: bool = False):
-        n = w.shape[0]
-        # (parents, children, h) per level below the root: the 2h children
-        # are the two halves, each in the order of the h parents
-        levels = [(slice(h - 1, 2 * h - 1), slice(2 * h - 1, 4 * h - 1), h)
-                  for h in (1 << j for j in range(n.bit_length() - 1))]
-        self.stencil = _stencil(w)
-        # the shallow levels' parents 0 .. top - 1, as index arrays: their
-        # children's parents and their own first and second children; then per
-        # deeper level the parents, the children and their two halves
-        shallow = levels[:_SHALLOW]
-        parent_of = [np.tile(np.arange(p.start, p.stop), 2) for p, _, _ in shallow]
-        first = [np.arange(c.start, c.start + h) for _, c, h in shallow]
-        second = [np.arange(c.start + h, c.stop) for _, c, h in shallow]
-        self._top = ((1 << len(shallow)) - 1,
-                     *(np.concatenate([np.zeros(0, dtype=np.intp), *parts]) for parts in (parent_of, first, second)))
-        self._slices = [(parents, children, slice(children.start, children.start + h),
-                         slice(children.start + h, children.stop)) for parents, children, h in levels[_SHALLOW:]]
+        self.levels = _levels(w.shape[0])
+        self.stencil = _stencil(w, self.levels)
         # a zero of the stencil adds a zero term for a finite x, so a walk with
         # no weight at e skips the diagonal's terms
         self._has_diag, self._narrow, self._wide = bool(self.stencil[1].any()), narrow, None
@@ -377,19 +366,14 @@ class _LevelSweeps:
         # a pivot that is not positive spreads to the root: the gate names the
         # first one eliminated, the last in heap order
         with np.errstate(divide="ignore", invalid="ignore"):
-            for parents, children, h in reversed(levels):
-                lower, pivots, upper = (v[children].reshape(2, h) for v in (up, d, down))
-                for half in range(2):
-                    lower[half] *= 1.0 / pivots[half]
-                    d[parents] -= lower[half] * upper[half]
+            for parents, _, _, *halves in reversed(self.levels):
+                for half in halves:
+                    up[half] *= 1.0 / d[half]
+                    d[parents] -= up[half] * down[half]
         bad = np.flatnonzero(~(d > 0.0))
         if bad.size:
             raise RuntimeError(f"Green solve pivot {d[bad[-1]]} not positive")
         self.d, self.lower, self.upper = d, up, down
-        # each level's multipliers and pivots as (half, word, 1) views, to
-        # scale the rows of a block of right-hand sides
-        self.levels = [(parents, children, h, *(v[children].reshape(2, h, 1) for v in (up, down, d)))
-                       for parents, children, h in levels]
 
     def table(self) -> np.ndarray:
         """The Green table G = (I - W)^-1, C-ordered, from first-passage
@@ -406,10 +390,11 @@ class _LevelSweeps:
         as a (2^k, 2^L) grid, one strided step per (level, depth) pair."""
         n = len(self.d)
         # the table, 1/G(c, c) and F(p, c) (1 at the root, which has no parent)
-        g, inv_diag, first = np.empty((n, n)), self.d.copy(), np.ones(n)
-        for parents, children, _, lower, upper, _ in self.levels:
-            f = upper / (inv_diag[parents, None] + upper * lower)
-            first[children] = f.ravel()
+        g, inv_diag, passage = np.empty((n, n)), self.d.copy(), np.ones(n)
+        for parents, children, h, _, _ in self.levels:
+            lower, upper = (v[children].reshape(2, h) for v in (self.lower, self.upper))
+            f = upper / (inv_diag[parents] + upper * lower)
+            passage[children] = f.ravel()
             inv_diag[children] *= (1.0 - lower * f).ravel()
         diag, depth = 1.0 / inv_diag, n.bit_length() - 1
         for level in range(depth + 1):
@@ -417,12 +402,12 @@ class _LevelSweeps:
             # the products of F down from each of them to one deeper level
             m, below = 1 << level, 1.0
             if level:
-                parents, children, h, lower = self.levels[level - 1][:4]
-                np.multiply(lower, g[parents], out=g[children].reshape(2, h, n))
+                parents, children, h = self.levels[level - 1][:3]
+                np.multiply(self.lower[children].reshape(2, h, 1), g[parents], out=g[children].reshape(2, h, n))
             for k in range(depth - level + 1):
                 start = (1 << (level + k)) - 1
                 if k:
-                    below = (below * first[start:2 * start + 1].reshape(2, -1, m)).reshape(-1, m)
+                    below = (below * passage[start:2 * start + 1].reshape(2, -1, m)).reshape(-1, m)
                 # a writeable view: entry (i, b) is row m - 1 + b, column start + i m + b
                 grid = np.einsum("bib->ib", g[m - 1:2 * m - 1, start:start + (m << k)].reshape(m, -1, m))
                 np.multiply(below, diag[start:2 * start + 1].reshape(-1, m), out=grid)
@@ -433,16 +418,16 @@ class _LevelSweeps:
         on its own with the same operations."""
         x = np.array(rhs, dtype=float)
         y = x.reshape(len(x), -1)
-        for parents, children, h, lower, _, _ in reversed(self.levels):
-            terms = lower * y[children].reshape(2, h, -1)
+        for parents, children, h, _, _ in reversed(self.levels):
+            terms = self.lower[children].reshape(2, h, 1) * y[children].reshape(2, h, -1)
             above = y[parents]
             above += terms[1]
             above += terms[0]
         y[0] /= self.d[0]
-        for parents, children, h, _, upper, pivots in self.levels:
+        for parents, children, h, _, _ in self.levels:
             below = y[children].reshape(2, h, -1)
-            below += upper * y[parents]
-            below /= pivots
+            below += self.upper[children].reshape(2, h, 1) * y[parents]
+            below /= self.d[children].reshape(2, h, 1)
         return x
 
     def product(self, x: np.ndarray, out: np.ndarray | None = None, less: bool = False) -> np.ndarray:
@@ -486,21 +471,8 @@ class _LevelSweeps:
         each finished level subtracts x instead, as scipy's r - x does; only
         a zero of r - x may then differ in sign, which |r - x| does not read."""
         y[0] = 0.0
-        top, parent_of, first, second = self._top
-        if top:
-            children = slice(1, 2 * top + 1)
-            np.multiply(down[children], x[parent_of], out=y[children])
-            above, here = y[:top], x[:top]
-            if self._has_diag:
-                above += diag[:top] * here
-            above += up[first] * x[first]
-            above += up[second] * x[second]
-            if less:
-                above -= here
-            else:
-                above += 0.0
-        for parents, _, first, second in self._slices:
-            here, terms = x[parents], work[:parents.stop - parents.start]
+        for parents, _, h, first, second in self.levels:
+            here, terms = x[parents], work[:h]
             np.multiply(down[first], here, out=y[first])
             np.multiply(down[second], here, out=y[second])
             above = y[parents]

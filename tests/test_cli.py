@@ -483,11 +483,12 @@ class TestWalk:
         assert first == second
 
     def test_full_table_source_rows_agree_with_certified_rows(self, tmp_path):
-        """A full table certifies its first, middle and last rows only: e, a^9
-        and b^9 at radius 9.  So the manifest's greenErrorBound does not cover
-        the rows it prints for the sources a and ab.  Those rows agree with a
-        rows solve of the same walk, which certifies every row it solves,
-        within that solve's certified error bound."""
+        """The rows walk prints for the sources a and ab at radius 9 are not
+        among the first, middle and last rows of the full table (e, a^9 and
+        b^9), which its certificate covers in any case; walk names them, so
+        they are certified too (test_green_error_bound_covers_every_printed_row).
+        They agree with a rows solve of the same walk, which certifies every
+        row it solves, within that solve's certified error bound."""
         path = make_config(tmp_path, ballRadius=9, sources=["a", "ab"])
         assert main(["walk", str(path)]) == EXIT_OK
         tm = cli.build_walk(load_config(str(path)), 9)
@@ -500,6 +501,25 @@ class TestWalk:
         printed = np.array([float(line.split(",")[2]) for line in lines]).reshape(len(sources), tm.size)
         want = rows.source_rows(sources)
         assert (np.abs(printed - want) / np.abs(want)).max() <= rows.error_bound
+
+    def test_green_error_bound_covers_every_printed_row(self, tmp_path, monkeypatch):
+        """A full table's certificate covers the source rows walk prints: with
+        the bounds of ab's column inflated by 1e6, the manifest's
+        greenErrorBound is that column's relative bound, the largest."""
+        path = make_config(tmp_path, ballRadius=9, sources=["a", "ab"])
+        bounds, inflated = kernels._Certificate.bounds, []
+
+        def inflate(self, x, units):
+            bound = bounds(self, x, units)
+            column = units == heap_index("ab")
+            bound[:, column] *= 1e6
+            inflated.append(float(np.abs(bound[:, column] / x[:, column]).max(initial=0.0)))
+            return bound
+
+        monkeypatch.setattr(kernels._Certificate, "bounds", inflate)
+        assert main(["walk", str(path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert inflated and manifest["greenErrorBound"] == max(inflated) > 1e-12
 
     def test_walk_pins_the_witness_above_1500_words(self, tmp_path):
         """walk --radius 11 (4095 words) under {aa, b, aba} scans the witness

@@ -259,7 +259,7 @@ class TestLevelSliceProducts:
         weights, domain, q, seed, signed = walk
         m = transition_matrix(Measure(weights), domain, q).matrix
         m = signed_copy(m, seed) if signed else m
-        up, diag, down = kernels._stencil(m)
+        up, diag, down = kernels._stencil(m, kernels._levels(m.shape[0]))
         n = m.shape[0]
         rebuilt = np.diag(diag)
         for c in range(1, n):

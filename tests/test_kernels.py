@@ -537,6 +537,72 @@ class TestLevelSweeps:
             assert type(kernels._factor(walk, walk.matrix, False)) is factor
 
 
+def per_level_subtree(codes) -> bool:
+    """Oracle: True when the sorted heap indices are a complete subtree in
+    heap order, level by level: level j of the words y x (x the first word)
+    is positions [2^j - 1, 2^(j+1) - 1), the indices 2^(len(x) + j) - 1 +
+    bits(x) + (i << len(x)) for i < 2^j."""
+    n = len(codes)
+    if n == 0 or n & (n + 1):
+        return False
+    length = (int(codes[0]) + 1).bit_length() - 1
+    base = int(codes[0]) + 1 - (1 << length)
+    return all(
+        np.array_equal(codes[(1 << j) - 1:(1 << (j + 1)) - 1],
+                       (1 << (length + j)) - 1 + base + (np.arange(1 << j, dtype=np.int64) << length))
+        for j in range(n.bit_length())
+    )
+
+
+class TestHeapSubtree:
+    """_heap_subtree, which reads words.branch, against the per-level rule."""
+
+    @staticmethod
+    def check(codes, want: bool):
+        codes = np.asarray(codes, dtype=np.int64)
+        assert per_level_subtree(codes) is want
+        assert kernels._heap_subtree(codes) is want
+
+    @pytest.mark.parametrize("radius", range(13))
+    def test_balls(self, radius):
+        self.check(ball(radius), True)
+
+    @pytest.mark.parametrize("length", range(20))
+    def test_branches_reach_the_radius_cap(self, length):
+        """Branches at depth 1 of the first, the last and two random words of
+        each length up to 19, so that their longest words have length 20."""
+        picks = np.random.default_rng(length).integers(0, 1 << length, 2)
+        for bits in (0, (1 << length) - 1, *picks.tolist()):
+            x = word((1 << length) - 1 + bits)
+            self.check(branch(x, length + 1), True)
+            self.check(branch(x, length), True)
+
+    @pytest.mark.parametrize("x, radius", [("a", 6), ("ab", 7), ("bba", 11)])
+    def test_a_word_swapped_for_another_of_its_length(self, x, radius):
+        domain = branch(x, radius)
+        rng = np.random.default_rng(radius)
+        for position in (0, 1, len(domain) // 2, len(domain) - 1, *rng.integers(0, len(domain), 4).tolist()):
+            length = int(code_lengths(domain[position]))
+            others = np.setdiff1d(np.arange((1 << length) - 1, (1 << (length + 1)) - 1), domain)
+            swapped = domain.copy()
+            swapped[position] = rng.choice(others)
+            self.check(np.sort(swapped), False)
+
+    @pytest.mark.parametrize("domain, want", [
+        (ball(0), True), (ball(1), False), (ball(5), False), (branch("ab", 8), True), (branch("bb", 8), False),
+    ])
+    def test_a_set_shifted_by_one_index(self, domain, want):
+        """One index up, one word and the branch of ab (now that of ba) stay
+        complete subtrees; a ball past radius 0 does not, nor the branch of bb,
+        whose first index carries into the longer word aaa."""
+        self.check(domain + 1, want)
+
+    @pytest.mark.parametrize("domain", [ball(0), ball(5), branch("ab", 8)])
+    def test_a_set_without_its_root_and_the_empty_domain(self, domain):
+        self.check(domain[1:], False)
+        self.check(np.zeros(0, dtype=np.int64), False)
+
+
 def fail_in_the_last_columns(patch, base, fault):
     """Patch the factor class ``base`` so that ``fault`` runs on the solved
     columns of the last unit, in domain order: on the level sweeps' full
