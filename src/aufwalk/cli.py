@@ -6,7 +6,8 @@ out).  Exit codes: 0 pass, 1 audit failure, 2 config
 error, 3 resource cap, 4 internal error (a failed solve residual, norm or
 range assertion, arithmetic fault or exhausted memory; one line on stderr,
 no traceback).  Reruns with the same config produce byte-identical
-files: floats are emitted with 17 significant digits and JSON keys sorted.
+files: CSV floats are written with %.17g (17 significant digits), JSON
+floats as json.dumps's shortest round-trip repr, and JSON keys sorted.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .intertwiners import (
     TensorCapError,
     vtilde_norm_indecomposable,
 )
-from .words import RadiusCapError, format_word, indecomposable_factors, involution, parse_word
+from .words import RadiusCapError, indecomposable_factors, involution, parse_word
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
@@ -206,32 +207,20 @@ class WordColumn:
 
 
 def _column_table(column) -> tuple[np.ndarray, np.ndarray]:
-    """The UTF-8 text of each distinct value of a CSV column, as the rows of
+    """The ASCII text of each distinct value of a CSV column, as the rows of
     a NUL-padded uint8 array, and each row's index into them (in the
-    narrowest unsigned type, as the section holds it while it is written);
-    a text holding NUL raises ValueError, since the padding could not be
-    told from it."""
+    narrowest unsigned type, as the section holds it while it is written).
+    A WordColumn gives its words; any other column is read as float64 and
+    gives ``%.17g`` of each distinct bit pattern."""
     if isinstance(column, WordColumn):
         return column.table
-    array = np.asarray(column)
-    if array.dtype.kind == "U" and not isinstance(column, np.ndarray):
-        # numpy's str type drops a trailing NUL, which must raise, not vanish
-        array = np.array(column, dtype=object)
-    if array.dtype.kind == "f":
-        # keyed on bit patterns, so 0.0 and -0.0 stay apart; exact for
-        # narrower floats, whose %.17g went through a Python float
-        bits, index = np.unique(array.astype(np.float64, copy=False).view(np.uint64), return_inverse=True)
-        values = bits.view(np.float64).tolist()
-        text = ("%.17g\0" * len(values)) % tuple(values)
-    else:
-        unique, index = np.unique(array, return_inverse=True)
-        values = unique.tolist()
-        text = "".join(f"{v}\0" for v in values)
-    cells = text.encode().split(b"\0")[:-1]
-    if len(cells) != len(values):
-        raise ValueError("a CSV cell holds a NUL character")
+    # keyed on bit patterns, so 0.0 and -0.0 stay apart; exact for narrower
+    # floats and for integers of magnitude at most 2^53, whose %.17g is str's
+    bits, index = np.unique(np.asarray(column, dtype=np.float64).view(np.uint64), return_inverse=True)
+    values = bits.view(np.float64).tolist()
+    cells = (("%.17g\0" * len(values)) % tuple(values)).encode().split(b"\0")[:-1]
     table = np.array(cells, dtype=bytes)
-    return table.view(np.uint8).reshape(len(cells), table.itemsize), index.astype(np.min_scalar_type(len(cells)))
+    return table.view(np.uint8).reshape(len(values), table.itemsize), index.astype(np.min_scalar_type(len(values)))
 
 
 @contextlib.contextmanager
@@ -251,15 +240,15 @@ def write_csv(path: Path, header: list[str], sections) -> None:
     list of whole columns of equal length; a generator of sections builds
     each one only when it is written.
 
-    A column that numpy reads as floating point prints each value with
+    A column is one of two kinds.  A WordColumn of heap indices prints its
+    words.  Any other column is read as float64 and prints each value with
     ``%.17g``, which gives the bytes of ``f"{x:.17g}"`` (nan, inf, -0 and
-    subnormals included); a WordColumn prints its words and every other
-    column prints with ``str``.  Each column of a section is a table of the
-    UTF-8 text of each distinct value (bit pattern, for floats: every NaN
-    prints ``nan``) and each row's index into it.  A block of rows at a time
-    is gathered from the tables into one byte array, beside the commas and
-    newlines, and written without the tables' NUL padding; so a ``str``
-    cell holding NUL raises ValueError.
+    subnormals included) and, for an integer of magnitude at most 2^53,
+    the bytes of ``str``.  Each column of a section is a table of the text
+    of each distinct value (bit pattern, for floats: every NaN prints
+    ``nan``) and each row's index into it.  A block of rows at a time is
+    gathered from the tables into one byte array, beside the commas and
+    newlines, and written without the tables' NUL padding.
     """
     with _output(path) as f:
         f.write((",".join(header) + "\n").encode())
@@ -638,7 +627,7 @@ def _defect_rate_gap(eng) -> float:
         if d > 1e-12:
             pts.append((e, math.log(d)))
     if len(pts) < 3:
-        raise RuntimeError("not enough nonzero defects for the decay fit")
+        raise kernels.Shortfall(len(pts), 3, "nonzero commutation defects")
     xs, ys = zip(*pts)
     slope, _ = np.polyfit(xs, ys, 1)
     return abs(float(slope) / math.log(eng.q) - 1.0)
@@ -719,19 +708,13 @@ def cmd_boundary(cfg: RunConfig, out: Path) -> int:
 
 def cmd_intertwiner(cfg: RunConfig, out: Path) -> int:
     eng = IntertwinerEngine(cfg.model)
-    ranks = _rank_rows(eng, min(7, cfg.model.tensor_cap))
-    write_csv(
-        out / "projection_ranks.csv",
-        ["x", "rank", "classicalDim"],
-        [[[format_word(w) for w, _, _ in ranks], [r for _, r, _ in ranks], [d for _, _, d in ranks]]],
-    )
-    norms = list(_vtilde_rows(eng))
-    word_columns = [[format_word(row[k]) for row in norms] for k in range(3)]
-    write_csv(
-        out / "vtilde_norms.csv",
-        ["s", "v", "t", "norm", "closedForm", "relErr"],
-        [word_columns + [[row[k] for row in norms] for k in range(3, 6)]],
-    )
+    x, rank, dim = zip(*_rank_rows(eng, min(7, cfg.model.tensor_cap)))
+    write_csv(out / "projection_ranks.csv", ["x", "rank", "classicalDim"],
+              [[WordColumn(words.heap_indices(x)), rank, dim]])
+    # no triple fits tensorCap 1: the file is its header alone
+    s, v, t, *numbers = list(zip(*_vtilde_rows(eng))) or [()] * 6
+    write_csv(out / "vtilde_norms.csv", ["s", "v", "t", "norm", "closedForm", "relErr"],
+              [[*(WordColumn(words.heap_indices(w)) for w in (s, v, t)), *numbers]])
     return EXIT_OK
 
 
