@@ -8,6 +8,8 @@ range assertion, arithmetic fault or exhausted memory; one line on stderr,
 no traceback).  Reruns with the same config produce byte-identical
 files: CSV floats are written with %.17g (17 significant digits), JSON
 floats as json.dumps's shortest round-trip repr, and JSON keys sorted.
+The bytes do not depend on the BLAS thread count either, except audit's
+defect_decay at n = 3, whose matrix products and SVD do.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import involution, qbinom, qdim, validate_q
+from .words import _l2, involution, qbinom, qdim, validate_q
 
 TENSOR_CAP_HARD_LIMIT = 14
 RANK_TOL = 1e-9
@@ -162,12 +162,13 @@ class Intertwiner:
     def norm(self) -> float:
         """Operator norm.  Out of one irreducible block or the scalar line,
         A^T A = c 1 by Schur's lemma, so the norm is exactly the Frobenius
-        norm over sqrt(dim source); out of a product of blocks it is the
-        largest singular value."""
+        norm (words._l2, whose bits do not depend on the BLAS thread count)
+        over sqrt(dim source); out of a product of blocks it is the largest
+        singular value, from LAPACK's SVD."""
         if min(self.array.shape) == 0:
             return 0.0
         if len(self.source) <= 1:
-            return float(np.linalg.norm(self.array) / math.sqrt(self.array.shape[1]))
+            return _l2(self.array) / math.sqrt(self.array.shape[1])
         return float(np.linalg.norm(self.array, 2))
 
 
@@ -401,14 +402,12 @@ class IntertwinerEngine:
         """Measured commutation defect of V(z, x (x) y) against the projection
         onto H_uz resp. H_ux, and the predicted decay exponent
         (len(z) + len(x) - len(y)) / 2."""
-        vb = self.normalized_V(z, x, y)
-        d_u, d_y = self.irr_dim(u), self.irr_dim(y)
-        inc_uz = self.inclusion_block(u, z)
-        inc_ux = self.inclusion_block(u, x)
-        term1 = np.kron(np.eye(d_u), vb) @ (inc_uz @ inc_uz.T)
-        term2 = np.kron(inc_ux @ inc_ux.T, np.eye(d_y)) @ np.kron(np.eye(d_u), vb)
-        defect = float(np.linalg.norm(term1 - term2, 2))
-        return defect, (len(z) + len(x) - len(y)) / 2.0
+        # kron_apply applies P_ux (x) i_y to i_u (x) V without forming it: (d_u d_x d_y)^2
+        # floats, 648 MiB at n = 3 for u = ab, x = ababa
+        lifted = np.kron(np.eye(self.irr_dim(u)), self.normalized_V(z, x, y))
+        inc_uz, inc_ux = self.inclusion_block(u, z), self.inclusion_block(u, x)
+        gap = lifted @ (inc_uz @ inc_uz.T) - kron_apply(inc_ux @ inc_ux.T, lifted, right=self.irr_dim(y))
+        return float(np.linalg.norm(gap, 2)), (len(z) + len(x) - len(y)) / 2.0
 
 
 def kron_apply(m: np.ndarray, x: np.ndarray, left: int = 1, right: int = 1) -> np.ndarray:

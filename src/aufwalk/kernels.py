@@ -65,7 +65,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import CSR, TransitionMatrix, as_csr
-from .words import RadiusCapError, branch, code_lengths, ends_with, heap_index, locate, qdims, tree_distances, word
+from .words import RadiusCapError, _l2, branch, code_lengths, ends_with, heap_index, locate, qdims
+from .words import tree_distances, word
 # the word-level qdim stays importable from here: perfbench's tracer rebinds it in every
 # module that holds it
 from .words import qdim  # noqa: F401
@@ -118,14 +119,6 @@ def weighted_operator_norm(matrix, weights: np.ndarray) -> tuple[float, float]:
     bottom = _l2(np.bincount(rows, a, n) if signed else u) / _l2(np.ones(n))
     top = math.sqrt(np.bincount(m.indices, b * np.repeat(u, counts), n).max()) * (1.0 + 1e-12)
     return bottom, top
-
-
-def _l2(v: np.ndarray) -> float:
-    """The 2-norm of a vector by numpy's own sum of squares.  np.linalg.norm
-    calls BLAS ddot, whose threads spin on after it returns: on a 2-vCPU host
-    with two BLAS threads the rows solve of `walk --radius 16` took 0.19 s in
-    process, against 0.07 s with one."""
-    return math.sqrt(float(np.square(v).sum()))
 
 
 @dataclass

@@ -36,7 +36,7 @@ import numpy as np
 from .fusion import CSR, Measure, TransitionMatrix, csr_from_entries, fuse
 from .intertwiners import Intertwiner, IntertwinerEngine, kron_apply, split_component
 from .kernels import SOLVER_TOL, KernelTable, Shortfall, green_table
-from .words import branch, classical_dim, code_lengths, heap_index, involution, qdim, word
+from .words import _l2, branch, classical_dim, code_lengths, heap_index, involution, qdim, word
 
 RESIDUAL_FLOOR = 1e-12
 DOMINATION_TOL = 1e-12
@@ -172,7 +172,7 @@ def commutation_defect(u: str, s: str, t: str, ctx: BranchContext) -> float:
     the perturbation residual is second order in the commutation defect.
     """
     route_a, route_b = trace_routes(u, s, t, ctx)
-    return float(np.linalg.norm(route_a - route_b) / math.sqrt(route_a.shape[1]))
+    return _l2(route_a - route_b) / math.sqrt(route_a.shape[1])
 
 
 def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, float]:
@@ -189,7 +189,7 @@ def qhat_oracle(u: str, s: str, t: str, ctx: BranchContext) -> tuple[float, floa
     evolved = (evolved @ v_us.T).reshape(d_u, -1, d_u, eng.irr_dim(s))
     partial = np.einsum("ba,bYaS->YS", eng.rho_weight(u), evolved, optimize=True) / eng.qdim(u)
     coeff = float(np.sum(partial * v_sy) / np.sum(v_sy * v_sy))
-    residual = float(np.linalg.norm(partial - coeff * v_sy))
+    residual = _l2(partial - coeff * v_sy)
     return coeff, residual
 
 

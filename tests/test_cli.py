@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -35,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE = str(ROOT / "demos" / "config.example.json")
 GOLDEN_TWO_RAYS = str(ROOT / "tests" / "golden" / "two_rays.json")
 GOLDEN_RANGE2 = str(ROOT / "tests" / "golden" / "range2.json")
+GOLDEN_N3 = str(ROOT / "tests" / "golden" / "n3.json")
 
 
 def count_conversions(monkeypatch, record, modules=(words, fusion, kernels, perturbed, cli)):
@@ -147,7 +149,7 @@ class TestConfig:
         # audit at n = 3, tensorCap 6 exits 3 on its defect words, and a walk
         # whose source lies outside the ball exits 2: neither writes a file,
         # so neither makes the --out directory or its parents
-        config = (str(ROOT / "tests" / "golden" / "n3.json") if command == "audit"
+        config = (GOLDEN_N3 if command == "audit"
                   else str(make_config(tmp_path, ballRadius=3, sources=["abab"])))
         assert main([command, config, "--out", str(tmp_path / "x" / command)]) == code
         assert not (tmp_path / "x").exists()
@@ -880,6 +882,21 @@ class TestBoundaryAndIntertwiner:
         assert main(["intertwiner", str(path)]) == EXIT_OK
         assert (tmp_path / "out" / "projection_ranks.csv").read_bytes() == b"x,rank,classicalDim\ne,1,1\na,2,2\nb,2,2\n"
         assert (tmp_path / "out" / "vtilde_norms.csv").read_bytes() == b"s,v,t,norm,closedForm,relErr\n"
+
+    def test_n3_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """At n = 3 the arrays whose Frobenius norms vtilde_norms.csv prints
+        are long enough for BLAS ddot to split its sum across threads; summed
+        by words._l2, they give the same bytes under one and two threads."""
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / f"threads{threads}"
+            run = subprocess.run([sys.executable, "-m", "aufwalk.cli", "intertwiner", GOLDEN_N3, "--out", str(out)],
+                                 capture_output=True, text=True, cwd=ROOT, env=env)
+            assert run.returncode == EXIT_OK, run.stderr
+            outputs.append({name: (out / name).read_bytes() for name in ("projection_ranks.csv", "vtilde_norms.csv")})
+        assert outputs[0] == outputs[1]
 
 
 class TestAudit:

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aufwalk import cli
 from aufwalk.fusion import Measure, transition_matrix
 from aufwalk.intertwiners import (
     Intertwiner,
@@ -414,6 +415,42 @@ class TestDefects:
         (e1, d1), (e2, d2) = vals
         rate = (math.log(d2) - math.log(d1)) / (e2 - e1)
         assert rate == pytest.approx(math.log(engine.q), rel=0.2)
+
+
+def defect_by_kron(eng, u, x, y, z):
+    """The commutation defect by its explicit formula, every identity a
+    Kronecker factor: |(i_u (x) V) P_uz - (P_ux (x) i_y)(i_u (x) V)|."""
+    vb = eng.normalized_V(z, x, y)
+    d_u, d_y = eng.irr_dim(u), eng.irr_dim(y)
+    inc_uz, inc_ux = eng.inclusion_block(u, z), eng.inclusion_block(u, x)
+    term1 = np.kron(np.eye(d_u), vb) @ (inc_uz @ inc_uz.T)
+    term2 = np.kron(inc_ux @ inc_ux.T, np.eye(d_y)) @ np.kron(np.eye(d_u), vb)
+    return float(np.linalg.norm(term1 - term2, 2))
+
+
+class TestDefectAuditOracle:
+    """defect_audit applies P_ux (x) i_y without forming it; the explicit
+    formula is the oracle, within 1e-13 relative and an absolute 1e-15 for
+    the round-off-level defects of the families that commute."""
+
+    @staticmethod
+    def check(eng, families):
+        for u, x, y, z in families:
+            defect, expo = eng.defect_audit(u, x, y, z)
+            want = defect_by_kron(eng, u, x, y, z)
+            assert abs(defect - want) <= max(1e-13 * want, 1e-15), (u, x, y, z, defect, want)
+            assert expo == (len(z) + len(x) - len(y)) / 2.0
+
+    def test_audit_families_at_n2(self, engine):
+        self.check(engine, cli._defect_families())
+
+    def test_audit_families_at_n3(self):
+        # the oracle holds (d_u d_x d_y)^2 floats: 648 MiB for u = ab, x = ababa,
+        # so the families whose oracle fits in about 100 MiB (7 of 8) are compared
+        families = [f for f in cli._defect_families()
+                    if 8 * math.prod(classical_dim(w, 3) for w in f[:3]) ** 2 <= 100 * 2 ** 20]
+        assert len(families) == 7
+        self.check(IntertwinerEngine(ModelConfig.from_q(0.3, n=3, tensor_cap=7)), families)
 
 
 class TestIntertwinerAlgebra:
